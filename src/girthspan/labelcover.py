@@ -146,6 +146,12 @@ class LabelCoverInstance:
             self.a_count, self.b_count, self.sigma_a, self.sigma_b,
             self._ea[keep], self._eb[keep], self._rel_ids[keep], self.relations)
 
+    def without_edges(self, drop_ids) -> "LabelCoverInstance":
+        """New instance without the given superedge ids."""
+        keep = np.ones(self.edge_count, dtype=bool)
+        keep[np.asarray(drop_ids, dtype=np.int64)] = False
+        return self.restrict_edges(np.nonzero(keep)[0])
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelCoverInstance):
             return False

@@ -100,9 +100,6 @@ class Stream:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        return items[self.randbelow(len(items))]
-
 
 def keep_threshold(p: float) -> int | None:
     """u64 threshold for keep-with-probability-p; None means keep all."""

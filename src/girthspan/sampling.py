@@ -135,9 +135,7 @@ def strip_bad_edges(lc: LabelCoverInstance, k: int) -> LabelCoverInstance:
     in the input, so every one of its edges would have been removed; the
     output supergirth therefore exceeds k.
     """
-    bad = set(bad_edges(lc, k))
-    keep = [e for e in range(lc.edge_count) if e not in bad]
-    return lc.restrict_edges(keep)
+    return lc.without_edges(bad_edges(lc, k))
 
 
 def _side_degrees(counts: np.ndarray) -> SideDegrees:
@@ -157,8 +155,7 @@ def sample_and_strip(lc: LabelCoverInstance, params: SampleParams) -> tuple:
                            effective_degree(lc, params), params.clamp_p)
     sampled = subsample(lc, params)
     bad = bad_edges(sampled, params.k)
-    stripped = sampled.restrict_edges(
-        [e for e in range(sampled.edge_count) if e not in set(bad)])
+    stripped = sampled.without_edges(bad)
     deg_a, deg_b = degree_stats(sampled)
     stats = SampleStats(
         edges_before=lc.edge_count,

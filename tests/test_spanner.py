@@ -171,6 +171,57 @@ def test_verify_structured_matches_generic():
         assert sp.verify_spanner_structured(si, h) == sp.verify_spanner(si.base, h, si.k)
 
 
+def assert_fast_paths_match(si, h):
+    """Structured verdict and witness equal the generic verifier's, and the
+    vectorised canonical check agrees with the scalar one on every EGt edge;
+    returns the verdict."""
+    result = sp.verify_spanner_structured(si, h)
+    assert result == sp.verify_spanner(si.base, h, si.k)
+    scalar = [sp.canonical_span_check(si, h, eid) is not None
+              for eid in si.ids_by_family[sp.FAM_GT].tolist()]
+    assert sp.canonical_span_mask(si, h).tolist() == scalar
+    return result[0]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_structured_fast_path_equals_exact_path(k):
+    stream = Stream(7000 + k)
+    verdicts = set()
+    for x in (1, 2, 3):
+        si = tiny_instance(k=k, x=x)
+        m = si.base.edge_count
+        for _ in range(30):
+            keep_p = 0.5 + 0.5 * stream.random()
+            h = sp.EdgeSubset(si.base, [e for e in range(m) if stream.random() < keep_p])
+            verdicts.add(assert_fast_paths_match(si, h))
+        assert assert_fast_paths_match(si, si.full_subset())
+    assert verdicts == {True, False}
+
+
+def test_structured_fast_path_on_default_x_gadget(monkeypatch):
+    """Cover spanner at the default x = 25 with one or two crossing edges
+    dropped: some drops are repaired by the BFS fallback, some fail."""
+    lc = ten_vertex_lc()
+    si = sp.build_spanner_instance(minrep_expand(lc), 3)
+    cover_h = sp.spanner_from_repcover(si, value_one_cover(lc))
+    crossing = np.concatenate([si.ids_by_family[sp.FAM_SA], si.ids_by_family[sp.FAM_TB]])
+    crossing = crossing[cover_h.mask()[crossing]].tolist()
+    bfs_calls = []
+    within = sp._CappedBfs.within
+    monkeypatch.setattr(sp._CappedBfs, "within",
+                        lambda self, *args: bfs_calls.append(args) or within(self, *args))
+    stream = Stream(11)
+    outcomes = set()
+    for _ in range(20):
+        drop = {crossing[stream.randbelow(len(crossing))] for _ in range(1 + stream.randbelow(2))}
+        h = sp.EdgeSubset(si.base, [e for e in cover_h.members.tolist() if e not in drop])
+        bfs_calls.clear()
+        ok, _ = sp.verify_spanner_structured(si, h)
+        outcomes.add((ok, bool(bfs_calls)))
+        assert_fast_paths_match(si, h)
+    assert {(True, True), (False, True)} <= outcomes
+
+
 def test_per_edge_criterion_equals_all_pairs():
     stream = Stream(314)
     for _ in range(25):
@@ -241,15 +292,47 @@ def test_spanner_from_repcover_rejects_invalid_cover():
         sp.spanner_from_repcover(si, RepCover.of([("A", 0, 0)]))
 
 
+def make_proper_per_edge(si, h):
+    """make_proper's repair rule applied one dropped EGt edge at a time, with
+    scalar edge lookups: the reference for its table-driven repairs."""
+    mask = h.mask().copy()
+    gt_ids = si.ids_by_family[sp.FAM_GT]
+    dropped = gt_ids[mask[gt_ids]]
+    mask[gt_ids] = False
+    keep = [np.nonzero(mask)[0], si.ids_by_family[sp.FAM_E], si.ids_by_family[sp.FAM_M],
+            si.anchor_distinct]
+    lc = si.source.source
+    for eid in dropped.tolist():
+        pos = int(np.searchsorted(gt_ids, eid))
+        p, se = int(si.gt_p[pos]), int(si.gt_superedge[pos])
+        i, j = lc.edge(se)
+        alpha, beta = lc.relation(se).pairs[0]
+        keep.append([si.base.edge_id(si.s_vertex(p, i, 1), si.source.a_vertex(i, alpha)),
+                     si.base.edge_id(si.source.b_vertex(j, beta), si.t_vertex(p, j, 1))])
+    return sp.EdgeSubset(si.base, np.concatenate(keep))
+
+
 def test_make_proper_full_edge_set():
-    for k in (3, 4):
-        si = tiny_instance(k=k)
-        full = si.full_subset()
-        proper = sp.make_proper(si, full)
-        assert not set(proper.members.tolist()) & set(si.ids_by_family[sp.FAM_GT].tolist())
-        ok, _ = sp.verify_spanner(si.base, proper, k)
-        assert ok
-        assert len(proper) <= 6 * len(full)
+    for k in (3, 4, 5):
+        for x in (1, 2):
+            si = tiny_instance(k=k, x=x)
+            full = si.full_subset()
+            proper = sp.make_proper(si, full)
+            assert proper == make_proper_per_edge(si, full)
+            assert not set(proper.members.tolist()) & set(si.ids_by_family[sp.FAM_GT].tolist())
+            ok, _ = sp.verify_spanner(si.base, proper, k)
+            assert ok
+            assert len(proper) <= 6 * len(full)
+        # Cover stars plus every EGt edge, on a copy other than 0 and with a
+        # first relation pair off the hub and cover symbols: repairs add
+        # edges that are not in h.
+        si = sp.build_spanner_instance(minrep_expand(ten_vertex_lc()), k, x_override=2)
+        with_gt = sp.EdgeSubset(si.base, np.concatenate([
+            sp.spanner_from_repcover(si, value_one_cover(si.source.source)).members,
+            si.ids_by_family[sp.FAM_GT]]))
+        proper = sp.make_proper(si, with_gt)
+        assert len(proper) > len(with_gt) - si.ids_by_family[sp.FAM_GT].size
+        assert proper == make_proper_per_edge(si, with_gt)
 
 
 def test_make_proper_fixed_point():
