@@ -20,7 +20,7 @@ from .errors import InputError, ResourceError
 from .graphs import INFINITY, girth, parse_graph_text, write_graph_text
 from .labelcover import (minrep_expand, parse_cover_text, parse_lc_text,
                          write_cover_text, write_labeling_text, write_lc_text)
-from .rng import Stream, child_seed
+from .rng import child_seed
 
 
 def _budget_from_env(args) -> oracles.OracleBudget:
@@ -41,10 +41,7 @@ def _print_distance(d) -> None:
 
 
 def cmd_gen_3sat5(args) -> int:
-    planted_bits = None
-    if args.planted:
-        stream = Stream(child_seed(args.seed, "planted"))
-        planted_bits = tuple(stream.randbelow(2) == 1 for _ in range(args.vars))
+    planted_bits = cons.planted_assignment(args.vars, args.seed) if args.planted else None
     formula = cons.gen_3sat5(args.vars, child_seed(args.seed, "gen"), planted_bits)
     Path(args.output).write_text(
         cons.write_formula_text(formula, seed=args.seed, planted=planted_bits))
@@ -121,13 +118,10 @@ def _build_gadget(args):
 
 
 def cmd_spanner_reduce(args) -> int:
-    lc = _read_lc(args.lc)
-    mr = minrep_expand(lc)
-    si = sp.build_spanner_instance(mr, args.k, x_override=args.x,
-                                   allow_small_supergirth=args.unsafe_supergirth)
+    si = _build_gadget(args)
     Path(args.output).write_text(write_graph_text(si.base))
     meta_path = args.meta or (str(args.output) + ".meta.json")
-    Path(meta_path).write_text(json.dumps(sp.gadget_metadata(si), sort_keys=True, indent=1))
+    Path(meta_path).write_text(sp.write_gadget_meta_text(si))
     print(f"wrote {args.output} (+ {meta_path}): {si.base.vertex_count} vertices, "
           f"{si.base.edge_count} edges, x={si.x}")
     return 0

@@ -68,6 +68,12 @@ class Formula3Sat5:
         return any(bool(assignment[v]) == positive for v, positive in self.clauses[c])
 
 
+def planted_assignment(n_vars: int, seed: int) -> tuple:
+    """The assignment a planted run hides, derived from the master seed."""
+    stream = Stream(child_seed(seed, "planted"))
+    return tuple(stream.randbelow(2) == 1 for _ in range(n_vars))
+
+
 def gen_3sat5(n_prime: int, seed: int, planted=None,
               max_restarts: int = 80, max_repair_passes: int = 400) -> Formula3Sat5:
     """Random 3SAT(5) formula, deterministic in (n_prime, seed, planted)."""

@@ -9,10 +9,13 @@ naturals; edge ids are positions in the canonical edge list sorted by
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import deque
+from itertools import islice
 from math import inf
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 
@@ -23,10 +26,13 @@ class Graph:
     """Immutable undirected simple graph backed by sorted numpy edge arrays.
 
     Rejects self-loops and duplicate edges.  The adjacency index (CSR) is
-    derived once at construction and shared freely afterwards.
+    derived once at construction and shared freely afterwards; every array
+    is read-only, so the index and the cached GRAPH v1 digest (see
+    ``graph_sha256``) cannot go stale.
     """
 
-    __slots__ = ("vertex_count", "_eu", "_ev", "_indptr", "_nbr", "_nbr_eid", "_keys")
+    __slots__ = ("vertex_count", "_eu", "_ev", "_indptr", "_nbr", "_nbr_eid", "_keys",
+                 "_sha256")
 
     def __init__(self, vertex_count: int, edges) -> None:
         eu, ev = _edge_arrays(edges)
@@ -50,9 +56,9 @@ class Graph:
                 raise InputError("edge endpoint out of range")
             if (lo == hi).any():
                 raise InputError("self-loops are not allowed")
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
             keys = lo * np.int64(n) + hi
+            order = np.argsort(keys, kind="stable")
+            lo, hi, keys = lo[order], hi[order], keys[order]
             if keys.size > 1 and (np.diff(keys) == 0).any():
                 raise InputError("duplicate edges are not allowed")
         else:
@@ -69,10 +75,12 @@ class Graph:
         eids = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else np.zeros(0, np.int64)
         order = np.argsort(ends, kind="stable")
         self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self._indptr, ends + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
+        np.cumsum(np.bincount(ends, minlength=n), out=self._indptr[1:])
         self._nbr = nbrs[order]
         self._nbr_eid = eids[order]
+        for arr in (self._eu, self._ev, self._keys, self._indptr, self._nbr, self._nbr_eid):
+            arr.flags.writeable = False
+        self._sha256 = None
 
     @property
     def edge_count(self) -> int:
@@ -241,53 +249,186 @@ def is_bipartite(g: Graph) -> tuple[bool, list | None]:
     return True, color
 
 
+# --- decimal text, shared by GRAPH v1 and SUBSET v1 ------------------------
+#
+# Token policy: a token is a run of 1 to 18 ASCII digits (so it fits in
+# int64); tokens on a line are separated by spaces or tabs; a line ends at
+# \n, \r, \r\n, \v or \f; blank lines are skipped.  Any other character in
+# a body line (a sign, an underscore, a letter), any other control character
+# and any non-ASCII character is an InputError that names its line.
+
+_MAX_DIGITS = 18
+_DIGIT, _BLANK, _BREAK, _OTHER = range(4)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
+_BYTE_CLASS[[ord("\n"), ord("\r"), ord("\v"), ord("\f")]] = _BREAK
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f]")
+_HEAD_FORBIDDEN = re.compile(r"[^\t\x20-\x7e]")
+
+
+def _decimal_text(columns) -> bytes:
+    """One line per row of the nonnegative int columns, fields joined by a space.
+
+    Fills a right-aligned digit table per column, then drops each row's
+    leading-zero cells; equal to joining ``str(int)`` per row.
+    """
+    rows = columns[0].size
+    widths = [len(str(int(col.max()))) if rows else 1 for col in columns]
+    table = np.empty((rows, sum(widths) + len(widths)), dtype=np.uint8)
+    keep = np.ones(table.shape, dtype=bool)
+    end = 0
+    for col, width in zip(columns, widths):
+        rest = col.astype(np.int64)
+        for j in range(end + width - 1, end - 1, -1):
+            if j < end + width - 1:
+                np.greater(rest, 0, out=keep[:, j])
+            quot = rest // 10
+            table[:, j] = rest - quot * 10 + ord("0")
+            rest = quot
+        end += width
+        table[:, end] = ord(" ")
+        end += 1
+    table[:, -1] = ord("\n")
+    return table[keep].tobytes()
+
+
+def _is_decimal(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def _line_number(text: str, pos: int) -> int:
+    """1-based number of the line holding character offset ``pos``."""
+    return len(_LINE_BREAK.findall(text, 0, pos)) + 1
+
+
+def _head_lines(text: str, count: int, skip_blank: bool = False) -> tuple[list, int]:
+    """The first ``count`` lines (nonblank ones if ``skip_blank``) and the offset after them.
+
+    Header lines may hold printable ASCII and tabs only, like the body.
+    """
+    lines, pos, number = [], 0, 0
+    while len(lines) < count and pos < len(text):
+        brk = _LINE_BREAK.search(text, pos)
+        end, nxt = (brk.start(), brk.end()) if brk else (len(text), len(text))
+        line = text[pos:end]
+        number += 1
+        if _HEAD_FORBIDDEN.search(line):
+            raise InputError(f"line {number}: control or non-ASCII character")
+        if not skip_blank or line.strip():
+            lines.append(line)
+        pos = nxt
+    return lines, pos
+
+
+def _row_line(text: str, start: int, row: int) -> int:
+    """1-based line number of the ``row``-th nonblank line at or after ``start``."""
+    first = _line_number(text, start)
+    nonblank = (no for no, line in enumerate(_LINE_BREAK.split(text[start:]), first)
+                if line.strip())
+    return next(islice(nonblank, row, None))
+
+
+def _int_rows(text: str, start: int, width: int, count: int | None, what: str) -> np.ndarray:
+    """Parse ``text[start:]`` as nonblank lines of ``width`` decimal tokens each.
+
+    Returns an int64 array of shape (lines, width).  ``count``, when given,
+    is the declared number of lines; it is checked before the values are
+    decoded.  Every per-byte temporary is uint8, int8, bool or int32.
+    """
+    try:
+        body = np.frombuffer(text[start:].encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        raise InputError(f"line {_line_number(text, start + exc.start)}: "
+                         f"non-ASCII character in {what} line") from None
+    cls = _BYTE_CLASS[body]
+    other = cls == _OTHER
+    if other.any():
+        raise InputError(f"line {_line_number(text, start + int(other.argmax()))}: "
+                         f"{what} line must hold decimal integers only")
+    step = np.diff((cls == _DIGIT).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    del step
+    # A token opens a line when a line break lies between it and the token before.
+    line_of = np.cumsum(cls == _BREAK, dtype=np.int32)[starts]
+    del cls
+    opens = np.ones(starts.size, dtype=bool)
+    np.not_equal(line_of[1:], line_of[:-1], out=opens[1:])
+    del line_of
+    lines = int(np.count_nonzero(opens))
+    if count is not None and lines != count:
+        raise InputError(f"expected {count} {what} lines, found {lines}")
+    if starts.size != lines * width or opens.reshape(lines, width)[:, 1:].any():
+        firsts = np.flatnonzero(opens)
+        sizes = np.diff(firsts, append=opens.size)
+        tok = int(firsts[np.argmax(sizes != width)])
+        raise InputError(f"line {_line_number(text, start + int(starts[tok]))}: "
+                         f"expected {width} integer(s) per {what} line")
+    lengths = ends - starts
+    if starts.size == 0:
+        return np.zeros((0, width), dtype=np.int64)
+    digits = int(lengths.max())
+    if digits > _MAX_DIGITS:
+        tok = int(lengths.argmax())
+        raise InputError(f"line {_line_number(text, start + int(starts[tok]))}: "
+                         f"integer longer than {_MAX_DIGITS} digits")
+    # Row t of the window holds the ``digits`` bytes that end where token t
+    # ends; cells left of the token are zeroed, so Horner's rule over the
+    # columns gives the token's value.
+    padded = np.concatenate([np.full(digits, ord("0"), dtype=np.uint8), body])
+    window = sliding_window_view(padded, digits)[ends]
+    window -= ord("0")
+    window *= np.arange(digits) >= (digits - lengths)[:, None]
+    values = np.zeros(starts.size, dtype=np.int64)
+    for column in window.T:
+        values *= 10
+        values += column
+    return values.reshape(lines, width)
+
+
 # --- GRAPH v1 text format ---------------------------------------------------
 
+def _graph_bytes(g: Graph) -> bytes:
+    head = f"GRAPH v1\nN {g.vertex_count} M {g.edge_count}\n".encode("ascii")
+    return head + _decimal_text([g._eu, g._ev])
+
+
 def write_graph_text(g: Graph) -> str:
-    lines = ["GRAPH v1", f"N {g.vertex_count} M {g.edge_count}"]
-    eu = g._eu.tolist()
-    ev = g._ev.tolist()
-    lines.extend(f"{u} {v}" for u, v in zip(eu, ev))
-    return "\n".join(lines) + "\n"
+    """GRAPH v1 text of ``g``; also caches its digest for ``graph_sha256``."""
+    data = _graph_bytes(g)
+    if g._sha256 is None:
+        g._sha256 = hashlib.sha256(data).hexdigest()
+    return data.decode("ascii")
 
 
 def parse_graph_text(text: str) -> Graph:
-    lines = text.splitlines()
+    lines, start = _head_lines(text, 2)
     if not lines or lines[0].strip() != "GRAPH v1":
         raise InputError("missing GRAPH v1 header")
     if len(lines) < 2:
         raise InputError("missing size line")
     parts = lines[1].split()
-    if len(parts) != 4 or parts[0] != "N" or parts[2] != "M":
-        raise InputError(f"bad size line: {lines[1]!r}")
-    try:
-        n, m = int(parts[1]), int(parts[3])
-    except ValueError as exc:
-        raise InputError(f"bad size line: {lines[1]!r}") from exc
-    body = [ln for ln in lines[2:] if ln.strip()]
-    if len(body) != m:
-        raise InputError(f"expected {m} edge lines, found {len(body)}")
-    prev_key = -1
-    eu = np.empty(m, dtype=np.int64)
-    ev = np.empty(m, dtype=np.int64)
-    for i, ln in enumerate(body):
-        toks = ln.split()
-        if len(toks) != 2:
-            raise InputError(f"bad edge line: {ln!r}")
-        u, v = int(toks[0]), int(toks[1])
-        if u >= v:
-            raise InputError(f"edge line not in u < v form: {ln!r}")
-        if not (0 <= u and v < n):
-            raise InputError(f"edge endpoint out of range: {ln!r}")
-        key = u * n + v
-        if key == prev_key:
-            raise InputError(f"duplicate edge: {ln!r}")
-        if key < prev_key:
-            raise InputError(f"edge lines not sorted: {ln!r}")
-        prev_key = key
-        eu[i], ev[i] = u, v
+    if (len(parts) != 4 or parts[0] != "N" or parts[2] != "M"
+            or not (_is_decimal(parts[1]) and _is_decimal(parts[3]))):
+        raise InputError(f"line 2: bad size line: {lines[1]!r}")
+    n, m = int(parts[1]), int(parts[3])
+    rows = _int_rows(text, start, 2, m, "edge")
+    eu, ev = rows[:, 0], rows[:, 1]
+    du, dv = np.diff(eu), np.diff(ev)
+    for bad, message in [
+        (eu >= ev, "edge line not in u < v form"),
+        (ev >= n, "edge endpoint out of range"),
+        (np.concatenate([[False], (du == 0) & (dv == 0)]), "duplicate edge"),
+        (np.concatenate([[False], (du < 0) | ((du == 0) & (dv < 0))]), "edge lines not sorted"),
+    ]:
+        if bad.any():
+            raise InputError(f"line {_row_line(text, start, int(bad.argmax()))}: {message}")
     return Graph.from_arrays(n, eu, ev)
 
 
 def graph_sha256(g: Graph) -> str:
-    return hashlib.sha256(write_graph_text(g).encode("utf-8")).hexdigest()
+    """sha256 of the GRAPH v1 text of ``g``, computed at most once per graph."""
+    if g._sha256 is None:
+        g._sha256 = hashlib.sha256(_graph_bytes(g)).hexdigest()
+    return g._sha256

@@ -1,5 +1,6 @@
 import pytest
 
+from girthspan.errors import InputError
 from girthspan.graphs import Graph
 from girthspan.labelcover import LabelCoverInstance
 from girthspan.rng import Stream
@@ -75,3 +76,73 @@ def xor_lc():
 @pytest.fixture
 def tiny_lc():
     return path_lc_tiny()
+
+
+# --- mutation corpus for the GRAPH v1 / SUBSET v1 parsers ------------------------
+
+# Spellings the reference parsers (str.splitlines, str.split, int) accepted and
+# the token policy rejects on purpose: signs and underscores inside integers,
+# the controls \x1c-\x1f that str treats as whitespace or line breaks, and
+# non-ASCII characters.
+NARROWED = frozenset("+-_\x1c\x1d\x1e\x1f")
+MUTANT_CHARS = [chr(c) for c in range(128)] + ["\u00a0", "\u0663", "\u2028", "\x85"]
+
+
+def narrowed_spelling(text: str) -> bool:
+    return any(c in NARROWED or not c.isascii() for c in text)
+
+
+def text_mutants(text: str, stream: Stream, count: int) -> list:
+    """``count`` mutants of ``text``: one character changed, a line dropped or
+    duplicated, two lines swapped, a token added, or a header token edited."""
+    out = []
+    while len(out) < count:
+        lines = text.split("\n")
+        kind = stream.randbelow(6)
+        i, j = stream.randbelow(len(lines)), stream.randbelow(len(lines))
+        if kind == 0:
+            pos = stream.randbelow(len(text))
+            out.append(text[:pos] + MUTANT_CHARS[stream.randbelow(len(MUTANT_CHARS))]
+                       + text[pos + 1:])
+            continue
+        if kind == 1:
+            del lines[i]
+        elif kind == 2:
+            lines.insert(i, lines[i])
+        elif kind == 3:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == 4:
+            lines[i] += f" {stream.randbelow(20)}"
+        else:
+            head = stream.randbelow(2)
+            tokens = lines[head].split(" ")
+            t = stream.randbelow(len(tokens))
+            tok = tokens[t]
+            edits = [str(int(tok) + 1) if tok.isdigit() else tok + "1", tok.lower(),
+                     tok + tok[-1:], "", "v2", "x"]
+            tokens[t] = edits[stream.randbelow(len(edits))]
+            lines[head] = " ".join(tokens)
+        out.append("\n".join(lines))
+    return out
+
+
+def parse_outcome(parse, text):
+    """The parse result, or None if ``parse`` raised anything."""
+    try:
+        return parse(text)
+    except Exception:   # the reference parsers leak ValueError and OverflowError too
+        return None
+
+
+def check_mutant(parse, reference, text) -> str:
+    """Assert ``parse`` agrees with ``reference`` on ``text``; returns the case seen."""
+    expected = parse_outcome(reference, text)
+    try:
+        got = parse(text)
+    except InputError:
+        got = None
+    if expected is not None and got is None:
+        assert narrowed_spelling(text), f"rejected a text the reference accepts: {text!r}"
+        return "narrowed"
+    assert got == expected, f"verdicts differ on {text!r}"
+    return "accepted" if got is not None else "rejected"

@@ -33,6 +33,20 @@ def test_bad_graph_file_gives_exit_2(tmp_path, capsys):
     assert run(["girth", "-i", path]) == 2
 
 
+def test_non_integer_tokens_give_exit_2_with_line(tmp_path, capsys):
+    gpath = tmp_path / "bad.graph"
+    gpath.write_text("GRAPH v1\nN 2 M 1\n0 x\n")
+    spath = tmp_path / "h.subset"
+    spath.write_text(write_subset_text(EdgeSubset(cycle_graph(4), [0])))
+    assert run(["spanner-verify", "--graph", gpath, "--subset", spath, "--k", 3]) == 2
+    assert "line 3" in capsys.readouterr().err
+    gpath.write_text(write_graph_text(cycle_graph(4)))
+    spath.write_text(spath.read_text() + "zero\n")
+    assert run(["spanner-verify", "--graph", gpath, "--subset", spath, "--k", 3]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "Traceback" not in err
+
+
 def test_missing_file_gives_exit_2(tmp_path):
     assert run(["girth", "-i", tmp_path / "nope.graph"]) == 2
 
@@ -136,6 +150,11 @@ def test_pipeline_command_and_determinism(tmp_path, capsys):
     report = json.loads((out1 / "stats.json").read_text())
     assert all(report["verdicts"].values())
     assert all(report["self_audit"].values())
+    # wall_clock_s accounts for the whole run
+    clock = report["wall_clock_s"]
+    assert "write_artifacts" in clock and "total" in clock
+    stages = sum(t for name, t in clock.items() if name != "total")
+    assert abs(stages - clock["total"]) <= 0.05 * clock["total"]
 
 
 def test_pipeline_artifacts_round_trip(tmp_path):

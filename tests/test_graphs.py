@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from girthspan.graphs import (Graph, INFINITY, bfs_distances, edge_cycle_length,
                               write_graph_text)
 from girthspan.rng import Stream
 
-from conftest import complete_graph, cycle_graph, random_graph
+from conftest import check_mutant, complete_graph, cycle_graph, random_graph, text_mutants
 
 
 def test_bfs_on_path():
@@ -134,10 +136,131 @@ def test_graph_text_round_trip_empty():
     "GRAPH v1\nN 3 M 2\n0 2\n0 1\n",     # unsorted
     "GRAPH v1\nN 3 M 2\n0 1\n",          # wrong count
     "GRAPH v1\nN 2 M 1\n0 0\n",          # self loop (fails u < v)
+    "GRAPH v1\nN 4 M 2\n0 1 2\n3\n",     # right token count, wrong lines
 ])
 def test_graph_text_rejections(bad):
     with pytest.raises(InputError):
         parse_graph_text(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    "GRAPH v1\nN 2 M 1\n0 x\n",
+    "GRAPH v1\nN 2 M 1\n+0 1\n",
+    "GRAPH v1\nN 20 M 1\n1_0 11\n",
+    "GRAPH v1\nN 2 M 1\n\u0660 1\n",         # non-ASCII digit
+    "GRAPH v1\nN 2 M 1\n0\x1f1\n",           # str.split() whitespace, not ASCII
+    "GRAPH v1\nN +2 M 1\n0 1\n",
+    "GRAPH v1\nN 2 M 1\n0 0000000000000000001\n",   # 19 digits
+])
+def test_graph_text_rejects_non_decimal_tokens_with_line(bad):
+    with pytest.raises(InputError, match="line"):
+        parse_graph_text(bad)
+
+
+def test_graph_text_whitespace_and_blank_lines():
+    text = "GRAPH v1 \r\nN 6\tM 2\r\n\n  0\t 5  \f\n\n3 4\v"
+    assert parse_graph_text(text) == Graph(6, [(0, 5), (3, 4)])
+
+
+def test_graph_arrays_are_read_only():
+    g = cycle_graph(5)
+    with pytest.raises(ValueError):
+        g.edge_arrays()[0][0] = 3
+    with pytest.raises(ValueError):
+        g.neighbors(0)[0] = 3
+
+
+def test_graph_sha256_matches_text_digest():
+    stream = Stream(31)
+    for _ in range(5):
+        g = random_graph(12, 0.3, stream)
+        expected = hashlib.sha256(write_graph_text_per_line(g).encode()).hexdigest()
+        fresh = Graph.from_arrays(g.vertex_count, *g.edge_arrays())
+        assert graph_sha256(fresh) == expected          # computed
+        assert graph_sha256(fresh) == expected          # cached
+        written = Graph.from_arrays(g.vertex_count, *g.edge_arrays())
+        assert hashlib.sha256(write_graph_text(written).encode()).hexdigest() == expected
+        assert graph_sha256(written) == expected        # cached by the writer
+
+
+# --- the per-line GRAPH v1 writer and parser, kept as the reference ---------------
+
+def write_graph_text_per_line(g):
+    lines = ["GRAPH v1", f"N {g.vertex_count} M {g.edge_count}"]
+    eu, ev = g.edge_arrays()
+    lines.extend(f"{u} {v}" for u, v in zip(eu.tolist(), ev.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def parse_graph_text_per_line(text):
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "GRAPH v1":
+        raise InputError("missing GRAPH v1 header")
+    if len(lines) < 2:
+        raise InputError("missing size line")
+    parts = lines[1].split()
+    if len(parts) != 4 or parts[0] != "N" or parts[2] != "M":
+        raise InputError(f"bad size line: {lines[1]!r}")
+    try:
+        n, m = int(parts[1]), int(parts[3])
+    except ValueError as exc:
+        raise InputError(f"bad size line: {lines[1]!r}") from exc
+    body = [ln for ln in lines[2:] if ln.strip()]
+    if len(body) != m:
+        raise InputError(f"expected {m} edge lines, found {len(body)}")
+    prev_key = -1
+    eu = np.empty(m, dtype=np.int64)
+    ev = np.empty(m, dtype=np.int64)
+    for i, ln in enumerate(body):
+        toks = ln.split()
+        if len(toks) != 2:
+            raise InputError(f"bad edge line: {ln!r}")
+        u, v = int(toks[0]), int(toks[1])
+        if u >= v:
+            raise InputError(f"edge line not in u < v form: {ln!r}")
+        if not (0 <= u and v < n):
+            raise InputError(f"edge endpoint out of range: {ln!r}")
+        key = u * n + v
+        if key == prev_key:
+            raise InputError(f"duplicate edge: {ln!r}")
+        if key < prev_key:
+            raise InputError(f"edge lines not sorted: {ln!r}")
+        prev_key = key
+        eu[i], ev[i] = u, v
+    return Graph.from_arrays(n, eu, ev)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Up to 30 edges over 2..10^7 vertices, so ids have 1 to 7 digits."""
+    digits = draw(st.integers(1, 7))
+    n = draw(st.integers(max(2, 10 ** (digits - 1)), 10 ** digits))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                          max_size=30, unique_by=lambda p: (min(p), max(p))))
+    return Graph(n, pairs)
+
+
+@given(sparse_graphs())
+@settings(max_examples=40, deadline=None)
+def test_graph_text_equals_per_line_reference(g):
+    text = write_graph_text(g)
+    assert text == write_graph_text_per_line(g)
+    assert parse_graph_text(text) == g == parse_graph_text_per_line(text)
+
+
+def test_graph_parser_agrees_with_reference_on_mutants():
+    stream = Stream(1203)
+    bases = [write_graph_text(random_graph(n, 0.35, stream)) for n in (2, 5, 9, 14)]
+    bases += [write_graph_text(Graph(3, [])),
+              write_graph_text(Graph(120000, [(7, 99), (7, 119999), (4000, 5000)])),
+              "GRAPH v1\r\nN 12 M 3\r\n\r\n 0\t11 \n  3 4\n\n5  10\n\n"]
+    seen = {}
+    for base in bases:
+        for text in text_mutants(base, stream, 400):
+            case = check_mutant(parse_graph_text, parse_graph_text_per_line, text)
+            seen[case] = seen.get(case, 0) + 1
+    assert seen.keys() == {"accepted", "rejected", "narrowed"}, seen
 
 
 def test_infinity_ordering():

@@ -1,15 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from girthspan import spanner as sp
 from girthspan.errors import InputError, ResourceError
-from girthspan.graphs import Graph, INFINITY, girth
+from girthspan.graphs import Graph, INFINITY, girth, graph_sha256
 from girthspan.labelcover import (RepCover, labeling_to_repcover,
                                   minrep_expand, repcover_valid)
 from girthspan.rng import Stream
 
-from conftest import (complete_graph, cycle_graph, make_lc, path_lc_tiny,
-                      random_graph, xor_odd_4cycle)
+from conftest import (check_mutant, complete_graph, cycle_graph, make_lc, path_lc_tiny,
+                      random_graph, text_mutants, xor_odd_4cycle)
 
 
 def ten_vertex_lc():
@@ -419,11 +422,115 @@ def test_subset_validation():
         sp.parse_subset_text("SUBSET v1\nHOST sha256:wrong\n0\n", g)
 
 
+@pytest.mark.parametrize("bad", ["zero", "+1", "1_0", "-0", "1 2", "\u0661"])
+def test_subset_rejects_non_decimal_ids_with_line(bad):
+    g = cycle_graph(12)
+    text = sp.write_subset_text(sp.EdgeSubset(g, [0])) + "\n" + bad + "\n"
+    with pytest.raises(InputError, match="line 5"):
+        sp.parse_subset_text(text, g)
+
+
+# --- the per-line SUBSET v1 writer and parser, kept as the reference --------------
+
+def write_subset_text_per_line(h):
+    lines = ["SUBSET v1", f"HOST sha256:{graph_sha256(h.host)}"]
+    lines.extend(str(int(e)) for e in h.members.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def parse_subset_text_per_line(text, host):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "SUBSET v1":
+        raise InputError("missing SUBSET v1 header")
+    if len(lines) < 2 or not lines[1].startswith("HOST sha256:"):
+        raise InputError("missing HOST hash line")
+    expected = lines[1].split("sha256:", 1)[1]
+    actual = graph_sha256(host)
+    if expected != actual:
+        raise InputError("subset host hash does not match the given graph")
+    prev = -1
+    members = []
+    for ln in lines[2:]:
+        e = int(ln)
+        if e <= prev:
+            raise InputError("subset edge ids must be sorted and distinct")
+        prev = e
+        members.append(e)
+    return sp.EdgeSubset(host, members)
+
+
+@pytest.fixture(scope="module")
+def million_edge_host():
+    """K_1415: 1,000,405 edges, so edge ids have 1 to 7 digits."""
+    return Graph.from_arrays(1415, *np.triu_indices(1415, 1))
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda d: st.lists(st.integers(0 if d == 1 else 10 ** (d - 1), min(10 ** d, 1_000_405) - 1),
+                       max_size=40)))
+@settings(max_examples=40, deadline=None)
+def test_subset_text_equals_per_line_reference(million_edge_host, ids):
+    h = sp.EdgeSubset(million_edge_host, ids)
+    text = sp.write_subset_text(h)
+    assert text == write_subset_text_per_line(h)
+    assert sp.parse_subset_text(text, h.host) == h == parse_subset_text_per_line(text, h.host)
+
+
+def test_subset_parser_agrees_with_reference_on_mutants():
+    stream = Stream(2012)
+    host = random_graph(30, 0.4, stream)
+    bases = [sp.write_subset_text(sp.EdgeSubset(host, [e for e in range(host.edge_count)
+                                                       if stream.random() < keep]))
+             for keep in (0.0, 0.1, 0.5)]
+    bases.append(f"\n \nSUBSET v1\r\n\nHOST sha256:{graph_sha256(host)}\n\t3 \n\n  12\n")
+    seen = {}
+    for base in bases:
+        for text in text_mutants(base, stream, 500):
+            case = check_mutant(lambda t: sp.parse_subset_text(t, host),
+                                lambda t: parse_subset_text_per_line(t, host), text)
+            seen[case] = seen.get(case, 0) + 1
+    assert seen.keys() == {"accepted", "rejected", "narrowed"}, seen
+
+
+def derived_role(meta, v):
+    """Vertex role from gadget_meta_v2 fields, as the gadget_metadata docstring says."""
+    a_block = meta["a_count"] * meta["sigma_a"]
+    t_offset = meta["n"] + meta["x"] * meta["a_count"] * meta["k_a"]
+    if v < a_block:
+        return ["A", v // meta["sigma_a"], v % meta["sigma_a"]]
+    if v < meta["n"]:
+        w = v - a_block
+        return ["B", w // meta["sigma_b"], w % meta["sigma_b"]]
+    if v < t_offset:
+        tower, level = divmod(v - meta["n"], meta["k_a"])
+        p, i = divmod(tower, meta["a_count"])
+        return ["S", i, level + 1, p]
+    tower, level = divmod(v - t_offset, meta["k_b"])
+    p, j = divmod(tower, meta["b_count"])
+    return ["T", j, level + 1, p]
+
+
+def derived_family(meta, u, v):
+    kinds = {derived_role(meta, u)[0], derived_role(meta, v)[0]}
+    if kinds <= {"A", "B"}:
+        return "E"
+    if len(kinds) == 1:
+        return "EM"
+    return {frozenset("AS"): "EsA", frozenset("BT"): "EtB",
+            frozenset("ST"): "EGt"}[frozenset(kinds)]
+
+
 def test_gadget_metadata_contents():
-    si = tiny_instance(k=3, x=2)
-    meta = sp.gadget_metadata(si)
-    assert meta["schema"] == "gadget_meta_v1"
-    assert meta["anchor_roster_size"] == si.n + si.x * si.n_tilde
-    assert meta["family_sizes"]["EGt"] == 2 * 3
-    assert len(meta["roles"]) == si.base.vertex_count
-    assert len(meta["families"]) == si.base.edge_count
+    for k, x in [(3, 2), (4, 2), (5, 3)]:
+        si = tiny_instance(k=k, x=x)
+        meta = json.loads(sp.write_gadget_meta_text(si))
+        assert meta == sp.gadget_metadata(si)
+        assert meta["schema"] == "gadget_meta_v2"
+        assert "roles" not in meta and "families" not in meta
+        assert meta["anchor_roster_size"] == si.n + si.x * si.n_tilde
+        assert meta["family_sizes"]["EGt"] == x * 3
+        # the lists gadget_meta_v1 stored follow from the v2 fields
+        v1_roles = [list(si.vertex_role(v)) for v in range(si.base.vertex_count)]
+        v1_families = [sp.FAMILIES[int(c)] for c in si.fam_code.tolist()]
+        assert [derived_role(meta, v) for v in range(meta["vertex_count"])] == v1_roles
+        assert [derived_family(meta, u, v) for u, v in si.base.edges()] == v1_families
