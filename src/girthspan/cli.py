@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success/verified, 1 verification failed (witness printed),
-2 input error, 3 resource/budget error.  The default oracle budget can be
+2 input or I/O error, 3 resource/budget error.  The default oracle budget can be
 overridden with the GIRTHSPAN_BUDGET environment variable.
 """
 
@@ -377,14 +377,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from itertools import islice
+from collections.abc import Sequence
+from itertools import chain, islice
 from math import inf
 
 import numpy as np
@@ -27,12 +28,13 @@ class Graph:
 
     Rejects self-loops and duplicate edges.  The adjacency index (CSR) is
     derived once at construction and shared freely afterwards; every array
-    is read-only, so the index and the cached GRAPH v1 digest (see
-    ``graph_sha256``) cannot go stale.
+    is read-only, so the index, the cached neighbour lists (see
+    ``adjacency``) and the cached GRAPH v1 digest (see ``graph_sha256``)
+    cannot go stale.
     """
 
     __slots__ = ("vertex_count", "_eu", "_ev", "_indptr", "_nbr", "_nbr_eid", "_keys",
-                 "_sha256")
+                 "_adj", "_sha256")
 
     def __init__(self, vertex_count: int, edges) -> None:
         eu, ev = _edge_arrays(edges)
@@ -80,6 +82,7 @@ class Graph:
         self._nbr_eid = eids[order]
         for arr in (self._eu, self._ev, self._keys, self._indptr, self._nbr, self._nbr_eid):
             arr.flags.writeable = False
+        self._adj = None
         self._sha256 = None
 
     @property
@@ -124,6 +127,16 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self._nbr[self._indptr[v]:self._indptr[v + 1]]
 
+    def adjacency(self) -> list:
+        """Neighbour lists of Python ints, built on first use and cached.
+
+        Callers must not modify them; they are shared by every search.
+        """
+        if self._adj is None:
+            nbr, indptr = self._nbr.tolist(), self._indptr.tolist()
+            self._adj = [nbr[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
+        return self._adj
+
     def degree(self, v: int) -> int:
         return int(self._indptr[v + 1] - self._indptr[v])
 
@@ -155,6 +168,17 @@ def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0].copy(), arr[:, 1].copy()
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """Sorted distinct int64 values of an array or iterable, like ``np.unique``.
+
+    Sort-and-mask rather than ``np.unique``, whose hash-based path (numpy
+    2.4) is 30-50x slower on 10^5..10^6 ids.
+    """
+    arr = np.sort(np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                             dtype=np.int64), axis=None)
+    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
+
+
 def bfs_distances(g: Graph, src: int, cap: int | None = None) -> list:
     """Exact hop counts from ``src``; entries beyond ``cap`` are INFINITY."""
     if not 0 <= src < g.vertex_count:
@@ -162,50 +186,52 @@ def bfs_distances(g: Graph, src: int, cap: int | None = None) -> list:
     dist = [INFINITY] * g.vertex_count
     dist[src] = 0
     queue = deque([src])
-    indptr, nbr = g._indptr, g._nbr
+    adj = g.adjacency()
     while queue:
         u = queue.popleft()
         du = dist[u]
         if cap is not None and du >= cap:
             continue
-        for w in nbr[indptr[u]:indptr[u + 1]].tolist():
+        for w in adj[u]:
             if dist[w] == INFINITY:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
 
 
-def _dist_skip_edge(g: Graph, src: int, dst: int, skip_eid: int, cap: int | None):
-    """Distance src->dst ignoring one edge; INFINITY if above cap/unreachable."""
+def _hops(adj, src: int, dst: int, cap: int | None, skip_direct: bool = False):
+    """Hop distance from ``src`` to ``dst`` over the neighbour lists ``adj``.
+
+    INFINITY when ``dst`` is unreachable or more than ``cap`` hops away (no
+    limit when ``cap`` is None).  ``skip_direct`` ignores the edge {src, dst};
+    graphs have no parallel edges, so that is the same as ignoring its id.
+    """
     if src == dst:
         return 0
-    seen = bytearray(g.vertex_count)
-    seen[src] = 1
+    seen = {src}
     frontier = [src]
     d = 0
-    indptr, nbr, nbr_eid = g._indptr, g._nbr, g._nbr_eid
-    while frontier:
+    while frontier and (cap is None or d < cap):
         d += 1
-        if cap is not None and d > cap:
-            return INFINITY
         nxt = []
         for u in frontier:
-            lo, hi = indptr[u], indptr[u + 1]
-            for w, eid in zip(nbr[lo:hi].tolist(), nbr_eid[lo:hi].tolist()):
-                if eid == skip_eid or seen[w]:
-                    continue
+            for w in adj[u]:
                 if w == dst:
+                    if skip_direct and u == src:
+                        continue
                     return d
-                seen[w] = 1
-                nxt.append(w)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
         frontier = nxt
     return INFINITY
 
 
-def edge_cycle_length(g: Graph, eid: int):
-    """Length of the shortest cycle through edge ``eid``; INFINITY for bridges."""
+def edge_cycle_length(g: Graph, eid: int, cap: int | None = None):
+    """Length of the shortest cycle through edge ``eid``; INFINITY for bridges
+    and, when ``cap`` is given, for cycles longer than ``cap``."""
     u, v = g.edge(eid)
-    d = _dist_skip_edge(g, u, v, eid, None)
+    d = _hops(g.adjacency(), u, v, None if cap is None else cap - 1, skip_direct=True)
     return d + 1 if d != INFINITY else INFINITY
 
 
@@ -217,21 +243,20 @@ def girth(g: Graph):
     provides a second formulation for cross-checking.
     """
     best = INFINITY
-    for eid in range(g.edge_count):
-        cap = None if best == INFINITY else best - 2
-        if cap is not None and cap <= 0:
-            break
-        u, v = int(g._eu[eid]), int(g._ev[eid])
-        d = _dist_skip_edge(g, u, v, eid, cap)
-        if d != INFINITY and d + 1 < best:
+    adj = g.adjacency()
+    for u, v in g.edges():
+        d = _hops(adj, u, v, None if best == INFINITY else best - 2, skip_direct=True)
+        if d != INFINITY:
             best = d + 1
+            if best == 3:
+                break
     return best
 
 
 def is_bipartite(g: Graph) -> tuple[bool, list | None]:
     """Two-color the graph; (True, colors) if no odd cycle else (False, None)."""
     color = [-1] * g.vertex_count
-    indptr, nbr = g._indptr, g._nbr
+    adj = g.adjacency()
     for start in range(g.vertex_count):
         if color[start] != -1:
             continue
@@ -240,7 +265,7 @@ def is_bipartite(g: Graph) -> tuple[bool, list | None]:
         while queue:
             u = queue.popleft()
             cu = color[u]
-            for w in nbr[indptr[u]:indptr[u + 1]].tolist():
+            for w in adj[u]:
                 if color[w] == -1:
                     color[w] = 1 - cu
                     queue.append(w)
@@ -295,6 +320,34 @@ def _decimal_text(columns) -> bytes:
 
 def _is_decimal(token: str) -> bool:
     return token.isascii() and token.isdigit()
+
+
+def _decimals(rows, line_nos) -> list:
+    """The tokens of ``rows`` (lists of str, one per line) as one flat int list.
+
+    The LC, COVER, LABEL and CNF parsers split text with ``str.splitlines``
+    and ``str.split`` and read every integer through here, so their tokens
+    follow the policy above: 1 to 18 ASCII digits.  Otherwise an InputError
+    names ``line_nos[r]``, the 1-based line number of the first bad row r.
+    """
+    flat = list(chain.from_iterable(rows))
+    if flat and not (all(flat) and _is_decimal("".join(flat))
+                     and max(map(len, flat)) <= _MAX_DIGITS):
+        r, bad = next((r, tok) for r, row in enumerate(rows) for tok in row
+                      if not (_is_decimal(tok) and len(tok) <= _MAX_DIGITS))
+        raise InputError(f"line {line_nos[r]}: {bad!r} is not an integer of 1 to "
+                         f"{_MAX_DIGITS} decimal digits")
+    return list(map(int, flat))
+
+
+def _nonblank_lines(text: str) -> tuple[list, Sequence[int]]:
+    """The nonblank lines of ``text`` (split by ``str.splitlines``) and their
+    1-based line numbers."""
+    raw = text.splitlines()
+    lines = list(filter(str.strip, raw))
+    if len(lines) == len(raw):
+        return lines, range(1, len(raw) + 1)
+    return lines, [no for no, ln in enumerate(raw, 1) if ln.strip()]
 
 
 def _line_number(text: str, pos: int) -> int:

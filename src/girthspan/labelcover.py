@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, girth
+from .graphs import Graph, _decimals, _nonblank_lines, _sorted_distinct, girth
 
 
 class Relation:
@@ -139,7 +140,7 @@ class LabelCoverInstance:
 
     def restrict_edges(self, keep_ids) -> "LabelCoverInstance":
         """New instance keeping only the given superedge ids (sorted)."""
-        keep = np.unique(np.asarray(list(keep_ids), dtype=np.int64))
+        keep = _sorted_distinct(keep_ids)
         if keep.size and (keep[0] < 0 or keep[-1] >= self.edge_count):
             raise InputError("superedge id out of range")
         return LabelCoverInstance.from_arrays(
@@ -345,13 +346,13 @@ def write_lc_text(lc: LabelCoverInstance) -> str:
 
 
 def parse_lc_text(text: str) -> LabelCoverInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines, line_nos = _nonblank_lines(text)
     if not lines or lines[0] != "LC v1":
         raise InputError("missing LC v1 header")
     toks = lines[1].split() if len(lines) > 1 else []
     if len(toks) != 10 or toks[0::2] != ["A", "B", "SA", "SB", "M"]:
         raise InputError("bad LC size line")
-    a_count, b_count, sigma_a, sigma_b, m = (int(t) for t in toks[1::2])
+    a_count, b_count, sigma_a, sigma_b, m = _decimals([toks[1::2]], line_nos[1:2])
     superedges = []
     pos = 2
     for _ in range(m):
@@ -360,23 +361,20 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
         parts = lines[pos].split()
         if len(parts) != 4:
             raise InputError(f"bad superedge line: {lines[pos]!r}")
-        a, b, t = int(parts[1]), int(parts[2]), int(parts[3])
+        a, b, t = _decimals([parts[1:]], line_nos[pos:pos + 1])
         pos += 1
-        pairs = []
-        prev = None
-        for _ in range(t):
-            if pos >= len(lines):
-                raise InputError("truncated relation block")
-            ab = lines[pos].split()
-            if len(ab) != 2:
-                raise InputError(f"bad relation pair line: {lines[pos]!r}")
-            pair = (int(ab[0]), int(ab[1]))
-            if prev is not None and pair <= prev:
-                raise InputError("relation pairs must be sorted and distinct")
-            prev = pair
-            pairs.append(pair)
-            pos += 1
+        rows = list(map(str.split, lines[pos:pos + t]))
+        if rows and set(map(len, rows)) != {2}:
+            bad = next(r for r, row in enumerate(rows) if len(row) != 2)
+            raise InputError(f"bad relation pair line: {lines[pos + bad]!r}")
+        if len(rows) < t:
+            raise InputError("truncated relation block")
+        values = _decimals(rows, line_nos[pos:pos + t])
+        pairs = list(zip(values[0::2], values[1::2]))
+        if not all(map(lt, pairs, pairs[1:])):
+            raise InputError("relation pairs must be sorted and distinct")
         superedges.append((a, b, pairs))
+        pos += t
     if pos != len(lines):
         raise InputError("trailing content after superedges")
     return LabelCoverInstance(a_count, b_count, sigma_a, sigma_b, superedges)
@@ -389,15 +387,15 @@ def write_cover_text(cover: RepCover) -> str:
 
 
 def parse_cover_text(text: str) -> RepCover:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines, line_nos = _nonblank_lines(text)
     if not lines or lines[0] != "COVER v1":
         raise InputError("missing COVER v1 header")
     members = []
-    for ln in lines[1:]:
+    for no, ln in zip(line_nos[1:], lines[1:]):
         toks = ln.split()
         if len(toks) != 3 or toks[0] not in ("A", "B"):
             raise InputError(f"bad cover line: {ln!r}")
-        members.append((toks[0], int(toks[1]), int(toks[2])))
+        members.append((toks[0], *_decimals([toks[1:]], (no,))))
     return RepCover.of(members)
 
 
@@ -409,16 +407,17 @@ def write_labeling_text(lab: Labeling) -> str:
 
 
 def parse_labeling_text(text: str, lc: LabelCoverInstance) -> Labeling:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines, line_nos = _nonblank_lines(text)
     if not lines or lines[0] != "LABEL v1":
         raise InputError("missing LABEL v1 header")
     ga: dict[int, int] = {}
     gb: dict[int, int] = {}
-    for ln in lines[1:]:
+    for no, ln in zip(line_nos[1:], lines[1:]):
         toks = ln.split()
         if len(toks) != 3 or toks[0] not in ("A", "B"):
             raise InputError(f"bad labeling line: {ln!r}")
-        side, i, s = toks[0], int(toks[1]), int(toks[2])
+        side = toks[0]
+        i, s = _decimals([toks[1:]], (no,))
         target = ga if side == "A" else gb
         if i in target:
             raise InputError(f"vertex labeled twice: {ln!r}")

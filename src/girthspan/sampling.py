@@ -120,12 +120,7 @@ def bad_edges(lc: LabelCoverInstance, k: int) -> list:
     if k < 3:
         raise InputError("cycle threshold k must be >= 3")
     g = supergraph(lc)
-    out = []
-    for eid in range(g.edge_count):
-        length = edge_cycle_length(g, eid)
-        if length != INFINITY and length <= k:
-            out.append(eid)
-    return out
+    return [eid for eid in range(g.edge_count) if edge_cycle_length(g, eid, k) != INFINITY]
 
 
 def strip_bad_edges(lc: LabelCoverInstance, k: int) -> LabelCoverInstance:
@@ -187,12 +182,7 @@ def montecarlo_satisfied(lc: LabelCoverInstance, lab: Labeling,
     Trial t draws from the substream (seed, "trial", t); trials are
     schedule-independent and embarrassingly parallel.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
     lab.check_shape(lc)
-    p = sample_probability(params.alpha, lc.sigma_a,
-                           effective_degree(lc, params), params.clamp_p)
-    threshold = keep_threshold(p)
     ga = np.asarray(lab.gamma_a, dtype=np.int64)
     gb = np.asarray(lab.gamma_b, dtype=np.int64)
     ea, eb, rel_ids = lc.edge_arrays()
@@ -202,23 +192,18 @@ def montecarlo_satisfied(lc: LabelCoverInstance, lab: Labeling,
         rel_keys = np.array([a * lc.sigma_b + b for a, b in rel.pairs], dtype=np.int64)
         mask = rel_ids == rid
         sat_mask[mask] = np.isin(keys[mask], rel_keys)
-    counts = []
-    for t in range(trials):
-        if threshold is None:
-            kept = np.ones(lc.edge_count, dtype=bool)
-        else:
-            draws = draws_array(child_seed(params.seed, "trial", t), lc.edge_count)
-            kept = draws < np.uint64(threshold)
-        counts.append(int((kept & sat_mask).sum()))
-    arr = np.array(counts, dtype=np.float64)
-    mean = float(arr.mean())
-    std_error = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MonteCarloResult(mean, std_error, trials, p, tuple(counts))
+    return _montecarlo(lc, params, trials, sat_mask)
 
 
 def montecarlo_kept_edges(lc: LabelCoverInstance, params: SampleParams,
                           trials: int) -> MonteCarloResult:
     """Empirical mean of the kept-superedge count over seeded trials."""
+    return _montecarlo(lc, params, trials, np.ones(lc.edge_count, dtype=bool))
+
+
+def _montecarlo(lc: LabelCoverInstance, params: SampleParams, trials: int,
+                counted: np.ndarray) -> MonteCarloResult:
+    """Per trial, the number of kept superedges among those marked in ``counted``."""
     if trials < 1:
         raise InputError("trials must be >= 1")
     p = sample_probability(params.alpha, lc.sigma_a,
@@ -226,11 +211,11 @@ def montecarlo_kept_edges(lc: LabelCoverInstance, params: SampleParams,
     threshold = keep_threshold(p)
     counts = []
     for t in range(trials):
-        if threshold is None:
-            counts.append(lc.edge_count)
-            continue
-        draws = draws_array(child_seed(params.seed, "trial", t), lc.edge_count)
-        counts.append(int((draws < np.uint64(threshold)).sum()))
+        kept = counted
+        if threshold is not None:
+            draws = draws_array(child_seed(params.seed, "trial", t), lc.edge_count)
+            kept = kept & (draws < np.uint64(threshold))
+        counts.append(int(np.count_nonzero(kept)))
     arr = np.array(counts, dtype=np.float64)
     mean = float(arr.mean())
     std_error = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

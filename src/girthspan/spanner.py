@@ -27,8 +27,8 @@ import json
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import (Graph, INFINITY, _decimal_text, _head_lines, _int_rows, _row_line,
-                     girth, graph_sha256)
+from .graphs import (Graph, INFINITY, _decimal_text, _head_lines, _hops, _int_rows,
+                     _row_line, _sorted_distinct, girth, graph_sha256)
 from .labelcover import MinRepInstance, RepCover, repcover_valid, supergraph
 
 FAMILIES = ("E", "EM", "EsA", "EtB", "EGt")
@@ -44,11 +44,7 @@ class EdgeSubset:
 
     def __init__(self, host: Graph, members):
         self.host = host
-        arr = np.sort(np.asarray(list(members) if not isinstance(members, np.ndarray)
-                                 else members, dtype=np.int64))
-        # Sort-and-mask rather than np.unique, whose hash-based path (numpy
-        # 2.4) is 30-50x slower on 10^5..10^6 ids.
-        arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
+        arr = _sorted_distinct(members)
         if arr.size and (arr[0] < 0 or arr[-1] >= host.edge_count):
             raise InputError("edge id out of range for host graph")
         self.members = arr
@@ -103,7 +99,7 @@ class SpannerInstance:
         self.anchor_hub_a = anchor_hub_a        # (x, |A|) edge ids
         self.anchor_hub_b = anchor_hub_b        # (x, |B|) edge ids
         hub_flat = np.concatenate([anchor_hub_a.ravel(), anchor_hub_b.ravel()])
-        self.anchor_distinct = np.unique(np.concatenate([anchor_star, hub_flat]))
+        self.anchor_distinct = _sorted_distinct(np.concatenate([anchor_star, hub_flat]))
         self.anchor_roster_size = int(anchor_star.size + hub_flat.size)
 
     # -- vertex layout ---------------------------------------------------
@@ -162,10 +158,13 @@ class SpannerInstance:
             raise AssertionError("EM emptiness must coincide with k = 3")
         if self.ids_by_family[FAM_GT].size != self.x * lc.edge_count:
             raise AssertionError("EGt family size violated")
-        for p in range(self.x):
-            per_copy = self.gt_superedge[self.gt_p == p]
-            if not np.array_equal(np.sort(per_copy), np.arange(lc.edge_count)):
-                raise AssertionError(f"EGt copy {p} is not supergraph-isomorphic")
+        # Each copy holds every superedge exactly once: every (copy, superedge)
+        # pair is in range and occurs once.
+        p, se, m = self.gt_p, self.gt_superedge, lc.edge_count
+        if (p.size != self.x * m or se.size != p.size or (p < 0).any() or (p >= self.x).any()
+                or (se < 0).any() or (se >= m).any()
+                or (np.bincount(p * m + se, minlength=self.x * m) != 1).any()):
+            raise AssertionError("EGt copies are not supergraph-isomorphic")
         sizes = sum(int(self.ids_by_family[f].size) for f in range(5))
         if sizes != self.base.edge_count:
             raise AssertionError("edge families do not partition the edge set")
@@ -328,52 +327,6 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
 # --- verification ------------------------------------------------------------
 
 
-def _subset_csr(g: Graph, h: EdgeSubset):
-    eu, ev = g.edge_arrays()
-    mu, mv = eu[h.members], ev[h.members]
-    ends = np.concatenate([mu, mv])
-    nbrs = np.concatenate([mv, mu])
-    indptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
-    if ends.size:
-        np.add.at(indptr, ends + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        order = np.argsort(ends, kind="stable")
-        nbrs = nbrs[order]
-    return indptr, nbrs
-
-
-class _CappedBfs:
-    """Capped target search over a subset CSR with reusable stamp buffers."""
-
-    def __init__(self, vertex_count, indptr, nbrs):
-        self.indptr = indptr
-        self.nbrs = nbrs
-        self.stamp = np.zeros(vertex_count, dtype=np.int64)
-        self.round = 0
-
-    def within(self, src: int, dst: int, cap: int) -> bool:
-        if src == dst:
-            return True
-        self.round += 1
-        stamp, rnd = self.stamp, self.round
-        indptr, nbrs = self.indptr, self.nbrs
-        stamp[src] = rnd
-        frontier = [src]
-        for _ in range(cap):
-            nxt = []
-            for u in frontier:
-                for w in nbrs[indptr[u]:indptr[u + 1]].tolist():
-                    if stamp[w] != rnd:
-                        if w == dst:
-                            return True
-                        stamp[w] = rnd
-                        nxt.append(w)
-            if not nxt:
-                return False
-            frontier = nxt
-        return False
-
-
 def verify_spanner(g: Graph, h: EdgeSubset, k: int) -> tuple[bool, int | None]:
     """Check dist over h-edges <= k for every host edge (u, v).
 
@@ -384,15 +337,7 @@ def verify_spanner(g: Graph, h: EdgeSubset, k: int) -> tuple[bool, int | None]:
         raise InputError("subset host does not match the verified graph")
     if k < 1:
         raise InputError("stretch k must be >= 1")
-    mask = h.mask()
-    bfs = _CappedBfs(g.vertex_count, *_subset_csr(g, h))
-    eu, ev = g.edge_arrays()
-    for eid in range(g.edge_count):
-        if mask[eid]:
-            continue
-        if not bfs.within(int(eu[eid]), int(ev[eid]), k):
-            return False, eid
-    return True, None
+    return _first_unspanned(g, h, np.flatnonzero(~h.mask()), k)
 
 
 def verify_spanner_structured(si: SpannerInstance, h: EdgeSubset) -> tuple[bool, int | None]:
@@ -439,13 +384,19 @@ def verify_spanner_structured(si: SpannerInstance, h: EdgeSubset) -> tuple[bool,
 
     certified[si.ids_by_family[FAM_GT]] |= canonical_span_mask(si, h)
 
-    remaining = np.nonzero(~certified)[0]
-    if remaining.size:
-        bfs = _CappedBfs(g.vertex_count, *_subset_csr(g, h))
-        eu, ev = g.edge_arrays()
-        for eid in remaining.tolist():
-            if not bfs.within(int(eu[eid]), int(ev[eid]), k):
-                return False, int(eid)
+    return _first_unspanned(g, h, np.flatnonzero(~certified), k)
+
+
+def _first_unspanned(g: Graph, h: EdgeSubset, eids: np.ndarray, k: int):
+    """(False, first edge of ``eids`` whose endpoints are more than k hops
+    apart over h), or (True, None) when there is none."""
+    if eids.size == 0:
+        return True, None
+    eu, ev = g.edge_arrays()
+    adj = Graph.from_arrays(g.vertex_count, eu[h.members], ev[h.members]).adjacency()
+    for eid, u, v in zip(eids.tolist(), eu[eids].tolist(), ev[eids].tolist()):
+        if _hops(adj, u, v, k) == INFINITY:
+            return False, eid
     return True, None
 
 
@@ -620,21 +571,15 @@ def spanner_from_repcover(si: SpannerInstance, cover: RepCover) -> EdgeSubset:
     ids = [si.ids_by_family[FAM_E], si.ids_by_family[FAM_M], si.anchor_distinct]
     a_members = [(i, s) for side, i, s in cover.members if side == "A"]
     b_members = [(j, s) for side, j, s in cover.members if side == "B"]
+    copies = np.arange(si.x, dtype=np.int64)[:, None]
     if a_members:
-        i_arr = np.array([m[0] for m in a_members], dtype=np.int64)
-        s_arr = np.array([m[1] for m in a_members], dtype=np.int64)
-        for p in range(si.x):
-            us = si._s_offset + (p * lc.a_count + i_arr) * si.k_a
-            vs = i_arr * lc.sigma_a + s_arr
-            ids.append(g.edge_ids_of(us, vs))
+        i_arr, s_arr = np.array(a_members, dtype=np.int64).T
+        us = si._s_offset + (copies * lc.a_count + i_arr) * si.k_a
+        ids.append(g.edge_ids_of(us, si.source.a_vertex(i_arr, s_arr)).ravel())
     if b_members:
-        j_arr = np.array([m[0] for m in b_members], dtype=np.int64)
-        s_arr = np.array([m[1] for m in b_members], dtype=np.int64)
-        b_block = lc.a_count * lc.sigma_a
-        for p in range(si.x):
-            us = b_block + j_arr * lc.sigma_b + s_arr
-            vs = si._t_offset + (p * lc.b_count + j_arr) * si.k_b
-            ids.append(g.edge_ids_of(us, vs))
+        j_arr, s_arr = np.array(b_members, dtype=np.int64).T
+        vs = si._t_offset + (copies * lc.b_count + j_arr) * si.k_b
+        ids.append(g.edge_ids_of(si.source.b_vertex(j_arr, s_arr), vs).ravel())
     out = EdgeSubset(g, np.concatenate(ids))
     if si.x_is_default and len(cover) >= si.n_tilde:
         bound = (si.k + 1) * si.x * len(cover)
@@ -654,31 +599,11 @@ def greedy_spanner(g: Graph, k: int) -> EdgeSubset:
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
     chosen = []
     for eid, (u, v) in enumerate(g.edges()):
-        if not _adj_within(adj, u, v, k):
+        if _hops(adj, u, v, k) == INFINITY:
             adj[u].append(v)
             adj[v].append(u)
             chosen.append(eid)
     return EdgeSubset(g, np.array(chosen, dtype=np.int64))
-
-
-def _adj_within(adj, src, dst, cap) -> bool:
-    if src == dst:
-        return True
-    seen = {src}
-    frontier = [src]
-    for _ in range(cap):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    if w == dst:
-                        return True
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
 
 
 # --- all-pairs oracle (used to validate the per-edge criterion) ---------------

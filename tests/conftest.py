@@ -134,15 +134,17 @@ def parse_outcome(parse, text):
         return None
 
 
-def check_mutant(parse, reference, text) -> str:
-    """Assert ``parse`` agrees with ``reference`` on ``text``; returns the case seen."""
+def check_mutant(parse, reference, text, narrowed=narrowed_spelling) -> str:
+    """Assert ``parse`` agrees with ``reference`` on ``text``; returns the case
+    seen.  ``parse`` may reject a text the reference accepts only where
+    ``narrowed(text)`` holds."""
     expected = parse_outcome(reference, text)
     try:
         got = parse(text)
     except InputError:
         got = None
     if expected is not None and got is None:
-        assert narrowed_spelling(text), f"rejected a text the reference accepts: {text!r}"
+        assert narrowed(text), f"rejected a text the reference accepts: {text!r}"
         return "narrowed"
     assert got == expected, f"verdicts differ on {text!r}"
     return "accepted" if got is not None else "rejected"

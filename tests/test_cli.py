@@ -1,12 +1,14 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from girthspan.cli import main
 from girthspan.graphs import Graph, write_graph_text
+from girthspan.labelcover import write_lc_text
 from girthspan.spanner import EdgeSubset, write_subset_text
 
-from conftest import cycle_graph
+from conftest import cycle_graph, path_lc_tiny
 
 
 def run(args):
@@ -49,6 +51,59 @@ def test_non_integer_tokens_give_exit_2_with_line(tmp_path, capsys):
 
 def test_missing_file_gives_exit_2(tmp_path):
     assert run(["girth", "-i", tmp_path / "nope.graph"]) == 2
+
+
+LC_HEAD = "LC v1\nA 1 B 1 SA 2 SB 2 M 1\n"
+GRAPH_CMD = ["girth", "-i", "{bad}"]
+SUBSET_CMD = ["spanner-verify", "--graph", "{graph}", "--subset", "{bad}", "--k", 3]
+LC_CMD = ["strip-cycles", "-i", "{bad}", "--k", 4, "-o", "{out}"]
+COVER_CMD = ["spanner-from-cover", "--lc", "{lc}", "--k", 3, "--x", 2, "--cover", "{bad}",
+             "-o", "{out}"]
+CNF_CMD = ["lc-from-3sat", "-i", "{bad}", "-o", "{out}"]
+
+
+@pytest.mark.parametrize("command, bad, line", [
+    pytest.param(GRAPH_CMD, "GRAPH v1\nN 2 M 1\n0 x\n", 3, id="graph-token"),
+    pytest.param(SUBSET_CMD, write_subset_text(EdgeSubset(cycle_graph(4), [0])) + "zero\n", 4,
+                 id="subset-token"),
+    pytest.param(LC_CMD, "LC v1\nA 1 B 1 SA 2 SB two M 1\n", 2, id="lc-size-token"),
+    pytest.param(LC_CMD, LC_HEAD + "E 0 0 x\n0 0\n", 3, id="lc-superedge-token"),
+    pytest.param(LC_CMD, LC_HEAD + "E 0 0 2\n0 0\n1 +1\n", 5, id="lc-pair-token"),
+    pytest.param(LC_CMD, LC_HEAD + "\nE 0 0 1\n \n0 O\n", 6, id="lc-token-after-blank-lines"),
+    pytest.param(LC_CMD, LC_HEAD + "E 0 0 1234567890123456789\n", 3, id="lc-19-digits"),
+    pytest.param(COVER_CMD, "COVER v1\nA 0 0\nB 1 1x\n", 3, id="cover-token"),
+    pytest.param(CNF_CMD, "p cnf three 1\n1 2 3 0\n", 1, id="cnf-problem-token"),
+    pytest.param(CNF_CMD, "c note\np cnf 3 1\n1 -2 3.0 0\n", 3, id="cnf-literal-token"),
+    pytest.param(CNF_CMD, "p cnf 3 1\n1 - 3 0\n", 2, id="cnf-bare-sign"),
+    pytest.param(GRAPH_CMD, b"GRAPH v1\nN 2 M 1\n0 \xff\n", None, id="not-utf8"),
+    pytest.param(GRAPH_CMD, None, None, id="graph-directory"),
+    pytest.param(LC_CMD, None, None, id="lc-directory"),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, command, bad, line):
+    """Every malformed input, or a directory (bad=None), exits 2 with a
+    message, never a traceback; a bad token's message names its line."""
+    paths = {"lc": tmp_path / "ok.lc", "graph": tmp_path / "ok.graph",
+             "out": tmp_path / "out", "bad": tmp_path / "bad"}
+    paths["lc"].write_text(write_lc_text(path_lc_tiny()))
+    paths["graph"].write_text(write_graph_text(cycle_graph(4)))
+    if bad is None:
+        paths["bad"].mkdir()
+    else:
+        paths["bad"].write_bytes(bad if isinstance(bad, bytes) else bad.encode())
+    args = [str(a).format(**paths) for a in command]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: " if bad is None else "input error: ")
+    if line is not None:
+        assert f"line {line}:" in err
+
+
+def test_unwritable_output_is_an_io_error(tmp_path, capsys):
+    src = tmp_path / "c4.graph"
+    src.write_text(write_graph_text(cycle_graph(4)))
+    out = tmp_path / "missing-dir" / "greedy.subset"
+    assert run(["spanner-greedy", "--graph", src, "--k", 3, "-o", out]) == 2
+    assert capsys.readouterr().err.startswith("I/O error: ")
 
 
 def test_spanner_verify_pass_and_fail(tmp_path, capsys):

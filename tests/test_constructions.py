@@ -8,7 +8,8 @@ from girthspan.labelcover import Labeling, value
 from girthspan.oracles import lc_value_exact
 from girthspan.rng import Stream
 
-from conftest import random_tiny_lc, xor_odd_4cycle
+from conftest import (check_mutant, narrowed_spelling, random_tiny_lc, text_mutants,
+                      xor_odd_4cycle)
 
 
 # --- gen_3sat5 -----------------------------------------------------------------
@@ -217,3 +218,53 @@ def test_formula_parse_rejections():
         cons.parse_formula_text("p cnf 3 1\n1 2 0\n")
     with pytest.raises(InputError):
         cons.parse_formula_text("1 2 3 0\n")
+
+
+def parse_formula_text_per_line(text):
+    """The per-token int() parser, kept as the reference for the mutation corpus."""
+    var_count = None
+    clause_count = None
+    clauses = []
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("c"):
+            continue
+        if ln.startswith("p"):
+            toks = ln.split()
+            if len(toks) != 4 or toks[1] != "cnf":
+                raise InputError(f"bad problem line: {ln!r}")
+            var_count, clause_count = int(toks[2]), int(toks[3])
+            continue
+        toks = ln.split()
+        if toks[-1] != "0" or len(toks) != 4:
+            raise InputError(f"expected 3 literals and terminating 0: {ln!r}")
+        lits = [int(t) for t in toks[:3]]
+        if any(l == 0 for l in lits):
+            raise InputError(f"literal 0 inside clause: {ln!r}")
+        clause = tuple(sorted((abs(l) - 1, l > 0) for l in lits))
+        clauses.append(clause)
+    if var_count is None:
+        raise InputError("missing problem line")
+    if clause_count != len(clauses):
+        raise InputError(f"expected {clause_count} clauses, found {len(clauses)}")
+    return cons.Formula3Sat5(var_count, tuple(clauses))
+
+
+def cnf_narrowed(text):
+    """Literals keep their minus sign; the problem line's counts do not."""
+    problem = [ln for ln in text.splitlines() if ln.strip().startswith("p")]
+    return narrowed_spelling(text.replace("-", "")) or any("-" in ln for ln in problem)
+
+
+def test_formula_parser_matches_per_line_reference_on_mutants():
+    stream = Stream(505)
+    seen = {}
+    for n_vars in (3, 6):
+        bits = (True, False, True) * (n_vars // 3)
+        base = cons.write_formula_text(cons.gen_3sat5(n_vars, seed=n_vars, planted=bits))
+        assert "-" in base
+        for text in text_mutants(base, stream, 600):
+            case = check_mutant(cons.parse_formula_text, parse_formula_text_per_line, text,
+                                narrowed=cnf_narrowed)
+            seen[case] = seen.get(case, 0) + 1
+    assert {"accepted", "rejected"} <= seen.keys(), seen

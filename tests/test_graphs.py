@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthspan.errors import InputError
-from girthspan.graphs import (Graph, INFINITY, bfs_distances, edge_cycle_length,
+from girthspan.graphs import (Graph, INFINITY, _hops, bfs_distances, edge_cycle_length,
                               girth, graph_sha256, is_bipartite, parse_graph_text,
                               write_graph_text)
 from girthspan.rng import Stream
@@ -113,6 +113,31 @@ def test_bfs_distance_symmetry(n, seed):
         du = bfs_distances(g, u)
         for v in range(n):
             assert du[v] == bfs_distances(g, v)[u]
+
+
+@given(st.integers(2, 12), st.integers(0, 2**32), st.data())
+@settings(max_examples=150, deadline=None)
+def test_hops_equals_capped_bfs(n, seed, data):
+    """The kernel against bfs_distances on the graph itself, or on the graph
+    rebuilt without {u, v} when skipping the direct edge."""
+    g = random_graph(n, data.draw(st.floats(0.1, 0.9)), Stream(seed))
+    u, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    cap = data.draw(st.none() | st.integers(0, n))
+    skip = data.draw(st.booleans())
+    rest = Graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
+    assert _hops(g.adjacency(), u, v, cap, skip_direct=skip) == bfs_distances(rest, u, cap)[v]
+    for eid in range(g.edge_count):
+        full = edge_cycle_length(g, eid)
+        expected = full if cap is None or full <= cap else INFINITY
+        assert edge_cycle_length(g, eid, cap) == expected
+
+
+def test_adjacency_is_cached_neighbour_lists():
+    g = Graph(4, [(2, 3), (1, 0), (0, 2)])
+    adj = g.adjacency()
+    assert adj is g.adjacency()
+    assert [sorted(ws) for ws in adj] == [[1, 2], [0], [0, 3], [2]]
+    assert all(adj[v] == g.neighbors(v).tolist() for v in range(4))
 
 
 def test_graph_text_round_trip():

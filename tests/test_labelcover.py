@@ -4,7 +4,7 @@ import pytest
 
 from girthspan.errors import InputError
 from girthspan.graphs import INFINITY, is_bipartite
-from girthspan.labelcover import (Labeling, RepCover, labeling_to_repcover,
+from girthspan.labelcover import (LabelCoverInstance, Labeling, RepCover, labeling_to_repcover,
                                   minrep_expand, parse_cover_text,
                                   parse_labeling_text, parse_lc_text,
                                   repcover_valid, satisfied_count, supergirth,
@@ -13,7 +13,7 @@ from girthspan.labelcover import (Labeling, RepCover, labeling_to_repcover,
 from girthspan import constructions as cons
 from girthspan.rng import Stream
 
-from conftest import make_lc, random_tiny_lc, xor_odd_4cycle
+from conftest import check_mutant, make_lc, random_tiny_lc, text_mutants, xor_odd_4cycle
 
 
 def test_value_single_superedge_all_pairs():
@@ -214,6 +214,122 @@ def test_labeling_text_round_trip(xor_lc):
         parse_labeling_text("LABEL v1\nA 0 0\nA 0 1\n", xor_lc)   # labeled twice
     with pytest.raises(InputError):
         parse_labeling_text("LABEL v1\nA 0 0\nA 1 0\nB 0 0\n", xor_lc)  # missing b1
+
+
+# --- the per-token int() parsers, kept as references for the mutation corpus ---
+
+LC_HEAD_1x1 = "LC v1\nA 1 B 1 SA 4 SB 4 M 1\n"
+
+
+def parse_lc_text_per_line(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "LC v1":
+        raise InputError("missing LC v1 header")
+    toks = lines[1].split() if len(lines) > 1 else []
+    if len(toks) != 10 or toks[0::2] != ["A", "B", "SA", "SB", "M"]:
+        raise InputError("bad LC size line")
+    a_count, b_count, sigma_a, sigma_b, m = (int(t) for t in toks[1::2])
+    superedges = []
+    pos = 2
+    for _ in range(m):
+        if pos >= len(lines) or not lines[pos].startswith("E "):
+            raise InputError("expected superedge line")
+        parts = lines[pos].split()
+        if len(parts) != 4:
+            raise InputError(f"bad superedge line: {lines[pos]!r}")
+        a, b, t = int(parts[1]), int(parts[2]), int(parts[3])
+        pos += 1
+        pairs = []
+        prev = None
+        for _ in range(t):
+            if pos >= len(lines):
+                raise InputError("truncated relation block")
+            ab = lines[pos].split()
+            if len(ab) != 2:
+                raise InputError(f"bad relation pair line: {lines[pos]!r}")
+            pair = (int(ab[0]), int(ab[1]))
+            if prev is not None and pair <= prev:
+                raise InputError("relation pairs must be sorted and distinct")
+            prev = pair
+            pairs.append(pair)
+            pos += 1
+        superedges.append((a, b, pairs))
+    if pos != len(lines):
+        raise InputError("trailing content after superedges")
+    return LabelCoverInstance(a_count, b_count, sigma_a, sigma_b, superedges)
+
+
+def parse_cover_text_per_line(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "COVER v1":
+        raise InputError("missing COVER v1 header")
+    members = []
+    for ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) != 3 or toks[0] not in ("A", "B"):
+            raise InputError(f"bad cover line: {ln!r}")
+        members.append((toks[0], int(toks[1]), int(toks[2])))
+    return RepCover.of(members)
+
+
+def parse_labeling_text_per_line(text, lc):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "LABEL v1":
+        raise InputError("missing LABEL v1 header")
+    ga, gb = {}, {}
+    for ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) != 3 or toks[0] not in ("A", "B"):
+            raise InputError(f"bad labeling line: {ln!r}")
+        side, i, s = toks[0], int(toks[1]), int(toks[2])
+        target = ga if side == "A" else gb
+        if i in target:
+            raise InputError(f"vertex labeled twice: {ln!r}")
+        target[i] = s
+    if sorted(ga) != list(range(lc.a_count)) or sorted(gb) != list(range(lc.b_count)):
+        raise InputError("labeling must cover every vertex exactly once")
+    lab = Labeling(tuple(ga[i] for i in range(lc.a_count)),
+                   tuple(gb[j] for j in range(lc.b_count)))
+    lab.check_shape(lc)
+    return lab
+
+
+def test_lc_cover_label_parsers_match_per_line_reference_on_mutants():
+    """The parsers accept exactly what the per-token int() parsers accepted,
+    with equal results, except the spellings the token policy narrows."""
+    stream = Stream(404)
+    seen = {}
+    lcs = [xor_odd_4cycle()] + [random_tiny_lc(stream, 2, 3, 3, 2) for _ in range(3)]
+    for lc in lcs:
+        lab = Labeling(tuple(stream.randbelow(lc.sigma_a) for _ in range(lc.a_count)),
+                       tuple(stream.randbelow(lc.sigma_b) for _ in range(lc.b_count)))
+        cover = labeling_to_repcover(lc, lab)
+        cases = [(parse_lc_text, parse_lc_text_per_line, write_lc_text(lc)),
+                 (parse_cover_text, parse_cover_text_per_line, write_cover_text(cover)),
+                 (lambda t, lc=lc: parse_labeling_text(t, lc),
+                  lambda t, lc=lc: parse_labeling_text_per_line(t, lc),
+                  write_labeling_text(lab))]
+        for parse, reference, base in cases:
+            assert parse(base) == reference(base)
+            for text in text_mutants(base, stream, 250):
+                case = check_mutant(parse, reference, text)
+                seen[case] = seen.get(case, 0) + 1
+    assert {"accepted", "rejected"} <= seen.keys(), seen
+    narrowed = LC_HEAD_1x1 + "E 0 0 1\n0 \u0663\n"    # an Arabic-Indic digit
+    assert parse_lc_text_per_line(narrowed).edge_count == 1
+    with pytest.raises(InputError, match="line 4"):
+        parse_lc_text(narrowed)
+
+
+def test_lc_parser_names_the_bad_line():
+    with pytest.raises(InputError, match="line 6: 'x'"):
+        parse_lc_text("LC v1\nA 1 B 1 SA 2 SB 2 M 2\nE 0 0 1\n0 0\nE 0 1 1\n0 x\n")
+    with pytest.raises(InputError, match="line 9: '1x'"):   # after a blank line
+        parse_lc_text("LC v1\nA 1 B 2 SA 2 SB 2 M 2\nE 0 0 2\n\n0 0\n1 1\nE 0 1 2\n0 0\n1 1x\n")
+    with pytest.raises(InputError, match="truncated"):
+        parse_lc_text("LC v1\nA 1 B 2 SA 2 SB 2 M 2\nE 0 0 1\n0 0\nE 0 1 2\n0 0\n")
+    with pytest.raises(InputError, match="line 3"):
+        parse_labeling_text("LABEL v1\nA 0 0\nA 1 _1\n", xor_odd_4cycle())
 
 
 def test_satisfied_count_matches_value(xor_lc):

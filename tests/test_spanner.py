@@ -93,6 +93,31 @@ def test_egt_copies_are_supergraph_isomorphic():
         assert per_copy == list(range(lc.edge_count))
 
 
+@pytest.mark.parametrize("corruptions", [
+    [("gt_superedge", (0, 0), 1)],      # copy 0 holds superedge 1 twice, misses 0
+    [("gt_superedge", (1, 2), 3)],      # out of range (3 superedges)
+    [("gt_superedge", (2, 1), -1)],
+    [("gt_p", (0, 0), 1)],              # copy 1 holds superedge 0 twice
+    [("gt_p", (2, 0), 3)],              # no copy 3 at x = 3
+    [("gt_p", (0, 2), -1)],
+    # every (copy, superedge) slot p * 3 + se still occurs once, but copy 0
+    # holds superedge 3, which does not exist
+    [("gt_superedge", (0, 2), 3), ("gt_superedge", (1, 0), 2), ("gt_p", (1, 0), 0)],
+])
+def test_audit_rejects_corrupt_egt_copies(corruptions):
+    si = tiny_instance(k=3, x=3)
+    si.audit()
+    assert si.source.source.edge_count == 3
+    pos = {(p, se): r for r, (p, se) in enumerate(zip(si.gt_p.tolist(),
+                                                       si.gt_superedge.tolist()))}
+    fields = {"gt_p": si.gt_p.copy(), "gt_superedge": si.gt_superedge.copy()}
+    for field, pair, value in corruptions:
+        fields[field][pos[pair]] = value
+    si.gt_p, si.gt_superedge = fields["gt_p"], fields["gt_superedge"]
+    with pytest.raises(AssertionError, match="EGt copies"):
+        si.audit()
+
+
 def test_interior_tower_vertices_have_degree_two_outside_e():
     si = tiny_instance(k=7, x=2)   # k_a = k_b = 3: towers have interior vertices
     non_e = np.concatenate([si.ids_by_family[f] for f in
@@ -210,9 +235,8 @@ def test_structured_fast_path_on_default_x_gadget(monkeypatch):
     crossing = np.concatenate([si.ids_by_family[sp.FAM_SA], si.ids_by_family[sp.FAM_TB]])
     crossing = crossing[cover_h.mask()[crossing]].tolist()
     bfs_calls = []
-    within = sp._CappedBfs.within
-    monkeypatch.setattr(sp._CappedBfs, "within",
-                        lambda self, *args: bfs_calls.append(args) or within(self, *args))
+    hops = sp._hops
+    monkeypatch.setattr(sp, "_hops", lambda *args: bfs_calls.append(args) or hops(*args))
     stream = Stream(11)
     outcomes = set()
     for _ in range(20):
