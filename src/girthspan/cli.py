@@ -17,7 +17,7 @@ from . import constructions as cons
 from . import oracles, pipeline, sampling
 from . import spanner as sp
 from .errors import InputError, ResourceError
-from .graphs import INFINITY, girth, parse_graph_text, write_graph_text
+from .graphs import INFINITY, _decimals, girth, parse_graph_text, write_graph_text
 from .labelcover import (minrep_expand, parse_cover_text, parse_lc_text,
                          write_cover_text, write_labeling_text, write_lc_text)
 from .rng import child_seed
@@ -28,7 +28,7 @@ def _budget_from_env(args) -> oracles.OracleBudget:
         return oracles.OracleBudget(max_search_space=args.budget)
     env = os.environ.get("GIRTHSPAN_BUDGET")
     if env:
-        return oracles.OracleBudget(max_search_space=int(env))
+        return oracles.OracleBudget(max_search_space=_decimals([env], "GIRTHSPAN_BUDGET")[0])
     return oracles.OracleBudget()
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import _decimals
+from .graphs import _decimals, _head_lines
 from .labelcover import LabelCoverInstance, Labeling, Relation
 from .rng import Stream, child_seed
 
@@ -318,7 +318,8 @@ def parse_formula_text(text: str) -> Formula3Sat5:
     var_count = None
     clause_count = None
     clauses = []
-    for no, ln in enumerate(text.splitlines(), 1):
+    lines, numbers, _ = _head_lines(text)
+    for no, ln in zip(numbers, lines):
         ln = ln.strip()
         if not ln or ln.startswith("c"):
             continue
@@ -326,12 +327,12 @@ def parse_formula_text(text: str) -> Formula3Sat5:
             toks = ln.split()
             if len(toks) != 4 or toks[1] != "cnf":
                 raise InputError(f"bad problem line: {ln!r}")
-            var_count, clause_count = _decimals([toks[2:]], (no,))
+            var_count, clause_count = _decimals(toks[2:], f"line {no}")
             continue
         toks = ln.split()
         if toks[-1] != "0" or len(toks) != 4:
             raise InputError(f"expected 3 literals and terminating 0: {ln!r}")
-        magnitudes = _decimals([[t.removeprefix("-") for t in toks[:3]]], (no,))
+        magnitudes = _decimals([t.removeprefix("-") for t in toks[:3]], f"line {no}")
         lits = [-mag if t.startswith("-") else mag for t, mag in zip(toks, magnitudes)]
         if any(l == 0 for l in lits):
             raise InputError(f"literal 0 inside clause: {ln!r}")

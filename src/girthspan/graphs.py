@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from collections.abc import Sequence
-from itertools import chain, islice
 from math import inf
 
 import numpy as np
@@ -136,9 +134,6 @@ class Graph:
             nbr, indptr = self._nbr.tolist(), self._indptr.tolist()
             self._adj = [nbr[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
         return self._adj
-
-    def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
@@ -274,80 +269,72 @@ def is_bipartite(g: Graph) -> tuple[bool, list | None]:
     return True, color
 
 
-# --- decimal text, shared by GRAPH v1 and SUBSET v1 ------------------------
+# --- decimal text, shared by every text format -------------------------------
 #
-# Token policy: a token is a run of 1 to 18 ASCII digits (so it fits in
-# int64); tokens on a line are separated by spaces or tabs; a line ends at
-# \n, \r, \r\n, \v or \f; blank lines are skipped.  Any other character in
-# a body line (a sign, an underscore, a letter), any other control character
-# and any non-ASCII character is an InputError that names its line.
+# Token policy: a line ends at \n, \r, \r\n, \v or \f.  Header lines
+# (``_head_lines``) hold printable ASCII and tabs only.  A body line
+# (``_int_rows``) is an optional tag letter, first on its line and followed
+# by a space, then tokens of 1 to 18 ASCII digits (so they fit in int64)
+# separated by spaces or tabs; blank lines are skipped.  Any other character
+# (a sign, an underscore, another letter, another control character, any
+# non-ASCII character) is an InputError that names its line and quotes its token.
 
 _MAX_DIGITS = 18
-_DIGIT, _BLANK, _BREAK, _OTHER = range(4)
+_NOT_DECIMAL = f"is not an integer of 1 to {_MAX_DIGITS} decimal digits"
+_DIGIT, _TAG, _BLANK, _BREAK, _OTHER = range(5)
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
 _BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
 _BYTE_CLASS[[ord("\n"), ord("\r"), ord("\v"), ord("\f")]] = _BREAK
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f]")
+_SEPARATOR = re.compile(r"[ \t\n\r\v\f]")
 _HEAD_FORBIDDEN = re.compile(r"[^\t\x20-\x7e]")
 
 
-def _decimal_text(columns) -> bytes:
-    """One line per row of the nonnegative int columns, fields joined by a space.
+def _decimal_text(columns, tags=None) -> bytes:
+    """One line per row of the int columns: the row's tag letter and a space
+    when ``tags`` (uint8, 0 for none) gives one, then its fields joined by a
+    space.  A negative entry leaves its field, and the space before it, out.
 
     Fills a right-aligned digit table per column, then drops each row's
-    leading-zero cells; equal to joining ``str(int)`` per row.
+    leading-zero and left-out cells; equal to joining ``str(int)`` per row.
     """
     rows = columns[0].size
     widths = [len(str(int(col.max()))) if rows else 1 for col in columns]
-    table = np.empty((rows, sum(widths) + len(widths)), dtype=np.uint8)
+    lead = 0 if tags is None else 2
+    table = np.empty((rows, lead + sum(widths) + len(widths)), dtype=np.uint8)
     keep = np.ones(table.shape, dtype=bool)
-    end = 0
-    for col, width in zip(columns, widths):
+    if tags is not None:
+        table[:, 0] = tags
+        table[:, 1] = ord(" ")
+        keep[:, :2] = (tags != 0)[:, None]
+    end = lead
+    for n, (col, width) in enumerate(zip(columns, widths)):
+        present = col >= 0
+        if n:
+            table[:, end] = ord(" ")
+            keep[:, end] = present
+            end += 1
         rest = col.astype(np.int64)
         for j in range(end + width - 1, end - 1, -1):
-            if j < end + width - 1:
-                np.greater(rest, 0, out=keep[:, j])
+            np.greater(rest, 0, out=keep[:, j])
             quot = rest // 10
             table[:, j] = rest - quot * 10 + ord("0")
             rest = quot
+        keep[:, end + width - 1] = present
         end += width
-        table[:, end] = ord(" ")
-        end += 1
     table[:, -1] = ord("\n")
     return table[keep].tobytes()
 
 
-def _is_decimal(token: str) -> bool:
-    return token.isascii() and token.isdigit()
-
-
-def _decimals(rows, line_nos) -> list:
-    """The tokens of ``rows`` (lists of str, one per line) as one flat int list.
-
-    The LC, COVER, LABEL and CNF parsers split text with ``str.splitlines``
-    and ``str.split`` and read every integer through here, so their tokens
-    follow the policy above: 1 to 18 ASCII digits.  Otherwise an InputError
-    names ``line_nos[r]``, the 1-based line number of the first bad row r.
-    """
-    flat = list(chain.from_iterable(rows))
-    if flat and not (all(flat) and _is_decimal("".join(flat))
-                     and max(map(len, flat)) <= _MAX_DIGITS):
-        r, bad = next((r, tok) for r, row in enumerate(rows) for tok in row
-                      if not (_is_decimal(tok) and len(tok) <= _MAX_DIGITS))
-        raise InputError(f"line {line_nos[r]}: {bad!r} is not an integer of 1 to "
-                         f"{_MAX_DIGITS} decimal digits")
-    return list(map(int, flat))
-
-
-def _nonblank_lines(text: str) -> tuple[list, Sequence[int]]:
-    """The nonblank lines of ``text`` (split by ``str.splitlines``) and their
-    1-based line numbers."""
-    raw = text.splitlines()
-    lines = list(filter(str.strip, raw))
-    if len(lines) == len(raw):
-        return lines, range(1, len(raw) + 1)
-    return lines, [no for no, ln in enumerate(raw, 1) if ln.strip()]
+def _decimals(tokens, where: str) -> list:
+    """``tokens`` (strings) as ints, each 1 to 18 ASCII digits by the policy
+    above; otherwise an InputError that starts with ``where``.  Header lines,
+    the DIMACS formula and ``GIRTHSPAN_BUDGET`` read their integers here."""
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit() and len(tok) <= _MAX_DIGITS):
+            raise InputError(f"{where}: {tok!r} {_NOT_DECIMAL}")
+    return list(map(int, tokens))
 
 
 def _line_number(text: str, pos: int) -> int:
@@ -355,13 +342,21 @@ def _line_number(text: str, pos: int) -> int:
     return len(_LINE_BREAK.findall(text, 0, pos)) + 1
 
 
-def _head_lines(text: str, count: int, skip_blank: bool = False) -> tuple[list, int]:
-    """The first ``count`` lines (nonblank ones if ``skip_blank``) and the offset after them.
+def _token_error(text: str, pos: int, problem: str) -> InputError:
+    """InputError naming the line of character ``pos`` and quoting the
+    blank-separated token that holds it."""
+    lo = max(text.rfind(c, 0, pos) for c in " \t\n\r\v\f") + 1
+    sep = _SEPARATOR.search(text, pos)
+    token = text[lo:sep.start() if sep else len(text)]
+    return InputError(f"line {_line_number(text, pos)}: {token!r} {problem}")
 
-    Header lines may hold printable ASCII and tabs only, like the body.
-    """
-    lines, pos, number = [], 0, 0
-    while len(lines) < count and pos < len(text):
+
+def _head_lines(text: str, count: int | None = None,
+                skip_blank: bool = False) -> tuple[list, list, int]:
+    """The first ``count`` lines (all of them when None; nonblank ones if
+    ``skip_blank``), their 1-based line numbers, and the offset after them."""
+    lines, numbers, pos, number = [], [], 0, 0
+    while (count is None or len(lines) < count) and pos < len(text):
         brk = _LINE_BREAK.search(text, pos)
         end, nxt = (brk.start(), brk.end()) if brk else (len(text), len(text))
         line = text[pos:end]
@@ -370,62 +365,77 @@ def _head_lines(text: str, count: int, skip_blank: bool = False) -> tuple[list, 
             raise InputError(f"line {number}: control or non-ASCII character")
         if not skip_blank or line.strip():
             lines.append(line)
+            numbers.append(number)
         pos = nxt
-    return lines, pos
+    return lines, numbers, pos
 
 
-def _row_line(text: str, start: int, row: int) -> int:
-    """1-based line number of the ``row``-th nonblank line at or after ``start``."""
-    first = _line_number(text, start)
-    nonblank = (no for no, line in enumerate(_LINE_BREAK.split(text[start:]), first)
-                if line.strip())
-    return next(islice(nonblank, row, None))
+def _int_rows(text: str, start: int, what: str, width: int | None = None,
+              count: int | None = None, tags: str = "") -> tuple:
+    """Tokenize ``text[start:]``, which begins a line, by the policy above.
 
-
-def _int_rows(text: str, start: int, width: int, count: int | None, what: str) -> np.ndarray:
-    """Parse ``text[start:]`` as nonblank lines of ``width`` decimal tokens each.
-
-    Returns an int64 array of shape (lines, width).  ``count``, when given,
-    is the declared number of lines; it is checked before the values are
-    decoded.  Every per-byte temporary is uint8, int8, bool or int32.
+    Returns (values, first, tag, line).  Row r is the r-th nonblank line:
+    its integers are ``values[first[r]:first[r + 1]]``, ``tag[r]`` is its tag
+    letter as a byte (0 for none; ``tags`` holds the format's letters) and
+    ``line[r]`` its line number.  ``count``, when given, is the declared
+    number of rows and ``width`` the number of integers every row holds;
+    both are checked before the values are decoded.  Every per-byte
+    temporary is uint8, int8, bool or int32.
     """
     try:
         body = np.frombuffer(text[start:].encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError as exc:
-        raise InputError(f"line {_line_number(text, start + exc.start)}: "
-                         f"non-ASCII character in {what} line") from None
-    cls = _BYTE_CLASS[body]
+        raise _token_error(text, start + exc.start, _NOT_DECIMAL) from None
+    classes = _BYTE_CLASS
+    if tags:
+        classes = classes.copy()
+        classes[np.frombuffer(tags.encode("ascii"), dtype=np.uint8)] = _TAG
+    cls = classes[body]
     other = cls == _OTHER
     if other.any():
-        raise InputError(f"line {_line_number(text, start + int(other.argmax()))}: "
-                         f"{what} line must hold decimal integers only")
-    step = np.diff((cls == _DIGIT).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+        raise _token_error(text, start + int(other.argmax()), _NOT_DECIMAL)
+    del other
+    if tags:
+        at = np.flatnonzero(cls == _TAG)
+        placed = (((at == 0) | (cls[at - 1] == _BREAK)) & (at + 1 < body.size)
+                  & (body[np.minimum(at + 1, body.size - 1)] == ord(" ")))
+        if not placed.all():
+            raise _token_error(text, start + int(at[placed.argmin()]),
+                               "is a tag, which must open its line and be followed by a space")
+    step = np.diff((cls <= _TAG).view(np.int8), prepend=np.int8(0), append=np.int8(0))
     starts = np.flatnonzero(step == 1)
     ends = np.flatnonzero(step == -1)
     del step
-    # A token opens a line when a line break lies between it and the token before.
+    # A token opens a row when a line break lies between it and the token before.
     line_of = np.cumsum(cls == _BREAK, dtype=np.int32)[starts]
-    del cls
     opens = np.ones(starts.size, dtype=bool)
     np.not_equal(line_of[1:], line_of[:-1], out=opens[1:])
-    del line_of
-    lines = int(np.count_nonzero(opens))
-    if count is not None and lines != count:
-        raise InputError(f"expected {count} {what} lines, found {lines}")
-    if starts.size != lines * width or opens.reshape(lines, width)[:, 1:].any():
-        firsts = np.flatnonzero(opens)
-        sizes = np.diff(firsts, append=opens.size)
-        tok = int(firsts[np.argmax(sizes != width)])
-        raise InputError(f"line {_line_number(text, start + int(starts[tok]))}: "
-                         f"expected {width} integer(s) per {what} line")
+    heads = np.flatnonzero(opens)
+    del opens
+    tagged = cls[starts[heads]] == _TAG
+    del cls
+    if count is not None and heads.size != count:
+        raise InputError(f"expected {count} {what} lines, found {heads.size}")
+    tag = np.where(tagged, body[starts[heads]], 0).astype(np.uint8)
+    line = line_of[heads] + np.int64(_line_number(text, start))
+    # A tag is the first token of its row, so row r's integers follow the
+    # tags of rows 0..r.
+    first = np.append(heads - np.cumsum(tagged) + tagged,
+                      starts.size - np.count_nonzero(tagged))
+    if width is not None and (np.diff(first) != width).any():
+        row = (np.diff(first) != width).argmax()
+        raise InputError(f"line {line[row]}: expected {width} integer(s) per {what} line")
+    if tagged.any():
+        keep = np.ones(starts.size, dtype=bool)
+        keep[heads[tagged]] = False
+        starts, ends = starts[keep], ends[keep]
     lengths = ends - starts
+    values = np.zeros(starts.size, dtype=np.int64)
     if starts.size == 0:
-        return np.zeros((0, width), dtype=np.int64)
+        return values, first, tag, line
     digits = int(lengths.max())
     if digits > _MAX_DIGITS:
-        tok = int(lengths.argmax())
-        raise InputError(f"line {_line_number(text, start + int(starts[tok]))}: "
-                         f"integer longer than {_MAX_DIGITS} digits")
+        raise _token_error(text, start + int(starts[lengths.argmax()]), _NOT_DECIMAL)
     # Row t of the window holds the ``digits`` bytes that end where token t
     # ends; cells left of the token are zeroed, so Horner's rule over the
     # columns gives the token's value.
@@ -433,11 +443,10 @@ def _int_rows(text: str, start: int, width: int, count: int | None, what: str) -
     window = sliding_window_view(padded, digits)[ends]
     window -= ord("0")
     window *= np.arange(digits) >= (digits - lengths)[:, None]
-    values = np.zeros(starts.size, dtype=np.int64)
     for column in window.T:
         values *= 10
         values += column
-    return values.reshape(lines, width)
+    return values, first, tag, line
 
 
 # --- GRAPH v1 text format ---------------------------------------------------
@@ -456,18 +465,17 @@ def write_graph_text(g: Graph) -> str:
 
 
 def parse_graph_text(text: str) -> Graph:
-    lines, start = _head_lines(text, 2)
+    lines, _, start = _head_lines(text, 2)
     if not lines or lines[0].strip() != "GRAPH v1":
         raise InputError("missing GRAPH v1 header")
     if len(lines) < 2:
         raise InputError("missing size line")
     parts = lines[1].split()
-    if (len(parts) != 4 or parts[0] != "N" or parts[2] != "M"
-            or not (_is_decimal(parts[1]) and _is_decimal(parts[3]))):
+    if len(parts) != 4 or parts[0] != "N" or parts[2] != "M":
         raise InputError(f"line 2: bad size line: {lines[1]!r}")
-    n, m = int(parts[1]), int(parts[3])
-    rows = _int_rows(text, start, 2, m, "edge")
-    eu, ev = rows[:, 0], rows[:, 1]
+    n, m = _decimals(parts[1::2], "line 2")
+    values, _, _, line = _int_rows(text, start, "edge", width=2, count=m)
+    eu, ev = values[0::2], values[1::2]
     du, dv = np.diff(eu), np.diff(ev)
     for bad, message in [
         (eu >= ev, "edge line not in u < v form"),
@@ -476,7 +484,7 @@ def parse_graph_text(text: str) -> Graph:
         (np.concatenate([[False], (du < 0) | ((du == 0) & (dv < 0))]), "edge lines not sorted"),
     ]:
         if bad.any():
-            raise InputError(f"line {_row_line(text, start, int(bad.argmax()))}: {message}")
+            raise InputError(f"line {line[bad.argmax()]}: {message}")
     return Graph.from_arrays(n, eu, ev)
 
 

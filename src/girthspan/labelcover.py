@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, _decimals, _nonblank_lines, _sorted_distinct, girth
+from .graphs import (Graph, _decimal_text, _decimals, _head_lines, _int_rows, _sorted_distinct,
+                     girth)
 
 
 class Relation:
@@ -54,8 +54,6 @@ class LabelCoverInstance:
                  "_rel_ids", "relations", "_supergraph")
 
     def __init__(self, a_count, b_count, sigma_a, sigma_b, superedges):
-        if sigma_a < 1 or sigma_b < 1:
-            raise InputError("alphabet sizes must be >= 1")
         self.a_count = int(a_count)
         self.b_count = int(b_count)
         self.sigma_a = int(sigma_a)
@@ -94,6 +92,8 @@ class LabelCoverInstance:
         return inst
 
     def _finish_init(self, ea, eb, rel_ids, relations):
+        if self.sigma_a < 1 or self.sigma_b < 1:
+            raise InputError("alphabet sizes must be >= 1")
         if ea.size:
             if ea.min() < 0 or ea.max() >= self.a_count:
                 raise InputError("superedge A endpoint out of range")
@@ -126,11 +126,6 @@ class LabelCoverInstance:
 
     def edge_arrays(self):
         return self._ea, self._eb, self._rel_ids
-
-    def superedges(self):
-        """Iterate (a, b, Relation) in canonical order."""
-        for i in range(self.edge_count):
-            yield int(self._ea[i]), int(self._eb[i]), self.relations[int(self._rel_ids[i])]
 
     def degrees_a(self) -> np.ndarray:
         return np.bincount(self._ea, minlength=self.a_count)
@@ -203,22 +198,36 @@ class RepCover:
         return len(self.members)
 
 
-def satisfied_count(lc: LabelCoverInstance, lab: Labeling) -> int:
-    """Number of superedges whose relation admits the assigned symbol pair."""
+def _relation_slots(lc: LabelCoverInstance):
+    """Every (superedge, relation pair), superedge-major with each relation's
+    pairs in sorted order: (starts, superedge, alpha, beta), where starts[e]
+    is the first slot of superedge e."""
+    sizes = np.array([len(rel) for rel in lc.relations], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    pair_a = np.array([a for rel in lc.relations for a, _ in rel.pairs], dtype=np.int64)
+    pair_b = np.array([b for rel in lc.relations for _, b in rel.pairs], dtype=np.int64)
+    counts = sizes[lc._rel_ids]
+    starts = np.cumsum(counts) - counts
+    slot_se = np.repeat(np.arange(lc.edge_count, dtype=np.int64), counts)
+    pos = first[lc._rel_ids][slot_se] + np.arange(slot_se.size) - starts[slot_se]
+    return starts, slot_se, pair_a[pos], pair_b[pos]
+
+
+def _satisfied_mask(lc: LabelCoverInstance, lab: Labeling) -> np.ndarray:
+    """Per superedge: does its relation admit the symbol pair ``lab`` assigns?"""
     lab.check_shape(lc)
-    if lc.edge_count == 0:
-        return 0
+    _, slot_se, alpha, beta = _relation_slots(lc)
     ga = np.asarray(lab.gamma_a, dtype=np.int64)
     gb = np.asarray(lab.gamma_b, dtype=np.int64)
-    keys = ga[lc._ea] * np.int64(lc.sigma_b) + gb[lc._eb]
-    sat = 0
-    for rid, rel in enumerate(lc.relations):
-        mask = lc._rel_ids == rid
-        if not mask.any():
-            continue
-        rel_keys = np.array([a * lc.sigma_b + b for a, b in rel.pairs], dtype=np.int64)
-        sat += int(np.isin(keys[mask], rel_keys).sum())
+    admitted = (ga[lc._ea[slot_se]] == alpha) & (gb[lc._eb[slot_se]] == beta)
+    sat = np.zeros(lc.edge_count, dtype=bool)
+    sat[slot_se[admitted]] = True
     return sat
+
+
+def satisfied_count(lc: LabelCoverInstance, lab: Labeling) -> int:
+    """Number of superedges whose relation admits the assigned symbol pair."""
+    return int(np.count_nonzero(_satisfied_mask(lc, lab)))
 
 
 def value(lc: LabelCoverInstance, lab: Labeling) -> Fraction:
@@ -276,25 +285,9 @@ def minrep_expand(lc: LabelCoverInstance) -> MinRepInstance:
     appear in no relation; vertex count is |A|*|Sigma_A| + |B|*|Sigma_B|.
     """
     n = lc.a_count * lc.sigma_a + lc.b_count * lc.sigma_b
-    b_offset = lc.a_count * lc.sigma_a
-    chunks_u, chunks_v = [], []
-    ea, eb, rel_ids = lc.edge_arrays()
-    for rid, rel in enumerate(lc.relations):
-        mask = rel_ids == rid
-        if not mask.any():
-            continue
-        alphas = np.array([p[0] for p in rel.pairs], dtype=np.int64)
-        betas = np.array([p[1] for p in rel.pairs], dtype=np.int64)
-        us = (ea[mask, None] * np.int64(lc.sigma_a) + alphas[None, :]).ravel()
-        vs = (b_offset + eb[mask, None] * np.int64(lc.sigma_b) + betas[None, :]).ravel()
-        chunks_u.append(us)
-        chunks_v.append(vs)
-    if chunks_u:
-        eu = np.concatenate(chunks_u)
-        ev = np.concatenate(chunks_v)
-    else:
-        eu = np.zeros(0, dtype=np.int64)
-        ev = np.zeros(0, dtype=np.int64)
+    _, slot_se, alpha, beta = _relation_slots(lc)
+    eu = lc._ea[slot_se] * np.int64(lc.sigma_a) + alpha
+    ev = lc.a_count * lc.sigma_a + lc._eb[slot_se] * np.int64(lc.sigma_b) + beta
     return MinRepInstance(lc, Graph.from_arrays(n, eu, ev))
 
 
@@ -337,47 +330,68 @@ def labeling_to_repcover(lc: LabelCoverInstance, lab: Labeling) -> RepCover:
 # --- LC v1 / COVER v1 / LABEL v1 text formats --------------------------------
 
 def write_lc_text(lc: LabelCoverInstance) -> str:
-    out = ["LC v1",
-           f"A {lc.a_count} B {lc.b_count} SA {lc.sigma_a} SB {lc.sigma_b} M {lc.edge_count}"]
-    for a, b, rel in lc.superedges():
-        out.append(f"E {a} {b} {len(rel)}")
-        out.extend(f"{alpha} {beta}" for alpha, beta in rel.pairs)
-    return "\n".join(out) + "\n"
+    head = (f"LC v1\nA {lc.a_count} B {lc.b_count} SA {lc.sigma_a} SB {lc.sigma_b} "
+            f"M {lc.edge_count}\n")
+    starts, slot_se, alpha, beta = _relation_slots(lc)
+    # Superedge e's line "E a b t" is followed by its t relation pair lines.
+    heads = starts + np.arange(lc.edge_count)
+    pair_rows = slot_se + 1 + np.arange(slot_se.size)
+    a, b, t = (np.full(heads.size + slot_se.size, -1, dtype=np.int64) for _ in range(3))
+    a[heads], b[heads], t[heads] = lc._ea, lc._eb, np.diff(starts, append=slot_se.size)
+    a[pair_rows], b[pair_rows] = alpha, beta
+    tags = np.zeros(a.size, dtype=np.uint8)
+    tags[heads] = ord("E")
+    return head + _decimal_text([a, b, t], tags).decode("ascii")
 
 
 def parse_lc_text(text: str) -> LabelCoverInstance:
-    lines, line_nos = _nonblank_lines(text)
+    """Parse LC v1 text, building one ``Relation`` per distinct pair block."""
+    lines, numbers, start = _head_lines(text, 2, skip_blank=True)
     if not lines or lines[0] != "LC v1":
         raise InputError("missing LC v1 header")
     toks = lines[1].split() if len(lines) > 1 else []
     if len(toks) != 10 or toks[0::2] != ["A", "B", "SA", "SB", "M"]:
         raise InputError("bad LC size line")
-    a_count, b_count, sigma_a, sigma_b, m = _decimals([toks[1::2]], line_nos[1:2])
-    superedges = []
-    pos = 2
-    for _ in range(m):
-        if pos >= len(lines) or not lines[pos].startswith("E "):
-            raise InputError("expected superedge line")
-        parts = lines[pos].split()
-        if len(parts) != 4:
-            raise InputError(f"bad superedge line: {lines[pos]!r}")
-        a, b, t = _decimals([parts[1:]], line_nos[pos:pos + 1])
-        pos += 1
-        rows = list(map(str.split, lines[pos:pos + t]))
-        if rows and set(map(len, rows)) != {2}:
-            bad = next(r for r, row in enumerate(rows) if len(row) != 2)
-            raise InputError(f"bad relation pair line: {lines[pos + bad]!r}")
-        if len(rows) < t:
-            raise InputError("truncated relation block")
-        values = _decimals(rows, line_nos[pos:pos + t])
-        pairs = list(zip(values[0::2], values[1::2]))
-        if not all(map(lt, pairs, pairs[1:])):
-            raise InputError("relation pairs must be sorted and distinct")
-        superedges.append((a, b, pairs))
-        pos += t
-    if pos != len(lines):
-        raise InputError("trailing content after superedges")
-    return LabelCoverInstance(a_count, b_count, sigma_a, sigma_b, superedges)
+    a_count, b_count, sigma_a, sigma_b, m = _decimals(toks[1::2], f"line {numbers[1]}")
+    values, first, tag, line = _int_rows(text, start, "LC body", tags="E")
+    heads = np.flatnonzero(tag)
+    if heads.size != m:
+        raise InputError(f"expected {m} superedge lines, found {heads.size}")
+    is_pair = tag == 0
+    if is_pair[:1].any():
+        raise InputError(f"line {line[0]}: relation pair line outside a superedge block")
+    widths = np.diff(first)
+    wrong = widths != np.where(is_pair, 2, 3)
+    if wrong.any():
+        r = int(wrong.argmax())
+        kind, width = ("relation pair", 2) if is_pair[r] else ("superedge", 3)
+        raise InputError(f"line {line[r]}: expected {width} integers on a {kind} line")
+    a, b, t = values[first[heads, None] + np.arange(3)].T
+    found = np.diff(heads, append=is_pair.size) - 1
+    wrong = found != t
+    if wrong.any():
+        e = int(wrong.argmax())
+        state = "truncated" if found[e] < t[e] else "too long"
+        raise InputError(f"line {line[heads[e]]}: relation block {state}: "
+                         f"{t[e]} pair lines declared, {found[e]} found")
+    pairs = values[np.repeat(is_pair, widths)].reshape(-1, 2)
+    alpha, beta = pairs[:, 0], pairs[:, 1]
+    ascending = (alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1]))
+    ends = np.cumsum(t)
+    ascending[ends[:-1] - 1] = True     # a block's last pair and the next block's first
+    if not ascending.all():
+        raise InputError(f"line {line[np.flatnonzero(is_pair)[ascending.argmin() + 1]]}: "
+                         "relation pairs must be sorted and distinct")
+    index: dict[bytes, int] = {}
+    relations, rel_ids = [], []
+    for lo, hi in zip((ends - t).tolist(), ends.tolist()):
+        rid = index.setdefault(pairs[lo:hi].tobytes(), len(index))
+        if rid == len(relations):
+            relations.append(Relation(pairs[lo:hi].tolist()))
+        rel_ids.append(rid)
+    order = np.lexsort((b, a))
+    return LabelCoverInstance.from_arrays(a_count, b_count, sigma_a, sigma_b, a[order],
+                                          b[order], np.array(rel_ids)[order], relations)
 
 
 def write_cover_text(cover: RepCover) -> str:
@@ -386,17 +400,22 @@ def write_cover_text(cover: RepCover) -> str:
     return "\n".join(out) + "\n"
 
 
+def _member_rows(text: str, header: str, what: str) -> tuple:
+    """The ``<A|B> <vertex> <symbol>`` lines of a COVER v1 or LABEL v1 text
+    as arrays: (side is A, vertex, symbol)."""
+    lines, _, start = _head_lines(text, 1, skip_blank=True)
+    if not lines or lines[0] != header:
+        raise InputError(f"missing {header} header")
+    values, _, tag, line = _int_rows(text, start, what, width=2, tags="AB")
+    if not tag.all():
+        raise InputError(f"line {line[tag.argmin()]}: {what} line must start with A or B")
+    return tag == ord("A"), values[0::2], values[1::2]
+
+
 def parse_cover_text(text: str) -> RepCover:
-    lines, line_nos = _nonblank_lines(text)
-    if not lines or lines[0] != "COVER v1":
-        raise InputError("missing COVER v1 header")
-    members = []
-    for no, ln in zip(line_nos[1:], lines[1:]):
-        toks = ln.split()
-        if len(toks) != 3 or toks[0] not in ("A", "B"):
-            raise InputError(f"bad cover line: {ln!r}")
-        members.append((toks[0], *_decimals([toks[1:]], (no,))))
-    return RepCover.of(members)
+    is_a, vertex, symbol = _member_rows(text, "COVER v1", "cover")
+    return RepCover.of(zip(np.where(is_a, "A", "B").tolist(), vertex.tolist(),
+                           symbol.tolist()))
 
 
 def write_labeling_text(lab: Labeling) -> str:
@@ -407,24 +426,13 @@ def write_labeling_text(lab: Labeling) -> str:
 
 
 def parse_labeling_text(text: str, lc: LabelCoverInstance) -> Labeling:
-    lines, line_nos = _nonblank_lines(text)
-    if not lines or lines[0] != "LABEL v1":
-        raise InputError("missing LABEL v1 header")
-    ga: dict[int, int] = {}
-    gb: dict[int, int] = {}
-    for no, ln in zip(line_nos[1:], lines[1:]):
-        toks = ln.split()
-        if len(toks) != 3 or toks[0] not in ("A", "B"):
-            raise InputError(f"bad labeling line: {ln!r}")
-        side = toks[0]
-        i, s = _decimals([toks[1:]], (no,))
-        target = ga if side == "A" else gb
-        if i in target:
-            raise InputError(f"vertex labeled twice: {ln!r}")
-        target[i] = s
-    if sorted(ga) != list(range(lc.a_count)) or sorted(gb) != list(range(lc.b_count)):
-        raise InputError("labeling must cover every vertex exactly once")
-    lab = Labeling(tuple(ga[i] for i in range(lc.a_count)),
-                   tuple(gb[j] for j in range(lc.b_count)))
+    is_a, vertex, symbol = _member_rows(text, "LABEL v1", "labeling")
+    gammas = []
+    for side, count in ((is_a, lc.a_count), (~is_a, lc.b_count)):
+        order = np.argsort(vertex[side])
+        if not np.array_equal(vertex[side][order], np.arange(count)):
+            raise InputError("labeling must label every vertex exactly once")
+        gammas.append(tuple(symbol[side][order].tolist()))
+    lab = Labeling(*gammas)
     lab.check_shape(lc)
     return lab

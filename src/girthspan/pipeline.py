@@ -102,8 +102,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     trace.record("subsample", {"alpha": alpha, "p": p, "strip_threshold": k + 1},
                  {"superedges": sampled.edge_count})
 
-    bad = timed("strip_cycles", lambda: sampling.bad_edges(sampled, k + 1))
-    stripped = timed("strip_cycles", lambda: sampled.without_edges(bad))
+    stripped = timed("strip_cycles", lambda: sampling.strip_bad_edges(sampled, k + 1))
+    bad_count = sampled.edge_count - stripped.edge_count
     write("stripped.lc", lambda: write_lc_text(stripped))
     girth_main = timed("girth_check", lambda: girth(supergraph(stripped)))
     girth_cross = timed("girth_check", lambda: girth_independent(supergraph(stripped)))
@@ -115,12 +115,12 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         edges_before=repeated.edge_count,
         edges_after_sample=sampled.edge_count,
         edges_after_strip=stripped.edge_count,
-        bad_edge_count=len(bad),
+        bad_edge_count=bad_count,
         degrees_a=deg_a, degrees_b=deg_b,
         achieved_girth=girth_main, probability=p,
         clamped=(p == 1.0)).as_dict()
     trace.record("strip_cycles", {"threshold": k + 1},
-                 {"superedges": stripped.edge_count, "bad_edges": len(bad),
+                 {"superedges": stripped.edge_count, "bad_edges": bad_count,
                   "supergirth": _dist_json(girth_main)})
 
     minrep = timed("minrep_expand", lambda: lcm.minrep_expand(stripped))
@@ -220,7 +220,7 @@ def instance_stats(lc) -> dict:
         "a_count": lc.a_count, "b_count": lc.b_count,
         "sigma_a": lc.sigma_a, "sigma_b": lc.sigma_b,
         "superedges": lc.edge_count,
-        "relation_pairs_total": int(sum(len(lc.relation(e)) for e in range(lc.edge_count))),
+        "relation_pairs_total": int(lcm._relation_slots(lc)[1].size),
         "degrees_a": vars(deg_a), "degrees_b": vars(deg_b),
         "supergirth": _dist_json(girth(supergraph(lc))),
     }

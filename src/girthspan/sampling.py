@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import INFINITY, edge_cycle_length, girth
-from .labelcover import LabelCoverInstance, Labeling, supergraph
+from .labelcover import LabelCoverInstance, Labeling, _satisfied_mask, supergraph
 from .rng import child_seed, draws_array, keep_threshold
 
 
@@ -149,14 +149,13 @@ def sample_and_strip(lc: LabelCoverInstance, params: SampleParams) -> tuple:
     p = sample_probability(params.alpha, lc.sigma_a,
                            effective_degree(lc, params), params.clamp_p)
     sampled = subsample(lc, params)
-    bad = bad_edges(sampled, params.k)
-    stripped = sampled.without_edges(bad)
+    stripped = strip_bad_edges(sampled, params.k)
     deg_a, deg_b = degree_stats(sampled)
     stats = SampleStats(
         edges_before=lc.edge_count,
         edges_after_sample=sampled.edge_count,
         edges_after_strip=stripped.edge_count,
-        bad_edge_count=len(bad),
+        bad_edge_count=sampled.edge_count - stripped.edge_count,
         degrees_a=deg_a,
         degrees_b=deg_b,
         achieved_girth=girth(supergraph(stripped)),
@@ -182,17 +181,7 @@ def montecarlo_satisfied(lc: LabelCoverInstance, lab: Labeling,
     Trial t draws from the substream (seed, "trial", t); trials are
     schedule-independent and embarrassingly parallel.
     """
-    lab.check_shape(lc)
-    ga = np.asarray(lab.gamma_a, dtype=np.int64)
-    gb = np.asarray(lab.gamma_b, dtype=np.int64)
-    ea, eb, rel_ids = lc.edge_arrays()
-    keys = ga[ea] * np.int64(lc.sigma_b) + gb[eb]
-    sat_mask = np.zeros(lc.edge_count, dtype=bool)
-    for rid, rel in enumerate(lc.relations):
-        rel_keys = np.array([a * lc.sigma_b + b for a, b in rel.pairs], dtype=np.int64)
-        mask = rel_ids == rid
-        sat_mask[mask] = np.isin(keys[mask], rel_keys)
-    return _montecarlo(lc, params, trials, sat_mask)
+    return _montecarlo(lc, params, trials, _satisfied_mask(lc, lab))
 
 
 def montecarlo_kept_edges(lc: LabelCoverInstance, params: SampleParams,

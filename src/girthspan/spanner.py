@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import (Graph, INFINITY, _decimal_text, _head_lines, _hops, _int_rows,
-                     _row_line, _sorted_distinct, girth, graph_sha256)
-from .labelcover import MinRepInstance, RepCover, repcover_valid, supergraph
+                     _sorted_distinct, girth, graph_sha256)
+from .labelcover import MinRepInstance, RepCover, _relation_slots, repcover_valid, supergraph
 
 FAMILIES = ("E", "EM", "EsA", "EtB", "EGt")
 FAM_E, FAM_M, FAM_SA, FAM_TB, FAM_GT = range(5)
@@ -438,22 +438,6 @@ def _crossing_tables(si: SpannerInstance) -> tuple[np.ndarray, np.ndarray]:
     return sa, tb
 
 
-def _relation_slots(lc):
-    """Every (superedge, relation pair), superedge-major with each relation's
-    pairs in sorted order: (starts, superedge, alpha, beta), where starts[e]
-    is the first slot of superedge e."""
-    sizes = np.array([len(rel) for rel in lc.relations], dtype=np.int64)
-    first = np.cumsum(sizes) - sizes
-    pair_a = np.array([a for rel in lc.relations for a, _ in rel.pairs], dtype=np.int64)
-    pair_b = np.array([b for rel in lc.relations for _, b in rel.pairs], dtype=np.int64)
-    _, _, rel_ids = lc.edge_arrays()
-    counts = sizes[rel_ids]
-    starts = np.cumsum(counts) - counts
-    slot_se = np.repeat(np.arange(lc.edge_count, dtype=np.int64), counts)
-    pos = first[rel_ids][slot_se] + np.arange(slot_se.size) - starts[slot_se]
-    return starts, slot_se, pair_a[pos], pair_b[pos]
-
-
 def _tower_intact(g: Graph, mask: np.ndarray, offset: int, towers: int,
                   height: int) -> np.ndarray:
     """For each of ``towers`` consecutive towers of ``height`` vertices from
@@ -632,18 +616,17 @@ def write_subset_text(h: EdgeSubset) -> str:
 
 
 def parse_subset_text(text: str, host: Graph) -> EdgeSubset:
-    lines, start = _head_lines(text, 2, skip_blank=True)
+    lines, _, start = _head_lines(text, 2, skip_blank=True)
     if not lines or lines[0] != "SUBSET v1":
         raise InputError("missing SUBSET v1 header")
     if len(lines) < 2 or not lines[1].startswith("HOST sha256:"):
         raise InputError("missing HOST hash line")
     if lines[1].split("sha256:", 1)[1] != graph_sha256(host):
         raise InputError("subset host hash does not match the given graph")
-    ids = _int_rows(text, start, 1, None, "edge id")[:, 0]
+    ids, _, _, line = _int_rows(text, start, "edge id", width=1)
     unsorted = np.diff(ids) <= 0
     if unsorted.any():
-        row = int(unsorted.argmax()) + 1
-        raise InputError(f"line {_row_line(text, start, row)}: "
+        raise InputError(f"line {line[unsorted.argmax() + 1]}: "
                          "subset edge ids must be sorted and distinct")
     return EdgeSubset(host, ids)
 

@@ -183,6 +183,15 @@ def test_solve_budget_env(tmp_path, monkeypatch, capsys):
     assert run(["solve-lc-exact", "-i", lc]) == 3
 
 
+@pytest.mark.parametrize("budget", ["ten", "-2", " 2", "2.0", "1234567890123456789"])
+def test_solve_budget_env_must_be_decimal(tmp_path, monkeypatch, capsys, budget):
+    lc = tmp_path / "tiny.lc"
+    lc.write_text(write_lc_text(path_lc_tiny()))
+    monkeypatch.setenv("GIRTHSPAN_BUDGET", budget)
+    assert run(["solve-lc-exact", "-i", lc]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: GIRTHSPAN_BUDGET: {budget!r}")
+
+
 def test_pipeline_command_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
@@ -220,11 +229,14 @@ def test_pipeline_artifacts_round_trip(tmp_path):
     assert all(report["self_audit"].values())
     # reported sizes match artifact recomputation
     from girthspan.labelcover import parse_lc_text
+    from girthspan.sampling import bad_edges
     stripped = parse_lc_text((out / "stripped.lc").read_text())
     trace = {s["name"]: s for s in report["trace"]["stages"]}
     assert trace["strip_cycles"]["sizes"]["superedges"] == stripped.edge_count
     girth_rec = trace["strip_cycles"]["sizes"]["supergirth"]
     assert girth_rec == "infinity" or girth_rec > 4
+    sampled = parse_lc_text((out / "sampled.lc").read_text())
+    assert report["sample_stats"]["bad_edge_count"] == len(bad_edges(sampled, 4))
 
 
 def test_cover_and_proper_commands(tmp_path, capsys):

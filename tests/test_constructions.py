@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,9 +252,22 @@ def parse_formula_text_per_line(text):
 
 
 def cnf_narrowed(text):
-    """Literals keep their minus sign; the problem line's counts do not."""
-    problem = [ln for ln in text.splitlines() if ln.strip().startswith("p")]
-    return narrowed_spelling(text.replace("-", "")) or any("-" in ln for ln in problem)
+    """Literals keep their minus sign; the problem line's counts do not; a
+    comment holds printable ASCII and tabs only."""
+    lines = text.splitlines()
+    problem = [ln for ln in lines if ln.strip().startswith("p")]
+    comments = [ln for ln in lines if ln.strip().startswith("c")]
+    return (narrowed_spelling(text.replace("-", "")) or any("-" in ln for ln in problem)
+            or any(re.search(r"[^\t\x20-\x7e]", ln) for ln in comments))
+
+
+@pytest.mark.parametrize("comment", ["c caf\u00e9", "c bell\x07", "c unit\x1fsep"])
+def test_formula_comment_is_printable_ascii(comment):
+    """The per-token parser took any comment; the token policy takes printable ASCII."""
+    text = comment + "\n" + cons.write_formula_text(cons.gen_3sat5(3, seed=1))
+    assert parse_formula_text_per_line(text) is not None
+    with pytest.raises(InputError, match="line 1:"):
+        cons.parse_formula_text(text)
 
 
 def test_formula_parser_matches_per_line_reference_on_mutants():

@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girthspan.errors import InputError
 from girthspan.graphs import INFINITY, is_bipartite
@@ -13,7 +16,8 @@ from girthspan.labelcover import (LabelCoverInstance, Labeling, RepCover, labeli
 from girthspan import constructions as cons
 from girthspan.rng import Stream
 
-from conftest import check_mutant, make_lc, random_tiny_lc, text_mutants, xor_odd_4cycle
+from conftest import (check_mutant, make_lc, narrowed_spelling, random_tiny_lc, text_mutants,
+                      xor_odd_4cycle)
 
 
 def test_value_single_superedge_all_pairs():
@@ -196,6 +200,15 @@ def test_lc_text_rejections():
         parse_lc_text("LC v1\nA 1 B 1 SA 2 SB 2 M 1\nE 0 0 2\n1 1\n0 0\n")  # unsorted pairs
     with pytest.raises(InputError):
         parse_lc_text("LC v1\nA 1 B 1 SA 2 SB 2 M 1\nE 0 0 1\n0 0\nextra\n")
+    for body in ["E 0 0 1\n0 0\n1 1\n",     # a block longer than declared
+                 "E 0 0 0\n",                # an empty block
+                 "0 0\nE 0 0 1\n0 0\n"]:     # a pair line before the first superedge line
+        with pytest.raises(InputError):
+            parse_lc_text("LC v1\nA 1 B 1 SA 2 SB 2 M 1\n" + body)
+    for text in ["LC v1\nA 1 B 1 SA 2 SB 2 M 0\n0 0\n",    # pair lines and no superedge
+                 "LC v1\nA 1 B 1 SA 0 SB 2 M 0\n"]:          # an empty alphabet
+        with pytest.raises(InputError):
+            parse_lc_text(text)
 
 
 def test_cover_text_round_trip():
@@ -216,9 +229,20 @@ def test_labeling_text_round_trip(xor_lc):
         parse_labeling_text("LABEL v1\nA 0 0\nA 1 0\nB 0 0\n", xor_lc)  # missing b1
 
 
-# --- the per-token int() parsers, kept as references for the mutation corpus ---
+# --- the per-line writer and per-token int() parsers, kept as references ---
 
 LC_HEAD_1x1 = "LC v1\nA 1 B 1 SA 4 SB 4 M 1\n"
+
+
+def write_lc_text_per_line(lc):
+    out = ["LC v1",
+           f"A {lc.a_count} B {lc.b_count} SA {lc.sigma_a} SB {lc.sigma_b} M {lc.edge_count}"]
+    for e in range(lc.edge_count):
+        a, b = lc.edge(e)
+        rel = lc.relation(e)
+        out.append(f"E {a} {b} {len(rel)}")
+        out.extend(f"{alpha} {beta}" for alpha, beta in rel.pairs)
+    return "\n".join(out) + "\n"
 
 
 def parse_lc_text_per_line(text):
@@ -294,6 +318,43 @@ def parse_labeling_text_per_line(text, lc):
     return lab
 
 
+@st.composite
+def lc_instances(draw):
+    """Up to 12 superedges over symbols of 1 to 3 digits; the relations are
+    all distinct, or drawn from a pool of one to three so that they repeat."""
+    a_count, b_count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sigma_a, sigma_b = draw(st.integers(2, 300)), draw(st.integers(2, 300))
+    pair = st.tuples(st.integers(0, sigma_a - 1), st.integers(0, sigma_b - 1))
+    relation = st.frozensets(pair, min_size=1, max_size=6)
+    ends = draw(st.lists(st.tuples(st.integers(0, a_count - 1), st.integers(0, b_count - 1)),
+                         unique=True, max_size=12))
+    if draw(st.booleans()):
+        rels = draw(st.lists(relation, min_size=len(ends), max_size=len(ends), unique=True))
+    else:
+        pool = draw(st.lists(relation, min_size=1, max_size=3))
+        rels = [draw(st.sampled_from(pool)) for _ in ends]
+    return make_lc(a_count, b_count, sigma_a, sigma_b,
+                   [(a, b, sorted(rel)) for (a, b), rel in zip(ends, rels)])
+
+
+@given(lc_instances())
+@settings(max_examples=60, deadline=None)
+def test_lc_text_equals_per_line_reference(lc):
+    text = write_lc_text(lc)
+    assert text == write_lc_text_per_line(lc)
+    parsed = parse_lc_text(text)
+    assert parsed == lc == parse_lc_text_per_line(text)
+    # one Relation per distinct pair block
+    assert len(parsed.relations) == len({lc.relation(e) for e in range(lc.edge_count)})
+
+
+def tag_narrowed(text):
+    """The token policy's narrowings, or a COVER/LABEL line whose tag has a
+    blank before it or a tab after it."""
+    return narrowed_spelling(text) or any(re.match(r"[ \t]+[AB]|[AB]\t", ln)
+                                          for ln in text.splitlines())
+
+
 def test_lc_cover_label_parsers_match_per_line_reference_on_mutants():
     """The parsers accept exactly what the per-token int() parsers accepted,
     with equal results, except the spellings the token policy narrows."""
@@ -312,13 +373,34 @@ def test_lc_cover_label_parsers_match_per_line_reference_on_mutants():
         for parse, reference, base in cases:
             assert parse(base) == reference(base)
             for text in text_mutants(base, stream, 250):
-                case = check_mutant(parse, reference, text)
+                case = check_mutant(parse, reference, text, narrowed=tag_narrowed)
                 seen[case] = seen.get(case, 0) + 1
     assert {"accepted", "rejected"} <= seen.keys(), seen
     narrowed = LC_HEAD_1x1 + "E 0 0 1\n0 \u0663\n"    # an Arabic-Indic digit
     assert parse_lc_text_per_line(narrowed).edge_count == 1
     with pytest.raises(InputError, match="line 4"):
         parse_lc_text(narrowed)
+
+
+@pytest.mark.parametrize("kind, text, line", [
+    ("cover", "COVER v1\nA\t0 1\n", 2),                     # a tab after a line tag
+    ("cover", "COVER v1\nA 0 1\n  B 1 0\n", 3),             # a blank before a line tag
+    ("cover", "COVER v1\x1cA 0 1\n", 1),                    # \x1c-\x1e end a str line
+    ("lc", LC_HEAD_1x1 + "E 0 0 1\n0\x1f1\n", 4),           # \x1f is str whitespace
+    ("lc", LC_HEAD_1x1 + "E 0 0 1\x850 1\n", 3),            # \x85 ends a str line
+    ("label", "LABEL v1\nA 0 0\u2028A 1 1\nB 0 0\nB 1 1\n", 2),   # so does U+2028
+])
+def test_narrowed_spellings_name_their_line(kind, text, line):
+    """Spellings the per-token parsers accepted and the token policy rejects."""
+    lc = xor_odd_4cycle()
+    parse, reference = {
+        "lc": (parse_lc_text, parse_lc_text_per_line),
+        "cover": (parse_cover_text, parse_cover_text_per_line),
+        "label": (lambda t: parse_labeling_text(t, lc),
+                  lambda t: parse_labeling_text_per_line(t, lc))}[kind]
+    assert reference(text) is not None
+    with pytest.raises(InputError, match=f"line {line}:"):
+        parse(text)
 
 
 def test_lc_parser_names_the_bad_line():
