@@ -271,49 +271,52 @@ def is_bipartite(g: Graph) -> tuple[bool, list | None]:
 
 # --- decimal text, shared by every text format -------------------------------
 #
-# Token policy: a line ends at \n, \r, \r\n, \v or \f.  Header lines
-# (``_head_lines``) hold printable ASCII and tabs only.  A body line
-# (``_int_rows``) is an optional tag letter, first on its line and followed
-# by a space, then tokens of 1 to 18 ASCII digits (so they fit in int64)
-# separated by spaces or tabs; blank lines are skipped.  Any other character
-# (a sign, an underscore, another letter, another control character, any
-# non-ASCII character) is an InputError that names its line and quotes its token.
+# Token policy: a line ends at \n, \r, \r\n, \v or \f; a \r\n ends one line.
+# Header lines (``_head_lines``) hold printable ASCII and tabs only.  A body
+# line (``_int_rows``) is an optional tag letter, first on its line and
+# followed by a space, then tokens of 1 to 18 ASCII digits (so they fit in
+# int64) separated by spaces or tabs; blank lines are skipped.  Any other
+# character (a sign, an underscore, another letter, another control
+# character, any non-ASCII character) is an InputError that names its line
+# and quotes its token.
 
 _MAX_DIGITS = 18
 _NOT_DECIMAL = f"is not an integer of 1 to {_MAX_DIGITS} decimal digits"
-_DIGIT, _TAG, _BLANK, _BREAK, _OTHER = range(5)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
-_BYTE_CLASS[[ord("\n"), ord("\r"), ord("\v"), ord("\f")]] = _BREAK
+_BODY_BYTES = "0123456789 \t\n\r\v\f"      # and the format's tag letters
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f]")
 _SEPARATOR = re.compile(r"[ \t\n\r\v\f]")
 _HEAD_FORBIDDEN = re.compile(r"[^\t\x20-\x7e]")
 
+# The most vertices a header may declare: N in GRAPH v1, and A, B and the
+# Min-Rep size A*SA + B*SB in LC v1.  Checked before any array is sized from
+# them; one int64 array over this many vertices already takes 800 MB.
+MAX_DECLARED_VERTICES = 10**8
 
-def _decimal_text(columns, tags=None) -> bytes:
-    """One line per row of the int columns: the row's tag letter and a space
-    when ``tags`` (uint8, 0 for none) gives one, then its fields joined by a
-    space.  A negative entry leaves its field, and the space before it, out.
 
-    Fills a right-aligned digit table per column, then drops each row's
-    leading-zero and left-out cells; equal to joining ``str(int)`` per row.
+def _check_declared(where: str, field: str, size: int) -> None:
+    if size > MAX_DECLARED_VERTICES:
+        raise InputError(f"{where}: {field} = {size} exceeds {MAX_DECLARED_VERTICES}, "
+                         "the most vertices a header may declare")
+
+
+def _decimal_text(columns, tag: str = "") -> bytes:
+    """One line per row of the nonnegative int columns: ``tag`` and a space
+    when a tag letter is given, then the row's fields joined by a space.
+
+    Fills a right-aligned digit table per column, then drops each field's
+    leading zeros; equal to joining ``str(int)`` per row.
     """
     rows = columns[0].size
     widths = [len(str(int(col.max()))) if rows else 1 for col in columns]
-    lead = 0 if tags is None else 2
-    table = np.empty((rows, lead + sum(widths) + len(widths)), dtype=np.uint8)
+    end = 2 if tag else 0
+    table = np.empty((rows, end + sum(widths) + len(widths)), dtype=np.uint8)
     keep = np.ones(table.shape, dtype=bool)
-    if tags is not None:
-        table[:, 0] = tags
+    if tag:
+        table[:, 0] = ord(tag)
         table[:, 1] = ord(" ")
-        keep[:, :2] = (tags != 0)[:, None]
-    end = lead
     for n, (col, width) in enumerate(zip(columns, widths)):
-        present = col >= 0
         if n:
             table[:, end] = ord(" ")
-            keep[:, end] = present
             end += 1
         rest = col.astype(np.int64)
         for j in range(end + width - 1, end - 1, -1):
@@ -321,7 +324,7 @@ def _decimal_text(columns, tags=None) -> bytes:
             quot = rest // 10
             table[:, j] = rest - quot * 10 + ord("0")
             rest = quot
-        keep[:, end + width - 1] = present
+        keep[:, end + width - 1] = True
         end += width
     table[:, -1] = ord("\n")
     return table[keep].tobytes()
@@ -370,6 +373,88 @@ def _head_lines(text: str, count: int | None = None,
     return lines, numbers, pos
 
 
+def _is_break(b: np.ndarray) -> np.ndarray:
+    """Per uint8 byte: is it a line break, one of \n \v \f \r (10 to 13)?"""
+    return (b - np.uint8(10)) < 4
+
+
+def _body_bytes(text: str, start: int, tags: str = "") -> tuple:
+    """``text[start:]``, which begins a line, after the policy's checks of
+    the body as a whole: ASCII only, no byte but digits, blanks, line breaks
+    and the tag letters ``tags``, and every tag first on its line and
+    followed by a space.  Returns (raw, body, at): the body as bytes and as
+    a uint8 array, and the positions of its tags."""
+    try:
+        raw = text[start:].encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise _token_error(text, start + exc.start, _NOT_DECIMAL) from None
+    if raw.translate(None, (_BODY_BYTES + tags).encode("ascii")):
+        other = re.compile(f"[^{_BODY_BYTES}{tags}]").search(text, start)
+        raise _token_error(text, other.start(), _NOT_DECIMAL)
+    body = np.frombuffer(raw, dtype=np.uint8)
+    at = np.zeros(0, dtype=np.int64)
+    if tags:
+        is_tag = np.zeros(body.size, dtype=bool)
+        for letter in tags.encode("ascii"):
+            is_tag |= body == letter
+        at = np.flatnonzero(is_tag)
+        placed = (((at == 0) | _is_break(body[at - 1])) & (at + 1 < body.size)
+                  & (body[np.minimum(at + 1, body.size - 1)] == ord(" ")))
+        if not placed.all():
+            raise _token_error(text, start + int(at[placed.argmin()]),
+                               "is a tag, which must open its line and be followed by a space")
+    return raw, body, at
+
+
+def _token_rows(body: np.ndarray, at: np.ndarray) -> tuple:
+    """Tokens and rows of a body that passed ``_body_bytes``, whose tags are
+    at positions ``at``.
+
+    Returns (starts, ends, heads, line): the span of every token, a tag
+    being one; the index of each row's first token, row r being the r-th
+    nonblank line; and each row's line as the number of line breaks before
+    it.  Every per-byte temporary is uint8, int8, bool or int32.
+    """
+    token = (body - np.uint8(ord("0"))) < 10
+    token[at] = True
+    step = np.diff(token.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    del token
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    del step
+    breaks = _is_break(body)
+    cr = np.flatnonzero(body[:-1] == ord("\r"))
+    breaks[cr[body[cr + 1] == ord("\n")] + 1] = False    # a \r\n ends one line
+    # A token opens a row when a line break lies between it and the token before.
+    line_of = np.cumsum(breaks, dtype=np.int32)[starts]
+    del breaks
+    opens = np.ones(starts.size, dtype=bool)
+    np.not_equal(line_of[1:], line_of[:-1], out=opens[1:])
+    heads = np.flatnonzero(opens)
+    return starts, ends, heads, line_of[heads]
+
+
+def _decimal_values(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """int64 values of the digit tokens at [starts, ends) of ``body``, each
+    of at most 18 digits."""
+    values = np.zeros(starts.size, dtype=np.int64)
+    if starts.size == 0:
+        return values
+    lengths = ends - starts
+    digits = int(lengths.max())
+    # Row t of the window holds the ``digits`` bytes that end where token t
+    # ends; cells left of the token are zeroed, so Horner's rule over the
+    # columns gives the token's value.
+    padded = np.concatenate([np.full(digits, ord("0"), dtype=np.uint8), body])
+    window = sliding_window_view(padded, digits)[ends]
+    window -= ord("0")
+    window *= np.arange(digits) >= (digits - lengths)[:, None]
+    for column in window.T:
+        values *= 10
+        values += column
+    return values
+
+
 def _int_rows(text: str, start: int, what: str, width: int | None = None,
               count: int | None = None, tags: str = "") -> tuple:
     """Tokenize ``text[start:]``, which begins a line, by the policy above.
@@ -379,45 +464,16 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
     letter as a byte (0 for none; ``tags`` holds the format's letters) and
     ``line[r]`` its line number.  ``count``, when given, is the declared
     number of rows and ``width`` the number of integers every row holds;
-    both are checked before the values are decoded.  Every per-byte
-    temporary is uint8, int8, bool or int32.
+    both are checked before the values are decoded.
     """
-    try:
-        body = np.frombuffer(text[start:].encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError as exc:
-        raise _token_error(text, start + exc.start, _NOT_DECIMAL) from None
-    classes = _BYTE_CLASS
-    if tags:
-        classes = classes.copy()
-        classes[np.frombuffer(tags.encode("ascii"), dtype=np.uint8)] = _TAG
-    cls = classes[body]
-    other = cls == _OTHER
-    if other.any():
-        raise _token_error(text, start + int(other.argmax()), _NOT_DECIMAL)
-    del other
-    if tags:
-        at = np.flatnonzero(cls == _TAG)
-        placed = (((at == 0) | (cls[at - 1] == _BREAK)) & (at + 1 < body.size)
-                  & (body[np.minimum(at + 1, body.size - 1)] == ord(" ")))
-        if not placed.all():
-            raise _token_error(text, start + int(at[placed.argmin()]),
-                               "is a tag, which must open its line and be followed by a space")
-    step = np.diff((cls <= _TAG).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
-    del step
-    # A token opens a row when a line break lies between it and the token before.
-    line_of = np.cumsum(cls == _BREAK, dtype=np.int32)[starts]
-    opens = np.ones(starts.size, dtype=bool)
-    np.not_equal(line_of[1:], line_of[:-1], out=opens[1:])
-    heads = np.flatnonzero(opens)
-    del opens
-    tagged = cls[starts[heads]] == _TAG
-    del cls
+    _, body, at = _body_bytes(text, start, tags)
+    starts, ends, heads, line = _token_rows(body, at)
     if count is not None and heads.size != count:
         raise InputError(f"expected {count} {what} lines, found {heads.size}")
-    tag = np.where(tagged, body[starts[heads]], 0).astype(np.uint8)
-    line = line_of[heads] + np.int64(_line_number(text, start))
+    lead = body[starts[heads]]
+    tagged = lead > ord("9")      # a token is digits or a tag, and letters sort after digits
+    tag = np.where(tagged, lead, 0).astype(np.uint8)
+    line = line + np.int64(_line_number(text, start))
     # A tag is the first token of its row, so row r's integers follow the
     # tags of rows 0..r.
     first = np.append(heads - np.cumsum(tagged) + tagged,
@@ -430,23 +486,9 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
         keep[heads[tagged]] = False
         starts, ends = starts[keep], ends[keep]
     lengths = ends - starts
-    values = np.zeros(starts.size, dtype=np.int64)
-    if starts.size == 0:
-        return values, first, tag, line
-    digits = int(lengths.max())
-    if digits > _MAX_DIGITS:
+    if lengths.size and lengths.max() > _MAX_DIGITS:
         raise _token_error(text, start + int(starts[lengths.argmax()]), _NOT_DECIMAL)
-    # Row t of the window holds the ``digits`` bytes that end where token t
-    # ends; cells left of the token are zeroed, so Horner's rule over the
-    # columns gives the token's value.
-    padded = np.concatenate([np.full(digits, ord("0"), dtype=np.uint8), body])
-    window = sliding_window_view(padded, digits)[ends]
-    window -= ord("0")
-    window *= np.arange(digits) >= (digits - lengths)[:, None]
-    for column in window.T:
-        values *= 10
-        values += column
-    return values, first, tag, line
+    return _decimal_values(body, starts, ends), first, tag, line
 
 
 # --- GRAPH v1 text format ---------------------------------------------------
@@ -474,6 +516,7 @@ def parse_graph_text(text: str) -> Graph:
     if len(parts) != 4 or parts[0] != "N" or parts[2] != "M":
         raise InputError(f"line 2: bad size line: {lines[1]!r}")
     n, m = _decimals(parts[1::2], "line 2")
+    _check_declared("line 2", "N", n)
     values, _, _, line = _int_rows(text, start, "edge", width=2, count=m)
     eu, ev = values[0::2], values[1::2]
     du, dv = np.diff(eu), np.diff(ev)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import (Graph, _decimal_text, _decimals, _head_lines, _int_rows, _sorted_distinct,
-                     girth)
+from .graphs import (_MAX_DIGITS, _NOT_DECIMAL, Graph, _body_bytes, _check_declared,
+                     _decimal_text, _decimal_values, _decimals, _head_lines, _int_rows, _is_break,
+                     _line_number, _sorted_distinct, _token_error, _token_rows, girth)
 
 
 class Relation:
@@ -28,13 +30,25 @@ class Relation:
     __slots__ = ("pairs", "_set")
 
     def __init__(self, pairs):
-        pairs = sorted(set((int(a), int(b)) for a, b in pairs))
+        self._init(tuple(sorted(set((int(a), int(b)) for a, b in pairs))))
+
+    @classmethod
+    def _of_sorted(cls, pairs: tuple) -> "Relation":
+        """The relation of ``pairs``, (int, int) tuples already sorted and
+        distinct."""
+        rel = cls.__new__(cls)
+        rel._init(pairs)
+        return rel
+
+    def _init(self, pairs: tuple) -> None:
         if not pairs:
             raise InputError("relations must be nonempty")
-        self.pairs = tuple(pairs)
-        self._set = frozenset(self.pairs)
+        self.pairs = pairs
+        self._set = None        # built by the first ``contains``
 
     def contains(self, alpha: int, beta: int) -> bool:
+        if self._set is None:
+            self._set = frozenset(self.pairs)
         return (alpha, beta) in self._set
 
     def __len__(self) -> int:
@@ -102,10 +116,11 @@ class LabelCoverInstance:
             keys = ea * np.int64(self.b_count) + eb
             if (np.diff(keys) <= 0).any():
                 raise InputError("superedges must be distinct and (a, b)-sorted")
-        for rel in relations:
-            for alpha, beta in rel.pairs:
-                if not (0 <= alpha < self.sigma_a and 0 <= beta < self.sigma_b):
-                    raise InputError("relation symbol out of range")
+        symbols = np.fromiter(chain.from_iterable(chain.from_iterable(
+            rel.pairs for rel in relations)), dtype=np.int64)
+        if symbols.size and (symbols.min() < 0 or symbols[0::2].max() >= self.sigma_a
+                             or symbols[1::2].max() >= self.sigma_b):
+            raise InputError("relation symbol out of range")
         self._ea = ea
         self._eb = eb
         self._rel_ids = rel_ids
@@ -156,7 +171,10 @@ class LabelCoverInstance:
             return False
         if not (np.array_equal(self._ea, other._ea) and np.array_equal(self._eb, other._eb)):
             return False
-        return all(self.relation(e) == other.relation(e) for e in range(self.edge_count))
+        # Compare each distinct (own relation, other's relation) pairing once.
+        width = len(other.relations)
+        pairings = _sorted_distinct(self._rel_ids * width + other._rel_ids).tolist()
+        return all(self.relations[r // width] == other.relations[r % width] for r in pairings)
 
     def __repr__(self) -> str:
         return (f"LabelCoverInstance(|A|={self.a_count}, |B|={self.b_count}, "
@@ -211,6 +229,12 @@ def _relation_slots(lc: LabelCoverInstance):
     slot_se = np.repeat(np.arange(lc.edge_count, dtype=np.int64), counts)
     pos = first[lc._rel_ids][slot_se] + np.arange(slot_se.size) - starts[slot_se]
     return starts, slot_se, pair_a[pos], pair_b[pos]
+
+
+def distinct_relations(lc: LabelCoverInstance) -> int:
+    """Number of distinct relation blocks among the superedges, the blocks
+    that LC v1 writing and parsing render and tokenize."""
+    return len({lc.relations[r] for r in _sorted_distinct(lc._rel_ids).tolist()})
 
 
 def _satisfied_mask(lc: LabelCoverInstance, lab: Labeling) -> np.ndarray:
@@ -330,68 +354,148 @@ def labeling_to_repcover(lc: LabelCoverInstance, lab: Labeling) -> RepCover:
 # --- LC v1 / COVER v1 / LABEL v1 text formats --------------------------------
 
 def write_lc_text(lc: LabelCoverInstance) -> str:
+    """LC v1 text: per superedge its ``E a b t`` line, then the t pair lines
+    of its relation.  One call renders every E line and a second one the
+    block of each relation in use; the text joins, in superedge order, each
+    E line with a slice holding its relation's block."""
     head = (f"LC v1\nA {lc.a_count} B {lc.b_count} SA {lc.sigma_a} SB {lc.sigma_b} "
             f"M {lc.edge_count}\n")
-    starts, slot_se, alpha, beta = _relation_slots(lc)
-    # Superedge e's line "E a b t" is followed by its t relation pair lines.
-    heads = starts + np.arange(lc.edge_count)
-    pair_rows = slot_se + 1 + np.arange(slot_se.size)
-    a, b, t = (np.full(heads.size + slot_se.size, -1, dtype=np.int64) for _ in range(3))
-    a[heads], b[heads], t[heads] = lc._ea, lc._eb, np.diff(starts, append=slot_se.size)
-    a[pair_rows], b[pair_rows] = alpha, beta
-    tags = np.zeros(a.size, dtype=np.uint8)
-    tags[heads] = ord("E")
-    return head + _decimal_text([a, b, t], tags).decode("ascii")
+    used = _sorted_distinct(lc._rel_ids)
+    rels = [lc.relations[r].pairs for r in used.tolist()]
+    sizes = np.fromiter(map(len, rels), dtype=np.int64, count=len(rels))
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rels)),
+                        dtype=np.int64).reshape(-1, 2)
+    pair_text = _decimal_text([pairs[:, 0], pairs[:, 1]])
+    block_ends = _line_ends(pair_text)[np.cumsum(sizes) - 1].tolist()
+    blocks = list(map(pair_text.__getitem__, map(slice, [0] + block_ends[:-1], block_ends)))
+    slot = np.searchsorted(used, lc._rel_ids)
+    e_text = _decimal_text([lc._ea, lc._eb, sizes[slot]], "E")
+    e_ends = _line_ends(e_text).tolist()
+    parts = [b""] * (2 * lc.edge_count)
+    parts[0::2] = map(e_text.__getitem__, map(slice, [0] + e_ends[:-1], e_ends))
+    parts[1::2] = map(blocks.__getitem__, slot.tolist())
+    return head + b"".join(parts).decode("ascii")
+
+
+def _line_ends(data: bytes) -> np.ndarray:
+    """Offset just past each ``\\n`` of ``data``."""
+    return np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
 
 
 def parse_lc_text(text: str) -> LabelCoverInstance:
-    """Parse LC v1 text, building one ``Relation`` per distinct pair block."""
+    """Parse LC v1 text at the cost of its distinct relation blocks.
+
+    ``_body_bytes`` checks the body as a whole; then it is cut at its E
+    tags.  The text before the first tag is a block with no superedge, which
+    must hold no token.  Each superedge has its E line, up to and including
+    its first line break character, and then its relation block, up to the
+    next tag.  Identical block texts hold identical tokens, so the
+    E lines are tokenized in one call and each distinct block once, in a
+    second call.  Every check still covers every line, and an error names
+    the line and quotes the token of the first fault in text order.  One
+    ``Relation`` is built per distinct pair block.
+    """
     lines, numbers, start = _head_lines(text, 2, skip_blank=True)
     if not lines or lines[0] != "LC v1":
         raise InputError("missing LC v1 header")
     toks = lines[1].split() if len(lines) > 1 else []
     if len(toks) != 10 or toks[0::2] != ["A", "B", "SA", "SB", "M"]:
         raise InputError("bad LC size line")
-    a_count, b_count, sigma_a, sigma_b, m = _decimals(toks[1::2], f"line {numbers[1]}")
-    values, first, tag, line = _int_rows(text, start, "LC body", tags="E")
-    heads = np.flatnonzero(tag)
-    if heads.size != m:
-        raise InputError(f"expected {m} superedge lines, found {heads.size}")
-    is_pair = tag == 0
-    if is_pair[:1].any():
-        raise InputError(f"line {line[0]}: relation pair line outside a superedge block")
-    widths = np.diff(first)
-    wrong = widths != np.where(is_pair, 2, 3)
-    if wrong.any():
-        r = int(wrong.argmax())
-        kind, width = ("relation pair", 2) if is_pair[r] else ("superedge", 3)
-        raise InputError(f"line {line[r]}: expected {width} integers on a {kind} line")
-    a, b, t = values[first[heads, None] + np.arange(3)].T
-    found = np.diff(heads, append=is_pair.size) - 1
+    where = f"line {numbers[1]}"
+    a_count, b_count, sigma_a, sigma_b, m = _decimals(toks[1::2], where)
+    for field, size in [("A", a_count), ("B", b_count),
+                        ("A*SA + B*SB", a_count * sigma_a + b_count * sigma_b)]:
+        _check_declared(where, field, size)
+    raw, body, at = _body_bytes(text, start, "E")
+    n = body.size
+    breaks = np.append(np.flatnonzero(_is_break(body)), n)
+    eol = breaks[np.searchsorted(breaks, at)]
+    del breaks
+    e_end = np.minimum(eol + 1, n)
+    # Block piece j is [lo[j], hi[j]): j = 0 lies before the first tag, and
+    # j = i + 1 follows superedge i's E line [at[i], e_end[i]).
+    lo, hi = np.append(0, e_end), np.append(at, n)
+    pieces = list(map(raw.__getitem__, map(slice, lo.tolist(), hi.tolist())))
+    index = dict(zip(dict.fromkeys(pieces), count()))      # distinct block texts
+    bid = np.fromiter(map(index.__getitem__, pieces), dtype=np.int64, count=len(pieces))
+    distinct = list(index)
+    del pieces, index
+
+    e_size = e_end - at
+    e_off = np.cumsum(e_size) - e_size            # where each E line starts in e_body
+    e_body = body[np.repeat(at - e_off, e_size) + np.arange(e_size.sum())]
+    no_tags = np.zeros(0, dtype=np.int64)
+    e_starts, e_ends, _, _ = _token_rows(e_body, no_tags)    # so an E separates like a blank
+    e_width = np.diff(np.searchsorted(e_starts, np.append(e_off, e_body.size)))
+    b_size = np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct)) + 1
+    b_off = np.cumsum(b_size) - b_size            # where each distinct block starts in b_body
+    b_body = np.frombuffer(b"\n".join(distinct) + b"\n", dtype=np.uint8)
+    b_starts, b_ends, b_heads, _ = _token_rows(b_body, no_tags)
+    tok_block = np.searchsorted(b_off, b_starts, side="right") - 1
+    row_block = tok_block[b_heads]
+    b_width = np.diff(b_heads, append=b_starts.size)
+    rows = np.bincount(row_block, minlength=len(distinct))
+
+    def first_fault(b_pos, e_pos=()):
+        """Text offset of the first fault: ``b_pos`` are sorted offsets in
+        b_body and ``e_pos`` sorted offsets in e_body."""
+        found = []
+        if len(e_pos):
+            i = np.searchsorted(e_off, e_pos[0], side="right") - 1
+            found.append(at[i] + e_pos[0] - e_off[i])
+        if b_pos.size:
+            k = np.searchsorted(b_off, b_pos, side="right") - 1
+            k, first = np.unique(k, return_index=True)
+            offset = np.full(len(distinct), -1, dtype=np.int64)
+            offset[k] = b_pos[first] - b_off[k]
+            j = int((offset[bid] >= 0).argmax())
+            found.append(lo[j] + offset[bid[j]])
+        return start + int(min(found))
+
+    e_len, b_len = e_ends - e_starts, b_ends - b_starts
+    longest = max(e_len.max(initial=0), b_len.max(initial=0))
+    if longest > _MAX_DIGITS:
+        pos = first_fault(b_starts[b_len == longest], e_starts[e_len == longest])
+        raise _token_error(text, pos, _NOT_DECIMAL)
+    if at.size != m:
+        raise InputError(f"expected {m} superedge lines, found {at.size}")
+    if rows[bid[0]]:
+        pos = first_fault(b_starts[tok_block == bid[0]])
+        raise InputError(f"line {_line_number(text, pos)}: "
+                         "relation pair line outside a superedge block")
+    bad_e, bad_b = e_width != 3, b_width != 2
+    if bad_e.any() or bad_b.any():
+        pos = first_fault(b_starts[b_heads[bad_b]], e_off[bad_e])
+        kind, width = ("superedge", 3) if text[pos] == "E" else ("relation pair", 2)
+        raise InputError(f"line {_line_number(text, pos)}: "
+                         f"expected {width} integers on a {kind} line")
+    a, b, t = _decimal_values(e_body, e_starts, e_ends).reshape(-1, 3).T
+    found = rows[bid[1:]]
     wrong = found != t
     if wrong.any():
         e = int(wrong.argmax())
         state = "truncated" if found[e] < t[e] else "too long"
-        raise InputError(f"line {line[heads[e]]}: relation block {state}: "
-                         f"{t[e]} pair lines declared, {found[e]} found")
-    pairs = values[np.repeat(is_pair, widths)].reshape(-1, 2)
+        raise InputError(f"line {_line_number(text, start + int(at[e]))}: relation block "
+                         f"{state}: {t[e]} pair lines declared, {found[e]} found")
+    pairs = _decimal_values(b_body, b_starts, b_ends).reshape(-1, 2)
     alpha, beta = pairs[:, 0], pairs[:, 1]
     ascending = (alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1]))
-    ends = np.cumsum(t)
-    ascending[ends[:-1] - 1] = True     # a block's last pair and the next block's first
-    if not ascending.all():
-        raise InputError(f"line {line[np.flatnonzero(is_pair)[ascending.argmin() + 1]]}: "
+    bad = ~ascending & (row_block[1:] == row_block[:-1])
+    if bad.any():
+        pos = first_fault(b_starts[b_heads[1:][bad]])
+        raise InputError(f"line {_line_number(text, pos)}: "
                          "relation pairs must be sorted and distinct")
-    index: dict[bytes, int] = {}
-    relations, rel_ids = [], []
-    for lo, hi in zip((ends - t).tolist(), ends.tolist()):
-        rid = index.setdefault(pairs[lo:hi].tobytes(), len(index))
-        if rid == len(relations):
-            relations.append(Relation(pairs[lo:hi].tolist()))
-        rel_ids.append(rid)
+    used = _sorted_distinct(bid[1:])            # in order of first use
+    pair_list = list(zip(alpha.tolist(), beta.tolist()))
+    first_row = (np.cumsum(rows) - rows)[used].tolist()
+    blocks = [tuple(pair_list[r:r + size]) for r, size in zip(first_row, rows[used].tolist())]
+    table = dict(zip(dict.fromkeys(blocks), count()))
+    relations = list(map(Relation._of_sorted, table))
+    rel_of = np.zeros(len(distinct), dtype=np.int64)
+    rel_of[used] = list(map(table.__getitem__, blocks))
     order = np.lexsort((b, a))
     return LabelCoverInstance.from_arrays(a_count, b_count, sigma_a, sigma_b, a[order],
-                                          b[order], np.array(rel_ids)[order], relations)
+                                          b[order], rel_of[bid[1:]][order], relations)
 
 
 def write_cover_text(cover: RepCover) -> str:

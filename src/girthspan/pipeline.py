@@ -76,12 +76,14 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     base = timed("lc_from_3sat5", lambda: cons.lc_from_3sat5(formula))
     write("base.lc", lambda: write_lc_text(base))
     trace.record("lc_from_3sat5", {}, {"a": base.a_count, "b": base.b_count,
-                                       "superedges": base.edge_count})
+                                       "superedges": base.edge_count,
+                                       "relations": lcm.distinct_relations(base)})
 
     regular = timed("regularize", lambda: cons.regularize(base))
     write("regular.lc", lambda: write_lc_text(regular))
     trace.record("regularize", {}, {"a": regular.a_count, "b": regular.b_count,
-                                    "superedges": regular.edge_count})
+                                    "superedges": regular.edge_count,
+                                    "relations": lcm.distinct_relations(regular)})
 
     repeated = timed("parallel_repetition", lambda: cons.parallel_repetition(
         regular, ell, max_superedges=max_superedges))
@@ -89,7 +91,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     trace.record("parallel_repetition", {"ell": ell},
                  {"a": repeated.a_count, "b": repeated.b_count,
                   "sigma_a": repeated.sigma_a, "sigma_b": repeated.sigma_b,
-                  "superedges": repeated.edge_count})
+                  "superedges": repeated.edge_count,
+                  "relations": lcm.distinct_relations(repeated)})
 
     params = sampling.SampleParams(alpha=alpha, k=k + 1,
                                    seed=child_seed(seed, "subsample"),
@@ -100,7 +103,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         alpha, repeated.sigma_a, sampling.effective_degree(repeated, params), clamp_p))
     deg_a, deg_b = timed("subsample", lambda: sampling.degree_stats(sampled))
     trace.record("subsample", {"alpha": alpha, "p": p, "strip_threshold": k + 1},
-                 {"superedges": sampled.edge_count})
+                 {"superedges": sampled.edge_count,
+                  "relations": lcm.distinct_relations(sampled)})
 
     stripped = timed("strip_cycles", lambda: sampling.strip_bad_edges(sampled, k + 1))
     bad_count = sampled.edge_count - stripped.edge_count
@@ -120,7 +124,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         achieved_girth=girth_main, probability=p,
         clamped=(p == 1.0)).as_dict()
     trace.record("strip_cycles", {"threshold": k + 1},
-                 {"superedges": stripped.edge_count, "bad_edges": bad_count,
+                 {"superedges": stripped.edge_count,
+                  "relations": lcm.distinct_relations(stripped), "bad_edges": bad_count,
                   "supergirth": _dist_json(girth_main)})
 
     minrep = timed("minrep_expand", lambda: lcm.minrep_expand(stripped))

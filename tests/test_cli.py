@@ -76,6 +76,10 @@ CNF_CMD = ["lc-from-3sat", "-i", "{bad}", "-o", "{out}"]
     pytest.param(CNF_CMD, "c note\np cnf 3 1\n1 -2 3.0 0\n", 3, id="cnf-literal-token"),
     pytest.param(CNF_CMD, "p cnf 3 1\n1 - 3 0\n", 2, id="cnf-bare-sign"),
     pytest.param(GRAPH_CMD, b"GRAPH v1\nN 2 M 1\n0 \xff\n", None, id="not-utf8"),
+    # header sizes numpy refuses at once; checked before any array is sized
+    pytest.param(GRAPH_CMD, "GRAPH v1\nN 100000000000000000 M 0\n", 2, id="graph-huge-n"),
+    pytest.param(["stats", "-i", "{bad}"], "LC v1\nA 100000000000000000 B 1 SA 1 SB 1 M 0\n", 2,
+                 id="lc-huge-a"),
     pytest.param(GRAPH_CMD, None, None, id="graph-directory"),
     pytest.param(LC_CMD, None, None, id="lc-directory"),
 ])
@@ -237,6 +241,12 @@ def test_pipeline_artifacts_round_trip(tmp_path):
     assert girth_rec == "infinity" or girth_rec > 4
     sampled = parse_lc_text((out / "sampled.lc").read_text())
     assert report["sample_stats"]["bad_edge_count"] == len(bad_edges(sampled, 4))
+    # the distinct relation blocks of each LC artifact, one Relation apiece
+    for stage, name in [("lc_from_3sat5", "base"), ("regularize", "regular"),
+                        ("parallel_repetition", "repeated"), ("subsample", "sampled"),
+                        ("strip_cycles", "stripped")]:
+        parsed = parse_lc_text((out / f"{name}.lc").read_text())
+        assert trace[stage]["sizes"]["relations"] == len(parsed.relations)
 
 
 def test_cover_and_proper_commands(tmp_path, capsys):

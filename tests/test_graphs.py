@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,21 @@ def test_graph_text_rejections(bad):
 def test_graph_text_rejects_non_decimal_tokens_with_line(bad):
     with pytest.raises(InputError, match="line"):
         parse_graph_text(bad)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("body, message", [
+    ("0 1\n0 2\n0 2\n", "line 5: duplicate edge"),
+    ("0 1\n\n0 3\n0 2\n", "line 6: edge lines not sorted"),
+    ("0 1\n2 1\n0 3\n", "line 4: edge line not in u < v form"),
+    ("0 1\n0 2\n\n1 9\n", "line 6: edge endpoint out of range"),
+    ("0 1\n0 2 3\n1 2\n", "line 4: expected 2 integer(s) per edge line"),
+])
+def test_graph_parser_names_the_bad_line(body, message, newline):
+    """A \\r\\n ends one line, as do \\n and \\r."""
+    text = "GRAPH v1\nN 4 M 3\n" + body
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_graph_text(text.replace("\n", newline))
 
 
 def test_graph_text_whitespace_and_blank_lines():

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,10 @@ def test_lc_text_rejections():
                  "LC v1\nA 1 B 1 SA 0 SB 2 M 0\n"]:          # an empty alphabet
         with pytest.raises(InputError):
             parse_lc_text(text)
+    for text in ["LC v1\nA 1 B 2 SA 2 SB 2 M 2\nE 0 0 0\nE 0 1 0\n",   # only empty blocks
+                 "LC v1\nA 1 B 2 SA 2 SB 2 M 2\nE 0 0 0\nE 0 1 1\n0 0\n"]:
+        with pytest.raises(InputError, match="relations must be nonempty"):
+            parse_lc_text(text)
 
 
 def test_cover_text_round_trip():
@@ -403,15 +408,96 @@ def test_narrowed_spellings_name_their_line(kind, text, line):
         parse(text)
 
 
+LC_HEAD_1x3 = "LC v1\nA 1 B 3 SA 3 SB 2 M 3\n"
+
+BAD_LINE_CASES = [
+    ("LC v1\nA 1 B 1 SA 2 SB 2 M 2\nE 0 0 1\n0 0\nE 0 1 1\n0 x\n", "line 6: 'x'"),
+    ("LC v1\nA 1 B 2 SA 2 SB 2 M 2\nE 0 0 2\n\n0 0\n1 1\nE 0 1 2\n0 0\n1 1x\n",
+     "line 9: '1x'"),                                      # after a blank line
+    ("LC v1\nA 1 B 2 SA 2 SB 2 M 2\nE 0 0 1\n0 0\nE 0 1 2\n0 0\n",
+     "line 5: relation block truncated"),
+    # a block repeated three times, with a fault in each occurrence: the
+    # first occurrence is named
+    (LC_HEAD_1x3 + "E 0 0 2\n0 0\n1 1 1\nE 0 1 2\n0 0\n1 1 1\nE 0 2 2\n0 0\n1 1 1\n",
+     "line 5: expected 2 integers on a relation pair line"),
+    (LC_HEAD_1x3 + "E 0 0 2\n1 1\n0 0\nE 0 1 2\n1 1\n0 0\nE 0 2 2\n1 1\n0 0\n",
+     "line 5: relation pairs must be sorted and distinct"),
+    (LC_HEAD_1x3 + "E 0 0 1\n0 0\nE 0 1 1\n0 0\nE 0 2 1\n0 1234567890123456789\n",
+     "line 8: '1234567890123456789'"),
+    # a block one byte away from two earlier, valid ones
+    (LC_HEAD_1x3 + "E 0 0 2\n0 0\n1 1\nE 0 1 2\n0 0\n1 1\nE 0 2 2\n2 0\n1 1\n",
+     "line 11: relation pairs must be sorted and distinct"),
+    (LC_HEAD_1x3 + "E 0 0 2\n0 0\n1 1\nE 0 1 2\n0 0\n111\nE 0 2 2\n0 0\n1 1\n",
+     "line 8: expected 2 integers on a relation pair line"),
+    (LC_HEAD_1x3 + "E 0 0 2\n0 0\n1 1\nE 0 1 2 2\n0 0\n1 1\nE 0 2 2\n0 0\n1 1\n",
+     "line 6: expected 3 integers on a superedge line"),
+    # a tag that does not open its line, and tokens before the first E line
+    (LC_HEAD_1x3 + "E 0 0 1\n0 0E 0 1 1\n1 1\n", "line 4: '0E' is a tag"),
+    (LC_HEAD_1x3.replace("M 3", "M 1") + "\n0 0\nE 0 0 1\n0 0\n",
+     "line 4: relation pair line outside"),
+    # the last line has no line break
+    (LC_HEAD_1x3.replace("M 3", "M 2") + "E 0 0 1\n0 0\nE 0 1 2\n1 1\n0 1",
+     "line 7: relation pairs must be"),
+    (LC_HEAD_1x3 + "E 0 0 1\n0 0\nE 0 1 1\n1 1\nE 0 2", "line 7: expected 3 integers"),
+]
+
+
 def test_lc_parser_names_the_bad_line():
-    with pytest.raises(InputError, match="line 6: 'x'"):
-        parse_lc_text("LC v1\nA 1 B 1 SA 2 SB 2 M 2\nE 0 0 1\n0 0\nE 0 1 1\n0 x\n")
-    with pytest.raises(InputError, match="line 9: '1x'"):   # after a blank line
-        parse_lc_text("LC v1\nA 1 B 2 SA 2 SB 2 M 2\nE 0 0 2\n\n0 0\n1 1\nE 0 1 2\n0 0\n1 1x\n")
-    with pytest.raises(InputError, match="truncated"):
-        parse_lc_text("LC v1\nA 1 B 2 SA 2 SB 2 M 2\nE 0 0 1\n0 0\nE 0 1 2\n0 0\n")
-    with pytest.raises(InputError, match="line 3"):
-        parse_labeling_text("LABEL v1\nA 0 0\nA 1 _1\n", xor_odd_4cycle())
+    """Every case with each of \\n, \\r\\n and \\r as its line breaks; a \\r\\n
+    ends one line."""
+    for newline in ["\n", "\r\n", "\r"]:
+        for text, message in BAD_LINE_CASES:
+            with pytest.raises(InputError, match=re.escape(message)):
+                parse_lc_text(text.replace("\n", newline))
+        with pytest.raises(InputError, match="line 3"):
+            parse_labeling_text("LABEL v1\nA 0 0\nA 1 _1\n".replace("\n", newline),
+                                xor_odd_4cycle())
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\v", "\f"])
+def test_lc_e_lines_may_end_in_any_line_break(brk):
+    lc = make_lc(2, 2, 3, 2, [(0, 0, [(0, 0), (1, 1)]), (0, 1, [(2, 0)]),
+                              (1, 0, [(0, 0), (1, 1)]), (1, 1, [(0, 0), (1, 1)])])
+    text = write_lc_text(lc)
+    head, body = text[:text.index("E")], text[text.index("E"):]
+    body = re.sub(r"(E [^\n]*)\n", lambda e: e.group(1) + brk, body)
+    assert parse_lc_text(head + body) == lc
+    assert parse_lc_text(text.rstrip("\n")) == lc                  # no final line break
+    bad = head + body.replace("E 1 1 2" + brk + "0 0", "E 1 1 2" + brk + "1 1 1")
+    with pytest.raises(InputError, match="line 12: expected 2 integers"):
+        parse_lc_text(bad)
+
+
+@pytest.mark.parametrize("field, header", [
+    ("A", "A 100000000000000000 B 1 SA 1 SB 1"),
+    ("B", "A 1 B 100000000000000000 SA 1 SB 1"),
+    ("A*SA + B*SB", "A 1 B 1 SA 100000000000000000 SB 1"),
+])
+def test_lc_header_sizes_are_checked_before_use(field, header):
+    with pytest.raises(InputError, match=re.escape(f"line 2: {field} = 1000000000000000")):
+        parse_lc_text(f"LC v1\n{header} M 0\n")
+
+
+@given(lc_instances(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_lc_equality_equals_per_superedge_comparison(lc, data):
+    """Equality compares each distinct pairing of relation ids once; it
+    agrees with comparing superedge by superedge, whatever the tables."""
+    edges = [(*lc.edge(e), lc.relation(e).pairs) for e in range(lc.edge_count)]
+    if edges and data.draw(st.booleans()):
+        e = data.draw(st.integers(0, len(edges) - 1))
+        donor = edges[data.draw(st.integers(0, len(edges) - 1))][2]
+        pairs = data.draw(st.sampled_from([donor, edges[e][2][:1], ((0, 0),)]))
+        edges[e] = (edges[e][0], edges[e][1], pairs)
+    other = make_lc(lc.a_count, lc.b_count, lc.sigma_a, lc.sigma_b,
+                    data.draw(st.permutations(edges)))
+    expected = all(lc.relation(e) == other.relation(e) for e in range(lc.edge_count))
+    assert (lc == other) == expected == (other == lc)
+    ea, eb, rel_ids = lc.edge_arrays()
+    twin = LabelCoverInstance.from_arrays(       # every relation twice in its table
+        lc.a_count, lc.b_count, lc.sigma_a, lc.sigma_b, ea, eb,
+        rel_ids + len(lc.relations) * (np.arange(ea.size) % 2), lc.relations * 2)
+    assert twin == lc == twin
 
 
 def test_satisfied_count_matches_value(xor_lc):
