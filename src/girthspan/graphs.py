@@ -14,7 +14,6 @@ from collections import deque
 from math import inf
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 
@@ -24,9 +23,9 @@ INFINITY = inf
 class Graph:
     """Immutable undirected simple graph backed by sorted numpy edge arrays.
 
-    Rejects self-loops and duplicate edges.  The adjacency index (CSR) is
-    derived once at construction and shared freely afterwards; every array
-    is read-only, so the index, the cached neighbour lists (see
+    Rejects self-loops and duplicate edges.  The adjacency index (CSR, see
+    ``_csr``) is derived on first use and shared freely afterwards; every
+    array is read-only, so the index, the cached neighbour lists (see
     ``adjacency``) and the cached GRAPH v1 digest (see ``graph_sha256``)
     cannot go stale.
     """
@@ -41,11 +40,17 @@ class Graph:
     @classmethod
     def from_arrays(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
         """Construct from endpoint arrays without a Python-level edge loop."""
-        g = cls.__new__(cls)
-        g._init_from(vertex_count, np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64))
-        return g
+        return cls._from_arrays_with_order(vertex_count, eu, ev)[0]
 
-    def _init_from(self, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> None:
+    @classmethod
+    def _from_arrays_with_order(cls, vertex_count: int, eu, ev) -> tuple:
+        """``from_arrays`` and the sort it made: edge id e is input pair ``order[e]``."""
+        g = cls.__new__(cls)
+        order = g._init_from(vertex_count, np.asarray(eu, dtype=np.int64),
+                             np.asarray(ev, dtype=np.int64))
+        return g, order
+
+    def _init_from(self, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
         if vertex_count < 0:
             raise InputError("vertex_count must be nonnegative")
         n = int(vertex_count)
@@ -65,23 +70,17 @@ class Graph:
             lo = np.zeros(0, dtype=np.int64)
             hi = np.zeros(0, dtype=np.int64)
             keys = np.zeros(0, dtype=np.int64)
+            order = np.zeros(0, dtype=np.int64)
         self.vertex_count = n
         self._eu = lo
         self._ev = hi
         self._keys = keys
-        m = lo.size
-        ends = np.concatenate([lo, hi])
-        nbrs = np.concatenate([hi, lo])
-        eids = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else np.zeros(0, np.int64)
-        order = np.argsort(ends, kind="stable")
-        self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=n), out=self._indptr[1:])
-        self._nbr = nbrs[order]
-        self._nbr_eid = eids[order]
-        for arr in (self._eu, self._ev, self._keys, self._indptr, self._nbr, self._nbr_eid):
+        for arr in (self._eu, self._ev, self._keys):
             arr.flags.writeable = False
+        self._indptr = self._nbr = self._nbr_eid = None
         self._adj = None
         self._sha256 = None
+        return order
 
     @property
     def edge_count(self) -> int:
@@ -122,8 +121,23 @@ class Graph:
             raise InputError("pair is not an edge")
         return pos.astype(np.int64)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self._nbr[self._indptr[v]:self._indptr[v + 1]]
+    def _csr(self) -> tuple:
+        """(indptr, nbr, nbr_eid), built on first use and cached: vertex v's
+        neighbours are ``nbr[indptr[v]:indptr[v + 1]]``, reached by the edges
+        ``nbr_eid`` at the same positions; first the edges where v is the
+        lower end, then the higher, each in ascending edge id."""
+        if self._indptr is None:
+            n, m = self.vertex_count, self._eu.size
+            ends = np.concatenate([self._eu, self._ev])
+            order = np.argsort(ends, kind="stable")
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+            nbr = np.concatenate([self._ev, self._eu])[order]
+            nbr_eid = order % m if m else order      # entry p of ends is edge p mod m
+            for arr in (indptr, nbr, nbr_eid):
+                arr.flags.writeable = False
+            self._indptr, self._nbr, self._nbr_eid = indptr, nbr, nbr_eid
+        return self._indptr, self._nbr, self._nbr_eid
 
     def adjacency(self) -> list:
         """Neighbour lists of Python ints, built on first use and cached.
@@ -131,12 +145,13 @@ class Graph:
         Callers must not modify them; they are shared by every search.
         """
         if self._adj is None:
-            nbr, indptr = self._nbr.tolist(), self._indptr.tolist()
+            indptr, nbr, _ = self._csr()
+            nbr, indptr = nbr.tolist(), indptr.tolist()
             self._adj = [nbr[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
         return self._adj
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self._indptr)
+        return np.diff(self._csr()[0])
 
     def __eq__(self, other) -> bool:
         return (
@@ -286,6 +301,7 @@ _BODY_BYTES = "0123456789 \t\n\r\v\f"      # and the format's tag letters
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f]")
 _SEPARATOR = re.compile(r"[ \t\n\r\v\f]")
 _HEAD_FORBIDDEN = re.compile(r"[^\t\x20-\x7e]")
+_BLANK_TAGS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b" " * 26)
 
 # The most vertices a header may declare: N in GRAPH v1, and A, B and the
 # Min-Rep size A*SA + B*SB in LC v1.  Checked before any array is sized from
@@ -318,7 +334,7 @@ def _decimal_text(columns, tag: str = "") -> bytes:
         if n:
             table[:, end] = ord(" ")
             end += 1
-        rest = col.astype(np.int64)
+        rest = col.astype(np.int32 if width <= 9 else np.int64)
         for j in range(end + width - 1, end - 1, -1):
             np.greater(rest, 0, out=keep[:, j])
             quot = rest // 10
@@ -434,24 +450,19 @@ def _token_rows(body: np.ndarray, at: np.ndarray) -> tuple:
     return starts, ends, heads, line_of[heads]
 
 
-def _decimal_values(body: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """int64 values of the digit tokens at [starts, ends) of ``body``, each
-    of at most 18 digits."""
-    values = np.zeros(starts.size, dtype=np.int64)
-    if starts.size == 0:
-        return values
-    lengths = ends - starts
-    digits = int(lengths.max())
-    # Row t of the window holds the ``digits`` bytes that end where token t
-    # ends; cells left of the token are zeroed, so Horner's rule over the
-    # columns gives the token's value.
-    padded = np.concatenate([np.full(digits, ord("0"), dtype=np.uint8), body])
-    window = sliding_window_view(padded, digits)[ends]
-    window -= ord("0")
-    window *= np.arange(digits) >= (digits - lengths)[:, None]
-    for column in window.T:
-        values *= 10
-        values += column
+def _decimal_values(data: bytes, count: int) -> np.ndarray:
+    """int64 values of the ``count`` digit tokens of ``data``, a body that
+    passed ``_body_bytes`` and whose tokens the caller counted and checked to
+    hold at most 18 digits.  Tag letters separate tokens like blanks.
+
+    One C-level parse of the whole text.  numpy reads a text without a token
+    as one 0, so such a body skips the parse.
+    """
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    values = np.fromstring(data.translate(_BLANK_TAGS), dtype=np.int64, sep=" ")
+    if values.size != count:
+        raise AssertionError(f"decoded {values.size} values from {count} tokens")
     return values
 
 
@@ -466,7 +477,7 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
     number of rows and ``width`` the number of integers every row holds;
     both are checked before the values are decoded.
     """
-    _, body, at = _body_bytes(text, start, tags)
+    raw, body, at = _body_bytes(text, start, tags)
     starts, ends, heads, line = _token_rows(body, at)
     if count is not None and heads.size != count:
         raise InputError(f"expected {count} {what} lines, found {heads.size}")
@@ -481,14 +492,10 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
     if width is not None and (np.diff(first) != width).any():
         row = (np.diff(first) != width).argmax()
         raise InputError(f"line {line[row]}: expected {width} integer(s) per {what} line")
-    if tagged.any():
-        keep = np.ones(starts.size, dtype=bool)
-        keep[heads[tagged]] = False
-        starts, ends = starts[keep], ends[keep]
-    lengths = ends - starts
+    lengths = ends - starts                # a tag is one letter long
     if lengths.size and lengths.max() > _MAX_DIGITS:
         raise _token_error(text, start + int(starts[lengths.argmax()]), _NOT_DECIMAL)
-    return _decimal_values(body, starts, ends), first, tag, line
+    return _decimal_values(raw, int(first[-1])), first, tag, line
 
 
 # --- GRAPH v1 text format ---------------------------------------------------

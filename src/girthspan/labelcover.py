@@ -429,7 +429,8 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
     e_width = np.diff(np.searchsorted(e_starts, np.append(e_off, e_body.size)))
     b_size = np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct)) + 1
     b_off = np.cumsum(b_size) - b_size            # where each distinct block starts in b_body
-    b_body = np.frombuffer(b"\n".join(distinct) + b"\n", dtype=np.uint8)
+    b_raw = b"\n".join(distinct) + b"\n"
+    b_body = np.frombuffer(b_raw, dtype=np.uint8)
     b_starts, b_ends, b_heads, _ = _token_rows(b_body, no_tags)
     tok_block = np.searchsorted(b_off, b_starts, side="right") - 1
     row_block = tok_block[b_heads]
@@ -469,7 +470,7 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
         kind, width = ("superedge", 3) if text[pos] == "E" else ("relation pair", 2)
         raise InputError(f"line {_line_number(text, pos)}: "
                          f"expected {width} integers on a {kind} line")
-    a, b, t = _decimal_values(e_body, e_starts, e_ends).reshape(-1, 3).T
+    a, b, t = _decimal_values(e_body.tobytes(), e_starts.size).reshape(-1, 3).T
     found = rows[bid[1:]]
     wrong = found != t
     if wrong.any():
@@ -477,7 +478,7 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
         state = "truncated" if found[e] < t[e] else "too long"
         raise InputError(f"line {_line_number(text, start + int(at[e]))}: relation block "
                          f"{state}: {t[e]} pair lines declared, {found[e]} found")
-    pairs = _decimal_values(b_body, b_starts, b_ends).reshape(-1, 2)
+    pairs = _decimal_values(b_raw, b_starts.size).reshape(-1, 2)
     alpha, beta = pairs[:, 0], pairs[:, 1]
     ascending = (alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1]))
     bad = ~ascending & (row_block[1:] == row_block[:-1])

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, INFINITY
+from .graphs import Graph, INFINITY, bfs_distances
 from .labelcover import LabelCoverInstance, Labeling, MinRepInstance, RepCover
 from .spanner import EdgeSubset
 
@@ -236,13 +236,24 @@ def iter_spanners(g: Graph, k: int, budget: OracleBudget | None = None):
             yield tuple(e for e in range(m) if (mask >> e) & 1)
 
 
+def spans_all_pairs(g: Graph, h: EdgeSubset, k: int) -> bool:
+    """Direct all-pairs stretch check: dist_h(u,v) <= k * dist_g(u,v)."""
+    eu, ev = g.edge_arrays()
+    sub = Graph.from_arrays(g.vertex_count, eu[h.members], ev[h.members])
+    for src in range(g.vertex_count):
+        dg = bfs_distances(g, src)
+        dh = bfs_distances(sub, src)
+        for v in range(g.vertex_count):
+            if dg[v] != INFINITY and dh[v] > k * dg[v]:
+                return False
+    return True
+
+
 def girth_independent(g: Graph):
     """Second girth formulation: BFS from every vertex, shortest cycle via
     non-tree edges (min over roots of d[u] + d[v] + 1)."""
     best = INFINITY
-    indptr = g._indptr
-    nbr = g._nbr
-    nbr_eid = g._nbr_eid
+    indptr, nbr, nbr_eid = g._csr()
     for root in range(g.vertex_count):
         dist = [-1] * g.vertex_count
         parent_edge = [-1] * g.vertex_count

@@ -10,6 +10,8 @@ emitted files before the report is written.
 from __future__ import annotations
 
 import json
+import resource
+import sys
 import time
 from pathlib import Path
 
@@ -44,7 +46,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     ``wall_clock_s`` accounts for the whole run: one entry per compute
     stage, ``write_artifacts`` for every artifact's text, sidecar and hash
     and its write, ``self_audit``, and ``total``, the run's wall time up to
-    the writing of stats.json itself.
+    the writing of stats.json itself.  ``peak_rss_mb`` is the peak resident
+    set size of the process so far, in MiB.
     """
     t_start = time.perf_counter()
     outdir = Path(outdir)
@@ -174,10 +177,18 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         outdir, base, regular, repeated, sampled, stripped, minrep, si, planted))
     timings["total"] = time.perf_counter() - t_start
     report["wall_clock_s"] = {k_: round(v, 6) for k_, v in timings.items()}
+    report["peak_rss_mb"] = _peak_rss_mb()
     (outdir / "stats.json").write_text(json.dumps(report, sort_keys=True, indent=1))
     if not all(report["self_audit"].values()):
         raise AssertionError(f"self audit failed: {report['self_audit']}")
     return report
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB; ``ru_maxrss``
+    is in KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 def _self_audit(outdir, base, regular, repeated, sampled, stripped, minrep, si, planted):

@@ -40,7 +40,7 @@ DEFAULT_MAX_GADGET_EDGES = 50_000_000
 class EdgeSubset:
     """Sorted set of edge ids of a host graph (a candidate spanner)."""
 
-    __slots__ = ("host", "members", "_set", "_mask")
+    __slots__ = ("host", "members", "_mask")
 
     def __init__(self, host: Graph, members):
         self.host = host
@@ -48,13 +48,7 @@ class EdgeSubset:
         if arr.size and (arr[0] < 0 or arr[-1] >= host.edge_count):
             raise InputError("edge id out of range for host graph")
         self.members = arr
-        self._set = None
         self._mask = None
-
-    def member_set(self) -> frozenset:
-        if self._set is None:
-            self._set = frozenset(self.members.tolist())
-        return self._set
 
     def mask(self) -> np.ndarray:
         if self._mask is None:
@@ -138,9 +132,6 @@ class SpannerInstance:
     def anchor_choice_b(self, j: int) -> int:
         return self.source.b_vertex(j, 0)
 
-    def full_subset(self) -> EdgeSubset:
-        return EdgeSubset(self.base, np.arange(self.base.edge_count, dtype=np.int64))
-
     # -- invariant audit ---------------------------------------------------
 
     def audit(self) -> None:
@@ -218,105 +209,52 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     s_off = n
     t_off = n + x * a_cnt * k_a
     vertex_count = n + x * a_cnt * k_a + x * b_cnt * k_b
-
-    chunks_u, chunks_v = [], []
-    eu, ev = mr.minrep_graph.edge_arrays()
-    chunks_u.append(eu)
-    chunks_v.append(ev)
-
     s_bases = s_off + np.arange(x * a_cnt, dtype=np.int64) * k_a
     t_bases = t_off + np.arange(x * b_cnt, dtype=np.int64) * k_b
-    em_u, em_v = [], []
-    for o in range(k_a - 1):
-        em_u.append(s_bases + o)
-        em_v.append(s_bases + o + 1)
-    for o in range(k_b - 1):
-        em_u.append(t_bases + o)
-        em_v.append(t_bases + o + 1)
-    if em_u:
-        chunks_u.append(np.concatenate(em_u))
-        chunks_v.append(np.concatenate(em_v))
-
-    tower_i = np.tile(np.arange(a_cnt, dtype=np.int64), x)
-    tower_p = np.repeat(np.arange(x, dtype=np.int64), a_cnt)
-    syms_a = np.arange(sigma_a, dtype=np.int64)
-    sa_u = np.repeat(s_bases, sigma_a)
-    sa_v = (tower_i[:, None] * sigma_a + syms_a[None, :]).ravel()
-    sa_p = np.repeat(tower_p, sigma_a)
-    sa_i = np.repeat(tower_i, sigma_a)
-    sa_sym = np.tile(syms_a, x * a_cnt)
-    chunks_u.append(sa_u)
-    chunks_v.append(sa_v)
-
-    tower_j = np.tile(np.arange(b_cnt, dtype=np.int64), x)
-    tower_pb = np.repeat(np.arange(x, dtype=np.int64), b_cnt)
-    syms_b = np.arange(sigma_b, dtype=np.int64)
     b_block = a_cnt * sigma_a
-    tb_u = (b_block + tower_j[:, None] * sigma_b + syms_b[None, :]).ravel()
-    tb_v = np.repeat(t_bases, sigma_b)
-    tb_p = np.repeat(tower_pb, sigma_b)
-    tb_j = np.repeat(tower_j, sigma_b)
-    tb_sym = np.tile(syms_b, x * b_cnt)
-    chunks_u.append(tb_u)
-    chunks_v.append(tb_v)
 
+    # One chunk per family, in FAMILIES order.  EsA row (p * a_cnt + i) *
+    # sigma_a + alpha joins s-tower (p, i) to Min-Rep vertex (A, i, alpha);
+    # EtB row (p * b_cnt + j) * sigma_b + beta joins (B, j, beta) to
+    # t-tower (p, j); EGt row p * |superedges| + e is copy p of superedge e.
+    em_lo = np.concatenate([(s_bases[:, None] + np.arange(k_a - 1)).ravel(),
+                            (t_bases[:, None] + np.arange(k_b - 1)).ravel()])
     ea, eb, _ = lc.edge_arrays()
-    se_ids = np.arange(lc.edge_count, dtype=np.int64)
-    gt_u = (s_off + (np.repeat(np.arange(x, dtype=np.int64), lc.edge_count) * a_cnt
-                     + np.tile(ea, x)) * k_a + (k_a - 1))
-    gt_v = (t_off + (np.repeat(np.arange(x, dtype=np.int64), lc.edge_count) * b_cnt
-                     + np.tile(eb, x)) * k_b + (k_b - 1))
-    gt_p = np.repeat(np.arange(x, dtype=np.int64), lc.edge_count)
-    gt_se = np.tile(se_ids, x)
-    chunks_u.append(gt_u)
-    chunks_v.append(gt_v)
+    copy_of_gt = np.repeat(np.arange(x, dtype=np.int64), lc.edge_count)
+    chunks = [
+        mr.minrep_graph.edge_arrays(),
+        (em_lo, em_lo + 1),
+        (np.repeat(s_bases, sigma_a), np.tile(np.arange(b_block, dtype=np.int64), x)),
+        (np.tile(np.arange(b_block, n, dtype=np.int64), x), np.repeat(t_bases, sigma_b)),
+        (s_off + (copy_of_gt * a_cnt + np.tile(ea, x)) * k_a + (k_a - 1),
+         t_off + (copy_of_gt * b_cnt + np.tile(eb, x)) * k_b + (k_b - 1)),
+    ]
+    sizes = [cu.size for cu, _ in chunks]
+    start = np.cumsum([0] + sizes)
+    base, order = Graph._from_arrays_with_order(
+        vertex_count, np.concatenate([cu for cu, _ in chunks]),
+        np.concatenate([cv for _, cv in chunks]))
 
-    base = Graph.from_arrays(vertex_count,
-                             np.concatenate(chunks_u), np.concatenate(chunks_v))
-
-    ids_E = np.sort(base.edge_ids_of(eu, ev)) if m_E else np.zeros(0, np.int64)
-    if em_u:
-        ids_M = np.sort(base.edge_ids_of(np.concatenate(em_u), np.concatenate(em_v)))
-    else:
-        ids_M = np.zeros(0, np.int64)
-    ids_sA = base.edge_ids_of(sa_u, sa_v)
-    order = np.argsort(ids_sA)
-    ids_sA, sa_p, sa_i, sa_sym = ids_sA[order], sa_p[order], sa_i[order], sa_sym[order]
-    ids_tB = base.edge_ids_of(tb_u, tb_v)
-    order = np.argsort(ids_tB)
-    ids_tB, tb_p, tb_j, tb_sym = ids_tB[order], tb_p[order], tb_j[order], tb_sym[order]
-    if m_Gt:
-        ids_Gt = base.edge_ids_of(gt_u, gt_v)
-        order = np.argsort(ids_Gt)
-        ids_Gt, gt_p, gt_se = ids_Gt[order], gt_p[order], gt_se[order]
-    else:
-        ids_Gt = np.zeros(0, np.int64)
-
-    fam_code = np.empty(base.edge_count, dtype=np.int8)
-    for code, ids in zip(range(5), (ids_E, ids_M, ids_sA, ids_tB, ids_Gt)):
-        fam_code[ids] = code
-
-    # anchor stars at copy 0: one edge per Min-Rep vertex, vertex-ascending
-    star_u = np.concatenate([
-        np.repeat(s_bases[:a_cnt], sigma_a),
-        (b_block + tower_j[:b_cnt, None] * sigma_b + syms_b[None, :]).ravel(),
-    ])
-    star_v = np.concatenate([
-        (np.arange(a_cnt, dtype=np.int64)[:, None] * sigma_a + syms_a[None, :]).ravel(),
-        np.repeat(t_bases[:b_cnt], sigma_b),
-    ])
-    anchor_star = base.edge_ids_of(star_u, star_v)
-    # anchor hubs: lowest-symbol vertex of each group, every copy
-    hub_a_u = s_bases.reshape(x, a_cnt)
-    hub_a_v = (np.arange(a_cnt, dtype=np.int64) * sigma_a)[None, :].repeat(x, axis=0)
-    anchor_hub_a = base.edge_ids_of(hub_a_u.ravel(), hub_a_v.ravel()).reshape(x, a_cnt)
-    hub_b_u = (b_block + np.arange(b_cnt, dtype=np.int64) * sigma_b)[None, :].repeat(x, axis=0)
-    hub_b_v = t_bases.reshape(x, b_cnt)
-    anchor_hub_b = base.edge_ids_of(hub_b_u.ravel(), hub_b_v.ravel()).reshape(x, b_cnt)
+    # Edge id e is row order[e] of the concatenated chunks, so the family
+    # tables follow from that one sort, in edge id order.
+    fam_code = np.repeat(np.arange(5, dtype=np.int8), sizes)[order]
+    ids = [np.flatnonzero(fam_code == f) for f in range(5)]
+    tower, sa_sym = np.divmod(order[ids[FAM_SA]] - start[FAM_SA], sigma_a)
+    sa_p, sa_i = np.divmod(tower, a_cnt)
+    tower, tb_sym = np.divmod(order[ids[FAM_TB]] - start[FAM_TB], sigma_b)
+    tb_p, tb_j = np.divmod(tower, b_cnt)
+    gt_p, gt_se = np.divmod(order[ids[FAM_GT]] - start[FAM_GT], lc.edge_count)
+    # Copy 0 is the first block of each crossing chunk: Min-Rep vertex u's
+    # star edge is its copy-0 row, and the hub of each tower is its symbol-0 row.
+    row_id = np.empty_like(order)
+    row_id[order] = np.arange(order.size)
+    anchor_star = np.concatenate([row_id[start[FAM_SA]:start[FAM_SA] + b_block],
+                                  row_id[start[FAM_TB]:start[FAM_TB] + n - b_block]])
+    anchor_hub_a = row_id[start[FAM_SA]:start[FAM_TB]:sigma_a].reshape(x, a_cnt)
+    anchor_hub_b = row_id[start[FAM_TB]:start[FAM_GT]:sigma_b].reshape(x, b_cnt)
 
     si = SpannerInstance(
-        base, mr, k, x, x_override is None, fam_code,
-        {FAM_E: ids_E, FAM_M: ids_M, FAM_SA: ids_sA, FAM_TB: ids_tB, FAM_GT: ids_Gt},
+        base, mr, k, x, x_override is None, fam_code, dict(enumerate(ids)),
         (sa_p, sa_i, sa_sym), (tb_p, tb_j, tb_sym), (gt_p, gt_se),
         anchor_star, anchor_hub_a, anchor_hub_b)
     si.supergirth_warning = (sg != INFINITY and sg < k + 2)
@@ -590,23 +528,6 @@ def greedy_spanner(g: Graph, k: int) -> EdgeSubset:
     return EdgeSubset(g, np.array(chosen, dtype=np.int64))
 
 
-# --- all-pairs oracle (used to validate the per-edge criterion) ---------------
-
-
-def spans_all_pairs(g: Graph, h: EdgeSubset, k: int) -> bool:
-    """Direct all-pairs stretch check: dist_h(u,v) <= k * dist_g(u,v)."""
-    from .graphs import bfs_distances
-    sub = Graph.from_arrays(g.vertex_count,
-                            g.edge_arrays()[0][h.members], g.edge_arrays()[1][h.members])
-    for src in range(g.vertex_count):
-        dg = bfs_distances(g, src)
-        dh = bfs_distances(sub, src)
-        for v in range(g.vertex_count):
-            if dg[v] != INFINITY and dh[v] > k * dg[v]:
-                return False
-    return True
-
-
 # --- SUBSET v1 text format -----------------------------------------------------
 
 
@@ -665,7 +586,7 @@ def gadget_metadata(si: SpannerInstance) -> dict:
         "anchor_distinct_size": int(si.anchor_distinct.size),
         "anchor_choices_a": [int(si.anchor_choice_a(i)) for i in range(lc.a_count)],
         "anchor_choices_b": [int(si.anchor_choice_b(j)) for j in range(lc.b_count)],
-        "anchor_members": [int(e) for e in si.anchor_distinct.tolist()],
+        "anchor_members": si.anchor_distinct.tolist(),
         "source_hash": hashlib.sha256(
             _lc_bytes(lc)).hexdigest(),
     }

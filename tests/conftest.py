@@ -4,6 +4,7 @@ from girthspan.errors import InputError
 from girthspan.graphs import Graph
 from girthspan.labelcover import LabelCoverInstance
 from girthspan.rng import Stream
+from girthspan.spanner import EdgeSubset
 
 
 def make_lc(a_count, b_count, sigma_a, sigma_b, edges):
@@ -43,6 +44,11 @@ def petersen_graph():
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph(10, edges)
+
+
+def full_subset(si):
+    """Every edge of a gadget, as a candidate spanner."""
+    return EdgeSubset(si.base, range(si.base.edge_count))
 
 
 def random_graph(n, edge_prob, stream: Stream):

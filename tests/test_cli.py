@@ -208,10 +208,11 @@ def test_pipeline_command_and_determinism(tmp_path, capsys):
     names = sorted(p.name for p in out1.iterdir())
     assert "stats.json" in names and "spanner.subset" in names
     for name in names:
-        if name == "stats.json":   # contains wall-clock timings
+        if name == "stats.json":   # contains wall-clock timings and peak memory
             r1 = json.loads((out1 / name).read_text())
             r2 = json.loads((out2 / name).read_text())
-            r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
+            for key in ("wall_clock_s", "peak_rss_mb"):
+                r1.pop(key), r2.pop(key)
             assert r1 == r2
         else:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -223,6 +224,7 @@ def test_pipeline_command_and_determinism(tmp_path, capsys):
     assert "write_artifacts" in clock and "total" in clock
     stages = sum(t for name, t in clock.items() if name != "total")
     assert abs(stages - clock["total"]) <= 0.05 * clock["total"]
+    assert report["peak_rss_mb"] > 0
 
 
 def test_pipeline_artifacts_round_trip(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthspan.errors import InputError
-from girthspan.graphs import (Graph, INFINITY, _hops, bfs_distances, edge_cycle_length,
+from girthspan.graphs import (Graph, INFINITY, _decimal_text, _decimal_values, _hops, _int_rows,
+                              bfs_distances, edge_cycle_length,
                               girth, graph_sha256, is_bipartite, parse_graph_text,
                               write_graph_text)
 from girthspan.rng import Stream
@@ -138,7 +139,9 @@ def test_adjacency_is_cached_neighbour_lists():
     adj = g.adjacency()
     assert adj is g.adjacency()
     assert [sorted(ws) for ws in adj] == [[1, 2], [0], [0, 3], [2]]
-    assert all(adj[v] == g.neighbors(v).tolist() for v in range(4))
+    # each list: the edges where v is the lower end, then the higher, by edge id
+    assert adj == [[b for a, b in g.edges() if a == v] + [a for a, b in g.edges() if b == v]
+                   for v in range(4)]
 
 
 def test_graph_text_round_trip():
@@ -207,8 +210,30 @@ def test_graph_arrays_are_read_only():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
         g.edge_arrays()[0][0] = 3
-    with pytest.raises(ValueError):
-        g.neighbors(0)[0] = 3
+    for arr in g._csr():
+        with pytest.raises(ValueError):
+            arr[0] = 3
+
+
+@pytest.mark.parametrize("first_use", ["adjacency", "degrees"])
+def test_csr_is_built_on_first_use(first_use):
+    """Neither construction nor GRAPH text builds the CSR index; the first
+    ``adjacency()`` or ``degrees()`` does, and it matches the edge list."""
+    built = Graph(5, [(3, 4), (0, 1), (1, 2), (0, 4)])
+    parsed = parse_graph_text(write_graph_text(built))
+    for g in (built, parsed):
+        graph_sha256(g)
+        assert g._indptr is None and g._nbr is None and g._nbr_eid is None
+        getattr(g, first_use)()
+        indptr, nbr, nbr_eid = g._csr()
+        assert g.degrees().tolist() == [2, 2, 1, 1, 2]
+        eu, ev = g.edge_arrays()
+        for v in range(5):
+            eids = nbr_eid[indptr[v]:indptr[v + 1]].tolist()
+            assert eids == ([e for e in range(g.edge_count) if eu[e] == v]
+                            + [e for e in range(g.edge_count) if ev[e] == v])
+            assert nbr[indptr[v]:indptr[v + 1]].tolist() == \
+                [int(eu[e] + ev[e] - v) for e in eids]
 
 
 def test_graph_sha256_matches_text_digest():
@@ -302,6 +327,53 @@ def test_graph_parser_agrees_with_reference_on_mutants():
             case = check_mutant(parse_graph_text, parse_graph_text_per_line, text)
             seen[case] = seen.get(case, 0) + 1
     assert seen.keys() == {"accepted", "rejected", "narrowed"}, seen
+
+
+def test_decimal_text_equals_str_join_at_every_width():
+    """Columns of at most 9 digits are written in int32, wider ones in int64."""
+    col = np.array([0, 7, 10**9 - 1, 10**9, 2**31 - 1, 2**31, 10**18 - 1], dtype=np.int64)
+    ten = np.array([5, 10**9, 2**31, 10**10 - 1], dtype=np.int64)
+    for cols in ([col, col[::-1]], [col[:3], col[:3] + 1], [ten, ten[::-1]]):
+        rows = list(zip(*[c.tolist() for c in cols]))
+        for tag in ("", "E"):
+            expected = "".join(f"{tag} " * bool(tag) + " ".join(map(str, row)) + "\n"
+                               for row in rows)
+            assert _decimal_text(cols, tag).decode("ascii") == expected
+
+
+@st.composite
+def decimal_bodies(draw):
+    """(text, tokens): lines of up to four tokens of 1 to 18 digits (leading
+    zeros and 18-digit values included), some opened by an LC ``E`` tag,
+    blank lines among them, joined by every blank and line break."""
+    digits = st.one_of(st.text("0123456789", min_size=1, max_size=18),
+                       st.sampled_from(["0", "000", "007", "9" * 18, "0" * 17 + "1"]))
+    text, tokens = "", []
+    for _ in range(draw(st.integers(0, 6))):
+        line = draw(st.lists(digits, max_size=4))
+        tag = "E " if line and draw(st.booleans()) else ""
+        blanks = [draw(st.sampled_from([" ", "\t", " \t ", "  "])) for _ in line]
+        text += tag + "".join(b + tok for b, tok in zip(blanks, line))
+        text += draw(st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\t\n", "\n\n"]))
+        tokens += line
+    return text, tokens
+
+
+@given(decimal_bodies())
+@settings(max_examples=200, deadline=None)
+def test_decimal_values_equals_per_token_int(body):
+    text, tokens = body
+    expected = [int(tok) for tok in tokens]
+    assert _decimal_values(text.encode("ascii"), len(tokens)).tolist() == expected
+    values, first, _, _ = _int_rows(text, 0, "row", tags="E")
+    assert values.tolist() == expected and first[-1] == len(tokens)
+
+
+def test_decimal_values_of_a_body_without_tokens():
+    for text in [b"", b"\n", b" \t\r\n\v\f"]:
+        assert _decimal_values(text, 0).tolist() == []
+    with pytest.raises(AssertionError, match="decoded 2 values from 3 tokens"):
+        _decimal_values(b"1 2\n", 3)
 
 
 def test_infinity_ordering():

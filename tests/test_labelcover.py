@@ -468,6 +468,16 @@ def test_lc_e_lines_may_end_in_any_line_break(brk):
         parse_lc_text(bad)
 
 
+def test_lc_tokens_may_have_leading_zeros_and_any_blank():
+    lc = make_lc(2, 2, 3, 2, [(0, 0, [(0, 0), (1, 1)]), (0, 1, [(2, 0)]),
+                              (1, 0, [(0, 0), (1, 1)]), (1, 1, [(0, 0), (1, 1)])])
+    text = write_lc_text(lc)
+    head, body = text[:text.index("E")], text[text.index("E"):]
+    body = re.sub(r"\d+", lambda t: "0" * 16 + t.group(0), body)
+    body = re.sub(r"(?<=\d) ", "\t \t", body).replace("\n", "\n\v\n")
+    assert parse_lc_text(head + body) == lc
+
+
 @pytest.mark.parametrize("field, header", [
     ("A", "A 100000000000000000 B 1 SA 1 SB 1"),
     ("B", "A 1 B 100000000000000000 SA 1 SB 1"),

@@ -9,10 +9,11 @@ from girthspan.errors import InputError, ResourceError
 from girthspan.graphs import Graph, INFINITY, girth, graph_sha256
 from girthspan.labelcover import (RepCover, labeling_to_repcover,
                                   minrep_expand, repcover_valid)
+from girthspan.oracles import spans_all_pairs
 from girthspan.rng import Stream
 
-from conftest import (check_mutant, complete_graph, cycle_graph, make_lc, path_lc_tiny,
-                      random_graph, text_mutants, xor_odd_4cycle)
+from conftest import (check_mutant, complete_graph, cycle_graph, full_subset, make_lc,
+                      path_lc_tiny, random_graph, text_mutants, xor_odd_4cycle)
 
 
 def ten_vertex_lc():
@@ -91,6 +92,85 @@ def test_egt_copies_are_supergraph_isomorphic():
     for p in range(3):
         per_copy = sorted(si.gt_superedge[si.gt_p == p].tolist())
         assert per_copy == list(range(lc.edge_count))
+
+
+def gadget_tables_by_lookup(si):
+    """The gadget's family tables by the original derivation: one
+    ``edge_ids_of`` search per family plus a sort by edge id.  The
+    reference for the tables ``build_spanner_instance`` takes from its one
+    construction sort."""
+    g, mr, lc = si.base, si.source, si.source.source
+    x, k_a, k_b = si.x, si.k_a, si.k_b
+    a_cnt, b_cnt, sigma_a, sigma_b = lc.a_count, lc.b_count, lc.sigma_a, lc.sigma_b
+    s_bases = si._s_offset + np.arange(x * a_cnt, dtype=np.int64) * k_a
+    t_bases = si._t_offset + np.arange(x * b_cnt, dtype=np.int64) * k_b
+    eu, ev = mr.minrep_graph.edge_arrays()
+    ids_E = np.sort(g.edge_ids_of(eu, ev))
+    em_u = [s_bases + o for o in range(k_a - 1)] + [t_bases + o for o in range(k_b - 1)]
+    ids_M = (np.sort(g.edge_ids_of(np.concatenate(em_u), np.concatenate(em_u) + 1))
+             if em_u else np.zeros(0, np.int64))
+
+    tower_i = np.tile(np.arange(a_cnt, dtype=np.int64), x)
+    tower_p = np.repeat(np.arange(x, dtype=np.int64), a_cnt)
+    syms_a = np.arange(sigma_a, dtype=np.int64)
+    ids_sA = g.edge_ids_of(np.repeat(s_bases, sigma_a),
+                           (tower_i[:, None] * sigma_a + syms_a[None, :]).ravel())
+    order = np.argsort(ids_sA)
+    sa = [np.repeat(tower_p, sigma_a)[order], np.repeat(tower_i, sigma_a)[order],
+          np.tile(syms_a, x * a_cnt)[order]]
+
+    tower_j = np.tile(np.arange(b_cnt, dtype=np.int64), x)
+    tower_pb = np.repeat(np.arange(x, dtype=np.int64), b_cnt)
+    syms_b = np.arange(sigma_b, dtype=np.int64)
+    b_block = a_cnt * sigma_a
+    ids_tB = g.edge_ids_of((b_block + tower_j[:, None] * sigma_b + syms_b[None, :]).ravel(),
+                           np.repeat(t_bases, sigma_b))
+    order = np.argsort(ids_tB)
+    tb = [np.repeat(tower_pb, sigma_b)[order], np.repeat(tower_j, sigma_b)[order],
+          np.tile(syms_b, x * b_cnt)[order]]
+
+    ea, eb, _ = lc.edge_arrays()
+    copies = np.repeat(np.arange(x, dtype=np.int64), lc.edge_count)
+    ids_Gt = g.edge_ids_of(si._s_offset + (copies * a_cnt + np.tile(ea, x)) * k_a + (k_a - 1),
+                           si._t_offset + (copies * b_cnt + np.tile(eb, x)) * k_b + (k_b - 1))
+    order = np.argsort(ids_Gt)
+    gt = [copies[order], np.tile(np.arange(lc.edge_count, dtype=np.int64), x)[order]]
+
+    ids = [ids_E, ids_M, np.sort(ids_sA), np.sort(ids_tB), np.sort(ids_Gt)]
+    fam_code = np.empty(g.edge_count, dtype=np.int8)
+    for code, fam_ids in enumerate(ids):
+        fam_code[fam_ids] = code
+    anchor_star = g.edge_ids_of(
+        np.concatenate([np.repeat(s_bases[:a_cnt], sigma_a),
+                        (b_block + tower_j[:b_cnt, None] * sigma_b + syms_b).ravel()]),
+        np.concatenate([(np.arange(a_cnt)[:, None] * sigma_a + syms_a).ravel(),
+                        np.repeat(t_bases[:b_cnt], sigma_b)]))
+    hub_a = g.edge_ids_of(s_bases, np.tile(np.arange(a_cnt) * sigma_a, x)).reshape(x, a_cnt)
+    hub_b = g.edge_ids_of(np.tile(b_block + np.arange(b_cnt) * sigma_b, x),
+                          t_bases).reshape(x, b_cnt)
+    return {"fam_code": fam_code, "ids": ids, "sa": sa, "tb": tb, "gt": gt,
+            "anchor_star": anchor_star, "anchor_hub_a": hub_a, "anchor_hub_b": hub_b,
+            "anchor_distinct": np.unique(np.concatenate([anchor_star, hub_a.ravel(),
+                                                         hub_b.ravel()]))}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("x", [1, 2, 3])
+def test_gadget_tables_from_construction_sort_equal_lookup(k, x):
+    """k = 3 has no EM chunk; ten_vertex_lc has unequal alphabets (3, 2)."""
+    for lc in (path_lc_tiny(), ten_vertex_lc()):
+        si = sp.build_spanner_instance(minrep_expand(lc), k, x_override=x)
+        ref = gadget_tables_by_lookup(si)
+        assert si.fam_code.dtype == np.int8
+        assert np.array_equal(si.fam_code, ref["fam_code"])
+        for fam in range(5):
+            assert np.array_equal(si.ids_by_family[fam], ref["ids"][fam])
+        for got, want in zip([si.sa_p, si.sa_i, si.sa_sym, si.tb_p, si.tb_j, si.tb_sym,
+                              si.gt_p, si.gt_superedge], ref["sa"] + ref["tb"] + ref["gt"]):
+            assert np.array_equal(got, want)
+        for name in ("anchor_star", "anchor_hub_a", "anchor_hub_b", "anchor_distinct"):
+            assert np.array_equal(getattr(si, name), ref[name]), name
+        assert (k == 3) == (si.ids_by_family[sp.FAM_M].size == 0)
 
 
 @pytest.mark.parametrize("corruptions", [
@@ -222,7 +302,7 @@ def test_structured_fast_path_equals_exact_path(k):
             keep_p = 0.5 + 0.5 * stream.random()
             h = sp.EdgeSubset(si.base, [e for e in range(m) if stream.random() < keep_p])
             verdicts.add(assert_fast_paths_match(si, h))
-        assert assert_fast_paths_match(si, si.full_subset())
+        assert assert_fast_paths_match(si, full_subset(si))
     assert verdicts == {True, False}
 
 
@@ -258,7 +338,7 @@ def test_per_edge_criterion_equals_all_pairs():
         keep = [e for e in range(g.edge_count) if stream.random() < 0.7]
         h = sp.EdgeSubset(g, keep)
         k = 2 + stream.randbelow(3)
-        assert sp.verify_spanner(g, h, k)[0] == sp.spans_all_pairs(g, h, k)
+        assert sp.verify_spanner(g, h, k)[0] == spans_all_pairs(g, h, k)
 
 
 # --- canonical paths ------------------------------------------------------------
@@ -266,8 +346,8 @@ def test_per_edge_criterion_equals_all_pairs():
 def test_canonical_path_in_full_edge_set():
     for k in (3, 4, 5):
         si = tiny_instance(k=k)
-        h = si.full_subset()
-        members = h.member_set()
+        h = full_subset(si)
+        members = set(h.members.tolist())
         for eid in si.ids_by_family[sp.FAM_GT].tolist():
             path = sp.canonical_span_check(si, h, eid)
             assert path is not None
@@ -289,7 +369,7 @@ def test_canonical_path_absent_without_crossing_edges():
 def test_canonical_check_rejects_non_gt_edge():
     si = tiny_instance(k=3)
     with pytest.raises(InputError):
-        sp.canonical_span_check(si, si.full_subset(), int(si.ids_by_family[sp.FAM_E][0]))
+        sp.canonical_span_check(si, full_subset(si), int(si.ids_by_family[sp.FAM_E][0]))
 
 
 # --- reduction directions ---------------------------------------------------------
@@ -343,7 +423,7 @@ def test_make_proper_full_edge_set():
     for k in (3, 4, 5):
         for x in (1, 2):
             si = tiny_instance(k=k, x=x)
-            full = si.full_subset()
+            full = full_subset(si)
             proper = sp.make_proper(si, full)
             assert proper == make_proper_per_edge(si, full)
             assert not set(proper.members.tolist()) & set(si.ids_by_family[sp.FAM_GT].tolist())
@@ -378,7 +458,7 @@ def test_make_proper_rejects_non_spanner():
 
 def test_repcover_from_spanner_full_set():
     si = tiny_instance(k=3, x=2)
-    full = si.full_subset()
+    full = full_subset(si)
     cover = sp.repcover_from_spanner(si, full)
     ok, _ = repcover_valid(si.source, cover)
     assert ok
