@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import _decimals, _head_lines
-from .labelcover import LabelCoverInstance, Labeling, Relation
+from .labelcover import LabelCoverInstance, Labeling
 from .rng import Stream, child_seed
 
 CLAUSE_ALPHABET = 7   # satisfying assignments of a 3-literal clause
@@ -64,9 +64,6 @@ class Formula3Sat5:
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
-
-    def clause_satisfied(self, c: int, assignment) -> bool:
-        return any(bool(assignment[v]) == positive for v, positive in self.clauses[c])
 
 
 def planted_assignment(n_vars: int, seed: int) -> tuple:
@@ -199,7 +196,7 @@ def regularize(lc: LabelCoverInstance, require_sat5_shape: bool = True) -> Label
     order = np.lexsort((new_eb, new_ea))
     return LabelCoverInstance.from_arrays(
         3 * lc.a_count, 5 * lc.b_count, lc.sigma_a, lc.sigma_b,
-        new_ea[order], new_eb[order], new_rel[order], lc.relations)
+        new_ea[order], new_eb[order], new_rel[order], lc.relation_arrays())
 
 
 def parallel_repetition(lc: LabelCoverInstance, ell: int,
@@ -217,34 +214,48 @@ def parallel_repetition(lc: LabelCoverInstance, ell: int,
         raise ResourceError("parallel repetition would exceed the superedge budget",
                             required=required, allowed=max_superedges)
     ea, eb, rel_ids = lc.edge_arrays()
-    prod_ea, prod_eb, prod_rel = ea.copy(), eb.copy(), rel_ids.copy()
-    relations = list(lc.relations)
+    prod_ea, prod_eb, prod_rel = ea, eb, rel_ids
+    table = lc.relation_arrays()
+    rows = table[0].size - 1
     sigma_a, sigma_b = lc.sigma_a, lc.sigma_b
     for _ in range(ell - 1):
         prod_ea = (prod_ea[:, None] * np.int64(lc.a_count) + ea[None, :]).ravel()
         prod_eb = (prod_eb[:, None] * np.int64(lc.b_count) + eb[None, :]).ravel()
-        pair_key = (prod_rel[:, None] * np.int64(len(lc.relations)) + rel_ids[None, :]).ravel()
-        relations, prod_rel = _combine_relations(
-            relations, lc.relations, pair_key, sigma_a, sigma_b, lc.sigma_a, lc.sigma_b)
+        pair_key = (prod_rel[:, None] * np.int64(rows) + rel_ids[None, :]).ravel()
+        table, prod_rel = _combine_relations(table, lc.relation_arrays(), pair_key, rows,
+                                             lc.sigma_a, lc.sigma_b)
         sigma_a *= lc.sigma_a
         sigma_b *= lc.sigma_b
     order = np.lexsort((prod_eb, prod_ea))
     return LabelCoverInstance.from_arrays(
         lc.a_count ** ell, lc.b_count ** ell, sigma_a, sigma_b,
-        prod_ea[order], prod_eb[order], prod_rel[order], relations)
+        prod_ea[order], prod_eb[order], prod_rel[order], table)
 
 
-def _combine_relations(left_table, right_table, pair_key, sa_left, sb_left, sa_right, sb_right):
-    """Intern products of relation pairs keyed by (left_id * len(right) + right_id)."""
-    unique_keys, inverse = np.unique(pair_key, return_inverse=True)
-    new_table = []
-    for key in unique_keys.tolist():
-        lid, rid = divmod(key, len(right_table))
-        left, right = left_table[lid], right_table[rid]
-        pairs = [(la * sa_right + ra, lb * sb_right + rb)
-                 for la, lb in left.pairs for ra, rb in right.pairs]
-        new_table.append(Relation(pairs))
-    return new_table, inverse.astype(np.int64)
+def _combine_relations(left, right, pair_key, width, sigma_a, sigma_b):
+    """Product rows of the CSR tables ``left`` and ``right``, one per distinct
+    key ``left row * width + right row``; returns the product table and the
+    row of each key.
+
+    Pair (la, lb) of the left row and (ra, rb) of the right row give the
+    pair (la * sigma_a + ra, lb * sigma_b + rb), with ``sigma_a`` and
+    ``sigma_b`` the right alphabets.  Each left pair meets the whole right
+    row, so the product row comes out ordered by (la, lb, ra, rb); one
+    lexsort keyed on the row first puts every row in (alpha, beta) order,
+    which is (la, ra, lb, rb).
+    """
+    keys, inverse = np.unique(pair_key, return_inverse=True)
+    left_row, right_row = np.divmod(keys, width)
+    left_first, right_first = left[0][left_row], right[0][right_row]
+    right_size = right[0][right_row + 1] - right_first
+    sizes = (left[0][left_row + 1] - left_first) * right_size
+    row = np.repeat(np.arange(keys.size, dtype=np.int64), sizes)
+    i, j = np.divmod(np.arange(row.size) - (np.cumsum(sizes) - sizes)[row], right_size[row])
+    li, ri = left_first[row] + i, right_first[row] + j
+    alpha = left[1][li] * np.int64(sigma_a) + right[1][ri]
+    beta = left[2][li] * np.int64(sigma_b) + right[2][ri]
+    order = np.lexsort((beta, alpha, row))
+    return (np.append(0, np.cumsum(sizes)), alpha[order], beta[order]), inverse.astype(np.int64)
 
 
 def lift_labeling(lc: LabelCoverInstance, lab: Labeling, stage: str,

@@ -1,9 +1,10 @@
 """Label Cover and Min-Rep instance model, labeling/REP-cover evaluation.
 
 A Label Cover instance is a bipartite supergraph over sides A and B with a
-nonempty relation on each superedge.  Relations are interned in a shared
-table (product constructions repeat the same few relations across many
-superedges), but each superedge still serializes with its full pair list.
+nonempty relation on each superedge.  The relations are rows of one flat CSR
+table that superedges index (product constructions repeat the same few
+relations across many superedges), and every kernel reads those arrays;
+each superedge still serializes with its full pair list.
 
 Canonical identities: superedges are sorted by (a, b) and the superedge id
 equals the edge id of the corresponding supergraph edge.  Min-Rep vertices
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -24,74 +25,40 @@ from .graphs import (_MAX_DIGITS, _NOT_DECIMAL, Graph, _body_bytes, _check_decla
                      _line_number, _sorted_distinct, _token_error, _token_rows, girth)
 
 
-class Relation:
-    """Sorted, deduplicated set of admissible (alpha, beta) symbol pairs."""
-
-    __slots__ = ("pairs", "_set")
-
-    def __init__(self, pairs):
-        self._init(tuple(sorted(set((int(a), int(b)) for a, b in pairs))))
-
-    @classmethod
-    def _of_sorted(cls, pairs: tuple) -> "Relation":
-        """The relation of ``pairs``, (int, int) tuples already sorted and
-        distinct."""
-        rel = cls.__new__(cls)
-        rel._init(pairs)
-        return rel
-
-    def _init(self, pairs: tuple) -> None:
-        if not pairs:
-            raise InputError("relations must be nonempty")
-        self.pairs = pairs
-        self._set = None        # built by the first ``contains``
-
-    def contains(self, alpha: int, beta: int) -> bool:
-        if self._set is None:
-            self._set = frozenset(self.pairs)
-        return (alpha, beta) in self._set
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Relation) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-
 class LabelCoverInstance:
-    """Bipartite supergraph plus per-superedge relations over two alphabets."""
+    """Bipartite supergraph plus per-superedge relations over two alphabets.
+
+    The relations form one CSR table (see ``relation_arrays``): row r holds
+    the pairs ``(rel_alpha[s], rel_beta[s])`` for s in
+    ``rel_start[r]:rel_start[r + 1]``, sorted by (alpha, beta), distinct and
+    nonempty, and superedge e uses row ``rel_ids[e]``.  Rows may repeat each
+    other's content, and rows no superedge uses may remain after
+    ``restrict_edges``.  The table's arrays are read-only.
+    """
 
     __slots__ = ("a_count", "b_count", "sigma_a", "sigma_b", "_ea", "_eb",
-                 "_rel_ids", "relations", "_supergraph")
+                 "_rel_ids", "_rel_start", "_rel_alpha", "_rel_beta", "_supergraph")
 
     def __init__(self, a_count, b_count, sigma_a, sigma_b, superedges):
         self.a_count = int(a_count)
         self.b_count = int(b_count)
         self.sigma_a = int(sigma_a)
         self.sigma_b = int(sigma_b)
-        table: dict[tuple, int] = {}
-        relations: list[Relation] = []
+        table: dict[tuple, int] = {}        # one row per distinct pair set
         rows = []
         for a, b, pairs in superedges:
-            rel = pairs if isinstance(pairs, Relation) else Relation(pairs)
-            rid = table.get(rel.pairs)
-            if rid is None:
-                rid = len(relations)
-                table[rel.pairs] = rid
-                relations.append(rel)
-            rows.append((int(a), int(b), rid))
+            pairs = tuple(sorted(set((int(x), int(y)) for x, y in pairs)))
+            rows.append((int(a), int(b), table.setdefault(pairs, len(table))))
         rows.sort()
-        ea = np.array([r[0] for r in rows], dtype=np.int64)
-        eb = np.array([r[1] for r in rows], dtype=np.int64)
-        rel_ids = np.array([r[2] for r in rows], dtype=np.int64)
-        self._finish_init(ea, eb, rel_ids, tuple(relations))
+        ea, eb, rel_ids = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+        flat = np.array([p for pairs in table for p in pairs], dtype=np.int64).reshape(-1, 2)
+        start = np.append(0, np.cumsum(list(map(len, table)), dtype=np.int64))
+        self._finish_init(ea, eb, rel_ids, (start, flat[:, 0], flat[:, 1]))
 
     @classmethod
     def from_arrays(cls, a_count, b_count, sigma_a, sigma_b, ea, eb, rel_ids, relations):
-        """Fast path for internal builders; edges must already be (a, b)-sorted."""
+        """Fast path for internal builders; edges must already be (a, b)-sorted
+        and ``relations`` is a CSR table ``(rel_start, rel_alpha, rel_beta)``."""
         inst = cls.__new__(cls)
         inst.a_count = int(a_count)
         inst.b_count = int(b_count)
@@ -101,13 +68,18 @@ class LabelCoverInstance:
             np.asarray(ea, dtype=np.int64),
             np.asarray(eb, dtype=np.int64),
             np.asarray(rel_ids, dtype=np.int64),
-            tuple(relations),
+            relations,
         )
         return inst
 
     def _finish_init(self, ea, eb, rel_ids, relations):
         if self.sigma_a < 1 or self.sigma_b < 1:
             raise InputError("alphabet sizes must be >= 1")
+        start, alpha, beta = map(_read_only, relations)
+        if start.size == 0 or start[0] != 0 or start[-1] != alpha.size or beta.size != alpha.size:
+            raise InputError("relation table offsets do not match its pairs")
+        if (np.diff(start) <= 0).any():
+            raise InputError("relations must be nonempty")
         if ea.size:
             if ea.min() < 0 or ea.max() >= self.a_count:
                 raise InputError("superedge A endpoint out of range")
@@ -116,15 +88,19 @@ class LabelCoverInstance:
             keys = ea * np.int64(self.b_count) + eb
             if (np.diff(keys) <= 0).any():
                 raise InputError("superedges must be distinct and (a, b)-sorted")
-        symbols = np.fromiter(chain.from_iterable(chain.from_iterable(
-            rel.pairs for rel in relations)), dtype=np.int64)
-        if symbols.size and (symbols.min() < 0 or symbols[0::2].max() >= self.sigma_a
-                             or symbols[1::2].max() >= self.sigma_b):
+            if rel_ids.min() < 0 or rel_ids.max() >= start.size - 1:
+                raise InputError("relation row id out of range")
+        if alpha.size and (min(alpha.min(), beta.min()) < 0 or alpha.max() >= self.sigma_a
+                           or beta.max() >= self.sigma_b):
             raise InputError("relation symbol out of range")
+        ascending = (alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1]))
+        ascending[start[1:-1] - 1] = True       # a row's first pair follows no pair of its row
+        if not ascending.all():
+            raise InputError("relation pairs must be sorted and distinct")
         self._ea = ea
         self._eb = eb
         self._rel_ids = rel_ids
-        self.relations = relations
+        self._rel_start, self._rel_alpha, self._rel_beta = start, alpha, beta
         self._supergraph = None
 
     @property
@@ -136,11 +112,18 @@ class LabelCoverInstance:
             raise InputError(f"superedge id {e} out of range")
         return int(self._ea[e]), int(self._eb[e])
 
-    def relation(self, e: int) -> Relation:
-        return self.relations[int(self._rel_ids[e])]
+    def relation(self, e: int) -> tuple:
+        """Superedge e's relation: its (alpha, beta) pairs, sorted."""
+        r = int(self._rel_ids[e])
+        lo, hi = int(self._rel_start[r]), int(self._rel_start[r + 1])
+        return tuple(zip(self._rel_alpha[lo:hi].tolist(), self._rel_beta[lo:hi].tolist()))
 
     def edge_arrays(self):
         return self._ea, self._eb, self._rel_ids
+
+    def relation_arrays(self):
+        """The CSR relation table: (rel_start, rel_alpha, rel_beta)."""
+        return self._rel_start, self._rel_alpha, self._rel_beta
 
     def degrees_a(self) -> np.ndarray:
         return np.bincount(self._ea, minlength=self.a_count)
@@ -155,7 +138,7 @@ class LabelCoverInstance:
             raise InputError("superedge id out of range")
         return LabelCoverInstance.from_arrays(
             self.a_count, self.b_count, self.sigma_a, self.sigma_b,
-            self._ea[keep], self._eb[keep], self._rel_ids[keep], self.relations)
+            self._ea[keep], self._eb[keep], self._rel_ids[keep], self.relation_arrays())
 
     def without_edges(self, drop_ids) -> "LabelCoverInstance":
         """New instance without the given superedge ids."""
@@ -171,14 +154,33 @@ class LabelCoverInstance:
             return False
         if not (np.array_equal(self._ea, other._ea) and np.array_equal(self._eb, other._eb)):
             return False
-        # Compare each distinct (own relation, other's relation) pairing once.
-        width = len(other.relations)
-        pairings = _sorted_distinct(self._rel_ids * width + other._rel_ids).tolist()
-        return all(self.relations[r // width] == other.relations[r % width] for r in pairings)
+        # Compare the rows of each distinct (own row, other's row) pairing once.
+        width = max(other._rel_start.size - 1, 1)
+        mine, theirs = np.divmod(_sorted_distinct(self._rel_ids * width + other._rel_ids), width)
+        slots, sizes = _row_slots(self._rel_start, mine)
+        other_slots, other_sizes = _row_slots(other._rel_start, theirs)
+        return (np.array_equal(sizes, other_sizes)
+                and np.array_equal(self._rel_alpha[slots], other._rel_alpha[other_slots])
+                and np.array_equal(self._rel_beta[slots], other._rel_beta[other_slots]))
 
     def __repr__(self) -> str:
         return (f"LabelCoverInstance(|A|={self.a_count}, |B|={self.b_count}, "
                 f"sigma=({self.sigma_a},{self.sigma_b}), m={self.edge_count})")
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only int64 view of ``values``."""
+    arr = np.asarray(values, dtype=np.int64).view()
+    arr.flags.writeable = False
+    return arr
+
+
+def _row_slots(start: np.ndarray, rows: np.ndarray) -> tuple:
+    """Where ``rows`` of a CSR table lie: their pair indices, row after row,
+    and each row's size."""
+    sizes = start[rows + 1] - start[rows]
+    first = np.cumsum(sizes) - sizes
+    return np.repeat(start[rows] - first, sizes) + np.arange(sizes.sum()), sizes
 
 
 @dataclass(frozen=True)
@@ -220,33 +222,51 @@ def _relation_slots(lc: LabelCoverInstance):
     """Every (superedge, relation pair), superedge-major with each relation's
     pairs in sorted order: (starts, superedge, alpha, beta), where starts[e]
     is the first slot of superedge e."""
-    sizes = np.array([len(rel) for rel in lc.relations], dtype=np.int64)
-    first = np.cumsum(sizes) - sizes
-    pair_a = np.array([a for rel in lc.relations for a, _ in rel.pairs], dtype=np.int64)
-    pair_b = np.array([b for rel in lc.relations for _, b in rel.pairs], dtype=np.int64)
-    counts = sizes[lc._rel_ids]
-    starts = np.cumsum(counts) - counts
+    slots, counts = _row_slots(lc._rel_start, lc._rel_ids)
     slot_se = np.repeat(np.arange(lc.edge_count, dtype=np.int64), counts)
-    pos = first[lc._rel_ids][slot_se] + np.arange(slot_se.size) - starts[slot_se]
-    return starts, slot_se, pair_a[pos], pair_b[pos]
+    return np.cumsum(counts) - counts, slot_se, lc._rel_alpha[slots], lc._rel_beta[slots]
 
 
 def distinct_relations(lc: LabelCoverInstance) -> int:
-    """Number of distinct relation blocks among the superedges, the blocks
-    that LC v1 writing and parsing render and tokenize."""
-    return len({lc.relations[r] for r in _sorted_distinct(lc._rel_ids).tolist()})
+    """Number of distinct relations among the superedges, the blocks that
+    LC v1 writing and parsing render and tokenize: used rows that differ in
+    content."""
+    start, alpha, beta = lc._rel_start.tolist(), lc._rel_alpha, lc._rel_beta
+    return len({(alpha[start[r]:start[r + 1]].tobytes(), beta[start[r]:start[r + 1]].tobytes())
+                for r in _sorted_distinct(lc._rel_ids).tolist()})
+
+
+def _covered_mask(lc: LabelCoverInstance, a_keys: np.ndarray, b_keys: np.ndarray) -> np.ndarray:
+    """Per superedge (a, b): does a pair (alpha, beta) of its relation have
+    both ends among the members?  Members are sorted distinct keys
+    ``a * sigma_a + alpha`` (A side) and ``b * sigma_b + beta`` (B side)."""
+    _, slot_se, alpha, beta = _relation_slots(lc)
+    hit = np.flatnonzero(_is_member(a_keys, lc._ea[slot_se] * lc.sigma_a + alpha))
+    hit = hit[_is_member(b_keys, lc._eb[slot_se[hit]] * lc.sigma_b + beta[hit])]
+    covered = np.zeros(lc.edge_count, dtype=bool)
+    covered[slot_se[hit]] = True
+    return covered
+
+
+def _is_member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which ``queries`` occur in the sorted array ``keys`` (a binary search
+    per query; no table spanning the key range)."""
+    if keys.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    return keys[np.searchsorted(keys, queries).clip(max=keys.size - 1)] == queries
 
 
 def _satisfied_mask(lc: LabelCoverInstance, lab: Labeling) -> np.ndarray:
-    """Per superedge: does its relation admit the symbol pair ``lab`` assigns?"""
+    """Per superedge: does its relation admit the symbol pair ``lab`` assigns?
+    A labeling is the cover with one member per supervertex."""
     lab.check_shape(lc)
-    _, slot_se, alpha, beta = _relation_slots(lc)
-    ga = np.asarray(lab.gamma_a, dtype=np.int64)
-    gb = np.asarray(lab.gamma_b, dtype=np.int64)
-    admitted = (ga[lc._ea[slot_se]] == alpha) & (gb[lc._eb[slot_se]] == beta)
-    sat = np.zeros(lc.edge_count, dtype=bool)
-    sat[slot_se[admitted]] = True
-    return sat
+    return _covered_mask(lc, _member_keys(lab.gamma_a, lc.sigma_a),
+                         _member_keys(lab.gamma_b, lc.sigma_b))
+
+
+def _member_keys(gamma, sigma: int) -> np.ndarray:
+    """Sorted keys ``v * sigma + gamma[v]`` of a one-symbol-per-vertex side."""
+    return np.arange(len(gamma), dtype=np.int64) * sigma + np.asarray(gamma, dtype=np.int64)
 
 
 def satisfied_count(lc: LabelCoverInstance, lab: Labeling) -> int:
@@ -321,26 +341,18 @@ def repcover_valid(mr: MinRepInstance, cover: RepCover) -> tuple[bool, int | Non
     Returns (True, None) or (False, first failing superedge id).
     """
     lc = mr.source
-    sa: list[set] = [set() for _ in range(lc.a_count)]
-    sb: list[set] = [set() for _ in range(lc.b_count)]
+    keys: tuple[list, list] = ([], [])
     for side, i, sym in cover.members:
-        if side == "A":
-            if not (0 <= i < lc.a_count and 0 <= sym < lc.sigma_a):
-                raise InputError(f"cover member out of range: {(side, i, sym)}")
-            sa[i].add(sym)
-        elif side == "B":
-            if not (0 <= i < lc.b_count and 0 <= sym < lc.sigma_b):
-                raise InputError(f"cover member out of range: {(side, i, sym)}")
-            sb[i].add(sym)
-        else:
+        if side not in ("A", "B"):
             raise InputError(f"cover side must be 'A' or 'B': {side!r}")
-    for e in range(lc.edge_count):
-        a, b = int(lc._ea[e]), int(lc._eb[e])
-        rel = lc.relation(e)
-        ok = any(alpha in sa[a] and beta in sb[b] for alpha, beta in rel.pairs)
-        if not ok:
-            return False, e
-    return True, None
+        count, sigma = (lc.a_count, lc.sigma_a) if side == "A" else (lc.b_count, lc.sigma_b)
+        if not (0 <= i < count and 0 <= sym < sigma):
+            raise InputError(f"cover member out of range: {(side, i, sym)}")
+        keys[side == "B"].append(i * sigma + sym)
+    covered = _covered_mask(lc, _sorted_distinct(keys[0]), _sorted_distinct(keys[1]))
+    if covered.all():
+        return True, None
+    return False, int(covered.argmin())
 
 
 def labeling_to_repcover(lc: LabelCoverInstance, lab: Labeling) -> RepCover:
@@ -361,11 +373,8 @@ def write_lc_text(lc: LabelCoverInstance) -> str:
     head = (f"LC v1\nA {lc.a_count} B {lc.b_count} SA {lc.sigma_a} SB {lc.sigma_b} "
             f"M {lc.edge_count}\n")
     used = _sorted_distinct(lc._rel_ids)
-    rels = [lc.relations[r].pairs for r in used.tolist()]
-    sizes = np.fromiter(map(len, rels), dtype=np.int64, count=len(rels))
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rels)),
-                        dtype=np.int64).reshape(-1, 2)
-    pair_text = _decimal_text([pairs[:, 0], pairs[:, 1]])
+    slots, sizes = _row_slots(lc._rel_start, used)
+    pair_text = _decimal_text([lc._rel_alpha[slots], lc._rel_beta[slots]])
     block_ends = _line_ends(pair_text)[np.cumsum(sizes) - 1].tolist()
     blocks = list(map(pair_text.__getitem__, map(slice, [0] + block_ends[:-1], block_ends)))
     slot = np.searchsorted(used, lc._rel_ids)
@@ -392,8 +401,9 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
     next tag.  Identical block texts hold identical tokens, so the
     E lines are tokenized in one call and each distinct block once, in a
     second call.  Every check still covers every line, and an error names
-    the line and quotes the token of the first fault in text order.  One
-    ``Relation`` is built per distinct pair block.
+    the line and quotes the token of the first fault in text order.  The
+    distinct blocks are the rows of the CSR relation table, so their decoded
+    pairs are its pair arrays as they stand.
     """
     lines, numbers, start = _head_lines(text, 2, skip_blank=True)
     if not lines or lines[0] != "LC v1":
@@ -486,17 +496,13 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
         pos = first_fault(b_starts[b_heads[1:][bad]])
         raise InputError(f"line {_line_number(text, pos)}: "
                          "relation pairs must be sorted and distinct")
-    used = _sorted_distinct(bid[1:])            # in order of first use
-    pair_list = list(zip(alpha.tolist(), beta.tolist()))
-    first_row = (np.cumsum(rows) - rows)[used].tolist()
-    blocks = [tuple(pair_list[r:r + size]) for r, size in zip(first_row, rows[used].tolist())]
-    table = dict(zip(dict.fromkeys(blocks), count()))
-    relations = list(map(Relation._of_sorted, table))
-    rel_of = np.zeros(len(distinct), dtype=np.int64)
-    rel_of[used] = list(map(table.__getitem__, blocks))
+    # The piece before the first tag holds no pair; it is a row only if a
+    # superedge's block has its text.
+    skip = int(not (bid[1:] == 0).any())
     order = np.lexsort((b, a))
-    return LabelCoverInstance.from_arrays(a_count, b_count, sigma_a, sigma_b, a[order],
-                                          b[order], rel_of[bid[1:]][order], relations)
+    return LabelCoverInstance.from_arrays(
+        a_count, b_count, sigma_a, sigma_b, a[order], b[order], (bid[1:] - skip)[order],
+        (np.append(0, np.cumsum(rows[skip:])), alpha, beta))
 
 
 def write_cover_text(cover: RepCover) -> str:

@@ -61,7 +61,12 @@ def lc_value_exact(lc: LabelCoverInstance,
     space_a = lc.sigma_a ** lc.a_count
     space_b = lc.sigma_b ** lc.b_count
     enum_a = space_a <= space_b
-    budget.check_space(space_a if enum_a else space_b)
+    states, other_sigma = (space_a, lc.sigma_b) if enum_a else (space_b, lc.sigma_a)
+    budget.check_space(states)
+    # The dense tables, before any is allocated: a states x other-alphabet
+    # score table and a 0/1 alphabet matrix per relation in use.
+    budget.check_space(states * other_sigma)
+    budget.check_space(len(set(lc.edge_arrays()[2].tolist())) * lc.sigma_a * lc.sigma_b)
     if enum_a:
         best, enum_lab, other_lab = _enumerate_side(
             lc, budget, lc.a_count, lc.sigma_a, lc.b_count, lc.sigma_b, a_side=True)
@@ -90,12 +95,13 @@ def _enumerate_side(lc, budget, enum_count, enum_sigma, other_count, other_sigma
             digit_cache[v] = (idx // power) % enum_sigma
         return digit_cache[v]
 
-    rel_matrices = []
-    for rel in lc.relations:
-        mat = np.zeros((lc.sigma_a, lc.sigma_b), dtype=np.int32)
-        for alpha, beta in rel.pairs:
-            mat[alpha, beta] = 1
-        rel_matrices.append(mat if a_side else mat.T)
+    rel_matrices: dict[int, np.ndarray] = {}
+    for e, rid in enumerate(rel_ids.tolist()):
+        if rid not in rel_matrices:
+            mat = np.zeros((lc.sigma_a, lc.sigma_b), dtype=np.int32)
+            for alpha, beta in lc.relation(e):
+                mat[alpha, beta] = 1
+            rel_matrices[rid] = mat if a_side else mat.T
 
     by_other: list[list[tuple[int, int]]] = [[] for _ in range(other_count)]
     for e in range(lc.edge_count):
@@ -134,7 +140,7 @@ def min_repcover_exact(mr: MinRepInstance,
     for e in range(lc.edge_count):
         a, b = lc.edge(e)
         masks = []
-        for alpha, beta in lc.relation(e).pairs:
+        for alpha, beta in lc.relation(e):
             masks.append((1 << mr.a_vertex(a, alpha)) | (1 << mr.b_vertex(b, beta)))
         pair_masks.append(masks)
     deadline = _Deadline(budget)
@@ -220,20 +226,6 @@ def min_spanner_exact(g: Graph, k: int,
             if checker.is_spanner(mask):
                 return size, EdgeSubset(g, combo)
     raise AssertionError("unreachable: the full edge set spans itself")
-
-
-def iter_spanners(g: Graph, k: int, budget: OracleBudget | None = None):
-    """Yield every k-spanner of g as a sorted edge-id tuple (full enumeration)."""
-    budget = budget or OracleBudget()
-    m = g.edge_count
-    budget.check_space(2 ** m)
-    checker = BitsetSpannerChecker(g, k)
-    deadline = _Deadline(budget)
-    for mask in range(2 ** m):
-        if mask % 4096 == 0:
-            deadline.poll()
-        if checker.is_spanner(mask):
-            yield tuple(e for e in range(m) if (mask >> e) & 1)
 
 
 def spans_all_pairs(g: Graph, h: EdgeSubset, k: int) -> bool:

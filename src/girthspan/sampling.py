@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import INFINITY, edge_cycle_length, girth
+from .graphs import INFINITY, edge_cycle_length
 from .labelcover import LabelCoverInstance, Labeling, _satisfied_mask, supergraph
 from .rng import child_seed, draws_array, keep_threshold
 
@@ -142,27 +142,6 @@ def _side_degrees(counts: np.ndarray) -> SideDegrees:
 def degree_stats(lc: LabelCoverInstance) -> tuple[SideDegrees, SideDegrees]:
     """Exact (min, mean, max) supergraph degrees per side."""
     return _side_degrees(lc.degrees_a()), _side_degrees(lc.degrees_b())
-
-
-def sample_and_strip(lc: LabelCoverInstance, params: SampleParams) -> tuple:
-    """subsample then strip at params.k; returns (instance, SampleStats)."""
-    p = sample_probability(params.alpha, lc.sigma_a,
-                           effective_degree(lc, params), params.clamp_p)
-    sampled = subsample(lc, params)
-    stripped = strip_bad_edges(sampled, params.k)
-    deg_a, deg_b = degree_stats(sampled)
-    stats = SampleStats(
-        edges_before=lc.edge_count,
-        edges_after_sample=sampled.edge_count,
-        edges_after_strip=stripped.edge_count,
-        bad_edge_count=sampled.edge_count - stripped.edge_count,
-        degrees_a=deg_a,
-        degrees_b=deg_b,
-        achieved_girth=girth(supergraph(stripped)),
-        probability=p,
-        clamped=(p == 1.0),
-    )
-    return stripped, stats
 
 
 @dataclass(frozen=True)

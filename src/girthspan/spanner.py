@@ -72,8 +72,7 @@ class SpannerInstance:
     """Gadget graph with role-tagged vertices and partitioned edge families."""
 
     def __init__(self, base, source, k, x, x_is_default, fam_code,
-                 ids_by_family, sa_meta, tb_meta, gt_meta,
-                 anchor_star, anchor_hub_a, anchor_hub_b):
+                 ids_by_family, sa_meta, tb_meta, gt_meta, crossing_sa, crossing_tb):
         lc = source.source
         self.base: Graph = base
         self.source: MinRepInstance = source
@@ -89,12 +88,19 @@ class SpannerInstance:
         self.sa_p, self.sa_i, self.sa_sym = sa_meta
         self.tb_p, self.tb_j, self.tb_sym = tb_meta
         self.gt_p, self.gt_superedge = gt_meta
-        self.anchor_star = anchor_star          # edge id per Min-Rep vertex
-        self.anchor_hub_a = anchor_hub_a        # (x, |A|) edge ids
-        self.anchor_hub_b = anchor_hub_b        # (x, |B|) edge ids
-        hub_flat = np.concatenate([anchor_hub_a.ravel(), anchor_hub_b.ravel()])
-        self.anchor_distinct = _sorted_distinct(np.concatenate([anchor_star, hub_flat]))
-        self.anchor_roster_size = int(anchor_star.size + hub_flat.size)
+        # Edge id tables: crossing_sa[p, i, alpha] joins s-tower (p, i) level 1
+        # to Min-Rep vertex (A, i, alpha), crossing_tb[p, j, beta] joins
+        # (B, j, beta) to t-tower (p, j) level 1.
+        self.crossing_sa = crossing_sa
+        self.crossing_tb = crossing_tb
+        # A Min-Rep vertex's star edge is its copy-0 crossing edge, and each
+        # tower's hub is its symbol-0 crossing edge.
+        self.anchor_star = np.concatenate([crossing_sa[0].ravel(), crossing_tb[0].ravel()])
+        self.anchor_hub_a = crossing_sa[:, :, 0]        # (x, |A|) edge ids
+        self.anchor_hub_b = crossing_tb[:, :, 0]        # (x, |B|) edge ids
+        hub_flat = np.concatenate([self.anchor_hub_a.ravel(), self.anchor_hub_b.ravel()])
+        self.anchor_distinct = _sorted_distinct(np.concatenate([self.anchor_star, hub_flat]))
+        self.anchor_roster_size = int(self.anchor_star.size + hub_flat.size)
 
     # -- vertex layout ---------------------------------------------------
 
@@ -244,19 +250,15 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     tower, tb_sym = np.divmod(order[ids[FAM_TB]] - start[FAM_TB], sigma_b)
     tb_p, tb_j = np.divmod(tower, b_cnt)
     gt_p, gt_se = np.divmod(order[ids[FAM_GT]] - start[FAM_GT], lc.edge_count)
-    # Copy 0 is the first block of each crossing chunk: Min-Rep vertex u's
-    # star edge is its copy-0 row, and the hub of each tower is its symbol-0 row.
+    # The EsA and EtB chunks, row by row, are the crossing tables.
     row_id = np.empty_like(order)
     row_id[order] = np.arange(order.size)
-    anchor_star = np.concatenate([row_id[start[FAM_SA]:start[FAM_SA] + b_block],
-                                  row_id[start[FAM_TB]:start[FAM_TB] + n - b_block]])
-    anchor_hub_a = row_id[start[FAM_SA]:start[FAM_TB]:sigma_a].reshape(x, a_cnt)
-    anchor_hub_b = row_id[start[FAM_TB]:start[FAM_GT]:sigma_b].reshape(x, b_cnt)
+    crossing_sa = row_id[start[FAM_SA]:start[FAM_TB]].reshape(x, a_cnt, sigma_a)
+    crossing_tb = row_id[start[FAM_TB]:start[FAM_GT]].reshape(x, b_cnt, sigma_b)
 
     si = SpannerInstance(
         base, mr, k, x, x_override is None, fam_code, dict(enumerate(ids)),
-        (sa_p, sa_i, sa_sym), (tb_p, tb_j, tb_sym), (gt_p, gt_se),
-        anchor_star, anchor_hub_a, anchor_hub_b)
+        (sa_p, sa_i, sa_sym), (tb_p, tb_j, tb_sym), (gt_p, gt_se), crossing_sa, crossing_tb)
     si.supergirth_warning = (sg != INFINITY and sg < k + 2)
     si.audit()
     return si
@@ -351,29 +353,16 @@ def canonical_span_mask(si: SpannerInstance, h: EdgeSubset) -> np.ndarray:
     """
     mask = h.mask()
     lc = si.source.source
-    sa, tb = _crossing_tables(si)
     starts, slot_se, alpha, beta = _relation_slots(lc)
     ea, eb, _ = lc.edge_arrays()
     i, j = ea[slot_se], eb[slot_se]
     minrep = si.base.edge_ids_of(si.source.a_vertex(i, alpha), si.source.b_vertex(j, beta))
-    ok = mask[sa][:, i, alpha] & mask[minrep] & mask[tb][:, j, beta]
+    ok = mask[si.crossing_sa][:, i, alpha] & mask[minrep] & mask[si.crossing_tb][:, j, beta]
     ok = np.logical_or.reduceat(ok, starts, axis=1)
     s_ok = _tower_intact(si.base, mask, si._s_offset, si.x * lc.a_count, si.k_a)
     t_ok = _tower_intact(si.base, mask, si._t_offset, si.x * lc.b_count, si.k_b)
     ok &= s_ok.reshape(si.x, lc.a_count)[:, ea] & t_ok.reshape(si.x, lc.b_count)[:, eb]
     return ok[si.gt_p, si.gt_superedge]
-
-
-def _crossing_tables(si: SpannerInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Edge id tables sa[p, i, alpha] (s-tower (p, i) level 1 to Min-Rep
-    vertex (A, i, alpha)) and tb[p, j, beta] ((B, j, beta) to t-tower (p, j)
-    level 1)."""
-    lc = si.source.source
-    sa = np.empty((si.x, lc.a_count, lc.sigma_a), dtype=np.int64)
-    sa[si.sa_p, si.sa_i, si.sa_sym] = si.ids_by_family[FAM_SA]
-    tb = np.empty((si.x, lc.b_count, lc.sigma_b), dtype=np.int64)
-    tb[si.tb_p, si.tb_j, si.tb_sym] = si.ids_by_family[FAM_TB]
-    return sa, tb
 
 
 def _tower_intact(g: Graph, mask: np.ndarray, offset: int, towers: int,
@@ -414,7 +403,7 @@ def canonical_span_check(si: SpannerInstance, h: EdgeSubset, eid: int):
         if not mask[g.edge_id(a, b)]:
             return None
     s1, t1 = s_path[-1], t_path[0]
-    for alpha, beta in lc.relation(se).pairs:
+    for alpha, beta in lc.relation(se):
         u = si.source.a_vertex(i, alpha)
         w = si.source.b_vertex(j, beta)
         if mask[g.edge_id(s1, u)] and mask[g.edge_id(u, w)] and mask[g.edge_id(w, t1)]:
@@ -442,12 +431,11 @@ def make_proper(si: SpannerInstance, h: EdgeSubset) -> EdgeSubset:
     keep = [np.nonzero(mask)[0], si.ids_by_family[FAM_E], si.ids_by_family[FAM_M],
             si.anchor_distinct]
     lc = si.source.source
-    sa, tb = _crossing_tables(si)
     starts, _, alpha, beta = _relation_slots(lc)
     ea, eb, _ = lc.edge_arrays()
     p, se = si.gt_p[dropped], si.gt_superedge[dropped]
     first = starts[se]
-    keep += [sa[p, ea[se], alpha[first]], tb[p, eb[se], beta[first]]]
+    keep += [si.crossing_sa[p, ea[se], alpha[first]], si.crossing_tb[p, eb[se], beta[first]]]
     return EdgeSubset(si.base, np.concatenate(keep))
 
 

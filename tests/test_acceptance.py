@@ -14,7 +14,7 @@ from girthspan import constructions as cons
 from girthspan import oracles, pipeline, sampling
 from girthspan import spanner as sp
 from girthspan.graphs import Graph, INFINITY, girth
-from girthspan.labelcover import (LabelCoverInstance, Labeling, Relation,
+from girthspan.labelcover import (LabelCoverInstance, Labeling,
                                   labeling_to_repcover, minrep_expand,
                                   repcover_valid, satisfied_count, supergirth,
                                   supergraph, value)
@@ -32,6 +32,10 @@ def criterion(number, name):
         print(f"ACCEPTANCE {number} ({name}): FAIL")
         raise
     print(f"ACCEPTANCE {number} ({name}): PASS")
+
+
+# A CSR relation table with one row holding the single pair (0, 0).
+ONE_PAIR_TABLE = (np.array([0, 1]), np.array([0]), np.array([0]))
 
 
 def regular15(seed):
@@ -172,7 +176,7 @@ def test_criterion_5_exhaustive_canonical_span():
             se = int(si.gt_superedge[pos])
             i, j = lc.edge(se)
             triples = []
-            for alpha, beta in lc.relation(se).pairs:
+            for alpha, beta in lc.relation(se):
                 u = mr.a_vertex(i, alpha)
                 w = mr.b_vertex(j, beta)
                 trip = (1 << g.edge_id(si.s_vertex(p, i, 1), u)
@@ -259,7 +263,7 @@ def test_criterion_7_sampling_statistics():
         eb = np.tile(np.arange(n_side, dtype=np.int64), n_side)
         k512 = LabelCoverInstance.from_arrays(
             n_side, n_side, 4, 4, ea, eb,
-            np.zeros(n_side * n_side, dtype=np.int64), (Relation([(0, 0)]),))
+            np.zeros(n_side * n_side, dtype=np.int64), ONE_PAIR_TABLE)
         p = sampling.sample_probability(32.0, 4, 512)
         assert p == 64 / 512
         thr = keep_threshold(p)
@@ -284,7 +288,7 @@ def test_criterion_7_sampling_statistics():
         ea = np.repeat(np.arange(d, dtype=np.int64), d)
         eb = np.tile(np.arange(d, dtype=np.int64), d)
         kd = LabelCoverInstance.from_arrays(
-            d, d, 8, 8, ea, eb, np.zeros(d * d, dtype=np.int64), (Relation([(0, 0)]),))
+            d, d, 8, 8, ea, eb, np.zeros(d * d, dtype=np.int64), ONE_PAIR_TABLE)
         params_d = sampling.SampleParams(alpha=1.0, k=k_cycle, seed=child_seed(4, "c7d"))
         on_short_cycle = 0
         kept_total = 0

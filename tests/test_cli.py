@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,32 @@ def test_solve_budget_env(tmp_path, monkeypatch, capsys):
     assert run(["solve-lc-exact", "-i", lc]) == 3
 
 
+@pytest.mark.parametrize("sizes, budget", [
+    ((1, 5, 50_000_000, 2), None),      # score table 32 x 5e7, two 5e7 x 2 matrices
+    ((1, 20, 2_000_000, 2), None),      # score table 2^20 x 2e6; the matrices fit
+    ((1, 2, 2, 2), "5"),                # 2 states x 2 fit; two 2 x 2 matrices do not
+])
+def test_solve_lc_exact_checks_table_sizes_before_allocating(tmp_path, monkeypatch, capsys,
+                                                             sizes, budget):
+    """Each header passes the header bound (A*SA + B*SB <= 10^8) and its
+    enumerated states fit the budget, but one of the oracle's dense tables
+    does not: the command exits 3 before numpy allocates it."""
+    a_count, b_count, sigma_a, sigma_b = sizes
+    lc = tmp_path / "wide.lc"
+    lc.write_text(f"LC v1\nA {a_count} B {b_count} SA {sigma_a} SB {sigma_b} M {b_count}\n"
+                  + "".join(f"E 0 {j} 1\n0 {j % 2}\n" for j in range(b_count)))
+    if budget:
+        monkeypatch.setenv("GIRTHSPAN_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        assert run(["solve-lc-exact", "-i", lc]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24
+    assert capsys.readouterr().err.startswith("resource error: oracle search space")
+
+
 @pytest.mark.parametrize("budget", ["ten", "-2", " 2", "2.0", "1234567890123456789"])
 def test_solve_budget_env_must_be_decimal(tmp_path, monkeypatch, capsys, budget):
     lc = tmp_path / "tiny.lc"
@@ -243,12 +270,12 @@ def test_pipeline_artifacts_round_trip(tmp_path):
     assert girth_rec == "infinity" or girth_rec > 4
     sampled = parse_lc_text((out / "sampled.lc").read_text())
     assert report["sample_stats"]["bad_edge_count"] == len(bad_edges(sampled, 4))
-    # the distinct relation blocks of each LC artifact, one Relation apiece
+    # the distinct relation blocks of each LC artifact, one CSR row apiece
     for stage, name in [("lc_from_3sat5", "base"), ("regularize", "regular"),
                         ("parallel_repetition", "repeated"), ("subsample", "sampled"),
                         ("strip_cycles", "stripped")]:
         parsed = parse_lc_text((out / f"{name}.lc").read_text())
-        assert trace[stage]["sizes"]["relations"] == len(parsed.relations)
+        assert trace[stage]["sizes"]["relations"] == parsed.relation_arrays()[0].size - 1
 
 
 def test_cover_and_proper_commands(tmp_path, capsys):

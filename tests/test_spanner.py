@@ -149,6 +149,8 @@ def gadget_tables_by_lookup(si):
     hub_b = g.edge_ids_of(np.tile(b_block + np.arange(b_cnt) * sigma_b, x),
                           t_bases).reshape(x, b_cnt)
     return {"fam_code": fam_code, "ids": ids, "sa": sa, "tb": tb, "gt": gt,
+            "crossing_sa": ids_sA.reshape(x, a_cnt, sigma_a),
+            "crossing_tb": ids_tB.reshape(x, b_cnt, sigma_b),
             "anchor_star": anchor_star, "anchor_hub_a": hub_a, "anchor_hub_b": hub_b,
             "anchor_distinct": np.unique(np.concatenate([anchor_star, hub_a.ravel(),
                                                          hub_b.ravel()]))}
@@ -168,7 +170,8 @@ def test_gadget_tables_from_construction_sort_equal_lookup(k, x):
         for got, want in zip([si.sa_p, si.sa_i, si.sa_sym, si.tb_p, si.tb_j, si.tb_sym,
                               si.gt_p, si.gt_superedge], ref["sa"] + ref["tb"] + ref["gt"]):
             assert np.array_equal(got, want)
-        for name in ("anchor_star", "anchor_hub_a", "anchor_hub_b", "anchor_distinct"):
+        for name in ("crossing_sa", "crossing_tb", "anchor_star", "anchor_hub_a",
+                     "anchor_hub_b", "anchor_distinct"):
             assert np.array_equal(getattr(si, name), ref[name]), name
         assert (k == 3) == (si.ids_by_family[sp.FAM_M].size == 0)
 
@@ -413,7 +416,7 @@ def make_proper_per_edge(si, h):
         pos = int(np.searchsorted(gt_ids, eid))
         p, se = int(si.gt_p[pos]), int(si.gt_superedge[pos])
         i, j = lc.edge(se)
-        alpha, beta = lc.relation(se).pairs[0]
+        alpha, beta = lc.relation(se)[0]
         keep.append([si.base.edge_id(si.s_vertex(p, i, 1), si.source.a_vertex(i, alpha)),
                      si.base.edge_id(si.source.b_vertex(j, beta), si.t_vertex(p, j, 1))])
     return sp.EdgeSubset(si.base, np.concatenate(keep))
