@@ -71,6 +71,19 @@ class Graph:
             hi = np.zeros(0, dtype=np.int64)
             keys = np.zeros(0, dtype=np.int64)
             order = np.zeros(0, dtype=np.int64)
+        self._set_edges(n, lo, hi, keys)
+        return order
+
+    @classmethod
+    def _from_canonical(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
+        """``from_arrays`` for int64 edges already proved canonical: every
+        0 <= u < v < vertex_count, and the pairs sorted and distinct, as
+        ``parse_graph_text`` checks them.  Skips the sort."""
+        g = cls.__new__(cls)
+        g._set_edges(vertex_count, eu, ev, eu * np.int64(vertex_count) + ev)
+        return g
+
+    def _set_edges(self, n: int, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray) -> None:
         self.vertex_count = n
         self._eu = lo
         self._ev = hi
@@ -80,7 +93,6 @@ class Graph:
         self._indptr = self._nbr = self._nbr_eid = None
         self._adj = None
         self._sha256 = None
-        return order
 
     @property
     def edge_count(self) -> int:
@@ -320,30 +332,32 @@ def _decimal_text(columns, tag: str = "") -> bytes:
     when a tag letter is given, then the row's fields joined by a space.
 
     Fills a right-aligned digit table per column, then drops each field's
-    leading zeros; equal to joining ``str(int)`` per row.
+    leading zeros; equal to joining ``str(int)`` per row.  The table is
+    column-major, one row per character position, so each digit pass stores
+    contiguously; it is transposed once, when the keep mask is applied.
     """
     rows = columns[0].size
     widths = [len(str(int(col.max()))) if rows else 1 for col in columns]
     end = 2 if tag else 0
-    table = np.empty((rows, end + sum(widths) + len(widths)), dtype=np.uint8)
+    table = np.empty((end + sum(widths) + len(widths), rows), dtype=np.uint8)
     keep = np.ones(table.shape, dtype=bool)
     if tag:
-        table[:, 0] = ord(tag)
-        table[:, 1] = ord(" ")
+        table[0] = ord(tag)
+        table[1] = ord(" ")
     for n, (col, width) in enumerate(zip(columns, widths)):
         if n:
-            table[:, end] = ord(" ")
+            table[end] = ord(" ")
             end += 1
         rest = col.astype(np.int32 if width <= 9 else np.int64)
         for j in range(end + width - 1, end - 1, -1):
-            np.greater(rest, 0, out=keep[:, j])
+            np.greater(rest, 0, out=keep[j])
             quot = rest // 10
-            table[:, j] = rest - quot * 10 + ord("0")
+            table[j] = rest - quot * 10 + ord("0")
             rest = quot
-        keep[:, end + width - 1] = True
+        keep[end + width - 1] = True
         end += width
-    table[:, -1] = ord("\n")
-    return table[keep].tobytes()
+    table[-1] = ord("\n")
+    return table.T[keep.T].tobytes()
 
 
 def _decimals(tokens, where: str) -> list:
@@ -426,41 +440,44 @@ def _token_rows(body: np.ndarray, at: np.ndarray) -> tuple:
     """Tokens and rows of a body that passed ``_body_bytes``, whose tags are
     at positions ``at``.
 
-    Returns (starts, ends, heads, line): the span of every token, a tag
-    being one; the index of each row's first token, row r being the r-th
-    nonblank line; and each row's line as the number of line breaks before
-    it.  Every per-byte temporary is uint8, int8, bool or int32.
+    Returns (starts, ends, heads): the span of every token, a tag being one,
+    and the index of each row's first token, row r being the r-th nonblank
+    line.  A row's line number is left to ``_line_number`` of its first
+    token's offset, which only an error message needs.  Every per-byte
+    temporary is uint8 or bool.
     """
-    token = (body - np.uint8(ord("0"))) < 10
-    token[at] = True
-    step = np.diff(token.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    token = np.zeros(body.size + 2, dtype=bool)       # padded by a non-token byte
+    np.less(body - np.uint8(ord("0")), 10, out=token[1:-1])
+    token[at + 1] = True
+    edges = np.flatnonzero(token[1:] != token[:-1])   # token runs alternate start, end
     del token
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
-    del step
-    breaks = _is_break(body)
-    cr = np.flatnonzero(body[:-1] == ord("\r"))
-    breaks[cr[body[cr + 1] == ord("\n")] + 1] = False    # a \r\n ends one line
-    # A token opens a row when a line break lies between it and the token before.
-    line_of = np.cumsum(breaks, dtype=np.int32)[starts]
-    del breaks
+    starts, ends = edges[0::2], edges[1::2]
+    # A token opens a row when the gap before it holds a line break.  Most
+    # gaps are one byte, read directly; only longer ones are reduced.
     opens = np.ones(starts.size, dtype=bool)
-    np.not_equal(line_of[1:], line_of[:-1], out=opens[1:])
-    heads = np.flatnonzero(opens)
-    return starts, ends, heads, line_of[heads]
+    gap_lo, gap_hi = ends[:-1], starts[1:]
+    opens[1:] = _is_break(body[gap_hi - 1])
+    wide = np.flatnonzero(gap_hi - gap_lo > 1)
+    if wide.size:
+        bounds = np.column_stack([gap_lo[wide], gap_hi[wide]]).ravel()
+        opens[1 + wide] = np.logical_or.reduceat(_is_break(body), bounds)[0::2]
+    return starts, ends, np.flatnonzero(opens)
 
 
-def _decimal_values(data: bytes, count: int) -> np.ndarray:
+def _decimal_values(data: bytes, count: int, tagged: bool = True) -> np.ndarray:
     """int64 values of the ``count`` digit tokens of ``data``, a body that
     passed ``_body_bytes`` and whose tokens the caller counted and checked to
-    hold at most 18 digits.  Tag letters separate tokens like blanks.
+    hold at most 18 digits.  Tag letters separate tokens like blanks; a
+    caller whose body holds none passes ``tagged=False`` to skip blanking
+    them.
 
     One C-level parse of the whole text.  numpy reads a text without a token
     as one 0, so such a body skips the parse.
     """
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    values = np.fromstring(data.translate(_BLANK_TAGS), dtype=np.int64, sep=" ")
+    values = np.fromstring(data.translate(_BLANK_TAGS) if tagged else data,
+                           dtype=np.int64, sep=" ")
     if values.size != count:
         raise AssertionError(f"decoded {values.size} values from {count} tokens")
     return values
@@ -470,32 +487,35 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
               count: int | None = None, tags: str = "") -> tuple:
     """Tokenize ``text[start:]``, which begins a line, by the policy above.
 
-    Returns (values, first, tag, line).  Row r is the r-th nonblank line:
+    Returns (values, first, tag, pos).  Row r is the r-th nonblank line:
     its integers are ``values[first[r]:first[r + 1]]``, ``tag[r]`` is its tag
     letter as a byte (0 for none; ``tags`` holds the format's letters) and
-    ``line[r]`` its line number.  ``count``, when given, is the declared
-    number of rows and ``width`` the number of integers every row holds;
-    both are checked before the values are decoded.
+    ``pos[r]`` the offset in ``text`` of its first token, whose
+    ``_line_number`` an error message names.  ``count``, when given, is the
+    declared number of rows and ``width`` the number of integers every row
+    holds; both are checked before the values are decoded.
     """
     raw, body, at = _body_bytes(text, start, tags)
-    starts, ends, heads, line = _token_rows(body, at)
+    starts, ends, heads = _token_rows(body, at)
     if count is not None and heads.size != count:
         raise InputError(f"expected {count} {what} lines, found {heads.size}")
-    lead = body[starts[heads]]
+    pos = starts[heads]
+    lead = body[pos]
+    pos += start
     tagged = lead > ord("9")      # a token is digits or a tag, and letters sort after digits
     tag = np.where(tagged, lead, 0).astype(np.uint8)
-    line = line + np.int64(_line_number(text, start))
     # A tag is the first token of its row, so row r's integers follow the
     # tags of rows 0..r.
     first = np.append(heads - np.cumsum(tagged) + tagged,
                       starts.size - np.count_nonzero(tagged))
     if width is not None and (np.diff(first) != width).any():
         row = (np.diff(first) != width).argmax()
-        raise InputError(f"line {line[row]}: expected {width} integer(s) per {what} line")
+        raise InputError(f"line {_line_number(text, int(pos[row]))}: "
+                         f"expected {width} integer(s) per {what} line")
     lengths = ends - starts                # a tag is one letter long
     if lengths.size and lengths.max() > _MAX_DIGITS:
         raise _token_error(text, start + int(starts[lengths.argmax()]), _NOT_DECIMAL)
-    return _decimal_values(raw, int(first[-1])), first, tag, line
+    return _decimal_values(raw, int(first[-1]), bool(tags)), first, tag, pos
 
 
 # --- GRAPH v1 text format ---------------------------------------------------
@@ -524,7 +544,7 @@ def parse_graph_text(text: str) -> Graph:
         raise InputError(f"line 2: bad size line: {lines[1]!r}")
     n, m = _decimals(parts[1::2], "line 2")
     _check_declared("line 2", "N", n)
-    values, _, _, line = _int_rows(text, start, "edge", width=2, count=m)
+    values, _, _, pos = _int_rows(text, start, "edge", width=2, count=m)
     eu, ev = values[0::2], values[1::2]
     du, dv = np.diff(eu), np.diff(ev)
     for bad, message in [
@@ -534,8 +554,8 @@ def parse_graph_text(text: str) -> Graph:
         (np.concatenate([[False], (du < 0) | ((du == 0) & (dv < 0))]), "edge lines not sorted"),
     ]:
         if bad.any():
-            raise InputError(f"line {line[bad.argmax()]}: {message}")
-    return Graph.from_arrays(n, eu, ev)
+            raise InputError(f"line {_line_number(text, int(pos[bad.argmax()]))}: {message}")
+    return Graph._from_canonical(n, eu, ev)
 
 
 def graph_sha256(g: Graph) -> str:

@@ -435,13 +435,13 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
     e_off = np.cumsum(e_size) - e_size            # where each E line starts in e_body
     e_body = body[np.repeat(at - e_off, e_size) + np.arange(e_size.sum())]
     no_tags = np.zeros(0, dtype=np.int64)
-    e_starts, e_ends, _, _ = _token_rows(e_body, no_tags)    # so an E separates like a blank
+    e_starts, e_ends, _ = _token_rows(e_body, no_tags)    # so an E separates like a blank
     e_width = np.diff(np.searchsorted(e_starts, np.append(e_off, e_body.size)))
     b_size = np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct)) + 1
     b_off = np.cumsum(b_size) - b_size            # where each distinct block starts in b_body
     b_raw = b"\n".join(distinct) + b"\n"
     b_body = np.frombuffer(b_raw, dtype=np.uint8)
-    b_starts, b_ends, b_heads, _ = _token_rows(b_body, no_tags)
+    b_starts, b_ends, b_heads = _token_rows(b_body, no_tags)
     tok_block = np.searchsorted(b_off, b_starts, side="right") - 1
     row_block = tok_block[b_heads]
     b_width = np.diff(b_heads, append=b_starts.size)
@@ -488,7 +488,7 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
         state = "truncated" if found[e] < t[e] else "too long"
         raise InputError(f"line {_line_number(text, start + int(at[e]))}: relation block "
                          f"{state}: {t[e]} pair lines declared, {found[e]} found")
-    pairs = _decimal_values(b_raw, b_starts.size).reshape(-1, 2)
+    pairs = _decimal_values(b_raw, b_starts.size, tagged=False).reshape(-1, 2)
     alpha, beta = pairs[:, 0], pairs[:, 1]
     ascending = (alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1]))
     bad = ~ascending & (row_block[1:] == row_block[:-1])
@@ -517,9 +517,10 @@ def _member_rows(text: str, header: str, what: str) -> tuple:
     lines, _, start = _head_lines(text, 1, skip_blank=True)
     if not lines or lines[0] != header:
         raise InputError(f"missing {header} header")
-    values, _, tag, line = _int_rows(text, start, what, width=2, tags="AB")
+    values, _, tag, pos = _int_rows(text, start, what, width=2, tags="AB")
     if not tag.all():
-        raise InputError(f"line {line[tag.argmin()]}: {what} line must start with A or B")
+        raise InputError(f"line {_line_number(text, int(pos[tag.argmin()]))}: "
+                         f"{what} line must start with A or B")
     return tag == ord("A"), values[0::2], values[1::2]
 
 

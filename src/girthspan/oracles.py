@@ -62,11 +62,14 @@ def lc_value_exact(lc: LabelCoverInstance,
     space_b = lc.sigma_b ** lc.b_count
     enum_a = space_a <= space_b
     states, other_sigma = (space_a, lc.sigma_b) if enum_a else (space_b, lc.sigma_a)
+    enum_count = lc.a_count if enum_a else lc.b_count
     budget.check_space(states)
     # The dense tables, before any is allocated: a states x other-alphabet
-    # score table and a 0/1 alphabet matrix per relation in use.
+    # score table, a 0/1 alphabet matrix per relation in use, and the cached
+    # digit column of every enumerated vertex.
     budget.check_space(states * other_sigma)
     budget.check_space(len(set(lc.edge_arrays()[2].tolist())) * lc.sigma_a * lc.sigma_b)
+    budget.check_space(enum_count * states)
     if enum_a:
         best, enum_lab, other_lab = _enumerate_side(
             lc, budget, lc.a_count, lc.sigma_a, lc.b_count, lc.sigma_b, a_side=True)

@@ -13,6 +13,7 @@ import json
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import constructions as cons
@@ -44,9 +45,9 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     supergirth >= k+2 hypothesis holds by construction.
 
     ``wall_clock_s`` accounts for the whole run: one entry per compute
-    stage, ``write_artifacts`` for every artifact's text, sidecar and hash
-    and its write, ``self_audit``, and ``total``, the run's wall time up to
-    the writing of stats.json itself.  ``peak_rss_mb`` is the peak resident
+    stage, its trace record included, ``write_artifacts`` for every
+    artifact's text, sidecar and hash and its write, ``self_audit``, and
+    ``total``, the run's wall time up to the writing of stats.json itself.  ``peak_rss_mb`` is the peak resident
     set size of the process so far, in MiB.
     """
     t_start = time.perf_counter()
@@ -59,94 +60,103 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
                          "seed": seed, "planted": bool(planted),
                          "x_override": x_override, "clamp_p": bool(clamp_p)}}
 
-    def timed(name, fn):
+    @contextmanager
+    def timed(name):
         t0 = time.perf_counter()
-        result = fn()
+        yield
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
-        return result
 
     def write(filename, make_text):
-        timed("write_artifacts", lambda: (outdir / filename).write_text(make_text()))
+        with timed("write_artifacts"):
+            (outdir / filename).write_text(make_text())
 
     planted_bits = cons.planted_assignment(n_vars, seed) if planted else None
-    formula = timed("gen_3sat5", lambda: cons.gen_3sat5(
-        n_vars, child_seed(seed, "gen"), planted_bits))
+    with timed("gen_3sat5"):
+        formula = cons.gen_3sat5(n_vars, child_seed(seed, "gen"), planted_bits)
+        trace.record("gen_3sat5", {"n_vars": n_vars, "planted": planted_bits is not None},
+                     {"clauses": formula.clause_count})
     write("formula.cnf", lambda: cons.write_formula_text(formula, seed=seed,
                                                          planted=planted_bits))
-    trace.record("gen_3sat5", {"n_vars": n_vars, "planted": planted_bits is not None},
-                 {"clauses": formula.clause_count})
 
-    base = timed("lc_from_3sat5", lambda: cons.lc_from_3sat5(formula))
+    with timed("lc_from_3sat5"):
+        base = cons.lc_from_3sat5(formula)
+        trace.record("lc_from_3sat5", {}, {"a": base.a_count, "b": base.b_count,
+                                           "superedges": base.edge_count,
+                                           "relations": lcm.distinct_relations(base)})
     write("base.lc", lambda: write_lc_text(base))
-    trace.record("lc_from_3sat5", {}, {"a": base.a_count, "b": base.b_count,
-                                       "superedges": base.edge_count,
-                                       "relations": lcm.distinct_relations(base)})
 
-    regular = timed("regularize", lambda: cons.regularize(base))
+    with timed("regularize"):
+        regular = cons.regularize(base)
+        trace.record("regularize", {}, {"a": regular.a_count, "b": regular.b_count,
+                                        "superedges": regular.edge_count,
+                                        "relations": lcm.distinct_relations(regular)})
     write("regular.lc", lambda: write_lc_text(regular))
-    trace.record("regularize", {}, {"a": regular.a_count, "b": regular.b_count,
-                                    "superedges": regular.edge_count,
-                                    "relations": lcm.distinct_relations(regular)})
 
-    repeated = timed("parallel_repetition", lambda: cons.parallel_repetition(
-        regular, ell, max_superedges=max_superedges))
+    with timed("parallel_repetition"):
+        repeated = cons.parallel_repetition(regular, ell, max_superedges=max_superedges)
+        trace.record("parallel_repetition", {"ell": ell},
+                     {"a": repeated.a_count, "b": repeated.b_count,
+                      "sigma_a": repeated.sigma_a, "sigma_b": repeated.sigma_b,
+                      "superedges": repeated.edge_count,
+                      "relations": lcm.distinct_relations(repeated)})
     write("repeated.lc", lambda: write_lc_text(repeated))
-    trace.record("parallel_repetition", {"ell": ell},
-                 {"a": repeated.a_count, "b": repeated.b_count,
-                  "sigma_a": repeated.sigma_a, "sigma_b": repeated.sigma_b,
-                  "superedges": repeated.edge_count,
-                  "relations": lcm.distinct_relations(repeated)})
 
-    params = sampling.SampleParams(alpha=alpha, k=k + 1,
-                                   seed=child_seed(seed, "subsample"),
-                                   clamp_p=clamp_p)
-    sampled = timed("subsample", lambda: sampling.subsample(repeated, params))
+    with timed("subsample"):
+        params = sampling.SampleParams(alpha=alpha, k=k + 1,
+                                       seed=child_seed(seed, "subsample"),
+                                       clamp_p=clamp_p)
+        sampled = sampling.subsample(repeated, params)
+        p = sampling.sample_probability(
+            alpha, repeated.sigma_a, sampling.effective_degree(repeated, params), clamp_p)
+        deg_a, deg_b = sampling.degree_stats(sampled)
+        trace.record("subsample", {"alpha": alpha, "p": p, "strip_threshold": k + 1},
+                     {"superedges": sampled.edge_count,
+                      "relations": lcm.distinct_relations(sampled)})
     write("sampled.lc", lambda: write_lc_text(sampled))
-    p = timed("subsample", lambda: sampling.sample_probability(
-        alpha, repeated.sigma_a, sampling.effective_degree(repeated, params), clamp_p))
-    deg_a, deg_b = timed("subsample", lambda: sampling.degree_stats(sampled))
-    trace.record("subsample", {"alpha": alpha, "p": p, "strip_threshold": k + 1},
-                 {"superedges": sampled.edge_count,
-                  "relations": lcm.distinct_relations(sampled)})
 
-    stripped = timed("strip_cycles", lambda: sampling.strip_bad_edges(sampled, k + 1))
-    bad_count = sampled.edge_count - stripped.edge_count
+    with timed("strip_cycles"):
+        stripped = sampling.strip_bad_edges(sampled, k + 1)
+        bad_count = sampled.edge_count - stripped.edge_count
     write("stripped.lc", lambda: write_lc_text(stripped))
-    girth_main = timed("girth_check", lambda: girth(supergraph(stripped)))
-    girth_cross = timed("girth_check", lambda: girth_independent(supergraph(stripped)))
-    if girth_main != girth_cross:
-        raise AssertionError("girth formulations disagree on the stripped instance")
-    if girth_main != INFINITY and girth_main <= k + 1:
-        raise AssertionError("stripping left a short supercycle")
-    report["sample_stats"] = sampling.SampleStats(
-        edges_before=repeated.edge_count,
-        edges_after_sample=sampled.edge_count,
-        edges_after_strip=stripped.edge_count,
-        bad_edge_count=bad_count,
-        degrees_a=deg_a, degrees_b=deg_b,
-        achieved_girth=girth_main, probability=p,
-        clamped=(p == 1.0)).as_dict()
-    trace.record("strip_cycles", {"threshold": k + 1},
-                 {"superedges": stripped.edge_count,
-                  "relations": lcm.distinct_relations(stripped), "bad_edges": bad_count,
-                  "supergirth": _dist_json(girth_main)})
+    with timed("girth_check"):
+        girth_main = girth(supergraph(stripped))
+        girth_cross = girth_independent(supergraph(stripped))
+        if girth_main != girth_cross:
+            raise AssertionError("girth formulations disagree on the stripped instance")
+        if girth_main != INFINITY and girth_main <= k + 1:
+            raise AssertionError("stripping left a short supercycle")
+    with timed("strip_cycles"):
+        report["sample_stats"] = sampling.SampleStats(
+            edges_before=repeated.edge_count,
+            edges_after_sample=sampled.edge_count,
+            edges_after_strip=stripped.edge_count,
+            bad_edge_count=bad_count,
+            degrees_a=deg_a, degrees_b=deg_b,
+            achieved_girth=girth_main, probability=p,
+            clamped=(p == 1.0)).as_dict()
+        trace.record("strip_cycles", {"threshold": k + 1},
+                     {"superedges": stripped.edge_count,
+                      "relations": lcm.distinct_relations(stripped), "bad_edges": bad_count,
+                      "supergirth": _dist_json(girth_main)})
 
-    minrep = timed("minrep_expand", lambda: lcm.minrep_expand(stripped))
+    with timed("minrep_expand"):
+        minrep = lcm.minrep_expand(stripped)
+        trace.record("minrep_expand", {}, {"vertices": minrep.vertex_count,
+                                           "edges": minrep.minrep_graph.edge_count})
     write("minrep.graph", lambda: write_graph_text(minrep.minrep_graph))
-    trace.record("minrep_expand", {}, {"vertices": minrep.vertex_count,
-                                       "edges": minrep.minrep_graph.edge_count})
 
-    si = timed("spanner_reduce", lambda: sp.build_spanner_instance(
-        minrep, k, x_override=x_override, max_edges=max_gadget_edges))
+    with timed("spanner_reduce"):
+        si = sp.build_spanner_instance(minrep, k, x_override=x_override,
+                                       max_edges=max_gadget_edges)
+        trace.record("spanner_reduce", {"k": k, "x": si.x, "x_is_default": si.x_is_default},
+                     {"vertices": si.base.vertex_count, "edges": si.base.edge_count,
+                      "anchor_roster": si.anchor_roster_size})
     write("gadget.graph", lambda: write_graph_text(si.base))
     write("gadget.meta.json", lambda: sp.write_gadget_meta_text(si))
-    trace.record("spanner_reduce", {"k": k, "x": si.x, "x_is_default": si.x_is_default},
-                 {"vertices": si.base.vertex_count, "edges": si.base.edge_count,
-                  "anchor_roster": si.anchor_roster_size})
 
     verdicts = {"girth_cross_check": True, "supergirth_exceeds_k_plus_1": True}
     if planted:
-        def planted_labeling():
+        with timed("planted_labeling"):
             lab = cons.labeling_from_assignment(formula, planted_bits)
             lab = cons.lift_labeling(base, lab, "regularize")
             lab = cons.lift_labeling(regular, lab, "repetition", ell=ell)
@@ -154,27 +164,26 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
             verdicts["lifted_value_one_after_strip"] = value(stripped, lab) == 1
             cover = lcm.labeling_to_repcover(stripped, lab)
             verdicts["labeling_cover_valid"] = lcm.repcover_valid(minrep, cover)[0]
-            return lab, cover
-
-        lab, cover = timed("planted_labeling", planted_labeling)
         write("labeling.label", lambda: write_labeling_text(lab))
         write("cover.cover", lambda: write_cover_text(cover))
-        h = timed("spanner_from_cover", lambda: sp.spanner_from_repcover(si, cover))
+        with timed("spanner_from_cover"):
+            h = sp.spanner_from_repcover(si, cover)
+            bound = (k + 1) * si.x * si.n_tilde
+            trace.record("spanner_from_cover", {"cover_size": len(cover)},
+                         {"spanner_edges": len(h), "bound": bound})
         write("spanner.subset", lambda: sp.write_subset_text(h))
-        ok, bad_edge = timed("spanner_verify",
-                             lambda: sp.verify_spanner_structured(si, h))
+        with timed("spanner_verify"):
+            ok, bad_edge = sp.verify_spanner_structured(si, h)
         verdicts["spanner_verifies"] = ok
-        bound = (k + 1) * si.x * si.n_tilde
         verdicts["spanner_size_within_bound"] = len(h) <= bound
-        trace.record("spanner_from_cover", {"cover_size": len(cover)},
-                     {"spanner_edges": len(h), "bound": bound})
         if not ok:
             report["witness_edge"] = int(bad_edge)
 
     report["trace"] = trace.as_dict()
     report["verdicts"] = verdicts
-    report["self_audit"] = timed("self_audit", lambda: _self_audit(
-        outdir, base, regular, repeated, sampled, stripped, minrep, si, planted))
+    with timed("self_audit"):
+        report["self_audit"] = _self_audit(
+            outdir, base, regular, repeated, sampled, stripped, minrep, si, planted)
     timings["total"] = time.perf_counter() - t_start
     report["wall_clock_s"] = {k_: round(v, 6) for k_, v in timings.items()}
     report["peak_rss_mb"] = _peak_rss_mb()

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import (Graph, INFINITY, _decimal_text, _head_lines, _hops, _int_rows,
-                     _sorted_distinct, girth, graph_sha256)
+                     _line_number, _sorted_distinct, girth, graph_sha256)
 from .labelcover import MinRepInstance, RepCover, _relation_slots, repcover_valid, supergraph
 
 FAMILIES = ("E", "EM", "EsA", "EtB", "EGt")
@@ -43,10 +43,20 @@ class EdgeSubset:
     __slots__ = ("host", "members", "_mask")
 
     def __init__(self, host: Graph, members):
-        self.host = host
-        arr = _sorted_distinct(members)
+        self._set_members(host, _sorted_distinct(members))
+
+    @classmethod
+    def _from_sorted(cls, host: Graph, members: np.ndarray) -> "EdgeSubset":
+        """An EdgeSubset of int64 ids already proved sorted and distinct, as
+        ``parse_subset_text`` checks them.  Skips the sort."""
+        h = cls.__new__(cls)
+        h._set_members(host, members)
+        return h
+
+    def _set_members(self, host: Graph, arr: np.ndarray) -> None:
         if arr.size and (arr[0] < 0 or arr[-1] >= host.edge_count):
             raise InputError("edge id out of range for host graph")
+        self.host = host
         self.members = arr
         self._mask = None
 
@@ -532,16 +542,16 @@ def parse_subset_text(text: str, host: Graph) -> EdgeSubset:
         raise InputError("missing HOST hash line")
     if lines[1].split("sha256:", 1)[1] != graph_sha256(host):
         raise InputError("subset host hash does not match the given graph")
-    ids, _, _, line = _int_rows(text, start, "edge id", width=1)
+    ids, _, _, pos = _int_rows(text, start, "edge id", width=1)
     unsorted = np.diff(ids) <= 0
     if unsorted.any():
-        raise InputError(f"line {line[unsorted.argmax() + 1]}: "
+        raise InputError(f"line {_line_number(text, int(pos[unsorted.argmax() + 1]))}: "
                          "subset edge ids must be sorted and distinct")
-    return EdgeSubset(host, ids)
+    return EdgeSubset._from_sorted(host, ids)
 
 
 def gadget_metadata(si: SpannerInstance) -> dict:
-    """Sidecar document (schema ``gadget_meta_v2``): parameters, sizes, anchors.
+    """Sidecar document (schema ``gadget_meta_v3``): parameters, sizes, anchors.
 
     Per-vertex roles and per-edge families are not stored; both follow from
     the fields, as ``SpannerInstance.vertex_role`` and ``fam_code`` compute
@@ -558,10 +568,17 @@ def gadget_metadata(si: SpannerInstance) -> dict:
     An edge's family follows from the kinds of its two endpoints: A/B with
     A/B is ``E``, S with S or T with T is ``EM`` (one tower's path), A with
     S is ``EsA``, B with T is ``EtB``, and S with T is ``EGt``.
+
+    The anchor edges are not listed either.  They are the copy-0 crossing
+    edge of every Min-Rep vertex, ``{("A", i, alpha), ("S", i, 1, 0)}`` and
+    ``{("B", j, beta), ("T", j, 1, 0)}``, and the symbol-0 crossing edge of
+    every tower, ``{("A", i, 0), ("S", i, 1, p)}`` and
+    ``{("B", j, 0), ("T", j, 1, p)}`` for each copy p; their distinct union
+    has ``anchor_distinct_size`` edges.
     """
     lc = si.source.source
     return {
-        "schema": "gadget_meta_v2",
+        "schema": "gadget_meta_v3",
         "k": si.k, "k_a": si.k_a, "k_b": si.k_b,
         "x": si.x, "x_is_default": si.x_is_default,
         "n": si.n, "n_tilde": si.n_tilde,
@@ -574,14 +591,13 @@ def gadget_metadata(si: SpannerInstance) -> dict:
         "anchor_distinct_size": int(si.anchor_distinct.size),
         "anchor_choices_a": [int(si.anchor_choice_a(i)) for i in range(lc.a_count)],
         "anchor_choices_b": [int(si.anchor_choice_b(j)) for j in range(lc.b_count)],
-        "anchor_members": si.anchor_distinct.tolist(),
         "source_hash": hashlib.sha256(
             _lc_bytes(lc)).hexdigest(),
     }
 
 
 def write_gadget_meta_text(si: SpannerInstance) -> str:
-    """The ``gadget_meta_v2`` sidecar as compact JSON text with sorted keys."""
+    """The ``gadget_meta_v3`` sidecar as compact JSON text with sorted keys."""
     return json.dumps(gadget_metadata(si), sort_keys=True)
 
 

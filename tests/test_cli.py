@@ -192,6 +192,8 @@ def test_solve_budget_env(tmp_path, monkeypatch, capsys):
     ((1, 5, 50_000_000, 2), None),      # score table 32 x 5e7, two 5e7 x 2 matrices
     ((1, 20, 2_000_000, 2), None),      # score table 2^20 x 2e6; the matrices fit
     ((1, 2, 2, 2), "5"),                # 2 states x 2 fit; two 2 x 2 matrices do not
+    ((4, 4, 2, 2), "40"),               # 16 states x 2 and two 2 x 2 matrices fit;
+                                        # the 4 digit columns of 16 states do not
 ])
 def test_solve_lc_exact_checks_table_sizes_before_allocating(tmp_path, monkeypatch, capsys,
                                                              sizes, budget):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from girthspan.errors import InputError
 from girthspan.graphs import (Graph, INFINITY, _decimal_text, _decimal_values, _hops, _int_rows,
-                              bfs_distances, edge_cycle_length,
+                              _line_number, bfs_distances, edge_cycle_length,
                               girth, graph_sha256, is_bipartite, parse_graph_text,
                               write_graph_text)
+from girthspan.labelcover import parse_cover_text
 from girthspan.rng import Stream
+from girthspan.spanner import parse_subset_text
 
 from conftest import check_mutant, complete_graph, cycle_graph, random_graph, text_mutants
 
@@ -193,12 +196,43 @@ def test_graph_text_rejects_non_decimal_tokens_with_line(bad):
     ("0 1\n2 1\n0 3\n", "line 4: edge line not in u < v form"),
     ("0 1\n0 2\n\n1 9\n", "line 6: edge endpoint out of range"),
     ("0 1\n0 2 3\n1 2\n", "line 4: expected 2 integer(s) per edge line"),
+    pytest.param("0 1\n" + "\n" * 300 + "0 1\n0 2\n", "line 304: duplicate edge",
+                 id="300-blank-lines"),
+    ("0 \t \t 1\n0\t \t 2\n0 \t\t  2\n", "line 5: duplicate edge"),
+    ("0 1\v\v0 2\f\f1 0\n", "line 7: edge line not in u < v form"),
 ])
 def test_graph_parser_names_the_bad_line(body, message, newline):
-    """A \\r\\n ends one line, as do \\n and \\r."""
+    """A \\r\\n ends one line, as do \\n and \\r.  Line numbers do not
+    wrap (300 blank lines), a run of blanks and tabs does not end a row, and
+    \\v and \\f end lines."""
     text = "GRAPH v1\nN 4 M 3\n" + body
     with pytest.raises(InputError, match=re.escape(message)):
         parse_graph_text(text.replace("\n", newline))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("fmt, body, message", [
+    pytest.param("SUBSET", "0\n" + "\n" * 300 + "0\n",
+                 "line 304: subset edge ids must be sorted and distinct",
+                 id="SUBSET-300-blank-lines"),
+    ("SUBSET", "1\n2 \t \t 3\n", "line 4: expected 1 integer(s) per edge id line"),
+    ("SUBSET", "1\v\v2\f\f2\n", "line 7: subset edge ids must be sorted and distinct"),
+    pytest.param("COVER", "A 0 1\n" + "\n" * 300 + "A 0\n",
+                 "line 303: expected 2 integer(s) per cover line", id="COVER-300-blank-lines"),
+    ("COVER", "A 0 \t \t 1\nB \t 1  \t\t 0 1\n", "line 3: expected 2 integer(s) per cover line"),
+    ("COVER", "A 0 1\v\vB 0 1\f\f0 1\n", "line 6: cover line must start with A or B"),
+])
+def test_subset_and_cover_parsers_name_the_bad_line(fmt, body, message, newline):
+    """The shapes above, through the SUBSET and COVER parsers of the same
+    tokenizer."""
+    host = cycle_graph(5)
+    if fmt == "SUBSET":
+        text, parse = f"SUBSET v1\nHOST sha256:{graph_sha256(host)}\n", partial(
+            parse_subset_text, host=host)
+    else:
+        text, parse = "COVER v1\n", parse_cover_text
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse((text + body).replace("\n", newline))
 
 
 def test_graph_text_whitespace_and_blank_lines():
@@ -357,6 +391,27 @@ def decimal_bodies(draw):
         text += draw(st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\t\n", "\n\n"]))
         tokens += line
     return text, tokens
+
+
+def rows_per_line(text):
+    """(offset, line number) of the first token of every nonblank line of
+    ``text``, split one line at a time by the token policy's line breaks."""
+    rows, lo = [], 0
+    breaks = list(re.finditer(r"\r\n|[\n\r\v\f]", text)) + [None]
+    for number, brk in enumerate(breaks, 1):
+        line = text[lo:brk.start() if brk else len(text)]
+        if line.strip(" \t"):
+            rows.append((lo + len(line) - len(line.lstrip(" \t")), number))
+        lo = brk.end() if brk else lo
+    return rows
+
+
+@given(decimal_bodies())
+@settings(max_examples=200, deadline=None)
+def test_row_offsets_and_line_numbers_equal_per_line_reference(body):
+    text, _ = body
+    _, _, _, pos = _int_rows(text, 0, "row", tags="E")
+    assert [(p, _line_number(text, p)) for p in pos.tolist()] == rows_per_line(text)
 
 
 @given(decimal_bodies())

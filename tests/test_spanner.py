@@ -600,7 +600,7 @@ def test_subset_parser_agrees_with_reference_on_mutants():
 
 
 def derived_role(meta, v):
-    """Vertex role from gadget_meta_v2 fields, as the gadget_metadata docstring says."""
+    """Vertex role from gadget_meta_v3 fields, as the gadget_metadata docstring says."""
     a_block = meta["a_count"] * meta["sigma_a"]
     t_offset = meta["n"] + meta["x"] * meta["a_count"] * meta["k_a"]
     if v < a_block:
@@ -627,12 +627,35 @@ def derived_family(meta, u, v):
             frozenset("ST"): "EGt"}[frozenset(kinds)]
 
 
+def derived_anchors(meta, g):
+    """Anchor edge ids from gadget_meta_v3 fields and the gadget graph, as the
+    gadget_metadata docstring says: every Min-Rep vertex's copy-0 crossing
+    edge and every tower's symbol-0 crossing edge."""
+    a_block = meta["a_count"] * meta["sigma_a"]
+    t_offset = meta["n"] + meta["x"] * meta["a_count"] * meta["k_a"]
+    us, vs = [], []
+    for i in range(meta["a_count"]):
+        towers = [meta["n"] + (p * meta["a_count"] + i) * meta["k_a"] for p in range(meta["x"])]
+        symbols = [i * meta["sigma_a"] + alpha for alpha in range(meta["sigma_a"])]
+        us += symbols + [meta["anchor_choices_a"][i]] * meta["x"]
+        vs += [towers[0]] * meta["sigma_a"] + towers
+    for j in range(meta["b_count"]):
+        towers = [t_offset + (p * meta["b_count"] + j) * meta["k_b"] for p in range(meta["x"])]
+        symbols = [a_block + j * meta["sigma_b"] + beta for beta in range(meta["sigma_b"])]
+        us += symbols + [meta["anchor_choices_b"][j]] * meta["x"]
+        vs += [towers[0]] * meta["sigma_b"] + towers
+    return sorted(set(g.edge_ids_of(np.array(us), np.array(vs)).tolist()))
+
+
 def test_gadget_metadata_contents():
     for k, x in [(3, 2), (4, 2), (5, 3)]:
         si = tiny_instance(k=k, x=x)
         meta = json.loads(sp.write_gadget_meta_text(si))
         assert meta == sp.gadget_metadata(si)
-        assert meta["schema"] == "gadget_meta_v2"
+        assert meta["schema"] == "gadget_meta_v3"
+        assert "anchor_members" not in meta
+        assert derived_anchors(meta, si.base) == si.anchor_distinct.tolist()
+        assert meta["anchor_distinct_size"] == si.anchor_distinct.size
         assert "roles" not in meta and "families" not in meta
         assert meta["anchor_roster_size"] == si.n + si.x * si.n_tilde
         assert meta["family_sizes"]["EGt"] == x * 3
