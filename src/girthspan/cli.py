@@ -216,6 +216,9 @@ def cmd_pipeline(args) -> int:
     verdicts = report["verdicts"]
     for name, ok in sorted(verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    degenerate = report["degenerate"]
+    if degenerate["flag"]:
+        print(f"DEGENERATE: all {degenerate['edges_after_sample']} sampled superedges stripped")
     print(f"artifacts in {args.output}")
     return 0 if all(verdicts.values()) else 1
 

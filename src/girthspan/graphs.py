@@ -227,26 +227,58 @@ def _hops(adj, src: int, dst: int, cap: int | None, skip_direct: bool = False):
     INFINITY when ``dst`` is unreachable or more than ``cap`` hops away (no
     limit when ``cap`` is None).  ``skip_direct`` ignores the edge {src, dst};
     graphs have no parallel edges, so that is the same as ignoring its id.
+
+    The search meets in the middle: each side keeps the ball it has seen and
+    its last level, and each step grows the side whose frontier is smaller
+    (the source side on a tie) by one whole level.  It is exact.  While the
+    sides have gone a levels from ``src`` and b from ``dst`` without meeting,
+    the distance D exceeds a + b: otherwise the node at position min(a, D)
+    of a shortest path would lie in both balls.  So the first neighbour found
+    in the other side's ball, while one side grows to a + 1, closes a path
+    of a + 1 + b hops, which is D, and every meeting in that level gives the
+    same sum.  An empty frontier means its side's component is exhausted
+    without meeting, so ``dst`` is unreachable.
+
+    With ``skip_direct`` the search runs on the graph without {src, dst}: the
+    step from ``src`` straight to ``dst`` is skipped on the source side and
+    the reverse step on the target side.  Neither root can enter the other
+    side's ball without meeting first, so no other step crosses that edge.
     """
     if src == dst:
         return 0
-    seen = {src}
-    frontier = [src]
-    d = 0
-    while frontier and (cap is None or d < cap):
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w == dst:
-                    if skip_direct and u == src:
-                        continue
-                    return d
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    seen_s, seen_t = {src}, {dst}
+    front_s, front_t = [src], [dst]
+    banned_s, banned_t = (dst, src) if skip_direct else (-1, -1)
+    ds = dt = 0
+    while front_s and front_t and (cap is None or ds + dt < cap):
+        if len(front_s) <= len(front_t):
+            front_s = _grow(adj, front_s, seen_s, seen_t, src, banned_s)
+            ds += 1
+            if front_s is None:
+                return ds + dt
+        else:
+            front_t = _grow(adj, front_t, seen_t, seen_s, dst, banned_t)
+            dt += 1
+            if front_t is None:
+                return ds + dt
     return INFINITY
+
+
+def _grow(adj, frontier, seen, other, root, banned):
+    """One level of one side of ``_hops``: the next frontier, added to
+    ``seen``, or None once a neighbour lies in the other side's ball
+    ``other``.  The step from ``root`` to ``banned`` is skipped."""
+    nxt = []
+    for u in frontier:
+        for w in adj[u]:
+            if w in other:
+                if w == banned and u == root:
+                    continue
+                return None
+            if w not in seen:
+                seen.add(w)
+                nxt.append(w)
+    return nxt
 
 
 def edge_cycle_length(g: Graph, eid: int, cap: int | None = None):
@@ -260,9 +292,12 @@ def edge_cycle_length(g: Graph, eid: int, cap: int | None = None):
 def girth(g: Graph):
     """Length of the shortest simple cycle; INFINITY for forests.
 
-    Per-edge removal + BFS, pruned by the best cycle found so far.  This is
-    deliberately the simple O(m(n+m)) formulation; ``oracles.girth_independent``
-    provides a second formulation for cross-checking.
+    One ``_hops`` query per edge, skipping the edge itself, capped at best - 2
+    hops once a cycle of length best is known; the query meets in the middle,
+    so after the first cycle it grows two balls of radius about (best - 2) / 2.
+    At worst every query exhausts its component: O(m (n + m)) time in all.
+    ``oracles.girth_independent`` provides a second formulation for
+    cross-checking.
     """
     best = INFINITY
     adj = g.adjacency()

@@ -42,7 +42,9 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
 
     Returns the stats report (also written as stats.json).  The spanner
     stage strips cycles at threshold k+1 first, so the reduction's
-    supergirth >= k+2 hypothesis holds by construction.
+    supergirth >= k+2 hypothesis holds by construction.  ``degenerate``
+    flags a run whose strip removed every sampled superedge: its verdicts
+    then hold of an empty instance and prove nothing.
 
     ``wall_clock_s`` accounts for the whole run: one entry per compute
     stage, its trace record included, ``write_artifacts`` for every
@@ -134,6 +136,10 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
             degrees_a=deg_a, degrees_b=deg_b,
             achieved_girth=girth_main, probability=p,
             clamped=(p == 1.0)).as_dict()
+        report["degenerate"] = {
+            "flag": stripped.edge_count == 0 < sampled.edge_count,
+            "edges_after_sample": sampled.edge_count,
+            "edges_after_strip": stripped.edge_count}
         trace.record("strip_cycles", {"threshold": k + 1},
                      {"superedges": stripped.edge_count,
                       "relations": lcm.distinct_relations(stripped), "bad_edges": bad_count,

@@ -523,7 +523,7 @@ def greedy_spanner(g: Graph, k: int) -> EdgeSubset:
             adj[u].append(v)
             adj[v].append(u)
             chosen.append(eid)
-    return EdgeSubset(g, np.array(chosen, dtype=np.int64))
+    return EdgeSubset._from_sorted(g, np.array(chosen, dtype=np.int64))   # ids ascend
 
 
 # --- SUBSET v1 text format -----------------------------------------------------

@@ -57,6 +57,15 @@ def random_graph(n, edge_prob, stream: Stream):
     return Graph(n, edges)
 
 
+def hub_graph(n, hubs, edge_prob, stream: Stream):
+    """Each hub joined to about 60% of the vertices, plus sparse random edges:
+    the two ends of a query see frontiers of very different sizes."""
+    edges = {(min(h, v), max(h, v)) for h in hubs for v in range(n)
+             if v != h and stream.random() < 0.6}
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if stream.random() < edge_prob}
+    return Graph(n, sorted(edges))
+
+
 def random_tiny_lc(stream: Stream, a_count, b_count, sigma_a, sigma_b,
                    edge_prob=0.6, pair_prob=0.5):
     """Random instance with at least one superedge and nonempty relations."""

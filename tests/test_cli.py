@@ -256,6 +256,23 @@ def test_pipeline_command_and_determinism(tmp_path, capsys):
     assert report["peak_rss_mb"] > 0
 
 
+@pytest.mark.parametrize("alpha, sampled, kept", [(4.0, 168, 0), (1.0, 44, 23)])
+def test_pipeline_reports_degenerate_run(tmp_path, capsys, alpha, sampled, kept):
+    """A run whose strip removes every sampled superedge is flagged in the
+    report and on stdout; its verdicts and exit code stay as they were."""
+    out = tmp_path / "run"
+    rc = run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", alpha, "--k", 3,
+              "--seed", 7, "--planted", "--x", 2, "-o", out])
+    stdout = capsys.readouterr().out
+    report = json.loads((out / "stats.json").read_text())
+    assert report["degenerate"] == {"flag": kept == 0, "edges_after_sample": sampled,
+                                    "edges_after_strip": kept}
+    assert rc == (0 if all(report["verdicts"].values()) else 1)
+    line = f"DEGENERATE: all {sampled} sampled superedges stripped"
+    assert (line in stdout.splitlines()) == (kept == 0)
+    assert ("DEGENERATE" in stdout) == (kept == 0)
+
+
 def test_pipeline_artifacts_round_trip(tmp_path):
     out = tmp_path / "run"
     assert run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", 3.0, "--k", 3,

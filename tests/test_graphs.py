@@ -16,7 +16,8 @@ from girthspan.labelcover import parse_cover_text
 from girthspan.rng import Stream
 from girthspan.spanner import parse_subset_text
 
-from conftest import check_mutant, complete_graph, cycle_graph, random_graph, text_mutants
+from conftest import (check_mutant, complete_graph, cycle_graph, hub_graph, random_graph,
+                      text_mutants)
 
 
 def test_bfs_on_path():
@@ -135,6 +136,44 @@ def test_hops_equals_capped_bfs(n, seed, data):
         full = edge_cycle_length(g, eid)
         expected = full if cap is None or full <= cap else INFINITY
         assert edge_cycle_length(g, eid, cap) == expected
+
+
+@given(st.integers(20, 60), st.integers(0, 2**32), st.data())
+@settings(max_examples=120, deadline=None)
+def test_hops_equals_capped_bfs_with_hubs(n, seed, data):
+    """The kernel against bfs_distances where the smaller frontier switches
+    sides: one or two hubs, ends drawn from the hubs or from all vertices."""
+    hubs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    g = hub_graph(n, hubs, data.draw(st.floats(0.0, 0.08)), Stream(seed))
+    end = st.sampled_from(hubs) | st.integers(0, n - 1)
+    u, v = data.draw(end), data.draw(end)
+    cap = data.draw(st.none() | st.integers(0, n))
+    skip = data.draw(st.booleans())
+    rest = Graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
+    assert _hops(g.adjacency(), u, v, cap, skip_direct=skip) == bfs_distances(rest, u, cap)[v]
+
+
+def test_hops_unit_cases():
+    g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])      # vertex 6 is isolated
+    adj = g.adjacency()
+    for cap in (None, 0, 3, 7):
+        assert _hops(adj, 0, 6, cap) == INFINITY        # isolated dst
+        assert _hops(adj, 6, 0, cap) == INFINITY
+        assert _hops(adj, 0, 5, cap) == INFINITY        # src in another component
+        assert _hops(adj, 5, 0, cap, skip_direct=True) == INFINITY
+    assert _hops(adj, 0, 1, 0) == INFINITY              # cap 0: only src itself
+    assert _hops(adj, 2, 2, 0) == 0
+    assert _hops(adj, 0, 2, 1) == INFINITY
+    assert _hops(adj, 0, 2, 2) == 2
+    tri = complete_graph(3).adjacency()
+    for u, v in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
+        assert _hops(tri, u, v, None) == 1
+        assert _hops(tri, u, v, None, skip_direct=True) == 2
+        assert _hops(tri, u, v, 1, skip_direct=True) == INFINITY
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)]).adjacency()
+    for u, v in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)):
+        assert _hops(path, u, v, None) == 1
+        assert _hops(path, u, v, None, skip_direct=True) == INFINITY
 
 
 def test_adjacency_is_cached_neighbour_lists():

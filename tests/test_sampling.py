@@ -5,10 +5,11 @@ import pytest
 from girthspan import constructions as cons
 from girthspan import sampling
 from girthspan.errors import InputError
-from girthspan.graphs import INFINITY, edge_cycle_length, girth
+from girthspan.graphs import INFINITY, Graph, bfs_distances, edge_cycle_length, girth
 from girthspan.labelcover import Labeling, satisfied_count, supergirth, supergraph, value
+from girthspan.rng import Stream
 
-from conftest import make_lc
+from conftest import make_lc, random_tiny_lc
 
 
 def c6_lc():
@@ -99,6 +100,32 @@ def test_bad_edges_k23():
     lc = k23_lc()
     assert sampling.bad_edges(lc, 4) == list(range(6))
     assert sampling.bad_edges(lc, 3) == []
+
+
+def bad_edges_per_edge(lc, k):
+    """Reference: superedge e is bad when bfs_distances on the supergraph
+    without e joins its ends in at most k - 1 hops."""
+    g = supergraph(lc)
+    bad = []
+    for eid, (u, v) in enumerate(g.edges()):
+        rest = Graph(g.vertex_count, [e for e in g.edges() if e != (u, v)])
+        if bfs_distances(rest, u, k - 1)[v] != INFINITY:
+            bad.append(eid)
+    return bad
+
+
+def test_bad_edges_equal_per_edge_reference():
+    """Dense random supergraphs, so most superedges lie on short cycles."""
+    stream = Stream(4242)
+    on_4_cycles = tested = 0
+    for _ in range(40):
+        lc = random_tiny_lc(stream, 2 + stream.randbelow(6), 2 + stream.randbelow(6), 1, 1,
+                            edge_prob=0.3 + 0.6 * stream.random())
+        for k in (3, 4, 5, 6, 8):
+            assert sampling.bad_edges(lc, k) == bad_edges_per_edge(lc, k)
+        on_4_cycles += len(sampling.bad_edges(lc, 4))
+        tested += lc.edge_count
+    assert on_4_cycles >= tested // 2
 
 
 def test_strip_k23_empties_and_girth_infinite():

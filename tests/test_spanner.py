@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from girthspan import spanner as sp
 from girthspan.errors import InputError, ResourceError
-from girthspan.graphs import Graph, INFINITY, girth, graph_sha256
+from girthspan.graphs import Graph, INFINITY, bfs_distances, girth, graph_sha256
 from girthspan.labelcover import (RepCover, labeling_to_repcover,
                                   minrep_expand, repcover_valid)
 from girthspan.oracles import spans_all_pairs
 from girthspan.rng import Stream
 
-from conftest import (check_mutant, complete_graph, cycle_graph, full_subset, make_lc,
-                      path_lc_tiny, random_graph, text_mutants, xor_odd_4cycle)
+from conftest import (check_mutant, complete_graph, cycle_graph, full_subset, hub_graph,
+                      make_lc, path_lc_tiny, random_graph, text_mutants, xor_odd_4cycle)
 
 
 def ten_vertex_lc():
@@ -344,6 +344,33 @@ def test_per_edge_criterion_equals_all_pairs():
         assert sp.verify_spanner(g, h, k)[0] == spans_all_pairs(g, h, k)
 
 
+def verify_per_edge(g, h, k):
+    """Reference verifier: each missing edge in ascending id, decided by
+    bfs_distances over h."""
+    sub = Graph(g.vertex_count, [g.edge(e) for e in h.members.tolist()])
+    for eid in np.flatnonzero(~h.mask()).tolist():
+        u, v = g.edge(eid)
+        if bfs_distances(sub, u, k)[v] == INFINITY:
+            return False, eid
+    return True, None
+
+
+def test_verify_spanner_witness_equals_per_edge_reference():
+    stream = Stream(2718)
+    failing = 0
+    for trial in range(60):
+        n = 8 + stream.randbelow(25)
+        g = (hub_graph(n, [stream.randbelow(n)], 0.1, stream) if trial % 2
+             else random_graph(n, 0.3, stream))
+        keep = [e for e in range(g.edge_count) if stream.random() < 0.3 + 0.5 * stream.random()]
+        h = sp.EdgeSubset(g, keep)
+        for k in (1, 2, 3, 5):
+            expected = verify_per_edge(g, h, k)
+            assert sp.verify_spanner(g, h, k) == expected
+            failing += not expected[0]
+    assert failing >= 100
+
+
 # --- canonical paths ------------------------------------------------------------
 
 def test_canonical_path_in_full_edge_set():
@@ -502,6 +529,29 @@ def test_greedy_always_verifies_with_high_girth():
         sub = Graph.from_arrays(g.vertex_count, g.edge_arrays()[0][h.members],
                                 g.edge_arrays()[1][h.members])
         assert girth(sub) == INFINITY or girth(sub) > k + 1
+
+
+def greedy_per_edge(g, k):
+    """Reference greedy: each edge in id order, kept when bfs_distances over
+    the edges kept so far puts its ends more than k hops apart."""
+    chosen = []
+    for eid, (u, v) in enumerate(g.edges()):
+        sub = Graph(g.vertex_count, [g.edge(e) for e in chosen])
+        if bfs_distances(sub, u, k)[v] == INFINITY:
+            chosen.append(eid)
+    return np.array(chosen, dtype=np.int64)
+
+
+def test_greedy_members_equal_per_edge_reference():
+    stream = Stream(1618)
+    for trial in range(30):
+        n = 6 + stream.randbelow(30)
+        g = (hub_graph(n, [stream.randbelow(n) for _ in range(1 + trial % 2)], 0.08, stream)
+             if trial % 3 else random_graph(n, 0.35, stream))
+        for k in range(1, 6):
+            h = sp.greedy_spanner(g, k)
+            assert np.array_equal(h.members, greedy_per_edge(g, k))
+            assert h == sp.EdgeSubset(g, h.members.tolist())
 
 
 # --- subset format -------------------------------------------------------------------
