@@ -1,16 +1,18 @@
 """Write BENCH_<pr>.json: every benchmark workload, untraced and traced.
 
-    python3 tools/bench_snapshot.py --pr N [--seed 7] [--seconds 30]
+    python3 tools/bench_snapshot.py --pr N
 
 Runs the command of BENCHMARK.json (``python3 bench/run.py``) once per
 workload with ``--trace 0`` and once with ``--trace 1``, one run at a time,
-and keeps each run's final JSON line: the end-to-end metrics untraced and the
-per-layer metrics traced.  The file goes to the repository root.
+at the benchmark's reference seed and its ``run_seconds``, and keeps each
+run's final JSON line: the end-to-end metrics untraced and the per-layer
+metrics traced.  The file goes to the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import subprocess
@@ -20,6 +22,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_PATH = ROOT / "BENCHMARK.json"
 MODES = (("untraced", 0), ("traced", 1))
+
+
+def reference_seed() -> int:
+    """``REFERENCE_SEED`` of bench/workloads.py, the seed its digests were
+    recorded at and the default of bench/run.py."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.REFERENCE_SEED
 
 
 def final_json_line(stdout: str) -> dict:
@@ -44,18 +56,17 @@ def assemble(pr: int, seed: int, seconds: float, outputs: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     spec = json.loads(SPEC_PATH.read_text())
+    seed, seconds = reference_seed(), spec["run_seconds"]
     command = [sys.executable if word in ("python", "python3") else word
                for word in spec["command"]]
     outputs = {}
     for workload in (w["name"] for w in spec["workloads"]):
         for mode, trace in MODES:
             proc = subprocess.run(
-                [*command, "--workload", workload, "--seed", str(args.seed),
-                 "--seconds", str(args.seconds), "--trace", str(trace)],
+                [*command, "--workload", workload, "--seed", str(seed),
+                 "--seconds", str(seconds), "--trace", str(trace)],
                 cwd=ROOT, capture_output=True, text=True, check=False)
             if proc.returncode != 0:
                 print(f"{workload} {mode} exited {proc.returncode}:\n{proc.stderr}",
@@ -63,7 +74,7 @@ def main(argv=None) -> int:
                 return 1
             outputs[(workload, mode)] = proc.stdout
             print(f"{workload} {mode}: correct={final_json_line(proc.stdout)['correct']}")
-    doc = assemble(args.pr, args.seed, args.seconds, outputs)
+    doc = assemble(args.pr, seed, seconds, outputs)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
