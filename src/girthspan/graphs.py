@@ -26,12 +26,12 @@ class Graph:
     Rejects self-loops and duplicate edges.  The adjacency index (CSR, see
     ``_csr``) is derived on first use and shared freely afterwards; every
     array is read-only, so the index, the cached neighbour lists (see
-    ``adjacency``) and the cached GRAPH v1 digest (see ``graph_sha256``)
-    cannot go stale.
+    ``adjacency``), the cached GRAPH v1 digest (see ``graph_sha256``) and
+    the cached girth (see ``girth``) cannot go stale.
     """
 
     __slots__ = ("vertex_count", "_eu", "_ev", "_indptr", "_nbr", "_nbr_eid", "_keys",
-                 "_adj", "_sha256")
+                 "_adj", "_sha256", "_girth")
 
     def __init__(self, vertex_count: int, edges) -> None:
         eu, ev = _edge_arrays(edges)
@@ -75,12 +75,14 @@ class Graph:
         return order
 
     @classmethod
-    def _from_canonical(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
+    def _from_canonical(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray,
+                        keys: np.ndarray) -> "Graph":
         """``from_arrays`` for int64 edges already proved canonical: every
         0 <= u < v < vertex_count, and the pairs sorted and distinct, as
-        ``parse_graph_text`` checks them.  Skips the sort."""
+        ``parse_graph_text`` checks them with their ``keys``
+        ``u * vertex_count + v``.  Skips the sort."""
         g = cls.__new__(cls)
-        g._set_edges(vertex_count, eu, ev, eu * np.int64(vertex_count) + ev)
+        g._set_edges(vertex_count, eu, ev, keys)
         return g
 
     def _set_edges(self, n: int, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray) -> None:
@@ -93,6 +95,7 @@ class Graph:
         self._indptr = self._nbr = self._nbr_eid = None
         self._adj = None
         self._sha256 = None
+        self._girth = None
 
     @property
     def edge_count(self) -> int:
@@ -296,18 +299,21 @@ def girth(g: Graph):
     hops once a cycle of length best is known; the query meets in the middle,
     so after the first cycle it grows two balls of radius about (best - 2) / 2.
     At worst every query exhausts its component: O(m (n + m)) time in all.
+    The result is cached on ``g``, so a second call does not search.
     ``oracles.girth_independent`` provides a second formulation for
-    cross-checking.
+    cross-checking, and caches nothing.
     """
-    best = INFINITY
-    adj = g.adjacency()
-    for u, v in g.edges():
-        d = _hops(adj, u, v, None if best == INFINITY else best - 2, skip_direct=True)
-        if d != INFINITY:
-            best = d + 1
-            if best == 3:
-                break
-    return best
+    if g._girth is None:
+        best = INFINITY
+        adj = g.adjacency()
+        for u, v in g.edges():
+            d = _hops(adj, u, v, None if best == INFINITY else best - 2, skip_direct=True)
+            if d != INFINITY:
+                best = d + 1
+                if best == 3:
+                    break
+        g._girth = best
+    return g._girth
 
 
 def is_bipartite(g: Graph) -> tuple[bool, list | None]:
@@ -459,10 +465,12 @@ def _body_bytes(text: str, start: int, tags: str = "") -> tuple:
     body = np.frombuffer(raw, dtype=np.uint8)
     at = np.zeros(0, dtype=np.int64)
     if tags:
-        is_tag = np.zeros(body.size, dtype=bool)
-        for letter in tags.encode("ascii"):
+        letters = tags.encode("ascii")
+        is_tag = body == letters[0]
+        for letter in letters[1:]:
             is_tag |= body == letter
         at = np.flatnonzero(is_tag)
+        del is_tag
         placed = (((at == 0) | _is_break(body[at - 1])) & (at + 1 < body.size)
                   & (body[np.minimum(at + 1, body.size - 1)] == ord(" ")))
         if not placed.all():
@@ -528,29 +536,42 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
     ``pos[r]`` the offset in ``text`` of its first token, whose
     ``_line_number`` an error message names.  ``count``, when given, is the
     declared number of rows and ``width`` the number of integers every row
-    holds; both are checked before the values are decoded.
+    holds; both are checked before the values are decoded.  With a
+    ``width``, ``first`` is None: row r's integers are then
+    ``values[r * width:(r + 1) * width]``.
+
+    With a ``width``, every token and row array but ``pos`` and ``tag`` is
+    freed before the decode, so its peak holds only those, the body bytes
+    and the values.
     """
     raw, body, at = _body_bytes(text, start, tags)
     starts, ends, heads = _token_rows(body, at)
     if count is not None and heads.size != count:
         raise InputError(f"expected {count} {what} lines, found {heads.size}")
     pos = starts[heads]
+    tokens = starts.size
+    lengths = np.subtract(ends, starts, out=ends)       # a tag is one letter long
+    too_long = None       # raised after the row checks, which come first
+    if tokens and lengths.max() > _MAX_DIGITS:
+        too_long = start + int(starts[lengths.argmax()])
+    del starts, ends, lengths
     lead = body[pos]
     pos += start
     tagged = lead > ord("9")      # a token is digits or a tag, and letters sort after digits
     tag = np.where(tagged, lead, 0).astype(np.uint8)
-    # A tag is the first token of its row, so row r's integers follow the
-    # tags of rows 0..r.
-    first = np.append(heads - np.cumsum(tagged) + tagged,
-                      starts.size - np.count_nonzero(tagged))
-    if width is not None and (np.diff(first) != width).any():
-        row = (np.diff(first) != width).argmax()
+    # A tag is the first token of its row; the row's other tokens are integers.
+    counts = np.diff(heads, append=tokens) - tagged
+    del heads, lead, tagged
+    if width is not None and (counts != width).any():
+        row = (counts != width).argmax()
         raise InputError(f"line {_line_number(text, int(pos[row]))}: "
                          f"expected {width} integer(s) per {what} line")
-    lengths = ends - starts                # a tag is one letter long
-    if lengths.size and lengths.max() > _MAX_DIGITS:
-        raise _token_error(text, start + int(starts[lengths.argmax()]), _NOT_DECIMAL)
-    return _decimal_values(raw, int(first[-1]), bool(tags)), first, tag, pos
+    if too_long is not None:
+        raise _token_error(text, too_long, _NOT_DECIMAL)
+    total = int(counts.sum())
+    first = None if width is not None else np.append(0, np.cumsum(counts))
+    del counts
+    return _decimal_values(raw, total, bool(tags)), first, tag, pos
 
 
 # --- GRAPH v1 text format ---------------------------------------------------
@@ -581,16 +602,23 @@ def parse_graph_text(text: str) -> Graph:
     _check_declared("line 2", "N", n)
     values, _, _, pos = _int_rows(text, start, "edge", width=2, count=m)
     eu, ev = values[0::2], values[1::2]
-    du, dv = np.diff(eu), np.diff(ev)
-    for bad, message in [
-        (eu >= ev, "edge line not in u < v form"),
-        (ev >= n, "edge endpoint out of range"),
-        (np.concatenate([[False], (du == 0) & (dv == 0)]), "duplicate edge"),
-        (np.concatenate([[False], (du < 0) | ((du == 0) & (dv < 0))]), "edge lines not sorted"),
-    ]:
-        if bad.any():
-            raise InputError(f"line {_line_number(text, int(pos[bad.argmax()]))}: {message}")
-    return Graph._from_canonical(n, eu, ev)
+    keys = None
+    if ev.max(initial=-1) < n and (eu < ev).all():
+        keys = eu * np.int64(n) + ev        # below n * n, so it cannot overflow
+    # With every 0 <= u < v < n, the keys rise strictly exactly when the
+    # edges are sorted and distinct; only a fault needs the per-row masks.
+    if keys is None or (np.diff(keys) <= 0).any():
+        du, dv = np.diff(eu), np.diff(ev)
+        for bad, message in [
+            (eu >= ev, "edge line not in u < v form"),
+            (ev >= n, "edge endpoint out of range"),
+            (np.concatenate([[False], (du == 0) & (dv == 0)]), "duplicate edge"),
+            (np.concatenate([[False], (du < 0) | ((du == 0) & (dv < 0))]),
+             "edge lines not sorted"),
+        ]:
+            if bad.any():
+                raise InputError(f"line {_line_number(text, int(pos[bad.argmax()]))}: {message}")
+    return Graph._from_canonical(n, eu, ev, keys)
 
 
 def graph_sha256(g: Graph) -> str:

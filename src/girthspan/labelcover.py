@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .graphs import (_MAX_DIGITS, _NOT_DECIMAL, Graph, _body_bytes, _check_declared,
@@ -404,6 +404,13 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
     the line and quotes the token of the first fault in text order.  The
     distinct blocks are the rows of the CSR relation table, so their decoded
     pairs are its pair arrays as they stand.
+
+    The E line ends are searched from the tags (``_first_breaks``): a short
+    window of bytes per tag, widened only for the tags whose line is longer.
+    No array holds an entry per line break of the body, and the windows
+    never hold more bytes than the body, whatever the input.  Of the block
+    texts, the parse keeps one copy of each distinct block; the others are
+    dropped as soon as they are matched.
     """
     lines, numbers, start = _head_lines(text, 2, skip_blank=True)
     if not lines or lines[0] != "LC v1":
@@ -418,18 +425,15 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
         _check_declared(where, field, size)
     raw, body, at = _body_bytes(text, start, "E")
     n = body.size
-    breaks = np.append(np.flatnonzero(_is_break(body)), n)
-    eol = breaks[np.searchsorted(breaks, at)]
-    del breaks
-    e_end = np.minimum(eol + 1, n)
+    e_end = np.minimum(_first_breaks(body, at) + 1, n)
     # Block piece j is [lo[j], hi[j]): j = 0 lies before the first tag, and
     # j = i + 1 follows superedge i's E line [at[i], e_end[i]).
     lo, hi = np.append(0, e_end), np.append(at, n)
-    pieces = list(map(raw.__getitem__, map(slice, lo.tolist(), hi.tolist())))
-    index = dict(zip(dict.fromkeys(pieces), count()))      # distinct block texts
-    bid = np.fromiter(map(index.__getitem__, pieces), dtype=np.int64, count=len(pieces))
+    index: dict = {}      # distinct block texts; only these stay alive
+    bid = np.fromiter((index.setdefault(raw[i:j], len(index))
+                       for i, j in zip(lo.tolist(), hi.tolist())), dtype=np.int64, count=lo.size)
     distinct = list(index)
-    del pieces, index
+    del index
 
     e_size = e_end - at
     e_off = np.cumsum(e_size) - e_size            # where each E line starts in e_body
@@ -503,6 +507,46 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
     return LabelCoverInstance.from_arrays(
         a_count, b_count, sigma_a, sigma_b, a[order], b[order], (bid[1:] - skip)[order],
         (np.append(0, np.cumsum(rows[skip:])), alpha, beta))
+
+
+# Bytes the first pass of ``_first_breaks`` reads per tag: an E line as
+# written, with fields of up to 8 digits, fits in it.
+_FIRST_WINDOW = 32
+
+
+def _first_breaks(body: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Per tag offset in ``at`` (ascending, each first on its line): the
+    offset of the first line break at or after it, or ``body.size`` if none.
+
+    Each pass copies one window of bytes per unresolved tag, as a
+    (tags, width) uint8 matrix, and finds its first break.  A tag whose
+    window holds none goes on, its next window starting where this one
+    ended, as wide as all its line read so far.  The first window is at most
+    the mean distance between tags.  So after pass one every unresolved tag
+    opens a line free of breaks for at least the width of its next window,
+    and the lines of distinct tags are disjoint (a break precedes every tag
+    but the first): the matrix never holds more bytes than the body, for
+    any input.  A window that would run past the end is moved back to end
+    there, and what it holds before its tag's resume point is masked.
+    """
+    n = body.size
+    eol = np.full(at.size, n, dtype=np.int64)
+    rows, lo = np.arange(at.size), at
+    width = min(_FIRST_WINDOW, n // max(at.size, 1))
+    read = 0
+    while rows.size:
+        s = np.minimum(lo, n - width)
+        hit = _is_break(sliding_window_view(body, width)[s])
+        moved = np.flatnonzero(s < lo)
+        hit[moved] &= np.arange(width) >= (lo - s)[moved, None]
+        first = hit.argmax(axis=1)
+        found = hit[np.arange(rows.size), first]
+        eol[rows[found]] = s[found] + first[found]
+        more = ~found & (s + width < n)      # a window reaching the end settles its tag
+        rows, lo = rows[more], s[more] + width
+        read += width
+        width = read
+    return eol
 
 
 def write_cover_text(cover: RepCover) -> str:

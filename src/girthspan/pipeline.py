@@ -207,28 +207,34 @@ def _peak_rss_mb() -> float:
 
 
 def _self_audit(outdir, base, regular, repeated, sampled, stripped, minrep, si, planted):
-    """Re-parse every artifact and confirm it equals the in-memory value."""
+    """Re-parse every artifact and confirm it equals the in-memory value.
+
+    Files are read as bytes and decoded whole, with no newline translation.
+    This run wrote them with ``write_text``, so on POSIX the text is the one
+    written; elsewhere its line ends read as ``\\r\\n``, which every text
+    format takes as one line end.
+    """
+    def read(name):
+        return (outdir / name).read_bytes().decode()
+
     audit = {}
-    audit["formula"] = cons.parse_formula_text(
-        (outdir / "formula.cnf").read_text()).clause_count == base.a_count
+    audit["formula"] = cons.parse_formula_text(read("formula.cnf")).clause_count == base.a_count
     for name, obj in [("base", base), ("regular", regular), ("repeated", repeated),
                       ("sampled", sampled), ("stripped", stripped)]:
-        audit[name] = parse_lc_text((outdir / f"{name}.lc").read_text()) == obj
-    audit["minrep"] = parse_graph_text(
-        (outdir / "minrep.graph").read_text()) == minrep.minrep_graph
-    audit["gadget"] = parse_graph_text(
-        (outdir / "gadget.graph").read_text()) == si.base
-    meta = json.loads((outdir / "gadget.meta.json").read_text())
+        audit[name] = parse_lc_text(read(f"{name}.lc")) == obj
+    audit["minrep"] = parse_graph_text(read("minrep.graph")) == minrep.minrep_graph
+    audit["gadget"] = parse_graph_text(read("gadget.graph")) == si.base
+    meta = json.loads(read("gadget.meta.json"))
     audit["gadget_meta_sizes"] = (
         meta["vertex_count"] == si.base.vertex_count
         and meta["edge_count"] == si.base.edge_count
         and meta["anchor_roster_size"] == si.n + si.x * si.n_tilde)
     if planted:
-        parsed_cover = parse_cover_text((outdir / "cover.cover").read_text())
+        parsed_cover = parse_cover_text(read("cover.cover"))
         audit["cover"] = lcm.repcover_valid(minrep, parsed_cover)[0]
-        parsed_lab = parse_labeling_text((outdir / "labeling.label").read_text(), stripped)
+        parsed_lab = parse_labeling_text(read("labeling.label"), stripped)
         audit["labeling"] = value(stripped, parsed_lab) == 1
-        parsed_subset = sp.parse_subset_text((outdir / "spanner.subset").read_text(), si.base)
+        parsed_subset = sp.parse_subset_text(read("spanner.subset"), si.base)
         audit["subset"] = sp.verify_spanner_structured(si, parsed_subset)[0]
     return audit
 

@@ -228,7 +228,7 @@ def test_solve_budget_env_must_be_decimal(tmp_path, monkeypatch, capsys, budget)
 def test_pipeline_command_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
-    args = ["pipeline", "--vars", 3, "--ell", 1, "--alpha", 4.0, "--k", 3,
+    args = ["pipeline", "--vars", 3, "--ell", 1, "--alpha", 1.0, "--k", 3,
             "--seed", 7, "--planted", "--x", 40]
     assert run(args + ["-o", out1]) == 0
     stdout = capsys.readouterr().out
@@ -246,6 +246,7 @@ def test_pipeline_command_and_determinism(tmp_path, capsys):
         else:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     report = json.loads((out1 / "stats.json").read_text())
+    assert report["degenerate"]["flag"] is False    # the verdicts speak of superedges
     assert all(report["verdicts"].values())
     assert all(report["self_audit"].values())
     # wall_clock_s accounts for the whole run

@@ -1,12 +1,14 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthspan import graphs
 from girthspan.errors import InputError
 from girthspan.graphs import (Graph, INFINITY, _decimal_text, _decimal_values, _hops, _int_rows,
                               _line_number, bfs_distances, edge_cycle_length,
@@ -49,6 +51,21 @@ def test_girth_examples():
     assert girth(Graph(4, [(0, 1), (1, 2), (1, 3)])) == INFINITY
     assert girth(complete_graph(4)) == 3
     assert girth(Graph(0, [])) == INFINITY
+
+
+def test_girth_is_cached_on_the_graph(monkeypatch):
+    """A second call returns the first call's girth without searching; a
+    new graph, even an equal one, searches."""
+    g = cycle_graph(5)
+    assert girth(g) == 5
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(graphs, "_hops", no_search)
+    assert girth(g) == 5
+    with pytest.raises(AssertionError, match="searched again"):
+        girth(cycle_graph(5))
 
 
 def test_edge_cycle_length_examples():
@@ -249,6 +266,19 @@ def test_graph_parser_names_the_bad_line(body, message, newline):
         parse_graph_text(text.replace("\n", newline))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0 1\n0 2\n1 4\n", "line 5: edge endpoint out of range"),
+    ("0 1\n0 2 3\n1 0000000000000000002\n", "line 4: expected 2 integer(s) per edge line"),
+    ("0 0000000000000000001\n0 2 3\n1 2\n", "line 4: expected 2 integer(s) per edge line"),
+])
+def test_graph_parser_bounds_endpoints_at_n_and_checks_rows_before_tokens(body, message):
+    """An endpoint equal to N is out of range, even on sorted distinct rows,
+    and a row of the wrong width is named before a token of 19 digits,
+    before or after it."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_graph_text("GRAPH v1\nN 4 M 3\n" + body)
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("fmt, body, message", [
     pytest.param("SUBSET", "0\n" + "\n" * 300 + "0\n",
@@ -277,6 +307,23 @@ def test_subset_and_cover_parsers_name_the_bad_line(fmt, body, message, newline)
 def test_graph_text_whitespace_and_blank_lines():
     text = "GRAPH v1 \r\nN 6\tM 2\r\n\n  0\t 5  \f\n\n3 4\v"
     assert parse_graph_text(text) == Graph(6, [(0, 5), (3, 4)])
+
+
+def test_graph_parse_peak_memory_is_bounded():
+    """The parse of a 6.7 MB GRAPH text (a circulant on 10^5 vertices, six
+    edges per vertex) peaks below 6 times the text's size; before the token
+    arrays were freed ahead of the decode it took 8.7 times."""
+    n = 100_000
+    u = np.tile(np.arange(n), 6)
+    text = write_graph_text(Graph.from_arrays(n, u, (u + np.repeat(np.arange(1, 7), n)) % n))
+    assert len(text) > 6 * 10**6
+    tracemalloc.start()
+    try:
+        parse_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
 
 
 def test_graph_arrays_are_read_only():

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from girthspan.errors import InputError
 from girthspan.graphs import INFINITY, is_bipartite
@@ -16,10 +18,13 @@ from girthspan.labelcover import (LabelCoverInstance, Labeling, RepCover, _satis
                                   supergraph, value, write_cover_text,
                                   write_labeling_text, write_lc_text)
 from girthspan import constructions as cons
+from girthspan import labelcover
+from girthspan.graphs import _is_break
+from girthspan.labelcover import _first_breaks
 from girthspan.rng import Stream
 
-from conftest import (check_mutant, make_lc, narrowed_spelling, random_tiny_lc, text_mutants,
-                      xor_odd_4cycle)
+from conftest import (check_mutant, make_lc, narrowed_spelling, parse_outcome, random_tiny_lc,
+                      text_mutants, xor_odd_4cycle)
 
 
 def test_value_single_superedge_all_pairs():
@@ -478,6 +483,136 @@ def test_lc_tokens_may_have_leading_zeros_and_any_blank():
     body = re.sub(r"\d+", lambda t: "0" * 16 + t.group(0), body)
     body = re.sub(r"(?<=\d) ", "\t \t", body).replace("\n", "\n\v\n")
     assert parse_lc_text(head + body) == lc
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f"]
+LONG_BLANKS = [" " * 100, "\t" * 120, " \t" * 70]
+
+
+def widen_e_lines(text, blanks):
+    """``text`` (``\\n`` line breaks) with every space of its E lines
+    followed by ``blanks``, so that each E line is longer than the first
+    window of the line end search."""
+    return re.sub(r"(?m)^E .*$", lambda e: e.group(0).replace(" ", " " + blanks), text)
+
+
+def test_lc_e_lines_longer_than_the_first_window_equal_per_line_reference(monkeypatch):
+    """E lines of 100 or more blanks or tabs between fields, and of 18-digit
+    tokens with leading zeros, under every line break: the parse equals the
+    per-line reference's, with and without a final line break."""
+    lc = make_lc(2, 3, 3, 2, [(0, 0, [(0, 0), (1, 1)]), (0, 2, [(2, 0)]),
+                              (1, 0, [(0, 0), (1, 1)]), (1, 1, [(0, 0), (1, 1)])])
+    text = write_lc_text(lc)
+    head, body = text[:text.index("E")], text[text.index("E"):]
+    padded = re.sub(r"(?m)^E .*$", lambda e: re.sub(r"\d+", lambda t: t.group(0).zfill(18),
+                                                      e.group(0)), body)
+    bodies = [widen_e_lines(body, blanks) for blanks in LONG_BLANKS] + [padded]
+    windows = []
+    monkeypatch.setattr(labelcover, "sliding_window_view",
+                        lambda *args: windows.append(args[1]) or sliding_window_view(*args))
+    for brk in LINE_BREAKS:
+        for long_body in bodies:
+            for tail in ["", "drop the final line break"]:
+                t = (head + long_body).replace("\n", brk)
+                t = t[:-len(brk)] if tail else t
+                windows.clear()
+                assert parse_lc_text(t) == parse_lc_text_per_line(t) == lc
+                assert len(windows) > 1      # no E line ends in the first window
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_lc_e_line_followed_by_an_e_line_equals_per_line_reference(brk):
+    """A superedge line straight after another, the first with an empty
+    block or a block declared but missing, long or short: both parsers
+    reject it."""
+    for blanks in [""] + LONG_BLANKS:
+        for body in ["E 0 0 0\nE 0 1 1\n0 0\n", "E 0 0 1\nE 0 1 1\n0 0\n",
+                     "E 0 0 1\n0 0\nE 0 1 0\nE 0 2 1\n1 1"]:
+            text = (LC_HEAD_1x3.replace("M 3", f"M {body.count('E')}")
+                    + widen_e_lines(body, blanks)).replace("\n", brk)
+            assert parse_outcome(parse_lc_text_per_line, text) is None
+            with pytest.raises(InputError):
+                parse_lc_text(text)
+
+
+def test_lc_parser_names_the_bad_line_on_long_e_lines():
+    """The cases of ``test_lc_parser_names_the_bad_line`` with E lines longer
+    than the first window, under every line break: the same messages."""
+    for brk in LINE_BREAKS:
+        for blanks in LONG_BLANKS:
+            for text, message in BAD_LINE_CASES:
+                with pytest.raises(InputError, match=re.escape(message)):
+                    parse_lc_text(widen_e_lines(text, blanks).replace("\n", brk))
+
+
+@st.composite
+def tagged_bodies(draw):
+    """Lines of digits and blanks, some opened by an E tag, of up to about
+    500 bytes, each ended by any line break; the last one may have none.
+    Short lines make the tags dense, and lengths near a power of two put
+    the break at a window's edge."""
+    text = ""
+    for _ in range(draw(st.integers(1, 10))):
+        length = st.one_of(st.integers(0, 3), st.integers(0, 250),
+                           st.sampled_from([29, 30, 31, 32, 61, 62, 63, 64, 125, 126, 127, 128]))
+        run = draw(st.sampled_from([" ", "\t", "7", "00"])) * draw(length)
+        line = run + draw(st.text(" \t0123456789", max_size=12))
+        text += ("E " if draw(st.booleans()) else "") + line
+        text += draw(st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\n\n"]))
+    return text.rstrip("\n\r\v\f") if draw(st.booleans()) else text
+
+
+@given(tagged_bodies())
+@settings(max_examples=200, deadline=None)
+def test_first_breaks_equal_per_tag_search_in_bounded_windows(text):
+    """Each tag's first line break at or after it, as a per-tag search finds
+    it, and no window matrix holds more bytes than the body."""
+    raw = text.encode("ascii")
+    body = np.frombuffer(raw, dtype=np.uint8)
+    at = np.flatnonzero(body == ord("E"))
+    found = [re.compile(rb"[\n\r\v\f]").search(raw, a) for a in at.tolist()]
+    expected = [brk.start() if brk else len(raw) for brk in found]
+    sizes = []
+
+    def spy(windows):
+        sizes.append(windows.size)
+        return _is_break(windows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labelcover, "_is_break", spy)
+        assert _first_breaks(body, at).tolist() == expected
+    assert max(sizes, default=0) <= body.size
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_first_breaks_at_every_offset_of_the_first_windows(brk):
+    """One tag whose line break lies at each offset up to 300, with text
+    after it or none; and the same tag closing the body with no break."""
+    for length in range(300):
+        line = "E " + "0" * length
+        for text in [line + brk + "1 1" * 20, "1 1" * 20 + brk + line]:
+            raw = text.encode("ascii")
+            body = np.frombuffer(raw, dtype=np.uint8)
+            at = np.flatnonzero(body == ord("E"))
+            brk_at = re.compile(rb"[\n\r\v\f]").search(raw, int(at[0]))
+            assert _first_breaks(body, at).tolist() == [brk_at.start() if brk_at else len(raw)]
+
+
+def test_lc_parse_peak_memory_is_bounded():
+    """The parse of the repeated instance of the ell=2 pipeline (about
+    12 MB of LC text) peaks below 2.5 times the text's size; before the
+    line end search started from the tags it took 4.27 times."""
+    formula = cons.gen_3sat5(3, 7)
+    text = write_lc_text(cons.parallel_repetition(
+        cons.regularize(cons.lc_from_3sat5(formula)), 2))
+    assert len(text) > 12 * 10**6
+    tracemalloc.start()
+    try:
+        parse_lc_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 @pytest.mark.parametrize("field, header", [
