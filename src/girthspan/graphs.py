@@ -316,27 +316,6 @@ def girth(g: Graph):
     return g._girth
 
 
-def is_bipartite(g: Graph) -> tuple[bool, list | None]:
-    """Two-color the graph; (True, colors) if no odd cycle else (False, None)."""
-    color = [-1] * g.vertex_count
-    adj = g.adjacency()
-    for start in range(g.vertex_count):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            cu = color[u]
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - cu
-                    queue.append(w)
-                elif color[w] == cu:
-                    return False, None
-    return True, color
-
-
 # --- decimal text, shared by every text format -------------------------------
 #
 # Token policy: a line ends at \n, \r, \r\n, \v or \f; a \r\n ends one line.

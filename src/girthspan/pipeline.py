@@ -40,7 +40,9 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
                  max_gadget_edges=sp.DEFAULT_MAX_GADGET_EDGES) -> dict:
     """Run the full chain, writing artifacts into ``outdir``.
 
-    Returns the stats report (also written as stats.json).  The spanner
+    Returns the stats report (also written as stats.json).  A stretch
+    below 3, a copy count below 1 or an alpha that is not positive and
+    finite raises InputError before ``outdir`` is made.  The spanner
     stage strips cycles at threshold k+1 first, so the reduction's
     supergirth >= k+2 hypothesis holds by construction.  ``degenerate``
     flags a run whose strip removed every sampled superedge: its verdicts
@@ -53,6 +55,9 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     set size of the process so far, in MiB.
     """
     t_start = time.perf_counter()
+    sp.check_gadget_params(k, x_override)
+    params = sampling.SampleParams(alpha=alpha, k=k + 1, seed=child_seed(seed, "subsample"),
+                                   clamp_p=clamp_p)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     trace = cons.PipelineTrace(seed=seed)
@@ -104,9 +109,6 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     write("repeated.lc", lambda: write_lc_text(repeated))
 
     with timed("subsample"):
-        params = sampling.SampleParams(alpha=alpha, k=k + 1,
-                                       seed=child_seed(seed, "subsample"),
-                                       clamp_p=clamp_p)
         sampled = sampling.subsample(repeated, params)
         p = sampling.sample_probability(
             alpha, repeated.sigma_a, sampling.effective_degree(repeated, params), clamp_p)

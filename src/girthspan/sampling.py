@@ -32,8 +32,8 @@ class SampleParams:
     d_override: int | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InputError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise InputError(f"alpha must be a positive finite number, not {self.alpha}")
         if self.k < 3:
             raise InputError("cycle threshold k must be >= 3")
 

@@ -29,7 +29,8 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .graphs import (Graph, INFINITY, _decimal_text, _head_lines, _hops, _int_rows,
                      _line_number, _sorted_distinct, girth, graph_sha256)
-from .labelcover import MinRepInstance, RepCover, _relation_slots, repcover_valid, supergraph
+from .labelcover import (MinRepInstance, RepCover, _relation_slots, repcover_valid, supergraph,
+                         write_lc_text)
 
 FAMILIES = ("E", "EM", "EsA", "EtB", "EGt")
 FAM_E, FAM_M, FAM_SA, FAM_TB, FAM_GT = range(5)
@@ -79,10 +80,23 @@ class EdgeSubset:
 
 
 class SpannerInstance:
-    """Gadget graph with role-tagged vertices and partitioned edge families."""
+    """Gadget graph with role-tagged vertices and partitioned edge families.
 
-    def __init__(self, base, source, k, x, x_is_default, fam_code,
-                 ids_by_family, sa_meta, tb_meta, gt_meta, crossing_sa, crossing_tb):
+    The layout is held only as read-only tables of edge ids, one per family:
+
+    * ``tower_s[p, i, l]``, (x, |A|, k_a - 1): the EM edge from level l + 1
+      to l + 2 of s-tower (p, i); ``tower_t[p, j, l]``, (x, |B|, k_b - 1),
+      the same for t-tower (p, j).  Both are empty at k = 3.
+    * ``crossing_sa[p, i, alpha]``, (x, |A|, sigma_A): the EsA edge from
+      s-tower (p, i) level 1 to Min-Rep vertex (A, i, alpha).
+    * ``crossing_tb[p, j, beta]``, (x, |B|, sigma_B): the EtB edge from
+      Min-Rep vertex (B, j, beta) to t-tower (p, j) level 1.
+    * ``gt_copies[p, e]``, (x, |superedges|): copy p of superedge e = (i, j),
+      the EGt edge joining the tops of s-tower (p, i) and t-tower (p, j).
+    """
+
+    def __init__(self, base, source, k, x, x_is_default, fam_code, ids_by_family,
+                 tower_s, tower_t, crossing_sa, crossing_tb, gt_copies):
         lc = source.source
         self.base: Graph = base
         self.source: MinRepInstance = source
@@ -95,35 +109,26 @@ class SpannerInstance:
         self.n_tilde = lc.a_count + lc.b_count
         self.fam_code = fam_code
         self.ids_by_family = ids_by_family
-        self.sa_p, self.sa_i, self.sa_sym = sa_meta
-        self.tb_p, self.tb_j, self.tb_sym = tb_meta
-        self.gt_p, self.gt_superedge = gt_meta
-        # Edge id tables: crossing_sa[p, i, alpha] joins s-tower (p, i) level 1
-        # to Min-Rep vertex (A, i, alpha), crossing_tb[p, j, beta] joins
-        # (B, j, beta) to t-tower (p, j) level 1.
+        self.tower_s = tower_s
+        self.tower_t = tower_t
         self.crossing_sa = crossing_sa
         self.crossing_tb = crossing_tb
+        self.gt_copies = gt_copies
         # A Min-Rep vertex's star edge is its copy-0 crossing edge, and each
         # tower's hub is its symbol-0 crossing edge.
-        self.anchor_star = np.concatenate([crossing_sa[0].ravel(), crossing_tb[0].ravel()])
-        self.anchor_hub_a = crossing_sa[:, :, 0]        # (x, |A|) edge ids
-        self.anchor_hub_b = crossing_tb[:, :, 0]        # (x, |B|) edge ids
-        hub_flat = np.concatenate([self.anchor_hub_a.ravel(), self.anchor_hub_b.ravel()])
-        self.anchor_distinct = _sorted_distinct(np.concatenate([self.anchor_star, hub_flat]))
-        self.anchor_roster_size = int(self.anchor_star.size + hub_flat.size)
+        roster = [crossing_sa[0], crossing_tb[0], crossing_sa[:, :, 0], crossing_tb[:, :, 0]]
+        self.anchor_distinct = _sorted_distinct(np.concatenate([a.ravel() for a in roster]))
+        self.anchor_distinct.flags.writeable = False
+        self.anchor_roster_size = sum(a.size for a in roster)
 
     # -- vertex layout ---------------------------------------------------
-
-    @property
-    def _s_offset(self) -> int:
-        return self.n
 
     @property
     def _t_offset(self) -> int:
         return self.n + self.x * self.source.source.a_count * self.k_a
 
     def s_vertex(self, p: int, i: int, level: int) -> int:
-        return self._s_offset + (p * self.source.source.a_count + i) * self.k_a + (level - 1)
+        return self.n + (p * self.source.source.a_count + i) * self.k_a + (level - 1)
 
     def t_vertex(self, p: int, j: int, level: int) -> int:
         return self._t_offset + (p * self.source.source.b_count + j) * self.k_b + (level - 1)
@@ -133,20 +138,12 @@ class SpannerInstance:
         if v < self.n:
             return self.source.vertex_label(v)
         if v < self._t_offset:
-            q = v - self._s_offset
-            tower, level = divmod(q, self.k_a)
+            tower, level = divmod(v - self.n, self.k_a)
             p, i = divmod(tower, lc.a_count)
             return ("S", i, level + 1, p)
-        q = v - self._t_offset
-        tower, level = divmod(q, self.k_b)
+        tower, level = divmod(v - self._t_offset, self.k_b)
         p, j = divmod(tower, lc.b_count)
         return ("T", j, level + 1, p)
-
-    def anchor_choice_a(self, i: int) -> int:
-        return self.source.a_vertex(i, 0)
-
-    def anchor_choice_b(self, j: int) -> int:
-        return self.source.b_vertex(j, 0)
 
     # -- invariant audit ---------------------------------------------------
 
@@ -165,21 +162,43 @@ class SpannerInstance:
             raise AssertionError("EM emptiness must coincide with k = 3")
         if self.ids_by_family[FAM_GT].size != self.x * lc.edge_count:
             raise AssertionError("EGt family size violated")
-        # Each copy holds every superedge exactly once: every (copy, superedge)
-        # pair is in range and occurs once.
-        p, se, m = self.gt_p, self.gt_superedge, lc.edge_count
-        if (p.size != self.x * m or se.size != p.size or (p < 0).any() or (p >= self.x).any()
-                or (se < 0).any() or (se >= m).any()
-                or (np.bincount(p * m + se, minlength=self.x * m) != 1).any()):
-            raise AssertionError("EGt copies are not supergraph-isomorphic")
         sizes = sum(int(self.ids_by_family[f].size) for f in range(5))
         if sizes != self.base.edge_count:
             raise AssertionError("edge families do not partition the edge set")
+        # Every table entry is the edge joining the two vertices the layout
+        # names, lower-numbered end first.
+        eu, ev = self.base.edge_arrays()
+        ea, eb, _ = lc.edge_arrays()
+        p = np.arange(self.x)[:, None, None]
+        i, j = np.arange(lc.a_count)[:, None], np.arange(lc.b_count)[:, None]
+        s_lvl = self.s_vertex(p, i, np.arange(1, self.k_a))
+        t_lvl = self.t_vertex(p, j, np.arange(1, self.k_b))
+        ends = {"tower_s": (s_lvl, s_lvl + 1), "tower_t": (t_lvl, t_lvl + 1),
+                "crossing_sa": (self.source.a_vertex(i, np.arange(lc.sigma_a)),
+                                self.s_vertex(p, i, 1)),
+                "crossing_tb": (self.source.b_vertex(j, np.arange(lc.sigma_b)),
+                                self.t_vertex(p, j, 1)),
+                "gt_copies": (self.s_vertex(p[:, 0], ea, self.k_a),
+                              self.t_vertex(p[:, 0], eb, self.k_b))}
+        for name, (lo, hi) in ends.items():
+            table = getattr(self, name)
+            if (table.shape != np.broadcast_shapes(lo.shape, hi.shape)
+                    or ((table < 0) | (table >= eu.size)).any()
+                    or (eu[table] != lo).any() or (ev[table] != hi).any()):
+                raise AssertionError(f"{name} entries do not join the layout's vertices")
 
 
 def default_copies(n: int, n_tilde: int) -> int:
     """Default copy count: ceil(n^2 / n_tilde)."""
     return -(-n * n // n_tilde)
+
+
+def check_gadget_params(k: int, x_override: int | None = None) -> None:
+    """Reject a stretch below 3 or a copy count below 1 with InputError."""
+    if k < 3:
+        raise InputError("stretch k must be >= 3")
+    if x_override is not None and x_override < 1:
+        raise InputError("copy count x must be >= 1")
 
 
 def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = None,
@@ -191,45 +210,39 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     reduction's hypothesis; pass allow_small_supergirth=True to downgrade
     the girth check to a warning recorded on the instance).
     """
+    check_gadget_params(k, x_override)
     lc = mr.source
-    if k < 3:
-        raise InputError("stretch k must be >= 3")
     if lc.a_count != lc.b_count:
         raise InputError("gadget construction requires |A| = |B|")
     sg = girth(supergraph(lc))
-    if sg != INFINITY and sg < k + 2:
-        if not allow_small_supergirth:
-            raise InputError(
-                f"supergirth {int(sg)} is below the required {k + 2}; a short "
-                f"supercycle exists (strip cycles of length <= {k + 1} first)")
+    if sg < k + 2 and not allow_small_supergirth:
+        raise InputError(
+            f"supergirth {int(sg)} is below the required {k + 2}; a short "
+            f"supercycle exists (strip cycles of length <= {k + 1} first)")
     k_a = (k - 1) // 2
     k_b = (k - 1) - k_a
     n = mr.vertex_count
     n_tilde = lc.a_count + lc.b_count
     x = x_override if x_override is not None else default_copies(n, n_tilde)
-    if x < 1:
-        raise InputError("copy count x must be >= 1")
 
     a_cnt, b_cnt = lc.a_count, lc.b_count
     sigma_a, sigma_b = lc.sigma_a, lc.sigma_b
-    m_E = mr.minrep_graph.edge_count
-    m_M = x * (a_cnt * (k_a - 1) + b_cnt * (k_b - 1))
-    m_sA = x * a_cnt * sigma_a
-    m_tB = x * b_cnt * sigma_b
-    m_Gt = x * lc.edge_count
-    total_edges = m_E + m_M + m_sA + m_tB + m_Gt
+    # E, then per copy: EM and EsA per A tower, EM and EtB per B tower, EGt.
+    total_edges = mr.minrep_graph.edge_count + x * (
+        a_cnt * (k_a - 1 + sigma_a) + b_cnt * (k_b - 1 + sigma_b) + lc.edge_count)
     if total_edges > max_edges:
         raise ResourceError("gadget edge budget exceeded",
                             required=total_edges, allowed=max_edges)
 
-    s_off = n
     t_off = n + x * a_cnt * k_a
     vertex_count = n + x * a_cnt * k_a + x * b_cnt * k_b
-    s_bases = s_off + np.arange(x * a_cnt, dtype=np.int64) * k_a
+    s_bases = n + np.arange(x * a_cnt, dtype=np.int64) * k_a
     t_bases = t_off + np.arange(x * b_cnt, dtype=np.int64) * k_b
     b_block = a_cnt * sigma_a
 
-    # One chunk per family, in FAMILIES order.  EsA row (p * a_cnt + i) *
+    # One chunk per family, in FAMILIES order.  EM holds the s-towers' rows
+    # then the t-towers'; row (p * a_cnt + i) * (k_a - 1) + l joins levels
+    # l + 1 and l + 2 of s-tower (p, i).  EsA row (p * a_cnt + i) *
     # sigma_a + alpha joins s-tower (p, i) to Min-Rep vertex (A, i, alpha);
     # EtB row (p * b_cnt + j) * sigma_b + beta joins (B, j, beta) to
     # t-tower (p, j); EGt row p * |superedges| + e is copy p of superedge e.
@@ -242,7 +255,7 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
         (em_lo, em_lo + 1),
         (np.repeat(s_bases, sigma_a), np.tile(np.arange(b_block, dtype=np.int64), x)),
         (np.tile(np.arange(b_block, n, dtype=np.int64), x), np.repeat(t_bases, sigma_b)),
-        (s_off + (copy_of_gt * a_cnt + np.tile(ea, x)) * k_a + (k_a - 1),
+        (n + (copy_of_gt * a_cnt + np.tile(ea, x)) * k_a + (k_a - 1),
          t_off + (copy_of_gt * b_cnt + np.tile(eb, x)) * k_b + (k_b - 1)),
     ]
     sizes = [cu.size for cu, _ in chunks]
@@ -252,24 +265,23 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
         np.concatenate([cv for _, cv in chunks]))
 
     # Edge id e is row order[e] of the concatenated chunks, so the family
-    # tables follow from that one sort, in edge id order.
+    # lists follow from that one sort, in edge id order, and each family's
+    # chunk, row by row through the inverse permutation, is its table.
     fam_code = np.repeat(np.arange(5, dtype=np.int8), sizes)[order]
     ids = [np.flatnonzero(fam_code == f) for f in range(5)]
-    tower, sa_sym = np.divmod(order[ids[FAM_SA]] - start[FAM_SA], sigma_a)
-    sa_p, sa_i = np.divmod(tower, a_cnt)
-    tower, tb_sym = np.divmod(order[ids[FAM_TB]] - start[FAM_TB], sigma_b)
-    tb_p, tb_j = np.divmod(tower, b_cnt)
-    gt_p, gt_se = np.divmod(order[ids[FAM_GT]] - start[FAM_GT], lc.edge_count)
-    # The EsA and EtB chunks, row by row, are the crossing tables.
     row_id = np.empty_like(order)
     row_id[order] = np.arange(order.size)
-    crossing_sa = row_id[start[FAM_SA]:start[FAM_TB]].reshape(x, a_cnt, sigma_a)
-    crossing_tb = row_id[start[FAM_TB]:start[FAM_GT]].reshape(x, b_cnt, sigma_b)
-
+    for arr in [fam_code, row_id, *ids]:
+        arr.flags.writeable = False
+    s_end = start[FAM_M] + x * a_cnt * (k_a - 1)
     si = SpannerInstance(
         base, mr, k, x, x_override is None, fam_code, dict(enumerate(ids)),
-        (sa_p, sa_i, sa_sym), (tb_p, tb_j, tb_sym), (gt_p, gt_se), crossing_sa, crossing_tb)
-    si.supergirth_warning = (sg != INFINITY and sg < k + 2)
+        row_id[start[FAM_M]:s_end].reshape(x, a_cnt, k_a - 1),
+        row_id[s_end:start[FAM_SA]].reshape(x, b_cnt, k_b - 1),
+        row_id[start[FAM_SA]:start[FAM_TB]].reshape(x, a_cnt, sigma_a),
+        row_id[start[FAM_TB]:start[FAM_GT]].reshape(x, b_cnt, sigma_b),
+        row_id[start[FAM_GT]:].reshape(x, lc.edge_count))
+    si.supergirth_warning = sg < k + 2
     si.audit()
     return si
 
@@ -293,10 +305,11 @@ def verify_spanner(g: Graph, h: EdgeSubset, k: int) -> tuple[bool, int | None]:
 def verify_spanner_structured(si: SpannerInstance, h: EdgeSubset) -> tuple[bool, int | None]:
     """Family-aware verify: identical verdict/witness to verify_spanner.
 
-    Edges in h are spanned by themselves.  A missing EsA or EtB edge is
-    certified when its anchor 3-path (own-copy hub, copy-0 hub, copy-0
-    star edge) lies in h.  A missing EGt edge is certified by
-    ``canonical_span_mask``: one closed-form pass over every (copy,
+    Edges in h are spanned by themselves.  A missing EsA or EtB edge, entry
+    [p, i, alpha] of its crossing table, is certified when its anchor
+    3-path, entries [p, i, 0], [0, i, 0] and [0, i, alpha] (own-copy hub,
+    copy-0 hub, copy-0 star edge), lies in h.  A missing EGt edge is
+    certified by ``canonical_span_mask``: one closed-form pass over every (copy,
     superedge, relation pair) that marks exactly the edges for which
     ``canonical_span_check``, the scalar reference, returns a path.  Each
     certificate is an explicit path of length <= k, so it never passes an
@@ -311,30 +324,11 @@ def verify_spanner_structured(si: SpannerInstance, h: EdgeSubset) -> tuple[bool,
         raise InputError("subset host does not match the verified graph")
     mask = h.mask()
     certified = mask.copy()
-    k = si.k
-
-    ids = si.ids_by_family[FAM_SA]
-    pend = ~mask[ids]
-    if pend.any() and k >= 3:
-        p, i = si.sa_p[pend], si.sa_i[pend]
-        u = i * si.source.source.sigma_a + si.sa_sym[pend]
-        ok = (mask[si.anchor_hub_a[p, i]] & mask[si.anchor_hub_a[0, i]]
-              & mask[si.anchor_star[u]])
-        certified[ids[pend]] |= ok
-
-    ids = si.ids_by_family[FAM_TB]
-    pend = ~mask[ids]
-    if pend.any() and k >= 3:
-        p, j = si.tb_p[pend], si.tb_j[pend]
-        u = si.source.source.a_count * si.source.source.sigma_a \
-            + j * si.source.source.sigma_b + si.tb_sym[pend]
-        ok = (mask[si.anchor_hub_b[p, j]] & mask[si.anchor_hub_b[0, j]]
-              & mask[si.anchor_star[u]])
-        certified[ids[pend]] |= ok
-
-    certified[si.ids_by_family[FAM_GT]] |= canonical_span_mask(si, h)
-
-    return _first_unspanned(g, h, np.flatnonzero(~certified), k)
+    for table in (si.crossing_sa, si.crossing_tb):
+        t = mask[table]
+        certified[table] |= t[:, :, :1] & t[:1, :, :1] & t[:1]
+    certified[si.gt_copies] |= canonical_span_mask(si, h)
+    return _first_unspanned(g, h, np.flatnonzero(~certified), si.k)
 
 
 def _first_unspanned(g: Graph, h: EdgeSubset, eids: np.ndarray, k: int):
@@ -353,7 +347,7 @@ def _first_unspanned(g: Graph, h: EdgeSubset, eids: np.ndarray, k: int):
 def canonical_span_mask(si: SpannerInstance, h: EdgeSubset) -> np.ndarray:
     """Which EGt edges have a canonical path inside h, all at once.
 
-    Entry r answers for edge ``si.ids_by_family[FAM_GT][r]`` and is True
+    Entry [p, e] answers for edge ``si.gt_copies[p, e]`` and is True
     exactly when ``canonical_span_check`` returns a path for it.  Copy p's
     edge over superedge e = (i, j) qualifies when both of its towers are
     intact in h and some relation pair (alpha, beta) of e has its EsA edge
@@ -369,21 +363,8 @@ def canonical_span_mask(si: SpannerInstance, h: EdgeSubset) -> np.ndarray:
     minrep = si.base.edge_ids_of(si.source.a_vertex(i, alpha), si.source.b_vertex(j, beta))
     ok = mask[si.crossing_sa][:, i, alpha] & mask[minrep] & mask[si.crossing_tb][:, j, beta]
     ok = np.logical_or.reduceat(ok, starts, axis=1)
-    s_ok = _tower_intact(si.base, mask, si._s_offset, si.x * lc.a_count, si.k_a)
-    t_ok = _tower_intact(si.base, mask, si._t_offset, si.x * lc.b_count, si.k_b)
-    ok &= s_ok.reshape(si.x, lc.a_count)[:, ea] & t_ok.reshape(si.x, lc.b_count)[:, eb]
-    return ok[si.gt_p, si.gt_superedge]
-
-
-def _tower_intact(g: Graph, mask: np.ndarray, offset: int, towers: int,
-                  height: int) -> np.ndarray:
-    """For each of ``towers`` consecutive towers of ``height`` vertices from
-    ``offset``: are all of its EM edges in mask?"""
-    bases = offset + np.arange(towers, dtype=np.int64) * height
-    intact = np.ones(towers, dtype=bool)
-    for o in range(height - 1):
-        intact &= mask[g.edge_ids_of(bases + o, bases + o + 1)]
-    return intact
+    ok &= mask[si.tower_s].all(axis=2)[:, ea] & mask[si.tower_t].all(axis=2)[:, eb]
+    return ok
 
 
 def canonical_span_check(si: SpannerInstance, h: EdgeSubset, eid: int):
@@ -398,9 +379,7 @@ def canonical_span_check(si: SpannerInstance, h: EdgeSubset, eid: int):
     if si.fam_code[eid] != FAM_GT:
         raise InputError(f"edge {eid} is not an EGt edge")
     mask = h.mask()
-    pos = int(np.searchsorted(si.ids_by_family[FAM_GT], eid))
-    p = int(si.gt_p[pos])
-    se = int(si.gt_superedge[pos])
+    p, se = np.argwhere(si.gt_copies == eid)[0].tolist()
     lc = si.source.source
     i, j = lc.edge(se)
     g = si.base
@@ -435,15 +414,13 @@ def make_proper(si: SpannerInstance, h: EdgeSubset) -> EdgeSubset:
     if not ok:
         raise InputError(f"not a {si.k}-spanner: edge {witness} is violated")
     mask = h.mask().copy()
-    gt_ids = si.ids_by_family[FAM_GT]
-    dropped = mask[gt_ids]
-    mask[gt_ids] = False
+    p, se = np.nonzero(mask[si.gt_copies])
+    mask[si.gt_copies] = False
     keep = [np.nonzero(mask)[0], si.ids_by_family[FAM_E], si.ids_by_family[FAM_M],
             si.anchor_distinct]
     lc = si.source.source
     starts, _, alpha, beta = _relation_slots(lc)
     ea, eb, _ = lc.edge_arrays()
-    p, se = si.gt_p[dropped], si.gt_superedge[dropped]
     first = starts[se]
     keep += [si.crossing_sa[p, ea[se], alpha[first]], si.crossing_tb[p, eb[se], beta[first]]]
     return EdgeSubset(si.base, np.concatenate(keep))
@@ -458,15 +435,10 @@ def repcover_from_spanner(si: SpannerInstance, h: EdgeSubset) -> RepCover:
     """
     proper = make_proper(si, h)
     mask = proper.mask()
-    sa_in = mask[si.ids_by_family[FAM_SA]]
-    tb_in = mask[si.ids_by_family[FAM_TB]]
-    counts = (np.bincount(si.sa_p[sa_in], minlength=si.x)
-              + np.bincount(si.tb_p[tb_in], minlength=si.x))
-    best_p = int(np.argmin(counts))
-    pick_a = sa_in & (si.sa_p == best_p)
-    pick_b = tb_in & (si.tb_p == best_p)
-    members = [("A", int(i), int(s)) for i, s in zip(si.sa_i[pick_a], si.sa_sym[pick_a])]
-    members += [("B", int(j), int(s)) for j, s in zip(si.tb_j[pick_b], si.tb_sym[pick_b])]
+    sa, tb = mask[si.crossing_sa], mask[si.crossing_tb]
+    best_p = int(np.argmin(sa.sum(axis=(1, 2)) + tb.sum(axis=(1, 2))))
+    members = [("A", i, s) for i, s in zip(*np.nonzero(sa[best_p]))]
+    members += [("B", j, s) for j, s in zip(*np.nonzero(tb[best_p]))]
     cover = RepCover.of(members)
     ok, witness = repcover_valid(si.source, cover)
     if not ok:
@@ -486,21 +458,13 @@ def spanner_from_repcover(si: SpannerInstance, cover: RepCover) -> EdgeSubset:
     ok, witness = repcover_valid(si.source, cover)
     if not ok:
         raise InputError(f"invalid REP-cover: superedge {witness} uncovered")
-    lc = si.source.source
-    g = si.base
     ids = [si.ids_by_family[FAM_E], si.ids_by_family[FAM_M], si.anchor_distinct]
-    a_members = [(i, s) for side, i, s in cover.members if side == "A"]
-    b_members = [(j, s) for side, j, s in cover.members if side == "B"]
-    copies = np.arange(si.x, dtype=np.int64)[:, None]
-    if a_members:
-        i_arr, s_arr = np.array(a_members, dtype=np.int64).T
-        us = si._s_offset + (copies * lc.a_count + i_arr) * si.k_a
-        ids.append(g.edge_ids_of(us, si.source.a_vertex(i_arr, s_arr)).ravel())
-    if b_members:
-        j_arr, s_arr = np.array(b_members, dtype=np.int64).T
-        vs = si._t_offset + (copies * lc.b_count + j_arr) * si.k_b
-        ids.append(g.edge_ids_of(si.source.b_vertex(j_arr, s_arr), vs).ravel())
-    out = EdgeSubset(g, np.concatenate(ids))
+    for side, table in (("A", si.crossing_sa), ("B", si.crossing_tb)):
+        members = [(i, s) for sd, i, s in cover.members if sd == side]
+        if members:
+            i_arr, s_arr = np.array(members, dtype=np.int64).T
+            ids.append(table[:, i_arr, s_arr].ravel())
+    out = EdgeSubset(si.base, np.concatenate(ids))
     if si.x_is_default and len(cover) >= si.n_tilde:
         bound = (si.k + 1) * si.x * len(cover)
         if len(out) > bound:
@@ -589,18 +553,12 @@ def gadget_metadata(si: SpannerInstance) -> dict:
         "family_sizes": {FAMILIES[f]: int(si.ids_by_family[f].size) for f in range(5)},
         "anchor_roster_size": si.anchor_roster_size,
         "anchor_distinct_size": int(si.anchor_distinct.size),
-        "anchor_choices_a": [int(si.anchor_choice_a(i)) for i in range(lc.a_count)],
-        "anchor_choices_b": [int(si.anchor_choice_b(j)) for j in range(lc.b_count)],
-        "source_hash": hashlib.sha256(
-            _lc_bytes(lc)).hexdigest(),
+        "anchor_choices_a": [si.source.a_vertex(i, 0) for i in range(lc.a_count)],
+        "anchor_choices_b": [si.source.b_vertex(j, 0) for j in range(lc.b_count)],
+        "source_hash": hashlib.sha256(write_lc_text(lc).encode()).hexdigest(),
     }
 
 
 def write_gadget_meta_text(si: SpannerInstance) -> str:
     """The ``gadget_meta_v3`` sidecar as compact JSON text with sorted keys."""
     return json.dumps(gadget_metadata(si), sort_keys=True)
-
-
-def _lc_bytes(lc) -> bytes:
-    from .labelcover import write_lc_text
-    return write_lc_text(lc).encode("utf-8")

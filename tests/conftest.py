@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from girthspan.errors import InputError
@@ -163,3 +165,24 @@ def check_mutant(parse, reference, text, narrowed=narrowed_spelling) -> str:
         return "narrowed"
     assert got == expected, f"verdicts differ on {text!r}"
     return "accepted" if got is not None else "rejected"
+
+
+def is_bipartite(g) -> tuple[bool, list | None]:
+    """Two-color the graph; (True, colors) if no odd cycle else (False, None)."""
+    color = [-1] * g.vertex_count
+    adj = g.adjacency()
+    for start in range(g.vertex_count):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            cu = color[u]
+            for w in adj[u]:
+                if color[w] == -1:
+                    color[w] = 1 - cu
+                    queue.append(w)
+                elif color[w] == cu:
+                    return False, None
+    return True, color

@@ -171,9 +171,7 @@ def test_criterion_5_exhaustive_canonical_span():
         # canonical path (k = 3: towers are single vertices, no EM edges)
         canonical_masks = []
         for eid in gt_ids:
-            pos = int(np.searchsorted(si.ids_by_family[sp.FAM_GT], eid))
-            p = int(si.gt_p[pos])
-            se = int(si.gt_superedge[pos])
+            p, se = np.argwhere(si.gt_copies == eid)[0].tolist()
             i, j = lc.edge(se)
             triples = []
             for alpha, beta in lc.relation(se):

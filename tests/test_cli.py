@@ -274,6 +274,33 @@ def test_pipeline_reports_degenerate_run(tmp_path, capsys, alpha, sampled, kept)
     assert ("DEGENERATE" in stdout) == (kept == 0)
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_subsample_and_pipeline_reject_non_finite_alpha(tmp_path, capsys, alpha):
+    lc = tmp_path / "tiny.lc"
+    lc.write_text(write_lc_text(path_lc_tiny()))
+    sam = tmp_path / "sam.lc"
+    out = tmp_path / "run"
+    for args in (["subsample", "-i", lc, "--alpha", alpha, "-o", sam],
+                 ["pipeline", "--alpha", alpha, "-o", out]):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert f"input error: alpha must be a positive finite number, not {alpha}" in err
+        assert "Traceback" not in err
+    assert not sam.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--k", 2], "stretch k must be >= 3"),
+    (["--x", 0], "copy count x must be >= 1"),
+    (["--alpha", 0], "alpha must be a positive finite number"),
+])
+def test_pipeline_checks_parameters_before_any_work(tmp_path, capsys, bad, message):
+    out = tmp_path / "run"
+    assert run(["pipeline", "--planted", "-o", out] + bad) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_artifacts_round_trip(tmp_path):
     out = tmp_path / "run"
     assert run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", 3.0, "--k", 3,

@@ -12,14 +12,14 @@ from girthspan import graphs
 from girthspan.errors import InputError
 from girthspan.graphs import (Graph, INFINITY, _decimal_text, _decimal_values, _hops, _int_rows,
                               _line_number, bfs_distances, edge_cycle_length,
-                              girth, graph_sha256, is_bipartite, parse_graph_text,
+                              girth, graph_sha256, parse_graph_text,
                               write_graph_text)
 from girthspan.labelcover import parse_cover_text
 from girthspan.rng import Stream
 from girthspan.spanner import parse_subset_text
 
-from conftest import (check_mutant, complete_graph, cycle_graph, hub_graph, random_graph,
-                      text_mutants)
+from conftest import (check_mutant, complete_graph, cycle_graph, hub_graph, is_bipartite,
+                      random_graph, text_mutants)
 
 
 def test_bfs_on_path():

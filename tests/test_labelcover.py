@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from girthspan.errors import InputError
-from girthspan.graphs import INFINITY, is_bipartite
+from girthspan.graphs import INFINITY
 from girthspan.labelcover import (LabelCoverInstance, Labeling, RepCover, _satisfied_mask,
                                   labeling_to_repcover,
                                   distinct_relations, minrep_expand, parse_cover_text,
@@ -23,8 +23,8 @@ from girthspan.graphs import _is_break
 from girthspan.labelcover import _first_breaks
 from girthspan.rng import Stream
 
-from conftest import (check_mutant, make_lc, narrowed_spelling, parse_outcome, random_tiny_lc,
-                      text_mutants, xor_odd_4cycle)
+from conftest import (check_mutant, is_bipartite, make_lc, narrowed_spelling, parse_outcome,
+                      random_tiny_lc, text_mutants, xor_odd_4cycle)
 
 
 def test_value_single_superedge_all_pairs():

@@ -1,16 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthspan import spanner as sp
+from girthspan import constructions as cons, sampling, spanner as sp
 from girthspan.errors import InputError, ResourceError
 from girthspan.graphs import Graph, INFINITY, bfs_distances, girth, graph_sha256
 from girthspan.labelcover import (RepCover, labeling_to_repcover,
                                   minrep_expand, repcover_valid)
 from girthspan.oracles import spans_all_pairs
-from girthspan.rng import Stream
+from girthspan.rng import Stream, child_seed
 
 from conftest import (check_mutant, complete_graph, cycle_graph, full_subset, hub_graph,
                       make_lc, path_lc_tiny, random_graph, text_mutants, xor_odd_4cycle)
@@ -89,9 +90,14 @@ def test_families_partition_edges():
 def test_egt_copies_are_supergraph_isomorphic():
     si = tiny_instance(k=3, x=3)
     lc = si.source.source
+    assert sorted(si.gt_copies.ravel().tolist()) == si.ids_by_family[sp.FAM_GT].tolist()
     for p in range(3):
-        per_copy = sorted(si.gt_superedge[si.gt_p == p].tolist())
-        assert per_copy == list(range(lc.edge_count))
+        per_copy = []
+        for eid in si.gt_copies[p].tolist():
+            (_, i, _, p_s), (_, j, _, p_t) = map(si.vertex_role, si.base.edge(eid))
+            assert p_s == p_t == p
+            per_copy.append((i, j))
+        assert per_copy == [lc.edge(e) for e in range(lc.edge_count)]
 
 
 def gadget_tables_by_lookup(si):
@@ -102,39 +108,31 @@ def gadget_tables_by_lookup(si):
     g, mr, lc = si.base, si.source, si.source.source
     x, k_a, k_b = si.x, si.k_a, si.k_b
     a_cnt, b_cnt, sigma_a, sigma_b = lc.a_count, lc.b_count, lc.sigma_a, lc.sigma_b
-    s_bases = si._s_offset + np.arange(x * a_cnt, dtype=np.int64) * k_a
+    s_bases = si.n + np.arange(x * a_cnt, dtype=np.int64) * k_a
     t_bases = si._t_offset + np.arange(x * b_cnt, dtype=np.int64) * k_b
     eu, ev = mr.minrep_graph.edge_arrays()
     ids_E = np.sort(g.edge_ids_of(eu, ev))
-    em_u = [s_bases + o for o in range(k_a - 1)] + [t_bases + o for o in range(k_b - 1)]
-    ids_M = (np.sort(g.edge_ids_of(np.concatenate(em_u), np.concatenate(em_u) + 1))
-             if em_u else np.zeros(0, np.int64))
+    s_lo = (s_bases[:, None] + np.arange(k_a - 1)).ravel()
+    t_lo = (t_bases[:, None] + np.arange(k_b - 1)).ravel()
+    tower_s = g.edge_ids_of(s_lo, s_lo + 1)
+    tower_t = g.edge_ids_of(t_lo, t_lo + 1)
+    ids_M = np.sort(np.concatenate([tower_s, tower_t]))
 
     tower_i = np.tile(np.arange(a_cnt, dtype=np.int64), x)
-    tower_p = np.repeat(np.arange(x, dtype=np.int64), a_cnt)
     syms_a = np.arange(sigma_a, dtype=np.int64)
     ids_sA = g.edge_ids_of(np.repeat(s_bases, sigma_a),
                            (tower_i[:, None] * sigma_a + syms_a[None, :]).ravel())
-    order = np.argsort(ids_sA)
-    sa = [np.repeat(tower_p, sigma_a)[order], np.repeat(tower_i, sigma_a)[order],
-          np.tile(syms_a, x * a_cnt)[order]]
 
     tower_j = np.tile(np.arange(b_cnt, dtype=np.int64), x)
-    tower_pb = np.repeat(np.arange(x, dtype=np.int64), b_cnt)
     syms_b = np.arange(sigma_b, dtype=np.int64)
     b_block = a_cnt * sigma_a
     ids_tB = g.edge_ids_of((b_block + tower_j[:, None] * sigma_b + syms_b[None, :]).ravel(),
                            np.repeat(t_bases, sigma_b))
-    order = np.argsort(ids_tB)
-    tb = [np.repeat(tower_pb, sigma_b)[order], np.repeat(tower_j, sigma_b)[order],
-          np.tile(syms_b, x * b_cnt)[order]]
 
     ea, eb, _ = lc.edge_arrays()
     copies = np.repeat(np.arange(x, dtype=np.int64), lc.edge_count)
-    ids_Gt = g.edge_ids_of(si._s_offset + (copies * a_cnt + np.tile(ea, x)) * k_a + (k_a - 1),
+    ids_Gt = g.edge_ids_of(si.n + (copies * a_cnt + np.tile(ea, x)) * k_a + (k_a - 1),
                            si._t_offset + (copies * b_cnt + np.tile(eb, x)) * k_b + (k_b - 1))
-    order = np.argsort(ids_Gt)
-    gt = [copies[order], np.tile(np.arange(lc.edge_count, dtype=np.int64), x)[order]]
 
     ids = [ids_E, ids_M, np.sort(ids_sA), np.sort(ids_tB), np.sort(ids_Gt)]
     fam_code = np.empty(g.edge_count, dtype=np.int8)
@@ -148,10 +146,12 @@ def gadget_tables_by_lookup(si):
     hub_a = g.edge_ids_of(s_bases, np.tile(np.arange(a_cnt) * sigma_a, x)).reshape(x, a_cnt)
     hub_b = g.edge_ids_of(np.tile(b_block + np.arange(b_cnt) * sigma_b, x),
                           t_bases).reshape(x, b_cnt)
-    return {"fam_code": fam_code, "ids": ids, "sa": sa, "tb": tb, "gt": gt,
+    return {"fam_code": fam_code, "ids": ids,
+            "tower_s": tower_s.reshape(x, a_cnt, k_a - 1),
+            "tower_t": tower_t.reshape(x, b_cnt, k_b - 1),
             "crossing_sa": ids_sA.reshape(x, a_cnt, sigma_a),
             "crossing_tb": ids_tB.reshape(x, b_cnt, sigma_b),
-            "anchor_star": anchor_star, "anchor_hub_a": hub_a, "anchor_hub_b": hub_b,
+            "gt_copies": ids_Gt.reshape(x, lc.edge_count),
             "anchor_distinct": np.unique(np.concatenate([anchor_star, hub_a.ravel(),
                                                          hub_b.ravel()]))}
 
@@ -167,38 +167,97 @@ def test_gadget_tables_from_construction_sort_equal_lookup(k, x):
         assert np.array_equal(si.fam_code, ref["fam_code"])
         for fam in range(5):
             assert np.array_equal(si.ids_by_family[fam], ref["ids"][fam])
-        for got, want in zip([si.sa_p, si.sa_i, si.sa_sym, si.tb_p, si.tb_j, si.tb_sym,
-                              si.gt_p, si.gt_superedge], ref["sa"] + ref["tb"] + ref["gt"]):
-            assert np.array_equal(got, want)
-        for name in ("crossing_sa", "crossing_tb", "anchor_star", "anchor_hub_a",
-                     "anchor_hub_b", "anchor_distinct"):
+        for name in ("tower_s", "tower_t", "crossing_sa", "crossing_tb", "gt_copies",
+                     "anchor_distinct"):
+            assert getattr(si, name).shape == ref[name].shape, name
             assert np.array_equal(getattr(si, name), ref[name]), name
         assert (k == 3) == (si.ids_by_family[sp.FAM_M].size == 0)
 
 
-@pytest.mark.parametrize("corruptions", [
-    [("gt_superedge", (0, 0), 1)],      # copy 0 holds superedge 1 twice, misses 0
-    [("gt_superedge", (1, 2), 3)],      # out of range (3 superedges)
-    [("gt_superedge", (2, 1), -1)],
-    [("gt_p", (0, 0), 1)],              # copy 1 holds superedge 0 twice
-    [("gt_p", (2, 0), 3)],              # no copy 3 at x = 3
-    [("gt_p", (0, 2), -1)],
-    # every (copy, superedge) slot p * 3 + se still occurs once, but copy 0
-    # holds superedge 3, which does not exist
-    [("gt_superedge", (0, 2), 3), ("gt_superedge", (1, 0), 2), ("gt_p", (1, 0), 0)],
-])
-def test_audit_rejects_corrupt_egt_copies(corruptions):
-    si = tiny_instance(k=3, x=3)
+def corrupt_and_audit(k, corruptions):
+    """Set each (table, index) entry to another entry of the same table (an
+    index), of a named table, to an id, or past the last edge ("m"); audit
+    must name the first corrupted table."""
+    si = tiny_instance(k=k, x=3)
     si.audit()
     assert si.source.source.edge_count == 3
-    pos = {(p, se): r for r, (p, se) in enumerate(zip(si.gt_p.tolist(),
-                                                       si.gt_superedge.tolist()))}
-    fields = {"gt_p": si.gt_p.copy(), "gt_superedge": si.gt_superedge.copy()}
-    for field, pair, value in corruptions:
-        fields[field][pos[pair]] = value
-    si.gt_p, si.gt_superedge = fields["gt_p"], fields["gt_superedge"]
-    with pytest.raises(AssertionError, match="EGt copies"):
+    tables = {name: getattr(si, name).copy() for name, _, _ in corruptions}
+    for name, at, value in corruptions:
+        if value == "m":
+            value = si.base.edge_count
+        elif isinstance(value, tuple):
+            source, pos = value if isinstance(value[0], str) else (name, value)
+            value = getattr(si, source)[pos]
+        tables[name][at] = value
+    for name, table in tables.items():
+        setattr(si, name, table)
+    with pytest.raises(AssertionError, match=f"{corruptions[0][0]} entries do not join"):
         si.audit()
+
+
+@pytest.mark.parametrize("corruptions", [
+    [("gt_copies", (0, 0), (0, 1))],            # copy 0 holds superedge 1 twice, misses 0
+    [("gt_copies", (1, 2), (0, 2))],            # copy 0's edge in copy 1
+    [("gt_copies", (2, 1), -1)],
+    [("gt_copies", (0, 1), "m")],
+    # every EGt id still occurs once, but copies 0 and 1 swap superedge 0
+    [("gt_copies", (0, 0), (1, 0)), ("gt_copies", (1, 0), (0, 0))],
+    [("gt_copies", (2, 0), ("crossing_sa", (2, 0, 0)))],         # an EsA edge
+    [("gt_copies", (2, 2), ("crossing_tb", (2, 1, 0)))],         # an EtB edge
+])
+def test_audit_rejects_corrupt_egt_copies(corruptions):
+    corrupt_and_audit(3, corruptions)
+
+
+@pytest.mark.parametrize("k, corruptions", [
+    (3, [("crossing_sa", (1, 1, 0), (1, 1, 1))]),                # another symbol
+    (3, [("crossing_sa", (0, 0, 1), (2, 0, 1))]),                # another copy
+    (3, [("crossing_tb", (2, 1, 1), (2, 0, 1))]),                # another tower
+    (3, [("crossing_tb", (0, 0, 0), (0, 1, 1)), ("crossing_tb", (0, 1, 1), (0, 0, 0))]),
+    (4, [("tower_t", (1, 0, 0), (1, 1, 0))]),                    # another t-tower's EM edge
+    (5, [("tower_s", (2, 1, 0), ("tower_t", (2, 1, 0)))]),       # a t-tower's EM edge
+    (5, [("tower_s", (0, 0, 0), (1, 0, 0)), ("tower_s", (1, 0, 0), (0, 0, 0))]),
+    (5, [("tower_t", (0, 1, 0), ("crossing_tb", (0, 1, 0)))]),
+])
+def test_audit_rejects_corrupt_crossing_and_tower_tables(k, corruptions):
+    corrupt_and_audit(k, corruptions)
+
+
+def test_audit_rejects_a_missing_copy():
+    si = tiny_instance(k=3, x=3)
+    si.gt_copies = si.gt_copies[:2]
+    with pytest.raises(AssertionError, match="gt_copies entries"):
+        si.audit()
+
+
+def test_gadget_tables_are_read_only():
+    si = tiny_instance(k=5, x=2)
+    arrays = [si.fam_code, si.anchor_distinct, *si.ids_by_family.values()]
+    arrays += [getattr(si, name) for name in ("tower_s", "tower_t", "crossing_sa",
+                                              "crossing_tb", "gt_copies")]
+    for arr in arrays:
+        assert arr.size
+        with pytest.raises(ValueError):
+            arr.reshape(-1)[0] = 0
+
+
+def test_gadget_retains_under_48_bytes_per_edge():
+    """The vars=3 default-x gadget of the seed-7 chain (96,225 edges, x =
+    608, k = 3): the memory build_spanner_instance leaves allocated, its
+    graph and layout tables included, stays below 48 bytes per edge."""
+    formula = cons.gen_3sat5(3, child_seed(7, "gen"), None)
+    lc = cons.parallel_repetition(cons.regularize(cons.lc_from_3sat5(formula)), 1)
+    params = sampling.SampleParams(alpha=1.0, k=4, seed=child_seed(7, "subsample"))
+    mr = minrep_expand(sampling.strip_bad_edges(sampling.subsample(lc, params), 4))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        si = sp.build_spanner_instance(mr, 3)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (si.base.edge_count, si.x) == (96_225, 608)
+    assert retained / si.base.edge_count < 48
 
 
 def test_interior_tower_vertices_have_degree_two_outside_e():
@@ -288,9 +347,10 @@ def assert_fast_paths_match(si, h):
     returns the verdict."""
     result = sp.verify_spanner_structured(si, h)
     assert result == sp.verify_spanner(si.base, h, si.k)
-    scalar = [sp.canonical_span_check(si, h, eid) is not None
-              for eid in si.ids_by_family[sp.FAM_GT].tolist()]
-    assert sp.canonical_span_mask(si, h).tolist() == scalar
+    table = sp.canonical_span_mask(si, h)
+    assert table.shape == si.gt_copies.shape
+    for (p, e), got in np.ndenumerate(table):
+        assert got == (sp.canonical_span_check(si, h, int(si.gt_copies[p, e])) is not None)
     return result[0]
 
 
@@ -423,6 +483,18 @@ def test_spanner_from_repcover_verifies_and_bounds():
         assert sp.canonical_span_check(si, h, eid) is not None
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cover_spanner_needs_no_bfs(monkeypatch, k):
+    """Anchor and canonical certificates cover every edge a cover spanner
+    leaves out, so the structured verifier runs no hop search on it."""
+    lc = ten_vertex_lc()
+    si = sp.build_spanner_instance(minrep_expand(lc), k)
+    h = sp.spanner_from_repcover(si, value_one_cover(lc))
+    assert len(h) < si.base.edge_count
+    monkeypatch.setattr(sp, "_hops", lambda *args: pytest.fail("hop search ran"))
+    assert sp.verify_spanner_structured(si, h) == (True, None)
+
+
 def test_spanner_from_repcover_rejects_invalid_cover():
     si = tiny_instance(k=3)
     with pytest.raises(InputError):
@@ -439,11 +511,10 @@ def make_proper_per_edge(si, h):
     keep = [np.nonzero(mask)[0], si.ids_by_family[sp.FAM_E], si.ids_by_family[sp.FAM_M],
             si.anchor_distinct]
     lc = si.source.source
+    superedges = [lc.edge(e) for e in range(lc.edge_count)]
     for eid in dropped.tolist():
-        pos = int(np.searchsorted(gt_ids, eid))
-        p, se = int(si.gt_p[pos]), int(si.gt_superedge[pos])
-        i, j = lc.edge(se)
-        alpha, beta = lc.relation(se)[0]
+        (_, i, _, p), (_, j, _, _) = map(si.vertex_role, si.base.edge(eid))
+        alpha, beta = lc.relation(superedges.index((i, j)))[0]
         keep.append([si.base.edge_id(si.s_vertex(p, i, 1), si.source.a_vertex(i, alpha)),
                      si.base.edge_id(si.source.b_vertex(j, beta), si.t_vertex(p, j, 1))])
     return sp.EdgeSubset(si.base, np.concatenate(keep))
@@ -493,6 +564,37 @@ def test_repcover_from_spanner_full_set():
     ok, _ = repcover_valid(si.source, cover)
     assert ok
     assert len(cover) <= 6 * len(full) / si.x
+
+
+def repcover_per_copy(si, h):
+    """Reference for repcover_from_spanner: each copy's members from the
+    endpoint roles of the proper spanner's crossing edges, one edge at a
+    time; the first copy with the fewest members wins."""
+    per_copy = [set() for _ in range(si.x)]
+    for eid in sp.make_proper(si, h).members.tolist():
+        if si.fam_code[eid] in (sp.FAM_SA, sp.FAM_TB):
+            member, tower = map(si.vertex_role, si.base.edge(eid))
+            per_copy[tower[3]].add(member)
+    return RepCover.of(min(per_copy, key=len))
+
+
+def test_repcover_from_spanner_picks_the_smallest_copy():
+    lc = ten_vertex_lc()
+    si = sp.build_spanner_instance(minrep_expand(lc), 3, x_override=3)
+    cover = value_one_cover(lc)
+    h = sp.spanner_from_repcover(si, cover)
+    # crossing edges to symbols that are neither hubs (symbol 0) nor in the cover
+    spare = {"A": [(i, a) for i in range(2) for a in (1, 2) if ("A", i, a) not in cover.members],
+             "B": [(j, 1) for j in range(2) if ("B", j, 1) not in cover.members]}
+    tables = {"A": si.crossing_sa, "B": si.crossing_tb}
+    assert spare["A"] and spare["B"]
+    # (side, copy) of each added crossing edge; ties go to the lower copy
+    for extra in ([], [("A", 1)], [("A", 2)], [("A", 1), ("A", 2)], [("A", 2), ("A", 2)],
+                  [("B", 1)], [("A", 1), ("B", 2)]):
+        ids = [tables[side][p][spare[side][n % len(spare[side])]]
+               for n, (side, p) in enumerate(extra)]
+        h_extra = sp.EdgeSubset(si.base, np.concatenate([h.members, np.array(ids, np.int64)]))
+        assert sp.repcover_from_spanner(si, h_extra) == repcover_per_copy(si, h_extra)
 
 
 def test_round_trip_bound():
