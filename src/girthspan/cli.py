@@ -17,7 +17,7 @@ from . import constructions as cons
 from . import oracles, pipeline, sampling
 from . import spanner as sp
 from .errors import InputError, ResourceError
-from .graphs import INFINITY, _decimals, girth, parse_graph_text, write_graph_text
+from .graphs import _decimals, girth, parse_graph_text, write_graph_text
 from .labelcover import (minrep_expand, parse_cover_text, parse_lc_text,
                          write_cover_text, write_labeling_text, write_lc_text)
 from .rng import child_seed
@@ -34,10 +34,6 @@ def _budget_from_env(args) -> oracles.OracleBudget:
 
 def _read_lc(path):
     return parse_lc_text(Path(path).read_text())
-
-
-def _print_distance(d) -> None:
-    print("infinity" if d == INFINITY else int(d))
 
 
 def cmd_gen_3sat5(args) -> int:
@@ -77,13 +73,11 @@ def cmd_parrep(args) -> int:
 
 def cmd_subsample(args) -> int:
     lc = _read_lc(args.input)
-    params = sampling.SampleParams(alpha=args.alpha, k=max(args.k, 3), seed=args.seed,
+    params = sampling.SampleParams(alpha=args.alpha, seed=args.seed,
                                    clamp_p=not args.no_clamp_p, d_override=args.degree)
     out = sampling.subsample(lc, params)
     Path(args.output).write_text(write_lc_text(out))
-    p = sampling.sample_probability(args.alpha, lc.sigma_a,
-                                    sampling.effective_degree(lc, params),
-                                    not args.no_clamp_p)
+    p = sampling.keep_probability(lc, params)
     print(f"wrote {args.output}: kept {out.edge_count}/{lc.edge_count} superedges (p={p:.6g})")
     return 0
 
@@ -99,7 +93,7 @@ def cmd_strip_cycles(args) -> int:
 
 def cmd_girth(args) -> int:
     g = parse_graph_text(Path(args.input).read_text())
-    _print_distance(girth(g))
+    print(pipeline._dist_json(girth(g)))
     return 0
 
 
@@ -287,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=float, required=True,
                            help="sampling strength"),
             p.add_argument("--seed", type=int, default=0, help="master seed"),
-            p.add_argument("--k", type=int, default=3,
-                           help="cycle threshold recorded in the parameters"),
             p.add_argument("--no-clamp-p", action="store_true",
                            help="error instead of clamping when p > 1"),
             p.add_argument("--degree", type=int, default=None,

@@ -10,7 +10,7 @@ stream derived from the caller's seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,21 @@ CLAUSE_ALPHABET = 7   # satisfying assignments of a 3-literal clause
 VAR_ALPHABET = 2
 
 DEFAULT_MAX_SUPEREDGES = 10_000_000
+# Configuration-model budget: reshuffles, and swap-repair rounds per shuffle.
+MAX_RESTARTS = 80
+MAX_REPAIR_PASSES = 400
+
+
+def check_var_count(n: int) -> None:
+    """Reject a 3SAT(5) variable count below 3 or not divisible by 3."""
+    if n < 3 or n % 3 != 0:
+        raise InputError("variable count must be >= 3 and divisible by 3")
+
+
+def check_ell(ell: int) -> None:
+    """Reject a parallel-repetition count below 1."""
+    if ell < 1:
+        raise InputError("ell must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -38,8 +53,7 @@ class Formula3Sat5:
 
     def __post_init__(self):
         n = self.var_count
-        if n < 3 or n % 3 != 0:
-            raise InputError("variable count must be >= 3 and divisible by 3")
+        check_var_count(n)
         if len(self.clauses) != 5 * n // 3:
             raise InputError(f"expected {5 * n // 3} clauses, got {len(self.clauses)}")
         occurrences = [0] * n
@@ -72,17 +86,15 @@ def planted_assignment(n_vars: int, seed: int) -> tuple:
     return tuple(stream.randbelow(2) == 1 for _ in range(n_vars))
 
 
-def gen_3sat5(n_prime: int, seed: int, planted=None,
-              max_restarts: int = 80, max_repair_passes: int = 400) -> Formula3Sat5:
+def gen_3sat5(n_prime: int, seed: int, planted=None) -> Formula3Sat5:
     """Random 3SAT(5) formula, deterministic in (n_prime, seed, planted)."""
-    if n_prime < 3 or n_prime % 3 != 0:
-        raise InputError("n_prime must be >= 3 and divisible by 3")
+    check_var_count(n_prime)
     if planted is not None:
         planted = tuple(bool(b) for b in planted)
         if len(planted) != n_prime:
-            raise InputError("planted assignment length must equal n_prime")
+            raise InputError("planted assignment length must equal the variable count")
     stream = Stream(child_seed(seed, "gen3sat5", n_prime))
-    triples = _distinct_triples(n_prime, stream, max_restarts, max_repair_passes)
+    triples = _distinct_triples(n_prime, stream)
     clauses = []
     for triple in triples:
         variables = sorted(triple)
@@ -96,7 +108,7 @@ def gen_3sat5(n_prime: int, seed: int, planted=None,
     return Formula3Sat5(n_prime, tuple(clauses))
 
 
-def _distinct_triples(n: int, stream: Stream, max_restarts: int, max_passes: int):
+def _distinct_triples(n: int, stream: Stream):
     """Partition 5 slots per variable into triples with distinct members.
 
     Shuffle all 5n slots, then repeatedly swap one slot of each colliding
@@ -104,10 +116,10 @@ def _distinct_triples(n: int, stream: Stream, max_restarts: int, max_passes: int
     budget runs out.
     """
     clause_count = 5 * n // 3
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         slots = [v for v in range(n) for _ in range(5)]
         stream.shuffle(slots)
-        for _ in range(max_passes):
+        for _ in range(MAX_REPAIR_PASSES):
             clean = True
             for c in range(clause_count):
                 base = 3 * c
@@ -119,7 +131,7 @@ def _distinct_triples(n: int, stream: Stream, max_restarts: int, max_passes: int
             if clean:
                 return [slots[3 * c:3 * c + 3] for c in range(clause_count)]
     raise ResourceError("3SAT(5) configuration model failed to converge",
-                        required=max_restarts + 1, allowed=max_restarts)
+                        required=MAX_RESTARTS + 1, allowed=MAX_RESTARTS)
 
 
 def clause_satisfying_bits(clause) -> list:
@@ -207,8 +219,7 @@ def parallel_repetition(lc: LabelCoverInstance, ell: int,
     instance is materialized explicitly; exceeding ``max_superedges`` raises
     a ResourceError before any allocation.
     """
-    if ell < 1:
-        raise InputError("ell must be >= 1")
+    check_ell(ell)
     required = lc.edge_count ** ell
     if required > max_superedges:
         raise ResourceError("parallel repetition would exceed the superedge budget",
@@ -258,59 +269,30 @@ def _combine_relations(left, right, pair_key, width, sigma_a, sigma_b):
     return (np.append(0, np.cumsum(sizes)), alpha[order], beta[order]), inverse.astype(np.int64)
 
 
-def lift_labeling(lc: LabelCoverInstance, lab: Labeling, stage: str,
-                  ell: int | None = None) -> Labeling:
-    """Push a labeling of ``lc`` through a pipeline stage.
+def lift_regularize(lc: LabelCoverInstance, lab: Labeling) -> Labeling:
+    """Push a labeling of ``lc`` through ``regularize``: one copy per block."""
+    lab.check_shape(lc)
+    return Labeling(lab.gamma_a * 3, lab.gamma_b * 5)
 
-    ``stage`` is "regularize" (copies per block) or "repetition"
-    (coordinatewise tuples; requires ``ell``).  Value-1 labelings stay
-    value 1; under repetition the lifted value is the ell-th power.
+
+def lift_repetition(lc: LabelCoverInstance, lab: Labeling, ell: int) -> Labeling:
+    """Push a labeling of ``lc`` through ``parallel_repetition``.
+
+    Each vertex tuple takes the tuple of its coordinates' symbols.  Value-1
+    labelings stay value 1; in general the lifted value is the ell-th power.
     """
     lab.check_shape(lc)
-    if stage == "regularize":
-        gamma_a = lab.gamma_a * 3
-        gamma_b = lab.gamma_b * 5
-        return Labeling(gamma_a, gamma_b)
-    if stage == "repetition":
-        if ell is None or ell < 1:
-            raise InputError("repetition lift requires ell >= 1")
-        return Labeling(
-            _lift_tuples(lab.gamma_a, lc.a_count, lc.sigma_a, ell),
-            _lift_tuples(lab.gamma_b, lc.b_count, lc.sigma_b, ell))
-    raise InputError(f"unknown stage {stage!r}")
+    check_ell(ell)
+    return Labeling(_lift_tuples(lab.gamma_a, lc.sigma_a, ell),
+                    _lift_tuples(lab.gamma_b, lc.sigma_b, ell))
 
 
-def _lift_tuples(gamma, count, sigma, ell):
+def _lift_tuples(gamma, sigma, ell):
     base = np.asarray(gamma, dtype=np.int64)
     lifted = base.copy()
     for _ in range(ell - 1):
         lifted = (lifted[:, None] * np.int64(sigma) + base[None, :]).ravel()
     return tuple(lifted.tolist())
-
-
-@dataclass
-class StageRecord:
-    """One pipeline stage: name, parameters, and exact output sizes."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-    sizes: dict = field(default_factory=dict)
-
-
-@dataclass
-class PipelineTrace:
-    """Ordered log of pipeline stages with seeds and parameter values."""
-
-    seed: int
-    stages: list = field(default_factory=list)
-
-    def record(self, name: str, params: dict, sizes: dict) -> None:
-        self.stages.append(StageRecord(name, dict(params), dict(sizes)))
-
-    def as_dict(self) -> dict:
-        return {"seed": self.seed,
-                "stages": [{"name": s.name, "params": s.params, "sizes": s.sizes}
-                           for s in self.stages]}
 
 
 # --- DIMACS-style formula format ---------------------------------------------

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InputError
 from .graphs import (_MAX_DIGITS, _NOT_DECIMAL, Graph, _body_bytes, _check_declared,
                      _decimal_text, _decimal_values, _decimals, _head_lines, _int_rows, _is_break,
-                     _line_number, _sorted_distinct, _token_error, _token_rows, girth)
+                     _line_number, _sorted_distinct, _token_error, _token_rows)
 
 
 class LabelCoverInstance:
@@ -290,10 +290,6 @@ def supergraph(lc: LabelCoverInstance) -> Graph:
     if lc._supergraph is None:
         lc._supergraph = Graph.from_arrays(lc.a_count + lc.b_count, lc._ea, lc._eb + lc.a_count)
     return lc._supergraph
-
-
-def supergirth(lc: LabelCoverInstance):
-    return girth(supergraph(lc))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ test fixtures.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,6 @@ from .spanner import EdgeSubset
 @dataclass(frozen=True)
 class OracleBudget:
     max_search_space: int = 1 << 24
-    time_cap_s: float | None = None
 
     def __post_init__(self):
         if self.max_search_space < 1:
@@ -34,16 +32,6 @@ class OracleBudget:
         if required > self.max_search_space:
             raise ResourceError("oracle search space exceeds budget",
                                 required=required, allowed=self.max_search_space)
-
-
-class _Deadline:
-    def __init__(self, budget: OracleBudget):
-        self.expires = (time.monotonic() + budget.time_cap_s
-                        if budget.time_cap_s is not None else None)
-
-    def poll(self) -> None:
-        if self.expires is not None and time.monotonic() > self.expires:
-            raise ResourceError("oracle time cap exceeded")
 
 
 def lc_value_exact(lc: LabelCoverInstance,
@@ -72,16 +60,16 @@ def lc_value_exact(lc: LabelCoverInstance,
     budget.check_space(enum_count * states)
     if enum_a:
         best, enum_lab, other_lab = _enumerate_side(
-            lc, budget, lc.a_count, lc.sigma_a, lc.b_count, lc.sigma_b, a_side=True)
+            lc, lc.a_count, lc.sigma_a, lc.b_count, lc.sigma_b, a_side=True)
         witness = Labeling(enum_lab, other_lab)
     else:
         best, enum_lab, other_lab = _enumerate_side(
-            lc, budget, lc.b_count, lc.sigma_b, lc.a_count, lc.sigma_a, a_side=False)
+            lc, lc.b_count, lc.sigma_b, lc.a_count, lc.sigma_a, a_side=False)
         witness = Labeling(other_lab, enum_lab)
     return Fraction(best, lc.edge_count), witness
 
 
-def _enumerate_side(lc, budget, enum_count, enum_sigma, other_count, other_sigma, a_side):
+def _enumerate_side(lc, enum_count, enum_sigma, other_count, other_sigma, a_side):
     ea, eb, rel_ids = lc.edge_arrays()
     if a_side:
         enum_end, other_end = ea, eb
@@ -110,7 +98,6 @@ def _enumerate_side(lc, budget, enum_count, enum_sigma, other_count, other_sigma
     for e in range(lc.edge_count):
         by_other[int(other_end[e])].append((int(enum_end[e]), int(rel_ids[e])))
 
-    deadline = _Deadline(budget)
     total = np.zeros(states, dtype=np.int64)
     for incident in by_other:
         if not incident:
@@ -119,7 +106,6 @@ def _enumerate_side(lc, budget, enum_count, enum_sigma, other_count, other_sigma
         for v, rid in incident:
             acc += rel_matrices[rid][digits(v), :]
         total += acc.max(axis=1)
-        deadline.poll()
     best_state = int(np.argmax(total))
     best = int(total[best_state])
     enum_lab = tuple(int(digits(v)[best_state]) for v in range(enum_count))
@@ -146,10 +132,8 @@ def min_repcover_exact(mr: MinRepInstance,
         for alpha, beta in lc.relation(e):
             masks.append((1 << mr.a_vertex(a, alpha)) | (1 << mr.b_vertex(b, beta)))
         pair_masks.append(masks)
-    deadline = _Deadline(budget)
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
-            deadline.poll()
             sel = 0
             for v in combo:
                 sel |= 1 << v
@@ -219,10 +203,8 @@ def min_spanner_exact(g: Graph, k: int,
     m = g.edge_count
     budget.check_space(2 ** m)
     checker = BitsetSpannerChecker(g, k)
-    deadline = _Deadline(budget)
     for size in range(m + 1):
         for combo in itertools.combinations(range(m), size):
-            deadline.poll()
             mask = 0
             for e in combo:
                 mask |= 1 << e

@@ -35,13 +35,12 @@ def _dist_json(d):
 
 
 def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
-                 planted=False, x_override=None, clamp_p=True,
-                 max_superedges=cons.DEFAULT_MAX_SUPEREDGES,
-                 max_gadget_edges=sp.DEFAULT_MAX_GADGET_EDGES) -> dict:
+                 planted=False, x_override=None, clamp_p=True) -> dict:
     """Run the full chain, writing artifacts into ``outdir``.
 
     Returns the stats report (also written as stats.json).  A stretch
-    below 3, a copy count below 1 or an alpha that is not positive and
+    below 3, a copy count below 1, a variable count that is not a positive
+    multiple of 3, an ell below 1 or an alpha that is not positive and
     finite raises InputError before ``outdir`` is made.  The spanner
     stage strips cycles at threshold k+1 first, so the reduction's
     supergirth >= k+2 hypothesis holds by construction.  ``degenerate``
@@ -56,16 +55,21 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     """
     t_start = time.perf_counter()
     sp.check_gadget_params(k, x_override)
+    cons.check_var_count(n_vars)
+    cons.check_ell(ell)
     params = sampling.SampleParams(alpha=alpha, k=k + 1, seed=child_seed(seed, "subsample"),
                                    clamp_p=clamp_p)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    trace = cons.PipelineTrace(seed=seed)
+    stages = []
     timings = {}
     report = {"schema": STATS_SCHEMA,
               "params": {"n_vars": n_vars, "ell": ell, "alpha": alpha, "k": k,
                          "seed": seed, "planted": bool(planted),
                          "x_override": x_override, "clamp_p": bool(clamp_p)}}
+
+    def record(name, stage_params, sizes):
+        stages.append({"name": name, "params": stage_params, "sizes": sizes})
 
     @contextmanager
     def timed(name):
@@ -80,46 +84,45 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     planted_bits = cons.planted_assignment(n_vars, seed) if planted else None
     with timed("gen_3sat5"):
         formula = cons.gen_3sat5(n_vars, child_seed(seed, "gen"), planted_bits)
-        trace.record("gen_3sat5", {"n_vars": n_vars, "planted": planted_bits is not None},
-                     {"clauses": formula.clause_count})
+        record("gen_3sat5", {"n_vars": n_vars, "planted": planted_bits is not None},
+               {"clauses": formula.clause_count})
     write("formula.cnf", lambda: cons.write_formula_text(formula, seed=seed,
                                                          planted=planted_bits))
 
     with timed("lc_from_3sat5"):
         base = cons.lc_from_3sat5(formula)
-        trace.record("lc_from_3sat5", {}, {"a": base.a_count, "b": base.b_count,
-                                           "superedges": base.edge_count,
-                                           "relations": lcm.distinct_relations(base)})
+        record("lc_from_3sat5", {}, {"a": base.a_count, "b": base.b_count,
+                                     "superedges": base.edge_count,
+                                     "relations": lcm.distinct_relations(base)})
     write("base.lc", lambda: write_lc_text(base))
 
     with timed("regularize"):
         regular = cons.regularize(base)
-        trace.record("regularize", {}, {"a": regular.a_count, "b": regular.b_count,
-                                        "superedges": regular.edge_count,
-                                        "relations": lcm.distinct_relations(regular)})
+        record("regularize", {}, {"a": regular.a_count, "b": regular.b_count,
+                                  "superedges": regular.edge_count,
+                                  "relations": lcm.distinct_relations(regular)})
     write("regular.lc", lambda: write_lc_text(regular))
 
     with timed("parallel_repetition"):
-        repeated = cons.parallel_repetition(regular, ell, max_superedges=max_superedges)
-        trace.record("parallel_repetition", {"ell": ell},
-                     {"a": repeated.a_count, "b": repeated.b_count,
-                      "sigma_a": repeated.sigma_a, "sigma_b": repeated.sigma_b,
-                      "superedges": repeated.edge_count,
-                      "relations": lcm.distinct_relations(repeated)})
+        repeated = cons.parallel_repetition(regular, ell)
+        record("parallel_repetition", {"ell": ell},
+               {"a": repeated.a_count, "b": repeated.b_count,
+                "sigma_a": repeated.sigma_a, "sigma_b": repeated.sigma_b,
+                "superedges": repeated.edge_count,
+                "relations": lcm.distinct_relations(repeated)})
     write("repeated.lc", lambda: write_lc_text(repeated))
 
     with timed("subsample"):
         sampled = sampling.subsample(repeated, params)
-        p = sampling.sample_probability(
-            alpha, repeated.sigma_a, sampling.effective_degree(repeated, params), clamp_p)
+        p = sampling.keep_probability(repeated, params)
         deg_a, deg_b = sampling.degree_stats(sampled)
-        trace.record("subsample", {"alpha": alpha, "p": p, "strip_threshold": k + 1},
-                     {"superedges": sampled.edge_count,
-                      "relations": lcm.distinct_relations(sampled)})
+        record("subsample", {"alpha": alpha, "p": p, "strip_threshold": params.k},
+               {"superedges": sampled.edge_count,
+                "relations": lcm.distinct_relations(sampled)})
     write("sampled.lc", lambda: write_lc_text(sampled))
 
     with timed("strip_cycles"):
-        stripped = sampling.strip_bad_edges(sampled, k + 1)
+        stripped = sampling.strip_bad_edges(sampled, params.k)
         bad_count = sampled.edge_count - stripped.edge_count
     write("stripped.lc", lambda: write_lc_text(stripped))
     with timed("girth_check"):
@@ -127,38 +130,37 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         girth_cross = girth_independent(supergraph(stripped))
         if girth_main != girth_cross:
             raise AssertionError("girth formulations disagree on the stripped instance")
-        if girth_main != INFINITY and girth_main <= k + 1:
+        if girth_main != INFINITY and girth_main <= params.k:
             raise AssertionError("stripping left a short supercycle")
     with timed("strip_cycles"):
-        report["sample_stats"] = sampling.SampleStats(
-            edges_before=repeated.edge_count,
-            edges_after_sample=sampled.edge_count,
-            edges_after_strip=stripped.edge_count,
-            bad_edge_count=bad_count,
-            degrees_a=deg_a, degrees_b=deg_b,
-            achieved_girth=girth_main, probability=p,
-            clamped=(p == 1.0)).as_dict()
+        report["sample_stats"] = {
+            "edges_before": repeated.edge_count,
+            "edges_after_sample": sampled.edge_count,
+            "edges_after_strip": stripped.edge_count,
+            "bad_edge_count": bad_count,
+            "degrees_a": deg_a, "degrees_b": deg_b,
+            "achieved_girth": _dist_json(girth_main), "probability": p,
+            "clamped": p == 1.0}
         report["degenerate"] = {
             "flag": stripped.edge_count == 0 < sampled.edge_count,
             "edges_after_sample": sampled.edge_count,
             "edges_after_strip": stripped.edge_count}
-        trace.record("strip_cycles", {"threshold": k + 1},
-                     {"superedges": stripped.edge_count,
-                      "relations": lcm.distinct_relations(stripped), "bad_edges": bad_count,
-                      "supergirth": _dist_json(girth_main)})
+        record("strip_cycles", {"threshold": params.k},
+               {"superedges": stripped.edge_count,
+                "relations": lcm.distinct_relations(stripped), "bad_edges": bad_count,
+                "supergirth": _dist_json(girth_main)})
 
     with timed("minrep_expand"):
         minrep = lcm.minrep_expand(stripped)
-        trace.record("minrep_expand", {}, {"vertices": minrep.vertex_count,
-                                           "edges": minrep.minrep_graph.edge_count})
+        record("minrep_expand", {}, {"vertices": minrep.vertex_count,
+                                     "edges": minrep.minrep_graph.edge_count})
     write("minrep.graph", lambda: write_graph_text(minrep.minrep_graph))
 
     with timed("spanner_reduce"):
-        si = sp.build_spanner_instance(minrep, k, x_override=x_override,
-                                       max_edges=max_gadget_edges)
-        trace.record("spanner_reduce", {"k": k, "x": si.x, "x_is_default": si.x_is_default},
-                     {"vertices": si.base.vertex_count, "edges": si.base.edge_count,
-                      "anchor_roster": si.anchor_roster_size})
+        si = sp.build_spanner_instance(minrep, k, x_override=x_override)
+        record("spanner_reduce", {"k": k, "x": si.x, "x_is_default": si.x_is_default},
+               {"vertices": si.base.vertex_count, "edges": si.base.edge_count,
+                "anchor_roster": si.anchor_roster_size})
     write("gadget.graph", lambda: write_graph_text(si.base))
     write("gadget.meta.json", lambda: sp.write_gadget_meta_text(si))
 
@@ -166,8 +168,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     if planted:
         with timed("planted_labeling"):
             lab = cons.labeling_from_assignment(formula, planted_bits)
-            lab = cons.lift_labeling(base, lab, "regularize")
-            lab = cons.lift_labeling(regular, lab, "repetition", ell=ell)
+            lab = cons.lift_regularize(base, lab)
+            lab = cons.lift_repetition(regular, lab, ell)
             verdicts["lifted_value_one_after_sample"] = value(sampled, lab) == 1
             verdicts["lifted_value_one_after_strip"] = value(stripped, lab) == 1
             cover = lcm.labeling_to_repcover(stripped, lab)
@@ -177,8 +179,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         with timed("spanner_from_cover"):
             h = sp.spanner_from_repcover(si, cover)
             bound = (k + 1) * si.x * si.n_tilde
-            trace.record("spanner_from_cover", {"cover_size": len(cover)},
-                         {"spanner_edges": len(h), "bound": bound})
+            record("spanner_from_cover", {"cover_size": len(cover)},
+                   {"spanner_edges": len(h), "bound": bound})
         write("spanner.subset", lambda: sp.write_subset_text(h))
         with timed("spanner_verify"):
             ok, bad_edge = sp.verify_spanner_structured(si, h)
@@ -187,7 +189,7 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         if not ok:
             report["witness_edge"] = int(bad_edge)
 
-    report["trace"] = trace.as_dict()
+    report["trace"] = {"seed": seed, "stages": stages}
     report["verdicts"] = verdicts
     with timed("self_audit"):
         report["self_audit"] = _self_audit(
@@ -241,14 +243,12 @@ def _self_audit(outdir, base, regular, repeated, sampled, stripped, minrep, si, 
     return audit
 
 
-def rebuild_gadget(lc_path, k, x_override=None, allow_small_supergirth=False,
-                   max_edges=sp.DEFAULT_MAX_GADGET_EDGES):
+def rebuild_gadget(lc_path, k, x_override=None, allow_small_supergirth=False):
     """Deterministically rebuild the gadget from a stripped LC artifact."""
     lc = parse_lc_text(Path(lc_path).read_text())
     minrep = lcm.minrep_expand(lc)
     return sp.build_spanner_instance(minrep, k, x_override=x_override,
-                                     allow_small_supergirth=allow_small_supergirth,
-                                     max_edges=max_edges)
+                                     allow_small_supergirth=allow_small_supergirth)
 
 
 def instance_stats(lc) -> dict:
@@ -260,6 +260,6 @@ def instance_stats(lc) -> dict:
         "sigma_a": lc.sigma_a, "sigma_b": lc.sigma_b,
         "superedges": lc.edge_count,
         "relation_pairs_total": int(lcm._relation_slots(lc)[1].size),
-        "degrees_a": vars(deg_a), "degrees_b": vars(deg_b),
+        "degrees_a": deg_a, "degrees_b": deg_b,
         "supergirth": _dist_json(girth(supergraph(lc))),
     }

@@ -34,75 +34,34 @@ class SampleParams:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise InputError(f"alpha must be a positive finite number, not {self.alpha}")
+        if self.d_override is not None and self.d_override < 1:
+            raise InputError("degree override must be >= 1")
         if self.k < 3:
             raise InputError("cycle threshold k must be >= 3")
 
 
-@dataclass(frozen=True)
-class SideDegrees:
-    minimum: int
-    mean: float
-    maximum: int
+def keep_probability(lc: LabelCoverInstance, params: SampleParams) -> float:
+    """p = alpha * log2(sigma_a) / d, clamped to 1 unless ``clamp_p`` is off.
 
-
-@dataclass(frozen=True)
-class SampleStats:
-    """Evidence record for one sample/strip run."""
-
-    edges_before: int
-    edges_after_sample: int
-    edges_after_strip: int
-    bad_edge_count: int
-    degrees_a: SideDegrees
-    degrees_b: SideDegrees
-    achieved_girth: float
-    probability: float
-    clamped: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "edges_before": self.edges_before,
-            "edges_after_sample": self.edges_after_sample,
-            "edges_after_strip": self.edges_after_strip,
-            "bad_edge_count": self.bad_edge_count,
-            "degrees_a": vars(self.degrees_a),
-            "degrees_b": vars(self.degrees_b),
-            "achieved_girth": "infinity" if self.achieved_girth == INFINITY
-                              else int(self.achieved_girth),
-            "probability": self.probability,
-            "clamped": self.clamped,
-        }
-
-
-def sample_probability(alpha: float, sigma_a: int, d: int, clamp_p: bool = True) -> float:
-    """p = alpha * log2(sigma_a) / d, clamped to 1 when requested."""
-    if sigma_a < 2:
+    d is the degree override, else the maximum supergraph degree (1 on an
+    instance without superedges).
+    """
+    if lc.sigma_a < 2:
         raise InputError("sample probability needs sigma_a >= 2")
-    if d < 1:
-        raise InputError("degree must be >= 1")
-    p = alpha * math.log2(sigma_a) / d
+    d = params.d_override
+    if d is None:
+        d = int(max(lc.degrees_a().max(), lc.degrees_b().max())) if lc.edge_count else 1
+    p = params.alpha * math.log2(lc.sigma_a) / d
     if p > 1.0:
-        if not clamp_p:
+        if not params.clamp_p:
             raise InputError(f"sample probability {p} exceeds 1 and clamping is off")
         return 1.0
     return p
 
 
-def effective_degree(lc: LabelCoverInstance, params: SampleParams) -> int:
-    """Degree used in the p formula: explicit override, else max degree."""
-    if params.d_override is not None:
-        if params.d_override < 1:
-            raise InputError("degree override must be >= 1")
-        return params.d_override
-    if lc.edge_count == 0:
-        return 1
-    return int(max(lc.degrees_a().max(), lc.degrees_b().max()))
-
-
 def kept_edge_ids(lc: LabelCoverInstance, params: SampleParams) -> np.ndarray:
     """Superedge ids kept by the sample, decided in canonical edge order."""
-    p = sample_probability(params.alpha, lc.sigma_a,
-                           effective_degree(lc, params), params.clamp_p)
+    p = keep_probability(lc, params)
     threshold = keep_threshold(p)
     if threshold is None:
         return np.arange(lc.edge_count, dtype=np.int64)
@@ -133,14 +92,15 @@ def strip_bad_edges(lc: LabelCoverInstance, k: int) -> LabelCoverInstance:
     return lc.without_edges(bad_edges(lc, k))
 
 
-def _side_degrees(counts: np.ndarray) -> SideDegrees:
+def _side_degrees(counts: np.ndarray) -> dict:
     if counts.size == 0:
-        return SideDegrees(0, 0.0, 0)
-    return SideDegrees(int(counts.min()), float(counts.mean()), int(counts.max()))
+        return {"minimum": 0, "mean": 0.0, "maximum": 0}
+    return {"minimum": int(counts.min()), "mean": float(counts.mean()),
+            "maximum": int(counts.max())}
 
 
-def degree_stats(lc: LabelCoverInstance) -> tuple[SideDegrees, SideDegrees]:
-    """Exact (min, mean, max) supergraph degrees per side."""
+def degree_stats(lc: LabelCoverInstance) -> tuple[dict, dict]:
+    """Exact supergraph degrees per side: dicts of minimum, mean and maximum."""
     return _side_degrees(lc.degrees_a()), _side_degrees(lc.degrees_b())
 
 
@@ -174,8 +134,7 @@ def _montecarlo(lc: LabelCoverInstance, params: SampleParams, trials: int,
     """Per trial, the number of kept superedges among those marked in ``counted``."""
     if trials < 1:
         raise InputError("trials must be >= 1")
-    p = sample_probability(params.alpha, lc.sigma_a,
-                           effective_degree(lc, params), params.clamp_p)
+    p = keep_probability(lc, params)
     threshold = keep_threshold(p)
     counts = []
     for t in range(trials):

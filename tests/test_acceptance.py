@@ -16,7 +16,7 @@ from girthspan import spanner as sp
 from girthspan.graphs import Graph, INFINITY, girth
 from girthspan.labelcover import (LabelCoverInstance, Labeling,
                                   labeling_to_repcover, minrep_expand,
-                                  repcover_valid, satisfied_count, supergirth,
+                                  repcover_valid, satisfied_count,
                                   supergraph, value)
 from girthspan.rng import Stream, child_seed, draws_array, keep_threshold
 
@@ -69,10 +69,10 @@ def test_criterion_2_end_to_end_completeness():
             lab = cons.labeling_from_assignment(f, planted)
             assert value(lc, lab) == 1
             reg = cons.regularize(lc)
-            lab = cons.lift_labeling(lc, lab, "regularize")
+            lab = cons.lift_regularize(lc, lab)
             assert value(reg, lab) == 1
             rep = cons.parallel_repetition(reg, ell)
-            lab = cons.lift_labeling(reg, lab, "repetition", ell=ell)
+            lab = cons.lift_repetition(reg, lab, ell)
             assert value(rep, lab) == 1
             params = sampling.SampleParams(alpha=alpha, k=k + 1,
                                            seed=child_seed(5, "c2s", n_vars, ell))
@@ -80,7 +80,7 @@ def test_criterion_2_end_to_end_completeness():
             assert value(sampled, lab) == 1
             stripped = sampling.strip_bad_edges(sampled, k + 1)
             assert value(stripped, lab) == 1
-            sg = supergirth(stripped)
+            sg = girth(supergraph(stripped))
             assert sg == INFINITY or sg >= k + 2
             mr = minrep_expand(stripped)
             cover = labeling_to_repcover(stripped, lab)
@@ -165,7 +165,7 @@ def test_criterion_5_exhaustive_canonical_span():
         si = sp.build_spanner_instance(mr, 3, x_override=1)
         g = si.base
         assert g.edge_count <= 18
-        assert supergirth(lc) == INFINITY   # >= k + 2
+        assert girth(supergraph(lc)) == INFINITY   # >= k + 2
         gt_ids = si.ids_by_family[sp.FAM_GT].tolist()
         # per EGt edge: bitmasks of the three crossing edges of each candidate
         # canonical path (k = 3: towers are single vertices, no EM edges)
@@ -262,7 +262,7 @@ def test_criterion_7_sampling_statistics():
         k512 = LabelCoverInstance.from_arrays(
             n_side, n_side, 4, 4, ea, eb,
             np.zeros(n_side * n_side, dtype=np.int64), ONE_PAIR_TABLE)
-        p = sampling.sample_probability(32.0, 4, 512)
+        p = sampling.keep_probability(k512, sampling.SampleParams(alpha=32.0))
         assert p == 64 / 512
         thr = keep_threshold(p)
         seed_c = child_seed(3, "c7c")

@@ -292,13 +292,64 @@ def test_subsample_and_pipeline_reject_non_finite_alpha(tmp_path, capsys, alpha)
 @pytest.mark.parametrize("bad, message", [
     (["--k", 2], "stretch k must be >= 3"),
     (["--x", 0], "copy count x must be >= 1"),
-    (["--alpha", 0], "alpha must be a positive finite number"),
+    (["--alpha", 0], "alpha must be a positive finite number, not 0.0"),
+    (["--vars", 0], "variable count must be >= 3 and divisible by 3"),
+    (["--vars", 4], "variable count must be >= 3 and divisible by 3"),
+    (["--ell", 0], "ell must be >= 1"),
 ])
 def test_pipeline_checks_parameters_before_any_work(tmp_path, capsys, bad, message):
     out = tmp_path / "run"
     assert run(["pipeline", "--planted", "-o", out] + bad) == 2
-    assert f"input error: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
+
+
+def test_subsample_rejects_degree_override_below_one(tmp_path, capsys):
+    lc = tmp_path / "tiny.lc"
+    lc.write_text(write_lc_text(path_lc_tiny()))
+    sam = tmp_path / "sam.lc"
+    assert run(["subsample", "-i", lc, "--alpha", 1, "--degree", 0, "-o", sam]) == 2
+    assert capsys.readouterr().err == "input error: degree override must be >= 1\n"
+    assert not sam.exists()
+
+
+STAGES_V1 = [   # (name, params keys, sizes keys) of a planted run, in order
+    ("gen_3sat5", {"n_vars", "planted"}, {"clauses"}),
+    ("lc_from_3sat5", set(), {"a", "b", "superedges", "relations"}),
+    ("regularize", set(), {"a", "b", "superedges", "relations"}),
+    ("parallel_repetition", {"ell"},
+     {"a", "b", "sigma_a", "sigma_b", "superedges", "relations"}),
+    ("subsample", {"alpha", "p", "strip_threshold"}, {"superedges", "relations"}),
+    ("strip_cycles", {"threshold"}, {"superedges", "relations", "bad_edges", "supergirth"}),
+    ("minrep_expand", set(), {"vertices", "edges"}),
+    ("spanner_reduce", {"k", "x", "x_is_default"}, {"vertices", "edges", "anchor_roster"}),
+    ("spanner_from_cover", {"cover_size"}, {"spanner_edges", "bound"}),
+]
+DEGREES_V1 = {"minimum", "mean", "maximum"}
+
+
+def test_stats_v1_shape(tmp_path, capsys):
+    """The stats_v1 keys of a planted pipeline report and of the stats command."""
+    out = tmp_path / "run"
+    assert run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", 1.0, "--k", 3,
+                "--seed", 7, "--planted", "-o", out]) == 0
+    report = json.loads((out / "stats.json").read_text())
+    assert set(report["sample_stats"]) == {
+        "edges_before", "edges_after_sample", "edges_after_strip", "bad_edge_count",
+        "degrees_a", "degrees_b", "achieved_girth", "probability", "clamped"}
+    assert set(report["sample_stats"]["degrees_a"]) == DEGREES_V1
+    assert set(report["sample_stats"]["degrees_b"]) == DEGREES_V1
+    assert set(report["degenerate"]) == {"flag", "edges_after_sample", "edges_after_strip"}
+    assert set(report["trace"]) == {"seed", "stages"}
+    stages = report["trace"]["stages"]
+    assert [s["name"] for s in stages] == [name for name, _, _ in STAGES_V1]
+    for stage, (name, params, sizes) in zip(stages, STAGES_V1):
+        assert set(stage) == {"name", "params", "sizes"}
+        assert (set(stage["params"]), set(stage["sizes"])) == (params, sizes), name
+    capsys.readouterr()
+    assert run(["stats", "-i", out / "stripped.lc"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["degrees_a"]) == set(doc["degrees_b"]) == DEGREES_V1
 
 
 def test_pipeline_artifacts_round_trip(tmp_path):

@@ -112,7 +112,7 @@ def test_regularize_preserves_value_one():
     lc = cons.lc_from_3sat5(f)
     lab = cons.labeling_from_assignment(f, planted)
     reg = cons.regularize(lc)
-    lifted = cons.lift_labeling(lc, lab, "regularize")
+    lifted = cons.lift_regularize(lc, lab)
     assert value(reg, lifted) == 1
 
 
@@ -177,7 +177,7 @@ def test_parrep_sandwich_on_tiny_instance(xor_lc):
     assert base_opt == Fraction(3, 4)
 
 
-# --- lift_labeling ---------------------------------------------------------------
+# --- labeling lifts ---------------------------------------------------------------
 
 def test_lift_value_one_through_repetition():
     planted = (True,) * 3
@@ -185,7 +185,7 @@ def test_lift_value_one_through_repetition():
     lc = cons.lc_from_3sat5(f)
     lab = cons.labeling_from_assignment(f, planted)
     rep = cons.parallel_repetition(lc, 2, max_superedges=10 ** 6)
-    lifted = cons.lift_labeling(lc, lab, "repetition", ell=2)
+    lifted = cons.lift_repetition(lc, lab, 2)
     assert value(rep, lifted) == 1
 
 
@@ -193,18 +193,18 @@ def test_lift_value_is_squared_for_fixed_labeling(xor_lc):
     lab = Labeling((0, 0), (0, 0))
     assert value(xor_lc, lab) == Fraction(3, 4)
     rep = cons.parallel_repetition(xor_lc, 2)
-    lifted = cons.lift_labeling(xor_lc, lab, "repetition", ell=2)
+    lifted = cons.lift_repetition(xor_lc, lab, 2)
     assert value(rep, lifted) == Fraction(9, 16)
 
 
-def test_lift_shape_and_stage_errors(xor_lc):
+def test_lift_shape_and_ell_errors(xor_lc):
     lab = Labeling((0, 0), (0, 0))
     with pytest.raises(InputError):
-        cons.lift_labeling(xor_lc, Labeling((0,), (0, 0)), "regularize")
+        cons.lift_regularize(xor_lc, Labeling((0,), (0, 0)))
     with pytest.raises(InputError):
-        cons.lift_labeling(xor_lc, lab, "repetition")
-    with pytest.raises(InputError):
-        cons.lift_labeling(xor_lc, lab, "unknown")
+        cons.lift_repetition(xor_lc, Labeling((0,), (0, 0)), 2)
+    with pytest.raises(InputError, match="ell must be >= 1"):
+        cons.lift_repetition(xor_lc, lab, 0)
 
 
 # --- formula text format ----------------------------------------------------------

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from girthspan.errors import InputError
-from girthspan.graphs import INFINITY
+from girthspan.graphs import INFINITY, girth
 from girthspan.labelcover import (LabelCoverInstance, Labeling, RepCover, _satisfied_mask,
                                   labeling_to_repcover,
                                   distinct_relations, minrep_expand, parse_cover_text,
                                   parse_labeling_text, parse_lc_text,
-                                  repcover_valid, satisfied_count, supergirth,
+                                  repcover_valid, satisfied_count,
                                   supergraph, value, write_cover_text,
                                   write_labeling_text, write_lc_text)
 from girthspan import constructions as cons
@@ -94,10 +94,10 @@ def test_supergraph_of_regularized_instance_is_15_regular():
 
 def test_supergirth_examples(xor_lc):
     single = make_lc(1, 1, 1, 1, [(0, 0, [(0, 0)])])
-    assert supergirth(single) == INFINITY
+    assert girth(supergraph(single)) == INFINITY
     complete22 = make_lc(2, 2, 1, 1, [(a, b, [(0, 0)]) for a in (0, 1) for b in (0, 1)])
-    assert supergirth(complete22) == 4
-    assert supergirth(xor_lc) == 4
+    assert girth(supergraph(complete22)) == 4
+    assert girth(supergraph(xor_lc)) == 4
 
 
 def test_minrep_expand_vertex_count_formula():

@@ -180,9 +180,3 @@ def test_lc_value_witness_converts_to_valid_cover_iff_value_one():
         cover = labeling_to_repcover(lc, witness)
         ok, _ = repcover_valid(minrep_expand(lc), cover)
         assert ok == (opt == 1)
-
-
-def test_time_cap():
-    g = complete_graph(6)
-    with pytest.raises(ResourceError):
-        oracles.min_spanner_exact(g, 2, oracles.OracleBudget(time_cap_s=0.0))

@@ -6,7 +6,7 @@ from girthspan import constructions as cons
 from girthspan import sampling
 from girthspan.errors import InputError
 from girthspan.graphs import INFINITY, Graph, bfs_distances, edge_cycle_length, girth
-from girthspan.labelcover import Labeling, satisfied_count, supergirth, supergraph, value
+from girthspan.labelcover import Labeling, satisfied_count, supergraph, value
 from girthspan.rng import Stream
 
 from conftest import make_lc, random_tiny_lc
@@ -29,21 +29,36 @@ def regular15_lc(seed=1):
     return cons.regularize(cons.lc_from_3sat5(cons.gen_3sat5(3, seed=seed)))
 
 
-def test_sample_probability_values():
-    assert sampling.sample_probability(2, 2, 8) == 0.25
-    assert sampling.sample_probability(8, 4, 16) == 1.0
-    assert sampling.sample_probability(32, 16, 64) == 1.0   # clamps
-    assert math.isclose(sampling.sample_probability(1, 7, 15),
-                        math.log2(7) / 15)
+def one_edge_lc(sigma_a):
+    return make_lc(1, 1, sigma_a, 2, [(0, 0, [(0, 0)])])
 
 
-def test_sample_probability_errors():
+def keep_p(sigma_a, alpha, d, clamp_p=True):
+    params = sampling.SampleParams(alpha=alpha, clamp_p=clamp_p, d_override=d)
+    return sampling.keep_probability(one_edge_lc(sigma_a), params)
+
+
+def test_keep_probability_values():
+    assert keep_p(2, 2, 8) == 0.25
+    assert keep_p(4, 8, 16) == 1.0
+    assert keep_p(16, 32, 64) == 1.0   # clamps
+    assert math.isclose(keep_p(7, 1, 15), math.log2(7) / 15)
+
+
+def test_keep_probability_degree_defaults_to_max_degree():
+    params = sampling.SampleParams(alpha=1.0)
+    assert sampling.keep_probability(k23_lc(), params) == 1 / 3     # A-degree 3
+    assert sampling.keep_probability(c6_lc(), params) == 1 / 2
+    assert sampling.keep_probability(k23_lc().restrict_edges([]), params) == 1.0
+
+
+def test_keep_probability_errors():
     with pytest.raises(InputError):
-        sampling.sample_probability(2, 1, 8)
+        keep_p(1, 2, 8)
     with pytest.raises(InputError):
-        sampling.sample_probability(2, 2, 0)
-    with pytest.raises(InputError):
-        sampling.sample_probability(32, 16, 64, clamp_p=False)
+        keep_p(16, 32, 64, clamp_p=False)
+    with pytest.raises(InputError, match="degree override must be >= 1"):
+        sampling.SampleParams(alpha=1.0, d_override=0)
 
 
 def test_subsample_p_one_is_identity():
@@ -75,7 +90,7 @@ def test_subsample_completeness_preserved():
     f = cons.gen_3sat5(3, seed=2, planted=planted)
     lc = cons.lc_from_3sat5(f)
     reg = cons.regularize(lc)
-    lab = cons.lift_labeling(lc, cons.labeling_from_assignment(f, planted), "regularize")
+    lab = cons.lift_regularize(lc, cons.labeling_from_assignment(f, planted))
     assert value(reg, lab) == 1
     for seed in range(5):
         sub = sampling.subsample(reg, sampling.SampleParams(alpha=1.0, k=3, seed=seed))
@@ -131,7 +146,7 @@ def test_bad_edges_equal_per_edge_reference():
 def test_strip_k23_empties_and_girth_infinite():
     stripped = sampling.strip_bad_edges(k23_lc(), 4)
     assert stripped.edge_count == 0
-    assert supergirth(stripped) == INFINITY
+    assert girth(supergraph(stripped)) == INFINITY
 
 
 def test_strip_forest_unchanged():
@@ -149,17 +164,18 @@ def test_strip_output_has_no_short_cycles_through_survivors():
         for e in range(g.edge_count):
             length = edge_cycle_length(g, e)
             assert length == INFINITY or length > 4
-        assert supergirth(stripped) == INFINITY or supergirth(stripped) > 4
+        sg = girth(supergraph(stripped))
+        assert sg == INFINITY or sg > 4
 
 
 def test_degree_stats():
     lc = regular15_lc()
     da, db = sampling.degree_stats(lc)
-    assert (da.minimum, da.maximum) == (15, 15)
-    assert db.mean == 15.0
+    assert (da["minimum"], da["maximum"]) == (15, 15)
+    assert db["mean"] == 15.0
     empty = lc.restrict_edges([])
     da, db = sampling.degree_stats(empty)
-    assert da == sampling.SideDegrees(0, 0.0, 0)
+    assert da == db == {"minimum": 0, "mean": 0.0, "maximum": 0}
 
 
 def test_montecarlo_satisfied_zero_and_full():
@@ -184,7 +200,7 @@ def test_montecarlo_satisfied_quarter_probability():
     lab = Labeling((0,) * 128, (0,))
     assert satisfied_count(lc, lab) == 100
     params = sampling.SampleParams(alpha=4.0, k=3, seed=13, d_override=32)
-    assert sampling.sample_probability(4.0, 4, 32) == 0.25
+    assert sampling.keep_probability(lc, params) == 0.25
     res = sampling.montecarlo_satisfied(lc, lab, params, trials=10_000)
     assert res.probability == 0.25
     assert abs(res.mean - 25.0) <= 3 * res.std_error
@@ -220,22 +236,14 @@ def test_sample_and_strip_stats():
     params = sampling.SampleParams(alpha=2.0, k=4, seed=1)
     sampled = sampling.subsample(lc, params)
     stripped = sampling.strip_bad_edges(sampled, params.k)
+    assert lc.edge_count == 225
+    assert stripped.edge_count <= sampled.edge_count <= lc.edge_count
+    assert sampled.edge_count - stripped.edge_count == len(sampling.bad_edges(sampled, 4))
+    sg = girth(supergraph(stripped))
+    assert sg == INFINITY or sg > 4
     deg_a, deg_b = sampling.degree_stats(sampled)
-    p = sampling.sample_probability(params.alpha, lc.sigma_a,
-                                    sampling.effective_degree(lc, params), params.clamp_p)
-    stats = sampling.SampleStats(
-        edges_before=lc.edge_count, edges_after_sample=sampled.edge_count,
-        edges_after_strip=stripped.edge_count,
-        bad_edge_count=sampled.edge_count - stripped.edge_count,
-        degrees_a=deg_a, degrees_b=deg_b, achieved_girth=girth(supergraph(stripped)),
-        probability=p, clamped=(p == 1.0))
-    assert stats.edges_before == 225
-    assert stats.edges_after_strip == stripped.edge_count
-    assert stats.edges_after_sample >= stats.edges_after_strip
-    assert stats.bad_edge_count == stats.edges_after_sample - stats.edges_after_strip
-    assert stats.achieved_girth == INFINITY or stats.achieved_girth > 4
-    d = stats.as_dict()
-    assert d["edges_before"] == 225
+    assert deg_a["mean"] * sampled.a_count == sampled.edge_count
+    assert deg_b["mean"] * sampled.b_count == sampled.edge_count
 
 
 def test_params_validation():
