@@ -18,7 +18,7 @@ from . import oracles, pipeline, sampling
 from . import spanner as sp
 from .errors import InputError, ResourceError
 from .graphs import _decimals, girth, parse_graph_text, write_graph_text
-from .labelcover import (minrep_expand, parse_cover_text, parse_lc_text,
+from .labelcover import (minrep_expand, parse_cover_text, parse_lc_text, supergraph,
                          write_cover_text, write_labeling_text, write_lc_text)
 from .rng import child_seed
 
@@ -107,15 +107,20 @@ def cmd_minrep_expand(args) -> int:
 
 
 def _build_gadget(args):
-    return pipeline.rebuild_gadget(args.lc, args.k, x_override=args.x,
-                                   allow_small_supergirth=args.unsafe_supergirth)
+    si = pipeline.rebuild_gadget(args.lc, args.k, x_override=args.x,
+                                 allow_small_supergirth=args.unsafe_supergirth)
+    if si.supergirth_warning:
+        supergirth = int(girth(supergraph(si.source.source)))
+        print(f"warning: supergirth {supergirth} is below the required {args.k + 2}",
+              file=sys.stderr)
+    return si
 
 
 def cmd_spanner_reduce(args) -> int:
     si = _build_gadget(args)
     Path(args.output).write_text(write_graph_text(si.base))
     meta_path = args.meta or (str(args.output) + ".meta.json")
-    Path(meta_path).write_text(sp.write_gadget_meta_text(si))
+    Path(meta_path).write_text(sp.write_gadget_meta_text(sp.gadget_metadata(si)))
     print(f"wrote {args.output} (+ {meta_path}): {si.base.vertex_count} vertices, "
           f"{si.base.edge_count} edges, x={si.x}")
     return 0

@@ -165,9 +165,6 @@ class Graph:
             self._adj = [nbr[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
         return self._adj
 
-    def degrees(self) -> np.ndarray:
-        return np.diff(self._csr()[0])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

@@ -3,8 +3,9 @@ expand -> reduce -> verify, with per-stage artifacts and a stats report.
 
 All stage randomness is derived from the single master seed by mixing with
 the stage name, so a (config, seed) pair fully determines every artifact
-byte.  The report self-audits: every size it states is recomputed from the
-emitted files before the report is written.
+byte.  The run computes every stage before it writes any file, so a run
+that fails leaves no output directory; the report then self-audits: each
+artifact's parse must equal the object it was written from.
 """
 
 from __future__ import annotations
@@ -47,11 +48,18 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     flags a run whose strip removed every sampled superedge: its verdicts
     then hold of an empty instance and prove nothing.
 
+    The run computes every stage first, then makes ``outdir`` and writes
+    every artifact, then audits: a stage that raises leaves no output
+    directory behind.  ``self_audit`` holds, per artifact, whether its
+    file parses back to the object it was written from; a false entry
+    raises AssertionError after stats.json is written.
+
     ``wall_clock_s`` accounts for the whole run: one entry per compute
     stage, its trace record included, ``write_artifacts`` for every
     artifact's text, sidecar and hash and its write, ``self_audit``, and
-    ``total``, the run's wall time up to the writing of stats.json itself.  ``peak_rss_mb`` is the peak resident
-    set size of the process so far, in MiB.
+    ``total``, the run's wall time up to the writing of stats.json itself.
+    ``peak_rss_mb`` is the peak resident set size of the process so far,
+    in MiB.
     """
     t_start = time.perf_counter()
     sp.check_gadget_params(k, x_override)
@@ -60,7 +68,6 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     params = sampling.SampleParams(alpha=alpha, k=k + 1, seed=child_seed(seed, "subsample"),
                                    clamp_p=clamp_p)
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     stages = []
     timings = {}
     report = {"schema": STATS_SCHEMA,
@@ -77,31 +84,23 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         yield
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
-    def write(filename, make_text):
-        with timed("write_artifacts"):
-            (outdir / filename).write_text(make_text())
-
     planted_bits = cons.planted_assignment(n_vars, seed) if planted else None
     with timed("gen_3sat5"):
         formula = cons.gen_3sat5(n_vars, child_seed(seed, "gen"), planted_bits)
         record("gen_3sat5", {"n_vars": n_vars, "planted": planted_bits is not None},
                {"clauses": formula.clause_count})
-    write("formula.cnf", lambda: cons.write_formula_text(formula, seed=seed,
-                                                         planted=planted_bits))
 
     with timed("lc_from_3sat5"):
         base = cons.lc_from_3sat5(formula)
         record("lc_from_3sat5", {}, {"a": base.a_count, "b": base.b_count,
                                      "superedges": base.edge_count,
                                      "relations": lcm.distinct_relations(base)})
-    write("base.lc", lambda: write_lc_text(base))
 
     with timed("regularize"):
         regular = cons.regularize(base)
         record("regularize", {}, {"a": regular.a_count, "b": regular.b_count,
                                   "superedges": regular.edge_count,
                                   "relations": lcm.distinct_relations(regular)})
-    write("regular.lc", lambda: write_lc_text(regular))
 
     with timed("parallel_repetition"):
         repeated = cons.parallel_repetition(regular, ell)
@@ -110,7 +109,6 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
                 "sigma_a": repeated.sigma_a, "sigma_b": repeated.sigma_b,
                 "superedges": repeated.edge_count,
                 "relations": lcm.distinct_relations(repeated)})
-    write("repeated.lc", lambda: write_lc_text(repeated))
 
     with timed("subsample"):
         sampled = sampling.subsample(repeated, params)
@@ -119,12 +117,10 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         record("subsample", {"alpha": alpha, "p": p, "strip_threshold": params.k},
                {"superedges": sampled.edge_count,
                 "relations": lcm.distinct_relations(sampled)})
-    write("sampled.lc", lambda: write_lc_text(sampled))
 
     with timed("strip_cycles"):
         stripped = sampling.strip_bad_edges(sampled, params.k)
         bad_count = sampled.edge_count - stripped.edge_count
-    write("stripped.lc", lambda: write_lc_text(stripped))
     with timed("girth_check"):
         girth_main = girth(supergraph(stripped))
         girth_cross = girth_independent(supergraph(stripped))
@@ -154,15 +150,12 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         minrep = lcm.minrep_expand(stripped)
         record("minrep_expand", {}, {"vertices": minrep.vertex_count,
                                      "edges": minrep.minrep_graph.edge_count})
-    write("minrep.graph", lambda: write_graph_text(minrep.minrep_graph))
 
     with timed("spanner_reduce"):
         si = sp.build_spanner_instance(minrep, k, x_override=x_override)
         record("spanner_reduce", {"k": k, "x": si.x, "x_is_default": si.x_is_default},
                {"vertices": si.base.vertex_count, "edges": si.base.edge_count,
                 "anchor_roster": si.anchor_roster_size})
-    write("gadget.graph", lambda: write_graph_text(si.base))
-    write("gadget.meta.json", lambda: sp.write_gadget_meta_text(si))
 
     verdicts = {"girth_cross_check": True, "supergirth_exceeds_k_plus_1": True}
     if planted:
@@ -174,14 +167,11 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
             verdicts["lifted_value_one_after_strip"] = value(stripped, lab) == 1
             cover = lcm.labeling_to_repcover(stripped, lab)
             verdicts["labeling_cover_valid"] = lcm.repcover_valid(minrep, cover)[0]
-        write("labeling.label", lambda: write_labeling_text(lab))
-        write("cover.cover", lambda: write_cover_text(cover))
         with timed("spanner_from_cover"):
             h = sp.spanner_from_repcover(si, cover)
             bound = (k + 1) * si.x * si.n_tilde
             record("spanner_from_cover", {"cover_size": len(cover)},
                    {"spanner_edges": len(h), "bound": bound})
-        write("spanner.subset", lambda: sp.write_subset_text(h))
         with timed("spanner_verify"):
             ok, bad_edge = sp.verify_spanner_structured(si, h)
         verdicts["spanner_verifies"] = ok
@@ -191,9 +181,36 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
 
     report["trace"] = {"seed": seed, "stages": stages}
     report["verdicts"] = verdicts
+
+    # (audit key, file name, object, writer, parser), in write order.
+    with timed("write_artifacts"):
+        artifacts = [
+            ("formula", "formula.cnf", formula,
+             lambda f: cons.write_formula_text(f, seed=seed, planted=planted_bits),
+             cons.parse_formula_text),
+            *[(name, f"{name}.lc", lc, write_lc_text, parse_lc_text)
+              for name, lc in [("base", base), ("regular", regular), ("repeated", repeated),
+                               ("sampled", sampled), ("stripped", stripped)]],
+            ("minrep", "minrep.graph", minrep.minrep_graph, write_graph_text, parse_graph_text),
+            ("gadget", "gadget.graph", si.base, write_graph_text, parse_graph_text),
+            ("gadget_meta_sizes", "gadget.meta.json", sp.gadget_metadata(si),
+             sp.write_gadget_meta_text, json.loads)]
+        if planted:
+            artifacts += [
+                ("labeling", "labeling.label", lab, write_labeling_text,
+                 lambda text: parse_labeling_text(text, stripped)),
+                ("cover", "cover.cover", cover, write_cover_text, parse_cover_text),
+                ("subset", "spanner.subset", h, sp.write_subset_text,
+                 lambda text: sp.parse_subset_text(text, si.base))]
+        outdir.mkdir(parents=True, exist_ok=True)
+        for _, filename, obj, writer, _ in artifacts:
+            (outdir / filename).write_text(writer(obj))
+    # Files are read as bytes and decoded whole, with no newline translation:
+    # on POSIX the text is the one written; elsewhere its line ends read as
+    # \r\n, which every text format takes as one line end.
     with timed("self_audit"):
-        report["self_audit"] = _self_audit(
-            outdir, base, regular, repeated, sampled, stripped, minrep, si, planted)
+        report["self_audit"] = {key: parser((outdir / filename).read_bytes().decode()) == obj
+                                for key, filename, obj, _, parser in artifacts}
     timings["total"] = time.perf_counter() - t_start
     report["wall_clock_s"] = {k_: round(v, 6) for k_, v in timings.items()}
     report["peak_rss_mb"] = _peak_rss_mb()
@@ -208,39 +225,6 @@ def _peak_rss_mb() -> float:
     is in KiB on Linux and in bytes on macOS."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
-
-
-def _self_audit(outdir, base, regular, repeated, sampled, stripped, minrep, si, planted):
-    """Re-parse every artifact and confirm it equals the in-memory value.
-
-    Files are read as bytes and decoded whole, with no newline translation.
-    This run wrote them with ``write_text``, so on POSIX the text is the one
-    written; elsewhere its line ends read as ``\\r\\n``, which every text
-    format takes as one line end.
-    """
-    def read(name):
-        return (outdir / name).read_bytes().decode()
-
-    audit = {}
-    audit["formula"] = cons.parse_formula_text(read("formula.cnf")).clause_count == base.a_count
-    for name, obj in [("base", base), ("regular", regular), ("repeated", repeated),
-                      ("sampled", sampled), ("stripped", stripped)]:
-        audit[name] = parse_lc_text(read(f"{name}.lc")) == obj
-    audit["minrep"] = parse_graph_text(read("minrep.graph")) == minrep.minrep_graph
-    audit["gadget"] = parse_graph_text(read("gadget.graph")) == si.base
-    meta = json.loads(read("gadget.meta.json"))
-    audit["gadget_meta_sizes"] = (
-        meta["vertex_count"] == si.base.vertex_count
-        and meta["edge_count"] == si.base.edge_count
-        and meta["anchor_roster_size"] == si.n + si.x * si.n_tilde)
-    if planted:
-        parsed_cover = parse_cover_text(read("cover.cover"))
-        audit["cover"] = lcm.repcover_valid(minrep, parsed_cover)[0]
-        parsed_lab = parse_labeling_text(read("labeling.label"), stripped)
-        audit["labeling"] = value(stripped, parsed_lab) == 1
-        parsed_subset = sp.parse_subset_text(read("spanner.subset"), si.base)
-        audit["subset"] = sp.verify_spanner_structured(si, parsed_subset)[0]
-    return audit
 
 
 def rebuild_gadget(lc_path, k, x_override=None, allow_small_supergirth=False):

@@ -133,18 +133,6 @@ class SpannerInstance:
     def t_vertex(self, p: int, j: int, level: int) -> int:
         return self._t_offset + (p * self.source.source.b_count + j) * self.k_b + (level - 1)
 
-    def vertex_role(self, v: int) -> tuple:
-        lc = self.source.source
-        if v < self.n:
-            return self.source.vertex_label(v)
-        if v < self._t_offset:
-            tower, level = divmod(v - self.n, self.k_a)
-            p, i = divmod(tower, lc.a_count)
-            return ("S", i, level + 1, p)
-        tower, level = divmod(v - self._t_offset, self.k_b)
-        p, j = divmod(tower, lc.b_count)
-        return ("T", j, level + 1, p)
-
     # -- invariant audit ---------------------------------------------------
 
     def audit(self) -> None:
@@ -518,8 +506,7 @@ def gadget_metadata(si: SpannerInstance) -> dict:
     """Sidecar document (schema ``gadget_meta_v3``): parameters, sizes, anchors.
 
     Per-vertex roles and per-edge families are not stored; both follow from
-    the fields, as ``SpannerInstance.vertex_role`` and ``fam_code`` compute
-    them.  With ``a_block = a_count * sigma_a`` and
+    the fields by the formulas below.  With ``a_block = a_count * sigma_a`` and
     ``t_offset = n + x * a_count * k_a``, vertex v is
 
     * ``("A", v // sigma_a, v % sigma_a)`` for v < a_block,
@@ -559,6 +546,6 @@ def gadget_metadata(si: SpannerInstance) -> dict:
     }
 
 
-def write_gadget_meta_text(si: SpannerInstance) -> str:
-    """The ``gadget_meta_v3`` sidecar as compact JSON text with sorted keys."""
-    return json.dumps(gadget_metadata(si), sort_keys=True)
+def write_gadget_meta_text(meta: dict) -> str:
+    """A ``gadget_metadata`` document as compact JSON text with sorted keys."""
+    return json.dumps(meta, sort_keys=True)

@@ -1,5 +1,6 @@
 from collections import deque
 
+import numpy as np
 import pytest
 
 from girthspan.errors import InputError
@@ -186,3 +187,23 @@ def is_bipartite(g) -> tuple[bool, list | None]:
                 elif color[w] == cu:
                     return False, None
     return True, color
+
+
+def degrees(g) -> np.ndarray:
+    """Per-vertex degrees of a graph, read off its CSR index."""
+    return np.diff(g._csr()[0])
+
+
+def vertex_role(si, v: int) -> tuple:
+    """Role of gadget vertex v: its Min-Rep label ``("A"|"B", vertex, symbol)``,
+    or ``("S", i, level, p)`` / ``("T", j, level, p)`` for tower vertices."""
+    lc = si.source.source
+    if v < si.n:
+        return si.source.vertex_label(v)
+    if v < si._t_offset:
+        tower, level = divmod(v - si.n, si.k_a)
+        p, i = divmod(tower, lc.a_count)
+        return ("S", i, level + 1, p)
+    tower, level = divmod(v - si._t_offset, si.k_b)
+    p, j = divmod(tower, lc.b_count)
+    return ("T", j, level + 1, p)

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from girthspan import constructions as cons, pipeline, spanner as sp
 from girthspan.cli import main
 from girthspan.graphs import Graph, write_graph_text
 from girthspan.labelcover import write_lc_text
 from girthspan.spanner import EdgeSubset, write_subset_text
 
-from conftest import cycle_graph, path_lc_tiny
+from conftest import cycle_graph, path_lc_tiny, xor_odd_4cycle
 
 
 def run(args):
@@ -147,6 +148,26 @@ def test_gen_and_stage_commands(tmp_path, capsys):
     assert run(["stats", "-i", stripped]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == "stats_v1"
+
+
+def test_unsafe_supergirth_warns(tmp_path, capsys):
+    """``--unsafe-supergirth`` builds a gadget below the reduction's
+    hypothesis, and says so on stderr; a stripped instance builds silently."""
+    lc = tmp_path / "c4.lc"
+    lc.write_text(write_lc_text(xor_odd_4cycle()))     # supergirth 4
+    gadget = tmp_path / "gadget.graph"
+    args = ["spanner-reduce", "--lc", lc, "--k", 3, "--x", 1, "-o", gadget]
+    assert run(args) == 2
+    assert "supergirth 4 is below the required 5" in capsys.readouterr().err
+    assert run(args + ["--unsafe-supergirth"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: supergirth 4 is below the required 5\n"
+    assert captured.out.startswith(f"wrote {gadget}")
+    tree = tmp_path / "tree.lc"
+    tree.write_text(write_lc_text(path_lc_tiny()))     # supergirth infinite
+    assert run(["spanner-reduce", "--lc", tree, "--k", 3, "--x", 1, "--unsafe-supergirth",
+                "-o", gadget]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_parrep_budget_exit_3(tmp_path):
@@ -302,6 +323,55 @@ def test_pipeline_checks_parameters_before_any_work(tmp_path, capsys, bad, messa
     assert run(["pipeline", "--planted", "-o", out] + bad) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--vars", 9, "--ell", 3], "parallel repetition would exceed the superedge budget"),
+    (["--vars", 3, "--ell", 2, "--planted"], "gadget edge budget exceeded"),
+])
+def test_pipeline_budget_error_writes_nothing(tmp_path, capsys, args, message):
+    """The run writes no file before every stage has run, so a budget error
+    leaves no output directory."""
+    out = tmp_path / "run"
+    assert run(["pipeline", "-o", out] + args) == 3
+    assert capsys.readouterr().err.startswith(f"resource error: {message} (required ")
+    assert not out.exists()
+
+
+def test_pipeline_failed_verdict_exits_1(tmp_path, capsys, monkeypatch):
+    """A spanner that fails verification is a FAIL verdict and exit 1; the
+    self-audit checks only that each file holds the object written to it."""
+    monkeypatch.setattr(sp, "spanner_from_repcover",
+                        lambda si, cover: EdgeSubset(si.base, si.ids_by_family[sp.FAM_E]))
+    out = tmp_path / "run"
+    assert run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", 1.0, "--k", 3,
+                "--seed", 7, "--planted", "--x", 40, "-o", out]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  spanner_verifies" in captured.out.splitlines()
+    assert captured.err == ""
+    report = json.loads((out / "stats.json").read_text())
+    assert report["verdicts"]["spanner_verifies"] is False
+    assert "witness_edge" in report
+    assert len(report["self_audit"]) == 12 and all(report["self_audit"].values())
+
+
+def test_self_audit_catches_a_corrupted_artifact(tmp_path, monkeypatch):
+    """A formula.cnf with one literal flipped still parses as a 3SAT(5)
+    formula, but not as the one generated: the audit names it."""
+    write_formula_text = cons.write_formula_text
+
+    def flip_first_literal(formula, **kwargs):
+        lines = write_formula_text(formula, **kwargs).split("\n")
+        first, *rest = lines[2].split(" ")
+        lines[2] = " ".join([str(-int(first)), *rest])
+        return "\n".join(lines)
+
+    monkeypatch.setattr(cons, "write_formula_text", flip_first_literal)
+    out = tmp_path / "run"
+    with pytest.raises(AssertionError, match=r"self audit failed: .*'formula': False"):
+        pipeline.run_pipeline(out, n_vars=3, alpha=1.0, seed=7, planted=True, x_override=2)
+    audit = json.loads((out / "stats.json").read_text())["self_audit"]
+    assert [key for key, ok in audit.items() if not ok] == ["formula"]
 
 
 def test_subsample_rejects_degree_override_below_one(tmp_path, capsys):

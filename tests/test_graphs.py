@@ -18,8 +18,8 @@ from girthspan.labelcover import parse_cover_text
 from girthspan.rng import Stream
 from girthspan.spanner import parse_subset_text
 
-from conftest import (check_mutant, complete_graph, cycle_graph, hub_graph, is_bipartite,
-                      random_graph, text_mutants)
+from conftest import (check_mutant, complete_graph, cycle_graph, degrees, hub_graph,
+                      is_bipartite, random_graph, text_mutants)
 
 
 def test_bfs_on_path():
@@ -338,15 +338,16 @@ def test_graph_arrays_are_read_only():
 @pytest.mark.parametrize("first_use", ["adjacency", "degrees"])
 def test_csr_is_built_on_first_use(first_use):
     """Neither construction nor GRAPH text builds the CSR index; the first
-    ``adjacency()`` or ``degrees()`` does, and it matches the edge list."""
+    ``adjacency()`` or ``_csr()`` call (as ``degrees`` makes) does, and it
+    matches the edge list."""
     built = Graph(5, [(3, 4), (0, 1), (1, 2), (0, 4)])
     parsed = parse_graph_text(write_graph_text(built))
     for g in (built, parsed):
         graph_sha256(g)
         assert g._indptr is None and g._nbr is None and g._nbr_eid is None
-        getattr(g, first_use)()
+        {"adjacency": Graph.adjacency, "degrees": degrees}[first_use](g)
         indptr, nbr, nbr_eid = g._csr()
-        assert g.degrees().tolist() == [2, 2, 1, 1, 2]
+        assert degrees(g).tolist() == [2, 2, 1, 1, 2]
         eu, ev = g.edge_arrays()
         for v in range(5):
             eids = nbr_eid[indptr[v]:indptr[v + 1]].tolist()

@@ -23,8 +23,8 @@ from girthspan.graphs import _is_break
 from girthspan.labelcover import _first_breaks
 from girthspan.rng import Stream
 
-from conftest import (check_mutant, is_bipartite, make_lc, narrowed_spelling, parse_outcome,
-                      random_tiny_lc, text_mutants, xor_odd_4cycle)
+from conftest import (check_mutant, degrees, is_bipartite, make_lc, narrowed_spelling,
+                      parse_outcome, random_tiny_lc, text_mutants, xor_odd_4cycle)
 
 
 def test_value_single_superedge_all_pairs():
@@ -77,7 +77,7 @@ def test_supergraph_of_3sat5_shape():
     g = supergraph(lc)
     ok, _ = is_bipartite(g)
     assert ok
-    degs = g.degrees()
+    degs = degrees(g)
     assert set(degs[:lc.a_count].tolist()) == {3}
     assert set(degs[lc.a_count:].tolist()) == {5}
     # superedge id i corresponds to supergraph edge id i
@@ -88,7 +88,7 @@ def test_supergraph_of_3sat5_shape():
 
 def test_supergraph_of_regularized_instance_is_15_regular():
     lc = cons.regularize(cons.lc_from_3sat5(cons.gen_3sat5(3, seed=1)))
-    degs = supergraph(lc).degrees()
+    degs = degrees(supergraph(lc))
     assert set(degs.tolist()) == {15}
 
 

@@ -14,7 +14,8 @@ from girthspan.oracles import spans_all_pairs
 from girthspan.rng import Stream, child_seed
 
 from conftest import (check_mutant, complete_graph, cycle_graph, full_subset, hub_graph,
-                      make_lc, path_lc_tiny, random_graph, text_mutants, xor_odd_4cycle)
+                      make_lc, path_lc_tiny, random_graph, text_mutants, vertex_role,
+                      xor_odd_4cycle)
 
 
 def ten_vertex_lc():
@@ -68,7 +69,7 @@ def test_vertex_roles_round_trip():
     si = tiny_instance(k=4, x=2)
     seen = set()
     for v in range(si.base.vertex_count):
-        role = si.vertex_role(v)
+        role = vertex_role(si, v)
         seen.add(role[0])
         if role[0] == "S":
             _, i, level, p = role
@@ -94,7 +95,7 @@ def test_egt_copies_are_supergraph_isomorphic():
     for p in range(3):
         per_copy = []
         for eid in si.gt_copies[p].tolist():
-            (_, i, _, p_s), (_, j, _, p_t) = map(si.vertex_role, si.base.edge(eid))
+            (_, i, _, p_s), (_, j, _, p_t) = (vertex_role(si, v) for v in si.base.edge(eid))
             assert p_s == p_t == p
             per_copy.append((i, j))
         assert per_copy == [lc.edge(e) for e in range(lc.edge_count)]
@@ -268,9 +269,9 @@ def test_interior_tower_vertices_have_degree_two_outside_e():
     deg = np.bincount(np.concatenate([eu[non_e], ev[non_e]]),
                       minlength=si.base.vertex_count)
     interior = [v for v in range(si.base.vertex_count)
-                if si.vertex_role(v)[0] in ("S", "T")
-                and 1 < si.vertex_role(v)[2] < (si.k_a if si.vertex_role(v)[0] == "S"
-                                                else si.k_b)]
+                if vertex_role(si, v)[0] in ("S", "T")
+                and 1 < vertex_role(si, v)[2] < (si.k_a if vertex_role(si, v)[0] == "S"
+                                                 else si.k_b)]
     assert interior
     assert all(deg[v] == 2 for v in interior)
 
@@ -513,7 +514,7 @@ def make_proper_per_edge(si, h):
     lc = si.source.source
     superedges = [lc.edge(e) for e in range(lc.edge_count)]
     for eid in dropped.tolist():
-        (_, i, _, p), (_, j, _, _) = map(si.vertex_role, si.base.edge(eid))
+        (_, i, _, p), (_, j, _, _) = (vertex_role(si, v) for v in si.base.edge(eid))
         alpha, beta = lc.relation(superedges.index((i, j)))[0]
         keep.append([si.base.edge_id(si.s_vertex(p, i, 1), si.source.a_vertex(i, alpha)),
                      si.base.edge_id(si.source.b_vertex(j, beta), si.t_vertex(p, j, 1))])
@@ -573,7 +574,7 @@ def repcover_per_copy(si, h):
     per_copy = [set() for _ in range(si.x)]
     for eid in sp.make_proper(si, h).members.tolist():
         if si.fam_code[eid] in (sp.FAM_SA, sp.FAM_TB):
-            member, tower = map(si.vertex_role, si.base.edge(eid))
+            member, tower = (vertex_role(si, v) for v in si.base.edge(eid))
             per_copy[tower[3]].add(member)
     return RepCover.of(min(per_copy, key=len))
 
@@ -802,7 +803,7 @@ def derived_anchors(meta, g):
 def test_gadget_metadata_contents():
     for k, x in [(3, 2), (4, 2), (5, 3)]:
         si = tiny_instance(k=k, x=x)
-        meta = json.loads(sp.write_gadget_meta_text(si))
+        meta = json.loads(sp.write_gadget_meta_text(sp.gadget_metadata(si)))
         assert meta == sp.gadget_metadata(si)
         assert meta["schema"] == "gadget_meta_v3"
         assert "anchor_members" not in meta
@@ -812,7 +813,7 @@ def test_gadget_metadata_contents():
         assert meta["anchor_roster_size"] == si.n + si.x * si.n_tilde
         assert meta["family_sizes"]["EGt"] == x * 3
         # the lists gadget_meta_v1 stored follow from the v2 fields
-        v1_roles = [list(si.vertex_role(v)) for v in range(si.base.vertex_count)]
+        v1_roles = [list(vertex_role(si, v)) for v in range(si.base.vertex_count)]
         v1_families = [sp.FAMILIES[int(c)] for c in si.fam_code.tolist()]
         assert [derived_role(meta, v) for v in range(meta["vertex_count"])] == v1_roles
         assert [derived_family(meta, u, v) for u, v in si.base.edges()] == v1_families
