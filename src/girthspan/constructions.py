@@ -40,6 +40,16 @@ def check_ell(ell: int) -> None:
         raise InputError("ell must be >= 1")
 
 
+def check_repetition_budget(edge_count: int, ell: int,
+                            max_superedges: int = DEFAULT_MAX_SUPEREDGES) -> None:
+    """Reject with ResourceError an ell-fold product of ``edge_count``
+    superedges that would exceed ``max_superedges``."""
+    required = edge_count ** ell
+    if required > max_superedges:
+        raise ResourceError("parallel repetition would exceed the superedge budget",
+                            required=required, allowed=max_superedges)
+
+
 @dataclass(frozen=True)
 class Formula3Sat5:
     """3-CNF formula in which every variable occurs in exactly 5 clauses.
@@ -220,10 +230,7 @@ def parallel_repetition(lc: LabelCoverInstance, ell: int,
     a ResourceError before any allocation.
     """
     check_ell(ell)
-    required = lc.edge_count ** ell
-    if required > max_superedges:
-        raise ResourceError("parallel repetition would exceed the superedge budget",
-                            required=required, allowed=max_superedges)
+    check_repetition_budget(lc.edge_count, ell, max_superedges)
     ea, eb, rel_ids = lc.edge_arrays()
     prod_ea, prod_eb, prod_rel = ea, eb, rel_ids
     table = lc.relation_arrays()

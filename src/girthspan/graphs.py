@@ -323,14 +323,24 @@ def girth(g: Graph):
 # character (a sign, an underscore, another letter, another control
 # character, any non-ASCII character) is an InputError that names its line
 # and quotes its token.
+#
+# The kernels work one block at a time: ``_decimal_text`` renders
+# ``_WRITE_ROWS`` rows per block, and the body checks and ``_int_rows`` read
+# blocks of about ``_READ_BYTES`` bytes that end at line breaks (see
+# ``_line_blocks``).  Their temporaries are bounded by these constants; only
+# the text's bytes, the decoded values and per-row arrays span the text.
 
 _MAX_DIGITS = 18
 _NOT_DECIMAL = f"is not an integer of 1 to {_MAX_DIGITS} decimal digits"
 _BODY_BYTES = "0123456789 \t\n\r\v\f"      # and the format's tag letters
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f]")
+_BREAK_BYTE = re.compile(rb"[\n\r\v\f]")
 _SEPARATOR = re.compile(r"[ \t\n\r\v\f]")
 _HEAD_FORBIDDEN = re.compile(r"[^\t\x20-\x7e]")
 _BLANK_TAGS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b" " * 26)
+_NO_TAGS = np.zeros(0, dtype=np.int64)
+_WRITE_ROWS = 1 << 15
+_READ_BYTES = 1 << 16
 
 # The most vertices a header may declare: N in GRAPH v1, and A, B and the
 # Min-Rep size A*SA + B*SB in LC v1.  Checked before any array is sized from
@@ -347,14 +357,23 @@ def _check_declared(where: str, field: str, size: int) -> None:
 def _decimal_text(columns, tag: str = "") -> bytes:
     """One line per row of the nonnegative int columns: ``tag`` and a space
     when a tag letter is given, then the row's fields joined by a space.
+    Equal to joining ``str(int)`` per row; rendered ``_WRITE_ROWS`` rows at
+    a time and joined."""
+    return b"".join(_decimal_block([col[lo:lo + _WRITE_ROWS] for col in columns], tag)
+                    for lo in range(0, columns[0].size, _WRITE_ROWS))
 
-    Fills a right-aligned digit table per column, then drops each field's
-    leading zeros; equal to joining ``str(int)`` per row.  The table is
-    column-major, one row per character position, so each digit pass stores
-    contiguously; it is transposed once, when the keep mask is applied.
+
+def _decimal_block(columns, tag: str) -> bytes:
+    """``_decimal_text`` of one block of rows.
+
+    Fills a right-aligned digit table per column, as wide as the block's
+    largest value, then drops each field's leading zeros, so the width
+    chosen does not show in the bytes.  The table is column-major, one row
+    per character position, so each digit pass stores contiguously; it is
+    transposed once, when the keep mask is applied.
     """
     rows = columns[0].size
-    widths = [len(str(int(col.max()))) if rows else 1 for col in columns]
+    widths = [len(str(int(col.max()))) for col in columns]
     end = 2 if tag else 0
     table = np.empty((end + sum(widths) + len(widths), rows), dtype=np.uint8)
     keep = np.ones(table.shape, dtype=bool)
@@ -425,48 +444,79 @@ def _is_break(b: np.ndarray) -> np.ndarray:
     return (b - np.uint8(10)) < 4
 
 
+def _line_blocks(raw: bytes, start: int, at: np.ndarray = _NO_TAGS):
+    """The blocks of the body ``raw[start:]``, which begins a line, in text
+    order: (lo, block, tags) with the block's offset in ``raw``, its bytes
+    as a uint8 array, and the offsets in it of the tags ``at`` (ascending
+    offsets in ``raw``).
+
+    A block ends just after the last line break among its first
+    ``_READ_BYTES`` bytes, so every block begins a line; a line longer than
+    that makes its block end after its own break.  The last block ends
+    where ``raw`` does.
+    """
+    lo, size = start, len(raw)
+    while lo < size:
+        hi = lo + _READ_BYTES
+        if hi >= size:
+            hi = size
+        else:
+            cut = raw.rfind(b"\n", lo, hi)
+            for c in b"\r\v\f":      # only a break after the last \n matters
+                cut = max(cut, raw.rfind(c, max(cut, lo), hi))
+            if cut >= lo:
+                hi = cut + 1
+            else:
+                brk = _BREAK_BYTE.search(raw, hi)
+                hi = brk.end() if brk else size
+        tags = at[np.searchsorted(at, lo):np.searchsorted(at, hi)] - lo
+        yield lo, np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo), tags
+        lo = hi
+
+
 def _body_bytes(text: str, start: int, tags: str = "") -> tuple:
-    """``text[start:]``, which begins a line, after the policy's checks of
-    the body as a whole: ASCII only, no byte but digits, blanks, line breaks
-    and the tag letters ``tags``, and every tag first on its line and
-    followed by a space.  Returns (raw, body, at): the body as bytes and as
-    a uint8 array, and the positions of its tags."""
+    """The text encoded once, after the policy's checks of its body
+    ``text[start:]``, which begins a line: ASCII only, no byte but digits,
+    blanks, line breaks and the tag letters ``tags``, and every tag first on
+    its line and followed by a space.  Each check names the first fault in
+    text order.  Returns (raw, at): the text as bytes and the offsets of the
+    body's tags; an offset in ``raw`` is one in ``text``."""
     try:
-        raw = text[start:].encode("ascii")
+        raw = text.encode("ascii")
     except UnicodeEncodeError as exc:
-        raise _token_error(text, start + exc.start, _NOT_DECIMAL) from None
-    if raw.translate(None, (_BODY_BYTES + tags).encode("ascii")):
-        other = re.compile(f"[^{_BODY_BYTES}{tags}]").search(text, start)
-        raise _token_error(text, other.start(), _NOT_DECIMAL)
-    body = np.frombuffer(raw, dtype=np.uint8)
-    at = np.zeros(0, dtype=np.int64)
-    if tags:
-        letters = tags.encode("ascii")
-        is_tag = body == letters[0]
-        for letter in letters[1:]:
-            is_tag |= body == letter
-        at = np.flatnonzero(is_tag)
-        del is_tag
-        placed = (((at == 0) | _is_break(body[at - 1])) & (at + 1 < body.size)
-                  & (body[np.minimum(at + 1, body.size - 1)] == ord(" ")))
+        raise _token_error(text, exc.start, _NOT_DECIMAL) from None
+    allowed, letters = (_BODY_BYTES + tags).encode("ascii"), tags.encode("ascii")
+    found = [_NO_TAGS]
+    for lo, block, _ in _line_blocks(raw, start):
+        if raw[lo:lo + block.size].translate(None, allowed):
+            other = re.compile(f"[^{_BODY_BYTES}{tags}]").search(text, lo)
+            raise _token_error(text, other.start(), _NOT_DECIMAL)
+        if letters:
+            is_tag = block == letters[0]
+            for letter in letters[1:]:
+                is_tag |= block == letter
+            found.append(np.flatnonzero(is_tag) + lo)
+    at = np.concatenate(found)
+    if at.size:
+        whole = np.frombuffer(raw, dtype=np.uint8)
+        placed = (((at == start) | _is_break(whole[at - 1])) & (at + 1 < whole.size)
+                  & (whole[np.minimum(at + 1, whole.size - 1)] == ord(" ")))
         if not placed.all():
-            raise _token_error(text, start + int(at[placed.argmin()]),
+            raise _token_error(text, int(at[placed.argmin()]),
                                "is a tag, which must open its line and be followed by a space")
-    return raw, body, at
+    return raw, at
 
 
-def _token_rows(body: np.ndarray, at: np.ndarray) -> tuple:
-    """Tokens and rows of a body that passed ``_body_bytes``, whose tags are
-    at positions ``at``.
+def _token_rows(block: np.ndarray, at: np.ndarray) -> tuple:
+    """Tokens and rows of a block of body bytes that passed ``_body_bytes``
+    and begins a line; its tags are at positions ``at``.
 
     Returns (starts, ends, heads): the span of every token, a tag being one,
     and the index of each row's first token, row r being the r-th nonblank
-    line.  A row's line number is left to ``_line_number`` of its first
-    token's offset, which only an error message needs.  Every per-byte
-    temporary is uint8 or bool.
+    line.  Every per-byte temporary is uint8 or bool.
     """
-    token = np.zeros(body.size + 2, dtype=bool)       # padded by a non-token byte
-    np.less(body - np.uint8(ord("0")), 10, out=token[1:-1])
+    token = np.zeros(block.size + 2, dtype=bool)      # padded by a non-token byte
+    np.less(block - np.uint8(ord("0")), 10, out=token[1:-1])
     token[at + 1] = True
     edges = np.flatnonzero(token[1:] != token[:-1])   # token runs alternate start, end
     del token
@@ -475,23 +525,23 @@ def _token_rows(body: np.ndarray, at: np.ndarray) -> tuple:
     # gaps are one byte, read directly; only longer ones are reduced.
     opens = np.ones(starts.size, dtype=bool)
     gap_lo, gap_hi = ends[:-1], starts[1:]
-    opens[1:] = _is_break(body[gap_hi - 1])
+    opens[1:] = _is_break(block[gap_hi - 1])
     wide = np.flatnonzero(gap_hi - gap_lo > 1)
     if wide.size:
         bounds = np.column_stack([gap_lo[wide], gap_hi[wide]]).ravel()
-        opens[1 + wide] = np.logical_or.reduceat(_is_break(body), bounds)[0::2]
+        opens[1 + wide] = np.logical_or.reduceat(_is_break(block), bounds)[0::2]
     return starts, ends, np.flatnonzero(opens)
 
 
 def _decimal_values(data: bytes, count: int, tagged: bool = True) -> np.ndarray:
-    """int64 values of the ``count`` digit tokens of ``data``, a body that
-    passed ``_body_bytes`` and whose tokens the caller counted and checked to
-    hold at most 18 digits.  Tag letters separate tokens like blanks; a
-    caller whose body holds none passes ``tagged=False`` to skip blanking
-    them.
+    """int64 values of the ``count`` digit tokens of ``data``, body bytes
+    that passed ``_body_bytes`` and whose tokens the caller counted and
+    checked to hold at most 18 digits.  Tag letters separate tokens like
+    blanks; a caller whose bytes hold none passes ``tagged=False`` to skip
+    blanking them.
 
-    One C-level parse of the whole text.  numpy reads a text without a token
-    as one 0, so such a body skips the parse.
+    One C-level parse of the bytes.  numpy reads a text without a token as
+    one 0, so such bytes skip the parse.
     """
     if count == 0:
         return np.zeros(0, dtype=np.int64)
@@ -504,50 +554,83 @@ def _decimal_values(data: bytes, count: int, tagged: bool = True) -> np.ndarray:
 
 def _int_rows(text: str, start: int, what: str, width: int | None = None,
               count: int | None = None, tags: str = "") -> tuple:
-    """Tokenize ``text[start:]``, which begins a line, by the policy above.
+    """Tokenize the body ``text[start:]``, which begins a line, by the
+    policy above.
 
-    Returns (values, first, tag, pos).  Row r is the r-th nonblank line:
-    its integers are ``values[first[r]:first[r + 1]]``, ``tag[r]`` is its tag
-    letter as a byte (0 for none; ``tags`` holds the format's letters) and
-    ``pos[r]`` the offset in ``text`` of its first token, whose
-    ``_line_number`` an error message names.  ``count``, when given, is the
-    declared number of rows and ``width`` the number of integers every row
-    holds; both are checked before the values are decoded.  With a
-    ``width``, ``first`` is None: row r's integers are then
-    ``values[r * width:(r + 1) * width]``.
+    Returns (values, first, tag).  Row r is the r-th nonblank line: its
+    integers are ``values[first[r]:first[r + 1]]`` and ``tag[r]`` is its tag
+    letter as a byte (0 for none; ``tags`` holds the format's letters).
+    ``count``, when given, is the declared number of rows and ``width`` the
+    number of integers every row holds; with a ``width``, ``first`` is None:
+    row r's integers are then ``values[r * width:(r + 1) * width]``.  An
+    error about row r names the line of ``_row_offset``.
 
-    With a ``width``, every token and row array but ``pos`` and ``tag`` is
-    freed before the decode, so its peak holds only those, the body bytes
-    and the values.
+    The body is checked, then tokenized and decoded one block at a time.  A
+    block records its first fault of each kind, and the faults are raised
+    after the last block, in a fixed order: the body checks, the row count,
+    the first row of the wrong width, then the first token of the most
+    digits, if that is over 18.  Values are decoded while no fault is seen,
+    into one array sized from ``count`` and ``width`` when both are given.
     """
-    raw, body, at = _body_bytes(text, start, tags)
-    starts, ends, heads = _token_rows(body, at)
-    if count is not None and heads.size != count:
-        raise InputError(f"expected {count} {what} lines, found {heads.size}")
-    pos = starts[heads]
-    tokens = starts.size
-    lengths = np.subtract(ends, starts, out=ends)       # a tag is one letter long
-    too_long = None       # raised after the row checks, which come first
-    if tokens and lengths.max() > _MAX_DIGITS:
-        too_long = start + int(starts[lengths.argmax()])
-    del starts, ends, lengths
-    lead = body[pos]
-    pos += start
-    tagged = lead > ord("9")      # a token is digits or a tag, and letters sort after digits
-    tag = np.where(tagged, lead, 0).astype(np.uint8)
-    # A tag is the first token of its row; the row's other tokens are integers.
-    counts = np.diff(heads, append=tokens) - tagged
-    del heads, lead, tagged
-    if width is not None and (counts != width).any():
-        row = (counts != width).argmax()
-        raise InputError(f"line {_line_number(text, int(pos[row]))}: "
+    raw, at = _body_bytes(text, start, tags)
+    fixed = width is not None and count is not None and count * width <= len(raw)
+    values = np.empty(count * width if fixed else 0, dtype=np.int64)
+    parts, tag_parts, count_parts = [], [], []
+    rows = done = longest = 0
+    wrong_at = longest_at = None
+    for lo, block, block_at in _line_blocks(raw, start, at):
+        starts, ends, heads = _token_rows(block, block_at)
+        if starts.size:
+            lengths = ends - starts
+            most = int(lengths.max())
+            if most > longest:
+                longest, longest_at = most, lo + int(starts[lengths.argmax()])
+        lead = block[starts[heads]]
+        tagged = lead > ord("9")      # a token is digits or a tag, and letters sort after digits
+        tag_parts.append(np.where(tagged, lead, 0).astype(np.uint8))
+        # A tag is the first token of its row; the row's other tokens are integers.
+        counts = np.diff(heads, append=starts.size) - tagged
+        if width is None:
+            count_parts.append(counts)
+        elif wrong_at is None and (counts != width).any():
+            wrong_at = lo + int(starts[heads[(counts != width).argmax()]])
+        rows += heads.size
+        total = int(counts.sum())
+        if (total and wrong_at is None and longest <= _MAX_DIGITS
+                and (count is None or rows <= count)):
+            block_values = _decimal_values(raw[lo:lo + block.size], total, bool(tags))
+            if fixed:
+                values[done:done + total] = block_values
+            else:
+                parts.append(block_values)
+            done += total
+    if count is not None and rows != count:
+        raise InputError(f"expected {count} {what} lines, found {rows}")
+    if wrong_at is not None:
+        raise InputError(f"line {_line_number(text, wrong_at)}: "
                          f"expected {width} integer(s) per {what} line")
-    if too_long is not None:
-        raise _token_error(text, too_long, _NOT_DECIMAL)
-    total = int(counts.sum())
-    first = None if width is not None else np.append(0, np.cumsum(counts))
-    del counts
-    return _decimal_values(raw, total, bool(tags)), first, tag, pos
+    if longest > _MAX_DIGITS:
+        raise _token_error(text, longest_at, _NOT_DECIMAL)
+    if not fixed and parts:
+        values = np.concatenate(parts)
+    first = None
+    if width is None:
+        first = np.append(0, np.cumsum(np.concatenate([np.zeros(0, np.int64), *count_parts])))
+    return values, first, np.concatenate([np.zeros(0, np.uint8), *tag_parts])
+
+
+def _row_offset(text: str, start: int, row: int, tags: str = "") -> int:
+    """Offset in ``text`` of the first token of row ``row`` of a body that
+    ``_int_rows(text, start, ..., tags=tags)`` read; an error message names
+    its ``_line_number``.  Tokenizes the body again, block by block, up to
+    the row, so only the error path pays for row offsets."""
+    raw, at = _body_bytes(text, start, tags)
+    for lo, block, block_at in _line_blocks(raw, start, at):
+        starts, _, heads = _token_rows(block, block_at)
+        if row < heads.size:
+            return lo + int(starts[heads[row]])
+        row -= heads.size
+    raise IndexError("row out of range")
 
 
 # --- GRAPH v1 text format ---------------------------------------------------
@@ -576,14 +659,15 @@ def parse_graph_text(text: str) -> Graph:
         raise InputError(f"line 2: bad size line: {lines[1]!r}")
     n, m = _decimals(parts[1::2], "line 2")
     _check_declared("line 2", "N", n)
-    values, _, _, pos = _int_rows(text, start, "edge", width=2, count=m)
+    values, _, _ = _int_rows(text, start, "edge", width=2, count=m)
     eu, ev = values[0::2], values[1::2]
     keys = None
     if ev.max(initial=-1) < n and (eu < ev).all():
-        keys = eu * np.int64(n) + ev        # below n * n, so it cannot overflow
+        keys = eu * np.int64(n)             # below n * n, so it cannot overflow
+        keys += ev
     # With every 0 <= u < v < n, the keys rise strictly exactly when the
     # edges are sorted and distinct; only a fault needs the per-row masks.
-    if keys is None or (np.diff(keys) <= 0).any():
+    if keys is None or (keys[1:] <= keys[:-1]).any():
         du, dv = np.diff(eu), np.diff(ev)
         for bad, message in [
             (eu >= ev, "edge line not in u < v form"),
@@ -593,7 +677,9 @@ def parse_graph_text(text: str) -> Graph:
              "edge lines not sorted"),
         ]:
             if bad.any():
-                raise InputError(f"line {_line_number(text, int(pos[bad.argmax()]))}: {message}")
+                row = int(bad.argmax())
+                raise InputError(f"line {_line_number(text, _row_offset(text, start, row))}: "
+                                 f"{message}")
     return Graph._from_canonical(n, eu, ev, keys)
 
 

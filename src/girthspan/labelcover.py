@@ -20,9 +20,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .graphs import (_MAX_DIGITS, _NOT_DECIMAL, Graph, _body_bytes, _check_declared,
-                     _decimal_text, _decimal_values, _decimals, _head_lines, _int_rows, _is_break,
-                     _line_number, _sorted_distinct, _token_error, _token_rows)
+from .graphs import (_MAX_DIGITS, _NO_TAGS, _NOT_DECIMAL, _READ_BYTES, Graph, _body_bytes,
+                     _check_declared, _decimal_text, _decimal_values, _decimals, _head_lines,
+                     _int_rows, _is_break, _line_number, _row_offset,
+                     _sorted_distinct, _token_error, _token_rows)
 
 
 class LabelCoverInstance:
@@ -390,23 +391,24 @@ def _line_ends(data: bytes) -> np.ndarray:
 def parse_lc_text(text: str) -> LabelCoverInstance:
     """Parse LC v1 text at the cost of its distinct relation blocks.
 
-    ``_body_bytes`` checks the body as a whole; then it is cut at its E
-    tags.  The text before the first tag is a block with no superedge, which
-    must hold no token.  Each superedge has its E line, up to and including
-    its first line break character, and then its relation block, up to the
-    next tag.  Identical block texts hold identical tokens, so the
-    E lines are tokenized in one call and each distinct block once, in a
-    second call.  Every check still covers every line, and an error names
+    ``_body_bytes`` checks the body; then it is cut at its E tags.  The text
+    before the first tag is a block with no superedge, which must hold no
+    token.  Each superedge has its E line, up to and including its first
+    line break character, and then its relation block, up to the next tag.
+    Identical block texts hold identical tokens, so each distinct block is
+    tokenized once, in one call, and the E lines are tokenized in groups
+    (``_e_lines``).  Every check still covers every line, and an error names
     the line and quotes the token of the first fault in text order.  The
     distinct blocks are the rows of the CSR relation table, so their decoded
     pairs are its pair arrays as they stand.
 
     The E line ends are searched from the tags (``_first_breaks``): a short
-    window of bytes per tag, widened only for the tags whose line is longer.
-    No array holds an entry per line break of the body, and the windows
-    never hold more bytes than the body, whatever the input.  Of the block
-    texts, the parse keeps one copy of each distinct block; the others are
-    dropped as soon as they are matched.
+    window of bytes per tag, widened only for the tags whose line is longer,
+    read a bounded number of bytes at a time.  The E lines are then
+    gathered in groups of a bounded size, so no array holds an entry per
+    line break or per E line byte of the body, whatever the input.  Of the
+    block texts, the parse keeps one copy of each distinct block; the others
+    are dropped as soon as they are matched.
     """
     lines, numbers, start = _head_lines(text, 2, skip_blank=True)
     if not lines or lines[0] != "LC v1":
@@ -419,41 +421,34 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
     for field, size in [("A", a_count), ("B", b_count),
                         ("A*SA + B*SB", a_count * sigma_a + b_count * sigma_b)]:
         _check_declared(where, field, size)
-    raw, body, at = _body_bytes(text, start, "E")
-    n = body.size
-    e_end = np.minimum(_first_breaks(body, at) + 1, n)
+    raw, at = _body_bytes(text, start, "E")
+    whole = np.frombuffer(raw, dtype=np.uint8)
+    n = whole.size
+    e_end = np.minimum(start + _first_breaks(whole[start:], at - start) + 1, n)
     # Block piece j is [lo[j], hi[j]): j = 0 lies before the first tag, and
     # j = i + 1 follows superedge i's E line [at[i], e_end[i]).
-    lo, hi = np.append(0, e_end), np.append(at, n)
+    lo, hi = np.append(start, e_end), np.append(at, n)
     index: dict = {}      # distinct block texts; only these stay alive
     bid = np.fromiter((index.setdefault(raw[i:j], len(index))
                        for i, j in zip(lo.tolist(), hi.tolist())), dtype=np.int64, count=lo.size)
     distinct = list(index)
     del index
 
-    e_size = e_end - at
-    e_off = np.cumsum(e_size) - e_size            # where each E line starts in e_body
-    e_body = body[np.repeat(at - e_off, e_size) + np.arange(e_size.sum())]
-    no_tags = np.zeros(0, dtype=np.int64)
-    e_starts, e_ends, _ = _token_rows(e_body, no_tags)    # so an E separates like a blank
-    e_width = np.diff(np.searchsorted(e_starts, np.append(e_off, e_body.size)))
+    e_values, e_longest, e_wrong = _e_lines(whole, at, e_end)
     b_size = np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct)) + 1
     b_off = np.cumsum(b_size) - b_size            # where each distinct block starts in b_body
     b_raw = b"\n".join(distinct) + b"\n"
     b_body = np.frombuffer(b_raw, dtype=np.uint8)
-    b_starts, b_ends, b_heads = _token_rows(b_body, no_tags)
+    b_starts, b_ends, b_heads = _token_rows(b_body, _NO_TAGS)
     tok_block = np.searchsorted(b_off, b_starts, side="right") - 1
     row_block = tok_block[b_heads]
     b_width = np.diff(b_heads, append=b_starts.size)
     rows = np.bincount(row_block, minlength=len(distinct))
 
-    def first_fault(b_pos, e_pos=()):
+    def first_fault(b_pos, e_pos=None):
         """Text offset of the first fault: ``b_pos`` are sorted offsets in
-        b_body and ``e_pos`` sorted offsets in e_body."""
-        found = []
-        if len(e_pos):
-            i = np.searchsorted(e_off, e_pos[0], side="right") - 1
-            found.append(at[i] + e_pos[0] - e_off[i])
+        b_body and ``e_pos`` the first offset in the text, if any."""
+        found = [] if e_pos is None else [e_pos]
         if b_pos.size:
             k = np.searchsorted(b_off, b_pos, side="right") - 1
             k, first = np.unique(k, return_index=True)
@@ -461,12 +456,13 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
             offset[k] = b_pos[first] - b_off[k]
             j = int((offset[bid] >= 0).argmax())
             found.append(lo[j] + offset[bid[j]])
-        return start + int(min(found))
+        return int(min(found))
 
-    e_len, b_len = e_ends - e_starts, b_ends - b_starts
-    longest = max(e_len.max(initial=0), b_len.max(initial=0))
+    b_len = b_ends - b_starts
+    longest = max(e_longest[0], b_len.max(initial=0))
     if longest > _MAX_DIGITS:
-        pos = first_fault(b_starts[b_len == longest], e_starts[e_len == longest])
+        pos = first_fault(b_starts[b_len == longest],
+                          e_longest[1] if e_longest[0] == longest else None)
         raise _token_error(text, pos, _NOT_DECIMAL)
     if at.size != m:
         raise InputError(f"expected {m} superedge lines, found {at.size}")
@@ -474,19 +470,19 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
         pos = first_fault(b_starts[tok_block == bid[0]])
         raise InputError(f"line {_line_number(text, pos)}: "
                          "relation pair line outside a superedge block")
-    bad_e, bad_b = e_width != 3, b_width != 2
-    if bad_e.any() or bad_b.any():
-        pos = first_fault(b_starts[b_heads[bad_b]], e_off[bad_e])
+    bad_b = b_width != 2
+    if e_wrong is not None or bad_b.any():
+        pos = first_fault(b_starts[b_heads[bad_b]], e_wrong)
         kind, width = ("superedge", 3) if text[pos] == "E" else ("relation pair", 2)
         raise InputError(f"line {_line_number(text, pos)}: "
                          f"expected {width} integers on a {kind} line")
-    a, b, t = _decimal_values(e_body.tobytes(), e_starts.size).reshape(-1, 3).T
+    a, b, t = e_values.reshape(-1, 3).T
     found = rows[bid[1:]]
     wrong = found != t
     if wrong.any():
         e = int(wrong.argmax())
         state = "truncated" if found[e] < t[e] else "too long"
-        raise InputError(f"line {_line_number(text, start + int(at[e]))}: relation block "
+        raise InputError(f"line {_line_number(text, int(at[e]))}: relation block "
                          f"{state}: {t[e]} pair lines declared, {found[e]} found")
     pairs = _decimal_values(b_raw, b_starts.size, tagged=False).reshape(-1, 2)
     alpha, beta = pairs[:, 0], pairs[:, 1]
@@ -505,6 +501,48 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
         (np.append(0, np.cumsum(rows[skip:])), alpha, beta))
 
 
+def _e_lines(whole: np.ndarray, at: np.ndarray, e_end: np.ndarray) -> tuple:
+    """Tokens of the E lines ``[at[i], e_end[i])`` of the text bytes
+    ``whole``, in groups of lines that together hold at most
+    ``_READ_BYTES`` bytes (or one longer line).  A group's lines are copied
+    together, the E tags left in as separators, and tokenized in one call;
+    its gather index has an entry per byte of the group, and a group of one
+    line is read in place.
+
+    Returns (values, longest, wrong): the three integers of every line while
+    no fault is seen, (most digits in a token, text offset of the first such
+    token), and the text offset of the first line without three integers
+    (None if none).
+    """
+    e_size = e_end - at
+    line_end = np.cumsum(e_size)
+    values = np.empty(3 * at.size, dtype=np.int64)
+    longest, wrong = (0, None), None
+    i = 0
+    while i < at.size:
+        j = max(int(np.searchsorted(line_end, line_end[i] - e_size[i] + _READ_BYTES,
+                                    side="right")), i + 1)
+        size = e_size[i:j]
+        off = line_end[i:j] - size - (line_end[i] - size[0])   # line starts in the group
+        if j == i + 1:
+            group = whole[at[i]:e_end[i]]
+        else:
+            group = whole[np.repeat(at[i:j] - off, size) + np.arange(off[-1] + size[-1])]
+        starts, ends, _ = _token_rows(group, _NO_TAGS)
+        width = np.diff(np.searchsorted(starts, np.append(off, group.size)))
+        lengths = ends - starts
+        if lengths.size and lengths.max() > longest[0]:
+            k = int(lengths.argmax())
+            line = int(np.searchsorted(off, starts[k], side="right")) - 1
+            longest = (int(lengths[k]), int(at[i + line] + starts[k] - off[line]))
+        if wrong is None and (width != 3).any():
+            wrong = int(at[i + int((width != 3).argmax())])
+        if wrong is None and longest[0] <= _MAX_DIGITS:
+            values[3 * i:3 * j] = _decimal_values(group.tobytes(), starts.size)
+        i = j
+    return values, longest, wrong
+
+
 # Bytes the first pass of ``_first_breaks`` reads per tag: an E line as
 # written, with fields of up to 8 digits, fits in it.
 _FIRST_WINDOW = 32
@@ -514,16 +552,17 @@ def _first_breaks(body: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Per tag offset in ``at`` (ascending, each first on its line): the
     offset of the first line break at or after it, or ``body.size`` if none.
 
-    Each pass copies one window of bytes per unresolved tag, as a
-    (tags, width) uint8 matrix, and finds its first break.  A tag whose
-    window holds none goes on, its next window starting where this one
-    ended, as wide as all its line read so far.  The first window is at most
-    the mean distance between tags.  So after pass one every unresolved tag
-    opens a line free of breaks for at least the width of its next window,
-    and the lines of distinct tags are disjoint (a break precedes every tag
-    but the first): the matrix never holds more bytes than the body, for
-    any input.  A window that would run past the end is moved back to end
-    there, and what it holds before its tag's resume point is masked.
+    Each pass reads one window of bytes per unresolved tag and finds its
+    first break.  A tag whose window holds none goes on, its next window
+    starting where this one ended, as wide as all its line read so far.  The
+    first window is at most the mean distance between tags.  So after pass
+    one every unresolved tag opens a line free of breaks for at least the
+    width of its next window, and the lines of distinct tags are disjoint (a
+    break precedes every tag but the first): a pass never reads more bytes
+    than the body, for any input.  A window that would run past the end is
+    moved back to end there, and what it holds before its tag's resume
+    point is masked.  The windows of a pass are copied as (tags, width)
+    uint8 matrices of at most ``_READ_BYTES`` bytes (or one window).
     """
     n = body.size
     eol = np.full(at.size, n, dtype=np.int64)
@@ -532,11 +571,14 @@ def _first_breaks(body: np.ndarray, at: np.ndarray) -> np.ndarray:
     read = 0
     while rows.size:
         s = np.minimum(lo, n - width)
-        hit = _is_break(sliding_window_view(body, width)[s])
-        moved = np.flatnonzero(s < lo)
-        hit[moved] &= np.arange(width) >= (lo - s)[moved, None]
-        first = hit.argmax(axis=1)
-        found = hit[np.arange(rows.size), first]
+        first = np.empty(rows.size, dtype=np.int64)
+        found = np.empty(rows.size, dtype=bool)
+        step = max(_READ_BYTES // width, 1)
+        for c in range(0, rows.size, step):
+            hit = _is_break(sliding_window_view(body, width)[s[c:c + step]])
+            hit &= np.arange(width) >= (lo - s)[c:c + step, None]
+            first[c:c + step] = hit.argmax(axis=1)
+            found[c:c + step] = hit[np.arange(hit.shape[0]), first[c:c + step]]
         eol[rows[found]] = s[found] + first[found]
         more = ~found & (s + width < n)      # a window reaching the end settles its tag
         rows, lo = rows[more], s[more] + width
@@ -557,10 +599,10 @@ def _member_rows(text: str, header: str, what: str) -> tuple:
     lines, _, start = _head_lines(text, 1, skip_blank=True)
     if not lines or lines[0] != header:
         raise InputError(f"missing {header} header")
-    values, _, tag, pos = _int_rows(text, start, what, width=2, tags="AB")
+    values, _, tag = _int_rows(text, start, what, width=2, tags="AB")
     if not tag.all():
-        raise InputError(f"line {_line_number(text, int(pos[tag.argmin()]))}: "
-                         f"{what} line must start with A or B")
+        pos = _row_offset(text, start, int(tag.argmin()), "AB")
+        raise InputError(f"line {_line_number(text, pos)}: {what} line must start with A or B")
     return tag == ord("A"), values[0::2], values[1::2]
 
 

@@ -50,9 +50,12 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
 
     The run computes every stage first, then makes ``outdir`` and writes
     every artifact, then audits: a stage that raises leaves no output
-    directory behind.  ``self_audit`` holds, per artifact, whether its
-    file parses back to the object it was written from; a false entry
-    raises AssertionError after stats.json is written.
+    directory behind.  The superedge budget of parallel repetition and a
+    lower bound on the gadget's edges are checked before that stage, from
+    the regularized instance's sizes, and raise ResourceError.
+    ``self_audit`` holds, per artifact, whether its file parses back to the
+    object it was written from; a false entry raises AssertionError after
+    stats.json is written.
 
     ``wall_clock_s`` accounts for the whole run: one entry per compute
     stage, its trace record included, ``write_artifacts`` for every
@@ -103,6 +106,15 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
                                   "relations": lcm.distinct_relations(regular)})
 
     with timed("parallel_repetition"):
+        # Both budgets follow from the regularized sizes, so they are checked
+        # before the product is built: sampling and stripping keep the sides
+        # and alphabets, and so the gadget's towers.
+        cons.check_repetition_budget(regular.edge_count, ell)
+        a, b = regular.a_count ** ell, regular.b_count ** ell
+        sigma_a, sigma_b = regular.sigma_a ** ell, regular.sigma_b ** ell
+        x = x_override if x_override is not None else sp.default_copies(
+            a * sigma_a + b * sigma_b, a + b)
+        sp.check_gadget_budget(a, b, sigma_a, sigma_b, k, x)
         repeated = cons.parallel_repetition(regular, ell)
         record("parallel_repetition", {"ell": ell},
                {"a": repeated.a_count, "b": repeated.b_count,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import (Graph, INFINITY, _decimal_text, _head_lines, _hops, _int_rows,
-                     _line_number, _sorted_distinct, girth, graph_sha256)
+                     _line_number, _row_offset, _sorted_distinct, girth, graph_sha256)
 from .labelcover import (MinRepInstance, RepCover, _relation_slots, repcover_valid, supergraph,
                          write_lc_text)
 
@@ -189,6 +189,22 @@ def check_gadget_params(k: int, x_override: int | None = None) -> None:
         raise InputError("copy count x must be >= 1")
 
 
+def check_gadget_budget(a_count: int, b_count: int, sigma_a: int, sigma_b: int, k: int,
+                        x: int, superedges: int = 0, minrep_edges: int = 0,
+                        max_edges: int = DEFAULT_MAX_GADGET_EDGES) -> None:
+    """Reject with ResourceError a gadget of more than ``max_edges`` edges:
+    the Min-Rep edges E, then per copy EM and EsA per A tower, EM and EtB
+    per B tower, and EGt.  Left at 0, ``superedges`` and ``minrep_edges``
+    make the count a lower bound that the sides and alphabets alone give,
+    which holds before sampling and stripping choose the superedges."""
+    k_a = (k - 1) // 2
+    k_b = (k - 1) - k_a
+    total = minrep_edges + x * (a_count * (k_a - 1 + sigma_a) + b_count * (k_b - 1 + sigma_b)
+                                + superedges)
+    if total > max_edges:
+        raise ResourceError("gadget edge budget exceeded", required=total, allowed=max_edges)
+
+
 def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = None,
                            allow_small_supergirth: bool = False,
                            max_edges: int = DEFAULT_MAX_GADGET_EDGES) -> SpannerInstance:
@@ -215,12 +231,8 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
 
     a_cnt, b_cnt = lc.a_count, lc.b_count
     sigma_a, sigma_b = lc.sigma_a, lc.sigma_b
-    # E, then per copy: EM and EsA per A tower, EM and EtB per B tower, EGt.
-    total_edges = mr.minrep_graph.edge_count + x * (
-        a_cnt * (k_a - 1 + sigma_a) + b_cnt * (k_b - 1 + sigma_b) + lc.edge_count)
-    if total_edges > max_edges:
-        raise ResourceError("gadget edge budget exceeded",
-                            required=total_edges, allowed=max_edges)
+    check_gadget_budget(a_cnt, b_cnt, sigma_a, sigma_b, k, x, lc.edge_count,
+                        mr.minrep_graph.edge_count, max_edges)
 
     t_off = n + x * a_cnt * k_a
     vertex_count = n + x * a_cnt * k_a + x * b_cnt * k_b
@@ -494,10 +506,11 @@ def parse_subset_text(text: str, host: Graph) -> EdgeSubset:
         raise InputError("missing HOST hash line")
     if lines[1].split("sha256:", 1)[1] != graph_sha256(host):
         raise InputError("subset host hash does not match the given graph")
-    ids, _, _, pos = _int_rows(text, start, "edge id", width=1)
-    unsorted = np.diff(ids) <= 0
+    ids, _, _ = _int_rows(text, start, "edge id", width=1)
+    unsorted = ids[1:] <= ids[:-1]
     if unsorted.any():
-        raise InputError(f"line {_line_number(text, int(pos[unsorted.argmax() + 1]))}: "
+        row = int(unsorted.argmax()) + 1
+        raise InputError(f"line {_line_number(text, _row_offset(text, start, row))}: "
                          "subset edge ids must be sorted and distinct")
     return EdgeSubset._from_sorted(host, ids)
 

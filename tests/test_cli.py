@@ -338,6 +338,22 @@ def test_pipeline_budget_error_writes_nothing(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--vars", 9, "--ell", 3], "parallel repetition would exceed the superedge budget"),
+    (["--vars", 3, "--ell", 2, "--planted"], "gadget edge budget exceeded"),
+])
+def test_pipeline_budgets_are_checked_before_parallel_repetition(tmp_path, capsys,
+                                                                 monkeypatch, args, message):
+    """Both budgets follow from the regularized sizes, so the run exits 3
+    without building the product."""
+    def refuse(*_):
+        raise AssertionError("parallel_repetition was called")
+
+    monkeypatch.setattr(cons, "parallel_repetition", refuse)
+    assert run(["pipeline", "-o", tmp_path / "run"] + args) == 3
+    assert capsys.readouterr().err.startswith(f"resource error: {message} (required ")
+
+
 def test_pipeline_failed_verdict_exits_1(tmp_path, capsys, monkeypatch):
     """A spanner that fails verification is a FAIL verdict and exit 1; the
     self-audit checks only that each file holds the object written to it."""

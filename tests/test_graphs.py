@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from girthspan import graphs
 from girthspan.errors import InputError
 from girthspan.graphs import (Graph, INFINITY, _decimal_text, _decimal_values, _hops, _int_rows,
-                              _line_number, bfs_distances, edge_cycle_length,
+                              _line_number, _row_offset, bfs_distances, edge_cycle_length,
                               girth, graph_sha256, parse_graph_text,
                               write_graph_text)
 from girthspan.labelcover import parse_cover_text
@@ -309,21 +309,42 @@ def test_graph_text_whitespace_and_blank_lines():
     assert parse_graph_text(text) == Graph(6, [(0, 5), (3, 4)])
 
 
-def test_graph_parse_peak_memory_is_bounded():
-    """The parse of a 6.7 MB GRAPH text (a circulant on 10^5 vertices, six
-    edges per vertex) peaks below 6 times the text's size; before the token
-    arrays were freed ahead of the decode it took 8.7 times."""
-    n = 100_000
+def circulant(n=100_000):
+    """A circulant on n vertices, six edges per vertex: 6.7 MB of GRAPH text
+    at n = 10^5."""
     u = np.tile(np.arange(n), 6)
-    text = write_graph_text(Graph.from_arrays(n, u, (u + np.repeat(np.arange(1, 7), n)) % n))
-    assert len(text) > 6 * 10**6
+    return Graph.from_arrays(n, u, (u + np.repeat(np.arange(1, 7), n)) % n)
+
+
+def traced_peak(fn, *args):
+    """(result, peak traced bytes) of ``fn(*args)``."""
     tracemalloc.start()
     try:
-        parse_graph_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * len(text)
+
+
+def test_graph_parse_peak_memory_is_bounded():
+    """The parse of the circulant's text peaks below 3 times the text's
+    size: the text's bytes and the values, one block's temporaries, then the
+    values and the keys.  It took 5.7 times with whole-body token arrays and
+    8.7 times before they were freed ahead of the decode."""
+    text = write_graph_text(circulant())
+    assert len(text) > 6 * 10**6
+    _, peak = traced_peak(parse_graph_text, text)
+    assert peak < 3 * len(text)
+
+
+def test_graph_write_peak_memory_is_bounded():
+    """Writing the circulant's text peaks below 2.5 times the text's size:
+    its blocks and their join, then the bytes and the str.  A digit table
+    and keep mask over every row at once took 4.4 times."""
+    g = circulant()
+    text, peak = traced_peak(write_graph_text, g)
+    assert len(text) > 6 * 10**6
+    assert peak < 2.5 * len(text)
 
 
 def test_graph_arrays_are_read_only():
@@ -497,8 +518,9 @@ def rows_per_line(text):
 @settings(max_examples=200, deadline=None)
 def test_row_offsets_and_line_numbers_equal_per_line_reference(body):
     text, _ = body
-    _, _, _, pos = _int_rows(text, 0, "row", tags="E")
-    assert [(p, _line_number(text, p)) for p in pos.tolist()] == rows_per_line(text)
+    _, _, tag = _int_rows(text, 0, "row", tags="E")
+    pos = [_row_offset(text, 0, row, "E") for row in range(tag.size)]
+    assert [(p, _line_number(text, p)) for p in pos] == rows_per_line(text)
 
 
 @given(decimal_bodies())
@@ -507,7 +529,7 @@ def test_decimal_values_equals_per_token_int(body):
     text, tokens = body
     expected = [int(tok) for tok in tokens]
     assert _decimal_values(text.encode("ascii"), len(tokens)).tolist() == expected
-    values, first, _, _ = _int_rows(text, 0, "row", tags="E")
+    values, first, _ = _int_rows(text, 0, "row", tags="E")
     assert values.tolist() == expected and first[-1] == len(tokens)
 
 

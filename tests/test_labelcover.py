@@ -615,6 +615,25 @@ def test_lc_parse_peak_memory_is_bounded():
     assert peak < 2.5 * len(text)
 
 
+def test_lc_parse_of_padded_e_lines_peak_memory_is_bounded():
+    """A regularized instance (vars=90) with 200 blanks after every E line
+    space, over 4 MB of text, parses below 3 times the text's size: the
+    line end search reads a bounded number of bytes at a time and the E
+    lines are gathered in bounded groups.  With an int64 gather index per
+    E line byte it took 16.4 times."""
+    lc = cons.regularize(cons.lc_from_3sat5(cons.gen_3sat5(90, 7)))
+    text = widen_e_lines(write_lc_text(lc), " " * 200)
+    assert len(text) > 4 * 10**6
+    tracemalloc.start()
+    try:
+        parsed = parse_lc_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == lc
+    assert peak < 3 * len(text)
+
+
 @pytest.mark.parametrize("field, header", [
     ("A", "A 100000000000000000 B 1 SA 1 SB 1"),
     ("B", "A 1 B 100000000000000000 SA 1 SB 1"),
