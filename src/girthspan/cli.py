@@ -8,6 +8,7 @@ overridden with the GIRTHSPAN_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, blurb, configure):
         p = sub.add_parser(name, help=blurb, description=blurb)
         configure(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(handler=fn.__name__)
 
     def io_opts(p, inp=True, out=True):
         if inp:
@@ -372,11 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The parser is built once per process, so it holds each command's
+    # handler by name, looked up here: a patched or wrapped ``cmd_*`` runs.
     try:
-        return args.fn(args)
+        return globals()[args.handler](args)
     except (InputError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -40,17 +40,11 @@ class Graph:
     @classmethod
     def from_arrays(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
         """Construct from endpoint arrays without a Python-level edge loop."""
-        return cls._from_arrays_with_order(vertex_count, eu, ev)[0]
-
-    @classmethod
-    def _from_arrays_with_order(cls, vertex_count: int, eu, ev) -> tuple:
-        """``from_arrays`` and the sort it made: edge id e is input pair ``order[e]``."""
         g = cls.__new__(cls)
-        order = g._init_from(vertex_count, np.asarray(eu, dtype=np.int64),
-                             np.asarray(ev, dtype=np.int64))
-        return g, order
+        g._init_from(vertex_count, np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64))
+        return g
 
-    def _init_from(self, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    def _init_from(self, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> None:
         if vertex_count < 0:
             raise InputError("vertex_count must be nonnegative")
         n = int(vertex_count)
@@ -70,9 +64,7 @@ class Graph:
             lo = np.zeros(0, dtype=np.int64)
             hi = np.zeros(0, dtype=np.int64)
             keys = np.zeros(0, dtype=np.int64)
-            order = np.zeros(0, dtype=np.int64)
         self._set_edges(n, lo, hi, keys)
-        return order
 
     @classmethod
     def _from_canonical(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray,

@@ -213,7 +213,11 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
                  lambda text: parse_labeling_text(text, stripped)),
                 ("cover", "cover.cover", cover, write_cover_text, parse_cover_text),
                 ("subset", "spanner.subset", h, sp.write_subset_text,
-                 lambda text: sp.parse_subset_text(text, si.base))]
+                 lambda text: sp.parse_subset_text(text, h.host))]
+        # The artifacts hold all that the writes and the audit read.  The
+        # gadget's layout tables, about as large as its graph, are freed
+        # here, before the audit's re-parse of that graph sets the peak.
+        del si
         outdir.mkdir(parents=True, exist_ok=True)
         for _, filename, obj, writer, _ in artifacts:
             (outdir / filename).write_text(writer(obj))

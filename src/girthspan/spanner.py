@@ -82,7 +82,12 @@ class EdgeSubset:
 class SpannerInstance:
     """Gadget graph with role-tagged vertices and partitioned edge families.
 
-    The layout is held only as read-only tables of edge ids, one per family:
+    Edge ids follow the canonical (lower end, higher end) order that
+    numbers the edges of every ``Graph``; ``build_spanner_instance`` lays
+    it out in closed form: per Min-Rep vertex its E edges up, then its
+    crossing edges; per s-tower its EM edges, then its top's EGt edges; per
+    t-tower its EM edges.  The layout is held only as read-only tables of
+    edge ids, one per family:
 
     * ``tower_s[p, i, l]``, (x, |A|, k_a - 1): the EM edge from level l + 1
       to l + 2 of s-tower (p, i); ``tower_t[p, j, l]``, (x, |B|, k_b - 1),
@@ -213,6 +218,25 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     Requires k >= 3, equal side sizes, and source supergirth >= k + 2 (the
     reduction's hypothesis; pass allow_small_supergirth=True to downgrade
     the girth check to a warning recorded on the instance).
+
+    Edges are made in canonical (lower end, higher end) order, since edge
+    ids are positions in it for every ``Graph``: ``edge_ids_of`` binary-
+    searches it and GRAPH v1 text lists it.  The vertex layout being fixed
+    arithmetic, each edge is made at its position, with no sort.  Vertex
+    u's row holds the edges of lower end u, and rows follow vertex order:
+
+    1. Min-Rep row u, from the sum over w < u of up(w) + x (up(w) E edges
+       have lower end w): its E edges up, in ``minrep_graph`` order, then
+       its x crossing edges, copy 0 first (EsA to s(p, i, 1), EtB to
+       t(p, j, 1)).
+    2. s-tower rows, from S0 = |E| + x n.  Tower (p, i), from S0 + p (|A|
+       (k_a - 1) + |superedges|) + i (k_a - 1) + the A-degrees before i,
+       holds its k_a - 1 EM edges, then its top's EGt edges in (a, b) order.
+    3. t-tower rows, from T0 = S0 + x (|A| (k_a - 1) + |superedges|):
+       tower (p, j) holds its k_b - 1 EM edges.
+
+    The edges are checked canonical as ``parse_graph_text`` checks a GRAPH,
+    and each slot written by exactly one family.
     """
     check_gadget_params(k, x_override)
     lc = mr.source
@@ -235,52 +259,57 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
                         mr.minrep_graph.edge_count, max_edges)
 
     t_off = n + x * a_cnt * k_a
-    vertex_count = n + x * a_cnt * k_a + x * b_cnt * k_b
-    s_bases = n + np.arange(x * a_cnt, dtype=np.int64) * k_a
-    t_bases = t_off + np.arange(x * b_cnt, dtype=np.int64) * k_b
-    b_block = a_cnt * sigma_a
+    vertex_count = t_off + x * b_cnt * k_b
+    # Vertices: level 1 of s-tower (p, i) and of t-tower (p, j), shape
+    # (x, side, 1), with level l at l - 1 above it, and the Min-Rep groups.
+    p = np.arange(x, dtype=np.int64)[:, None, None]
+    s_one = n + (p * a_cnt + np.arange(a_cnt)[:, None]) * k_a
+    t_one = t_off + (p * b_cnt + np.arange(b_cnt)[:, None]) * k_b
+    s_lvl, t_lvl = s_one + np.arange(k_a - 1), t_one + np.arange(k_b - 1)
+    a_group = np.arange(a_cnt * sigma_a, dtype=np.int64).reshape(a_cnt, sigma_a)
+    b_group = np.arange(a_cnt * sigma_a, n, dtype=np.int64).reshape(b_cnt, sigma_b)
 
-    # One chunk per family, in FAMILIES order.  EM holds the s-towers' rows
-    # then the t-towers'; row (p * a_cnt + i) * (k_a - 1) + l joins levels
-    # l + 1 and l + 2 of s-tower (p, i).  EsA row (p * a_cnt + i) *
-    # sigma_a + alpha joins s-tower (p, i) to Min-Rep vertex (A, i, alpha);
-    # EtB row (p * b_cnt + j) * sigma_b + beta joins (B, j, beta) to
-    # t-tower (p, j); EGt row p * |superedges| + e is copy p of superedge e.
-    em_lo = np.concatenate([(s_bases[:, None] + np.arange(k_a - 1)).ravel(),
-                            (t_bases[:, None] + np.arange(k_b - 1)).ravel()])
+    # Edge ids, rows 1-3 above.  Min-Rep row u's copy-p crossing edge is
+    # cross0[u] + p; copy p of the s-tower rows starts at s_copy[p].
+    e_lo, e_hi = mr.minrep_graph.edge_arrays()
     ea, eb, _ = lc.edge_arrays()
-    copy_of_gt = np.repeat(np.arange(x, dtype=np.int64), lc.edge_count)
-    chunks = [
-        mr.minrep_graph.edge_arrays(),
-        (em_lo, em_lo + 1),
-        (np.repeat(s_bases, sigma_a), np.tile(np.arange(b_block, dtype=np.int64), x)),
-        (np.tile(np.arange(b_block, n, dtype=np.int64), x), np.repeat(t_bases, sigma_b)),
-        (n + (copy_of_gt * a_cnt + np.tile(ea, x)) * k_a + (k_a - 1),
-         t_off + (copy_of_gt * b_cnt + np.tile(eb, x)) * k_b + (k_b - 1)),
-    ]
-    sizes = [cu.size for cu, _ in chunks]
-    start = np.cumsum([0] + sizes)
-    base, order = Graph._from_arrays_with_order(
-        vertex_count, np.concatenate([cu for cu, _ in chunks]),
-        np.concatenate([cv for _, cv in chunks]))
+    s_stride = a_cnt * (k_a - 1) + ea.size
+    s_copy = e_lo.size + x * n + p[:, :, 0] * s_stride
+    t0 = e_lo.size + x * (n + s_stride)
+    edge_count = t0 + x * b_cnt * (k_b - 1)
+    cross0 = np.searchsorted(e_lo, np.arange(n), side="right") + x * np.arange(n)
+    crossing_sa, crossing_tb = cross0[a_group] + p, cross0[b_group] + p
+    s_row = s_copy + np.arange(a_cnt) * (k_a - 1) + np.searchsorted(ea, np.arange(a_cnt))
+    tower_s = s_row[:, :, None] + np.arange(k_a - 1)
+    tower_t = t0 + np.arange(x * b_cnt * (k_b - 1), dtype=np.int64).reshape(x, b_cnt, k_b - 1)
+    gt_copies = s_copy + (ea + 1) * (k_a - 1) + np.arange(ea.size)
 
-    # Edge id e is row order[e] of the concatenated chunks, so the family
-    # lists follow from that one sort, in edge id order, and each family's
-    # chunk, row by row through the inverse permutation, is its table.
-    fam_code = np.repeat(np.arange(5, dtype=np.int8), sizes)[order]
+    fam_code = np.full(edge_count, -1, dtype=np.int8)
+    eu, ev = np.empty((2, edge_count), dtype=np.int64)
+    for fam, table, lo, hi in [
+            (FAM_E, np.arange(e_lo.size) + x * e_lo, e_lo, e_hi),
+            (FAM_M, tower_s, s_lvl, s_lvl + 1),
+            (FAM_M, tower_t, t_lvl, t_lvl + 1),
+            (FAM_SA, crossing_sa, a_group, s_one),
+            (FAM_TB, crossing_tb, b_group, t_one),
+            (FAM_GT, gt_copies, s_one[:, ea, 0] + (k_a - 1), t_one[:, eb, 0] + (k_b - 1))]:
+        fam_code[table] = fam
+        eu[table] = lo
+        ev[table] = hi
+    keys = eu * np.int64(vertex_count)
+    keys += ev
+    # edge_count writes fill edge_count slots, so a slot left unwritten
+    # (code -1) means another slot was written twice.
+    if edge_count and ((fam_code < 0).any() or eu.min() < 0 or ev.max() >= vertex_count
+                       or not (eu < ev).all() or (keys[1:] <= keys[:-1]).any()):
+        raise AssertionError("gadget edges are not canonical, one slot each")
+    base = Graph._from_canonical(vertex_count, eu, ev, keys)
+
     ids = [np.flatnonzero(fam_code == f) for f in range(5)]
-    row_id = np.empty_like(order)
-    row_id[order] = np.arange(order.size)
-    for arr in [fam_code, row_id, *ids]:
+    for arr in [fam_code, tower_s, tower_t, crossing_sa, crossing_tb, gt_copies, *ids]:
         arr.flags.writeable = False
-    s_end = start[FAM_M] + x * a_cnt * (k_a - 1)
-    si = SpannerInstance(
-        base, mr, k, x, x_override is None, fam_code, dict(enumerate(ids)),
-        row_id[start[FAM_M]:s_end].reshape(x, a_cnt, k_a - 1),
-        row_id[s_end:start[FAM_SA]].reshape(x, b_cnt, k_b - 1),
-        row_id[start[FAM_SA]:start[FAM_TB]].reshape(x, a_cnt, sigma_a),
-        row_id[start[FAM_TB]:start[FAM_GT]].reshape(x, b_cnt, sigma_b),
-        row_id[start[FAM_GT]:].reshape(x, lc.edge_count))
+    si = SpannerInstance(base, mr, k, x, x_override is None, fam_code, dict(enumerate(ids)),
+                         tower_s, tower_t, crossing_sa, crossing_tb, gt_copies)
     si.supergirth_warning = sg < k + 2
     si.audit()
     return si

@@ -194,6 +194,60 @@ def degrees(g) -> np.ndarray:
     return np.diff(g._csr()[0])
 
 
+def gadget_by_sort(mr, k: int, x: int) -> dict:
+    """The gadget's layout by the sort-based derivation, the reference for
+    ``build_spanner_instance``'s closed-form one: each family's edges made
+    in family order, one stable sort of their keys ``lo * N + hi``, and the
+    tables read back through the inverse permutation.  Returns the sorted
+    keys, ``fam_code``, the per-family id lists (``ids``), the five tables
+    and ``anchor_distinct``."""
+    lc = mr.source
+    k_a, k_b = (k - 1) // 2, (k - 1) - (k - 1) // 2
+    n, a_cnt, b_cnt = mr.vertex_count, lc.a_count, lc.b_count
+    sigma_a, sigma_b = lc.sigma_a, lc.sigma_b
+    t_off = n + x * a_cnt * k_a
+    vertex_count = t_off + x * b_cnt * k_b
+    s_bases = n + np.arange(x * a_cnt, dtype=np.int64) * k_a
+    t_bases = t_off + np.arange(x * b_cnt, dtype=np.int64) * k_b
+    b_block = a_cnt * sigma_a
+    # EM holds the s-towers' rows then the t-towers'; EsA row (p * a_cnt +
+    # i) * sigma_a + alpha joins s-tower (p, i) to (A, i, alpha), EtB rows
+    # likewise, and EGt row p * |superedges| + e is copy p of superedge e.
+    em_lo = np.concatenate([(s_bases[:, None] + np.arange(k_a - 1)).ravel(),
+                            (t_bases[:, None] + np.arange(k_b - 1)).ravel()])
+    ea, eb, _ = lc.edge_arrays()
+    copy_of_gt = np.repeat(np.arange(x, dtype=np.int64), lc.edge_count)
+    chunks = [
+        mr.minrep_graph.edge_arrays(),
+        (em_lo, em_lo + 1),
+        (np.repeat(s_bases, sigma_a), np.tile(np.arange(b_block, dtype=np.int64), x)),
+        (np.tile(np.arange(b_block, n, dtype=np.int64), x), np.repeat(t_bases, sigma_b)),
+        (n + (copy_of_gt * a_cnt + np.tile(ea, x)) * k_a + (k_a - 1),
+         t_off + (copy_of_gt * b_cnt + np.tile(eb, x)) * k_b + (k_b - 1)),
+    ]
+    sizes = [cu.size for cu, _ in chunks]
+    start = np.cumsum([0] + sizes)
+    eu = np.concatenate([cu for cu, _ in chunks])
+    ev = np.concatenate([cv for _, cv in chunks])
+    keys = np.minimum(eu, ev) * np.int64(vertex_count) + np.maximum(eu, ev)
+    order = np.argsort(keys, kind="stable")
+    fam_code = np.repeat(np.arange(5, dtype=np.int8), sizes)[order]
+    row_id = np.empty_like(order)
+    row_id[order] = np.arange(order.size)
+    s_end = start[1] + x * a_cnt * (k_a - 1)
+    out = {"keys": keys[order], "fam_code": fam_code,
+           "ids": [np.flatnonzero(fam_code == f) for f in range(5)],
+           "tower_s": row_id[start[1]:s_end].reshape(x, a_cnt, k_a - 1),
+           "tower_t": row_id[s_end:start[2]].reshape(x, b_cnt, k_b - 1),
+           "crossing_sa": row_id[start[2]:start[3]].reshape(x, a_cnt, sigma_a),
+           "crossing_tb": row_id[start[3]:start[4]].reshape(x, b_cnt, sigma_b),
+           "gt_copies": row_id[start[4]:].reshape(x, lc.edge_count)}
+    sa, tb = out["crossing_sa"], out["crossing_tb"]
+    out["anchor_distinct"] = np.unique(np.concatenate(
+        [sa[0].ravel(), tb[0].ravel(), sa[:, :, 0].ravel(), tb[:, :, 0].ravel()]))
+    return out
+
+
 def vertex_role(si, v: int) -> tuple:
     """Role of gadget vertex v: its Min-Rep label ``("A"|"B", vertex, symbol)``,
     or ``("S", i, level, p)`` / ``("T", j, level, p)`` for tower vertices."""

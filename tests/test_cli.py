@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from girthspan import constructions as cons, pipeline, spanner as sp
+from girthspan import cli, constructions as cons, pipeline, spanner as sp
 from girthspan.cli import main
 from girthspan.graphs import Graph, write_graph_text
 from girthspan.labelcover import write_lc_text
@@ -488,3 +491,44 @@ def test_greedy_command(tmp_path, capsys):
     hpath = tmp_path / "h.subset"
     assert run(["spanner-greedy", "--graph", gpath, "--k", 3, "-o", hpath]) == 0
     assert run(["spanner-verify", "--graph", gpath, "--subset", hpath, "--k", 3]) == 0
+
+
+def test_one_parser_per_process_matches_fresh_processes(tmp_path, capsys):
+    """``main`` builds its parser once per process.  Commands run one after
+    another in one process print and exit as each does in a fresh process:
+    a success, a failed verification (exit 1) and an input error (exit 2),
+    each twice."""
+    gpath = tmp_path / "c4.graph"
+    gpath.write_text(write_graph_text(cycle_graph(4)))
+    hpath = tmp_path / "h.subset"
+    hpath.write_text(write_subset_text(EdgeSubset(cycle_graph(4), [0, 1, 2])))
+    commands = [["girth", "-i", gpath],
+                ["spanner-verify", "--graph", gpath, "--subset", hpath, "--k", 2],
+                ["girth", "-i", tmp_path / "missing.graph"]]
+    in_process = []
+    for args in commands + commands:
+        rc = run(args)
+        captured = capsys.readouterr()
+        in_process.append((rc, captured.out, captured.err))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    fresh = []
+    for args in commands:
+        done = subprocess.run([sys.executable, "-m", "girthspan.cli", *map(str, args)],
+                              capture_output=True, text=True, env=env, check=False)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [rc for rc, _, _ in fresh] == [0, 1, 2]
+    assert in_process == fresh + fresh
+
+
+def test_patched_handler_runs_after_the_parser_is_built(tmp_path, monkeypatch):
+    """The parser holds each command's handler by name, so a handler
+    patched after the parser was built is the one that runs."""
+    gpath = tmp_path / "c4.graph"
+    gpath.write_text(write_graph_text(cycle_graph(4)))
+    assert run(["girth", "-i", gpath]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_girth", lambda args: seen.append(args.input) or 7)
+    assert run(["girth", "-i", gpath]) == 7
+    assert seen == [str(gpath)]

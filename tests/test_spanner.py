@@ -13,9 +13,9 @@ from girthspan.labelcover import (RepCover, labeling_to_repcover,
 from girthspan.oracles import spans_all_pairs
 from girthspan.rng import Stream, child_seed
 
-from conftest import (check_mutant, complete_graph, cycle_graph, full_subset, hub_graph,
-                      make_lc, path_lc_tiny, random_graph, text_mutants, vertex_role,
-                      xor_odd_4cycle)
+from conftest import (check_mutant, complete_graph, cycle_graph, full_subset, gadget_by_sort,
+                      hub_graph, make_lc, path_lc_tiny, random_graph, text_mutants,
+                      vertex_role, xor_odd_4cycle)
 
 
 def ten_vertex_lc():
@@ -104,8 +104,8 @@ def test_egt_copies_are_supergraph_isomorphic():
 def gadget_tables_by_lookup(si):
     """The gadget's family tables by the original derivation: one
     ``edge_ids_of`` search per family plus a sort by edge id.  The
-    reference for the tables ``build_spanner_instance`` takes from its one
-    construction sort."""
+    reference for the tables ``build_spanner_instance`` lays out in closed
+    form."""
     g, mr, lc = si.base, si.source, si.source.source
     x, k_a, k_b = si.x, si.k_a, si.k_b
     a_cnt, b_cnt, sigma_a, sigma_b = lc.a_count, lc.b_count, lc.sigma_a, lc.sigma_b
@@ -159,7 +159,7 @@ def gadget_tables_by_lookup(si):
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 @pytest.mark.parametrize("x", [1, 2, 3])
-def test_gadget_tables_from_construction_sort_equal_lookup(k, x):
+def test_gadget_tables_equal_lookup(k, x):
     """k = 3 has no EM chunk; ten_vertex_lc has unequal alphabets (3, 2)."""
     for lc in (path_lc_tiny(), ten_vertex_lc()):
         si = sp.build_spanner_instance(minrep_expand(lc), k, x_override=x)
@@ -173,6 +173,40 @@ def test_gadget_tables_from_construction_sort_equal_lookup(k, x):
             assert getattr(si, name).shape == ref[name].shape, name
             assert np.array_equal(getattr(si, name), ref[name]), name
         assert (k == 3) == (si.ids_by_family[sp.FAM_M].size == 0)
+
+
+@st.composite
+def gadget_inputs(draw):
+    """A random LC with |A| = |B| <= 5, alphabets <= 4 and a superedge set
+    that may be empty, plus a stretch k in 3..7 and a copy count x in 1..4."""
+    side = draw(st.integers(1, 5))
+    sigma_a, sigma_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = st.sets(st.tuples(st.integers(0, sigma_a - 1), st.integers(0, sigma_b - 1)),
+                    min_size=1)
+    edges = [(a, b, draw(pairs)) for a in range(side) for b in range(side)
+             if draw(st.booleans())]
+    lc = make_lc(side, side, sigma_a, sigma_b, edges)
+    return lc, draw(st.integers(3, 7)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gadget_inputs())
+def test_closed_form_layout_equals_sort(case):
+    """The closed-form layout against the sort-based derivation: the same
+    canonical keys, family codes, family id lists, tables and anchor union."""
+    lc, k, x = case
+    mr = minrep_expand(lc)
+    si = sp.build_spanner_instance(mr, k, x_override=x, allow_small_supergirth=True)
+    ref = gadget_by_sort(mr, k, x)
+    assert np.array_equal(si.base._keys, ref["keys"])
+    assert np.array_equal(si.fam_code, ref["fam_code"])
+    for fam in range(5):
+        assert np.array_equal(si.ids_by_family[fam], ref["ids"][fam])
+    for name in ("tower_s", "tower_t", "crossing_sa", "crossing_tb", "gt_copies",
+                 "anchor_distinct"):
+        table = getattr(si, name)
+        assert table.shape == ref[name].shape and np.array_equal(table, ref[name]), name
+        assert table.flags.c_contiguous and not table.flags.writeable, name
 
 
 def corrupt_and_audit(k, corruptions):
@@ -242,10 +276,11 @@ def test_gadget_tables_are_read_only():
             arr.reshape(-1)[0] = 0
 
 
-def test_gadget_retains_under_48_bytes_per_edge():
+@pytest.fixture(scope="module")
+def traced_vars3_build():
     """The vars=3 default-x gadget of the seed-7 chain (96,225 edges, x =
-    608, k = 3): the memory build_spanner_instance leaves allocated, its
-    graph and layout tables included, stays below 48 bytes per edge."""
+    608, k = 3), built under tracemalloc: (instance, bytes left allocated,
+    peak bytes above the start) of build_spanner_instance."""
     formula = cons.gen_3sat5(3, child_seed(7, "gen"), None)
     lc = cons.parallel_repetition(cons.regularize(cons.lc_from_3sat5(formula)), 1)
     params = sampling.SampleParams(alpha=1.0, k=4, seed=child_seed(7, "subsample"))
@@ -254,11 +289,26 @@ def test_gadget_retains_under_48_bytes_per_edge():
     try:
         before = tracemalloc.get_traced_memory()[0]
         si = sp.build_spanner_instance(mr, 3)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (si.base.edge_count, si.x) == (96_225, 608)
+    return si, current - before, peak - before
+
+
+def test_gadget_retains_under_48_bytes_per_edge(traced_vars3_build):
+    """The memory build_spanner_instance leaves allocated, its graph and
+    layout tables included, stays below 48 bytes per edge."""
+    si, retained, _ = traced_vars3_build
     assert retained / si.base.edge_count < 48
+
+
+def test_gadget_build_peaks_under_72_bytes_per_edge(traced_vars3_build):
+    """The traced peak of build_spanner_instance stays below 72 bytes per
+    edge: each edge is written once, at its canonical position, beside the
+    tables and arrays the instance keeps (under 48 bytes per edge)."""
+    si, _, peak = traced_vars3_build
+    assert peak / si.base.edge_count < 72
 
 
 def test_interior_tower_vertices_have_degree_two_outside_e():
