@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
+from itertools import chain
 from math import inf
 
 import numpy as np
@@ -316,7 +317,12 @@ def girth(g: Graph):
 # character, any non-ASCII character) is an InputError that names its line
 # and quotes its token.
 #
-# The kernels work one block at a time: ``_decimal_text`` renders
+# Every parser takes its text as str or as bytes and reads it as bytes
+# (``_text_bytes``): a str is encoded once, on entry.  Every offset below is
+# one in those bytes.  A check names the first fault in text order, and all
+# that precedes a fault is ASCII, so its offset is one in the str too.
+#
+# The kernels work one block at a time: ``_decimal_blocks`` renders
 # ``_WRITE_ROWS`` rows per block, and the body checks and ``_int_rows`` read
 # blocks of about ``_READ_BYTES`` bytes that end at line breaks (see
 # ``_line_blocks``).  Their temporaries are bounded by these constants; only
@@ -325,10 +331,11 @@ def girth(g: Graph):
 _MAX_DIGITS = 18
 _NOT_DECIMAL = f"is not an integer of 1 to {_MAX_DIGITS} decimal digits"
 _BODY_BYTES = "0123456789 \t\n\r\v\f"      # and the format's tag letters
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f]")
+_LINE_BREAK = re.compile(rb"\r\n|[\n\r\v\f]")
 _BREAK_BYTE = re.compile(rb"[\n\r\v\f]")
-_SEPARATOR = re.compile(r"[ \t\n\r\v\f]")
-_HEAD_FORBIDDEN = re.compile(r"[^\t\x20-\x7e]")
+_SEPARATOR = re.compile(rb"[ \t\n\r\v\f]")
+_HEAD_FORBIDDEN = re.compile(rb"[^\t\x20-\x7e]")
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 _BLANK_TAGS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b" " * 26)
 _NO_TAGS = np.zeros(0, dtype=np.int64)
 _WRITE_ROWS = 1 << 15
@@ -349,10 +356,14 @@ def _check_declared(where: str, field: str, size: int) -> None:
 def _decimal_text(columns, tag: str = "") -> bytes:
     """One line per row of the nonnegative int columns: ``tag`` and a space
     when a tag letter is given, then the row's fields joined by a space.
-    Equal to joining ``str(int)`` per row; rendered ``_WRITE_ROWS`` rows at
-    a time and joined."""
-    return b"".join(_decimal_block([col[lo:lo + _WRITE_ROWS] for col in columns], tag)
-                    for lo in range(0, columns[0].size, _WRITE_ROWS))
+    Equal to joining ``str(int)`` per row."""
+    return b"".join(_decimal_blocks(columns, tag))
+
+
+def _decimal_blocks(columns, tag: str = ""):
+    """``_decimal_text`` as byte chunks of ``_WRITE_ROWS`` rows each."""
+    for lo in range(0, columns[0].size, _WRITE_ROWS):
+        yield _decimal_block([col[lo:lo + _WRITE_ROWS] for col in columns], tag)
 
 
 def _decimal_block(columns, tag: str) -> bytes:
@@ -398,34 +409,47 @@ def _decimals(tokens, where: str) -> list:
     return list(map(int, tokens))
 
 
-def _line_number(text: str, pos: int) -> int:
-    """1-based number of the line holding character offset ``pos``."""
-    return len(_LINE_BREAK.findall(text, 0, pos)) + 1
+def _text_bytes(text) -> bytes:
+    """A parser's input as bytes: bytes as they are, a str encoded once.  A
+    str that is not ASCII is encoded as UTF-8, lone surrogates included, so
+    that a check finds its first non-ASCII character as a non-ASCII byte and
+    ``_token_error`` quotes it as the str holds it."""
+    return text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
 
 
-def _token_error(text: str, pos: int, problem: str) -> InputError:
-    """InputError naming the line of character ``pos`` and quoting the
-    blank-separated token that holds it."""
-    lo = max(text.rfind(c, 0, pos) for c in " \t\n\r\v\f") + 1
-    sep = _SEPARATOR.search(text, pos)
-    token = text[lo:sep.start() if sep else len(text)]
-    return InputError(f"line {_line_number(text, pos)}: {token!r} {problem}")
+def _line_number(raw: bytes, pos: int) -> int:
+    """1-based number of the line holding byte offset ``pos``."""
+    return len(_LINE_BREAK.findall(raw, 0, pos)) + 1
 
 
-def _head_lines(text: str, count: int | None = None,
+def _token_error(raw: bytes, pos: int, problem: str) -> InputError:
+    """InputError naming the line of byte ``pos`` and quoting the
+    blank-separated token that holds it, decoded."""
+    lo = max(raw.rfind(c, 0, pos) for c in b" \t\n\r\v\f") + 1
+    sep = _SEPARATOR.search(raw, pos)
+    token = raw[lo:sep.start() if sep else len(raw)]
+    try:
+        quoted = token.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:          # bytes that no str encodes to
+        quoted = token.decode("utf-8", "backslashreplace")
+    return InputError(f"line {_line_number(raw, pos)}: {quoted!r} {problem}")
+
+
+def _head_lines(raw: bytes, count: int | None = None,
                 skip_blank: bool = False) -> tuple[list, list, int]:
     """The first ``count`` lines (all of them when None; nonblank ones if
-    ``skip_blank``), their 1-based line numbers, and the offset after them."""
+    ``skip_blank``) as str, their 1-based line numbers, and the offset after
+    them."""
     lines, numbers, pos, number = [], [], 0, 0
-    while (count is None or len(lines) < count) and pos < len(text):
-        brk = _LINE_BREAK.search(text, pos)
-        end, nxt = (brk.start(), brk.end()) if brk else (len(text), len(text))
-        line = text[pos:end]
+    while (count is None or len(lines) < count) and pos < len(raw):
+        brk = _LINE_BREAK.search(raw, pos)
+        end, nxt = (brk.start(), brk.end()) if brk else (len(raw), len(raw))
+        line = raw[pos:end]
         number += 1
         if _HEAD_FORBIDDEN.search(line):
             raise InputError(f"line {number}: control or non-ASCII character")
         if not skip_blank or line.strip():
-            lines.append(line)
+            lines.append(line.decode("ascii"))
             numbers.append(number)
         pos = nxt
     return lines, numbers, pos
@@ -466,23 +490,21 @@ def _line_blocks(raw: bytes, start: int, at: np.ndarray = _NO_TAGS):
         lo = hi
 
 
-def _body_bytes(text: str, start: int, tags: str = "") -> tuple:
-    """The text encoded once, after the policy's checks of its body
-    ``text[start:]``, which begins a line: ASCII only, no byte but digits,
-    blanks, line breaks and the tag letters ``tags``, and every tag first on
-    its line and followed by a space.  Each check names the first fault in
-    text order.  Returns (raw, at): the text as bytes and the offsets of the
-    body's tags; an offset in ``raw`` is one in ``text``."""
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise _token_error(text, exc.start, _NOT_DECIMAL) from None
+def _check_body(raw: bytes, start: int, tags: str = "") -> np.ndarray:
+    """The policy's checks of the body ``raw[start:]``, which begins a line:
+    ASCII only, no byte but digits, blanks, line breaks and the tag letters
+    ``tags``, and every tag first on its line and followed by a space.  The
+    first non-ASCII byte is named before any other fault; each other check
+    names the first fault in text order.  Returns the offsets of the body's
+    tags."""
+    if not raw.isascii():
+        raise _token_error(raw, _NON_ASCII.search(raw, start).start(), _NOT_DECIMAL)
     allowed, letters = (_BODY_BYTES + tags).encode("ascii"), tags.encode("ascii")
     found = [_NO_TAGS]
     for lo, block, _ in _line_blocks(raw, start):
         if raw[lo:lo + block.size].translate(None, allowed):
-            other = re.compile(f"[^{_BODY_BYTES}{tags}]").search(text, lo)
-            raise _token_error(text, other.start(), _NOT_DECIMAL)
+            other = re.compile(f"[^{_BODY_BYTES}{tags}]".encode("ascii")).search(raw, lo)
+            raise _token_error(raw, other.start(), _NOT_DECIMAL)
         if letters:
             is_tag = block == letters[0]
             for letter in letters[1:]:
@@ -494,13 +516,13 @@ def _body_bytes(text: str, start: int, tags: str = "") -> tuple:
         placed = (((at == start) | _is_break(whole[at - 1])) & (at + 1 < whole.size)
                   & (whole[np.minimum(at + 1, whole.size - 1)] == ord(" ")))
         if not placed.all():
-            raise _token_error(text, int(at[placed.argmin()]),
+            raise _token_error(raw, int(at[placed.argmin()]),
                                "is a tag, which must open its line and be followed by a space")
-    return raw, at
+    return at
 
 
 def _token_rows(block: np.ndarray, at: np.ndarray) -> tuple:
-    """Tokens and rows of a block of body bytes that passed ``_body_bytes``
+    """Tokens and rows of a block of body bytes that passed ``_check_body``
     and begins a line; its tags are at positions ``at``.
 
     Returns (starts, ends, heads): the span of every token, a tag being one,
@@ -527,7 +549,7 @@ def _token_rows(block: np.ndarray, at: np.ndarray) -> tuple:
 
 def _decimal_values(data: bytes, count: int, tagged: bool = True) -> np.ndarray:
     """int64 values of the ``count`` digit tokens of ``data``, body bytes
-    that passed ``_body_bytes`` and whose tokens the caller counted and
+    that passed ``_check_body`` and whose tokens the caller counted and
     checked to hold at most 18 digits.  Tag letters separate tokens like
     blanks; a caller whose bytes hold none passes ``tagged=False`` to skip
     blanking them.
@@ -544,10 +566,10 @@ def _decimal_values(data: bytes, count: int, tagged: bool = True) -> np.ndarray:
     return values
 
 
-def _int_rows(text: str, start: int, what: str, width: int | None = None,
+def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
               count: int | None = None, tags: str = "") -> tuple:
-    """Tokenize the body ``text[start:]``, which begins a line, by the
-    policy above.
+    """Tokenize the body ``raw[start:]``, which begins a line, by the policy
+    above.
 
     Returns (values, first, tag).  Row r is the r-th nonblank line: its
     integers are ``values[first[r]:first[r + 1]]`` and ``tag[r]`` is its tag
@@ -564,7 +586,7 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
     digits, if that is over 18.  Values are decoded while no fault is seen,
     into one array sized from ``count`` and ``width`` when both are given.
     """
-    raw, at = _body_bytes(text, start, tags)
+    at = _check_body(raw, start, tags)
     fixed = width is not None and count is not None and count * width <= len(raw)
     values = np.empty(count * width if fixed else 0, dtype=np.int64)
     parts, tag_parts, count_parts = [], [], []
@@ -599,10 +621,10 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
     if count is not None and rows != count:
         raise InputError(f"expected {count} {what} lines, found {rows}")
     if wrong_at is not None:
-        raise InputError(f"line {_line_number(text, wrong_at)}: "
+        raise InputError(f"line {_line_number(raw, wrong_at)}: "
                          f"expected {width} integer(s) per {what} line")
     if longest > _MAX_DIGITS:
-        raise _token_error(text, longest_at, _NOT_DECIMAL)
+        raise _token_error(raw, longest_at, _NOT_DECIMAL)
     if not fixed and parts:
         values = np.concatenate(parts)
     first = None
@@ -611,12 +633,12 @@ def _int_rows(text: str, start: int, what: str, width: int | None = None,
     return values, first, np.concatenate([np.zeros(0, np.uint8), *tag_parts])
 
 
-def _row_offset(text: str, start: int, row: int, tags: str = "") -> int:
-    """Offset in ``text`` of the first token of row ``row`` of a body that
-    ``_int_rows(text, start, ..., tags=tags)`` read; an error message names
+def _row_offset(raw: bytes, start: int, row: int, tags: str = "") -> int:
+    """Offset in ``raw`` of the first token of row ``row`` of a body that
+    ``_int_rows(raw, start, ..., tags=tags)`` read; an error message names
     its ``_line_number``.  Tokenizes the body again, block by block, up to
     the row, so only the error path pays for row offsets."""
-    raw, at = _body_bytes(text, start, tags)
+    at = _check_body(raw, start, tags)
     for lo, block, block_at in _line_blocks(raw, start, at):
         starts, _, heads = _token_rows(block, block_at)
         if row < heads.size:
@@ -627,21 +649,29 @@ def _row_offset(text: str, start: int, row: int, tags: str = "") -> int:
 
 # --- GRAPH v1 text format ---------------------------------------------------
 
-def _graph_bytes(g: Graph) -> bytes:
-    head = f"GRAPH v1\nN {g.vertex_count} M {g.edge_count}\n".encode("ascii")
-    return head + _decimal_text([g._eu, g._ev])
+def _graph_chunks(g: Graph):
+    """GRAPH v1 text of ``g`` as byte chunks: the header, then one chunk per
+    ``_WRITE_ROWS`` edges.  Unless the digest is cached, the chunks are
+    hashed as they are made, and the digest is cached after the last."""
+    digest = hashlib.sha256() if g._sha256 is None else None
+    for chunk in chain([f"GRAPH v1\nN {g.vertex_count} M {g.edge_count}\n".encode("ascii")],
+                       _decimal_blocks([g._eu, g._ev])):
+        if digest is not None:
+            digest.update(chunk)
+        yield chunk
+    if digest is not None:
+        g._sha256 = digest.hexdigest()
 
 
 def write_graph_text(g: Graph) -> str:
     """GRAPH v1 text of ``g``; also caches its digest for ``graph_sha256``."""
-    data = _graph_bytes(g)
-    if g._sha256 is None:
-        g._sha256 = hashlib.sha256(data).hexdigest()
-    return data.decode("ascii")
+    return b"".join(_graph_chunks(g)).decode("ascii")
 
 
-def parse_graph_text(text: str) -> Graph:
-    lines, _, start = _head_lines(text, 2)
+def parse_graph_text(text) -> Graph:
+    """Parse GRAPH v1 text, given as str or as ASCII bytes."""
+    raw = _text_bytes(text)
+    lines, _, start = _head_lines(raw, 2)
     if not lines or lines[0].strip() != "GRAPH v1":
         raise InputError("missing GRAPH v1 header")
     if len(lines) < 2:
@@ -651,7 +681,10 @@ def parse_graph_text(text: str) -> Graph:
         raise InputError(f"line 2: bad size line: {lines[1]!r}")
     n, m = _decimals(parts[1::2], "line 2")
     _check_declared("line 2", "N", n)
-    values, _, _ = _int_rows(text, start, "edge", width=2, count=m)
+    values, _, _ = _int_rows(raw, start, "edge", width=2, count=m)
+    # The bytes a str was encoded to are freed before the keys are made; the
+    # error path below encodes it again.
+    del raw
     eu, ev = values[0::2], values[1::2]
     keys = None
     if ev.max(initial=-1) < n and (eu < ev).all():
@@ -669,8 +702,8 @@ def parse_graph_text(text: str) -> Graph:
              "edge lines not sorted"),
         ]:
             if bad.any():
-                row = int(bad.argmax())
-                raise InputError(f"line {_line_number(text, _row_offset(text, start, row))}: "
+                row, raw = int(bad.argmax()), _text_bytes(text)
+                raise InputError(f"line {_line_number(raw, _row_offset(raw, start, row))}: "
                                  f"{message}")
     return Graph._from_canonical(n, eu, ev, keys)
 
@@ -678,5 +711,6 @@ def parse_graph_text(text: str) -> Graph:
 def graph_sha256(g: Graph) -> str:
     """sha256 of the GRAPH v1 text of ``g``, computed at most once per graph."""
     if g._sha256 is None:
-        g._sha256 = hashlib.sha256(_graph_bytes(g)).hexdigest()
+        for _ in _graph_chunks(g):
+            pass
     return g._sha256

@@ -13,6 +13,7 @@ are indexed A-block first, row-major by (supervertex, symbol).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,10 +21,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .graphs import (_MAX_DIGITS, _NO_TAGS, _NOT_DECIMAL, _READ_BYTES, Graph, _body_bytes,
-                     _check_declared, _decimal_text, _decimal_values, _decimals, _head_lines,
-                     _int_rows, _is_break, _line_number, _row_offset,
-                     _sorted_distinct, _token_error, _token_rows)
+from .graphs import (_MAX_DIGITS, _NO_TAGS, _NOT_DECIMAL, _READ_BYTES, _WRITE_ROWS, Graph,
+                     _check_body, _check_declared, _decimal_block, _decimal_text,
+                     _decimal_values, _decimals, _head_lines, _int_rows, _is_break,
+                     _line_number, _row_offset, _sorted_distinct, _text_bytes, _token_error,
+                     _token_rows)
 
 
 class LabelCoverInstance:
@@ -364,23 +366,38 @@ def labeling_to_repcover(lc: LabelCoverInstance, lab: Labeling) -> RepCover:
 
 def write_lc_text(lc: LabelCoverInstance) -> str:
     """LC v1 text: per superedge its ``E a b t`` line, then the t pair lines
-    of its relation.  One call renders every E line and a second one the
-    block of each relation in use; the text joins, in superedge order, each
-    E line with a slice holding its relation's block."""
-    head = (f"LC v1\nA {lc.a_count} B {lc.b_count} SA {lc.sigma_a} SB {lc.sigma_b} "
-            f"M {lc.edge_count}\n")
+    of its relation."""
+    return b"".join(_lc_chunks(lc)).decode("ascii")
+
+
+def _lc_chunks(lc: LabelCoverInstance):
+    """LC v1 text of ``lc`` as byte chunks: the header, then the E lines and
+    relation blocks of one run of superedges per chunk.  A run holds at most
+    ``_WRITE_ROWS`` lines, or one superedge whose block is longer.
+
+    One call renders the block of each relation in use; a chunk joins, in
+    superedge order, each E line of its run with its relation's block."""
+    yield (f"LC v1\nA {lc.a_count} B {lc.b_count} SA {lc.sigma_a} SB {lc.sigma_b} "
+           f"M {lc.edge_count}\n").encode("ascii")
     used = _sorted_distinct(lc._rel_ids)
     slots, sizes = _row_slots(lc._rel_start, used)
     pair_text = _decimal_text([lc._rel_alpha[slots], lc._rel_beta[slots]])
-    block_ends = _line_ends(pair_text)[np.cumsum(sizes) - 1].tolist()
-    blocks = list(map(pair_text.__getitem__, map(slice, [0] + block_ends[:-1], block_ends)))
+    block_ends = [0] + _line_ends(pair_text)[np.cumsum(sizes) - 1].tolist()
+    # Each block with the line break that ends the E line before it.
+    blocks = [b"\n" + pair_text[i:j] for i, j in zip(block_ends, block_ends[1:])]
+    del pair_text
     slot = np.searchsorted(used, lc._rel_ids)
-    e_text = _decimal_text([lc._ea, lc._eb, sizes[slot]], "E")
-    e_ends = _line_ends(e_text).tolist()
-    parts = [b""] * (2 * lc.edge_count)
-    parts[0::2] = map(e_text.__getitem__, map(slice, [0] + e_ends[:-1], e_ends))
-    parts[1::2] = map(blocks.__getitem__, slot.tolist())
-    return head + b"".join(parts).decode("ascii")
+    t = sizes[slot]
+    line_end = np.cumsum(t + 1)          # lines up to each superedge's last
+    lo = 0
+    while lo < lc.edge_count:
+        hi = max(int(np.searchsorted(line_end, line_end[lo] - t[lo] - 1 + _WRITE_ROWS,
+                                     side="right")), lo + 1)
+        parts = [b""] * (2 * (hi - lo))
+        parts[0::2] = _decimal_block([lc._ea[lo:hi], lc._eb[lo:hi], t[lo:hi]], "E").split(b"\n")[:-1]
+        parts[1::2] = map(blocks.__getitem__, slot[lo:hi].tolist())
+        yield b"".join(parts)
+        lo = hi
 
 
 def _line_ends(data: bytes) -> np.ndarray:
@@ -388,29 +405,11 @@ def _line_ends(data: bytes) -> np.ndarray:
     return np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
 
 
-def parse_lc_text(text: str) -> LabelCoverInstance:
-    """Parse LC v1 text at the cost of its distinct relation blocks.
-
-    ``_body_bytes`` checks the body; then it is cut at its E tags.  The text
-    before the first tag is a block with no superedge, which must hold no
-    token.  Each superedge has its E line, up to and including its first
-    line break character, and then its relation block, up to the next tag.
-    Identical block texts hold identical tokens, so each distinct block is
-    tokenized once, in one call, and the E lines are tokenized in groups
-    (``_e_lines``).  Every check still covers every line, and an error names
-    the line and quotes the token of the first fault in text order.  The
-    distinct blocks are the rows of the CSR relation table, so their decoded
-    pairs are its pair arrays as they stand.
-
-    The E line ends are searched from the tags (``_first_breaks``): a short
-    window of bytes per tag, widened only for the tags whose line is longer,
-    read a bounded number of bytes at a time.  The E lines are then
-    gathered in groups of a bounded size, so no array holds an entry per
-    line break or per E line byte of the body, whatever the input.  Of the
-    block texts, the parse keeps one copy of each distinct block; the others
-    are dropped as soon as they are matched.
-    """
-    lines, numbers, start = _head_lines(text, 2, skip_blank=True)
+def parse_lc_text(text) -> LabelCoverInstance:
+    """Parse LC v1 text, given as str or as ASCII bytes, at the cost of its
+    distinct relation blocks (see ``_lc_body``)."""
+    raw = _text_bytes(text)
+    lines, numbers, start = _head_lines(raw, 2, skip_blank=True)
     if not lines or lines[0] != "LC v1":
         raise InputError("missing LC v1 header")
     toks = lines[1].split() if len(lines) > 1 else []
@@ -421,84 +420,218 @@ def parse_lc_text(text: str) -> LabelCoverInstance:
     for field, size in [("A", a_count), ("B", b_count),
                         ("A*SA + B*SB", a_count * sigma_a + b_count * sigma_b)]:
         _check_declared(where, field, size)
-    raw, at = _body_bytes(text, start, "E")
+    return LabelCoverInstance.from_arrays(a_count, b_count, sigma_a, sigma_b,
+                                          *_lc_body(raw, start, m))
+
+
+_DIGIT = re.compile(rb"[0-9]")
+
+
+def _lc_body(raw: bytes, start: int, m: int) -> tuple:
+    """The superedges and relations of the LC v1 body ``raw[start:]``, which
+    declares ``m`` superedges, as ``from_arrays`` takes them: (ea, eb,
+    rel_ids, (rel_start, rel_alpha, rel_beta)).  Every temporary is freed on
+    return, before the instance checks its arrays.
+
+    ``_check_body`` checks the body; then it is cut at its E tags.  The text
+    before the first tag is a block with no superedge, which must hold no
+    token.  Each superedge has its E line, up to and including its first
+    line break character, and then its relation block, up to the next tag.
+    Identical block texts hold identical tokens, so each distinct block is
+    tokenized once.  The E lines (``_e_lines``) and the distinct blocks
+    (``_relation_blocks``) are tokenized in groups of a bounded size.  Every
+    check still covers every line, and an error names the line and quotes
+    the token of the first fault in text order.  The distinct blocks are the
+    rows of the CSR relation table, so their decoded pairs are its pair
+    arrays as they stand.
+
+    The E line ends are searched from the tags (``_first_breaks``): a short
+    window of bytes per tag, widened only for the tags whose line is longer,
+    read a bounded number of bytes at a time.  So no array holds an entry
+    per line break, per token or per byte of the body, whatever the input.
+    The distinct block texts are kept only while the blocks are numbered
+    (``_block_ids``).
+    """
+    at = _check_body(raw, start, "E")
     whole = np.frombuffer(raw, dtype=np.uint8)
     n = whole.size
-    e_end = np.minimum(start + _first_breaks(whole[start:], at - start) + 1, n)
     # Block piece j is [lo[j], hi[j]): j = 0 lies before the first tag, and
     # j = i + 1 follows superedge i's E line [at[i], e_end[i]).
-    lo, hi = np.append(start, e_end), np.append(at, n)
-    index: dict = {}      # distinct block texts; only these stay alive
-    bid = np.fromiter((index.setdefault(raw[i:j], len(index))
-                       for i, j in zip(lo.tolist(), hi.tolist())), dtype=np.int64, count=lo.size)
-    distinct = list(index)
-    del index
+    hi = np.append(at, n)
+    lo = np.append(start, np.minimum(start + _first_breaks(whole[start:], at - start) + 1, n))
+    at, e_end = hi[:-1], lo[1:]
+    bid = _block_ids(raw, lo, hi)
+    (a, b, t), e_longest, e_wrong = _e_lines(whole, at, e_end)
+    rows, pairs, faults = _relation_blocks(
+        raw, lo, hi, bid, t if e_wrong is None and e_longest[0] <= _MAX_DIGITS else None)
 
-    e_values, e_longest, e_wrong = _e_lines(whole, at, e_end)
-    b_size = np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct)) + 1
-    b_off = np.cumsum(b_size) - b_size            # where each distinct block starts in b_body
-    b_raw = b"\n".join(distinct) + b"\n"
-    b_body = np.frombuffer(b_raw, dtype=np.uint8)
-    b_starts, b_ends, b_heads = _token_rows(b_body, _NO_TAGS)
-    tok_block = np.searchsorted(b_off, b_starts, side="right") - 1
-    row_block = tok_block[b_heads]
-    b_width = np.diff(b_heads, append=b_starts.size)
-    rows = np.bincount(row_block, minlength=len(distinct))
-
-    def first_fault(b_pos, e_pos=None):
-        """Text offset of the first fault: ``b_pos`` are sorted offsets in
-        b_body and ``e_pos`` the first offset in the text, if any."""
+    def first_fault(offset, e_pos=None):
+        """Text offset of the first fault: ``offset[k]`` is that of the
+        first in distinct block k (-1 for none; None if no block has one)
+        and ``e_pos`` the first among the E lines, if any."""
         found = [] if e_pos is None else [e_pos]
-        if b_pos.size:
-            k = np.searchsorted(b_off, b_pos, side="right") - 1
-            k, first = np.unique(k, return_index=True)
-            offset = np.full(len(distinct), -1, dtype=np.int64)
-            offset[k] = b_pos[first] - b_off[k]
-            j = int((offset[bid] >= 0).argmax())
-            found.append(lo[j] + offset[bid[j]])
+        if offset is not None:
+            hit = offset[bid] >= 0
+            if hit.any():
+                j = int(hit.argmax())
+                found.append(lo[j] + offset[bid[j]])
         return int(min(found))
 
-    b_len = b_ends - b_starts
-    longest = max(e_longest[0], b_len.max(initial=0))
+    digits = faults.get("digits")
+    longest = max(e_longest[0], 0 if digits is None else int(digits.max()))
     if longest > _MAX_DIGITS:
-        pos = first_fault(b_starts[b_len == longest],
+        pos = first_fault(None if digits is None else np.where(digits == longest, faults["long"], -1),
                           e_longest[1] if e_longest[0] == longest else None)
-        raise _token_error(text, pos, _NOT_DECIMAL)
+        raise _token_error(raw, pos, _NOT_DECIMAL)
     if at.size != m:
         raise InputError(f"expected {m} superedge lines, found {at.size}")
     if rows[bid[0]]:
-        pos = first_fault(b_starts[tok_block == bid[0]])
-        raise InputError(f"line {_line_number(text, pos)}: "
+        pos = _DIGIT.search(raw, start).start()         # the first token, in piece 0
+        raise InputError(f"line {_line_number(raw, pos)}: "
                          "relation pair line outside a superedge block")
-    bad_b = b_width != 2
-    if e_wrong is not None or bad_b.any():
-        pos = first_fault(b_starts[b_heads[bad_b]], e_wrong)
-        kind, width = ("superedge", 3) if text[pos] == "E" else ("relation pair", 2)
-        raise InputError(f"line {_line_number(text, pos)}: "
+    if e_wrong is not None or "wide" in faults:
+        pos = first_fault(faults.get("wide"), e_wrong)
+        kind, width = ("superedge", 3) if raw[pos] == ord("E") else ("relation pair", 2)
+        raise InputError(f"line {_line_number(raw, pos)}: "
                          f"expected {width} integers on a {kind} line")
-    a, b, t = e_values.reshape(-1, 3).T
-    found = rows[bid[1:]]
-    wrong = found != t
+    wrong = rows[bid[1:]] != t
     if wrong.any():
         e = int(wrong.argmax())
-        state = "truncated" if found[e] < t[e] else "too long"
-        raise InputError(f"line {_line_number(text, int(at[e]))}: relation block "
-                         f"{state}: {t[e]} pair lines declared, {found[e]} found")
-    pairs = _decimal_values(b_raw, b_starts.size, tagged=False).reshape(-1, 2)
-    alpha, beta = pairs[:, 0], pairs[:, 1]
-    ascending = (alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1]))
-    bad = ~ascending & (row_block[1:] == row_block[:-1])
-    if bad.any():
-        pos = first_fault(b_starts[b_heads[1:][bad]])
-        raise InputError(f"line {_line_number(text, pos)}: "
+        found = rows[bid[e + 1]]
+        state = "truncated" if found < t[e] else "too long"
+        raise InputError(f"line {_line_number(raw, int(at[e]))}: relation block "
+                         f"{state}: {t[e]} pair lines declared, {found} found")
+    if "unsorted" in faults:
+        pos = first_fault(faults["unsorted"])
+        raise InputError(f"line {_line_number(raw, pos)}: "
                          "relation pairs must be sorted and distinct")
     # The piece before the first tag holds no pair; it is a row only if a
     # superedge's block has its text.
     skip = int(not (bid[1:] == 0).any())
-    order = np.lexsort((b, a))
-    return LabelCoverInstance.from_arrays(
-        a_count, b_count, sigma_a, sigma_b, a[order], b[order], (bid[1:] - skip)[order],
-        (np.append(0, np.cumsum(rows[skip:])), alpha, beta))
+    # Superedges as written are (a, b)-sorted; only others are sorted here.
+    ordered = ((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))).all()
+    order = slice(None) if ordered else np.lexsort((b, a))
+    return (a[order], b[order], (bid[1:] - skip)[order],
+            (np.append(0, np.cumsum(rows[skip:])), pairs[:, 0], pairs[:, 1]))
+
+
+# Pieces numbered per step of ``_block_ids``: its two offset lists of Python
+# ints take about 72 bytes an entry.
+_ID_STEP = _READ_BYTES // 16
+
+
+def _block_ids(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per piece ``raw[lo[j]:hi[j]]``, the id of its text, the distinct
+    texts numbered in order of first occurrence.  Only the distinct texts
+    are kept, until the last piece is numbered."""
+    index: dict = {}
+    bid = np.empty(lo.size, dtype=np.int64)
+    for c in range(0, lo.size, _ID_STEP):
+        pieces = map(raw.__getitem__, map(slice, lo[c:c + _ID_STEP].tolist(),
+                                          hi[c:c + _ID_STEP].tolist()))
+        bid[c:c + _ID_STEP] = np.fromiter((index.setdefault(p, len(index)) for p in pieces),
+                                          dtype=np.int64, count=min(_ID_STEP, lo.size - c))
+    return bid
+
+
+# Bytes of text per window of ``_relation_blocks``: half a read block, as
+# the token arrays of a window's blocks take about 12 bytes per byte.
+_WINDOW_BYTES = _READ_BYTES // 2
+
+
+def _relation_blocks(raw: bytes, lo: np.ndarray, hi: np.ndarray, bid: np.ndarray,
+                     declared) -> tuple:
+    """Tokens of the distinct relation blocks: block k is the text of the
+    pieces ``raw[lo[j]:hi[j]]`` with ``bid[j] == k``, read where it first
+    occurs.  The pieces are taken in windows of the text of at most
+    ``_WINDOW_BYTES`` bytes (or one longer piece), and the first occurrences
+    in a window are tokenized together (``_window_blocks``).
+
+    Returns (rows, pairs, faults): the number of pair lines of every block;
+    the (alpha, beta) pairs, block after block; and, per kind of fault seen,
+    an array over the blocks.  The pairs are decoded while every block so
+    far holds the pair lines that ``declared`` (the E lines' counts; None
+    for none) gives its first superedge and no token or line fault is seen.
+    ``"long"`` holds the offset in block k of its first token of the most
+    digits and ``"digits"`` their count, in every window that has a token
+    over 18 digits; ``"wide"`` the offset of block k's first line without
+    two integers, and ``"unsorted"`` that of its first pair not above the
+    one before it, -1 for none.  The parse raises a fault before it reads
+    pairs left undecoded: each one stops the decoding.
+    """
+    is_new = np.diff(np.maximum.accumulate(bid), prepend=-1) > 0
+    rows = np.zeros(int(bid.max(initial=-1)) + 1, dtype=np.int64)
+    pairs = np.empty((0 if declared is None else int(declared[is_new[1:]].sum()), 2),
+                     dtype=np.int64)
+    faults: dict = {}
+    done = k = p = 0
+    while p < bid.size:
+        p += int(is_new[p:].argmax())         # each window opens at a first occurrence
+        if not is_new[p]:
+            break
+        q = max(int(np.searchsorted(hi, lo[p] + _WINDOW_BYTES, side="right")), p + 1)
+        new = p + np.flatnonzero(is_new[p:q])
+        p = q
+        data = b"\n".join([*map(raw.__getitem__, map(slice, lo[new].tolist(),
+                                                     hi[new].tolist())), b""])
+        expect = out = None
+        if declared is not None:
+            expect = np.zeros(new.size, dtype=np.int64)      # piece 0 declares no pair
+            expect[new > 0] = declared[new[new > 0] - 1]
+            out = pairs[done:done + int(expect.sum())]
+        size = hi[new] - lo[new] + 1
+        rows[k:k + new.size], found, decoded = _window_blocks(
+            data, np.cumsum(size) - size, expect, out)
+        for kind, (blocks, values) in found.items():
+            fill = 0 if kind == "digits" else -1
+            faults.setdefault(kind, np.full(rows.size, fill, dtype=np.int64))[k + blocks] = values
+        if decoded:
+            done += out.shape[0]
+        else:
+            declared = None
+        k += new.size
+    return rows, pairs, faults
+
+
+def _window_blocks(data: bytes, off: np.ndarray, expect, out) -> tuple:
+    """Tokens of the relation blocks joined in ``data``, block i starting
+    at offset ``off[i]``, each ended by a line break.
+
+    Returns (rows, faults, decoded): the pair lines of each block; per kind
+    of fault, (blocks, values) for every block that has one: the offset in
+    the block of its first fault, or for ``"digits"`` the digits of its
+    longest token; and whether the pairs were decoded into ``out``, which
+    they are when ``expect`` gives each block's pair lines and no token or
+    line fault is seen.
+    """
+    starts, ends, heads = _token_rows(np.frombuffer(data, dtype=np.uint8), _NO_TAGS)
+    row_block = np.searchsorted(off, starts[heads], side="right") - 1
+    rows = np.bincount(row_block, minlength=off.size)
+    faults = {}
+
+    def note(kind, blocks, pos):
+        blocks, first = np.unique(blocks, return_index=True)   # each block's first, in text order
+        faults[kind] = (blocks, pos[first] - off[blocks])
+        return blocks, first
+
+    if starts.size and (ends - starts).max() > _MAX_DIGITS:
+        lengths = ends - starts
+        tok_block = np.searchsorted(off, starts, side="right") - 1
+        order = np.lexsort((-lengths, tok_block))      # per block, its longest token first
+        blocks, first = note("long", tok_block[order], starts[order])
+        faults["digits"] = (blocks, lengths[order[first]])
+    wide = np.diff(heads, append=starts.size) != 2
+    if wide.any():
+        note("wide", row_block[wide], starts[heads[wide]])
+    if faults or expect is None or not np.array_equal(rows, expect):
+        return rows, faults, False
+    out[:] = _decimal_values(data, starts.size, tagged=False).reshape(-1, 2)
+    alpha, beta = out[:, 0], out[:, 1]
+    bad = ~((alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1])))
+    bad &= row_block[1:] == row_block[:-1]
+    if bad.any():
+        note("unsorted", row_block[1:][bad], starts[heads[1:][bad]])
+    return rows, faults, True
 
 
 def _e_lines(whole: np.ndarray, at: np.ndarray, e_end: np.ndarray) -> tuple:
@@ -509,14 +642,14 @@ def _e_lines(whole: np.ndarray, at: np.ndarray, e_end: np.ndarray) -> tuple:
     its gather index has an entry per byte of the group, and a group of one
     line is read in place.
 
-    Returns (values, longest, wrong): the three integers of every line while
-    no fault is seen, (most digits in a token, text offset of the first such
-    token), and the text offset of the first line without three integers
-    (None if none).
+    Returns (fields, longest, wrong): the three integers of every line, as
+    three arrays a, b and t, while no fault is seen, (most digits in a token,
+    text offset of the first such token), and the text offset of the first
+    line without three integers (None if none).
     """
     e_size = e_end - at
     line_end = np.cumsum(e_size)
-    values = np.empty(3 * at.size, dtype=np.int64)
+    fields = tuple(np.empty(at.size, dtype=np.int64) for _ in range(3))
     longest, wrong = (0, None), None
     i = 0
     while i < at.size:
@@ -538,9 +671,11 @@ def _e_lines(whole: np.ndarray, at: np.ndarray, e_end: np.ndarray) -> tuple:
         if wrong is None and (width != 3).any():
             wrong = int(at[i + int((width != 3).argmax())])
         if wrong is None and longest[0] <= _MAX_DIGITS:
-            values[3 * i:3 * j] = _decimal_values(group.tobytes(), starts.size)
+            for field, values in zip(fields, _decimal_values(group.tobytes(), starts.size)
+                                     .reshape(-1, 3).T):
+                field[i:j] = values
         i = j
-    return values, longest, wrong
+    return fields, longest, wrong
 
 
 # Bytes the first pass of ``_first_breaks`` reads per tag: an E line as
@@ -593,20 +728,22 @@ def write_cover_text(cover: RepCover) -> str:
     return "\n".join(out) + "\n"
 
 
-def _member_rows(text: str, header: str, what: str) -> tuple:
-    """The ``<A|B> <vertex> <symbol>`` lines of a COVER v1 or LABEL v1 text
-    as arrays: (side is A, vertex, symbol)."""
-    lines, _, start = _head_lines(text, 1, skip_blank=True)
+def _member_rows(text, header: str, what: str) -> tuple:
+    """The ``<A|B> <vertex> <symbol>`` lines of a COVER v1 or LABEL v1 text,
+    str or bytes, as arrays: (side is A, vertex, symbol)."""
+    raw = _text_bytes(text)
+    lines, _, start = _head_lines(raw, 1, skip_blank=True)
     if not lines or lines[0] != header:
         raise InputError(f"missing {header} header")
-    values, _, tag = _int_rows(text, start, what, width=2, tags="AB")
+    values, _, tag = _int_rows(raw, start, what, width=2, tags="AB")
     if not tag.all():
-        pos = _row_offset(text, start, int(tag.argmin()), "AB")
-        raise InputError(f"line {_line_number(text, pos)}: {what} line must start with A or B")
+        pos = _row_offset(raw, start, int(tag.argmin()), "AB")
+        raise InputError(f"line {_line_number(raw, pos)}: {what} line must start with A or B")
     return tag == ord("A"), values[0::2], values[1::2]
 
 
-def parse_cover_text(text: str) -> RepCover:
+def parse_cover_text(text) -> RepCover:
+    """Parse COVER v1 text, given as str or as ASCII bytes."""
     is_a, vertex, symbol = _member_rows(text, "COVER v1", "cover")
     return RepCover.of(zip(np.where(is_a, "A", "B").tolist(), vertex.tolist(),
                            symbol.tolist()))
@@ -619,7 +756,8 @@ def write_labeling_text(lab: Labeling) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_labeling_text(text: str, lc: LabelCoverInstance) -> Labeling:
+def parse_labeling_text(text, lc: LabelCoverInstance) -> Labeling:
+    """Parse LABEL v1 text, given as str or as ASCII bytes, for ``lc``."""
     is_a, vertex, symbol = _member_rows(text, "LABEL v1", "labeling")
     gammas = []
     for side, count in ((is_a, lc.a_count), (~is_a, lc.b_count)):

@@ -21,10 +21,9 @@ from . import constructions as cons
 from . import labelcover as lcm
 from . import sampling
 from . import spanner as sp
-from .graphs import INFINITY, girth, parse_graph_text, write_graph_text
-from .labelcover import (parse_cover_text, parse_labeling_text, parse_lc_text,
-                         supergraph, value, write_cover_text, write_labeling_text,
-                         write_lc_text)
+from .graphs import INFINITY, _graph_chunks, girth, parse_graph_text
+from .labelcover import (_lc_chunks, parse_cover_text, parse_labeling_text, parse_lc_text,
+                         supergraph, value, write_cover_text, write_labeling_text)
 from .oracles import girth_independent
 from .rng import child_seed
 
@@ -56,6 +55,13 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     ``self_audit`` holds, per artifact, whether its file parses back to the
     object it was written from; a false entry raises AssertionError after
     stats.json is written.
+
+    Every artifact moves as ASCII bytes: its text is streamed to its file
+    in bounded chunks (``_graph_chunks``, ``_lc_chunks``,
+    ``spanner._subset_chunks``; a small format as one chunk), and the
+    self-audit parses the bytes read back, so no artifact is held whole as
+    a str or as a joined copy.  Writing the gadget's GRAPH chunks hashes
+    them and caches the digest that the subset's header names.
 
     ``wall_clock_s`` accounts for the whole run: one entry per compute
     stage, its trace record included, ``write_artifacts`` for every
@@ -194,38 +200,39 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     report["trace"] = {"seed": seed, "stages": stages}
     report["verdicts"] = verdicts
 
-    # (audit key, file name, object, writer, parser), in write order.
+    # (audit key, file name, object, chunk writer, parser), in write order.
     with timed("write_artifacts"):
         artifacts = [
             ("formula", "formula.cnf", formula,
-             lambda f: cons.write_formula_text(f, seed=seed, planted=planted_bits),
+             _one_chunk(lambda f: cons.write_formula_text(f, seed=seed, planted=planted_bits)),
              cons.parse_formula_text),
-            *[(name, f"{name}.lc", lc, write_lc_text, parse_lc_text)
+            *[(name, f"{name}.lc", lc, _lc_chunks, parse_lc_text)
               for name, lc in [("base", base), ("regular", regular), ("repeated", repeated),
                                ("sampled", sampled), ("stripped", stripped)]],
-            ("minrep", "minrep.graph", minrep.minrep_graph, write_graph_text, parse_graph_text),
-            ("gadget", "gadget.graph", si.base, write_graph_text, parse_graph_text),
+            ("minrep", "minrep.graph", minrep.minrep_graph, _graph_chunks, parse_graph_text),
+            # Writing the gadget caches its digest, which the subset's header names.
+            ("gadget", "gadget.graph", si.base, _graph_chunks, parse_graph_text),
             ("gadget_meta_sizes", "gadget.meta.json", sp.gadget_metadata(si),
-             sp.write_gadget_meta_text, json.loads)]
+             _one_chunk(sp.write_gadget_meta_text), json.loads)]
         if planted:
             artifacts += [
-                ("labeling", "labeling.label", lab, write_labeling_text,
+                ("labeling", "labeling.label", lab, _one_chunk(write_labeling_text),
                  lambda text: parse_labeling_text(text, stripped)),
-                ("cover", "cover.cover", cover, write_cover_text, parse_cover_text),
-                ("subset", "spanner.subset", h, sp.write_subset_text,
+                ("cover", "cover.cover", cover, _one_chunk(write_cover_text), parse_cover_text),
+                ("subset", "spanner.subset", h, sp._subset_chunks,
                  lambda text: sp.parse_subset_text(text, h.host))]
         # The artifacts hold all that the writes and the audit read.  The
         # gadget's layout tables, about as large as its graph, are freed
         # here, before the audit's re-parse of that graph sets the peak.
         del si
         outdir.mkdir(parents=True, exist_ok=True)
-        for _, filename, obj, writer, _ in artifacts:
-            (outdir / filename).write_text(writer(obj))
-    # Files are read as bytes and decoded whole, with no newline translation:
-    # on POSIX the text is the one written; elsewhere its line ends read as
-    # \r\n, which every text format takes as one line end.
+        for _, filename, obj, chunks, _ in artifacts:
+            with open(outdir / filename, "wb") as out:
+                out.writelines(chunks(obj))
+    # Files are written and read as bytes, so no artifact is held whole as a
+    # str, and its bytes are the same on every platform.
     with timed("self_audit"):
-        report["self_audit"] = {key: parser((outdir / filename).read_bytes().decode()) == obj
+        report["self_audit"] = {key: parser((outdir / filename).read_bytes()) == obj
                                 for key, filename, obj, _, parser in artifacts}
     timings["total"] = time.perf_counter() - t_start
     report["wall_clock_s"] = {k_: round(v, 6) for k_, v in timings.items()}
@@ -234,6 +241,11 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     if not all(report["self_audit"].values()):
         raise AssertionError(f"self audit failed: {report['self_audit']}")
     return report
+
+
+def _one_chunk(writer):
+    """The chunk writer of a small text format: its whole text, encoded."""
+    return lambda obj: [writer(obj).encode("ascii")]
 
 
 def _peak_rss_mb() -> float:

@@ -27,10 +27,11 @@ import json
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import (Graph, INFINITY, _decimal_text, _head_lines, _hops, _int_rows,
-                     _line_number, _row_offset, _sorted_distinct, girth, graph_sha256)
-from .labelcover import (MinRepInstance, RepCover, _relation_slots, repcover_valid, supergraph,
-                         write_lc_text)
+from .graphs import (Graph, INFINITY, _decimal_blocks, _head_lines, _hops, _int_rows,
+                     _line_number, _row_offset, _sorted_distinct, _text_bytes, girth,
+                     graph_sha256)
+from .labelcover import (MinRepInstance, RepCover, _lc_chunks, _relation_slots, repcover_valid,
+                         supergraph)
 
 FAMILIES = ("E", "EM", "EsA", "EtB", "EGt")
 FAM_E, FAM_M, FAM_SA, FAM_TB, FAM_GT = range(5)
@@ -523,23 +524,31 @@ def greedy_spanner(g: Graph, k: int) -> EdgeSubset:
 
 
 def write_subset_text(h: EdgeSubset) -> str:
-    head = f"SUBSET v1\nHOST sha256:{graph_sha256(h.host)}\n"
-    return head + _decimal_text([h.members]).decode("ascii")
+    return b"".join(_subset_chunks(h)).decode("ascii")
 
 
-def parse_subset_text(text: str, host: Graph) -> EdgeSubset:
-    lines, _, start = _head_lines(text, 2, skip_blank=True)
+def _subset_chunks(h: EdgeSubset):
+    """SUBSET v1 text of ``h`` as byte chunks: the header, then one chunk
+    per ``_WRITE_ROWS`` edge ids."""
+    yield f"SUBSET v1\nHOST sha256:{graph_sha256(h.host)}\n".encode("ascii")
+    yield from _decimal_blocks([h.members])
+
+
+def parse_subset_text(text, host: Graph) -> EdgeSubset:
+    """Parse SUBSET v1 text, str or ASCII bytes, over the graph ``host``."""
+    raw = _text_bytes(text)
+    lines, _, start = _head_lines(raw, 2, skip_blank=True)
     if not lines or lines[0] != "SUBSET v1":
         raise InputError("missing SUBSET v1 header")
     if len(lines) < 2 or not lines[1].startswith("HOST sha256:"):
         raise InputError("missing HOST hash line")
     if lines[1].split("sha256:", 1)[1] != graph_sha256(host):
         raise InputError("subset host hash does not match the given graph")
-    ids, _, _ = _int_rows(text, start, "edge id", width=1)
+    ids, _, _ = _int_rows(raw, start, "edge id", width=1)
     unsorted = ids[1:] <= ids[:-1]
     if unsorted.any():
         row = int(unsorted.argmax()) + 1
-        raise InputError(f"line {_line_number(text, _row_offset(text, start, row))}: "
+        raise InputError(f"line {_line_number(raw, _row_offset(raw, start, row))}: "
                          "subset edge ids must be sorted and distinct")
     return EdgeSubset._from_sorted(host, ids)
 
@@ -570,6 +579,9 @@ def gadget_metadata(si: SpannerInstance) -> dict:
     has ``anchor_distinct_size`` edges.
     """
     lc = si.source.source
+    source_hash = hashlib.sha256()
+    for chunk in _lc_chunks(lc):
+        source_hash.update(chunk)
     return {
         "schema": "gadget_meta_v3",
         "k": si.k, "k_a": si.k_a, "k_b": si.k_b,
@@ -584,7 +596,7 @@ def gadget_metadata(si: SpannerInstance) -> dict:
         "anchor_distinct_size": int(si.anchor_distinct.size),
         "anchor_choices_a": [si.source.a_vertex(i, 0) for i in range(lc.a_count)],
         "anchor_choices_b": [si.source.b_vertex(j, 0) for j in range(lc.b_count)],
-        "source_hash": hashlib.sha256(write_lc_text(lc).encode()).hexdigest(),
+        "source_hash": source_hash.hexdigest(),
     }
 
 

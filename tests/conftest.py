@@ -2,6 +2,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from girthspan.errors import InputError
 from girthspan.graphs import Graph
@@ -86,6 +87,36 @@ def random_tiny_lc(stream: Stream, a_count, b_count, sigma_a, sigma_b,
             return make_lc(a_count, b_count, sigma_a, sigma_b, edges)
 
 
+@st.composite
+def sparse_graphs(draw):
+    """Up to 30 edges over 2..10^7 vertices, so ids have 1 to 7 digits."""
+    digits = draw(st.integers(1, 7))
+    n = draw(st.integers(max(2, 10 ** (digits - 1)), 10 ** digits))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                          max_size=30, unique_by=lambda p: (min(p), max(p))))
+    return Graph(n, pairs)
+
+
+@st.composite
+def lc_instances(draw):
+    """Up to 12 superedges over symbols of 1 to 3 digits; the relations are
+    all distinct, or drawn from a pool of one to three so that they repeat."""
+    a_count, b_count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sigma_a, sigma_b = draw(st.integers(2, 300)), draw(st.integers(2, 300))
+    pair = st.tuples(st.integers(0, sigma_a - 1), st.integers(0, sigma_b - 1))
+    relation = st.frozensets(pair, min_size=1, max_size=6)
+    ends = draw(st.lists(st.tuples(st.integers(0, a_count - 1), st.integers(0, b_count - 1)),
+                         unique=True, max_size=12))
+    if draw(st.booleans()):
+        rels = draw(st.lists(relation, min_size=len(ends), max_size=len(ends), unique=True))
+    else:
+        pool = draw(st.lists(relation, min_size=1, max_size=3))
+        rels = [draw(st.sampled_from(pool)) for _ in ends]
+    return make_lc(a_count, b_count, sigma_a, sigma_b,
+                   [(a, b, sorted(rel)) for (a, b), rel in zip(ends, rels)])
+
+
 @pytest.fixture
 def xor_lc():
     return xor_odd_4cycle()
@@ -144,6 +175,37 @@ def text_mutants(text: str, stream: Stream, count: int) -> list:
     return out
 
 
+def as_bytes(text: str) -> bytes:
+    """``text`` as the bytes a file holding it would: UTF-8, lone surrogates
+    included."""
+    return text.encode("utf-8", "surrogatepass")
+
+
+def parse_both(parse, text: str):
+    """``parse`` of ``text`` and of its bytes: the parse, asserted equal for
+    both, or None if both raise an InputError, with one message."""
+    outcomes = []
+    for given in (text, as_bytes(text)):
+        try:
+            outcomes.append(("parsed", parse(given)))
+        except InputError as exc:
+            outcomes.append(("rejected", str(exc)))
+    assert outcomes[0] == outcomes[1], f"str and bytes parse differently: {text!r}"
+    return outcomes[0][1] if outcomes[0][0] == "parsed" else None
+
+
+def rejection(parse, text: str) -> str:
+    """The message of the InputError ``parse`` raises on ``text``, asserted
+    the same for its bytes."""
+    messages = []
+    for given in (text, as_bytes(text)):
+        with pytest.raises(InputError) as exc:
+            parse(given)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1], f"str and bytes errors differ: {text!r}"
+    return messages[0]
+
+
 def parse_outcome(parse, text):
     """The parse result, or None if ``parse`` raised anything."""
     try:
@@ -153,14 +215,11 @@ def parse_outcome(parse, text):
 
 
 def check_mutant(parse, reference, text, narrowed=narrowed_spelling) -> str:
-    """Assert ``parse`` agrees with ``reference`` on ``text``; returns the case
-    seen.  ``parse`` may reject a text the reference accepts only where
+    """Assert ``parse`` agrees with ``reference`` on ``text``, given as str
+    and as bytes (``parse_both``); returns the case seen.  ``parse`` may reject a text the reference accepts only where
     ``narrowed(text)`` holds."""
     expected = parse_outcome(reference, text)
-    try:
-        got = parse(text)
-    except InputError:
-        got = None
+    got = parse_both(parse, text)
     if expected is not None and got is None:
         assert narrowed(text), f"rejected a text the reference accepts: {text!r}"
         return "narrowed"

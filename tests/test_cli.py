@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -279,6 +280,15 @@ def test_pipeline_command_and_determinism(tmp_path, capsys):
     stages = sum(t for name, t in clock.items() if name != "total")
     assert abs(stages - clock["total"]) <= 0.05 * clock["total"]
     assert report["peak_rss_mb"] > 0
+
+
+def test_pipeline_source_hash_is_the_digest_of_the_stripped_lc_file(tmp_path):
+    """gadget.meta.json names its source by the sha256 of stripped.lc's
+    bytes as the run wrote them, chunk by chunk."""
+    pipeline.run_pipeline(tmp_path, n_vars=3, ell=1, alpha=1.0, seed=7, planted=True,
+                          x_override=2)
+    meta = json.loads((tmp_path / "gadget.meta.json").read_bytes())
+    assert meta["source_hash"] == hashlib.sha256((tmp_path / "stripped.lc").read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("alpha, sampled, kept", [(4.0, 168, 0), (1.0, 44, 23)])

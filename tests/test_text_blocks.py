@@ -1,37 +1,40 @@
 """The block-wise text kernels at block sizes of a few rows or bytes.
 
-``graphs._WRITE_ROWS`` (rows per rendered block) and ``_READ_BYTES`` (bytes
-per tokenized block; ``labelcover`` groups E lines by it too) are patched
-down so that every text below spans many blocks, and a block can be a
-single line, a single line break or the second half of a ``\\r\\n``.  The
+``_WRITE_ROWS`` (rows per rendered block or LC chunk), ``_READ_BYTES``
+(bytes per tokenized block; ``labelcover`` groups E lines by it too) and
+``labelcover._WINDOW_BYTES`` (text per window of relation blocks) are
+patched down so that every text below spans many blocks, and a block can be
+a single line, a single line break or the second half of a ``\\r\\n``.  The
 texts must equal those written with the real constants, parse back to the
 objects they were written from, and report a fault in a later block with
-the message and line the real constants give.
+the message and line the real constants give.  The byte chunks that the
+pipeline streams must join to the texts, and a text must parse from its
+bytes as from the str.
 """
-
-import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girthspan import graphs, labelcover
-from girthspan.errors import InputError
-from girthspan.graphs import Graph, parse_graph_text, write_graph_text
-from girthspan.labelcover import (Labeling, labeling_to_repcover, parse_cover_text,
+from girthspan.graphs import Graph, _graph_chunks, parse_graph_text, write_graph_text
+from girthspan.labelcover import (Labeling, _lc_chunks, labeling_to_repcover, parse_cover_text,
                                   parse_labeling_text, parse_lc_text, write_cover_text,
                                   write_labeling_text, write_lc_text)
 from girthspan.rng import Stream
-from girthspan.spanner import EdgeSubset, parse_subset_text, write_subset_text
+from girthspan.spanner import EdgeSubset, _subset_chunks, parse_subset_text, write_subset_text
 
-from conftest import random_graph, random_tiny_lc
+from conftest import lc_instances, random_graph, random_tiny_lc, rejection, sparse_graphs
 
 BLOCK_SIZES = [(1, 1), (2, 3), (3, 7), (5, 16)]     # (rows written, bytes read) per block
 
 
 def small_blocks(monkeypatch, rows, size):
-    monkeypatch.setattr(graphs, "_WRITE_ROWS", rows)
-    monkeypatch.setattr(graphs, "_READ_BYTES", size)
-    monkeypatch.setattr(labelcover, "_READ_BYTES", size)
+    for module in (graphs, labelcover):
+        monkeypatch.setattr(module, "_WRITE_ROWS", rows)
+        monkeypatch.setattr(module, "_READ_BYTES", size)
+    monkeypatch.setattr(labelcover, "_WINDOW_BYTES", size)
 
 
 def artifacts():
@@ -117,15 +120,13 @@ def test_a_fault_in_a_later_block_keeps_its_message(monkeypatch, rows, size):
     the one named, as the precedence says."""
     cases = []
     for parse, text, message in fault_cases():
-        with pytest.raises(InputError, match=re.escape(message)) as expected:
-            parse(text)
-        cases.append((parse, text, str(expected.value)))
+        expected = rejection(parse, text)
+        assert message in expected
+        cases.append((parse, text, expected))
     small_blocks(monkeypatch, rows, size)
     for parse, text, message in cases:
         for brk in ["\n", "\r\n"]:
-            with pytest.raises(InputError) as got:
-                parse(text.replace("\n", brk))
-            assert str(got.value) == message
+            assert rejection(parse, text.replace("\n", brk)) == message
 
 
 def test_lc_e_line_fault_in_a_later_group_keeps_its_message(monkeypatch):
@@ -142,12 +143,52 @@ def test_lc_e_line_fault_in_a_later_group_keeps_its_message(monkeypatch):
         too_long[i] = "E " + "9" * 19 + lines[i][lines[i].index(" ", 2):]
     cases = []
     for bad in (wide, too_long):
-        with pytest.raises(InputError) as expected:
-            parse_lc_text("\n".join(bad))
-        assert str(expected.value).startswith(f"line {e_lines[-2] + 1}:")
-        cases.append(("\n".join(bad), str(expected.value)))
+        expected = rejection(parse_lc_text, "\n".join(bad))
+        assert expected.startswith(f"line {e_lines[-2] + 1}:")
+        cases.append(("\n".join(bad), expected))
     small_blocks(monkeypatch, 1, 5)
     for bad, message in cases:
-        with pytest.raises(InputError) as got:
-            parse_lc_text(bad)
-        assert str(got.value) == message
+        assert rejection(parse_lc_text, bad) == message
+
+
+@given(sparse_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_and_subset_chunks_join_to_their_texts(g, data):
+    """GRAPH and SUBSET chunks, rendered a few rows per block: after the
+    header, each holds at most that many rows, and together they are the
+    text.  The texts parse from their bytes as from the str."""
+    members = data.draw(st.sets(st.integers(0, max(g.edge_count - 1, 0)),
+                                max_size=g.edge_count))
+    h = EdgeSubset(g, sorted(members))
+    rows = data.draw(st.integers(1, 4))
+    texts = [write_graph_text(g), write_subset_text(h)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_WRITE_ROWS", rows)
+        chunks = [list(_graph_chunks(g)), list(_subset_chunks(h))]
+    for text, (head, *body) in zip(texts, chunks):
+        assert b"".join([head, *body]) == text.encode("ascii")
+        assert head.count(b"\n") == 2
+        assert all(0 < chunk.count(b"\n") <= rows for chunk in body)
+    assert parse_graph_text(texts[0].encode("ascii")) == parse_graph_text(texts[0]) == g
+    assert parse_subset_text(texts[1].encode("ascii"), g) == parse_subset_text(texts[1], g) == h
+
+
+@given(lc_instances(), st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_lc_chunks_join_to_the_text(lc, rows):
+    """LC chunks with a few lines per run of superedges, for instances with
+    no superedge, with repeated relations and with all relations distinct:
+    after the header, each holds at most that many lines, or one superedge
+    with a longer block, and together they are the text.  The text parses
+    from its bytes as from the str, also with small windows of relation
+    blocks."""
+    text = write_lc_text(lc)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (graphs, labelcover):
+            mp.setattr(module, "_WRITE_ROWS", rows)
+        head, *body = _lc_chunks(lc)
+        assert b"".join([head, *body]) == text.encode("ascii")
+        assert head.count(b"\n") == 2
+        assert all(chunk.count(b"\n") <= rows or chunk.count(b"E") == 1 for chunk in body)
+        mp.setattr(labelcover, "_WINDOW_BYTES", rows)
+        assert parse_lc_text(text.encode("ascii")) == parse_lc_text(text) == lc
