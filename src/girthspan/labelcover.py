@@ -438,12 +438,17 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     token.  Each superedge has its E line, up to and including its first
     line break character, and then its relation block, up to the next tag.
     Identical block texts hold identical tokens, so each distinct block is
-    tokenized once.  The E lines (``_e_lines``) and the distinct blocks
-    (``_relation_blocks``) are tokenized in groups of a bounded size.  Every
-    check still covers every line, and an error names the line and quotes
-    the token of the first fault in text order.  The distinct blocks are the
-    rows of the CSR relation table, so their decoded pairs are its pair
-    arrays as they stand.
+    read once, where it first occurs.  The E lines and these first
+    occurrences are read in groups of a bounded size (``_piece_groups``):
+    the E lines in one pass that checks and decodes them, the blocks in one
+    that counts and checks their rows (``_piece_rows``) and, once every
+    other check has passed, one that decodes their pairs into the arrays
+    sized from those counts (``_pairs``).  Every check still covers every
+    line, and an error names the line and quotes the token of the first
+    fault in text order: a block's first fault is first where the block
+    first occurs, and the blocks are numbered in that order.  The distinct
+    blocks are the rows of the CSR relation table, so their decoded pairs
+    are its pair arrays as they stand.
 
     The E line ends are searched from the tags (``_first_breaks``): a short
     window of bytes per tag, widened only for the tags whose line is longer,
@@ -461,39 +466,28 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     lo = np.append(start, np.minimum(start + _first_breaks(whole[start:], at - start) + 1, n))
     at, e_end = hi[:-1], lo[1:]
     bid = _block_ids(raw, lo, hi)
-    (a, b, t), e_longest, e_wrong = _e_lines(whole, at, e_end)
-    rows, pairs, faults = _relation_blocks(
-        raw, lo, hi, bid, t if e_wrong is None and e_longest[0] <= _MAX_DIGITS else None)
+    first = np.unique(bid, return_index=True)[1]      # piece of each block's first occurrence
+    b_lo, b_hi = lo[first], hi[first]
+    e_values = np.empty((at.size, 3), dtype=np.int64)
+    e_longest, e_wrong = _piece_rows(whole, at, e_end, 4, e_values)[1:]   # E and 3 integers
+    rows, b_longest, b_wrong = _piece_rows(whole, b_lo, b_hi, 2)
 
-    def first_fault(offset, e_pos=None):
-        """Text offset of the first fault: ``offset[k]`` is that of the
-        first in distinct block k (-1 for none; None if no block has one)
-        and ``e_pos`` the first among the E lines, if any."""
-        found = [] if e_pos is None else [e_pos]
-        if offset is not None:
-            hit = offset[bid] >= 0
-            if hit.any():
-                j = int(hit.argmax())
-                found.append(lo[j] + offset[bid[j]])
-        return int(min(found))
-
-    digits = faults.get("digits")
-    longest = max(e_longest[0], 0 if digits is None else int(digits.max()))
+    longest = max(e_longest[0], b_longest[0])
     if longest > _MAX_DIGITS:
-        pos = first_fault(None if digits is None else np.where(digits == longest, faults["long"], -1),
-                          e_longest[1] if e_longest[0] == longest else None)
+        pos = min(p for d, p in (e_longest, b_longest) if d == longest)
         raise _token_error(raw, pos, _NOT_DECIMAL)
     if at.size != m:
         raise InputError(f"expected {m} superedge lines, found {at.size}")
-    if rows[bid[0]]:
-        pos = _DIGIT.search(raw, start).start()         # the first token, in piece 0
+    if rows[0]:                                         # block 0 is piece 0
+        pos = _DIGIT.search(raw, start).start()
         raise InputError(f"line {_line_number(raw, pos)}: "
                          "relation pair line outside a superedge block")
-    if e_wrong is not None or "wide" in faults:
-        pos = first_fault(faults.get("wide"), e_wrong)
+    if e_wrong is not None or b_wrong is not None:
+        pos = min(p for p in (e_wrong, b_wrong) if p is not None)
         kind, width = ("superedge", 3) if raw[pos] == ord("E") else ("relation pair", 2)
         raise InputError(f"line {_line_number(raw, pos)}: "
                          f"expected {width} integers on a {kind} line")
+    a, b, t = e_values.T
     wrong = rows[bid[1:]] != t
     if wrong.any():
         e = int(wrong.argmax())
@@ -501,18 +495,18 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
         state = "truncated" if found < t[e] else "too long"
         raise InputError(f"line {_line_number(raw, int(at[e]))}: relation block "
                          f"{state}: {t[e]} pair lines declared, {found} found")
-    if "unsorted" in faults:
-        pos = first_fault(faults["unsorted"])
-        raise InputError(f"line {_line_number(raw, pos)}: "
-                         "relation pairs must be sorted and distinct")
     # The piece before the first tag holds no pair; it is a row only if a
     # superedge's block has its text.
     skip = int(not (bid[1:] == 0).any())
-    # Superedges as written are (a, b)-sorted; only others are sorted here.
-    ordered = ((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))).all()
-    order = slice(None) if ordered else np.lexsort((b, a))
-    return (a[order], b[order], (bid[1:] - skip)[order],
-            (np.append(0, np.cumsum(rows[skip:])), pairs[:, 0], pairs[:, 1]))
+    order = np.lexsort((b, a))
+    superedges = (a[order], b[order], (bid[1:] - skip)[order])
+    # Only what the instance keeps stays alive while the pairs are decoded.
+    del lo, hi, at, e_end, bid, first, e_values, a, b, t, order
+    alpha, beta, unsorted = _pairs(whole, b_lo, b_hi, rows)
+    if unsorted is not None:
+        raise InputError(f"line {_line_number(raw, unsorted)}: "
+                         "relation pairs must be sorted and distinct")
+    return (*superedges, (np.append(0, np.cumsum(rows[skip:])), alpha, beta))
 
 
 # Pieces numbered per step of ``_block_ids``: its two offset lists of Python
@@ -534,148 +528,101 @@ def _block_ids(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return bid
 
 
-# Bytes of text per window of ``_relation_blocks``: half a read block, as
-# the token arrays of a window's blocks take about 12 bytes per byte.
-_WINDOW_BYTES = _READ_BYTES // 2
+# Bytes per group of ``_piece_groups``.  Pieces shorter than
+# ``_GATHER_BELOW`` bytes on average, such as E lines as written, are
+# gathered through an int64 index of 24 bytes per byte; longer ones, such as
+# relation blocks, are joined as slices, each of which costs about as much
+# as gathering 80 bytes.
+_GROUP_BYTES = _READ_BYTES // 2
+_GATHER_BELOW = 32
 
 
-def _relation_blocks(raw: bytes, lo: np.ndarray, hi: np.ndarray, bid: np.ndarray,
-                     declared) -> tuple:
-    """Tokens of the distinct relation blocks: block k is the text of the
-    pieces ``raw[lo[j]:hi[j]]`` with ``bid[j] == k``, read where it first
-    occurs.  The pieces are taken in windows of the text of at most
-    ``_WINDOW_BYTES`` bytes (or one longer piece), and the first occurrences
-    in a window are tokenized together (``_window_blocks``).
-
-    Returns (rows, pairs, faults): the number of pair lines of every block;
-    the (alpha, beta) pairs, block after block; and, per kind of fault seen,
-    an array over the blocks.  The pairs are decoded while every block so
-    far holds the pair lines that ``declared`` (the E lines' counts; None
-    for none) gives its first superedge and no token or line fault is seen.
-    ``"long"`` holds the offset in block k of its first token of the most
-    digits and ``"digits"`` their count, in every window that has a token
-    over 18 digits; ``"wide"`` the offset of block k's first line without
-    two integers, and ``"unsorted"`` that of its first pair not above the
-    one before it, -1 for none.  The parse raises a fault before it reads
-    pairs left undecoded: each one stops the decoding.
-    """
-    is_new = np.diff(np.maximum.accumulate(bid), prepend=-1) > 0
-    rows = np.zeros(int(bid.max(initial=-1)) + 1, dtype=np.int64)
-    pairs = np.empty((0 if declared is None else int(declared[is_new[1:]].sum()), 2),
-                     dtype=np.int64)
-    faults: dict = {}
-    done = k = p = 0
-    while p < bid.size:
-        p += int(is_new[p:].argmax())         # each window opens at a first occurrence
-        if not is_new[p]:
-            break
-        q = max(int(np.searchsorted(hi, lo[p] + _WINDOW_BYTES, side="right")), p + 1)
-        new = p + np.flatnonzero(is_new[p:q])
-        p = q
-        data = b"\n".join([*map(raw.__getitem__, map(slice, lo[new].tolist(),
-                                                     hi[new].tolist())), b""])
-        expect = out = None
-        if declared is not None:
-            expect = np.zeros(new.size, dtype=np.int64)      # piece 0 declares no pair
-            expect[new > 0] = declared[new[new > 0] - 1]
-            out = pairs[done:done + int(expect.sum())]
-        size = hi[new] - lo[new] + 1
-        rows[k:k + new.size], found, decoded = _window_blocks(
-            data, np.cumsum(size) - size, expect, out)
-        for kind, (blocks, values) in found.items():
-            fill = 0 if kind == "digits" else -1
-            faults.setdefault(kind, np.full(rows.size, fill, dtype=np.int64))[k + blocks] = values
-        if decoded:
-            done += out.shape[0]
-        else:
-            declared = None
-        k += new.size
-    return rows, pairs, faults
-
-
-def _window_blocks(data: bytes, off: np.ndarray, expect, out) -> tuple:
-    """Tokens of the relation blocks joined in ``data``, block i starting
-    at offset ``off[i]``, each ended by a line break.
-
-    Returns (rows, faults, decoded): the pair lines of each block; per kind
-    of fault, (blocks, values) for every block that has one: the offset in
-    the block of its first fault, or for ``"digits"`` the digits of its
-    longest token; and whether the pairs were decoded into ``out``, which
-    they are when ``expect`` gives each block's pair lines and no token or
-    line fault is seen.
-    """
-    starts, ends, heads = _token_rows(np.frombuffer(data, dtype=np.uint8), _NO_TAGS)
-    row_block = np.searchsorted(off, starts[heads], side="right") - 1
-    rows = np.bincount(row_block, minlength=off.size)
-    faults = {}
-
-    def note(kind, blocks, pos):
-        blocks, first = np.unique(blocks, return_index=True)   # each block's first, in text order
-        faults[kind] = (blocks, pos[first] - off[blocks])
-        return blocks, first
-
-    if starts.size and (ends - starts).max() > _MAX_DIGITS:
-        lengths = ends - starts
-        tok_block = np.searchsorted(off, starts, side="right") - 1
-        order = np.lexsort((-lengths, tok_block))      # per block, its longest token first
-        blocks, first = note("long", tok_block[order], starts[order])
-        faults["digits"] = (blocks, lengths[order[first]])
-    wide = np.diff(heads, append=starts.size) != 2
-    if wide.any():
-        note("wide", row_block[wide], starts[heads[wide]])
-    if faults or expect is None or not np.array_equal(rows, expect):
-        return rows, faults, False
-    out[:] = _decimal_values(data, starts.size, tagged=False).reshape(-1, 2)
-    alpha, beta = out[:, 0], out[:, 1]
-    bad = ~((alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1])))
-    bad &= row_block[1:] == row_block[:-1]
-    if bad.any():
-        note("unsorted", row_block[1:][bad], starts[heads[1:][bad]])
-    return rows, faults, True
-
-
-def _e_lines(whole: np.ndarray, at: np.ndarray, e_end: np.ndarray) -> tuple:
-    """Tokens of the E lines ``[at[i], e_end[i])`` of the text bytes
-    ``whole``, in groups of lines that together hold at most
-    ``_READ_BYTES`` bytes (or one longer line).  A group's lines are copied
-    together, the E tags left in as separators, and tokenized in one call;
-    its gather index has an entry per byte of the group, and a group of one
-    line is read in place.
-
-    Returns (fields, longest, wrong): the three integers of every line, as
-    three arrays a, b and t, while no fault is seen, (most digits in a token,
-    text offset of the first such token), and the text offset of the first
-    line without three integers (None if none).
-    """
-    e_size = e_end - at
-    line_end = np.cumsum(e_size)
-    fields = tuple(np.empty(at.size, dtype=np.int64) for _ in range(3))
-    longest, wrong = (0, None), None
+def _piece_groups(whole: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The pieces ``whole[lo[k]:hi[k]]`` of the text bytes (ascending and
+    disjoint, each beginning a line and each but the text's last ending
+    with a line break) in groups that together hold at most
+    ``_GROUP_BYTES`` bytes (or one longer piece).  Yields (i, j, group, off)
+    per group: its pieces i to j - 1 copied together, as a uint8 array, and
+    where each starts in ``group``.  A group of one piece is read in
+    place."""
+    end = np.cumsum(hi - lo)
     i = 0
-    while i < at.size:
-        j = max(int(np.searchsorted(line_end, line_end[i] - e_size[i] + _READ_BYTES,
-                                    side="right")), i + 1)
-        size = e_size[i:j]
-        off = line_end[i:j] - size - (line_end[i] - size[0])   # line starts in the group
+    while i < lo.size:
+        begin = int(end[i - 1]) if i else 0
+        j = max(int(np.searchsorted(end, begin + _GROUP_BYTES, side="right")), i + 1)
+        off = np.append(begin, end[i:j - 1]) - begin
         if j == i + 1:
-            group = whole[at[i]:e_end[i]]
+            group = whole[lo[i]:hi[i]]
+        elif end[j - 1] - begin < _GATHER_BELOW * (j - i):
+            size = hi[i:j] - lo[i:j]
+            group = whole[np.repeat(lo[i:j] - off, size) + np.arange(size.sum())]
         else:
-            group = whole[np.repeat(at[i:j] - off, size) + np.arange(off[-1] + size[-1])]
-        starts, ends, _ = _token_rows(group, _NO_TAGS)
-        width = np.diff(np.searchsorted(starts, np.append(off, group.size)))
+            group = np.frombuffer(b"".join(map(whole.data.__getitem__, map(
+                slice, lo[i:j].tolist(), hi[i:j].tolist()))), dtype=np.uint8)
+        yield i, j, group, off
+        i = j
+
+
+def _text_offset(pos: int, lo: np.ndarray, off: np.ndarray) -> int:
+    """Text offset of offset ``pos`` of a group of pieces, piece k starting
+    at ``off[k]`` in the group and at ``lo[k]`` in the text."""
+    k = int(np.searchsorted(off, pos, side="right")) - 1
+    return int(lo[k] + pos - off[k])
+
+
+def _piece_rows(whole: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int,
+                values: np.ndarray | None = None) -> tuple:
+    """Tokens of the pieces ``whole[lo[k]:hi[k]]`` of the text bytes, read
+    in groups (``_piece_groups``), every nonblank line of which should be a
+    row of ``width`` tokens.  Returns (rows, longest, wrong): the rows of
+    each piece, (most digits in a token, text offset of the first such
+    token), and the text offset of the first row without ``width`` tokens
+    (None if none).
+
+    ``values``, when given, has a row per piece: the pieces are then lines
+    that open with a tag, the first token of the row, and the integers of
+    each group are decoded into it while no fault is seen."""
+    tagged = values is not None
+    rows = np.zeros(lo.size, dtype=np.int64)
+    longest, wrong = (0, None), None
+    for i, j, group, off in _piece_groups(whole, lo, hi):
+        starts, ends, heads = _token_rows(group, off if tagged else _NO_TAGS)
+        rows[i:j] = np.bincount(np.searchsorted(off, starts[heads], side="right") - 1,
+                                minlength=j - i)
         lengths = ends - starts
         if lengths.size and lengths.max() > longest[0]:
             k = int(lengths.argmax())
-            line = int(np.searchsorted(off, starts[k], side="right")) - 1
-            longest = (int(lengths[k]), int(at[i + line] + starts[k] - off[line]))
-        if wrong is None and (width != 3).any():
-            wrong = int(at[i + int((width != 3).argmax())])
-        if wrong is None and longest[0] <= _MAX_DIGITS:
-            for field, values in zip(fields, _decimal_values(group.tobytes(), starts.size)
-                                     .reshape(-1, 3).T):
-                field[i:j] = values
-        i = j
-    return fields, longest, wrong
+            longest = (int(lengths[k]), _text_offset(starts[k], lo[i:j], off))
+        bad = np.diff(heads, append=starts.size) != width
+        if wrong is None and bad.any():
+            wrong = _text_offset(starts[heads[bad.argmax()]], lo[i:j], off)
+        if tagged and wrong is None and longest[0] <= _MAX_DIGITS:
+            values[i:j] = _decimal_values(group.tobytes(), values[i:j].size).reshape(j - i, -1)
+    return rows, longest, wrong
+
+
+def _pairs(whole: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple:
+    """The pairs of the relation blocks ``whole[lo[k]:hi[k]]``, which
+    ``_piece_rows`` found to hold ``rows[k]`` rows of two integers, with no
+    fault, decoded a group at a time.  Returns (alpha, beta, unsorted): the
+    pairs' two integers, over all rows in text order, and the text offset of
+    the first pair not above the one before it in its block (None if
+    none)."""
+    alpha, beta = pairs = np.empty((2, int(rows.sum())), dtype=np.int64)
+    unsorted = None
+    r1 = 0
+    for i, j, group, off in _piece_groups(whole, lo, hi):
+        cut = np.cumsum(rows[i:j - 1])        # where each block after the first starts
+        r0, r1 = r1, r1 + int(rows[i:j].sum())
+        pairs[:, r0:r1] = _decimal_values(group.tobytes(), 2 * (r1 - r0),
+                                          tagged=False).reshape(-1, 2).T
+        x, y = alpha[r0:r1], beta[r0:r1]
+        down = ~((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1])))
+        down[cut[(cut > 0) & (cut < r1 - r0)] - 1] = False    # pairs of two blocks
+        if unsorted is None and down.any():
+            starts, _, heads = _token_rows(group, _NO_TAGS)
+            unsorted = _text_offset(starts[heads[1 + down.argmax()]], lo[i:j], off)
+    return alpha, beta, unsorted
 
 
 # Bytes the first pass of ``_first_breaks`` reads per tag: an E line as

@@ -389,6 +389,7 @@ def test_narrowed_spellings_name_their_line(kind, text, line):
 
 
 LC_HEAD_1x3 = "LC v1\nA 1 B 3 SA 3 SB 2 M 3\n"
+HUGE_COUNT = 10**18 - 1          # 18 digits, the most a token may hold
 
 BAD_LINE_CASES = [
     ("LC v1\nA 1 B 1 SA 2 SB 2 M 2\nE 0 0 1\n0 0\nE 0 1 1\n0 x\n", "line 6: 'x'"),
@@ -419,6 +420,13 @@ BAD_LINE_CASES = [
     (LC_HEAD_1x3.replace("M 3", "M 2") + "E 0 0 1\n0 0\nE 0 1 2\n1 1\n0 1",
      "line 7: relation pairs must be"),
     (LC_HEAD_1x3 + "E 0 0 1\n0 0\nE 0 1 1\n1 1\nE 0 2", "line 7: expected 3 integers"),
+    # declared counts that no text of this size holds, one and in a sum
+    # past the int64 range: nothing is sized from them
+    (LC_HEAD_1x3.replace("M 3", "M 1") + f"E 0 0 {HUGE_COUNT}\n0 0\n",
+     f"line 3: relation block truncated: {HUGE_COUNT} pair lines declared, 1 found"),
+    ("LC v1\nA 1 B 10 SA 2 SB 10 M 10\n" + "".join(f"E 0 {b} {HUGE_COUNT}\n0 {b}\n"
+                                                  for b in range(10)),
+     f"line 3: relation block truncated: {HUGE_COUNT} pair lines declared, 1 found"),
 ]
 
 

@@ -1,13 +1,13 @@
 """The block-wise text kernels at block sizes of a few rows or bytes.
 
 ``_WRITE_ROWS`` (rows per rendered block or LC chunk), ``_READ_BYTES``
-(bytes per tokenized block; ``labelcover`` groups E lines by it too) and
-``labelcover._WINDOW_BYTES`` (text per window of relation blocks) are
-patched down so that every text below spans many blocks, and a block can be
-a single line, a single line break or the second half of a ``\\r\\n``.  The
-texts must equal those written with the real constants, parse back to the
-objects they were written from, and report a fault in a later block with
-the message and line the real constants give.  The byte chunks that the
+(bytes per tokenized block) and ``labelcover._GROUP_BYTES`` (bytes per
+group of E lines or distinct relation blocks) are patched down so that
+every text below spans many blocks, and a block can be a single line, a
+single line break or the second half of a ``\\r\\n``.  The texts must
+equal those written with the real constants, parse back to the objects
+they were written from, and report a fault in a later block with the
+message and line the real constants give.  The byte chunks that the
 pipeline streams must join to the texts, and a text must parse from its
 bytes as from the str.
 """
@@ -34,7 +34,7 @@ def small_blocks(monkeypatch, rows, size):
     for module in (graphs, labelcover):
         monkeypatch.setattr(module, "_WRITE_ROWS", rows)
         monkeypatch.setattr(module, "_READ_BYTES", size)
-    monkeypatch.setattr(labelcover, "_WINDOW_BYTES", size)
+    monkeypatch.setattr(labelcover, "_GROUP_BYTES", size)
 
 
 def artifacts():
@@ -180,8 +180,8 @@ def test_lc_chunks_join_to_the_text(lc, rows):
     no superedge, with repeated relations and with all relations distinct:
     after the header, each holds at most that many lines, or one superedge
     with a longer block, and together they are the text.  The text parses
-    from its bytes as from the str, also with small windows of relation
-    blocks."""
+    from its bytes as from the str, also with small groups of E lines and
+    relation blocks, joined or gathered."""
     text = write_lc_text(lc)
     with pytest.MonkeyPatch.context() as mp:
         for module in (graphs, labelcover):
@@ -190,5 +190,7 @@ def test_lc_chunks_join_to_the_text(lc, rows):
         assert b"".join([head, *body]) == text.encode("ascii")
         assert head.count(b"\n") == 2
         assert all(chunk.count(b"\n") <= rows or chunk.count(b"E") == 1 for chunk in body)
-        mp.setattr(labelcover, "_WINDOW_BYTES", rows)
-        assert parse_lc_text(text.encode("ascii")) == parse_lc_text(text) == lc
+        mp.setattr(labelcover, "_GROUP_BYTES", rows)
+        for gather_below in (0, 10**9):       # every group joined, then every one gathered
+            mp.setattr(labelcover, "_GATHER_BELOW", gather_below)
+            assert parse_lc_text(text.encode("ascii")) == parse_lc_text(text) == lc
