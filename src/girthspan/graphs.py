@@ -1,9 +1,10 @@
 """Undirected simple-graph substrate: distances, girth, per-edge cycle queries.
 
 Graphs are immutable after construction.  Vertex ids are dense 0-based
-naturals; edge ids are positions in the canonical edge list sorted by
-(min endpoint, max endpoint).  Distances are hop counts, with
-``math.inf`` as the unreachable / acyclic sentinel.
+naturals below ``MAX_DECLARED_VERTICES``, held as int32; edge ids are
+positions in the canonical edge list sorted by (min endpoint, max endpoint).
+Distances are hop counts, with ``math.inf`` as the unreachable / acyclic
+sentinel.
 """
 
 from __future__ import annotations
@@ -20,9 +21,23 @@ from .errors import InputError
 
 INFINITY = inf
 
+# The most vertices a graph may have, and a header may declare: N in GRAPH
+# v1, and A, B and the Min-Rep size A*SA + B*SB in LC v1.  Checked before any
+# array is sized from them; one int64 array over this many vertices already
+# takes 800 MB.  It is below 2^31, so every vertex id fits in int32.
+MAX_DECLARED_VERTICES = 10**8
+
 
 class Graph:
     """Immutable undirected simple graph backed by sorted numpy edge arrays.
+
+    The edges are two read-only, C-contiguous int32 arrays, the lower ends
+    and the higher ends in edge id order, 8 bytes per edge; no other
+    per-edge array is kept.  Every constructor rejects a ``vertex_count``
+    above ``MAX_DECLARED_VERTICES``, so no vertex id can wrap in int32.
+    ``edge_id`` finds the row of lower end u with two binary searches on the
+    lower ends and searches the higher ends inside that row; ``edge_ids_of``
+    derives the int64 keys u * vertex_count + v for the one call.
 
     Rejects self-loops and duplicate edges.  The adjacency index (CSR, see
     ``_csr``) is derived on first use and shared freely afterwards; every
@@ -31,7 +46,7 @@ class Graph:
     the cached girth (see ``girth``) cannot go stale.
     """
 
-    __slots__ = ("vertex_count", "_eu", "_ev", "_indptr", "_nbr", "_nbr_eid", "_keys",
+    __slots__ = ("vertex_count", "_eu", "_ev", "_indptr", "_nbr", "_nbr_eid",
                  "_adj", "_sha256", "_girth")
 
     def __init__(self, vertex_count: int, edges) -> None:
@@ -40,15 +55,14 @@ class Graph:
 
     @classmethod
     def from_arrays(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
-        """Construct from endpoint arrays without a Python-level edge loop."""
+        """Construct from endpoint arrays without a Python-level edge loop.
+        Every endpoint is checked in int64 before the edges are narrowed."""
         g = cls.__new__(cls)
         g._init_from(vertex_count, np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64))
         return g
 
     def _init_from(self, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> None:
-        if vertex_count < 0:
-            raise InputError("vertex_count must be nonnegative")
-        n = int(vertex_count)
+        n = _vertex_count(vertex_count)
         if eu.size:
             lo = np.minimum(eu, ev)
             hi = np.maximum(eu, ev)
@@ -58,32 +72,28 @@ class Graph:
                 raise InputError("self-loops are not allowed")
             keys = lo * np.int64(n) + hi
             order = np.argsort(keys, kind="stable")
-            lo, hi, keys = lo[order], hi[order], keys[order]
+            keys = keys[order]
             if keys.size > 1 and (np.diff(keys) == 0).any():
                 raise InputError("duplicate edges are not allowed")
+            lo, hi = lo[order].astype(np.int32), hi[order].astype(np.int32)
         else:
-            lo = np.zeros(0, dtype=np.int64)
-            hi = np.zeros(0, dtype=np.int64)
-            keys = np.zeros(0, dtype=np.int64)
-        self._set_edges(n, lo, hi, keys)
+            lo = hi = np.zeros(0, dtype=np.int32)
+        self._set_edges(n, lo, hi)
 
     @classmethod
-    def _from_canonical(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray,
-                        keys: np.ndarray) -> "Graph":
-        """``from_arrays`` for int64 edges already proved canonical: every
-        0 <= u < v < vertex_count, and the pairs sorted and distinct, as
-        ``parse_graph_text`` checks them with their ``keys``
-        ``u * vertex_count + v``.  Skips the sort."""
+    def _from_canonical(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
+        """``from_arrays`` for C-contiguous int32 edges already proved
+        canonical by ``_canonical``: every 0 <= u < v < vertex_count, and
+        the pairs sorted and distinct.  Skips the sort."""
         g = cls.__new__(cls)
-        g._set_edges(vertex_count, eu, ev, keys)
+        g._set_edges(_vertex_count(vertex_count), eu, ev)
         return g
 
-    def _set_edges(self, n: int, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray) -> None:
+    def _set_edges(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
         self.vertex_count = n
         self._eu = lo
         self._ev = hi
-        self._keys = keys
-        for arr in (self._eu, self._ev, self._keys):
+        for arr in (self._eu, self._ev):
             arr.flags.writeable = False
         self._indptr = self._nbr = self._nbr_eid = None
         self._adj = None
@@ -111,21 +121,28 @@ class Graph:
         """Edge id of {u, v}, or None if absent."""
         if u > v:
             u, v = v, u
-        key = u * self.vertex_count + v
-        pos = int(np.searchsorted(self._keys, key))
-        if pos < self._keys.size and self._keys[pos] == key:
+        if not 0 <= u < v < self.vertex_count:
+            return None
+        lo, hi = np.searchsorted(self._eu, u), np.searchsorted(self._eu, u, side="right")
+        pos = int(lo + np.searchsorted(self._ev[lo:hi], v))
+        if pos < hi and self._ev[pos] == v:
             return pos
         return None
 
     def edge_ids_of(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized edge id lookup; raises if any pair is not an edge."""
+        n = np.int64(self.vertex_count)
         lo = np.minimum(us, vs).astype(np.int64)
         hi = np.maximum(us, vs).astype(np.int64)
-        key = lo * np.int64(self.vertex_count) + hi
-        pos = np.searchsorted(self._keys, key)
-        if pos.size and (pos >= self._keys.size).any():
+        if lo.size and (lo.min() < 0 or hi.max() >= n):
             raise InputError("pair is not an edge")
-        if pos.size and (self._keys[pos] != key).any():
+        keys = self._eu * n
+        keys += self._ev
+        key = lo * n + hi
+        pos = np.searchsorted(keys, key)
+        if pos.size and (pos >= keys.size).any():
+            raise InputError("pair is not an edge")
+        if pos.size and (keys[pos] != key).any():
             raise InputError("pair is not an edge")
         return pos.astype(np.int64)
 
@@ -167,10 +184,51 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self._keys.tobytes()))
+        return hash((self.vertex_count, self._eu.tobytes(), self._ev.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def _vertex_count(vertex_count: int) -> int:
+    """``vertex_count`` as an int, checked to be 0 to ``MAX_DECLARED_VERTICES``."""
+    if vertex_count < 0:
+        raise InputError("vertex_count must be nonnegative")
+    if vertex_count > MAX_DECLARED_VERTICES:
+        raise InputError(f"vertex_count = {vertex_count} exceeds {MAX_DECLARED_VERTICES}, "
+                         "the most vertices a graph may have")
+    return int(vertex_count)
+
+
+def _canonical(n: int, eu: np.ndarray, ev: np.ndarray) -> bool:
+    """Whether the edges (eu[r], ev[r]) are canonical: every 0 <= u < v < n,
+    and the pairs sorted and distinct, so that the keys u * n + v rise
+    strictly.  Read in blocks of ``_WRITE_ROWS`` rows (see ``_rising``), so
+    no temporary spans the edges."""
+    if eu.size and eu[0] < 0:        # the lower ends rise, so none is negative
+        return False
+    for lo in range(0, eu.size, _WRITE_ROWS):
+        u, v = eu[lo:lo + _WRITE_ROWS], ev[lo:lo + _WRITE_ROWS]
+        if not (u < v).all() or v.max() >= n:
+            return False
+    return _rising(eu, ev)
+
+
+def _rising(major: np.ndarray, minor: np.ndarray, restarts: np.ndarray | None = None) -> bool:
+    """Whether every pair (major[r], minor[r]) is above the pair before it
+    in (major, minor) order, but for the rows ``restarts`` (ascending), which
+    are compared to nothing.  Each block of ``_WRITE_ROWS`` rows is compared
+    to the rows one before it, the last row of the block before included, so
+    the temporaries are per block."""
+    for lo in range(1, major.size, _WRITE_ROWS):
+        hi = min(lo + _WRITE_ROWS, major.size)
+        prev, this = major[lo - 1:hi - 1], major[lo:hi]
+        up = (this > prev) | ((this == prev) & (minor[lo:hi] > minor[lo - 1:hi - 1]))
+        if restarts is not None:
+            up[restarts[np.searchsorted(restarts, lo):np.searchsorted(restarts, hi)] - lo] = True
+        if not up.all():
+            return False
+    return True
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -340,12 +398,6 @@ _BLANK_TAGS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b" " * 26)
 _NO_TAGS = np.zeros(0, dtype=np.int64)
 _WRITE_ROWS = 1 << 15
 _READ_BYTES = 1 << 16
-
-# The most vertices a header may declare: N in GRAPH v1, and A, B and the
-# Min-Rep size A*SA + B*SB in LC v1.  Checked before any array is sized from
-# them; one int64 array over this many vertices already takes 800 MB.
-MAX_DECLARED_VERTICES = 10**8
-
 
 def _check_declared(where: str, field: str, size: int) -> None:
     if size > MAX_DECLARED_VERTICES:
@@ -567,7 +619,7 @@ def _decimal_values(data: bytes, count: int, tagged: bool = True) -> np.ndarray:
 
 
 def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
-              count: int | None = None, tags: str = "") -> tuple:
+              count: int | None = None, tags: str = "", below: int | None = None) -> tuple:
     """Tokenize the body ``raw[start:]``, which begins a line, by the policy
     above.
 
@@ -585,10 +637,20 @@ def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
     the first row of the wrong width, then the first token of the most
     digits, if that is over 18.  Values are decoded while no fault is seen,
     into one array sized from ``count`` and ``width`` when both are given.
+
+    With ``below`` (and a ``width`` and ``count``), the values are a list
+    of ``width`` int32 arrays, column j of every row in the j-th.  A block's
+    int64 values are narrowed only once they are all below ``below``; values
+    is None when one is not, and that fault is the caller's to name.
     """
     at = _check_body(raw, start, tags)
     fixed = width is not None and count is not None and count * width <= len(raw)
-    values = np.empty(count * width if fixed else 0, dtype=np.int64)
+    in_range = True
+    if below is None:
+        values = np.empty(count * width if fixed else 0, dtype=np.int64)
+    else:
+        values = [np.empty(count if fixed else 0, dtype=np.int32) for _ in range(width)]
+        in_range = fixed        # a text too short for ``count`` rows fails the count check
     parts, tag_parts, count_parts = [], [], []
     rows = done = longest = 0
     wrong_at = longest_at = None
@@ -610,13 +672,18 @@ def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
             wrong_at = lo + int(starts[heads[(counts != width).argmax()]])
         rows += heads.size
         total = int(counts.sum())
-        if (total and wrong_at is None and longest <= _MAX_DIGITS
+        if (total and wrong_at is None and longest <= _MAX_DIGITS and in_range
                 and (count is None or rows <= count)):
             block_values = _decimal_values(raw[lo:lo + block.size], total, bool(tags))
-            if fixed:
+            if below is None and fixed:
                 values[done:done + total] = block_values
-            else:
+            elif below is None:
                 parts.append(block_values)
+            elif block_values.max() < below:
+                for column, block_column in zip(values, block_values.reshape(-1, width).T):
+                    column[done // width:(done + total) // width] = block_column
+            else:
+                in_range = False
             done += total
     if count is not None and rows != count:
         raise InputError(f"expected {count} {what} lines, found {rows}")
@@ -625,7 +692,9 @@ def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
                          f"expected {width} integer(s) per {what} line")
     if longest > _MAX_DIGITS:
         raise _token_error(raw, longest_at, _NOT_DECIMAL)
-    if not fixed and parts:
+    if not in_range:
+        values = None
+    elif not fixed and parts:
         values = np.concatenate(parts)
     first = None
     if width is None:
@@ -681,31 +750,31 @@ def parse_graph_text(text) -> Graph:
         raise InputError(f"line 2: bad size line: {lines[1]!r}")
     n, m = _decimals(parts[1::2], "line 2")
     _check_declared("line 2", "N", n)
+    ends, _, _ = _int_rows(raw, start, "edge", width=2, count=m, below=n)
+    if ends is None or not _canonical(n, *ends):
+        raise _graph_fault(raw, start, n, m)
+    return Graph._from_canonical(n, *ends)
+
+
+def _graph_fault(raw: bytes, start: int, n: int, m: int) -> InputError:
+    """The first fault of a GRAPH v1 body whose edges tokenize but are not
+    canonical, naming its line.  The body is decoded again, in int64, so a
+    value too large for int32 is seen as it is written."""
     values, _, _ = _int_rows(raw, start, "edge", width=2, count=m)
-    # The bytes a str was encoded to are freed before the keys are made; the
-    # error path below encodes it again.
-    del raw
     eu, ev = values[0::2], values[1::2]
-    keys = None
-    if ev.max(initial=-1) < n and (eu < ev).all():
-        keys = eu * np.int64(n)             # below n * n, so it cannot overflow
-        keys += ev
-    # With every 0 <= u < v < n, the keys rise strictly exactly when the
-    # edges are sorted and distinct; only a fault needs the per-row masks.
-    if keys is None or (keys[1:] <= keys[:-1]).any():
-        du, dv = np.diff(eu), np.diff(ev)
-        for bad, message in [
-            (eu >= ev, "edge line not in u < v form"),
-            (ev >= n, "edge endpoint out of range"),
-            (np.concatenate([[False], (du == 0) & (dv == 0)]), "duplicate edge"),
-            (np.concatenate([[False], (du < 0) | ((du == 0) & (dv < 0))]),
-             "edge lines not sorted"),
-        ]:
-            if bad.any():
-                row, raw = int(bad.argmax()), _text_bytes(text)
-                raise InputError(f"line {_line_number(raw, _row_offset(raw, start, row))}: "
-                                 f"{message}")
-    return Graph._from_canonical(n, eu, ev, keys)
+    du, dv = np.diff(eu), np.diff(ev)
+    for bad, message in [
+        (eu >= ev, "edge line not in u < v form"),
+        (ev >= n, "edge endpoint out of range"),
+        (np.concatenate([[False], (du == 0) & (dv == 0)]), "duplicate edge"),
+        (np.concatenate([[False], (du < 0) | ((du == 0) & (dv < 0))]),
+         "edge lines not sorted"),
+    ]:
+        if bad.any():
+            row = int(bad.argmax())
+            return InputError(f"line {_line_number(raw, _row_offset(raw, start, row))}: "
+                              f"{message}")
+    raise AssertionError("a GRAPH body is canonical in int64 but not in int32")
 
 
 def graph_sha256(g: Graph) -> str:

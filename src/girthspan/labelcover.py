@@ -24,8 +24,8 @@ from .errors import InputError
 from .graphs import (_MAX_DIGITS, _NO_TAGS, _NOT_DECIMAL, _READ_BYTES, _WRITE_ROWS, Graph,
                      _check_body, _check_declared, _decimal_block, _decimal_text,
                      _decimal_values, _decimals, _head_lines, _int_rows, _is_break,
-                     _line_number, _row_offset, _sorted_distinct, _text_bytes, _token_error,
-                     _token_rows)
+                     _line_number, _rising, _row_offset, _sorted_distinct, _text_bytes,
+                     _token_error, _token_rows)
 
 
 class LabelCoverInstance:
@@ -88,17 +88,15 @@ class LabelCoverInstance:
                 raise InputError("superedge A endpoint out of range")
             if eb.min() < 0 or eb.max() >= self.b_count:
                 raise InputError("superedge B endpoint out of range")
-            keys = ea * np.int64(self.b_count) + eb
-            if (np.diff(keys) <= 0).any():
+            if not _rising(ea, eb):
                 raise InputError("superedges must be distinct and (a, b)-sorted")
             if rel_ids.min() < 0 or rel_ids.max() >= start.size - 1:
                 raise InputError("relation row id out of range")
         if alpha.size and (min(alpha.min(), beta.min()) < 0 or alpha.max() >= self.sigma_a
                            or beta.max() >= self.sigma_b):
             raise InputError("relation symbol out of range")
-        ascending = (alpha[1:] > alpha[:-1]) | ((alpha[1:] == alpha[:-1]) & (beta[1:] > beta[:-1]))
-        ascending[start[1:-1] - 1] = True       # a row's first pair follows no pair of its row
-        if not ascending.all():
+        # A row's first pair follows no pair of its row.
+        if not _rising(alpha, beta, start[1:-1]):
             raise InputError("relation pairs must be sorted and distinct")
         self._ea = ea
         self._eb = eb

@@ -27,9 +27,9 @@ import json
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import (Graph, INFINITY, _decimal_blocks, _head_lines, _hops, _int_rows,
-                     _line_number, _row_offset, _sorted_distinct, _text_bytes, girth,
-                     graph_sha256)
+from .graphs import (Graph, INFINITY, _canonical, _decimal_blocks, _head_lines, _hops,
+                     _int_rows, _line_number, _row_offset, _sorted_distinct, _text_bytes,
+                     _vertex_count, girth, graph_sha256)
 from .labelcover import (MinRepInstance, RepCover, _lc_chunks, _relation_slots, repcover_valid,
                          supergraph)
 
@@ -99,6 +99,10 @@ class SpannerInstance:
       Min-Rep vertex (B, j, beta) to t-tower (p, j) level 1.
     * ``gt_copies[p, e]``, (x, |superedges|): copy p of superedge e = (i, j),
       the EGt edge joining the tops of s-tower (p, i) and t-tower (p, j).
+
+    ``fam_code`` holds every edge's family, and ``ids_by_family`` the sorted
+    ids of the two families read as id lists, ``E`` and ``EM``; the other
+    three families are the entries of their tables.
     """
 
     def __init__(self, base, source, k, x, x_is_default, fam_code, ids_by_family,
@@ -152,13 +156,6 @@ class SpannerInstance:
         expected_distinct = self.n + (self.x - 1) * self.n_tilde
         if self.anchor_distinct.size != expected_distinct:
             raise AssertionError("anchor distinct-union size violated")
-        if (self.k == 3) != (self.ids_by_family[FAM_M].size == 0):
-            raise AssertionError("EM emptiness must coincide with k = 3")
-        if self.ids_by_family[FAM_GT].size != self.x * lc.edge_count:
-            raise AssertionError("EGt family size violated")
-        sizes = sum(int(self.ids_by_family[f].size) for f in range(5))
-        if sizes != self.base.edge_count:
-            raise AssertionError("edge families do not partition the edge set")
         # Every table entry is the edge joining the two vertices the layout
         # names, lower-numbered end first.
         eu, ev = self.base.edge_arrays()
@@ -180,6 +177,20 @@ class SpannerInstance:
                     or ((table < 0) | (table >= eu.size)).any()
                     or (eu[table] != lo).any() or (ev[table] != hi).any()):
                 raise AssertionError(f"{name} entries do not join the layout's vertices")
+        sizes = self.family_sizes()
+        if (self.k == 3) != (sizes[FAM_M] == 0):
+            raise AssertionError("EM emptiness must coincide with k = 3")
+        if sizes[FAM_GT] != self.x * lc.edge_count:
+            raise AssertionError("EGt family size violated")
+        if sum(sizes) != self.base.edge_count:
+            raise AssertionError("edge families do not partition the edge set")
+
+    def family_sizes(self) -> list:
+        """The edge count of each family, in ``FAMILIES`` order: E and EM
+        from their id lists, EsA, EtB and EGt from their tables."""
+        return [int(self.ids_by_family[FAM_E].size), int(self.ids_by_family[FAM_M].size),
+                int(self.crossing_sa.size), int(self.crossing_tb.size),
+                int(self.gt_copies.size)]
 
 
 def default_copies(n: int, n_tilde: int) -> int:
@@ -260,7 +271,7 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
                         mr.minrep_graph.edge_count, max_edges)
 
     t_off = n + x * a_cnt * k_a
-    vertex_count = t_off + x * b_cnt * k_b
+    vertex_count = _vertex_count(t_off + x * b_cnt * k_b)     # so every end fits in int32
     # Vertices: level 1 of s-tower (p, i) and of t-tower (p, j), shape
     # (x, side, 1), with level l at l - 1 above it, and the Min-Rep groups.
     p = np.arange(x, dtype=np.int64)[:, None, None]
@@ -278,6 +289,10 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     s_copy = e_lo.size + x * n + p[:, :, 0] * s_stride
     t0 = e_lo.size + x * (n + s_stride)
     edge_count = t0 + x * b_cnt * (k_b - 1)
+    # The ends outlive every table below, which run_pipeline frees before
+    # its audit re-reads the graph; made first, they leave those tables'
+    # space in one piece.
+    eu, ev = np.empty(edge_count, dtype=np.int32), np.empty(edge_count, dtype=np.int32)
     cross0 = np.searchsorted(e_lo, np.arange(n), side="right") + x * np.arange(n)
     crossing_sa, crossing_tb = cross0[a_group] + p, cross0[b_group] + p
     s_row = s_copy + np.arange(a_cnt) * (k_a - 1) + np.searchsorted(ea, np.arange(a_cnt))
@@ -286,9 +301,8 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     gt_copies = s_copy + (ea + 1) * (k_a - 1) + np.arange(ea.size)
 
     fam_code = np.full(edge_count, -1, dtype=np.int8)
-    eu, ev = np.empty((2, edge_count), dtype=np.int64)
     for fam, table, lo, hi in [
-            (FAM_E, np.arange(e_lo.size) + x * e_lo, e_lo, e_hi),
+            (FAM_E, _e_ids(x, e_lo, np.arange(e_lo.size)), e_lo, e_hi),
             (FAM_M, tower_s, s_lvl, s_lvl + 1),
             (FAM_M, tower_t, t_lvl, t_lvl + 1),
             (FAM_SA, crossing_sa, a_group, s_one),
@@ -297,23 +311,27 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
         fam_code[table] = fam
         eu[table] = lo
         ev[table] = hi
-    keys = eu * np.int64(vertex_count)
-    keys += ev
     # edge_count writes fill edge_count slots, so a slot left unwritten
     # (code -1) means another slot was written twice.
-    if edge_count and ((fam_code < 0).any() or eu.min() < 0 or ev.max() >= vertex_count
-                       or not (eu < ev).all() or (keys[1:] <= keys[:-1]).any()):
+    if (fam_code < 0).any() or not _canonical(vertex_count, eu, ev):
         raise AssertionError("gadget edges are not canonical, one slot each")
-    base = Graph._from_canonical(vertex_count, eu, ev, keys)
+    base = Graph._from_canonical(vertex_count, eu, ev)
 
-    ids = [np.flatnonzero(fam_code == f) for f in range(5)]
-    for arr in [fam_code, tower_s, tower_t, crossing_sa, crossing_tb, gt_copies, *ids]:
+    ids = {f: np.flatnonzero(fam_code == f) for f in (FAM_E, FAM_M)}
+    for arr in [fam_code, tower_s, tower_t, crossing_sa, crossing_tb, gt_copies, *ids.values()]:
         arr.flags.writeable = False
-    si = SpannerInstance(base, mr, k, x, x_override is None, fam_code, dict(enumerate(ids)),
+    si = SpannerInstance(base, mr, k, x, x_override is None, fam_code, ids,
                          tower_s, tower_t, crossing_sa, crossing_tb, gt_copies)
     si.supergirth_warning = sg < k + 2
     si.audit()
     return si
+
+
+def _e_ids(x: int, e_lo: np.ndarray, eids: np.ndarray) -> np.ndarray:
+    """Gadget ids of the ``minrep_graph`` edges ``eids``, whose lower ends
+    are ``e_lo``.  Min-Rep row u starts at x u plus the E edges below it and
+    opens with its own E edges, so edge e's id is e + x * (its lower end)."""
+    return eids + np.int64(x) * e_lo[eids]
 
 
 # --- verification ------------------------------------------------------------
@@ -383,14 +401,18 @@ def canonical_span_mask(si: SpannerInstance, h: EdgeSubset) -> np.ndarray:
     intact in h and some relation pair (alpha, beta) of e has its EsA edge
     sa[p, i, alpha], its Min-Rep edge and its EtB edge tb[p, j, beta] in h.
     The pair test runs over an (x, relation slots) table and is OR-reduced
-    per superedge.
+    per superedge.  Each Min-Rep edge is looked up in ``minrep_graph`` and
+    placed in the gadget by the closed-form layout (``_e_ids``), so no
+    lookup runs over the gadget's edges.
     """
     mask = h.mask()
     lc = si.source.source
     starts, slot_se, alpha, beta = _relation_slots(lc)
     ea, eb, _ = lc.edge_arrays()
     i, j = ea[slot_se], eb[slot_se]
-    minrep = si.base.edge_ids_of(si.source.a_vertex(i, alpha), si.source.b_vertex(j, beta))
+    mr_graph = si.source.minrep_graph
+    minrep = _e_ids(si.x, mr_graph.edge_arrays()[0], mr_graph.edge_ids_of(
+        si.source.a_vertex(i, alpha), si.source.b_vertex(j, beta)))
     ok = mask[si.crossing_sa][:, i, alpha] & mask[minrep] & mask[si.crossing_tb][:, j, beta]
     ok = np.logical_or.reduceat(ok, starts, axis=1)
     ok &= mask[si.tower_s].all(axis=2)[:, ea] & mask[si.tower_t].all(axis=2)[:, eb]
@@ -591,7 +613,7 @@ def gadget_metadata(si: SpannerInstance) -> dict:
         "sigma_a": lc.sigma_a, "sigma_b": lc.sigma_b,
         "vertex_count": si.base.vertex_count,
         "edge_count": si.base.edge_count,
-        "family_sizes": {FAMILIES[f]: int(si.ids_by_family[f].size) for f in range(5)},
+        "family_sizes": dict(zip(FAMILIES, si.family_sizes())),
         "anchor_roster_size": si.anchor_roster_size,
         "anchor_distinct_size": int(si.anchor_distinct.size),
         "anchor_choices_a": [si.source.a_vertex(i, 0) for i in range(lc.a_count)],

@@ -55,6 +55,12 @@ def full_subset(si):
     return EdgeSubset(si.base, range(si.base.edge_count))
 
 
+def family_ids(si, fam: int) -> np.ndarray:
+    """The sorted ids of a gadget's edge family ``fam``, read off
+    ``fam_code``; the instance keeps id lists for E and EM only."""
+    return np.flatnonzero(si.fam_code == fam)
+
+
 def random_graph(n, edge_prob, stream: Stream):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if stream.random() < edge_prob]
@@ -257,9 +263,10 @@ def gadget_by_sort(mr, k: int, x: int) -> dict:
     """The gadget's layout by the sort-based derivation, the reference for
     ``build_spanner_instance``'s closed-form one: each family's edges made
     in family order, one stable sort of their keys ``lo * N + hi``, and the
-    tables read back through the inverse permutation.  Returns the sorted
-    keys, ``fam_code``, the per-family id lists (``ids``), the five tables
-    and ``anchor_distinct``."""
+    tables read back through the inverse permutation.  Returns the vertex
+    count, the lower and higher ends in key order (``lo``, ``hi``),
+    ``fam_code``, the per-family id lists (``ids``), the five tables and
+    ``anchor_distinct``."""
     lc = mr.source
     k_a, k_b = (k - 1) // 2, (k - 1) - (k - 1) // 2
     n, a_cnt, b_cnt = mr.vertex_count, lc.a_count, lc.b_count
@@ -294,7 +301,8 @@ def gadget_by_sort(mr, k: int, x: int) -> dict:
     row_id = np.empty_like(order)
     row_id[order] = np.arange(order.size)
     s_end = start[1] + x * a_cnt * (k_a - 1)
-    out = {"keys": keys[order], "fam_code": fam_code,
+    out = {"vertex_count": vertex_count, "lo": np.minimum(eu, ev)[order],
+           "hi": np.maximum(eu, ev)[order], "fam_code": fam_code,
            "ids": [np.flatnonzero(fam_code == f) for f in range(5)],
            "tower_s": row_id[start[1]:s_end].reshape(x, a_cnt, k_a - 1),
            "tower_t": row_id[s_end:start[2]].reshape(x, b_cnt, k_b - 1),

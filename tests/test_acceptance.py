@@ -20,8 +20,8 @@ from girthspan.labelcover import (LabelCoverInstance, Labeling,
                                   supergraph, value)
 from girthspan.rng import Stream, child_seed, draws_array, keep_threshold
 
-from conftest import (complete_graph, cycle_graph, full_subset, make_lc, path_lc_tiny,
-                      random_graph, random_tiny_lc, xor_odd_4cycle)
+from conftest import (complete_graph, cycle_graph, family_ids, full_subset, make_lc,
+                      path_lc_tiny, random_graph, random_tiny_lc, xor_odd_4cycle)
 
 
 @contextmanager
@@ -166,7 +166,7 @@ def test_criterion_5_exhaustive_canonical_span():
         g = si.base
         assert g.edge_count <= 18
         assert girth(supergraph(lc)) == INFINITY   # >= k + 2
-        gt_ids = si.ids_by_family[sp.FAM_GT].tolist()
+        gt_ids = family_ids(si, sp.FAM_GT).tolist()
         # per EGt edge: bitmasks of the three crossing edges of each candidate
         # canonical path (k = 3: towers are single vertices, no EM edges)
         canonical_masks = []
@@ -215,7 +215,7 @@ def test_criterion_6_reduction_bounds():
         def check_spanner(si, h):
             proper = sp.make_proper(si, h)
             assert not set(proper.members.tolist()) \
-                & set(si.ids_by_family[sp.FAM_GT].tolist())
+                & set(family_ids(si, sp.FAM_GT).tolist())
             assert sp.verify_spanner_structured(si, proper)[0]
             assert len(proper) <= 6 * len(h)
             cover = sp.repcover_from_spanner(si, h)

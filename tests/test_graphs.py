@@ -323,14 +323,26 @@ def traced_peak(fn, *args):
 
 
 def test_graph_parse_peak_memory_is_bounded():
-    """The parse of the circulant's text peaks below 3 times the text's
-    size: the text's bytes and the values, one block's temporaries, then the
-    values and the keys.  It took 5.7 times with whole-body token arrays and
-    8.7 times before they were freed ahead of the decode."""
+    """The parse of the circulant's text, a str, peaks below 3 times the
+    text's size: the str's bytes, the int32 edges and one block's
+    temporaries (1.9 times).  It took 5.7 times with whole-body token arrays
+    and 8.7 times before they were freed ahead of the decode."""
     text = write_graph_text(circulant())
     assert len(text) > 6 * 10**6
     _, peak = traced_peak(parse_graph_text, text)
     assert peak < 3 * len(text)
+
+
+def test_graph_parse_of_bytes_peak_memory_is_bounded():
+    """From its bytes, as the pipeline's audit reads it, the circulant's
+    text parses below 1.2 times its size: the int32 edges take 8 bytes an
+    edge, each block's values are narrowed as they are decoded, and the
+    canonical check runs a block at a time (0.9 times).  With int64 edges
+    and a whole key array it took 2.2 times."""
+    raw = write_graph_text(circulant()).encode("ascii")
+    g, peak = traced_peak(parse_graph_text, raw)
+    assert g == circulant()
+    assert peak < 1.2 * len(raw)
 
 
 def test_graph_write_peak_memory_is_bounded():
@@ -362,6 +374,145 @@ def test_graph_stream_peak_memory_is_bounded(tmp_path):
     assert size > 9 * 10**6
     assert peak < 0.3 * size
     assert graph_sha256(g) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_graph_endpoints_are_int32_c_contiguous_and_read_only(tmp_path):
+    """Every way to make a graph stores its ends as int32 arrays, 8 bytes
+    per edge, and keeps no other per-edge array."""
+    g = Graph(6, [(4, 1), (0, 5), (2, 3)])
+    text = write_graph_text(g)
+    for made in [g, Graph.from_arrays(6, np.array([4, 0, 2]), np.array([1, 5, 3])),
+                 parse_graph_text(text), parse_graph_text(text.encode("ascii")), Graph(3, [])]:
+        for ends in made.edge_arrays():
+            assert ends.dtype == np.int32 and ends.flags.c_contiguous
+            assert not ends.flags.writeable
+    assert "_keys" not in Graph.__slots__
+
+
+def test_graph_vertex_count_is_bounded():
+    """No graph has more than MAX_DECLARED_VERTICES vertices, so no vertex
+    id can wrap in int32; a graph of exactly that many is made."""
+    bound = graphs.MAX_DECLARED_VERTICES
+    assert bound < 2**31
+    for make in [lambda n: Graph(n, []), lambda n: Graph.from_arrays(n, [], [])]:
+        with pytest.raises(InputError, match="exceeds"):
+            make(bound + 1)
+        assert make(bound).vertex_count == bound
+    with pytest.raises(InputError, match="exceeds"):
+        Graph(10**18, [(0, 10**12)])
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 2147483648\n", "line 3: edge endpoint out of range"),
+    ("0 4294967297\n", "line 3: edge endpoint out of range"),            # 1 in int32
+    ("4294967296 4294967297\n", "line 3: edge endpoint out of range"),   # (0, 1) in int32
+    ("0 1\n1 4294967298\n", "line 4: edge endpoint out of range"),       # (1, 2) in int32
+    # the faults keep their order: a u >= v line anywhere comes first
+    ("0 4294967297\n3 2\n", "line 4: edge line not in u < v form"),
+])
+def test_graph_endpoints_beyond_int32_are_out_of_range(body, message):
+    """An endpoint of 2^31 or more is out of range at N = 5 with the
+    message and line of an int64 parse, and is never wrapped into range."""
+    text = f"GRAPH v1\nN 5 M {body.count(chr(10))}\n" + body
+    assert rejection(parse_graph_text, text) == message
+
+
+def test_graph_endpoint_beyond_int32_in_a_later_block():
+    """An endpoint that int32 would wrap to a valid, sorted edge, on the
+    last of 20,000 lines, three read blocks into the body."""
+    n = 20_000
+    lines = [f"{i} {i + 1}" for i in range(n - 1)] + [f"{n - 1} {2**32 + n}"]
+    text = f"GRAPH v1\nN {n + 1} M {n}\n" + "\n".join(lines) + "\n"
+    assert len(text) > 3 * graphs._READ_BYTES
+    assert rejection(parse_graph_text, text) == f"line {n + 2}: edge endpoint out of range"
+
+
+W = graphs._WRITE_ROWS
+
+
+@pytest.mark.parametrize("at", [1, 2, W - 1, W, W + 1, 2 * W, 3 * W - 1])
+def test_rising_checks_each_row_against_the_row_before_across_blocks(at):
+    """``_rising`` reads W rows a block; a row equal to the one before, or
+    below it, is found wherever it lies, a block's first row included,
+    unless it is a restart."""
+    major, minor = np.divmod(np.arange(3 * W + 5), 3)
+    assert graphs._rising(major, minor)
+    for drop in (0, 1):         # equal to the row before, then below it
+        bad_major, bad_minor = major.copy(), minor.copy()
+        bad_major[at], bad_minor[at] = major[at - 1], minor[at - 1] - drop
+        assert not graphs._rising(bad_major, bad_minor)
+        assert graphs._rising(bad_major, bad_minor, np.array([0, at, 3 * W]))
+        assert not graphs._rising(bad_major, bad_minor, np.array([at - 1, at + 1]))
+
+
+@pytest.mark.parametrize("row", [W - 1, W, W + 1])
+def test_graph_duplicate_at_a_block_boundary(row):
+    """A duplicate edge as the first row of the second check block, or next
+    to it, is named at its line."""
+    ends = [(i, i + 1) for i in range(W + 3)]
+    ends.insert(row, ends[row - 1])
+    body = "".join(f"{u} {v}\n" for u, v in ends)
+    text = f"GRAPH v1\nN {W + 5} M {len(ends)}\n" + body
+    assert rejection(parse_graph_text, text) == f"line {row + 3}: duplicate edge"
+
+
+def assert_lookups_agree(g, edges, probes):
+    """``edge_id`` and ``edge_ids_of`` of ``g``, made from the distinct
+    (lower end, higher end) pairs ``edges``, against a dict reference on
+    every probe (u, v), either way round; an absent pair is None for
+    ``edge_id`` and an InputError for ``edge_ids_of``."""
+    ref = {pair: eid for eid, pair in enumerate(sorted(edges))}
+    for u, v in probes:
+        want = ref.get((min(u, v), max(u, v)))
+        assert g.edge_id(u, v) == g.edge_id(v, u) == want
+        if want is None:
+            with pytest.raises(InputError, match="not an edge"):
+                g.edge_ids_of(np.array([u]), np.array([v]))
+    present = [(u, v) for u, v in probes if (min(u, v), max(u, v)) in ref]
+    if present:
+        us, vs = np.array(present, dtype=np.int64).T
+        want = [ref[min(u, v), max(u, v)] for u, v in present]
+        assert g.edge_ids_of(us, vs).tolist() == g.edge_ids_of(vs, us).tolist() == want
+
+
+def test_edge_lookup_at_the_vertex_bound():
+    """At N = 10^8 a key u * N + v reaches 10^16, far beyond 2^31."""
+    n = graphs.MAX_DECLARED_VERTICES
+    edges = [(0, n - 1), (5, 7), (5, 99_999_998), (12_345_678, n - 1),
+             (n - 3, n - 2), (n - 2, n - 1)]
+    g = Graph(n, edges)
+    absent = [(0, 1), (0, n - 2), (5, 6), (5, 8), (7, 99_999_998), (12_345_678, n - 2),
+              (n - 3, n - 1), (n - 1, n - 1), (6, 6)]
+    assert_lookups_agree(g, edges, edges + absent)
+
+
+def test_edge_lookup_of_pairs_out_of_range():
+    """A pair with an end outside [0, N) is absent, though its key u * N + v
+    may equal an edge's: -1 * 5 + 8 is the key of (0, 3)."""
+    g = Graph(5, [(0, 3)])
+    for u, v in [(-1, 8), (8, -1), (0, 5), (-5, 3), (3, 3)]:
+        assert g.edge_id(u, v) is None
+        with pytest.raises(InputError, match="not an edge"):
+            g.edge_ids_of(np.array([u]), np.array([v]))
+
+
+@st.composite
+def lookup_cases(draw):
+    """A graph on up to 10^8 vertices (or on a few, so that probes hit),
+    its edges, and probes: every edge and random pairs, most of them absent."""
+    n = draw(st.one_of(st.integers(2, 12), st.integers(2, graphs.MAX_DECLARED_VERTICES)))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    probes = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    return n, sorted(edges), sorted(edges) + probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_cases())
+def test_edge_lookup_agrees_with_a_dict(case):
+    n, edges, probes = case
+    assert_lookups_agree(Graph(n, edges), edges, probes)
 
 
 def test_graph_arrays_are_read_only():

@@ -13,8 +13,8 @@ from girthspan.labelcover import (RepCover, labeling_to_repcover,
 from girthspan.oracles import spans_all_pairs
 from girthspan.rng import Stream, child_seed
 
-from conftest import (check_mutant, complete_graph, cycle_graph, full_subset, gadget_by_sort,
-                      hub_graph, make_lc, path_lc_tiny, random_graph, text_mutants,
+from conftest import (check_mutant, complete_graph, cycle_graph, family_ids, full_subset,
+                      gadget_by_sort, hub_graph, make_lc, path_lc_tiny, random_graph, text_mutants,
                       vertex_role, xor_odd_4cycle)
 
 
@@ -42,7 +42,7 @@ def test_build_default_x_formulas():
     assert si.anchor_roster_size == 10 + 25 * 4 == 110
     assert si.anchor_distinct.size == 10 + 24 * 4
     assert si.ids_by_family[sp.FAM_M].size == 0
-    assert si.ids_by_family[sp.FAM_GT].size == 25 * 3
+    assert family_ids(si, sp.FAM_GT).size == 25 * 3
 
 
 def test_build_k5_towers():
@@ -85,13 +85,14 @@ def test_families_partition_edges():
     counts = np.bincount(si.fam_code, minlength=5)
     assert counts.sum() == si.base.edge_count
     for fam in range(5):
-        assert counts[fam] == si.ids_by_family[fam].size
+        assert counts[fam] == si.family_sizes()[fam]
+    assert sp.gadget_metadata(si)["family_sizes"] == dict(zip(sp.FAMILIES, counts.tolist()))
 
 
 def test_egt_copies_are_supergraph_isomorphic():
     si = tiny_instance(k=3, x=3)
     lc = si.source.source
-    assert sorted(si.gt_copies.ravel().tolist()) == si.ids_by_family[sp.FAM_GT].tolist()
+    assert sorted(si.gt_copies.ravel().tolist()) == family_ids(si, sp.FAM_GT).tolist()
     for p in range(3):
         per_copy = []
         for eid in si.gt_copies[p].tolist():
@@ -167,7 +168,10 @@ def test_gadget_tables_equal_lookup(k, x):
         assert si.fam_code.dtype == np.int8
         assert np.array_equal(si.fam_code, ref["fam_code"])
         for fam in range(5):
-            assert np.array_equal(si.ids_by_family[fam], ref["ids"][fam])
+            assert np.array_equal(family_ids(si, fam), ref["ids"][fam])
+        assert sorted(si.ids_by_family) == [sp.FAM_E, sp.FAM_M]
+        for fam, ids in si.ids_by_family.items():
+            assert np.array_equal(ids, ref["ids"][fam])
         for name in ("tower_s", "tower_t", "crossing_sa", "crossing_tb", "gt_copies",
                      "anchor_distinct"):
             assert getattr(si, name).shape == ref[name].shape, name
@@ -193,15 +197,21 @@ def gadget_inputs(draw):
 @given(gadget_inputs())
 def test_closed_form_layout_equals_sort(case):
     """The closed-form layout against the sort-based derivation: the same
-    canonical keys, family codes, family id lists, tables and anchor union."""
+    vertex count and canonical edges (int32, C-contiguous, read-only),
+    family codes, family id lists, tables and anchor union."""
     lc, k, x = case
     mr = minrep_expand(lc)
     si = sp.build_spanner_instance(mr, k, x_override=x, allow_small_supergirth=True)
     ref = gadget_by_sort(mr, k, x)
-    assert np.array_equal(si.base._keys, ref["keys"])
+    assert si.base.vertex_count == ref["vertex_count"]
+    for ends, ref_ends in zip(si.base.edge_arrays(), (ref["lo"], ref["hi"])):
+        assert ends.dtype == np.int32 and ends.flags.c_contiguous and not ends.flags.writeable
+        assert np.array_equal(ends, ref_ends)
     assert np.array_equal(si.fam_code, ref["fam_code"])
     for fam in range(5):
-        assert np.array_equal(si.ids_by_family[fam], ref["ids"][fam])
+        assert np.array_equal(family_ids(si, fam), ref["ids"][fam])
+    for fam, ids in si.ids_by_family.items():
+        assert np.array_equal(ids, ref["ids"][fam])
     for name in ("tower_s", "tower_t", "crossing_sa", "crossing_tb", "gt_copies",
                  "anchor_distinct"):
         table = getattr(si, name)
@@ -296,24 +306,29 @@ def traced_vars3_build():
     return si, current - before, peak - before
 
 
-def test_gadget_retains_under_48_bytes_per_edge(traced_vars3_build):
+def test_gadget_retains_under_24_bytes_per_edge(traced_vars3_build):
     """The memory build_spanner_instance leaves allocated, its graph and
-    layout tables included, stays below 48 bytes per edge."""
+    layout tables included, stays below 24 bytes per edge (18.6): int32
+    ends, 8 bytes, a family code, 1, the int64 layout tables, about 8, and
+    the E and EM id lists.  With int64 ends, a key array and id lists of
+    all five families it was 42.6."""
     si, retained, _ = traced_vars3_build
-    assert retained / si.base.edge_count < 48
+    assert retained / si.base.edge_count < 24
 
 
-def test_gadget_build_peaks_under_72_bytes_per_edge(traced_vars3_build):
-    """The traced peak of build_spanner_instance stays below 72 bytes per
-    edge: each edge is written once, at its canonical position, beside the
-    tables and arrays the instance keeps (under 48 bytes per edge)."""
+def test_gadget_build_peaks_under_44_bytes_per_edge(traced_vars3_build):
+    """The traced peak of build_spanner_instance stays below 44 bytes per
+    edge (32.0): each edge is written once, at its canonical position, and
+    checked canonical a block at a time, beside the tables and arrays the
+    instance keeps (under 24 bytes per edge).  It was 57.9 with int64 ends
+    and a whole key array."""
     si, _, peak = traced_vars3_build
-    assert peak / si.base.edge_count < 72
+    assert peak / si.base.edge_count < 44
 
 
 def test_interior_tower_vertices_have_degree_two_outside_e():
     si = tiny_instance(k=7, x=2)   # k_a = k_b = 3: towers have interior vertices
-    non_e = np.concatenate([si.ids_by_family[f] for f in
+    non_e = np.concatenate([family_ids(si, f) for f in
                             (sp.FAM_M, sp.FAM_SA, sp.FAM_TB, sp.FAM_GT)])
     eu, ev = si.base.edge_arrays()
     deg = np.bincount(np.concatenate([eu[non_e], ev[non_e]]),
@@ -426,7 +441,7 @@ def test_structured_fast_path_on_default_x_gadget(monkeypatch):
     lc = ten_vertex_lc()
     si = sp.build_spanner_instance(minrep_expand(lc), 3)
     cover_h = sp.spanner_from_repcover(si, value_one_cover(lc))
-    crossing = np.concatenate([si.ids_by_family[sp.FAM_SA], si.ids_by_family[sp.FAM_TB]])
+    crossing = np.concatenate([family_ids(si, sp.FAM_SA), family_ids(si, sp.FAM_TB)])
     crossing = crossing[cover_h.mask()[crossing]].tolist()
     bfs_calls = []
     hops = sp._hops
@@ -489,7 +504,7 @@ def test_canonical_path_in_full_edge_set():
         si = tiny_instance(k=k)
         h = full_subset(si)
         members = set(h.members.tolist())
-        for eid in si.ids_by_family[sp.FAM_GT].tolist():
+        for eid in family_ids(si, sp.FAM_GT).tolist():
             path = sp.canonical_span_check(si, h, eid)
             assert path is not None
             assert len(path) - 1 == k
@@ -502,8 +517,8 @@ def test_canonical_path_in_full_edge_set():
 def test_canonical_path_absent_without_crossing_edges():
     si = tiny_instance(k=3)
     h = sp.EdgeSubset(si.base, np.concatenate([
-        si.ids_by_family[sp.FAM_M], si.ids_by_family[sp.FAM_GT]]))
-    for eid in si.ids_by_family[sp.FAM_GT].tolist():
+        si.ids_by_family[sp.FAM_M], family_ids(si, sp.FAM_GT)]))
+    for eid in family_ids(si, sp.FAM_GT).tolist():
         assert sp.canonical_span_check(si, h, eid) is None
 
 
@@ -530,7 +545,7 @@ def test_spanner_from_repcover_verifies_and_bounds():
     ok, _ = sp.verify_spanner_structured(si, h)
     assert ok
     assert len(h) <= (si.k + 1) * si.x * len(cover)
-    for eid in si.ids_by_family[sp.FAM_GT].tolist():
+    for eid in family_ids(si, sp.FAM_GT).tolist():
         assert sp.canonical_span_check(si, h, eid) is not None
 
 
@@ -556,7 +571,7 @@ def make_proper_per_edge(si, h):
     """make_proper's repair rule applied one dropped EGt edge at a time, with
     scalar edge lookups: the reference for its table-driven repairs."""
     mask = h.mask().copy()
-    gt_ids = si.ids_by_family[sp.FAM_GT]
+    gt_ids = family_ids(si, sp.FAM_GT)
     dropped = gt_ids[mask[gt_ids]]
     mask[gt_ids] = False
     keep = [np.nonzero(mask)[0], si.ids_by_family[sp.FAM_E], si.ids_by_family[sp.FAM_M],
@@ -578,7 +593,7 @@ def test_make_proper_full_edge_set():
             full = full_subset(si)
             proper = sp.make_proper(si, full)
             assert proper == make_proper_per_edge(si, full)
-            assert not set(proper.members.tolist()) & set(si.ids_by_family[sp.FAM_GT].tolist())
+            assert not set(proper.members.tolist()) & set(family_ids(si, sp.FAM_GT).tolist())
             ok, _ = sp.verify_spanner(si.base, proper, k)
             assert ok
             assert len(proper) <= 6 * len(full)
@@ -588,9 +603,9 @@ def test_make_proper_full_edge_set():
         si = sp.build_spanner_instance(minrep_expand(ten_vertex_lc()), k, x_override=2)
         with_gt = sp.EdgeSubset(si.base, np.concatenate([
             sp.spanner_from_repcover(si, value_one_cover(si.source.source)).members,
-            si.ids_by_family[sp.FAM_GT]]))
+            family_ids(si, sp.FAM_GT)]))
         proper = sp.make_proper(si, with_gt)
-        assert len(proper) > len(with_gt) - si.ids_by_family[sp.FAM_GT].size
+        assert len(proper) > len(with_gt) - family_ids(si, sp.FAM_GT).size
         assert proper == make_proper_per_edge(si, with_gt)
 
 
