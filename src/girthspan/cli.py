@@ -18,9 +18,10 @@ from . import constructions as cons
 from . import oracles, pipeline, sampling
 from . import spanner as sp
 from .errors import InputError, ResourceError
-from .graphs import _decimals, girth, parse_graph_text, write_graph_text
-from .labelcover import (minrep_expand, parse_cover_text, parse_lc_text, supergraph,
-                         write_cover_text, write_labeling_text, write_lc_text)
+from .graphs import _decimals, _graph_chunks, girth, parse_graph_text
+from .labelcover import (_lc_chunks, minrep_expand, parse_cover_text, parse_lc_text, supergraph,
+                         write_cover_text, write_labeling_text)
+from .pipeline import _write_chunks
 from .rng import child_seed
 
 
@@ -34,23 +35,23 @@ def _budget_from_env(args) -> oracles.OracleBudget:
 
 
 def _read_lc(path):
-    return parse_lc_text(Path(path).read_text())
+    return parse_lc_text(Path(path).read_bytes())
 
 
 def cmd_gen_3sat5(args) -> int:
     planted_bits = cons.planted_assignment(args.vars, args.seed) if args.planted else None
     formula = cons.gen_3sat5(args.vars, child_seed(args.seed, "gen"), planted_bits)
-    Path(args.output).write_text(
-        cons.write_formula_text(formula, seed=args.seed, planted=planted_bits))
+    text = cons.write_formula_text(formula, seed=args.seed, planted=planted_bits)
+    _write_chunks(args.output, [text.encode("ascii")])
     print(f"wrote {args.output}: {formula.var_count} vars, "
           f"{formula.clause_count} clauses")
     return 0
 
 
 def cmd_lc_from_3sat(args) -> int:
-    formula = cons.parse_formula_text(Path(args.input).read_text())
+    formula = cons.parse_formula_text(Path(args.input).read_bytes())
     lc = cons.lc_from_3sat5(formula)
-    Path(args.output).write_text(write_lc_text(lc))
+    _write_chunks(args.output, _lc_chunks(lc))
     print(f"wrote {args.output}: |A|={lc.a_count} |B|={lc.b_count} m={lc.edge_count}")
     return 0
 
@@ -58,7 +59,7 @@ def cmd_lc_from_3sat(args) -> int:
 def cmd_regularize(args) -> int:
     lc = _read_lc(args.input)
     out = cons.regularize(lc, require_sat5_shape=not args.any_shape)
-    Path(args.output).write_text(write_lc_text(out))
+    _write_chunks(args.output, _lc_chunks(out))
     print(f"wrote {args.output}: |A'|={out.a_count} |B'|={out.b_count} m={out.edge_count}")
     return 0
 
@@ -66,7 +67,7 @@ def cmd_regularize(args) -> int:
 def cmd_parrep(args) -> int:
     lc = _read_lc(args.input)
     out = cons.parallel_repetition(lc, args.ell, max_superedges=args.max_superedges)
-    Path(args.output).write_text(write_lc_text(out))
+    _write_chunks(args.output, _lc_chunks(out))
     print(f"wrote {args.output}: sides {out.a_count}/{out.b_count}, "
           f"alphabets {out.sigma_a}/{out.sigma_b}, m={out.edge_count}")
     return 0
@@ -77,7 +78,7 @@ def cmd_subsample(args) -> int:
     params = sampling.SampleParams(alpha=args.alpha, seed=args.seed,
                                    clamp_p=not args.no_clamp_p, d_override=args.degree)
     out = sampling.subsample(lc, params)
-    Path(args.output).write_text(write_lc_text(out))
+    _write_chunks(args.output, _lc_chunks(out))
     p = sampling.keep_probability(lc, params)
     print(f"wrote {args.output}: kept {out.edge_count}/{lc.edge_count} superedges (p={p:.6g})")
     return 0
@@ -86,14 +87,14 @@ def cmd_subsample(args) -> int:
 def cmd_strip_cycles(args) -> int:
     lc = _read_lc(args.input)
     out = sampling.strip_bad_edges(lc, args.k)
-    Path(args.output).write_text(write_lc_text(out))
+    _write_chunks(args.output, _lc_chunks(out))
     print(f"wrote {args.output}: removed {lc.edge_count - out.edge_count} bad edges, "
           f"kept {out.edge_count}")
     return 0
 
 
 def cmd_girth(args) -> int:
-    g = parse_graph_text(Path(args.input).read_text())
+    g = parse_graph_text(Path(args.input).read_bytes())
     print(pipeline._dist_json(girth(g)))
     return 0
 
@@ -101,7 +102,7 @@ def cmd_girth(args) -> int:
 def cmd_minrep_expand(args) -> int:
     lc = _read_lc(args.input)
     mr = minrep_expand(lc)
-    Path(args.output).write_text(write_graph_text(mr.minrep_graph))
+    _write_chunks(args.output, _graph_chunks(mr.minrep_graph))
     print(f"wrote {args.output}: {mr.vertex_count} vertices, "
           f"{mr.minrep_graph.edge_count} edges")
     return 0
@@ -119,17 +120,18 @@ def _build_gadget(args):
 
 def cmd_spanner_reduce(args) -> int:
     si = _build_gadget(args)
-    Path(args.output).write_text(write_graph_text(si.base))
+    _write_chunks(args.output, _graph_chunks(si.base))
     meta_path = args.meta or (str(args.output) + ".meta.json")
-    Path(meta_path).write_text(sp.write_gadget_meta_text(sp.gadget_metadata(si)))
+    meta = sp.write_gadget_meta_text(sp.gadget_metadata(si))
+    _write_chunks(meta_path, [meta.encode("ascii")])
     print(f"wrote {args.output} (+ {meta_path}): {si.base.vertex_count} vertices, "
           f"{si.base.edge_count} edges, x={si.x}")
     return 0
 
 
 def cmd_spanner_verify(args) -> int:
-    g = parse_graph_text(Path(args.graph).read_text())
-    h = sp.parse_subset_text(Path(args.subset).read_text(), g)
+    g = parse_graph_text(Path(args.graph).read_bytes())
+    h = sp.parse_subset_text(Path(args.subset).read_bytes(), g)
     ok, witness = sp.verify_spanner(g, h, args.k)
     if ok:
         print(f"valid {args.k}-spanner ({len(h)} of {g.edge_count} edges)")
@@ -140,18 +142,18 @@ def cmd_spanner_verify(args) -> int:
 
 
 def cmd_spanner_greedy(args) -> int:
-    g = parse_graph_text(Path(args.graph).read_text())
+    g = parse_graph_text(Path(args.graph).read_bytes())
     h = sp.greedy_spanner(g, args.k)
-    Path(args.output).write_text(sp.write_subset_text(h))
+    _write_chunks(args.output, sp._subset_chunks(h))
     print(f"wrote {args.output}: {len(h)} of {g.edge_count} edges")
     return 0
 
 
 def cmd_spanner_from_cover(args) -> int:
     si = _build_gadget(args)
-    cover = parse_cover_text(Path(args.cover).read_text())
+    cover = parse_cover_text(Path(args.cover).read_bytes())
     h = sp.spanner_from_repcover(si, cover)
-    Path(args.output).write_text(sp.write_subset_text(h))
+    _write_chunks(args.output, sp._subset_chunks(h))
     bound = (args.k + 1) * si.x * si.n_tilde
     print(f"wrote {args.output}: {len(h)} edges (cover size {len(cover)}, "
           f"(k+1)*x*n_tilde = {bound})")
@@ -160,9 +162,9 @@ def cmd_spanner_from_cover(args) -> int:
 
 def cmd_cover_from_spanner(args) -> int:
     si = _build_gadget(args)
-    h = sp.parse_subset_text(Path(args.subset).read_text(), si.base)
+    h = sp.parse_subset_text(Path(args.subset).read_bytes(), si.base)
     cover = sp.repcover_from_spanner(si, h)
-    Path(args.output).write_text(write_cover_text(cover))
+    _write_chunks(args.output, [write_cover_text(cover).encode("ascii")])
     print(f"wrote {args.output}: {len(cover)} representatives "
           f"(6|H|/x = {6 * len(h) / si.x:.2f})")
     return 0
@@ -170,9 +172,9 @@ def cmd_cover_from_spanner(args) -> int:
 
 def cmd_make_proper(args) -> int:
     si = _build_gadget(args)
-    h = sp.parse_subset_text(Path(args.subset).read_text(), si.base)
+    h = sp.parse_subset_text(Path(args.subset).read_bytes(), si.base)
     proper = sp.make_proper(si, h)
-    Path(args.output).write_text(sp.write_subset_text(proper))
+    _write_chunks(args.output, sp._subset_chunks(proper))
     print(f"wrote {args.output}: {len(proper)} edges (input {len(h)}, bound {6 * len(h)})")
     return 0
 
@@ -182,7 +184,7 @@ def cmd_solve_lc_exact(args) -> int:
     opt, witness = oracles.lc_value_exact(lc, _budget_from_env(args))
     print(f"optimum {opt} ({opt.numerator}/{opt.denominator})")
     if args.output:
-        Path(args.output).write_text(write_labeling_text(witness))
+        _write_chunks(args.output, [write_labeling_text(witness).encode("ascii")])
         print(f"wrote witness {args.output}")
     return 0
 
@@ -193,17 +195,17 @@ def cmd_solve_cover_exact(args) -> int:
     size, cover = oracles.min_repcover_exact(mr, _budget_from_env(args))
     print(f"minimum REP-cover size {size}")
     if args.output:
-        Path(args.output).write_text(write_cover_text(cover))
+        _write_chunks(args.output, [write_cover_text(cover).encode("ascii")])
         print(f"wrote witness {args.output}")
     return 0
 
 
 def cmd_solve_spanner_exact(args) -> int:
-    g = parse_graph_text(Path(args.graph).read_text())
+    g = parse_graph_text(Path(args.graph).read_bytes())
     size, h = oracles.min_spanner_exact(g, args.k, _budget_from_env(args))
     print(f"minimum {args.k}-spanner size {size}")
     if args.output:
-        Path(args.output).write_text(sp.write_subset_text(h))
+        _write_chunks(args.output, sp._subset_chunks(h))
         print(f"wrote witness {args.output}")
     return 0
 
@@ -228,7 +230,7 @@ def cmd_stats(args) -> int:
     doc = pipeline.instance_stats(lc)
     text = json.dumps(doc, sort_keys=True, indent=1)
     if args.output:
-        Path(args.output).write_text(text)
+        _write_chunks(args.output, [text.encode("ascii")])
     print(text)
     return 0
 
@@ -384,7 +386,7 @@ def main(argv=None) -> int:
     # handler by name, looked up here: a patched or wrapped ``cmd_*`` runs.
     try:
         return globals()[args.handler](args)
-    except (InputError, UnicodeDecodeError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

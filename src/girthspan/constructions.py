@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import _decimals, _head_lines, _text_bytes
+from .graphs import _decimals, _head_lines
 from .labelcover import LabelCoverInstance, Labeling
 from .rng import Stream, child_seed
 
@@ -314,12 +314,12 @@ def write_formula_text(formula: Formula3Sat5, seed=None, planted=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_formula_text(text) -> Formula3Sat5:
-    """Parse the DIMACS-style formula text, given as str or as ASCII bytes."""
+def parse_formula_text(raw: bytes) -> Formula3Sat5:
+    """Parse the DIMACS-style formula text, given as the bytes of its file."""
     var_count = None
     clause_count = None
     clauses = []
-    lines, numbers, _ = _head_lines(_text_bytes(text))
+    lines, numbers, _ = _head_lines(raw)
     for no, ln in zip(numbers, lines):
         ln = ln.strip()
         if not ln or ln.startswith("c"):

@@ -375,10 +375,8 @@ def girth(g: Graph):
 # character, any non-ASCII character) is an InputError that names its line
 # and quotes its token.
 #
-# Every parser takes its text as str or as bytes and reads it as bytes
-# (``_text_bytes``): a str is encoded once, on entry.  Every offset below is
-# one in those bytes.  A check names the first fault in text order, and all
-# that precedes a fault is ASCII, so its offset is one in the str too.
+# Every parser takes its text as the bytes of its file, and every offset
+# below is one in those bytes.  A check names the first fault in text order.
 #
 # The kernels work one block at a time: ``_decimal_blocks`` renders
 # ``_WRITE_ROWS`` rows per block, and the body checks and ``_int_rows`` read
@@ -461,14 +459,6 @@ def _decimals(tokens, where: str) -> list:
     return list(map(int, tokens))
 
 
-def _text_bytes(text) -> bytes:
-    """A parser's input as bytes: bytes as they are, a str encoded once.  A
-    str that is not ASCII is encoded as UTF-8, lone surrogates included, so
-    that a check finds its first non-ASCII character as a non-ASCII byte and
-    ``_token_error`` quotes it as the str holds it."""
-    return text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
-
-
 def _line_number(raw: bytes, pos: int) -> int:
     """1-based number of the line holding byte offset ``pos``."""
     return len(_LINE_BREAK.findall(raw, 0, pos)) + 1
@@ -476,15 +466,12 @@ def _line_number(raw: bytes, pos: int) -> int:
 
 def _token_error(raw: bytes, pos: int, problem: str) -> InputError:
     """InputError naming the line of byte ``pos`` and quoting the
-    blank-separated token that holds it, decoded."""
+    blank-separated token that holds it, decoded as UTF-8 with every other
+    byte escaped."""
     lo = max(raw.rfind(c, 0, pos) for c in b" \t\n\r\v\f") + 1
     sep = _SEPARATOR.search(raw, pos)
-    token = raw[lo:sep.start() if sep else len(raw)]
-    try:
-        quoted = token.decode("utf-8", "surrogatepass")
-    except UnicodeDecodeError:          # bytes that no str encodes to
-        quoted = token.decode("utf-8", "backslashreplace")
-    return InputError(f"line {_line_number(raw, pos)}: {quoted!r} {problem}")
+    token = raw[lo:sep.start() if sep else len(raw)].decode("utf-8", "backslashreplace")
+    return InputError(f"line {_line_number(raw, pos)}: {token!r} {problem}")
 
 
 def _head_lines(raw: bytes, count: int | None = None,
@@ -618,17 +605,15 @@ def _decimal_values(data: bytes, count: int, tagged: bool = True) -> np.ndarray:
     return values
 
 
-def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
-              count: int | None = None, tags: str = "", below: int | None = None) -> tuple:
+def _int_rows(raw: bytes, start: int, what: str, width: int, count: int | None = None,
+              tags: str = "", below: int | None = None) -> tuple:
     """Tokenize the body ``raw[start:]``, which begins a line, by the policy
     above.
 
-    Returns (values, first, tag).  Row r is the r-th nonblank line: its
-    integers are ``values[first[r]:first[r + 1]]`` and ``tag[r]`` is its tag
-    letter as a byte (0 for none; ``tags`` holds the format's letters).
-    ``count``, when given, is the declared number of rows and ``width`` the
-    number of integers every row holds; with a ``width``, ``first`` is None:
-    row r's integers are then ``values[r * width:(r + 1) * width]``.  An
+    Returns (values, tag).  Row r is the r-th nonblank line: it holds
+    ``width`` integers, ``values[r * width:(r + 1) * width]``, and ``tag[r]``
+    is its tag letter as a byte (0 for none; ``tags`` holds the format's
+    letters).  ``count``, when given, is the declared number of rows.  An
     error about row r names the line of ``_row_offset``.
 
     The body is checked, then tokenized and decoded one block at a time.  A
@@ -636,22 +621,22 @@ def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
     after the last block, in a fixed order: the body checks, the row count,
     the first row of the wrong width, then the first token of the most
     digits, if that is over 18.  Values are decoded while no fault is seen,
-    into one array sized from ``count`` and ``width`` when both are given.
+    into one array sized from ``count`` and ``width`` when ``count`` is given.
 
-    With ``below`` (and a ``width`` and ``count``), the values are a list
-    of ``width`` int32 arrays, column j of every row in the j-th.  A block's
-    int64 values are narrowed only once they are all below ``below``; values
-    is None when one is not, and that fault is the caller's to name.
+    With ``below`` (and a ``count``), the values are a list of ``width``
+    int32 arrays, column j of every row in the j-th.  A block's int64 values
+    are narrowed only once they are all below ``below``; values is None when
+    one is not, and that fault is the caller's to name.
     """
     at = _check_body(raw, start, tags)
-    fixed = width is not None and count is not None and count * width <= len(raw)
+    fixed = count is not None and count * width <= len(raw)
     in_range = True
     if below is None:
         values = np.empty(count * width if fixed else 0, dtype=np.int64)
     else:
         values = [np.empty(count if fixed else 0, dtype=np.int32) for _ in range(width)]
         in_range = fixed        # a text too short for ``count`` rows fails the count check
-    parts, tag_parts, count_parts = [], [], []
+    parts, tag_parts = [], []
     rows = done = longest = 0
     wrong_at = longest_at = None
     for lo, block, block_at in _line_blocks(raw, start, at):
@@ -666,9 +651,7 @@ def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
         tag_parts.append(np.where(tagged, lead, 0).astype(np.uint8))
         # A tag is the first token of its row; the row's other tokens are integers.
         counts = np.diff(heads, append=starts.size) - tagged
-        if width is None:
-            count_parts.append(counts)
-        elif wrong_at is None and (counts != width).any():
+        if wrong_at is None and (counts != width).any():
             wrong_at = lo + int(starts[heads[(counts != width).argmax()]])
         rows += heads.size
         total = int(counts.sum())
@@ -696,10 +679,7 @@ def _int_rows(raw: bytes, start: int, what: str, width: int | None = None,
         values = None
     elif not fixed and parts:
         values = np.concatenate(parts)
-    first = None
-    if width is None:
-        first = np.append(0, np.cumsum(np.concatenate([np.zeros(0, np.int64), *count_parts])))
-    return values, first, np.concatenate([np.zeros(0, np.uint8), *tag_parts])
+    return values, np.concatenate([np.zeros(0, np.uint8), *tag_parts])
 
 
 def _row_offset(raw: bytes, start: int, row: int, tags: str = "") -> int:
@@ -737,9 +717,8 @@ def write_graph_text(g: Graph) -> str:
     return b"".join(_graph_chunks(g)).decode("ascii")
 
 
-def parse_graph_text(text) -> Graph:
-    """Parse GRAPH v1 text, given as str or as ASCII bytes."""
-    raw = _text_bytes(text)
+def parse_graph_text(raw: bytes) -> Graph:
+    """Parse GRAPH v1 text, given as the bytes of its file."""
     lines, _, start = _head_lines(raw, 2)
     if not lines or lines[0].strip() != "GRAPH v1":
         raise InputError("missing GRAPH v1 header")
@@ -750,7 +729,7 @@ def parse_graph_text(text) -> Graph:
         raise InputError(f"line 2: bad size line: {lines[1]!r}")
     n, m = _decimals(parts[1::2], "line 2")
     _check_declared("line 2", "N", n)
-    ends, _, _ = _int_rows(raw, start, "edge", width=2, count=m, below=n)
+    ends, _ = _int_rows(raw, start, "edge", width=2, count=m, below=n)
     if ends is None or not _canonical(n, *ends):
         raise _graph_fault(raw, start, n, m)
     return Graph._from_canonical(n, *ends)
@@ -760,7 +739,7 @@ def _graph_fault(raw: bytes, start: int, n: int, m: int) -> InputError:
     """The first fault of a GRAPH v1 body whose edges tokenize but are not
     canonical, naming its line.  The body is decoded again, in int64, so a
     value too large for int32 is seen as it is written."""
-    values, _, _ = _int_rows(raw, start, "edge", width=2, count=m)
+    values, _ = _int_rows(raw, start, "edge", width=2, count=m)
     eu, ev = values[0::2], values[1::2]
     du, dv = np.diff(eu), np.diff(ev)
     for bad, message in [

@@ -24,8 +24,8 @@ from .errors import InputError
 from .graphs import (_MAX_DIGITS, _NO_TAGS, _NOT_DECIMAL, _READ_BYTES, _WRITE_ROWS, Graph,
                      _check_body, _check_declared, _decimal_block, _decimal_text,
                      _decimal_values, _decimals, _head_lines, _int_rows, _is_break,
-                     _line_number, _rising, _row_offset, _sorted_distinct, _text_bytes,
-                     _token_error, _token_rows)
+                     _line_number, _rising, _row_offset, _sorted_distinct, _token_error,
+                     _token_rows)
 
 
 class LabelCoverInstance:
@@ -403,10 +403,9 @@ def _line_ends(data: bytes) -> np.ndarray:
     return np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
 
 
-def parse_lc_text(text) -> LabelCoverInstance:
-    """Parse LC v1 text, given as str or as ASCII bytes, at the cost of its
+def parse_lc_text(raw: bytes) -> LabelCoverInstance:
+    """Parse LC v1 text, given as the bytes of its file, at the cost of its
     distinct relation blocks (see ``_lc_body``)."""
-    raw = _text_bytes(text)
     lines, numbers, start = _head_lines(raw, 2, skip_blank=True)
     if not lines or lines[0] != "LC v1":
         raise InputError("missing LC v1 header")
@@ -673,23 +672,22 @@ def write_cover_text(cover: RepCover) -> str:
     return "\n".join(out) + "\n"
 
 
-def _member_rows(text, header: str, what: str) -> tuple:
-    """The ``<A|B> <vertex> <symbol>`` lines of a COVER v1 or LABEL v1 text,
-    str or bytes, as arrays: (side is A, vertex, symbol)."""
-    raw = _text_bytes(text)
+def _member_rows(raw: bytes, header: str, what: str) -> tuple:
+    """The ``<A|B> <vertex> <symbol>`` lines of the bytes of a COVER v1 or
+    LABEL v1 text, as arrays: (side is A, vertex, symbol)."""
     lines, _, start = _head_lines(raw, 1, skip_blank=True)
     if not lines or lines[0] != header:
         raise InputError(f"missing {header} header")
-    values, _, tag = _int_rows(raw, start, what, width=2, tags="AB")
+    values, tag = _int_rows(raw, start, what, width=2, tags="AB")
     if not tag.all():
         pos = _row_offset(raw, start, int(tag.argmin()), "AB")
         raise InputError(f"line {_line_number(raw, pos)}: {what} line must start with A or B")
     return tag == ord("A"), values[0::2], values[1::2]
 
 
-def parse_cover_text(text) -> RepCover:
-    """Parse COVER v1 text, given as str or as ASCII bytes."""
-    is_a, vertex, symbol = _member_rows(text, "COVER v1", "cover")
+def parse_cover_text(raw: bytes) -> RepCover:
+    """Parse COVER v1 text, given as the bytes of its file."""
+    is_a, vertex, symbol = _member_rows(raw, "COVER v1", "cover")
     return RepCover.of(zip(np.where(is_a, "A", "B").tolist(), vertex.tolist(),
                            symbol.tolist()))
 
@@ -701,9 +699,9 @@ def write_labeling_text(lab: Labeling) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_labeling_text(text, lc: LabelCoverInstance) -> Labeling:
-    """Parse LABEL v1 text, given as str or as ASCII bytes, for ``lc``."""
-    is_a, vertex, symbol = _member_rows(text, "LABEL v1", "labeling")
+def parse_labeling_text(raw: bytes, lc: LabelCoverInstance) -> Labeling:
+    """Parse LABEL v1 text, given as the bytes of its file, for ``lc``."""
+    is_a, vertex, symbol = _member_rows(raw, "LABEL v1", "labeling")
     gammas = []
     for side, count in ((is_a, lc.a_count), (~is_a, lc.b_count)):
         order = np.argsort(vertex[side])

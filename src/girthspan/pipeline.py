@@ -56,8 +56,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     object it was written from; a false entry raises AssertionError after
     stats.json is written.
 
-    Every artifact moves as ASCII bytes: its text is streamed to its file
-    in bounded chunks (``_graph_chunks``, ``_lc_chunks``,
+    Every artifact moves as ASCII bytes: ``_write_chunks`` streams its
+    text to its file in bounded chunks (``_graph_chunks``, ``_lc_chunks``,
     ``spanner._subset_chunks``; a small format as one chunk), and the
     self-audit parses the bytes read back, so no artifact is held whole as
     a str or as a joined copy.  Writing the gadget's GRAPH chunks hashes
@@ -227,20 +227,26 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         del si
         outdir.mkdir(parents=True, exist_ok=True)
         for _, filename, obj, chunks, _ in artifacts:
-            with open(outdir / filename, "wb") as out:
-                out.writelines(chunks(obj))
-    # Files are written and read as bytes, so no artifact is held whole as a
-    # str, and its bytes are the same on every platform.
+            _write_chunks(outdir / filename, chunks(obj))
     with timed("self_audit"):
         report["self_audit"] = {key: parser((outdir / filename).read_bytes()) == obj
                                 for key, filename, obj, _, parser in artifacts}
     timings["total"] = time.perf_counter() - t_start
     report["wall_clock_s"] = {k_: round(v, 6) for k_, v in timings.items()}
     report["peak_rss_mb"] = _peak_rss_mb()
-    (outdir / "stats.json").write_text(json.dumps(report, sort_keys=True, indent=1))
+    _write_chunks(outdir / "stats.json",
+                  [json.dumps(report, sort_keys=True, indent=1).encode("ascii")])
     if not all(report["self_audit"].values()):
         raise AssertionError(f"self audit failed: {report['self_audit']}")
     return report
+
+
+def _write_chunks(path, chunks) -> None:
+    """Write an artifact's byte chunks to ``path``: the one way the pipeline
+    and the CLI write a file.  They read files with ``read_bytes``, so no
+    text passes through a str codec or a newline translation."""
+    with open(path, "wb") as out:
+        out.writelines(chunks)
 
 
 def _one_chunk(writer):
@@ -257,7 +263,7 @@ def _peak_rss_mb() -> float:
 
 def rebuild_gadget(lc_path, k, x_override=None, allow_small_supergirth=False):
     """Deterministically rebuild the gadget from a stripped LC artifact."""
-    lc = parse_lc_text(Path(lc_path).read_text())
+    lc = parse_lc_text(Path(lc_path).read_bytes())
     minrep = lcm.minrep_expand(lc)
     return sp.build_spanner_instance(minrep, k, x_override=x_override,
                                      allow_small_supergirth=allow_small_supergirth)

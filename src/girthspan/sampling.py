@@ -1,5 +1,4 @@
-"""Edge subsampling, bad-edge detection, short-cycle stripping, and the
-Monte Carlo harness around them.
+"""Edge subsampling, bad-edge detection and short-cycle stripping.
 
 The keep probability is p = alpha * log2(sigma_a) / d.  The log base is
 pinned to 2 and p > 1 clamps to 1 (with a recorded flag) since desk-scale
@@ -17,8 +16,8 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import INFINITY, edge_cycle_length
-from .labelcover import LabelCoverInstance, Labeling, _satisfied_mask, supergraph
-from .rng import child_seed, draws_array, keep_threshold
+from .labelcover import LabelCoverInstance, supergraph
+from .rng import draws_array, keep_threshold
 
 
 @dataclass(frozen=True)
@@ -102,48 +101,3 @@ def _side_degrees(counts: np.ndarray) -> dict:
 def degree_stats(lc: LabelCoverInstance) -> tuple[dict, dict]:
     """Exact supergraph degrees per side: dicts of minimum, mean and maximum."""
     return _side_degrees(lc.degrees_a()), _side_degrees(lc.degrees_b())
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    mean: float
-    std_error: float
-    trials: int
-    probability: float
-    per_trial: tuple
-
-
-def montecarlo_satisfied(lc: LabelCoverInstance, lab: Labeling,
-                         params: SampleParams, trials: int) -> MonteCarloResult:
-    """Empirical mean of the satisfied-superedge count over seeded trials.
-
-    Trial t draws from the substream (seed, "trial", t); trials are
-    schedule-independent and embarrassingly parallel.
-    """
-    return _montecarlo(lc, params, trials, _satisfied_mask(lc, lab))
-
-
-def montecarlo_kept_edges(lc: LabelCoverInstance, params: SampleParams,
-                          trials: int) -> MonteCarloResult:
-    """Empirical mean of the kept-superedge count over seeded trials."""
-    return _montecarlo(lc, params, trials, np.ones(lc.edge_count, dtype=bool))
-
-
-def _montecarlo(lc: LabelCoverInstance, params: SampleParams, trials: int,
-                counted: np.ndarray) -> MonteCarloResult:
-    """Per trial, the number of kept superedges among those marked in ``counted``."""
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    p = keep_probability(lc, params)
-    threshold = keep_threshold(p)
-    counts = []
-    for t in range(trials):
-        kept = counted
-        if threshold is not None:
-            draws = draws_array(child_seed(params.seed, "trial", t), lc.edge_count)
-            kept = kept & (draws < np.uint64(threshold))
-        counts.append(int(np.count_nonzero(kept)))
-    arr = np.array(counts, dtype=np.float64)
-    mean = float(arr.mean())
-    std_error = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MonteCarloResult(mean, std_error, trials, p, tuple(counts))

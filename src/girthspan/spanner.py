@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import (Graph, INFINITY, _canonical, _decimal_blocks, _head_lines, _hops,
-                     _int_rows, _line_number, _row_offset, _sorted_distinct, _text_bytes,
+                     _int_rows, _line_number, _row_offset, _sorted_distinct,
                      _vertex_count, girth, graph_sha256)
 from .labelcover import (MinRepInstance, RepCover, _lc_chunks, _relation_slots, repcover_valid,
                          supergraph)
@@ -556,9 +556,9 @@ def _subset_chunks(h: EdgeSubset):
     yield from _decimal_blocks([h.members])
 
 
-def parse_subset_text(text, host: Graph) -> EdgeSubset:
-    """Parse SUBSET v1 text, str or ASCII bytes, over the graph ``host``."""
-    raw = _text_bytes(text)
+def parse_subset_text(raw: bytes, host: Graph) -> EdgeSubset:
+    """Parse SUBSET v1 text, given as the bytes of its file, over the graph
+    ``host``."""
     lines, _, start = _head_lines(raw, 2, skip_blank=True)
     if not lines or lines[0] != "SUBSET v1":
         raise InputError("missing SUBSET v1 header")
@@ -566,7 +566,7 @@ def parse_subset_text(text, host: Graph) -> EdgeSubset:
         raise InputError("missing HOST hash line")
     if lines[1].split("sha256:", 1)[1] != graph_sha256(host):
         raise InputError("subset host hash does not match the given graph")
-    ids, _, _ = _int_rows(raw, start, "edge id", width=1)
+    ids, _ = _int_rows(raw, start, "edge id", width=1)
     unsorted = ids[1:] <= ids[:-1]
     if unsorted.any():
         row = int(unsorted.argmax()) + 1

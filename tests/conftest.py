@@ -1,4 +1,6 @@
+import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 
 from girthspan.errors import InputError
 from girthspan.graphs import Graph
-from girthspan.labelcover import LabelCoverInstance
-from girthspan.rng import Stream
+from girthspan.labelcover import LabelCoverInstance, Labeling, _satisfied_mask
+from girthspan.rng import Stream, child_seed, draws_array, keep_threshold
+from girthspan.sampling import SampleParams, keep_probability
 from girthspan.spanner import EdgeSubset
 
 
@@ -187,29 +190,19 @@ def as_bytes(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def parse_both(parse, text: str):
-    """``parse`` of ``text`` and of its bytes: the parse, asserted equal for
-    both, or None if both raise an InputError, with one message."""
-    outcomes = []
-    for given in (text, as_bytes(text)):
-        try:
-            outcomes.append(("parsed", parse(given)))
-        except InputError as exc:
-            outcomes.append(("rejected", str(exc)))
-    assert outcomes[0] == outcomes[1], f"str and bytes parse differently: {text!r}"
-    return outcomes[0][1] if outcomes[0][0] == "parsed" else None
+def parse_or_none(parse, text: str):
+    """``parse`` of the bytes of ``text``, or None if it raises an InputError."""
+    try:
+        return parse(as_bytes(text))
+    except InputError:
+        return None
 
 
 def rejection(parse, text: str) -> str:
-    """The message of the InputError ``parse`` raises on ``text``, asserted
-    the same for its bytes."""
-    messages = []
-    for given in (text, as_bytes(text)):
-        with pytest.raises(InputError) as exc:
-            parse(given)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1], f"str and bytes errors differ: {text!r}"
-    return messages[0]
+    """The message of the InputError ``parse`` raises on the bytes of ``text``."""
+    with pytest.raises(InputError) as exc:
+        parse(as_bytes(text))
+    return str(exc.value)
 
 
 def parse_outcome(parse, text):
@@ -221,11 +214,11 @@ def parse_outcome(parse, text):
 
 
 def check_mutant(parse, reference, text, narrowed=narrowed_spelling) -> str:
-    """Assert ``parse`` agrees with ``reference`` on ``text``, given as str
-    and as bytes (``parse_both``); returns the case seen.  ``parse`` may reject a text the reference accepts only where
-    ``narrowed(text)`` holds."""
+    """Assert ``parse`` of the bytes of ``text`` agrees with ``reference``
+    of the str; returns the case seen.  ``parse`` may reject a text the
+    reference accepts only where ``narrowed(text)`` holds."""
     expected = parse_outcome(reference, text)
-    got = parse_both(parse, text)
+    got = parse_or_none(parse, text)
     if expected is not None and got is None:
         assert narrowed(text), f"rejected a text the reference accepts: {text!r}"
         return "narrowed"
@@ -328,3 +321,50 @@ def vertex_role(si, v: int) -> tuple:
     tower, level = divmod(v - si._t_offset, si.k_b)
     p, j = divmod(tower, lc.b_count)
     return ("T", j, level + 1, p)
+
+
+# --- Monte Carlo harness over the subsampling draws ----------------------------
+
+@dataclass(frozen=True)
+class MonteCarloResult:
+    mean: float
+    std_error: float
+    trials: int
+    probability: float
+    per_trial: tuple
+
+
+def montecarlo_satisfied(lc: LabelCoverInstance, lab: Labeling,
+                         params: SampleParams, trials: int) -> MonteCarloResult:
+    """Empirical mean of the satisfied-superedge count over seeded trials.
+
+    Trial t draws from the substream (seed, "trial", t); trials are
+    schedule-independent and embarrassingly parallel.
+    """
+    return _montecarlo(lc, params, trials, _satisfied_mask(lc, lab))
+
+
+def montecarlo_kept_edges(lc: LabelCoverInstance, params: SampleParams,
+                          trials: int) -> MonteCarloResult:
+    """Empirical mean of the kept-superedge count over seeded trials."""
+    return _montecarlo(lc, params, trials, np.ones(lc.edge_count, dtype=bool))
+
+
+def _montecarlo(lc: LabelCoverInstance, params: SampleParams, trials: int,
+                counted: np.ndarray) -> MonteCarloResult:
+    """Per trial, the number of kept superedges among those marked in ``counted``."""
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    p = keep_probability(lc, params)
+    threshold = keep_threshold(p)
+    counts = []
+    for t in range(trials):
+        kept = counted
+        if threshold is not None:
+            draws = draws_array(child_seed(params.seed, "trial", t), lc.edge_count)
+            kept = kept & (draws < np.uint64(threshold))
+        counts.append(int(np.count_nonzero(kept)))
+    arr = np.array(counts, dtype=np.float64)
+    mean = float(arr.mean())
+    std_error = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return MonteCarloResult(mean, std_error, trials, p, tuple(counts))

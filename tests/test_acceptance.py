@@ -21,7 +21,8 @@ from girthspan.labelcover import (LabelCoverInstance, Labeling,
 from girthspan.rng import Stream, child_seed, draws_array, keep_threshold
 
 from conftest import (complete_graph, cycle_graph, family_ids, full_subset, make_lc,
-                      path_lc_tiny, random_graph, random_tiny_lc, xor_odd_4cycle)
+                      montecarlo_kept_edges, montecarlo_satisfied, path_lc_tiny, random_graph,
+                      random_tiny_lc, xor_odd_4cycle)
 
 
 @contextmanager
@@ -244,7 +245,7 @@ def test_criterion_7_sampling_statistics():
         # (a) kept-edge mean over 10,000 trials on the 15-regular instance
         lc15 = regular15(1)
         params = sampling.SampleParams(alpha=2.0, k=3, seed=child_seed(1, "c7a"))
-        res = sampling.montecarlo_kept_edges(lc15, params, trials=10_000)
+        res = montecarlo_kept_edges(lc15, params, trials=10_000)
         assert abs(res.mean - res.probability * lc15.edge_count) <= 3 * res.std_error
 
         # (b) satisfied-count mean for a fixed labeling, 10,000 trials
@@ -252,7 +253,7 @@ def test_criterion_7_sampling_statistics():
         sat = satisfied_count(lc15, lab)
         assert 0 < sat < lc15.edge_count
         params_b = sampling.SampleParams(alpha=2.0, k=3, seed=child_seed(2, "c7b"))
-        res_b = sampling.montecarlo_satisfied(lc15, lab, params_b, trials=10_000)
+        res_b = montecarlo_satisfied(lc15, lab, params_b, trials=10_000)
         assert abs(res_b.mean - res_b.probability * sat) <= 3 * res_b.std_error
 
         # (c) degree concentration: 512-regular bipartite, alpha*log2(sigma) = 64
@@ -347,7 +348,7 @@ def test_criterion_9_determinism(tmp_path):
         # in isolation (here: reversed order) reproduces the same counts.
         lc15 = regular15(4)
         params = sampling.SampleParams(alpha=1.0, k=3, seed=child_seed(7, "c9"))
-        res = sampling.montecarlo_kept_edges(lc15, params, trials=30)
+        res = montecarlo_kept_edges(lc15, params, trials=30)
         thr = keep_threshold(res.probability)
         recomputed = []
         for t in reversed(range(30)):

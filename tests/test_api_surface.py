@@ -1,4 +1,5 @@
-"""Every public function, class and method of ``girthspan`` has a caller.
+"""Every public function, class and method of ``girthspan`` has a caller,
+and every file the package reads or writes moves as bytes.
 
 A public name (no leading underscore) defined at module level, or as a
 method of a public class, must be referenced somewhere in the package's own
@@ -7,6 +8,10 @@ code, as an AST name or an attribute, or be a function the benchmark traces
 the benchmark reaches is surface with no caller; it goes, or it is listed in
 ``ALLOWED`` with the reason it stays.  An entry whose name gains a caller
 leaves ``ALLOWED``.
+
+No module calls ``read_text`` or ``write_text`` or opens a file in text
+mode: every artifact is read with ``read_bytes`` and written as byte chunks,
+so no text passes through a locale codec or a newline translation.
 """
 
 import ast
@@ -20,8 +25,6 @@ ALLOWED = {
     "oracles.spans_all_pairs": "test oracle: the direct all-pairs stretch check",
     "rng.draw": "test reference for the vectorised draws_array",
     "rng.Stream.random": "test helper: uniform floats for random tiny instances",
-    "sampling.montecarlo_satisfied": "Monte Carlo harness, ROADMAP item 3",
-    "sampling.montecarlo_kept_edges": "Monte Carlo harness, ROADMAP item 3",
 }
 
 
@@ -89,3 +92,40 @@ def test_allowlist_names_have_no_caller():
     stale = sorted(name for name in ALLOWED
                    if name.rsplit(".", 1)[-1] in referenced or name in traced)
     assert not stale, f"ALLOWED lists names that now have a caller: {stale}"
+
+
+def text_io_calls(trees) -> list:
+    """``module:line call`` of every ``read_text``/``write_text`` call and
+    every ``open`` whose mode is not binary (a missing mode is text)."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (node.func.attr if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", None))
+            if name in ("read_text", "write_text"):
+                found.append(f"{module}:{node.lineno} {name}")
+            elif name == "open":
+                # Path.open takes the mode first; open() takes the path first.
+                first = 0 if isinstance(node.func, ast.Attribute) else 1
+                modes = node.args[first:first + 1] + [k.value for k in node.keywords
+                                                       if k.arg == "mode"]
+                if not any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes):
+                    found.append(f"{module}:{node.lineno} open")
+    return found
+
+
+def test_no_text_mode_file_io():
+    trees = _trees()
+    assert {"cli", "pipeline"} <= trees.keys()
+    found = text_io_calls(trees)
+    assert not found, f"text-mode file I/O in src/: {found}"
+
+
+def test_text_io_finder_sees_each_form():
+    tree = ast.parse("p.read_text()\nq.write_text(s)\nopen(f)\nopen(f, 'w')\n"
+                     "p.open()\np.open(mode='r')\nopen(f, 'wb')\np.open('rb')\n"
+                     "p.read_bytes()\n")
+    assert text_io_calls({"m": tree}) == [
+        "m:1 read_text", "m:2 write_text", "m:3 open", "m:4 open", "m:5 open", "m:6 open"]

@@ -81,7 +81,7 @@ CNF_CMD = ["lc-from-3sat", "-i", "{bad}", "-o", "{out}"]
     pytest.param(CNF_CMD, "p cnf three 1\n1 2 3 0\n", 1, id="cnf-problem-token"),
     pytest.param(CNF_CMD, "c note\np cnf 3 1\n1 -2 3.0 0\n", 3, id="cnf-literal-token"),
     pytest.param(CNF_CMD, "p cnf 3 1\n1 - 3 0\n", 2, id="cnf-bare-sign"),
-    pytest.param(GRAPH_CMD, b"GRAPH v1\nN 2 M 1\n0 \xff\n", None, id="not-utf8"),
+    pytest.param(GRAPH_CMD, b"GRAPH v1\nN 2 M 1\n0 \xff\n", 3, id="not-utf8"),
     # header sizes numpy refuses at once; checked before any array is sized
     pytest.param(GRAPH_CMD, "GRAPH v1\nN 100000000000000000 M 0\n", 2, id="graph-huge-n"),
     pytest.param(["stats", "-i", "{bad}"], "LC v1\nA 100000000000000000 B 1 SA 1 SB 1 M 0\n", 2,
@@ -106,6 +106,33 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, bad, line):
     assert err.startswith("I/O error: " if bad is None else "input error: ")
     if line is not None:
         assert f"line {line}:" in err
+
+
+def test_crlf_inputs_read_as_lf_inputs(tmp_path, capsys):
+    """strip-cycles and spanner-verify, passing and failing, on inputs whose
+    lines end in \\r\\n: the same exit codes, stdout and output bytes as on
+    the same inputs ended in \\n."""
+    g = cycle_graph(4)
+    texts = {"in.lc": write_lc_text(cons.regularize(cons.lc_from_3sat5(cons.gen_3sat5(3, 1)))),
+             "c4.graph": write_graph_text(g),
+             "h.subset": write_subset_text(EdgeSubset(g, [0, 1, 2]))}
+    results = []
+    for name, newline in [("lf", "\n"), ("crlf", "\r\n")]:
+        d = tmp_path / name
+        d.mkdir()
+        for filename, text in texts.items():
+            (d / filename).write_bytes(text.replace("\n", newline).encode("ascii"))
+        outcome = []
+        for argv in [["strip-cycles", "-i", d / "in.lc", "--k", 4, "-o", d / "out.lc"],
+                     *[["spanner-verify", "--graph", d / "c4.graph", "--subset", d / "h.subset",
+                        "--k", k] for k in (3, 2)]]:
+            rc = run(argv)
+            outcome.append((rc, capsys.readouterr().out.replace(str(d), "<dir>")))
+        results.append((outcome, (d / "out.lc").read_bytes()))
+    assert b"\r" in (tmp_path / "crlf" / "in.lc").read_bytes()
+    assert results[0] == results[1]
+    assert [rc for rc, _ in results[0][0]] == [0, 0, 1]
+    assert "removed 0 " not in results[0][0][0][1]
 
 
 def test_unwritable_output_is_an_io_error(tmp_path, capsys):
@@ -460,18 +487,18 @@ def test_pipeline_artifacts_round_trip(tmp_path):
     # reported sizes match artifact recomputation
     from girthspan.labelcover import parse_lc_text
     from girthspan.sampling import bad_edges
-    stripped = parse_lc_text((out / "stripped.lc").read_text())
+    stripped = parse_lc_text((out / "stripped.lc").read_bytes())
     trace = {s["name"]: s for s in report["trace"]["stages"]}
     assert trace["strip_cycles"]["sizes"]["superedges"] == stripped.edge_count
     girth_rec = trace["strip_cycles"]["sizes"]["supergirth"]
     assert girth_rec == "infinity" or girth_rec > 4
-    sampled = parse_lc_text((out / "sampled.lc").read_text())
+    sampled = parse_lc_text((out / "sampled.lc").read_bytes())
     assert report["sample_stats"]["bad_edge_count"] == len(bad_edges(sampled, 4))
     # the distinct relation blocks of each LC artifact, one CSR row apiece
     for stage, name in [("lc_from_3sat5", "base"), ("regularize", "regular"),
                         ("parallel_repetition", "repeated"), ("subsample", "sampled"),
                         ("strip_cycles", "stripped")]:
-        parsed = parse_lc_text((out / f"{name}.lc").read_text())
+        parsed = parse_lc_text((out / f"{name}.lc").read_bytes())
         assert trace[stage]["sizes"]["relations"] == parsed.relation_arrays()[0].size - 1
 
 

@@ -213,14 +213,14 @@ def test_formula_round_trip():
     f = cons.gen_3sat5(6, seed=1, planted=(True, False) * 3)
     text = cons.write_formula_text(f, seed=1, planted=(True, False) * 3)
     assert text.startswith("c 3sat5 seed=1 planted=101010\n")
-    assert cons.parse_formula_text(text) == f
+    assert cons.parse_formula_text(text.encode("ascii")) == f
 
 
 def test_formula_parse_rejections():
     with pytest.raises(InputError):
-        cons.parse_formula_text("p cnf 3 1\n1 2 0\n")
+        cons.parse_formula_text(b"p cnf 3 1\n1 2 0\n")
     with pytest.raises(InputError):
-        cons.parse_formula_text("1 2 3 0\n")
+        cons.parse_formula_text(b"1 2 3 0\n")
 
 
 def parse_formula_text_per_line(text):
@@ -269,7 +269,7 @@ def test_formula_comment_is_printable_ascii(comment):
     text = comment + "\n" + cons.write_formula_text(cons.gen_3sat5(3, seed=1))
     assert parse_formula_text_per_line(text) is not None
     with pytest.raises(InputError, match="line 1:"):
-        cons.parse_formula_text(text)
+        cons.parse_formula_text(text.encode("utf-8"))
 
 
 def test_formula_parser_matches_per_line_reference_on_mutants():

@@ -9,7 +9,7 @@ from girthspan.graphs import INFINITY, Graph, bfs_distances, edge_cycle_length, 
 from girthspan.labelcover import Labeling, satisfied_count, supergraph, value
 from girthspan.rng import Stream
 
-from conftest import make_lc, random_tiny_lc
+from conftest import make_lc, montecarlo_kept_edges, montecarlo_satisfied, random_tiny_lc
 
 
 def c6_lc():
@@ -100,7 +100,7 @@ def test_subsample_completeness_preserved():
 def test_kept_edge_mean_matches_binomial():
     lc = regular15_lc()
     params = sampling.SampleParams(alpha=2.0, k=3, seed=11)
-    res = sampling.montecarlo_kept_edges(lc, params, trials=2000)
+    res = montecarlo_kept_edges(lc, params, trials=2000)
     expect = res.probability * lc.edge_count
     assert abs(res.mean - expect) <= 3 * max(res.std_error, 1e-9)
 
@@ -183,11 +183,11 @@ def test_montecarlo_satisfied_zero_and_full():
     zero_lab = Labeling((0, 0, 0), (1, 1, 1))   # (0,1) not in any relation
     assert satisfied_count(lc, zero_lab) == 0
     params = sampling.SampleParams(alpha=1.0, k=3, seed=3)
-    res = sampling.montecarlo_satisfied(lc, zero_lab, params, trials=50)
+    res = montecarlo_satisfied(lc, zero_lab, params, trials=50)
     assert res.mean == 0.0
     full = sampling.SampleParams(alpha=100.0, k=3, seed=3)
     ident = Labeling((0, 0, 0), (0, 0, 0))
-    res = sampling.montecarlo_satisfied(lc, ident, full, trials=10)
+    res = montecarlo_satisfied(lc, ident, full, trials=10)
     assert res.mean == satisfied_count(lc, ident) == 6
 
 
@@ -201,7 +201,7 @@ def test_montecarlo_satisfied_quarter_probability():
     assert satisfied_count(lc, lab) == 100
     params = sampling.SampleParams(alpha=4.0, k=3, seed=13, d_override=32)
     assert sampling.keep_probability(lc, params) == 0.25
-    res = sampling.montecarlo_satisfied(lc, lab, params, trials=10_000)
+    res = montecarlo_satisfied(lc, lab, params, trials=10_000)
     assert res.probability == 0.25
     assert abs(res.mean - 25.0) <= 3 * res.std_error
 
@@ -212,7 +212,7 @@ def test_montecarlo_satisfied_binomial_mean():
     sat = satisfied_count(lc, lab)
     assert sat > 0
     params = sampling.SampleParams(alpha=2.0, k=3, seed=9)
-    res = sampling.montecarlo_satisfied(lc, lab, params, trials=2000)
+    res = montecarlo_satisfied(lc, lab, params, trials=2000)
     assert abs(res.mean - res.probability * sat) <= 3 * max(res.std_error, 1e-9)
 
 
@@ -222,7 +222,7 @@ def test_trials_are_schedule_independent():
 
     lc = regular15_lc()
     params = sampling.SampleParams(alpha=1.0, k=3, seed=17)
-    res = sampling.montecarlo_kept_edges(lc, params, trials=20)
+    res = montecarlo_kept_edges(lc, params, trials=20)
     thr = keep_threshold(res.probability)
     singles = []
     for t in reversed(range(20)):

@@ -729,14 +729,14 @@ def test_subset_round_trip():
     h = sp.EdgeSubset(g, [0, 3])
     text = sp.write_subset_text(h)
     assert text.startswith("SUBSET v1\nHOST sha256:")
-    assert sp.parse_subset_text(text, g) == h
+    assert sp.parse_subset_text(text.encode("ascii"), g) == h
 
 
 def test_subset_host_hash_mismatch():
     g = cycle_graph(5)
     text = sp.write_subset_text(sp.EdgeSubset(g, [0]))
     with pytest.raises(InputError):
-        sp.parse_subset_text(text, cycle_graph(6))
+        sp.parse_subset_text(text.encode("ascii"), cycle_graph(6))
 
 
 def test_subset_validation():
@@ -744,7 +744,7 @@ def test_subset_validation():
     with pytest.raises(InputError):
         sp.EdgeSubset(g, [99])
     with pytest.raises(InputError):
-        sp.parse_subset_text("SUBSET v1\nHOST sha256:wrong\n0\n", g)
+        sp.parse_subset_text(b"SUBSET v1\nHOST sha256:wrong\n0\n", g)
 
 
 @pytest.mark.parametrize("bad", ["zero", "+1", "1_0", "-0", "1 2", "\u0661"])
@@ -752,7 +752,7 @@ def test_subset_rejects_non_decimal_ids_with_line(bad):
     g = cycle_graph(12)
     text = sp.write_subset_text(sp.EdgeSubset(g, [0])) + "\n" + bad + "\n"
     with pytest.raises(InputError, match="line 5"):
-        sp.parse_subset_text(text, g)
+        sp.parse_subset_text(text.encode("utf-8"), g)
 
 
 # --- the per-line SUBSET v1 writer and parser, kept as the reference --------------
@@ -798,7 +798,8 @@ def test_subset_text_equals_per_line_reference(million_edge_host, ids):
     h = sp.EdgeSubset(million_edge_host, ids)
     text = sp.write_subset_text(h)
     assert text == write_subset_text_per_line(h)
-    assert sp.parse_subset_text(text, h.host) == h == parse_subset_text_per_line(text, h.host)
+    assert (sp.parse_subset_text(text.encode("ascii"), h.host) == h
+            == parse_subset_text_per_line(text, h.host))
 
 
 def test_subset_parser_agrees_with_reference_on_mutants():

@@ -8,8 +8,8 @@ single line break or the second half of a ``\\r\\n``.  The texts must
 equal those written with the real constants, parse back to the objects
 they were written from, and report a fault in a later block with the
 message and line the real constants give.  The byte chunks that the
-pipeline streams must join to the texts, and a text must parse from its
-bytes as from the str.
+pipeline streams must join to the texts, and the texts must parse from
+their bytes.
 """
 
 import numpy as np
@@ -67,7 +67,7 @@ def test_texts_round_trip_at_small_block_sizes(monkeypatch, rows, size):
     for writer, parse, obj, text in cases:
         assert writer(obj) == text
         for brk in ["\n", "\r\n", "\r", "\f"]:
-            assert parse(text.replace("\n", brk)) == obj
+            assert parse(text.replace("\n", brk).encode("ascii")) == obj
 
 
 def graph_text(rows):
@@ -156,7 +156,7 @@ def test_lc_e_line_fault_in_a_later_group_keeps_its_message(monkeypatch):
 def test_graph_and_subset_chunks_join_to_their_texts(g, data):
     """GRAPH and SUBSET chunks, rendered a few rows per block: after the
     header, each holds at most that many rows, and together they are the
-    text.  The texts parse from their bytes as from the str."""
+    text, which parses from its bytes."""
     members = data.draw(st.sets(st.integers(0, max(g.edge_count - 1, 0)),
                                 max_size=g.edge_count))
     h = EdgeSubset(g, sorted(members))
@@ -169,8 +169,8 @@ def test_graph_and_subset_chunks_join_to_their_texts(g, data):
         assert b"".join([head, *body]) == text.encode("ascii")
         assert head.count(b"\n") == 2
         assert all(0 < chunk.count(b"\n") <= rows for chunk in body)
-    assert parse_graph_text(texts[0].encode("ascii")) == parse_graph_text(texts[0]) == g
-    assert parse_subset_text(texts[1].encode("ascii"), g) == parse_subset_text(texts[1], g) == h
+    assert parse_graph_text(texts[0].encode("ascii")) == g
+    assert parse_subset_text(texts[1].encode("ascii"), g) == h
 
 
 @given(lc_instances(), st.integers(1, 8))
@@ -180,8 +180,8 @@ def test_lc_chunks_join_to_the_text(lc, rows):
     no superedge, with repeated relations and with all relations distinct:
     after the header, each holds at most that many lines, or one superedge
     with a longer block, and together they are the text.  The text parses
-    from its bytes as from the str, also with small groups of E lines and
-    relation blocks, joined or gathered."""
+    from its bytes, also with small groups of E lines and relation blocks,
+    joined or gathered."""
     text = write_lc_text(lc)
     with pytest.MonkeyPatch.context() as mp:
         for module in (graphs, labelcover):
@@ -193,4 +193,4 @@ def test_lc_chunks_join_to_the_text(lc, rows):
         mp.setattr(labelcover, "_GROUP_BYTES", rows)
         for gather_below in (0, 10**9):       # every group joined, then every one gathered
             mp.setattr(labelcover, "_GATHER_BELOW", gather_below)
-            assert parse_lc_text(text.encode("ascii")) == parse_lc_text(text) == lc
+            assert parse_lc_text(text.encode("ascii")) == lc
