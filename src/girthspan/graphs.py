@@ -392,7 +392,6 @@ _BREAK_BYTE = re.compile(rb"[\n\r\v\f]")
 _SEPARATOR = re.compile(rb"[ \t\n\r\v\f]")
 _HEAD_FORBIDDEN = re.compile(rb"[^\t\x20-\x7e]")
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
-_BLANK_TAGS = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b" " * 26)
 _NO_TAGS = np.zeros(0, dtype=np.int64)
 _WRITE_ROWS = 1 << 15
 _READ_BYTES = 1 << 16
@@ -586,22 +585,53 @@ def _token_rows(block: np.ndarray, at: np.ndarray) -> tuple:
     return starts, ends, np.flatnonzero(opens)
 
 
-def _decimal_values(data: bytes, count: int, tagged: bool = True) -> np.ndarray:
-    """int64 values of the ``count`` digit tokens of ``data``, body bytes
-    that passed ``_check_body`` and whose tokens the caller counted and
-    checked to hold at most 18 digits.  Tag letters separate tokens like
-    blanks; a caller whose bytes hold none passes ``tagged=False`` to skip
-    blanking them.
+# Per token length n (up to 18): the low nibble of each of the last
+# min(n, 8) bytes of a little-endian word.  ``&`` with it zeroes the bytes
+# before the token's start and takes 0x30 off each digit byte.
+_DIGIT_BITS = np.array([(0x0F0F0F0F0F0F0F0F << 8 * (8 - min(n, 8))) & ((1 << 64) - 1)
+                        for n in range(_MAX_DIGITS + 1)], dtype=np.uint64)
 
-    One C-level parse of the bytes.  numpy reads a text without a token as
-    one 0, so such bytes skip the parse.
+
+def _eight_digits(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """int64 value of the last ``min(lengths, 8)`` digits of each uint64
+    word, the bytes that end at a token's end (``words`` is overwritten).
+
+    After the mask, byte 7 - d holds the digit d places from the token's
+    end and the bytes below the token hold 0.  Three multiply-shift steps
+    fold the digits pairwise: bytes into 2-digit 16-bit lanes, lanes into
+    4-digit 32-bit lanes, and those into one 8-digit value."""
+    words &= np.take(_DIGIT_BITS, lengths)
+    words *= np.uint64(10 << 8 | 1)
+    words >>= np.uint64(8)
+    words &= np.uint64(0x00FF00FF00FF00FF)
+    words *= np.uint64(100 << 16 | 1)
+    words >>= np.uint64(16)
+    words &= np.uint64(0x0000FFFF0000FFFF)
+    words *= np.uint64(10000 << 32 | 1)
+    words >>= np.uint64(32)
+    return words.view(np.int64)
+
+
+def _span_values(block: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """int64 values of the digit tokens of ``block``, uint8 body bytes that
+    passed ``_check_body``: the tokens that end at ``ends`` and hold
+    ``lengths`` digits, 1 to 18 each, as ``_token_rows`` spans them.
+
+    The block is copied after 8 zero bytes, so the 8 bytes that end at any
+    token's end can be read as one little-endian uint64 (``_eight_digits``),
+    even for a token near the block's start.  A token of 9 to 18 digits
+    takes a second and a third word, ending 8 and 16 bytes before its end,
+    scaled by 10^8 each.
     """
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    values = np.fromstring(data.translate(_BLANK_TAGS) if tagged else data,
-                           dtype=np.int64, sep=" ")
-    if values.size != count:
-        raise AssertionError(f"decoded {values.size} values from {count} tokens")
+    padded = np.zeros(block.size + 8, dtype=np.uint8)
+    padded[8:] = block
+    words = np.ndarray(block.size + 1, dtype="<u8", buffer=padded, strides=(1,))
+    values = _eight_digits(words[ends], lengths)
+    for up in (8, 16):
+        more = np.flatnonzero(lengths > up)
+        if not more.size:
+            break
+        values[more] += _eight_digits(words[ends[more] - up], lengths[more] - up) * 10 ** up
     return values
 
 
@@ -613,10 +643,12 @@ def _int_rows(raw: bytes, start: int, what: str, width: int, count: int | None =
     Returns (values, tag).  Row r is the r-th nonblank line: it holds
     ``width`` integers, ``values[r * width:(r + 1) * width]``, and ``tag[r]``
     is its tag letter as a byte (0 for none; ``tags`` holds the format's
-    letters).  ``count``, when given, is the declared number of rows.  An
-    error about row r names the line of ``_row_offset``.
+    letters, and tag is None for a format without them).  ``count``, when
+    given, is the declared number of rows.  An error about row r names the
+    line of ``_row_offset``.
 
-    The body is checked, then tokenized and decoded one block at a time.  A
+    The body is checked, then tokenized one block at a time, and each
+    block's integers are decoded from their token spans (``_span_values``).  A
     block records its first fault of each kind, and the faults are raised
     after the last block, in a fixed order: the body checks, the row count,
     the first row of the wrong width, then the first token of the most
@@ -641,23 +673,28 @@ def _int_rows(raw: bytes, start: int, what: str, width: int, count: int | None =
     wrong_at = longest_at = None
     for lo, block, block_at in _line_blocks(raw, start, at):
         starts, ends, heads = _token_rows(block, block_at)
+        lengths = ends - starts
         if starts.size:
-            lengths = ends - starts
             most = int(lengths.max())
             if most > longest:
                 longest, longest_at = most, lo + int(starts[lengths.argmax()])
-        lead = block[starts[heads]]
-        tagged = lead > ord("9")      # a token is digits or a tag, and letters sort after digits
-        tag_parts.append(np.where(tagged, lead, 0).astype(np.uint8))
-        # A tag is the first token of its row; the row's other tokens are integers.
-        counts = np.diff(heads, append=starts.size) - tagged
+        counts = np.diff(heads, append=starts.size)
+        if tags:
+            lead = block[starts[heads]]
+            tagged = lead > ord("9")  # a token is digits or a tag, and letters sort after digits
+            tag_parts.append(np.where(tagged, lead, 0).astype(np.uint8))
+            # A tag is the first token of its row; the row's other tokens are integers.
+            counts -= tagged
+            digit = np.ones(starts.size, dtype=bool)
+            digit[heads[tagged]] = False
+            ends, lengths = ends[digit], lengths[digit]
         if wrong_at is None and (counts != width).any():
             wrong_at = lo + int(starts[heads[(counts != width).argmax()]])
         rows += heads.size
         total = int(counts.sum())
         if (total and wrong_at is None and longest <= _MAX_DIGITS and in_range
                 and (count is None or rows <= count)):
-            block_values = _decimal_values(raw[lo:lo + block.size], total, bool(tags))
+            block_values = _span_values(block, ends, lengths)
             if below is None and fixed:
                 values[done:done + total] = block_values
             elif below is None:
@@ -679,7 +716,7 @@ def _int_rows(raw: bytes, start: int, what: str, width: int, count: int | None =
         values = None
     elif not fixed and parts:
         values = np.concatenate(parts)
-    return values, np.concatenate([np.zeros(0, np.uint8), *tag_parts])
+    return values, np.concatenate([np.zeros(0, np.uint8), *tag_parts]) if tags else None
 
 
 def _row_offset(raw: bytes, start: int, row: int, tags: str = "") -> int:

@@ -23,9 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InputError
 from .graphs import (_MAX_DIGITS, _NO_TAGS, _NOT_DECIMAL, _READ_BYTES, _WRITE_ROWS, Graph,
                      _check_body, _check_declared, _decimal_block, _decimal_text,
-                     _decimal_values, _decimals, _head_lines, _int_rows, _is_break,
-                     _line_number, _rising, _row_offset, _sorted_distinct, _token_error,
-                     _token_rows)
+                     _decimals, _head_lines, _int_rows, _is_break, _line_number, _rising,
+                     _row_offset, _sorted_distinct, _span_values, _token_error, _token_rows)
 
 
 class LabelCoverInstance:
@@ -594,7 +593,9 @@ def _piece_rows(whole: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int,
         if wrong is None and bad.any():
             wrong = _text_offset(starts[heads[bad.argmax()]], lo[i:j], off)
         if tagged and wrong is None and longest[0] <= _MAX_DIGITS:
-            values[i:j] = _decimal_values(group.tobytes(), values[i:j].size).reshape(j - i, -1)
+            digit = np.ones(starts.size, dtype=bool)
+            digit[heads] = False                # each row opens with its piece's tag
+            values[i:j] = _span_values(group, ends[digit], lengths[digit]).reshape(j - i, -1)
     return rows, longest, wrong
 
 
@@ -611,13 +612,12 @@ def _pairs(whole: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) 
     for i, j, group, off in _piece_groups(whole, lo, hi):
         cut = np.cumsum(rows[i:j - 1])        # where each block after the first starts
         r0, r1 = r1, r1 + int(rows[i:j].sum())
-        pairs[:, r0:r1] = _decimal_values(group.tobytes(), 2 * (r1 - r0),
-                                          tagged=False).reshape(-1, 2).T
+        starts, ends, heads = _token_rows(group, _NO_TAGS)
+        pairs[:, r0:r1] = _span_values(group, ends, ends - starts).reshape(-1, 2).T
         x, y = alpha[r0:r1], beta[r0:r1]
         down = ~((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1])))
         down[cut[(cut > 0) & (cut < r1 - r0)] - 1] = False    # pairs of two blocks
         if unsorted is None and down.any():
-            starts, _, heads = _token_rows(group, _NO_TAGS)
             unsorted = _text_offset(starts[heads[1 + down.argmax()]], lo[i:j], off)
     return alpha, beta, unsorted
 

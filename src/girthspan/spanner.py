@@ -27,8 +27,8 @@ import json
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import (Graph, INFINITY, _canonical, _decimal_blocks, _head_lines, _hops,
-                     _int_rows, _line_number, _row_offset, _sorted_distinct,
+from .graphs import (INFINITY, _WRITE_ROWS, Graph, _canonical, _decimal_blocks, _head_lines,
+                     _hops, _int_rows, _line_number, _row_offset, _sorted_distinct,
                      _vertex_count, girth, graph_sha256)
 from .labelcover import (MinRepInstance, RepCover, _lc_chunks, _relation_slots, repcover_valid,
                          supergraph)
@@ -157,26 +157,35 @@ class SpannerInstance:
         if self.anchor_distinct.size != expected_distinct:
             raise AssertionError("anchor distinct-union size violated")
         # Every table entry is the edge joining the two vertices the layout
-        # names, lower-numbered end first.
+        # names, lower-numbered end first.  Each table is compared in blocks
+        # of whole copies, about ``_WRITE_ROWS`` entries each; ``ends`` maps
+        # a block's copies p, a slice of ``copy``, to the ends the layout
+        # gives its entries.
         eu, ev = self.base.edge_arrays()
         ea, eb, _ = lc.edge_arrays()
-        p = np.arange(self.x)[:, None, None]
+        copy = np.arange(self.x)[:, None, None]
         i, j = np.arange(lc.a_count)[:, None], np.arange(lc.b_count)[:, None]
-        s_lvl = self.s_vertex(p, i, np.arange(1, self.k_a))
-        t_lvl = self.t_vertex(p, j, np.arange(1, self.k_b))
-        ends = {"tower_s": (s_lvl, s_lvl + 1), "tower_t": (t_lvl, t_lvl + 1),
-                "crossing_sa": (self.source.a_vertex(i, np.arange(lc.sigma_a)),
-                                self.s_vertex(p, i, 1)),
-                "crossing_tb": (self.source.b_vertex(j, np.arange(lc.sigma_b)),
-                                self.t_vertex(p, j, 1)),
-                "gt_copies": (self.s_vertex(p[:, 0], ea, self.k_a),
-                              self.t_vertex(p[:, 0], eb, self.k_b))}
-        for name, (lo, hi) in ends.items():
+        s_lvl, t_lvl = np.arange(1, self.k_a), np.arange(1, self.k_b)
+        ends = {"tower_s": lambda p: (self.s_vertex(p, i, s_lvl), self.s_vertex(p, i, s_lvl + 1)),
+                "tower_t": lambda p: (self.t_vertex(p, j, t_lvl), self.t_vertex(p, j, t_lvl + 1)),
+                "crossing_sa": lambda p: (self.source.a_vertex(i, np.arange(lc.sigma_a)),
+                                          self.s_vertex(p, i, 1)),
+                "crossing_tb": lambda p: (self.source.b_vertex(j, np.arange(lc.sigma_b)),
+                                          self.t_vertex(p, j, 1)),
+                "gt_copies": lambda p: (self.s_vertex(p[:, 0], ea, self.k_a),
+                                        self.t_vertex(p[:, 0], eb, self.k_b))}
+        for name, layout in ends.items():
             table = getattr(self, name)
-            if (table.shape != np.broadcast_shapes(lo.shape, hi.shape)
-                    or ((table < 0) | (table >= eu.size)).any()
-                    or (eu[table] != lo).any() or (ev[table] != hi).any()):
+            shape = np.broadcast_shapes(*(a.shape for a in layout(copy[:1])))
+            if table.shape != (self.x, *shape[1:]):
                 raise AssertionError(f"{name} entries do not join the layout's vertices")
+            step = max(_WRITE_ROWS // max(table[0].size, 1), 1)
+            for c in range(0, self.x, step):
+                part = table[c:c + step]
+                lo, hi = layout(copy[c:c + step])
+                outside = part.size and (part.min() < 0 or part.max() >= eu.size)
+                if outside or (eu[part] != lo).any() or (ev[part] != hi).any():
+                    raise AssertionError(f"{name} entries do not join the layout's vertices")
         sizes = self.family_sizes()
         if (self.k == 3) != (sizes[FAM_M] == 0):
             raise AssertionError("EM emptiness must coincide with k = 3")

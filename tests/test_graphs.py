@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from girthspan import graphs
 from girthspan.errors import InputError
-from girthspan.graphs import (Graph, INFINITY, _decimal_text, _decimal_values, _graph_chunks,
-                              _hops, _line_number, _row_offset, bfs_distances,
-                              edge_cycle_length, girth, graph_sha256, parse_graph_text,
-                              write_graph_text)
+from girthspan.graphs import (Graph, INFINITY, _check_body, _decimal_text, _graph_chunks, _hops,
+                              _line_number, _row_offset, _span_values, _token_rows,
+                              bfs_distances, edge_cycle_length, girth, graph_sha256,
+                              parse_graph_text, write_graph_text)
 from girthspan.labelcover import parse_cover_text
 from girthspan.rng import Stream
 from girthspan.spanner import parse_subset_text
@@ -631,10 +631,12 @@ def test_decimal_text_equals_str_join_at_every_width():
 @st.composite
 def decimal_bodies(draw):
     """(text, tokens): lines of up to four tokens of 1 to 18 digits (leading
-    zeros and 18-digit values included), some opened by an LC ``E`` tag,
-    blank lines among them, joined by every blank and line break."""
+    zeros, 18-digit values and the lengths around 8 and 16 digits
+    included), some opened by an LC ``E`` tag, blank lines among them,
+    joined by every blank and line break."""
     digits = st.one_of(st.text("0123456789", min_size=1, max_size=18),
-                       st.sampled_from(["0", "000", "007", "9" * 18, "0" * 17 + "1"]))
+                       st.sampled_from(["0", "000", "007", "9" * 8, "1" + "0" * 8, "9" * 16,
+                                        "1" + "0" * 16, "9" * 17, "9" * 18, "0" * 17 + "1"]))
     text, tokens = "", []
     for _ in range(draw(st.integers(0, 6))):
         line = draw(st.lists(digits, max_size=4))
@@ -671,19 +673,26 @@ def test_row_offsets_and_line_numbers_equal_per_line_reference(body):
         _row_offset(raw, 0, len(rows), "E")
 
 
+def digit_token_values(raw, tags="E"):
+    """``_span_values`` of the digit tokens of the body ``raw``, from the
+    spans ``_token_rows`` gives them (tags left out)."""
+    block = np.frombuffer(raw, dtype=np.uint8)
+    starts, ends, _ = _token_rows(block, _check_body(raw, 0, tags))
+    digit = block[starts] <= ord("9")
+    return _span_values(block, ends[digit], (ends - starts)[digit])
+
+
 @given(decimal_bodies())
 @settings(max_examples=200, deadline=None)
 def test_decimal_values_equals_per_token_int(body):
     text, tokens = body
     expected = [int(tok) for tok in tokens]
-    assert _decimal_values(text.encode("ascii"), len(tokens)).tolist() == expected
+    assert digit_token_values(text.encode("ascii")).tolist() == expected
 
 
 def test_decimal_values_of_a_body_without_tokens():
-    for text in [b"", b"\n", b" \t\r\n\v\f"]:
-        assert _decimal_values(text, 0).tolist() == []
-    with pytest.raises(AssertionError, match="decoded 2 values from 3 tokens"):
-        _decimal_values(b"1 2\n", 3)
+    for raw in [b"", b"\n", b" \t\r\n\v\f", b"E \n"]:
+        assert digit_token_values(raw).tolist() == []
 
 
 def test_infinity_ordering():

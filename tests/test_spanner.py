@@ -238,6 +238,10 @@ def corrupt_and_audit(k, corruptions):
         setattr(si, name, table)
     with pytest.raises(AssertionError, match=f"{corruptions[0][0]} entries do not join"):
         si.audit()
+    with pytest.MonkeyPatch.context() as mp:       # one copy per block
+        mp.setattr(sp, "_WRITE_ROWS", 1)
+        with pytest.raises(AssertionError, match=f"{corruptions[0][0]} entries do not join"):
+            si.audit()
 
 
 @pytest.mark.parametrize("corruptions", [
@@ -318,12 +322,29 @@ def test_gadget_retains_under_24_bytes_per_edge(traced_vars3_build):
 
 def test_gadget_build_peaks_under_44_bytes_per_edge(traced_vars3_build):
     """The traced peak of build_spanner_instance stays below 44 bytes per
-    edge (32.0): each edge is written once, at its canonical position, and
+    edge (27.9): each edge is written once, at its canonical position, and
     checked canonical a block at a time, beside the tables and arrays the
     instance keeps (under 24 bytes per edge).  It was 57.9 with int64 ends
-    and a whole key array."""
+    and a whole key array, and 32.0 with the audit comparing whole
+    tables."""
     si, _, peak = traced_vars3_build
     assert peak / si.base.edge_count < 44
+
+
+def test_gadget_audit_rises_under_6_bytes_per_edge(traced_vars3_build):
+    """The audit compares each layout table in blocks of whole copies, so
+    its traced allocations rise below 6 bytes per edge of the vars=3
+    gadget (4.6).  Building every table's expected ends at once took
+    8.6."""
+    si = traced_vars3_build[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        si.audit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / si.base.edge_count < 6
 
 
 def test_interior_tower_vertices_have_degree_two_outside_e():

@@ -7,10 +7,14 @@ every text below spans many blocks, and a block can be a single line, a
 single line break or the second half of a ``\\r\\n``.  The texts must
 equal those written with the real constants, parse back to the objects
 they were written from, and report a fault in a later block with the
-message and line the real constants give.  The byte chunks that the
+message and line the real constants give.  Tokens of 1 to 18 digits must
+decode to their values through every parser.  The byte chunks that the
 pipeline streams must join to the texts, and the texts must parse from
 their bytes.
 """
+
+import re
+from functools import cache
 
 import numpy as np
 import pytest
@@ -18,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girthspan import graphs, labelcover
-from girthspan.graphs import Graph, _graph_chunks, parse_graph_text, write_graph_text
-from girthspan.labelcover import (Labeling, _lc_chunks, labeling_to_repcover, parse_cover_text,
-                                  parse_labeling_text, parse_lc_text, write_cover_text,
-                                  write_labeling_text, write_lc_text)
+from girthspan.graphs import Graph, _graph_chunks, _int_rows, parse_graph_text, write_graph_text
+from girthspan.labelcover import (Labeling, RepCover, _lc_body, _lc_chunks, labeling_to_repcover,
+                                  parse_cover_text, parse_labeling_text, parse_lc_text,
+                                  write_cover_text, write_labeling_text, write_lc_text)
 from girthspan.rng import Stream
 from girthspan.spanner import EdgeSubset, _subset_chunks, parse_subset_text, write_subset_text
 
@@ -58,6 +62,81 @@ def artifacts():
                   (write_cover_text, parse_cover_text, labeling_to_repcover(lc, lab)),
                   (write_labeling_text, lambda t, lc=lc: parse_labeling_text(t, lc), lab)]
     return cases
+
+
+@cache
+def written_artifacts():
+    """(parser, object, text) for each of ``artifacts``."""
+    return [(parse, obj, writer(obj)) for writer, parse, obj in artifacts()]
+
+
+# Token lengths at which a token fills a word, spills into a second or a
+# third, or has the most digits the policy allows.
+WORD_EDGES = (1, 8, 9, 16, 17, 18)
+token_lengths = st.one_of(st.sampled_from(WORD_EDGES), st.integers(1, 18))
+
+
+@st.composite
+def digit_tokens(draw):
+    """A token of 1 to 18 digits, leading zeros included."""
+    length = draw(token_lengths)
+    return draw(st.text("0123456789", min_size=length, max_size=length))
+
+
+HEAD_LINES = {"GRAPH v1": 2, "SUBSET v1": 2, "LC v1": 2, "COVER v1": 1, "LABEL v1": 1}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_parser_reads_tokens_of_1_to_18_digits(data):
+    """Every text of ``artifacts``, each body token written with leading
+    zeros to 1 to 18 digits (8, 9, 16, 17 and 18 drawn often), parses to
+    its object at small block sizes.  A block begins a line, so its first
+    token starts within its first 8 bytes, and a tag (E, A, B) is a
+    space away from the digits after it."""
+    parse, obj, text = data.draw(st.sampled_from(written_artifacts()))
+    lines = text.split("\n")
+    head = HEAD_LINES[lines[0]]
+    body = "\n".join(lines[head:])
+    count = len(re.findall("[0-9]+", body))
+    widths = iter(data.draw(st.lists(token_lengths, min_size=count, max_size=count)))
+    body = re.sub("[0-9]+", lambda tok: tok.group().zfill(next(widths)), body)
+    padded = "\n".join(lines[:head] + [body]).encode("ascii")
+    with pytest.MonkeyPatch.context() as mp:
+        small_blocks(mp, *data.draw(st.sampled_from(BLOCK_SIZES)))
+        assert parse(padded) == obj
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_body_decoders_read_values_of_1_to_18_digits(data):
+    """Values of up to 18 significant digits, where no artifact's bounds
+    apply, at small block sizes: rows of two integers (the GRAPH and
+    SUBSET body), COVER lines tagged A or B, and LC superedges with E
+    lines and relation pairs, the body starting with an E line at offset
+    0."""
+    rows = data.draw(st.lists(st.tuples(st.sampled_from("AB"), digit_tokens(), digit_tokens()),
+                              max_size=8))
+    pairs = st.lists(st.tuples(digit_tokens(), digit_tokens()),
+                     unique_by=lambda p: (int(p[0]), int(p[1])), max_size=4)
+    superedges = data.draw(st.lists(st.tuples(digit_tokens(), digit_tokens(), pairs),
+                                    min_size=1, max_size=6))
+    untagged = "".join(f"{u} {v}\n" for _, u, v in rows).encode("ascii")
+    cover = ("COVER v1\n" + "".join(f"{s} {u} {v}\n" for s, u, v in rows)).encode("ascii")
+    lc = "".join(f"E {a} {b} {len(block)}\n" + "".join(
+        f"{x} {y}\n" for x, y in sorted(block, key=lambda p: (int(p[0]), int(p[1]))))
+        for a, b, block in superedges).encode("ascii")
+    with pytest.MonkeyPatch.context() as mp:
+        small_blocks(mp, *data.draw(st.sampled_from(BLOCK_SIZES)))
+        values, tag = _int_rows(untagged, 0, "row", width=2)
+        assert values.tolist() == [int(t) for _, u, v in rows for t in (u, v)] and tag is None
+        assert parse_cover_text(cover) == RepCover.of((s, int(u), int(v)) for s, u, v in rows)
+        ea, eb, rel_ids, (start, alpha, beta) = _lc_body(lc, 0, len(superedges))
+    read = [(a, b, list(zip(alpha[start[r]:start[r + 1]].tolist(),
+                            beta[start[r]:start[r + 1]].tolist())))
+            for a, b, r in zip(ea.tolist(), eb.tolist(), rel_ids.tolist())]
+    assert read == sorted(((int(a), int(b), sorted((int(x), int(y)) for x, y in block))
+                           for a, b, block in superedges), key=lambda e: e[:2])
 
 
 @pytest.mark.parametrize("rows, size", BLOCK_SIZES)
