@@ -43,7 +43,10 @@ def check_ell(ell: int) -> None:
 def check_repetition_budget(edge_count: int, ell: int,
                             max_superedges: int = DEFAULT_MAX_SUPEREDGES) -> None:
     """Reject with ResourceError an ell-fold product of ``edge_count``
-    superedges that would exceed ``max_superedges``."""
+    superedges that would exceed ``max_superedges``, and with InputError a
+    budget below 1."""
+    if max_superedges < 1:
+        raise InputError("superedge budget must be >= 1")
     required = edge_count ** ell
     if required > max_superedges:
         raise ResourceError("parallel repetition would exceed the superedge budget",

@@ -211,15 +211,16 @@ def _canonical(n: int, eu: np.ndarray, ev: np.ndarray) -> bool:
         u, v = eu[lo:lo + _WRITE_ROWS], ev[lo:lo + _WRITE_ROWS]
         if not (u < v).all() or v.max() >= n:
             return False
-    return _rising(eu, ev)
+    return _rising(eu, ev) is None
 
 
-def _rising(major: np.ndarray, minor: np.ndarray, restarts: np.ndarray | None = None) -> bool:
-    """Whether every pair (major[r], minor[r]) is above the pair before it
-    in (major, minor) order, but for the rows ``restarts`` (ascending), which
-    are compared to nothing.  Each block of ``_WRITE_ROWS`` rows is compared
-    to the rows one before it, the last row of the block before included, so
-    the temporaries are per block."""
+def _rising(major: np.ndarray, minor: np.ndarray, restarts: np.ndarray | None = None) -> int | None:
+    """The first row r whose pair (major[r], minor[r]) is not above the pair
+    before it in (major, minor) order, but for the rows ``restarts``
+    (ascending), which are compared to nothing; None if every row rises.
+    Each block of ``_WRITE_ROWS`` rows is compared to the rows one before
+    it, the last row of the block before included, so the temporaries are
+    per block."""
     for lo in range(1, major.size, _WRITE_ROWS):
         hi = min(lo + _WRITE_ROWS, major.size)
         prev, this = major[lo - 1:hi - 1], major[lo:hi]
@@ -227,8 +228,8 @@ def _rising(major: np.ndarray, minor: np.ndarray, restarts: np.ndarray | None = 
         if restarts is not None:
             up[restarts[np.searchsorted(restarts, lo):np.searchsorted(restarts, hi)] - lo] = True
         if not up.all():
-            return False
-    return True
+            return lo + int(up.argmin())
+    return None
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -368,21 +369,27 @@ def girth(g: Graph):
 #
 # Token policy: a line ends at \n, \r, \r\n, \v or \f; a \r\n ends one line.
 # Header lines (``_head_lines``) hold printable ASCII and tabs only.  A body
-# line (``_int_rows``) is an optional tag letter, first on its line and
-# followed by a space, then tokens of 1 to 18 ASCII digits (so they fit in
-# int64) separated by spaces or tabs; blank lines are skipped.  Any other
-# character (a sign, an underscore, another letter, another control
-# character, any non-ASCII character) is an InputError that names its line
-# and quotes its token.
+# line is an optional tag letter, first on its line and followed by a space,
+# then tokens of 1 to 18 ASCII digits (so they fit in int64) separated by
+# spaces or tabs; blank lines are skipped.  Any other character (a sign, an
+# underscore, another letter, another control character, any non-ASCII
+# character) is an InputError that names its line and quotes its token
+# (``_check_body``).  So in a body that passed those checks every byte above
+# the space is a digit or a lone tag letter, and a token is a run of such
+# bytes (``_token_rows``).
 #
 # Every parser takes its text as the bytes of its file, and every offset
 # below is one in those bytes.  A check names the first fault in text order.
 #
 # The kernels work one block at a time: ``_decimal_blocks`` renders
-# ``_WRITE_ROWS`` rows per block, and the body checks and ``_int_rows`` read
-# blocks of about ``_READ_BYTES`` bytes that end at line breaks (see
-# ``_line_blocks``).  Their temporaries are bounded by these constants; only
-# the text's bytes, the decoded values and per-row arrays span the text.
+# ``_WRITE_ROWS`` rows per block, and every body is read in groups of pieces
+# (``_groups``).  A GRAPH, SUBSET, COVER or LABEL body is one piece; an LC
+# body is cut into its E lines and its distinct relation blocks.  Short
+# pieces are copied together, at most ``_GROUP_BYTES`` bytes a group; a
+# longer piece is read in place, in slices of about ``_READ_BYTES`` bytes
+# that end at line breaks.  ``_read_rows`` tokenizes each group once.  The
+# temporaries are bounded by these constants; only the text's bytes, the
+# decoded values and per-row or per-piece arrays span the text.
 
 _MAX_DIGITS = 18
 _NOT_DECIMAL = f"is not an integer of 1 to {_MAX_DIGITS} decimal digits"
@@ -392,7 +399,6 @@ _BREAK_BYTE = re.compile(rb"[\n\r\v\f]")
 _SEPARATOR = re.compile(rb"[ \t\n\r\v\f]")
 _HEAD_FORBIDDEN = re.compile(rb"[^\t\x20-\x7e]")
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
-_NO_TAGS = np.zeros(0, dtype=np.int64)
 _WRITE_ROWS = 1 << 15
 _READ_BYTES = 1 << 16
 
@@ -498,34 +504,66 @@ def _is_break(b: np.ndarray) -> np.ndarray:
     return (b - np.uint8(10)) < 4
 
 
-def _line_blocks(raw: bytes, start: int, at: np.ndarray = _NO_TAGS):
-    """The blocks of the body ``raw[start:]``, which begins a line, in text
-    order: (lo, block, tags) with the block's offset in ``raw``, its bytes
-    as a uint8 array, and the offsets in it of the tags ``at`` (ascending
-    offsets in ``raw``).
+# Bytes per group of ``_groups``.  Pieces shorter than ``_GATHER_BELOW``
+# bytes on average, such as E lines as written, are gathered through an
+# int64 index of 24 bytes per byte; longer ones, such as relation blocks,
+# are joined as slices, each of which costs about as much as gathering 80
+# bytes.
+_GROUP_BYTES = _READ_BYTES // 2
+_GATHER_BELOW = 32
 
-    A block ends just after the last line break among its first
-    ``_READ_BYTES`` bytes, so every block begins a line; a line longer than
-    that makes its block end after its own break.  The last block ends
-    where ``raw`` does.
+
+def _groups(raw: bytes, lo, hi):
+    """The pieces ``raw[lo[k]:hi[k]]`` (ascending and disjoint, each
+    beginning a line and each but the text's last ending with a line break)
+    in groups, in text order.  Yields (i, j, group, off, shift) per group:
+    its bytes as a uint8 array, either pieces i to j - 1 copied together or
+    a slice of piece i = j - 1 read in place; where each of its parts (a
+    piece, or the slice) starts in it; and per part, its offset in ``raw``
+    less ``off``.  So byte p of the group is byte p + shift[k] of ``raw``,
+    k = ``searchsorted(off, p, "right") - 1`` being the part that holds it.
+
+    The pieces are taken in runs of at most ``_GROUP_BYTES`` bytes (or one
+    longer piece).  A run of several pieces is copied into one group.  A
+    piece alone in its run is read in place, in slices: each ends just after
+    the last line break among its first ``_READ_BYTES`` bytes, so each
+    begins a line; a line longer than that makes its slice end after its
+    own break.
     """
-    lo, size = start, len(raw)
-    while lo < size:
-        hi = lo + _READ_BYTES
-        if hi >= size:
-            hi = size
-        else:
-            cut = raw.rfind(b"\n", lo, hi)
-            for c in b"\r\v\f":      # only a break after the last \n matters
-                cut = max(cut, raw.rfind(c, max(cut, lo), hi))
-            if cut >= lo:
-                hi = cut + 1
+    whole = np.frombuffer(raw, dtype=np.uint8)
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    end = np.cumsum(hi - lo)
+    i = 0
+    while i < lo.size:
+        begin = int(end[i - 1]) if i else 0
+        j = max(int(np.searchsorted(end, begin + _GROUP_BYTES, side="right")), i + 1)
+        if j > i + 1:
+            off = np.append(begin, end[i:j - 1]) - begin
+            if end[j - 1] - begin < _GATHER_BELOW * (j - i):
+                size = hi[i:j] - lo[i:j]
+                group = whole[np.repeat(lo[i:j] - off, size) + np.arange(size.sum())]
             else:
-                brk = _BREAK_BYTE.search(raw, hi)
-                hi = brk.end() if brk else size
-        tags = at[np.searchsorted(at, lo):np.searchsorted(at, hi)] - lo
-        yield lo, np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo), tags
-        lo = hi
+                group = np.frombuffer(b"".join(map(whole.data.__getitem__, map(
+                    slice, lo[i:j].tolist(), hi[i:j].tolist()))), dtype=np.uint8)
+            yield i, j, group, off, lo[i:j] - off
+        else:
+            a, b = int(lo[i]), int(hi[i])
+            while a < b:
+                cut = a + _READ_BYTES
+                if cut >= b:
+                    cut = b
+                else:
+                    last = raw.rfind(b"\n", a, cut)
+                    for c in b"\r\v\f":      # only a break after the last \n matters
+                        last = max(last, raw.rfind(c, max(last, a), cut))
+                    if last >= a:
+                        cut = last + 1
+                    else:
+                        brk = _BREAK_BYTE.search(raw, cut, b)
+                        cut = brk.end() if brk else b
+                yield i, j, whole[a:cut], np.zeros(1, dtype=np.int64), np.array([a])
+                a = cut
+        i = j
 
 
 def _check_body(raw: bytes, start: int, tags: str = "") -> np.ndarray:
@@ -538,8 +576,9 @@ def _check_body(raw: bytes, start: int, tags: str = "") -> np.ndarray:
     if not raw.isascii():
         raise _token_error(raw, _NON_ASCII.search(raw, start).start(), _NOT_DECIMAL)
     allowed, letters = (_BODY_BYTES + tags).encode("ascii"), tags.encode("ascii")
-    found = [_NO_TAGS]
-    for lo, block, _ in _line_blocks(raw, start):
+    found = [np.zeros(0, dtype=np.int64)]
+    for _, _, block, _, shift in _groups(raw, [start], [len(raw)]):
+        lo = int(shift[0])                  # the one piece is read in slices
         if raw[lo:lo + block.size].translate(None, allowed):
             other = re.compile(f"[^{_BODY_BYTES}{tags}]".encode("ascii")).search(raw, lo)
             raise _token_error(raw, other.start(), _NOT_DECIMAL)
@@ -559,17 +598,17 @@ def _check_body(raw: bytes, start: int, tags: str = "") -> np.ndarray:
     return at
 
 
-def _token_rows(block: np.ndarray, at: np.ndarray) -> tuple:
+def _token_rows(block: np.ndarray) -> tuple:
     """Tokens and rows of a block of body bytes that passed ``_check_body``
-    and begins a line; its tags are at positions ``at``.
+    and begins a line.  A token is a run of bytes above the space: in such a
+    body each is a digit or a tag letter, and a tag stands alone.
 
     Returns (starts, ends, heads): the span of every token, a tag being one,
     and the index of each row's first token, row r being the r-th nonblank
     line.  Every per-byte temporary is uint8 or bool.
     """
     token = np.zeros(block.size + 2, dtype=bool)      # padded by a non-token byte
-    np.less(block - np.uint8(ord("0")), 10, out=token[1:-1])
-    token[at + 1] = True
+    np.greater(block, ord(" "), out=token[1:-1])
     edges = np.flatnonzero(token[1:] != token[:-1])   # token runs alternate start, end
     del token
     starts, ends = edges[0::2], edges[1::2]
@@ -635,100 +674,133 @@ def _span_values(block: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np
     return values
 
 
+def _read_rows(raw: bytes, lo, hi, width: int, tagged: bool = False, keep=None) -> tuple:
+    """The rows of the pieces ``raw[lo[k]:hi[k]]`` of a body that passed
+    ``_check_body``, read a group at a time (``_groups``), each group
+    tokenized once.  Every row, a nonblank line, should hold ``width``
+    integers, after its tag letter if it has one (only when ``tagged``).
+
+    Returns (rows, longest, wrong, tags, kept): the rows of each piece;
+    (most digits in a token, text offset of the first such token); the text
+    offset of the first row of another width (None if none); each row's tag
+    letter as a byte, 0 for none (None unless ``tagged``); and whether
+    ``keep`` took every row, no fault being seen.  While none is, ``keep(r, values)``
+    takes the integers of each group's rows, the first being row r, as an
+    int64 array of ``width`` columns, decoded from their token spans
+    (``_span_values``); it returns whether to go on.
+    """
+    rows = np.zeros(len(lo), dtype=np.int64)
+    tag_parts = [np.zeros(0, dtype=np.uint8)]
+    longest, wrong, kept, r = (0, None), None, keep is not None, 0
+    for i, j, group, off, shift in _groups(raw, lo, hi):
+        starts, ends, heads = _token_rows(group)
+        lengths = ends - starts
+        k = int(lengths.argmax()) if lengths.size else None
+        if k is not None and lengths[k] > longest[0]:
+            p = starts[k]
+            longest = (int(lengths[k]), int(p + shift[np.searchsorted(off, p, "right") - 1]))
+        counts = np.diff(heads, append=starts.size)
+        if tagged:
+            lead = group[starts[heads]]
+            is_tag = lead > ord("9")  # a token is digits or a tag, and letters sort after digits
+            lead *= is_tag
+            tag_parts.append(lead)
+            # A tag is the first token of its row; the row's other tokens are integers.
+            counts -= is_tag
+            digit = np.ones(starts.size, dtype=bool)
+            digit[heads[is_tag]] = False
+            ends, lengths = ends[digit], lengths[digit]
+        bad = counts != width
+        if wrong is None and bad.any():
+            p = starts[heads[bad.argmax()]]
+            wrong = int(p + shift[np.searchsorted(off, p, "right") - 1])
+        del counts, bad
+        if j > i + 1:
+            rows[i:j] = np.bincount(np.searchsorted(off, starts[heads], "right") - 1,
+                                    minlength=j - i)
+        else:
+            rows[i] += heads.size
+        if kept:
+            kept = wrong is None and longest[0] <= _MAX_DIGITS and (
+                not ends.size or keep(r, _span_values(group, ends, lengths).reshape(-1, width)))
+        r += heads.size
+        del starts, ends, heads, lengths       # not alive while the next group is tokenized
+    return rows, longest, wrong, np.concatenate(tag_parts) if tagged else None, kept
+
+
+def _into(columns: list, below: int | None = None):
+    """A ``keep`` for ``_read_rows`` that writes row r's integers at index r
+    of ``columns``, one array per integer of a row, while the rows fit: no
+    row past the arrays' end and, with ``below``, no value at or above it."""
+    def keep(r: int, values: np.ndarray) -> bool:
+        if r + len(values) > columns[0].size or (below is not None and values.max() >= below):
+            return False
+        for column, value in zip(columns, values.T):
+            column[r:r + len(values)] = value
+        return True
+    return keep
+
+
 def _int_rows(raw: bytes, start: int, what: str, width: int, count: int | None = None,
               tags: str = "", below: int | None = None) -> tuple:
     """Tokenize the body ``raw[start:]``, which begins a line, by the policy
     above.
 
-    Returns (values, tag).  Row r is the r-th nonblank line: it holds
-    ``width`` integers, ``values[r * width:(r + 1) * width]``, and ``tag[r]``
-    is its tag letter as a byte (0 for none; ``tags`` holds the format's
-    letters, and tag is None for a format without them).  ``count``, when
-    given, is the declared number of rows.  An error about row r names the
-    line of ``_row_offset``.
+    Returns (columns, tag).  Row r is the r-th nonblank line: it holds
+    ``width`` integers, the j-th in ``columns[j][r]``, and ``tag[r]`` is its
+    tag letter as a byte (0 for none; ``tags`` holds the format's letters,
+    and tag is None for a format without them).  ``count``, when given, is
+    the declared number of rows.  An error about row r names the line of
+    ``_row_offset``.
 
-    The body is checked, then tokenized one block at a time, and each
-    block's integers are decoded from their token spans (``_span_values``).  A
-    block records its first fault of each kind, and the faults are raised
-    after the last block, in a fixed order: the body checks, the row count,
-    the first row of the wrong width, then the first token of the most
-    digits, if that is over 18.  Values are decoded while no fault is seen,
-    into one array sized from ``count`` and ``width`` when ``count`` is given.
+    The body is checked, then read as one piece by ``_read_rows``, which
+    decodes its rows while no fault is seen: into int64 columns sized from
+    ``count`` when it is given, else into an array per group, joined at the
+    end.  The faults are raised after the last group, in a fixed order: the
+    body checks, the row count, the first row of the wrong width, then the
+    first token of the most digits, if that is over 18.
 
-    With ``below`` (and a ``count``), the values are a list of ``width``
-    int32 arrays, column j of every row in the j-th.  A block's int64 values
-    are narrowed only once they are all below ``below``; values is None when
-    one is not, and that fault is the caller's to name.
+    With ``below`` (and a ``count``), the columns are int32, and a group's
+    int64 values are narrowed only once they are all below ``below``;
+    columns is None when one is not, and that fault is the caller's to name.
     """
-    at = _check_body(raw, start, tags)
+    _check_body(raw, start, tags)
     fixed = count is not None and count * width <= len(raw)
-    in_range = True
-    if below is None:
-        values = np.empty(count * width if fixed else 0, dtype=np.int64)
+    if fixed:
+        dtype = np.int64 if below is None else np.int32
+        columns = [np.empty(count, dtype=dtype) for _ in range(width)]
+        keep = _into(columns, below)
     else:
-        values = [np.empty(count if fixed else 0, dtype=np.int32) for _ in range(width)]
-        in_range = fixed        # a text too short for ``count`` rows fails the count check
-    parts, tag_parts = [], []
-    rows = done = longest = 0
-    wrong_at = longest_at = None
-    for lo, block, block_at in _line_blocks(raw, start, at):
-        starts, ends, heads = _token_rows(block, block_at)
-        lengths = ends - starts
-        if starts.size:
-            most = int(lengths.max())
-            if most > longest:
-                longest, longest_at = most, lo + int(starts[lengths.argmax()])
-        counts = np.diff(heads, append=starts.size)
-        if tags:
-            lead = block[starts[heads]]
-            tagged = lead > ord("9")  # a token is digits or a tag, and letters sort after digits
-            tag_parts.append(np.where(tagged, lead, 0).astype(np.uint8))
-            # A tag is the first token of its row; the row's other tokens are integers.
-            counts -= tagged
-            digit = np.ones(starts.size, dtype=bool)
-            digit[heads[tagged]] = False
-            ends, lengths = ends[digit], lengths[digit]
-        if wrong_at is None and (counts != width).any():
-            wrong_at = lo + int(starts[heads[(counts != width).argmax()]])
-        rows += heads.size
-        total = int(counts.sum())
-        if (total and wrong_at is None and longest <= _MAX_DIGITS and in_range
-                and (count is None or rows <= count)):
-            block_values = _span_values(block, ends, lengths)
-            if below is None and fixed:
-                values[done:done + total] = block_values
-            elif below is None:
-                parts.append(block_values)
-            elif block_values.max() < below:
-                for column, block_column in zip(values, block_values.reshape(-1, width).T):
-                    column[done // width:(done + total) // width] = block_column
-            else:
-                in_range = False
-            done += total
-    if count is not None and rows != count:
-        raise InputError(f"expected {count} {what} lines, found {rows}")
-    if wrong_at is not None:
-        raise InputError(f"line {_line_number(raw, wrong_at)}: "
+        parts = [np.zeros((0, width), dtype=np.int64)]
+
+        def keep(r: int, values: np.ndarray) -> bool:
+            parts.append(values)
+            return True
+    rows, longest, wrong, tag, kept = _read_rows(raw, [start], [len(raw)], width,
+                                                 bool(tags), keep)
+    if count is not None and rows[0] != count:
+        raise InputError(f"expected {count} {what} lines, found {rows[0]}")
+    if wrong is not None:
+        raise InputError(f"line {_line_number(raw, wrong)}: "
                          f"expected {width} integer(s) per {what} line")
-    if longest > _MAX_DIGITS:
-        raise _token_error(raw, longest_at, _NOT_DECIMAL)
-    if not in_range:
-        values = None
-    elif not fixed and parts:
-        values = np.concatenate(parts)
-    return values, np.concatenate([np.zeros(0, np.uint8), *tag_parts]) if tags else None
+    if longest[0] > _MAX_DIGITS:
+        raise _token_error(raw, longest[1], _NOT_DECIMAL)
+    if not fixed:
+        columns = list(np.concatenate(parts).T)
+    return columns if kept else None, tag
 
 
-def _row_offset(raw: bytes, start: int, row: int, tags: str = "") -> int:
-    """Offset in ``raw`` of the first token of row ``row`` of a body that
-    ``_int_rows(raw, start, ..., tags=tags)`` read; an error message names
-    its ``_line_number``.  Tokenizes the body again, block by block, up to
-    the row, so only the error path pays for row offsets."""
-    at = _check_body(raw, start, tags)
-    for lo, block, block_at in _line_blocks(raw, start, at):
-        starts, _, heads = _token_rows(block, block_at)
+def _row_offset(raw: bytes, lo, hi, row: int) -> int:
+    """Offset in ``raw`` of the first token of row ``row`` of the pieces
+    ``raw[lo[k]:hi[k]]`` that ``_read_rows`` read, the rows counted over
+    all of them; an error message names its ``_line_number``.  Tokenizes
+    the pieces again, a group at a time, up to the row, so only the error
+    path pays for row offsets."""
+    for _, _, group, off, shift in _groups(raw, lo, hi):
+        starts, _, heads = _token_rows(group)
         if row < heads.size:
-            return lo + int(starts[heads[row]])
+            p = starts[heads[row]]
+            return int(p + shift[np.searchsorted(off, p, "right") - 1])
         row -= heads.size
     raise IndexError("row out of range")
 
@@ -776,8 +848,7 @@ def _graph_fault(raw: bytes, start: int, n: int, m: int) -> InputError:
     """The first fault of a GRAPH v1 body whose edges tokenize but are not
     canonical, naming its line.  The body is decoded again, in int64, so a
     value too large for int32 is seen as it is written."""
-    values, _ = _int_rows(raw, start, "edge", width=2, count=m)
-    eu, ev = values[0::2], values[1::2]
+    (eu, ev), _ = _int_rows(raw, start, "edge", width=2, count=m)
     du, dv = np.diff(eu), np.diff(ev)
     for bad, message in [
         (eu >= ev, "edge line not in u < v form"),
@@ -788,8 +859,8 @@ def _graph_fault(raw: bytes, start: int, n: int, m: int) -> InputError:
     ]:
         if bad.any():
             row = int(bad.argmax())
-            return InputError(f"line {_line_number(raw, _row_offset(raw, start, row))}: "
-                              f"{message}")
+            pos = _row_offset(raw, [start], [len(raw)], row)
+            return InputError(f"line {_line_number(raw, pos)}: {message}")
     raise AssertionError("a GRAPH body is canonical in int64 but not in int32")
 
 

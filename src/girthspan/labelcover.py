@@ -21,10 +21,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .graphs import (_MAX_DIGITS, _NO_TAGS, _NOT_DECIMAL, _READ_BYTES, _WRITE_ROWS, Graph,
-                     _check_body, _check_declared, _decimal_block, _decimal_text,
-                     _decimals, _head_lines, _int_rows, _is_break, _line_number, _rising,
-                     _row_offset, _sorted_distinct, _span_values, _token_error, _token_rows)
+from .graphs import (_MAX_DIGITS, _NOT_DECIMAL, _READ_BYTES, _WRITE_ROWS, Graph, _check_body,
+                     _check_declared, _decimal_block, _decimal_text, _decimals, _head_lines,
+                     _int_rows, _into, _is_break, _line_number, _read_rows, _rising, _row_offset,
+                     _sorted_distinct, _token_error)
 
 
 class LabelCoverInstance:
@@ -87,7 +87,7 @@ class LabelCoverInstance:
                 raise InputError("superedge A endpoint out of range")
             if eb.min() < 0 or eb.max() >= self.b_count:
                 raise InputError("superedge B endpoint out of range")
-            if not _rising(ea, eb):
+            if _rising(ea, eb) is not None:
                 raise InputError("superedges must be distinct and (a, b)-sorted")
             if rel_ids.min() < 0 or rel_ids.max() >= start.size - 1:
                 raise InputError("relation row id out of range")
@@ -95,7 +95,7 @@ class LabelCoverInstance:
                            or beta.max() >= self.sigma_b):
             raise InputError("relation symbol out of range")
         # A row's first pair follows no pair of its row.
-        if not _rising(alpha, beta, start[1:-1]):
+        if _rising(alpha, beta, start[1:-1]) is not None:
             raise InputError("relation pairs must be sorted and distinct")
         self._ea = ea
         self._eb = eb
@@ -435,16 +435,17 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     line break character, and then its relation block, up to the next tag.
     Identical block texts hold identical tokens, so each distinct block is
     read once, where it first occurs.  The E lines and these first
-    occurrences are read in groups of a bounded size (``_piece_groups``):
+    occurrences are the pieces that ``_read_rows`` reads, a group at a time:
     the E lines in one pass that checks and decodes them, the blocks in one
-    that counts and checks their rows (``_piece_rows``) and, once every
-    other check has passed, one that decodes their pairs into the arrays
-    sized from those counts (``_pairs``).  Every check still covers every
-    line, and an error names the line and quotes the token of the first
-    fault in text order: a block's first fault is first where the block
-    first occurs, and the blocks are numbered in that order.  The distinct
-    blocks are the rows of the CSR relation table, so their decoded pairs
-    are its pair arrays as they stand.
+    that counts and checks their rows and, once every other check has
+    passed, one that decodes their pairs into arrays sized from those
+    counts.  Then ``_rising`` finds the first pair not above the one before
+    it in its block.  Every check still covers every line, and an error
+    names the line and quotes the token of the first fault in text order: a
+    block's first fault is first where the block first occurs, and the
+    blocks are numbered in that order.  The distinct blocks are the rows of
+    the CSR relation table, so their decoded pairs are its pair arrays as
+    they stand.
 
     The E line ends are searched from the tags (``_first_breaks``): a short
     window of bytes per tag, widened only for the tags whose line is longer,
@@ -464,9 +465,9 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     bid = _block_ids(raw, lo, hi)
     first = np.unique(bid, return_index=True)[1]      # piece of each block's first occurrence
     b_lo, b_hi = lo[first], hi[first]
-    e_values = np.empty((at.size, 3), dtype=np.int64)
-    e_longest, e_wrong = _piece_rows(whole, at, e_end, 4, e_values)[1:]   # E and 3 integers
-    rows, b_longest, b_wrong = _piece_rows(whole, b_lo, b_hi, 2)
+    a, b, t = e_values = [np.empty(at.size, dtype=np.int64) for _ in range(3)]
+    e_longest, e_wrong = _read_rows(raw, at, e_end, 3, True, _into(e_values))[1:3]
+    rows, b_longest, b_wrong = _read_rows(raw, b_lo, b_hi, 2)[:3]
 
     longest = max(e_longest[0], b_longest[0])
     if longest > _MAX_DIGITS:
@@ -483,7 +484,6 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
         kind, width = ("superedge", 3) if raw[pos] == ord("E") else ("relation pair", 2)
         raise InputError(f"line {_line_number(raw, pos)}: "
                          f"expected {width} integers on a {kind} line")
-    a, b, t = e_values.T
     wrong = rows[bid[1:]] != t
     if wrong.any():
         e = int(wrong.argmax())
@@ -496,13 +496,18 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     skip = int(not (bid[1:] == 0).any())
     order = np.lexsort((b, a))
     superedges = (a[order], b[order], (bid[1:] - skip)[order])
-    # Only what the instance keeps stays alive while the pairs are decoded.
-    del lo, hi, at, e_end, bid, first, e_values, a, b, t, order
-    alpha, beta, unsorted = _pairs(whole, b_lo, b_hi, rows)
+    total = int(rows.sum())
+    # Only what the instance keeps stays alive while the pairs are decoded;
+    # the decoding pass counts the rows again.
+    del lo, hi, at, e_end, bid, first, e_values, a, b, t, order, rows
+    alpha, beta = pairs = [np.empty(total, dtype=np.int64) for _ in range(2)]
+    rows = _read_rows(raw, b_lo, b_hi, 2, keep=_into(pairs))[0]
+    rel_start = np.append(0, np.cumsum(rows[skip:]))
+    unsorted = _rising(alpha, beta, rel_start[1:-1])    # a block's first pair follows none
     if unsorted is not None:
-        raise InputError(f"line {_line_number(raw, unsorted)}: "
+        raise InputError(f"line {_line_number(raw, _row_offset(raw, b_lo, b_hi, unsorted))}: "
                          "relation pairs must be sorted and distinct")
-    return (*superedges, (np.append(0, np.cumsum(rows[skip:])), alpha, beta))
+    return (*superedges, (rel_start, alpha, beta))
 
 
 # Pieces numbered per step of ``_block_ids``: its two offset lists of Python
@@ -522,104 +527,6 @@ def _block_ids(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         bid[c:c + _ID_STEP] = np.fromiter((index.setdefault(p, len(index)) for p in pieces),
                                           dtype=np.int64, count=min(_ID_STEP, lo.size - c))
     return bid
-
-
-# Bytes per group of ``_piece_groups``.  Pieces shorter than
-# ``_GATHER_BELOW`` bytes on average, such as E lines as written, are
-# gathered through an int64 index of 24 bytes per byte; longer ones, such as
-# relation blocks, are joined as slices, each of which costs about as much
-# as gathering 80 bytes.
-_GROUP_BYTES = _READ_BYTES // 2
-_GATHER_BELOW = 32
-
-
-def _piece_groups(whole: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The pieces ``whole[lo[k]:hi[k]]`` of the text bytes (ascending and
-    disjoint, each beginning a line and each but the text's last ending
-    with a line break) in groups that together hold at most
-    ``_GROUP_BYTES`` bytes (or one longer piece).  Yields (i, j, group, off)
-    per group: its pieces i to j - 1 copied together, as a uint8 array, and
-    where each starts in ``group``.  A group of one piece is read in
-    place."""
-    end = np.cumsum(hi - lo)
-    i = 0
-    while i < lo.size:
-        begin = int(end[i - 1]) if i else 0
-        j = max(int(np.searchsorted(end, begin + _GROUP_BYTES, side="right")), i + 1)
-        off = np.append(begin, end[i:j - 1]) - begin
-        if j == i + 1:
-            group = whole[lo[i]:hi[i]]
-        elif end[j - 1] - begin < _GATHER_BELOW * (j - i):
-            size = hi[i:j] - lo[i:j]
-            group = whole[np.repeat(lo[i:j] - off, size) + np.arange(size.sum())]
-        else:
-            group = np.frombuffer(b"".join(map(whole.data.__getitem__, map(
-                slice, lo[i:j].tolist(), hi[i:j].tolist()))), dtype=np.uint8)
-        yield i, j, group, off
-        i = j
-
-
-def _text_offset(pos: int, lo: np.ndarray, off: np.ndarray) -> int:
-    """Text offset of offset ``pos`` of a group of pieces, piece k starting
-    at ``off[k]`` in the group and at ``lo[k]`` in the text."""
-    k = int(np.searchsorted(off, pos, side="right")) - 1
-    return int(lo[k] + pos - off[k])
-
-
-def _piece_rows(whole: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int,
-                values: np.ndarray | None = None) -> tuple:
-    """Tokens of the pieces ``whole[lo[k]:hi[k]]`` of the text bytes, read
-    in groups (``_piece_groups``), every nonblank line of which should be a
-    row of ``width`` tokens.  Returns (rows, longest, wrong): the rows of
-    each piece, (most digits in a token, text offset of the first such
-    token), and the text offset of the first row without ``width`` tokens
-    (None if none).
-
-    ``values``, when given, has a row per piece: the pieces are then lines
-    that open with a tag, the first token of the row, and the integers of
-    each group are decoded into it while no fault is seen."""
-    tagged = values is not None
-    rows = np.zeros(lo.size, dtype=np.int64)
-    longest, wrong = (0, None), None
-    for i, j, group, off in _piece_groups(whole, lo, hi):
-        starts, ends, heads = _token_rows(group, off if tagged else _NO_TAGS)
-        rows[i:j] = np.bincount(np.searchsorted(off, starts[heads], side="right") - 1,
-                                minlength=j - i)
-        lengths = ends - starts
-        if lengths.size and lengths.max() > longest[0]:
-            k = int(lengths.argmax())
-            longest = (int(lengths[k]), _text_offset(starts[k], lo[i:j], off))
-        bad = np.diff(heads, append=starts.size) != width
-        if wrong is None and bad.any():
-            wrong = _text_offset(starts[heads[bad.argmax()]], lo[i:j], off)
-        if tagged and wrong is None and longest[0] <= _MAX_DIGITS:
-            digit = np.ones(starts.size, dtype=bool)
-            digit[heads] = False                # each row opens with its piece's tag
-            values[i:j] = _span_values(group, ends[digit], lengths[digit]).reshape(j - i, -1)
-    return rows, longest, wrong
-
-
-def _pairs(whole: np.ndarray, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple:
-    """The pairs of the relation blocks ``whole[lo[k]:hi[k]]``, which
-    ``_piece_rows`` found to hold ``rows[k]`` rows of two integers, with no
-    fault, decoded a group at a time.  Returns (alpha, beta, unsorted): the
-    pairs' two integers, over all rows in text order, and the text offset of
-    the first pair not above the one before it in its block (None if
-    none)."""
-    alpha, beta = pairs = np.empty((2, int(rows.sum())), dtype=np.int64)
-    unsorted = None
-    r1 = 0
-    for i, j, group, off in _piece_groups(whole, lo, hi):
-        cut = np.cumsum(rows[i:j - 1])        # where each block after the first starts
-        r0, r1 = r1, r1 + int(rows[i:j].sum())
-        starts, ends, heads = _token_rows(group, _NO_TAGS)
-        pairs[:, r0:r1] = _span_values(group, ends, ends - starts).reshape(-1, 2).T
-        x, y = alpha[r0:r1], beta[r0:r1]
-        down = ~((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1])))
-        down[cut[(cut > 0) & (cut < r1 - r0)] - 1] = False    # pairs of two blocks
-        if unsorted is None and down.any():
-            unsorted = _text_offset(starts[heads[1 + down.argmax()]], lo[i:j], off)
-    return alpha, beta, unsorted
 
 
 # Bytes the first pass of ``_first_breaks`` reads per tag: an E line as
@@ -678,11 +585,11 @@ def _member_rows(raw: bytes, header: str, what: str) -> tuple:
     lines, _, start = _head_lines(raw, 1, skip_blank=True)
     if not lines or lines[0] != header:
         raise InputError(f"missing {header} header")
-    values, tag = _int_rows(raw, start, what, width=2, tags="AB")
+    (vertex, symbol), tag = _int_rows(raw, start, what, width=2, tags="AB")
     if not tag.all():
-        pos = _row_offset(raw, start, int(tag.argmin()), "AB")
+        pos = _row_offset(raw, [start], [len(raw)], int(tag.argmin()))
         raise InputError(f"line {_line_number(raw, pos)}: {what} line must start with A or B")
-    return tag == ord("A"), values[0::2], values[1::2]
+    return tag == ord("A"), vertex, symbol
 
 
 def parse_cover_text(raw: bytes) -> RepCover:

@@ -198,9 +198,12 @@ class BitsetSpannerChecker:
 
 def min_spanner_exact(g: Graph, k: int,
                       budget: OracleBudget | None = None) -> tuple[int, EdgeSubset]:
-    """Exact minimum k-spanner size by size-ascending subset enumeration."""
+    """Exact minimum k-spanner size by size-ascending subset enumeration.
+    The stretch is checked before the budget, and both before the work."""
     budget = budget or OracleBudget()
     m = g.edge_count
+    if k < 1:
+        raise InputError("stretch k must be >= 1")
     budget.check_space(2 ** m)
     checker = BitsetSpannerChecker(g, k)
     for size in range(m + 1):

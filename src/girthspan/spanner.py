@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import (INFINITY, _WRITE_ROWS, Graph, _canonical, _decimal_blocks, _head_lines,
-                     _hops, _int_rows, _line_number, _row_offset, _sorted_distinct,
+                     _hops, _int_rows, _line_number, _rising, _row_offset, _sorted_distinct,
                      _vertex_count, girth, graph_sha256)
 from .labelcover import (MinRepInstance, RepCover, _lc_chunks, _relation_slots, repcover_valid,
                          supergraph)
@@ -575,11 +575,11 @@ def parse_subset_text(raw: bytes, host: Graph) -> EdgeSubset:
         raise InputError("missing HOST hash line")
     if lines[1].split("sha256:", 1)[1] != graph_sha256(host):
         raise InputError("subset host hash does not match the given graph")
-    ids, _ = _int_rows(raw, start, "edge id", width=1)
-    unsorted = ids[1:] <= ids[:-1]
-    if unsorted.any():
-        row = int(unsorted.argmax()) + 1
-        raise InputError(f"line {_line_number(raw, _row_offset(raw, start, row))}: "
+    (ids,), _ = _int_rows(raw, start, "edge id", width=1)
+    row = _rising(ids, ids)         # an id equal to the one before is not above it
+    if row is not None:
+        pos = _row_offset(raw, [start], [len(raw)], row)
+        raise InputError(f"line {_line_number(raw, pos)}: "
                          "subset edge ids must be sorted and distinct")
     return EdgeSubset._from_sorted(host, ids)
 

@@ -7,7 +7,8 @@ code, as an AST name or an attribute, or be a function the benchmark traces
 (``BENCHMARK.json`` per-layer metrics).  A name that neither the program nor
 the benchmark reaches is surface with no caller; it goes, or it is listed in
 ``ALLOWED`` with the reason it stays.  An entry whose name gains a caller
-leaves ``ALLOWED``.
+leaves ``ALLOWED``.  A private module-level function must be referenced in
+the package's own code outside its own body; a test import does not count.
 
 No module calls ``read_text`` or ``write_text`` or opens a file in text
 mode: every artifact is read with ``read_bytes`` and written as byte chunks,
@@ -16,6 +17,7 @@ so no text passes through a locale codec or a newline translation.
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +78,35 @@ def test_every_public_name_has_a_caller():
                      if name.rsplit(".", 1)[-1] not in referenced
                      and name not in traced and name not in ALLOWED)
     assert not orphans, f"public names with no caller in src/ or the benchmark: {orphans}"
+
+
+def _references(root) -> Counter:
+    """How often each name is referred to under ``root``, as an AST name or
+    an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(root) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def uncalled_private_functions(trees) -> list:
+    """``module.name`` of every private module-level function that no code
+    in ``trees`` outside its own body refers to."""
+    everywhere = sum(map(_references, trees.values()), Counter())
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and everywhere[node.name] == _references(node)[node.name]]
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    """A private helper that only the tests reach is dead code of the
+    program: it goes, or the tests use what the program uses."""
+    orphans = uncalled_private_functions(_trees())
+    assert not orphans, f"private functions with no caller in src/: {orphans}"
+
+
+def test_private_caller_finder_ignores_a_function_calling_itself():
+    tree = ast.parse("def _a():\n    return _a()\n\ndef _b():\n    return 1\n\n"
+                     "def c():\n    return _b()\n\nx = m._d\n\ndef _d():\n    pass\n")
+    assert uncalled_private_functions({"m": tree}) == ["m._a"]
 
 
 def test_allowlist_names_existing_definitions():

@@ -213,6 +213,31 @@ def test_parrep_budget_exit_3(tmp_path):
                 "--max-superedges", 1000]) == 3
 
 
+def test_parrep_budget_below_1_is_an_input_error(tmp_path, capsys):
+    """A superedge budget below 1 is a bad option (exit 2), not a budget
+    that the product exceeds (exit 3)."""
+    cnf, lc = tmp_path / "f.cnf", tmp_path / "base.lc"
+    run(["gen-3sat5", "--vars", 3, "--seed", 1, "-o", cnf])
+    run(["lc-from-3sat", "-i", cnf, "-o", lc])
+    capsys.readouterr()
+    for budget in (0, -5):
+        assert run(["parrep", "-i", lc, "--ell", 1, "-o", tmp_path / "rep.lc",
+                    "--max-superedges", budget]) == 2
+        assert capsys.readouterr().err == "input error: superedge budget must be >= 1\n"
+
+
+def test_solve_spanner_exact_checks_k_before_the_budget(tmp_path, capsys):
+    """A stretch below 1 is named (exit 2) even where the search space
+    exceeds the budget (exit 3 for a valid stretch)."""
+    g = tmp_path / "k4.graph"
+    g.write_text(write_graph_text(Graph(4, [(i, j) for i in range(4)
+                                            for j in range(i + 1, 4)])))
+    assert run(["solve-spanner-exact", "--graph", g, "--k", 0, "--budget", 10]) == 2
+    assert capsys.readouterr().err == "input error: stretch k must be >= 1\n"
+    assert run(["solve-spanner-exact", "--graph", g, "--k", 1, "--budget", 10]) == 3
+    assert capsys.readouterr().err.startswith("resource error: oracle search space")
+
+
 def test_solve_commands(tmp_path, capsys):
     lc_text = ("LC v1\nA 2 B 2 SA 2 SB 2 M 4\n"
                "E 0 0 2\n0 0\n1 1\nE 0 1 2\n0 0\n1 1\n"

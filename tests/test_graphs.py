@@ -421,16 +421,16 @@ W = graphs._WRITE_ROWS
 @pytest.mark.parametrize("at", [1, 2, W - 1, W, W + 1, 2 * W, 3 * W - 1])
 def test_rising_checks_each_row_against_the_row_before_across_blocks(at):
     """``_rising`` reads W rows a block; a row equal to the one before, or
-    below it, is found wherever it lies, a block's first row included,
-    unless it is a restart."""
+    below it, is found and named wherever it lies, a block's first row
+    included, unless it is a restart."""
     major, minor = np.divmod(np.arange(3 * W + 5), 3)
-    assert graphs._rising(major, minor)
+    assert graphs._rising(major, minor) is None
     for drop in (0, 1):         # equal to the row before, then below it
         bad_major, bad_minor = major.copy(), minor.copy()
         bad_major[at], bad_minor[at] = major[at - 1], minor[at - 1] - drop
-        assert not graphs._rising(bad_major, bad_minor)
-        assert graphs._rising(bad_major, bad_minor, np.array([0, at, 3 * W]))
-        assert not graphs._rising(bad_major, bad_minor, np.array([at - 1, at + 1]))
+        assert graphs._rising(bad_major, bad_minor) == at
+        assert graphs._rising(bad_major, bad_minor, np.array([0, at, 3 * W])) is None
+        assert graphs._rising(bad_major, bad_minor, np.array([at - 1, at + 1])) == at
 
 
 @pytest.mark.parametrize("row", [W - 1, W, W + 1])
@@ -667,17 +667,18 @@ def test_row_offsets_and_line_numbers_equal_per_line_reference(body):
     text, _ = body
     raw = text.encode("ascii")
     rows = rows_per_line(text)
-    pos = [_row_offset(raw, 0, row, "E") for row in range(len(rows))]
+    pos = [_row_offset(raw, [0], [len(raw)], row) for row in range(len(rows))]
     assert [(p, _line_number(raw, p)) for p in pos] == rows
     with pytest.raises(IndexError):
-        _row_offset(raw, 0, len(rows), "E")
+        _row_offset(raw, [0], [len(raw)], len(rows))
 
 
 def digit_token_values(raw, tags="E"):
     """``_span_values`` of the digit tokens of the body ``raw``, from the
     spans ``_token_rows`` gives them (tags left out)."""
     block = np.frombuffer(raw, dtype=np.uint8)
-    starts, ends, _ = _token_rows(block, _check_body(raw, 0, tags))
+    _check_body(raw, 0, tags)
+    starts, ends, _ = _token_rows(block)
     digit = block[starts] <= ord("9")
     return _span_values(block, ends[digit], (ends - starts)[digit])
 

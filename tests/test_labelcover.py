@@ -633,7 +633,7 @@ def distinct_blocks_lc():
 
 def test_lc_parse_of_distinct_blocks_peak_memory_is_bounded():
     """The all-distinct instance parses from its bytes below 3.99 times its
-    size (3.93): the distinct blocks are tokenized a window at a time and
+    size (3.92): the distinct blocks are tokenized a window at a time and
     their texts dropped once numbered.  The instance itself takes 2.8
     times, and the peak is set while the pairs are decoded into it, a
     group's token spans beside them (3.63 when a group was decoded from a

@@ -1,16 +1,18 @@
 """The block-wise text kernels at block sizes of a few rows or bytes.
 
 ``_WRITE_ROWS`` (rows per rendered block or LC chunk), ``_READ_BYTES``
-(bytes per tokenized block) and ``labelcover._GROUP_BYTES`` (bytes per
-group of E lines or distinct relation blocks) are patched down so that
-every text below spans many blocks, and a block can be a single line, a
-single line break or the second half of a ``\\r\\n``.  The texts must
-equal those written with the real constants, parse back to the objects
-they were written from, and report a fault in a later block with the
-message and line the real constants give.  Tokens of 1 to 18 digits must
-decode to their values through every parser.  The byte chunks that the
-pipeline streams must join to the texts, and the texts must parse from
-their bytes.
+(bytes per slice of a piece read in place) and ``graphs._GROUP_BYTES``
+(bytes per group of pieces, such as E lines or distinct relation blocks,
+copied together) are patched down so that every text below spans many
+groups, and a group can be a single line, a single line break or the
+second half of a ``\\r\\n``.  The texts must equal those written with the
+real constants, parse back to the objects they were written from, and
+report a fault in a later group with the message and line the real
+constants give.  Tokens of 1 to 18 digits must decode to their values
+through every parser.  The one row reader must read a body cut into
+pieces as it reads the whole body.  The byte chunks that the pipeline
+streams must join to the texts, and the texts must parse from their
+bytes.
 """
 
 import re
@@ -38,7 +40,7 @@ def small_blocks(monkeypatch, rows, size):
     for module in (graphs, labelcover):
         monkeypatch.setattr(module, "_WRITE_ROWS", rows)
         monkeypatch.setattr(module, "_READ_BYTES", size)
-    monkeypatch.setattr(labelcover, "_GROUP_BYTES", size)
+    monkeypatch.setattr(graphs, "_GROUP_BYTES", size)
 
 
 def artifacts():
@@ -128,8 +130,9 @@ def test_body_decoders_read_values_of_1_to_18_digits(data):
         for a, b, block in superedges).encode("ascii")
     with pytest.MonkeyPatch.context() as mp:
         small_blocks(mp, *data.draw(st.sampled_from(BLOCK_SIZES)))
-        values, tag = _int_rows(untagged, 0, "row", width=2)
-        assert values.tolist() == [int(t) for _, u, v in rows for t in (u, v)] and tag is None
+        (us, vs), tag = _int_rows(untagged, 0, "row", width=2)
+        assert list(zip(us.tolist(), vs.tolist())) == [(int(u), int(v)) for _, u, v in rows]
+        assert tag is None
         assert parse_cover_text(cover) == RepCover.of((s, int(u), int(v)) for s, u, v in rows)
         ea, eb, rel_ids, (start, alpha, beta) = _lc_body(lc, 0, len(superedges))
     read = [(a, b, list(zip(alpha[start[r]:start[r + 1]].tolist(),
@@ -269,7 +272,88 @@ def test_lc_chunks_join_to_the_text(lc, rows):
         assert b"".join([head, *body]) == text.encode("ascii")
         assert head.count(b"\n") == 2
         assert all(chunk.count(b"\n") <= rows or chunk.count(b"E") == 1 for chunk in body)
-        mp.setattr(labelcover, "_GROUP_BYTES", rows)
+        mp.setattr(graphs, "_GROUP_BYTES", rows)
         for gather_below in (0, 10**9):       # every group joined, then every one gathered
-            mp.setattr(labelcover, "_GATHER_BELOW", gather_below)
+            mp.setattr(graphs, "_GATHER_BELOW", gather_below)
             assert parse_lc_text(text.encode("ascii")) == lc
+
+
+@st.composite
+def row_bodies(draw):
+    """(body, tagged): lines of 0 to 3 tokens of 1 to 20 digits, which may
+    open with the tag E when ``tagged``, with mixed blanks and line breaks.
+    Rows of other than two integers and tokens over 18 digits are faults;
+    half the bodies have none, their lines holding 0 or 2 tokens of up to
+    18 digits."""
+    tagged, clean = draw(st.booleans()), draw(st.booleans())
+    counts = st.sampled_from([0, 2]) if clean else st.integers(0, 3)
+    digits = st.text("0123456789", min_size=1, max_size=18 if clean else 20)
+    body = ""
+    for _ in range(draw(st.integers(0, 10))):
+        count = draw(counts)
+        tokens = draw(st.lists(digits, min_size=count, max_size=count))
+        blanks = [draw(st.sampled_from([" ", "\t", "  "])) for _ in tokens]
+        body += "E " if tagged and tokens and draw(st.booleans()) else ""
+        body += "".join(b + tok for b, tok in zip(blanks, tokens))
+        body += draw(st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\n\n"]))
+    return body.encode("ascii"), tagged
+
+
+def read_rows(raw, pieces, tagged):
+    """What ``_read_rows`` finds in the ``pieces`` of ``raw``, (lo, hi)
+    pairs, for rows of two integers: the rows of each piece, the longest
+    token, the first row of another width, the tags, the rows its ``keep``
+    took (None after a fault), and each row's ``_row_offset``."""
+    lo, hi = [a for a, _ in pieces], [b for _, b in pieces]
+    taken = []
+
+    def keep(r, values):
+        assert r == len(taken)
+        taken.extend(map(tuple, values.tolist()))
+        return True
+    rows, longest, wrong, tags, kept = graphs._read_rows(raw, lo, hi, 2, tagged, keep)
+    assert kept == (wrong is None and longest[0] <= 18)
+    offsets = [graphs._row_offset(raw, lo, hi, r) for r in range(int(rows.sum()))]
+    return (rows.tolist(), longest, wrong, None if tags is None else tags.tolist(),
+            taken if kept else None, offsets)
+
+
+def joined(readings, tagged):
+    """``read_rows`` of several pieces, from its readings of each alone."""
+    most = max((reading[1][0] for reading in readings), default=0)
+    longest = next((reading[1] for reading in readings if reading[1][0] == most), (0, None))
+    wrong = next((reading[2] for reading in readings if reading[2] is not None), None)
+    kept = wrong is None and most <= 18
+    return (sum((reading[0] for reading in readings), []), longest, wrong,
+            sum((reading[3] for reading in readings), []) if tagged else None,
+            sum((reading[4] for reading in readings), []) if kept else None,
+            sum((reading[5] for reading in readings), []))
+
+
+@given(row_bodies(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_reader_reads_line_aligned_pieces_as_the_whole_body(body, data):
+    """The body cut into random pieces, each just after a line break byte,
+    and read a few bytes a group, gathered or joined, gives the rows of
+    each piece, and the longest token, the first row of another width, the
+    tags, the decoded rows and the row offsets that the body read as one
+    piece gives.  Any subset of the pieces, read together, gives what each
+    piece read alone gives."""
+    raw, tagged = body
+    graphs._check_body(raw, 0, "E" if tagged else "")
+    breaks = [brk.end() for brk in re.finditer(rb"[\n\r\v\f]", raw)]
+    cuts = sorted(data.draw(st.sets(st.sampled_from(breaks)))) if breaks else []
+    pieces = list(zip([0] + cuts, cuts + [len(raw)]))
+    chosen = [piece for piece in pieces if data.draw(st.booleans())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_READ_BYTES", data.draw(st.integers(1, 16)))
+        mp.setattr(graphs, "_GROUP_BYTES", data.draw(st.integers(1, 40)))
+        mp.setattr(graphs, "_GATHER_BELOW", data.draw(st.sampled_from([0, 10**9])))
+        rows, *found = read_rows(raw, pieces, tagged)
+        whole_rows, *whole = read_rows(raw, [(0, len(raw))], tagged)
+        alone = [read_rows(raw, [piece], tagged) for piece in pieces]
+        some = read_rows(raw, chosen, tagged)
+    assert sum(rows) == whole_rows[0] and found == whole
+    assert rows == [reading[0][0] for reading in alone]
+    assert some == joined([reading for piece, reading in zip(pieces, alone) if piece in chosen],
+                          tagged)
