@@ -281,55 +281,75 @@ def _hops(adj, src: int, dst: int, cap: int | None, skip_direct: bool = False):
     graphs have no parallel edges, so that is the same as ignoring its id.
 
     The search meets in the middle: each side keeps the ball it has seen and
-    its last level, and each step grows the side whose frontier is smaller
-    (the source side on a tie) by one whole level.  It is exact.  While the
-    sides have gone a levels from ``src`` and b from ``dst`` without meeting,
-    the distance D exceeds a + b: otherwise the node at position min(a, D)
-    of a shortest path would lie in both balls.  So the first neighbour found
-    in the other side's ball, while one side grows to a + 1, closes a path
-    of a + 1 + b hops, which is D, and every meeting in that level gives the
-    same sum.  An empty frontier means its side's component is exhausted
-    without meeting, so ``dst`` is unreachable.
+    its last level, both as sets, and each step grows the side whose frontier
+    is smaller (the source side on a tie) by one whole level, with set
+    operations (see ``_grow``).  It is exact.  While the sides have gone a
+    levels from ``src`` and b from ``dst`` without meeting, the distance D
+    exceeds a + b: otherwise the node at position min(a, D) of a shortest
+    path would lie in both balls.  So any neighbour found in the other side's
+    ball, while one side grows to a + 1, closes a path of a + 1 + b hops,
+    which is D; every meeting in that level gives the same sum, so the level
+    is tested as a whole, in no order.  An empty frontier means its side's
+    component is exhausted without meeting, so ``dst`` is unreachable.  The
+    level that brings a + b to ``cap`` is the final one: it only tests for a
+    meeting, since no level after it is grown.
 
     With ``skip_direct`` the search runs on the graph without {src, dst}: the
-    step from ``src`` straight to ``dst`` is skipped on the source side and
-    the reverse step on the target side.  Neither root can enter the other
-    side's ball without meeting first, so no other step crosses that edge.
+    step from ``src`` straight to ``dst`` is dropped from the source side's
+    root level and the reverse step from the target side's.  Neither root can
+    enter the other side's ball without meeting first, so no other step
+    crosses that edge.
     """
     if src == dst:
         return 0
     seen_s, seen_t = {src}, {dst}
-    front_s, front_t = [src], [dst]
-    banned_s, banned_t = (dst, src) if skip_direct else (-1, -1)
+    front_s, front_t = {src}, {dst}
     ds = dt = 0
     while front_s and front_t and (cap is None or ds + dt < cap):
+        final = ds + dt + 1 == cap
         if len(front_s) <= len(front_t):
-            front_s = _grow(adj, front_s, seen_s, seen_t, src, banned_s)
+            banned = dst if skip_direct and ds == 0 else None
+            front_s = _grow(adj, front_s, seen_s, seen_t, banned, final)
             ds += 1
             if front_s is None:
                 return ds + dt
         else:
-            front_t = _grow(adj, front_t, seen_t, seen_s, dst, banned_t)
+            banned = src if skip_direct and dt == 0 else None
+            front_t = _grow(adj, front_t, seen_t, seen_s, banned, final)
             dt += 1
             if front_t is None:
                 return ds + dt
     return INFINITY
 
 
-def _grow(adj, frontier, seen, other, root, banned):
-    """One level of one side of ``_hops``: the next frontier, added to
-    ``seen``, or None once a neighbour lies in the other side's ball
-    ``other``.  The step from ``root`` to ``banned`` is skipped."""
-    nxt = []
-    for u in frontier:
-        for w in adj[u]:
-            if w in other:
-                if w == banned and u == root:
-                    continue
+def _grow(adj, frontier, seen, other, banned, final):
+    """One level of one side of ``_hops``: None when a neighbour of
+    ``frontier`` lies in the other side's ball ``other``, else the next
+    frontier.  The neighbour lists are read whole by set operations: their
+    union, less ``banned``, is tested against ``other``, and what is not in
+    ``seen`` is the next frontier and is added to ``seen``.  ``adj`` is only
+    read, so the shared lists stay as they are.
+
+    ``banned`` is None but at the root level of a ``skip_direct`` search,
+    where it names the other root: the skipped direct edge.  On the
+    ``final`` level only the meeting test runs, one neighbour list at a
+    time; it builds no frontier and leaves ``seen`` as it is, since neither
+    is read again, and its empty frontier ends the search.  A final root
+    level with a skipped edge takes the full step, over one list.
+    """
+    if final and banned is None:
+        for u in frontier:
+            if not other.isdisjoint(adj[u]):
                 return None
-            if w not in seen:
-                seen.add(w)
-                nxt.append(w)
+        return ()
+    nxt = set()
+    for u in frontier:
+        nxt.update(adj[u])
+    nxt.discard(banned)
+    if not nxt.isdisjoint(other):
+        return None
+    nxt -= seen
+    seen |= nxt
     return nxt
 
 

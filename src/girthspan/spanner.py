@@ -394,7 +394,8 @@ def _first_unspanned(g: Graph, h: EdgeSubset, eids: np.ndarray, k: int):
     if eids.size == 0:
         return True, None
     eu, ev = g.edge_arrays()
-    adj = Graph.from_arrays(g.vertex_count, eu[h.members], ev[h.members]).adjacency()
+    # The rows of a canonical edge list at sorted, distinct ids are canonical.
+    adj = Graph._from_canonical(g.vertex_count, eu[h.members], ev[h.members]).adjacency()
     for eid, u, v in zip(eids.tolist(), eu[eids].tolist(), ev[eids].tolist()):
         if _hops(adj, u, v, k) == INFINITY:
             return False, eid

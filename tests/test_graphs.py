@@ -170,6 +170,30 @@ def test_hops_equals_capped_bfs_with_hubs(n, seed, data):
     assert _hops(g.adjacency(), u, v, cap, skip_direct=skip) == bfs_distances(rest, u, cap)[v]
 
 
+@given(st.integers(20, 60), st.integers(0, 2**32), st.data())
+@settings(max_examples=120, deadline=None)
+def test_hops_at_the_cap_and_one_below(n, seed, data):
+    """A query at cap = d, the true distance, ends on the final level, where
+    only the meeting test runs: it must return d, and INFINITY at cap d - 1.
+    No query may change the neighbour lists, which are shared."""
+    hubs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    g = hub_graph(n, hubs, data.draw(st.floats(0.0, 0.08)), Stream(seed))
+    end = st.sampled_from(hubs) | st.integers(0, n - 1)
+    u, v = data.draw(end), data.draw(end)
+    skip = data.draw(st.booleans())
+    rest = Graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
+    d = bfs_distances(rest, u)[v]
+    adj = g.adjacency()
+    before = [list(ws) for ws in adj]
+    if d == INFINITY:
+        assert _hops(adj, u, v, None, skip_direct=skip) == INFINITY
+        assert _hops(adj, u, v, n, skip_direct=skip) == INFINITY
+    elif d > 0:
+        assert _hops(adj, u, v, d, skip_direct=skip) == d
+        assert _hops(adj, u, v, d - 1, skip_direct=skip) == INFINITY
+    assert adj == before
+
+
 def test_hops_unit_cases():
     g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])      # vertex 6 is isolated
     adj = g.adjacency()

@@ -518,6 +518,26 @@ def test_verify_spanner_witness_equals_per_edge_reference():
     assert failing >= 100
 
 
+def test_first_unspanned_searches_the_sorted_subset_graph(monkeypatch):
+    """The verifiers' subset graph skips the sort of ``from_arrays``, since
+    the members are sorted and distinct; its neighbour lists are the same."""
+    searched = []
+    hops = sp._hops
+    monkeypatch.setattr(sp, "_hops", lambda adj, *args: searched.append(adj) or hops(adj, *args))
+    stream = Stream(4242)
+    for trial in range(20):
+        n = 8 + stream.randbelow(25)
+        g = (hub_graph(n, [stream.randbelow(n)], 0.1, stream) if trial % 2
+             else random_graph(n, 0.3, stream))
+        h = sp.EdgeSubset(g, [e for e in range(g.edge_count) if stream.random() < 0.5])
+        searched.clear()
+        sp.verify_spanner(g, h, 2)
+        eu, ev = g.edge_arrays()
+        expected = Graph.from_arrays(n, eu[h.members], ev[h.members]).adjacency()
+        assert all(adj == expected for adj in searched)
+        assert searched or len(h) == g.edge_count
+
+
 # --- canonical paths ------------------------------------------------------------
 
 def test_canonical_path_in_full_edge_set():
