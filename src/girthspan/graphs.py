@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import deque
 from itertools import chain
 from math import inf
 
@@ -39,15 +38,13 @@ class Graph:
     lower ends and searches the higher ends inside that row; ``edge_ids_of``
     derives the int64 keys u * vertex_count + v for the one call.
 
-    Rejects self-loops and duplicate edges.  The adjacency index (CSR, see
-    ``_csr``) is derived on first use and shared freely afterwards; every
-    array is read-only, so the index, the cached neighbour lists (see
-    ``adjacency``), the cached GRAPH v1 digest (see ``graph_sha256``) and
-    the cached girth (see ``girth``) cannot go stale.
+    Rejects self-loops and duplicate edges.  The neighbour lists (see
+    ``adjacency``) are derived on first use and shared freely afterwards;
+    both edge arrays are read-only, so they, the cached GRAPH v1 digest (see
+    ``graph_sha256``) and the cached girth (see ``girth``) cannot go stale.
     """
 
-    __slots__ = ("vertex_count", "_eu", "_ev", "_indptr", "_nbr", "_nbr_eid",
-                 "_adj", "_sha256", "_girth")
+    __slots__ = ("vertex_count", "_eu", "_ev", "_adj", "_sha256", "_girth")
 
     def __init__(self, vertex_count: int, edges) -> None:
         eu, ev = _edge_arrays(edges)
@@ -95,7 +92,6 @@ class Graph:
         self._ev = hi
         for arr in (self._eu, self._ev):
             arr.flags.writeable = False
-        self._indptr = self._nbr = self._nbr_eid = None
         self._adj = None
         self._sha256 = None
         self._girth = None
@@ -146,33 +142,20 @@ class Graph:
             raise InputError("pair is not an edge")
         return pos.astype(np.int64)
 
-    def _csr(self) -> tuple:
-        """(indptr, nbr, nbr_eid), built on first use and cached: vertex v's
-        neighbours are ``nbr[indptr[v]:indptr[v + 1]]``, reached by the edges
-        ``nbr_eid`` at the same positions; first the edges where v is the
-        lower end, then the higher, each in ascending edge id."""
-        if self._indptr is None:
-            n, m = self.vertex_count, self._eu.size
-            ends = np.concatenate([self._eu, self._ev])
-            order = np.argsort(ends, kind="stable")
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
-            nbr = np.concatenate([self._ev, self._eu])[order]
-            nbr_eid = order % m if m else order      # entry p of ends is edge p mod m
-            for arr in (indptr, nbr, nbr_eid):
-                arr.flags.writeable = False
-            self._indptr, self._nbr, self._nbr_eid = indptr, nbr, nbr_eid
-        return self._indptr, self._nbr, self._nbr_eid
-
     def adjacency(self) -> list:
-        """Neighbour lists of Python ints, built on first use and cached.
+        """Neighbour lists of Python ints, built on first use and cached:
+        vertex v's list holds the other ends of the edges where v is the
+        lower end, then the higher, each in ascending edge id.
 
         Callers must not modify them; they are shared by every search.
         """
         if self._adj is None:
-            indptr, nbr, _ = self._csr()
-            nbr, indptr = nbr.tolist(), indptr.tolist()
-            self._adj = [nbr[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
+            ends = np.concatenate([self._eu, self._ev])
+            nbr = np.concatenate([self._ev, self._eu])[np.argsort(ends, kind="stable")].tolist()
+            bounds = np.zeros(self.vertex_count + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ends, minlength=self.vertex_count), out=bounds[1:])
+            bounds = bounds.tolist()
+            self._adj = [nbr[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         return self._adj
 
     def __eq__(self, other) -> bool:
@@ -251,26 +234,6 @@ def _sorted_distinct(values) -> np.ndarray:
     arr = np.sort(np.asarray(values if isinstance(values, np.ndarray) else list(values),
                              dtype=np.int64), axis=None)
     return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
-
-
-def bfs_distances(g: Graph, src: int, cap: int | None = None) -> list:
-    """Exact hop counts from ``src``; entries beyond ``cap`` are INFINITY."""
-    if not 0 <= src < g.vertex_count:
-        raise InputError(f"source vertex {src} out of range")
-    dist = [INFINITY] * g.vertex_count
-    dist[src] = 0
-    queue = deque([src])
-    adj = g.adjacency()
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if cap is not None and du >= cap:
-            continue
-        for w in adj[u]:
-            if dist[w] == INFINITY:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
 
 
 def _hops(adj, src: int, dst: int, cap: int | None, skip_direct: bool = False):
@@ -370,7 +333,7 @@ def girth(g: Graph):
     At worst every query exhausts its component: O(m (n + m)) time in all.
     The result is cached on ``g``, so a second call does not search.
     ``oracles.girth_independent`` provides a second formulation for
-    cross-checking, and caches nothing.
+    cross-checking, and caches no result.
     """
     if g._girth is None:
         best = INFINITY

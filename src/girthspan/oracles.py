@@ -9,13 +9,14 @@ test fixtures.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, INFINITY, bfs_distances
+from .graphs import Graph, INFINITY
 from .labelcover import LabelCoverInstance, Labeling, MinRepInstance, RepCover
 from .spanner import EdgeSubset
 
@@ -216,6 +217,26 @@ def min_spanner_exact(g: Graph, k: int,
     raise AssertionError("unreachable: the full edge set spans itself")
 
 
+def bfs_distances(g: Graph, src: int, cap: int | None = None) -> list:
+    """Exact hop counts from ``src``; entries beyond ``cap`` are INFINITY."""
+    if not 0 <= src < g.vertex_count:
+        raise InputError(f"source vertex {src} out of range")
+    dist = [INFINITY] * g.vertex_count
+    dist[src] = 0
+    queue = deque([src])
+    adj = g.adjacency()
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        if cap is not None and du >= cap:
+            continue
+        for w in adj[u]:
+            if dist[w] == INFINITY:
+                dist[w] = du + 1
+                queue.append(w)
+    return dist
+
+
 def spans_all_pairs(g: Graph, h: EdgeSubset, k: int) -> bool:
     """Direct all-pairs stretch check: dist_h(u,v) <= k * dist_g(u,v)."""
     eu, ev = g.edge_arrays()
@@ -231,12 +252,13 @@ def spans_all_pairs(g: Graph, h: EdgeSubset, k: int) -> bool:
 
 def girth_independent(g: Graph):
     """Second girth formulation: BFS from every vertex, shortest cycle via
-    non-tree edges (min over roots of d[u] + d[v] + 1)."""
+    non-tree edges (min over roots of d[u] + d[v] + 1).  A graph is simple,
+    so the tree edge into u is the one edge to its parent vertex."""
     best = INFINITY
-    indptr, nbr, nbr_eid = g._csr()
+    adj = g.adjacency()
     for root in range(g.vertex_count):
         dist = [-1] * g.vertex_count
-        parent_edge = [-1] * g.vertex_count
+        parent = [-1] * g.vertex_count
         dist[root] = 0
         frontier = [root]
         while frontier:
@@ -245,13 +267,12 @@ def girth_independent(g: Graph):
                 du = dist[u]
                 if best != INFINITY and du >= best / 2:
                     continue
-                for w, eid in zip(nbr[indptr[u]:indptr[u + 1]].tolist(),
-                                  nbr_eid[indptr[u]:indptr[u + 1]].tolist()):
+                for w in adj[u]:
                     if dist[w] == -1:
                         dist[w] = du + 1
-                        parent_edge[w] = eid
+                        parent[w] = u
                         nxt.append(w)
-                    elif eid != parent_edge[u]:
+                    elif w != parent[u]:
                         cand = du + dist[w] + 1
                         if cand < best:
                             best = cand

@@ -88,8 +88,11 @@ class SpannerInstance:
     it out in closed form: per Min-Rep vertex its E edges up, then its
     crossing edges; per s-tower its EM edges, then its top's EGt edges; per
     t-tower its EM edges.  The layout is held only as read-only tables of
-    edge ids, one per family:
+    edge ids:
 
+    * ``minrep_edges[e]``, (|E|,): the E edge of ``minrep_graph`` edge e,
+      whose id is e + x * (its lower end), since Min-Rep row u starts at
+      x u plus the E edges below it and opens with its own E edges.
     * ``tower_s[p, i, l]``, (x, |A|, k_a - 1): the EM edge from level l + 1
       to l + 2 of s-tower (p, i); ``tower_t[p, j, l]``, (x, |B|, k_b - 1),
       the same for t-tower (p, j).  Both are empty at k = 3.
@@ -100,13 +103,14 @@ class SpannerInstance:
     * ``gt_copies[p, e]``, (x, |superedges|): copy p of superedge e = (i, j),
       the EGt edge joining the tops of s-tower (p, i) and t-tower (p, j).
 
-    ``fam_code`` holds every edge's family, and ``ids_by_family`` the sorted
-    ids of the two families read as id lists, ``E`` and ``EM``; the other
-    three families are the entries of their tables.
+    So each family is the entries of its tables: E is ``minrep_edges``, EM
+    is ``tower_s`` and ``tower_t``, and EsA, EtB and EGt are one table each.
+    No per-edge family code or id list is kept.  ``supergirth_warning``
+    records that the build allowed a supergirth below k + 2.
     """
 
-    def __init__(self, base, source, k, x, x_is_default, fam_code, ids_by_family,
-                 tower_s, tower_t, crossing_sa, crossing_tb, gt_copies):
+    def __init__(self, base, source, k, x, x_is_default, minrep_edges, tower_s, tower_t,
+                 crossing_sa, crossing_tb, gt_copies, supergirth_warning=False):
         lc = source.source
         self.base: Graph = base
         self.source: MinRepInstance = source
@@ -117,13 +121,13 @@ class SpannerInstance:
         self.x_is_default = x_is_default
         self.n = source.vertex_count
         self.n_tilde = lc.a_count + lc.b_count
-        self.fam_code = fam_code
-        self.ids_by_family = ids_by_family
+        self.minrep_edges = minrep_edges
         self.tower_s = tower_s
         self.tower_t = tower_t
         self.crossing_sa = crossing_sa
         self.crossing_tb = crossing_tb
         self.gt_copies = gt_copies
+        self.supergirth_warning = supergirth_warning
         # A Min-Rep vertex's star edge is its copy-0 crossing edge, and each
         # tower's hub is its symbol-0 crossing edge.
         roster = [crossing_sa[0], crossing_tb[0], crossing_sa[:, :, 0], crossing_tb[:, :, 0]]
@@ -186,6 +190,11 @@ class SpannerInstance:
                 outside = part.size and (part.min() < 0 or part.max() >= eu.size)
                 if outside or (eu[part] != lo).any() or (ev[part] != hi).any():
                     raise AssertionError(f"{name} entries do not join the layout's vertices")
+        m = self.minrep_edges
+        mr_lo, mr_hi = self.source.minrep_graph.edge_arrays()
+        if (m.shape != mr_lo.shape or (m.size and (m.min() < 0 or m.max() >= eu.size))
+                or (eu[m] != mr_lo).any() or (ev[m] != mr_hi).any()):
+            raise AssertionError("minrep_edges entries do not join minrep_graph's ends")
         sizes = self.family_sizes()
         if (self.k == 3) != (sizes[FAM_M] == 0):
             raise AssertionError("EM emptiness must coincide with k = 3")
@@ -195,9 +204,9 @@ class SpannerInstance:
             raise AssertionError("edge families do not partition the edge set")
 
     def family_sizes(self) -> list:
-        """The edge count of each family, in ``FAMILIES`` order: E and EM
-        from their id lists, EsA, EtB and EGt from their tables."""
-        return [int(self.ids_by_family[FAM_E].size), int(self.ids_by_family[FAM_M].size),
+        """The edge count of each family, in ``FAMILIES`` order, read off
+        its tables."""
+        return [int(self.minrep_edges.size), int(self.tower_s.size + self.tower_t.size),
                 int(self.crossing_sa.size), int(self.crossing_tb.size),
                 int(self.gt_copies.size)]
 
@@ -257,7 +266,7 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
        tower (p, j) holds its k_b - 1 EM edges.
 
     The edges are checked canonical as ``parse_graph_text`` checks a GRAPH,
-    and each slot written by exactly one family.
+    and each slot written by exactly one table entry.
     """
     check_gadget_params(k, x_override)
     lc = mr.source
@@ -301,46 +310,38 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     # The ends outlive every table below, which run_pipeline frees before
     # its audit re-reads the graph; made first, they leave those tables'
     # space in one piece.
-    eu, ev = np.empty(edge_count, dtype=np.int32), np.empty(edge_count, dtype=np.int32)
+    eu, ev = np.zeros(edge_count, dtype=np.int32), np.zeros(edge_count, dtype=np.int32)
     cross0 = np.searchsorted(e_lo, np.arange(n), side="right") + x * np.arange(n)
     crossing_sa, crossing_tb = cross0[a_group] + p, cross0[b_group] + p
     s_row = s_copy + np.arange(a_cnt) * (k_a - 1) + np.searchsorted(ea, np.arange(a_cnt))
     tower_s = s_row[:, :, None] + np.arange(k_a - 1)
     tower_t = t0 + np.arange(x * b_cnt * (k_b - 1), dtype=np.int64).reshape(x, b_cnt, k_b - 1)
     gt_copies = s_copy + (ea + 1) * (k_a - 1) + np.arange(ea.size)
+    minrep_edges = np.arange(e_lo.size) + np.int64(x) * e_lo
 
-    fam_code = np.full(edge_count, -1, dtype=np.int8)
-    for fam, table, lo, hi in [
-            (FAM_E, _e_ids(x, e_lo, np.arange(e_lo.size)), e_lo, e_hi),
-            (FAM_M, tower_s, s_lvl, s_lvl + 1),
-            (FAM_M, tower_t, t_lvl, t_lvl + 1),
-            (FAM_SA, crossing_sa, a_group, s_one),
-            (FAM_TB, crossing_tb, b_group, t_one),
-            (FAM_GT, gt_copies, s_one[:, ea, 0] + (k_a - 1), t_one[:, eb, 0] + (k_b - 1))]:
-        fam_code[table] = fam
+    tables = [(minrep_edges, e_lo, e_hi),
+              (tower_s, s_lvl, s_lvl + 1),
+              (tower_t, t_lvl, t_lvl + 1),
+              (crossing_sa, a_group, s_one),
+              (crossing_tb, b_group, t_one),
+              (gt_copies, s_one[:, ea, 0] + (k_a - 1), t_one[:, eb, 0] + (k_b - 1))]
+    for table, lo, hi in tables:
         eu[table] = lo
         ev[table] = hi
-    # edge_count writes fill edge_count slots, so a slot left unwritten
-    # (code -1) means another slot was written twice.
-    if (fam_code < 0).any() or not _canonical(vertex_count, eu, ev):
+    # The tables hold edge_count entries in all, so a slot written twice
+    # leaves another slot unwritten.  That slot keeps its (0, 0) from
+    # np.zeros, which is not canonical.
+    if (sum(table.size for table, _, _ in tables) != edge_count
+            or not _canonical(vertex_count, eu, ev)):
         raise AssertionError("gadget edges are not canonical, one slot each")
     base = Graph._from_canonical(vertex_count, eu, ev)
 
-    ids = {f: np.flatnonzero(fam_code == f) for f in (FAM_E, FAM_M)}
-    for arr in [fam_code, tower_s, tower_t, crossing_sa, crossing_tb, gt_copies, *ids.values()]:
-        arr.flags.writeable = False
-    si = SpannerInstance(base, mr, k, x, x_override is None, fam_code, ids,
-                         tower_s, tower_t, crossing_sa, crossing_tb, gt_copies)
-    si.supergirth_warning = sg < k + 2
+    for table, _, _ in tables:
+        table.flags.writeable = False
+    si = SpannerInstance(base, mr, k, x, x_override is None, minrep_edges, tower_s, tower_t,
+                         crossing_sa, crossing_tb, gt_copies, supergirth_warning=sg < k + 2)
     si.audit()
     return si
-
-
-def _e_ids(x: int, e_lo: np.ndarray, eids: np.ndarray) -> np.ndarray:
-    """Gadget ids of the ``minrep_graph`` edges ``eids``, whose lower ends
-    are ``e_lo``.  Min-Rep row u starts at x u plus the E edges below it and
-    opens with its own E edges, so edge e's id is e + x * (its lower end)."""
-    return eids + np.int64(x) * e_lo[eids]
 
 
 # --- verification ------------------------------------------------------------
@@ -412,8 +413,8 @@ def canonical_span_mask(si: SpannerInstance, h: EdgeSubset) -> np.ndarray:
     sa[p, i, alpha], its Min-Rep edge and its EtB edge tb[p, j, beta] in h.
     The pair test runs over an (x, relation slots) table and is OR-reduced
     per superedge.  Each Min-Rep edge is looked up in ``minrep_graph`` and
-    placed in the gadget by the closed-form layout (``_e_ids``), so no
-    lookup runs over the gadget's edges.
+    placed in the gadget by ``minrep_edges``, so no lookup runs over the
+    gadget's edges.
     """
     mask = h.mask()
     lc = si.source.source
@@ -421,8 +422,8 @@ def canonical_span_mask(si: SpannerInstance, h: EdgeSubset) -> np.ndarray:
     ea, eb, _ = lc.edge_arrays()
     i, j = ea[slot_se], eb[slot_se]
     mr_graph = si.source.minrep_graph
-    minrep = _e_ids(si.x, mr_graph.edge_arrays()[0], mr_graph.edge_ids_of(
-        si.source.a_vertex(i, alpha), si.source.b_vertex(j, beta)))
+    minrep = si.minrep_edges[mr_graph.edge_ids_of(si.source.a_vertex(i, alpha),
+                                                  si.source.b_vertex(j, beta))]
     ok = mask[si.crossing_sa][:, i, alpha] & mask[minrep] & mask[si.crossing_tb][:, j, beta]
     ok = np.logical_or.reduceat(ok, starts, axis=1)
     ok &= mask[si.tower_s].all(axis=2)[:, ea] & mask[si.tower_t].all(axis=2)[:, eb]
@@ -438,10 +439,11 @@ def canonical_span_check(si: SpannerInstance, h: EdgeSubset, eid: int):
     pair whose three crossing edges are all present.  This is the per-edge
     reference for ``canonical_span_mask``, which the verifier uses.
     """
-    if si.fam_code[eid] != FAM_GT:
+    hit = np.argwhere(si.gt_copies == eid)
+    if not hit.size:
         raise InputError(f"edge {eid} is not an EGt edge")
     mask = h.mask()
-    p, se = np.argwhere(si.gt_copies == eid)[0].tolist()
+    p, se = hit[0].tolist()
     lc = si.source.source
     i, j = lc.edge(se)
     g = si.base
@@ -478,7 +480,7 @@ def make_proper(si: SpannerInstance, h: EdgeSubset) -> EdgeSubset:
     mask = h.mask().copy()
     p, se = np.nonzero(mask[si.gt_copies])
     mask[si.gt_copies] = False
-    keep = [np.nonzero(mask)[0], si.ids_by_family[FAM_E], si.ids_by_family[FAM_M],
+    keep = [np.nonzero(mask)[0], si.minrep_edges, si.tower_s.ravel(), si.tower_t.ravel(),
             si.anchor_distinct]
     lc = si.source.source
     starts, _, alpha, beta = _relation_slots(lc)
@@ -520,7 +522,7 @@ def spanner_from_repcover(si: SpannerInstance, cover: RepCover) -> EdgeSubset:
     ok, witness = repcover_valid(si.source, cover)
     if not ok:
         raise InputError(f"invalid REP-cover: superedge {witness} uncovered")
-    ids = [si.ids_by_family[FAM_E], si.ids_by_family[FAM_M], si.anchor_distinct]
+    ids = [si.minrep_edges, si.tower_s.ravel(), si.tower_t.ravel(), si.anchor_distinct]
     for side, table in (("A", si.crossing_sa), ("B", si.crossing_tb)):
         members = [(i, s) for sd, i, s in cover.members if sd == side]
         if members:

@@ -59,9 +59,20 @@ def full_subset(si):
 
 
 def family_ids(si, fam: int) -> np.ndarray:
-    """The sorted ids of a gadget's edge family ``fam``, read off
-    ``fam_code``; the instance keeps id lists for E and EM only."""
-    return np.flatnonzero(si.fam_code == fam)
+    """The sorted ids of a gadget's edge family ``fam`` (``FAMILIES``
+    order), the entries of its tables."""
+    tables = [[si.minrep_edges], [si.tower_s, si.tower_t], [si.crossing_sa],
+              [si.crossing_tb], [si.gt_copies]][fam]
+    return np.sort(np.concatenate([t.ravel() for t in tables]))
+
+
+def family_code(si) -> np.ndarray:
+    """Every gadget edge's family as an int8 code in ``FAMILIES`` order,
+    built from the tables; -1 marks an edge that no table holds."""
+    code = np.full(si.base.edge_count, -1, dtype=np.int8)
+    for fam in range(5):
+        code[family_ids(si, fam)] = fam
+    return code
 
 
 def random_graph(n, edge_prob, stream: Stream):
@@ -248,8 +259,9 @@ def is_bipartite(g) -> tuple[bool, list | None]:
 
 
 def degrees(g) -> np.ndarray:
-    """Per-vertex degrees of a graph, read off its CSR index."""
-    return np.diff(g._csr()[0])
+    """Per-vertex degrees of a graph, counted off its edge ends."""
+    eu, ev = g.edge_arrays()
+    return np.bincount(np.concatenate([eu, ev]), minlength=g.vertex_count)
 
 
 def gadget_by_sort(mr, k: int, x: int) -> dict:
@@ -258,7 +270,7 @@ def gadget_by_sort(mr, k: int, x: int) -> dict:
     in family order, one stable sort of their keys ``lo * N + hi``, and the
     tables read back through the inverse permutation.  Returns the vertex
     count, the lower and higher ends in key order (``lo``, ``hi``),
-    ``fam_code``, the per-family id lists (``ids``), the five tables and
+    ``fam_code``, the per-family id lists (``ids``), the six tables and
     ``anchor_distinct``."""
     lc = mr.source
     k_a, k_b = (k - 1) // 2, (k - 1) - (k - 1) // 2
@@ -297,6 +309,7 @@ def gadget_by_sort(mr, k: int, x: int) -> dict:
     out = {"vertex_count": vertex_count, "lo": np.minimum(eu, ev)[order],
            "hi": np.maximum(eu, ev)[order], "fam_code": fam_code,
            "ids": [np.flatnonzero(fam_code == f) for f in range(5)],
+           "minrep_edges": row_id[:start[1]],
            "tower_s": row_id[start[1]:s_end].reshape(x, a_cnt, k_a - 1),
            "tower_t": row_id[s_end:start[2]].reshape(x, b_cnt, k_b - 1),
            "crossing_sa": row_id[start[2]:start[3]].reshape(x, a_cnt, sigma_a),

@@ -155,7 +155,7 @@ def test_criterion_4_size_formulas():
         for si in built:
             assert si.base.vertex_count == si.n + si.x * (si.n_tilde // 2) * (si.k - 1)
             assert si.anchor_roster_size == si.n + si.x * si.n_tilde
-            assert (si.k == 3) == (si.ids_by_family[sp.FAM_M].size == 0)
+            assert (si.k == 3) == (family_ids(si, sp.FAM_M).size == 0)
             si.audit()
 
 

@@ -423,7 +423,7 @@ def test_pipeline_failed_verdict_exits_1(tmp_path, capsys, monkeypatch):
     """A spanner that fails verification is a FAIL verdict and exit 1; the
     self-audit checks only that each file holds the object written to it."""
     monkeypatch.setattr(sp, "spanner_from_repcover",
-                        lambda si, cover: EdgeSubset(si.base, si.ids_by_family[sp.FAM_E]))
+                        lambda si, cover: EdgeSubset(si.base, si.minrep_edges))
     out = tmp_path / "run"
     assert run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", 1.0, "--k", 3,
                 "--seed", 7, "--planted", "--x", 40, "-o", out]) == 1

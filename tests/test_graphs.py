@@ -12,9 +12,10 @@ from girthspan import graphs
 from girthspan.errors import InputError
 from girthspan.graphs import (Graph, INFINITY, _check_body, _decimal_text, _graph_chunks, _hops,
                               _line_number, _row_offset, _span_values, _token_rows,
-                              bfs_distances, edge_cycle_length, girth, graph_sha256,
-                              parse_graph_text, write_graph_text)
+                              edge_cycle_length, girth, graph_sha256, parse_graph_text,
+                              write_graph_text)
 from girthspan.labelcover import parse_cover_text
+from girthspan.oracles import bfs_distances
 from girthspan.rng import Stream
 from girthspan.spanner import parse_subset_text
 
@@ -529,33 +530,31 @@ def test_edge_lookup_agrees_with_a_dict(case):
 
 def test_graph_arrays_are_read_only():
     g = cycle_graph(5)
-    with pytest.raises(ValueError):
-        g.edge_arrays()[0][0] = 3
-    for arr in g._csr():
+    for arr in g.edge_arrays():
         with pytest.raises(ValueError):
             arr[0] = 3
 
 
-@pytest.mark.parametrize("first_use", ["adjacency", "degrees"])
-def test_csr_is_built_on_first_use(first_use):
-    """Neither construction nor GRAPH text builds the CSR index; the first
-    ``adjacency()`` or ``_csr()`` call (as ``degrees`` makes) does, and it
-    matches the edge list."""
+def test_neighbour_lists_are_built_on_first_use():
+    """Neither construction, GRAPH text nor the digest builds the neighbour
+    lists; the first ``adjacency()`` call does and caches them.  Vertex v's
+    list holds the other ends of the edges where v is the lower end, then
+    the higher, each in ascending edge id."""
     built = Graph(5, [(3, 4), (0, 1), (1, 2), (0, 4)])
     parsed = parse_graph_text(write_graph_text(built).encode("ascii"))
     for g in (built, parsed):
+        assert g._adj is None
         graph_sha256(g)
-        assert g._indptr is None and g._nbr is None and g._nbr_eid is None
-        {"adjacency": Graph.adjacency, "degrees": degrees}[first_use](g)
-        indptr, nbr, nbr_eid = g._csr()
-        assert degrees(g).tolist() == [2, 2, 1, 1, 2]
+        assert g._adj is None
+        adj = g.adjacency()
+        assert g._adj is adj and g.adjacency() is adj
+        assert degrees(g).tolist() == [len(nbrs) for nbrs in adj] == [2, 2, 1, 1, 2]
         eu, ev = g.edge_arrays()
         for v in range(5):
-            eids = nbr_eid[indptr[v]:indptr[v + 1]].tolist()
-            assert eids == ([e for e in range(g.edge_count) if eu[e] == v]
-                            + [e for e in range(g.edge_count) if ev[e] == v])
-            assert nbr[indptr[v]:indptr[v + 1]].tolist() == \
-                [int(eu[e] + ev[e] - v) for e in eids]
+            eids = ([e for e in range(g.edge_count) if eu[e] == v]
+                    + [e for e in range(g.edge_count) if ev[e] == v])
+            assert adj[v] == [int(eu[e] + ev[e] - v) for e in eids]
+    assert Graph(3, []).adjacency() == [[], [], []]
 
 
 def test_graph_sha256_matches_text_digest():

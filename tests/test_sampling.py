@@ -5,8 +5,9 @@ import pytest
 from girthspan import constructions as cons
 from girthspan import sampling
 from girthspan.errors import InputError
-from girthspan.graphs import INFINITY, Graph, bfs_distances, edge_cycle_length, girth
+from girthspan.graphs import INFINITY, Graph, edge_cycle_length, girth
 from girthspan.labelcover import Labeling, satisfied_count, supergraph, value
+from girthspan.oracles import bfs_distances
 from girthspan.rng import Stream
 
 from conftest import make_lc, montecarlo_kept_edges, montecarlo_satisfied, random_tiny_lc

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from girthspan import constructions as cons, sampling, spanner as sp
 from girthspan.errors import InputError, ResourceError
-from girthspan.graphs import Graph, INFINITY, bfs_distances, girth, graph_sha256
+from girthspan.graphs import Graph, INFINITY, _canonical, girth, graph_sha256
 from girthspan.labelcover import (RepCover, labeling_to_repcover,
                                   minrep_expand, repcover_valid)
-from girthspan.oracles import spans_all_pairs
+from girthspan.oracles import bfs_distances, spans_all_pairs
 from girthspan.rng import Stream, child_seed
 
-from conftest import (check_mutant, complete_graph, cycle_graph, family_ids, full_subset,
-                      gadget_by_sort, hub_graph, make_lc, path_lc_tiny, random_graph, text_mutants,
-                      vertex_role, xor_odd_4cycle)
+from conftest import (check_mutant, complete_graph, cycle_graph, family_code, family_ids,
+                      full_subset, gadget_by_sort, hub_graph, make_lc, path_lc_tiny,
+                      random_graph, text_mutants, vertex_role, xor_odd_4cycle)
 
 
 def ten_vertex_lc():
@@ -41,7 +41,7 @@ def test_build_default_x_formulas():
     assert si.base.vertex_count == 10 + 25 * 2 * 2 == 110
     assert si.anchor_roster_size == 10 + 25 * 4 == 110
     assert si.anchor_distinct.size == 10 + 24 * 4
-    assert si.ids_by_family[sp.FAM_M].size == 0
+    assert family_ids(si, sp.FAM_M).size == 0
     assert family_ids(si, sp.FAM_GT).size == 25 * 3
 
 
@@ -49,20 +49,20 @@ def test_build_k5_towers():
     si = tiny_instance(k=5)
     assert (si.k_a, si.k_b) == (2, 2)
     # towers are 2-paths: one EM edge per tower
-    assert si.ids_by_family[sp.FAM_M].size == 1 * (2 * 1 + 2 * 1)
+    assert family_ids(si, sp.FAM_M).size == 1 * (2 * 1 + 2 * 1)
     assert si.base.vertex_count == 8 + 1 * 2 * 4
 
 
 def test_build_k4_asymmetric_towers():
     si = tiny_instance(k=4)
     assert (si.k_a, si.k_b) == (1, 2)
-    assert si.ids_by_family[sp.FAM_M].size == 2   # only t-side towers have edges
+    assert family_ids(si, sp.FAM_M).size == 2   # only t-side towers have edges
     assert si.base.vertex_count == 8 + 1 * 2 * 3
 
 
 def test_em_empty_iff_k3():
-    assert tiny_instance(k=3).ids_by_family[sp.FAM_M].size == 0
-    assert tiny_instance(k=4).ids_by_family[sp.FAM_M].size > 0
+    assert family_ids(tiny_instance(k=3), sp.FAM_M).size == 0
+    assert family_ids(tiny_instance(k=4), sp.FAM_M).size > 0
 
 
 def test_vertex_roles_round_trip():
@@ -82,7 +82,7 @@ def test_vertex_roles_round_trip():
 
 def test_families_partition_edges():
     si = tiny_instance(k=4, x=2)
-    counts = np.bincount(si.fam_code, minlength=5)
+    counts = np.bincount(family_code(si), minlength=5)
     assert counts.sum() == si.base.edge_count
     for fam in range(5):
         assert counts[fam] == si.family_sizes()[fam]
@@ -113,7 +113,8 @@ def gadget_tables_by_lookup(si):
     s_bases = si.n + np.arange(x * a_cnt, dtype=np.int64) * k_a
     t_bases = si._t_offset + np.arange(x * b_cnt, dtype=np.int64) * k_b
     eu, ev = mr.minrep_graph.edge_arrays()
-    ids_E = np.sort(g.edge_ids_of(eu, ev))
+    minrep_edges = g.edge_ids_of(eu, ev)
+    ids_E = np.sort(minrep_edges)
     s_lo = (s_bases[:, None] + np.arange(k_a - 1)).ravel()
     t_lo = (t_bases[:, None] + np.arange(k_b - 1)).ravel()
     tower_s = g.edge_ids_of(s_lo, s_lo + 1)
@@ -148,7 +149,7 @@ def gadget_tables_by_lookup(si):
     hub_a = g.edge_ids_of(s_bases, np.tile(np.arange(a_cnt) * sigma_a, x)).reshape(x, a_cnt)
     hub_b = g.edge_ids_of(np.tile(b_block + np.arange(b_cnt) * sigma_b, x),
                           t_bases).reshape(x, b_cnt)
-    return {"fam_code": fam_code, "ids": ids,
+    return {"fam_code": fam_code, "ids": ids, "minrep_edges": minrep_edges,
             "tower_s": tower_s.reshape(x, a_cnt, k_a - 1),
             "tower_t": tower_t.reshape(x, b_cnt, k_b - 1),
             "crossing_sa": ids_sA.reshape(x, a_cnt, sigma_a),
@@ -165,18 +166,16 @@ def test_gadget_tables_equal_lookup(k, x):
     for lc in (path_lc_tiny(), ten_vertex_lc()):
         si = sp.build_spanner_instance(minrep_expand(lc), k, x_override=x)
         ref = gadget_tables_by_lookup(si)
-        assert si.fam_code.dtype == np.int8
-        assert np.array_equal(si.fam_code, ref["fam_code"])
+        assert np.array_equal(family_code(si), ref["fam_code"])
         for fam in range(5):
             assert np.array_equal(family_ids(si, fam), ref["ids"][fam])
-        assert sorted(si.ids_by_family) == [sp.FAM_E, sp.FAM_M]
-        for fam, ids in si.ids_by_family.items():
-            assert np.array_equal(ids, ref["ids"][fam])
-        for name in ("tower_s", "tower_t", "crossing_sa", "crossing_tb", "gt_copies",
-                     "anchor_distinct"):
+        assert np.array_equal(si.minrep_edges, ref["ids"][sp.FAM_E])     # E ids ascend
+        for name in ("minrep_edges", "tower_s", "tower_t", "crossing_sa", "crossing_tb",
+                     "gt_copies", "anchor_distinct"):
+            assert getattr(si, name).dtype == np.int64, name
             assert getattr(si, name).shape == ref[name].shape, name
             assert np.array_equal(getattr(si, name), ref[name]), name
-        assert (k == 3) == (si.ids_by_family[sp.FAM_M].size == 0)
+        assert (k == 3) == (si.family_sizes()[sp.FAM_M] == 0)
 
 
 @st.composite
@@ -198,7 +197,8 @@ def gadget_inputs(draw):
 def test_closed_form_layout_equals_sort(case):
     """The closed-form layout against the sort-based derivation: the same
     vertex count and canonical edges (int32, C-contiguous, read-only),
-    family codes, family id lists, tables and anchor union."""
+    family codes read off the tables, family id lists, tables and anchor
+    union."""
     lc, k, x = case
     mr = minrep_expand(lc)
     si = sp.build_spanner_instance(mr, k, x_override=x, allow_small_supergirth=True)
@@ -207,13 +207,11 @@ def test_closed_form_layout_equals_sort(case):
     for ends, ref_ends in zip(si.base.edge_arrays(), (ref["lo"], ref["hi"])):
         assert ends.dtype == np.int32 and ends.flags.c_contiguous and not ends.flags.writeable
         assert np.array_equal(ends, ref_ends)
-    assert np.array_equal(si.fam_code, ref["fam_code"])
+    assert np.array_equal(family_code(si), ref["fam_code"])
     for fam in range(5):
         assert np.array_equal(family_ids(si, fam), ref["ids"][fam])
-    for fam, ids in si.ids_by_family.items():
-        assert np.array_equal(ids, ref["ids"][fam])
-    for name in ("tower_s", "tower_t", "crossing_sa", "crossing_tb", "gt_copies",
-                 "anchor_distinct"):
+    for name in ("minrep_edges", "tower_s", "tower_t", "crossing_sa", "crossing_tb",
+                 "gt_copies", "anchor_distinct"):
         table = getattr(si, name)
         assert table.shape == ref[name].shape and np.array_equal(table, ref[name]), name
         assert table.flags.c_contiguous and not table.flags.writeable, name
@@ -272,6 +270,45 @@ def test_audit_rejects_corrupt_crossing_and_tower_tables(k, corruptions):
     corrupt_and_audit(k, corruptions)
 
 
+@pytest.mark.parametrize("k, corruptions", [
+    (3, [("minrep_edges", (0,), (4,)), ("minrep_edges", (4,), (0,))]),    # two E edges swapped
+    (4, [("minrep_edges", (1,), (2,)), ("minrep_edges", (2,), (1,))]),
+    (4, [("minrep_edges", (3,), ("crossing_sa", (0, 1, 0)))]),           # an EsA edge
+    (3, [("minrep_edges", (2,), -1)]),
+    (3, [("minrep_edges", (4,), "m")]),
+])
+def test_audit_rejects_corrupt_minrep_edges(k, corruptions):
+    corrupt_and_audit(k, corruptions)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("x", [1, 2, 3])
+def test_gadget_tables_fill_each_slot_once(k, x):
+    """The build's one-slot-each check: the tables hold ``edge_count``
+    entries in all, so a slot written twice leaves another at its initial
+    (0, 0), and ends with a (0, 0) slot anywhere are not canonical."""
+    for lc in (path_lc_tiny(), ten_vertex_lc()):
+        si = sp.build_spanner_instance(minrep_expand(lc), k, x_override=x)
+        tables = [si.minrep_edges, si.tower_s, si.tower_t, si.crossing_sa, si.crossing_tb,
+                  si.gt_copies]
+        assert sum(t.size for t in tables) == sum(si.family_sizes()) == si.base.edge_count
+        eu, ev = si.base.edge_arrays()
+        assert _canonical(si.base.vertex_count, eu, ev)
+        for slot in sorted({0, 1, eu.size // 2, eu.size - 1}):
+            zu, zv = eu.copy(), ev.copy()
+            zu[slot] = zv[slot] = 0
+            assert not _canonical(si.base.vertex_count, zu, zv), slot
+
+
+def test_supergirth_warning_is_set_by_the_constructor():
+    si = tiny_instance(k=3)
+    assert not si.supergirth_warning
+    fields = (si.base, si.source, si.k, si.x, si.x_is_default, si.minrep_edges, si.tower_s,
+              si.tower_t, si.crossing_sa, si.crossing_tb, si.gt_copies)
+    assert not sp.SpannerInstance(*fields).supergirth_warning
+    assert sp.SpannerInstance(*fields, supergirth_warning=True).supergirth_warning
+
+
 def test_audit_rejects_a_missing_copy():
     si = tiny_instance(k=3, x=3)
     si.gt_copies = si.gt_copies[:2]
@@ -281,9 +318,9 @@ def test_audit_rejects_a_missing_copy():
 
 def test_gadget_tables_are_read_only():
     si = tiny_instance(k=5, x=2)
-    arrays = [si.fam_code, si.anchor_distinct, *si.ids_by_family.values()]
-    arrays += [getattr(si, name) for name in ("tower_s", "tower_t", "crossing_sa",
-                                              "crossing_tb", "gt_copies")]
+    arrays = [getattr(si, name) for name in ("anchor_distinct", "minrep_edges", "tower_s",
+                                             "tower_t", "crossing_sa", "crossing_tb",
+                                             "gt_copies")]
     for arr in arrays:
         assert arr.size
         with pytest.raises(ValueError):
@@ -312,17 +349,17 @@ def traced_vars3_build():
 
 def test_gadget_retains_under_24_bytes_per_edge(traced_vars3_build):
     """The memory build_spanner_instance leaves allocated, its graph and
-    layout tables included, stays below 24 bytes per edge (18.6): int32
-    ends, 8 bytes, a family code, 1, the int64 layout tables, about 8, and
-    the E and EM id lists.  With int64 ends, a key array and id lists of
-    all five families it was 42.6."""
+    layout tables included, stays below 24 bytes per edge (17.6): int32
+    ends, 8 bytes, and the int64 layout tables, about 8.  With int64 ends,
+    a key array and id lists of all five families it was 42.6, and with a
+    family code per edge and E and EM id lists 18.6."""
     si, retained, _ = traced_vars3_build
     assert retained / si.base.edge_count < 24
 
 
 def test_gadget_build_peaks_under_44_bytes_per_edge(traced_vars3_build):
     """The traced peak of build_spanner_instance stays below 44 bytes per
-    edge (27.9): each edge is written once, at its canonical position, and
+    edge (26.9): each edge is written once, at its canonical position, and
     checked canonical a block at a time, beside the tables and arrays the
     instance keeps (under 24 bytes per edge).  It was 57.9 with int64 ends
     and a whole key array, and 32.0 with the audit comparing whole
@@ -558,15 +595,16 @@ def test_canonical_path_in_full_edge_set():
 def test_canonical_path_absent_without_crossing_edges():
     si = tiny_instance(k=3)
     h = sp.EdgeSubset(si.base, np.concatenate([
-        si.ids_by_family[sp.FAM_M], family_ids(si, sp.FAM_GT)]))
+        family_ids(si, sp.FAM_M), family_ids(si, sp.FAM_GT)]))
     for eid in family_ids(si, sp.FAM_GT).tolist():
         assert sp.canonical_span_check(si, h, eid) is None
 
 
 def test_canonical_check_rejects_non_gt_edge():
-    si = tiny_instance(k=3)
-    with pytest.raises(InputError):
-        sp.canonical_span_check(si, full_subset(si), int(si.ids_by_family[sp.FAM_E][0]))
+    si = tiny_instance(k=4)
+    for fam in (sp.FAM_E, sp.FAM_M, sp.FAM_SA, sp.FAM_TB):
+        with pytest.raises(InputError, match="not an EGt edge"):
+            sp.canonical_span_check(si, full_subset(si), int(family_ids(si, fam)[0]))
 
 
 # --- reduction directions ---------------------------------------------------------
@@ -615,7 +653,7 @@ def make_proper_per_edge(si, h):
     gt_ids = family_ids(si, sp.FAM_GT)
     dropped = gt_ids[mask[gt_ids]]
     mask[gt_ids] = False
-    keep = [np.nonzero(mask)[0], si.ids_by_family[sp.FAM_E], si.ids_by_family[sp.FAM_M],
+    keep = [np.nonzero(mask)[0], family_ids(si, sp.FAM_E), family_ids(si, sp.FAM_M),
             si.anchor_distinct]
     lc = si.source.source
     superedges = [lc.edge(e) for e in range(lc.edge_count)]
@@ -659,7 +697,7 @@ def test_make_proper_fixed_point():
 
 def test_make_proper_rejects_non_spanner():
     si = tiny_instance(k=3)
-    bad = sp.EdgeSubset(si.base, si.ids_by_family[sp.FAM_E])
+    bad = sp.EdgeSubset(si.base, family_ids(si, sp.FAM_E))
     with pytest.raises(InputError):
         sp.make_proper(si, bad)
 
@@ -678,8 +716,9 @@ def repcover_per_copy(si, h):
     endpoint roles of the proper spanner's crossing edges, one edge at a
     time; the first copy with the fewest members wins."""
     per_copy = [set() for _ in range(si.x)]
+    code = family_code(si)
     for eid in sp.make_proper(si, h).members.tolist():
-        if si.fam_code[eid] in (sp.FAM_SA, sp.FAM_TB):
+        if code[eid] in (sp.FAM_SA, sp.FAM_TB):
             member, tower = (vertex_role(si, v) for v in si.base.edge(eid))
             per_copy[tower[3]].add(member)
     return RepCover.of(min(per_copy, key=len))
@@ -921,6 +960,6 @@ def test_gadget_metadata_contents():
         assert meta["family_sizes"]["EGt"] == x * 3
         # the lists gadget_meta_v1 stored follow from the v2 fields
         v1_roles = [list(vertex_role(si, v)) for v in range(si.base.vertex_count)]
-        v1_families = [sp.FAMILIES[int(c)] for c in si.fam_code.tolist()]
+        v1_families = [sp.FAMILIES[int(c)] for c in family_code(si).tolist()]
         assert [derived_role(meta, v) for v in range(meta["vertex_count"])] == v1_roles
         assert [derived_family(meta, u, v) for u, v in si.base.edges()] == v1_families
