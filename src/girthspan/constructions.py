@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .graphs import _decimals, _head_lines
-from .labelcover import LabelCoverInstance, Labeling
+from .labelcover import LabelCoverInstance, Labeling, _check_sizes
 from .rng import Stream, child_seed
 
 CLAUSE_ALPHABET = 7   # satisfying assignments of a 3-literal clause
@@ -180,14 +180,22 @@ def lc_from_3sat5(formula: Formula3Sat5) -> LabelCoverInstance:
     variable values; each incidence relation pairs a clause symbol with its
     restriction to the variable, so every relation has exactly 7 pairs.
     """
-    superedges = []
-    for c, clause in enumerate(formula.clauses):
+    table: dict[tuple, int] = {}        # one row per distinct relation, at most 2 + 4 + 8
+    rel_ids = []
+    for clause in formula.clauses:
         bit_rows = clause_satisfying_bits(clause)
-        for pos, (v, _) in enumerate(clause):
-            pairs = [(alpha, bits[pos]) for alpha, bits in enumerate(bit_rows)]
-            superedges.append((c, v, pairs))
-    return LabelCoverInstance(formula.clause_count, formula.var_count,
-                              CLAUSE_ALPHABET, VAR_ALPHABET, superedges)
+        for pos in range(3):
+            rel_ids.append(table.setdefault(tuple(bits[pos] for bits in bit_rows), len(table)))
+    # Superedges (c, v) come clause by clause, each clause's variables ascending,
+    # so they are (a, b)-sorted; row r pairs symbol alpha with bit table[r][alpha].
+    rows = len(table)
+    return LabelCoverInstance(
+        formula.clause_count, formula.var_count, CLAUSE_ALPHABET, VAR_ALPHABET,
+        np.repeat(np.arange(formula.clause_count, dtype=np.int64), 3),
+        [v for clause in formula.clauses for v, _ in clause], rel_ids,
+        (np.arange(rows + 1, dtype=np.int64) * CLAUSE_ALPHABET,
+         np.tile(np.arange(CLAUSE_ALPHABET, dtype=np.int64), rows),
+         np.array(list(table), dtype=np.int64).reshape(-1)))
 
 
 def labeling_from_assignment(formula: Formula3Sat5, assignment) -> Labeling:
@@ -219,7 +227,7 @@ def regularize(lc: LabelCoverInstance, require_sat5_shape: bool = True) -> Label
     new_eb = np.concatenate([c[1] for c in chunks]) if m else np.zeros(0, np.int64)
     new_rel = np.concatenate([c[2] for c in chunks]) if m else np.zeros(0, np.int64)
     order = np.lexsort((new_eb, new_ea))
-    return LabelCoverInstance.from_arrays(
+    return LabelCoverInstance(
         3 * lc.a_count, 5 * lc.b_count, lc.sigma_a, lc.sigma_b,
         new_ea[order], new_eb[order], new_rel[order], lc.relation_arrays())
 
@@ -230,10 +238,13 @@ def parallel_repetition(lc: LabelCoverInstance, ell: int,
 
     Tuples are indexed row-major (first coordinate most significant).  The
     instance is materialized explicitly; exceeding ``max_superedges`` raises
-    a ResourceError before any allocation.
+    a ResourceError, and sizes no LC v1 header may declare an InputError,
+    before any allocation.
     """
     check_ell(ell)
     check_repetition_budget(lc.edge_count, ell, max_superedges)
+    _check_sizes("LC v1 header", lc.a_count ** ell, lc.b_count ** ell, lc.sigma_a ** ell,
+                 lc.sigma_b ** ell, lc.edge_count ** ell)
     ea, eb, rel_ids = lc.edge_arrays()
     prod_ea, prod_eb, prod_rel = ea, eb, rel_ids
     table = lc.relation_arrays()
@@ -248,7 +259,7 @@ def parallel_repetition(lc: LabelCoverInstance, ell: int,
         sigma_a *= lc.sigma_a
         sigma_b *= lc.sigma_b
     order = np.lexsort((prod_eb, prod_ea))
-    return LabelCoverInstance.from_arrays(
+    return LabelCoverInstance(
         lc.a_count ** ell, lc.b_count ** ell, sigma_a, sigma_b,
         prod_ea[order], prod_eb[order], prod_rel[order], table)
 

@@ -46,20 +46,14 @@ class Graph:
 
     __slots__ = ("vertex_count", "_eu", "_ev", "_adj", "_sha256", "_girth")
 
-    def __init__(self, vertex_count: int, edges) -> None:
-        eu, ev = _edge_arrays(edges)
-        self._init_from(vertex_count, eu, ev)
-
-    @classmethod
-    def from_arrays(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
-        """Construct from endpoint arrays without a Python-level edge loop.
-        Every endpoint is checked in int64 before the edges are narrowed."""
-        g = cls.__new__(cls)
-        g._init_from(vertex_count, np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64))
-        return g
-
-    def _init_from(self, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> None:
+    def __init__(self, vertex_count: int, eu, ev) -> None:
+        """The graph on ``vertex_count`` vertices whose edge r joins eu[r]
+        and ev[r], in any order and orientation.  Every end is checked in
+        int64 before the edges are narrowed."""
         n = _vertex_count(vertex_count)
+        eu, ev = np.asarray(eu, dtype=np.int64), np.asarray(ev, dtype=np.int64)
+        if eu.ndim != 1 or eu.shape != ev.shape:
+            raise InputError("edges must be (u, v) pairs")
         if eu.size:
             lo = np.minimum(eu, ev)
             hi = np.maximum(eu, ev)
@@ -79,7 +73,7 @@ class Graph:
 
     @classmethod
     def _from_canonical(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
-        """``from_arrays`` for C-contiguous int32 edges already proved
+        """The constructor for C-contiguous int32 edges already proved
         canonical by ``_canonical``: every 0 <= u < v < vertex_count, and
         the pairs sorted and distinct.  Skips the sort."""
         g = cls.__new__(cls)
@@ -213,16 +207,6 @@ def _rising(major: np.ndarray, minor: np.ndarray, restarts: np.ndarray | None = 
         if not up.all():
             return lo + int(up.argmin())
     return None
-
-
-def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(edges)
-    if not pairs:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = np.asarray(pairs, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InputError("edges must be (u, v) pairs")
-    return arr[:, 0].copy(), arr[:, 1].copy()
 
 
 def _sorted_distinct(values) -> np.ndarray:

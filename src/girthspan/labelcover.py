@@ -41,42 +41,21 @@ class LabelCoverInstance:
     __slots__ = ("a_count", "b_count", "sigma_a", "sigma_b", "_ea", "_eb",
                  "_rel_ids", "_rel_start", "_rel_alpha", "_rel_beta", "_supergraph")
 
-    def __init__(self, a_count, b_count, sigma_a, sigma_b, superedges):
+    def __init__(self, a_count, b_count, sigma_a, sigma_b, ea, eb, rel_ids, relations):
+        """Superedge e joins ``ea[e]`` to ``eb[e]`` with relation row
+        ``rel_ids[e]`` of the CSR table ``relations``, ``(rel_start,
+        rel_alpha, rel_beta)``.  The superedges must be distinct and
+        (a, b)-sorted, and the sizes must fit an LC v1 header (see
+        ``_check_sizes``)."""
         self.a_count = int(a_count)
         self.b_count = int(b_count)
         self.sigma_a = int(sigma_a)
         self.sigma_b = int(sigma_b)
-        table: dict[tuple, int] = {}        # one row per distinct pair set
-        rows = []
-        for a, b, pairs in superedges:
-            pairs = tuple(sorted(set((int(x), int(y)) for x, y in pairs)))
-            rows.append((int(a), int(b), table.setdefault(pairs, len(table))))
-        rows.sort()
-        ea, eb, rel_ids = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
-        flat = np.array([p for pairs in table for p in pairs], dtype=np.int64).reshape(-1, 2)
-        start = np.append(0, np.cumsum(list(map(len, table)), dtype=np.int64))
-        self._finish_init(ea, eb, rel_ids, (start, flat[:, 0], flat[:, 1]))
-
-    @classmethod
-    def from_arrays(cls, a_count, b_count, sigma_a, sigma_b, ea, eb, rel_ids, relations):
-        """Fast path for internal builders; edges must already be (a, b)-sorted
-        and ``relations`` is a CSR table ``(rel_start, rel_alpha, rel_beta)``."""
-        inst = cls.__new__(cls)
-        inst.a_count = int(a_count)
-        inst.b_count = int(b_count)
-        inst.sigma_a = int(sigma_a)
-        inst.sigma_b = int(sigma_b)
-        inst._finish_init(
-            np.asarray(ea, dtype=np.int64),
-            np.asarray(eb, dtype=np.int64),
-            np.asarray(rel_ids, dtype=np.int64),
-            relations,
-        )
-        return inst
-
-    def _finish_init(self, ea, eb, rel_ids, relations):
+        ea, eb, rel_ids = (np.asarray(arr, dtype=np.int64) for arr in (ea, eb, rel_ids))
         if self.sigma_a < 1 or self.sigma_b < 1:
             raise InputError("alphabet sizes must be >= 1")
+        _check_sizes("LC v1 header", self.a_count, self.b_count, self.sigma_a, self.sigma_b,
+                     ea.size)
         start, alpha, beta = map(_read_only, relations)
         if start.size == 0 or start[0] != 0 or start[-1] != alpha.size or beta.size != alpha.size:
             raise InputError("relation table offsets do not match its pairs")
@@ -136,7 +115,7 @@ class LabelCoverInstance:
         keep = _sorted_distinct(keep_ids)
         if keep.size and (keep[0] < 0 or keep[-1] >= self.edge_count):
             raise InputError("superedge id out of range")
-        return LabelCoverInstance.from_arrays(
+        return LabelCoverInstance(
             self.a_count, self.b_count, self.sigma_a, self.sigma_b,
             self._ea[keep], self._eb[keep], self._rel_ids[keep], self.relation_arrays())
 
@@ -203,13 +182,15 @@ class Labeling:
 
 @dataclass(frozen=True)
 class RepCover:
-    """Set of (side, supervertex, symbol) representatives; sides are 'A'/'B'."""
+    """Set of (side, supervertex, symbol) representatives; sides are 'A'/'B'.
+    Built from any iterable of such triples, each normalized to (str, int,
+    int)."""
 
     members: frozenset
 
-    @classmethod
-    def of(cls, items) -> "RepCover":
-        return cls(frozenset((str(s), int(i), int(y)) for s, i, y in items))
+    def __post_init__(self):
+        object.__setattr__(self, "members",
+                           frozenset((str(s), int(i), int(y)) for s, i, y in self.members))
 
     def sorted_members(self) -> list:
         return sorted(self.members)
@@ -288,7 +269,7 @@ def value(lc: LabelCoverInstance, lab: Labeling) -> Fraction:
 def supergraph(lc: LabelCoverInstance) -> Graph:
     """Bipartite carrier graph; superedge id i is supergraph edge id i."""
     if lc._supergraph is None:
-        lc._supergraph = Graph.from_arrays(lc.a_count + lc.b_count, lc._ea, lc._eb + lc.a_count)
+        lc._supergraph = Graph(lc.a_count + lc.b_count, lc._ea, lc._eb + lc.a_count)
     return lc._supergraph
 
 
@@ -328,7 +309,7 @@ def minrep_expand(lc: LabelCoverInstance) -> MinRepInstance:
     _, slot_se, alpha, beta = _relation_slots(lc)
     eu = lc._ea[slot_se] * np.int64(lc.sigma_a) + alpha
     ev = lc.a_count * lc.sigma_a + lc._eb[slot_se] * np.int64(lc.sigma_b) + beta
-    return MinRepInstance(lc, Graph.from_arrays(n, eu, ev))
+    return MinRepInstance(lc, Graph(n, eu, ev))
 
 
 def repcover_valid(mr: MinRepInstance, cover: RepCover) -> tuple[bool, int | None]:
@@ -356,7 +337,7 @@ def labeling_to_repcover(lc: LabelCoverInstance, lab: Labeling) -> RepCover:
     lab.check_shape(lc)
     members = [("A", i, s) for i, s in enumerate(lab.gamma_a)]
     members += [("B", j, s) for j, s in enumerate(lab.gamma_b)]
-    return RepCover.of(members)
+    return RepCover(members)
 
 
 # --- LC v1 / COVER v1 / LABEL v1 text formats --------------------------------
@@ -412,12 +393,25 @@ def parse_lc_text(raw: bytes) -> LabelCoverInstance:
     if len(toks) != 10 or toks[0::2] != ["A", "B", "SA", "SB", "M"]:
         raise InputError("bad LC size line")
     where = f"line {numbers[1]}"
-    a_count, b_count, sigma_a, sigma_b, m = _decimals(toks[1::2], where)
+    sizes = _decimals(toks[1::2], where)
+    _check_sizes(where, *sizes)
+    return LabelCoverInstance(*sizes[:4], *_lc_body(raw, start, sizes[4]))
+
+
+def _check_sizes(where: str, a_count: int, b_count: int, sigma_a: int, sigma_b: int,
+                 m: int) -> None:
+    """Reject sizes that an LC v1 header cannot declare: a size that is not
+    1 to ``_MAX_DIGITS`` decimal digits, or A, B or the Min-Rep size
+    A*SA + B*SB above ``MAX_DECLARED_VERTICES``.  The parser checks a header
+    here before it reads the body, ``parallel_repetition`` its product's
+    sizes before it builds the product, and the constructor every instance,
+    so each instance the program builds can be written and read back."""
+    for field, size in zip(["A", "B", "SA", "SB", "M"], [a_count, b_count, sigma_a, sigma_b, m]):
+        if not 0 <= size < 10 ** _MAX_DIGITS:
+            raise InputError(f"{where}: {field} = {size} {_NOT_DECIMAL}")
     for field, size in [("A", a_count), ("B", b_count),
                         ("A*SA + B*SB", a_count * sigma_a + b_count * sigma_b)]:
         _check_declared(where, field, size)
-    return LabelCoverInstance.from_arrays(a_count, b_count, sigma_a, sigma_b,
-                                          *_lc_body(raw, start, m))
 
 
 _DIGIT = re.compile(rb"[0-9]")
@@ -425,7 +419,7 @@ _DIGIT = re.compile(rb"[0-9]")
 
 def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     """The superedges and relations of the LC v1 body ``raw[start:]``, which
-    declares ``m`` superedges, as ``from_arrays`` takes them: (ea, eb,
+    declares ``m`` superedges, as ``LabelCoverInstance`` takes them: (ea, eb,
     rel_ids, (rel_start, rel_alpha, rel_beta)).  Every temporary is freed on
     return, before the instance checks its arrays.
 
@@ -595,8 +589,7 @@ def _member_rows(raw: bytes, header: str, what: str) -> tuple:
 def parse_cover_text(raw: bytes) -> RepCover:
     """Parse COVER v1 text, given as the bytes of its file."""
     is_a, vertex, symbol = _member_rows(raw, "COVER v1", "cover")
-    return RepCover.of(zip(np.where(is_a, "A", "B").tolist(), vertex.tolist(),
-                           symbol.tolist()))
+    return RepCover(zip(np.where(is_a, "A", "B").tolist(), vertex.tolist(), symbol.tolist()))
 
 
 def write_labeling_text(lab: Labeling) -> str:

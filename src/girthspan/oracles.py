@@ -140,7 +140,7 @@ def min_repcover_exact(mr: MinRepInstance,
                 sel |= 1 << v
             if all(any(sel & pm == pm for pm in masks) for masks in pair_masks):
                 members = [mr.vertex_label(v) for v in combo]
-                return size, RepCover.of(members)
+                return size, RepCover(members)
     raise AssertionError("unreachable: the full vertex set is always a cover "
                          "when relations are nonempty")
 
@@ -240,7 +240,7 @@ def bfs_distances(g: Graph, src: int, cap: int | None = None) -> list:
 def spans_all_pairs(g: Graph, h: EdgeSubset, k: int) -> bool:
     """Direct all-pairs stretch check: dist_h(u,v) <= k * dist_g(u,v)."""
     eu, ev = g.edge_arrays()
-    sub = Graph.from_arrays(g.vertex_count, eu[h.members], ev[h.members])
+    sub = Graph(g.vertex_count, eu[h.members], ev[h.members])
     for src in range(g.vertex_count):
         dg = bfs_distances(g, src)
         dh = bfs_distances(sub, src)

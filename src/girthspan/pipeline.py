@@ -272,12 +272,13 @@ def rebuild_gadget(lc_path, k, x_override=None, allow_small_supergirth=False):
 def instance_stats(lc) -> dict:
     """stats_v1 fragment for one Label Cover instance."""
     deg_a, deg_b = sampling.degree_stats(lc)
+    start, rel_ids = lc.relation_arrays()[0], lc.edge_arrays()[2]
     return {
         "schema": STATS_SCHEMA,
         "a_count": lc.a_count, "b_count": lc.b_count,
         "sigma_a": lc.sigma_a, "sigma_b": lc.sigma_b,
         "superedges": lc.edge_count,
-        "relation_pairs_total": int(lcm._relation_slots(lc)[1].size),
+        "relation_pairs_total": int((start[1:] - start[:-1])[rel_ids].sum()),
         "degrees_a": deg_a, "degrees_b": deg_b,
         "supergirth": _dist_json(girth(supergraph(lc))),
     }

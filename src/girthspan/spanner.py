@@ -105,8 +105,8 @@ class SpannerInstance:
 
     So each family is the entries of its tables: E is ``minrep_edges``, EM
     is ``tower_s`` and ``tower_t``, and EsA, EtB and EGt are one table each.
-    No per-edge family code or id list is kept.  ``supergirth_warning``
-    records that the build allowed a supergirth below k + 2.
+    ``supergirth_warning`` records that the build allowed a supergirth below
+    k + 2.
     """
 
     def __init__(self, base, source, k, x, x_is_default, minrep_edges, tower_s, tower_t,
@@ -212,7 +212,10 @@ class SpannerInstance:
 
 
 def default_copies(n: int, n_tilde: int) -> int:
-    """Default copy count: ceil(n^2 / n_tilde)."""
+    """Default copy count: ceil(n^2 / n_tilde), for n_tilde supervertices."""
+    if n_tilde == 0:
+        raise InputError("the default copy count ceil(n^2 / (|A| + |B|)) needs a supervertex, "
+                         "and the instance has none (A = B = 0); give the copy count x")
     return -(-n * n // n_tilde)
 
 
@@ -503,7 +506,7 @@ def repcover_from_spanner(si: SpannerInstance, h: EdgeSubset) -> RepCover:
     best_p = int(np.argmin(sa.sum(axis=(1, 2)) + tb.sum(axis=(1, 2))))
     members = [("A", i, s) for i, s in zip(*np.nonzero(sa[best_p]))]
     members += [("B", j, s) for j, s in zip(*np.nonzero(tb[best_p]))]
-    cover = RepCover.of(members)
+    cover = RepCover(members)
     ok, witness = repcover_valid(si.source, cover)
     if not ok:
         raise AssertionError(f"extracted cover misses superedge {witness}")

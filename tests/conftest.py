@@ -14,9 +14,28 @@ from girthspan.sampling import SampleParams, keep_probability
 from girthspan.spanner import EdgeSubset
 
 
+def make_graph(n, pairs):
+    """The graph on ``n`` vertices whose edges are the (u, v) ``pairs``."""
+    ends = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return Graph(n, ends[:, 0], ends[:, 1])
+
+
 def make_lc(a_count, b_count, sigma_a, sigma_b, edges):
-    """edges: list of (a, b, pairs)."""
-    return LabelCoverInstance(a_count, b_count, sigma_a, sigma_b, edges)
+    """The instance whose superedges are ``edges``, (a, b, pairs) in any
+    order, built from Python tuples: each relation's pairs are sorted and
+    deduplicated, the superedges sorted, and the table has one row per
+    distinct relation, numbered in order of first occurrence."""
+    table: dict[tuple, int] = {}
+    rows = []
+    for a, b, pairs in edges:
+        pairs = tuple(sorted(set((int(x), int(y)) for x, y in pairs)))
+        rows.append((int(a), int(b), table.setdefault(pairs, len(table))))
+    rows.sort()
+    ea, eb, rel_ids = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+    flat = np.array([p for pairs in table for p in pairs], dtype=np.int64).reshape(-1, 2)
+    start = np.append(0, np.cumsum(list(map(len, table)), dtype=np.int64))
+    return LabelCoverInstance(a_count, b_count, sigma_a, sigma_b, ea, eb, rel_ids,
+                              (start, flat[:, 0], flat[:, 1]))
 
 
 def xor_odd_4cycle():
@@ -39,18 +58,18 @@ def path_lc_tiny():
 
 
 def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def petersen_graph():
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, edges)
+    return make_graph(10, edges)
 
 
 def full_subset(si):
@@ -78,7 +97,7 @@ def family_code(si) -> np.ndarray:
 def random_graph(n, edge_prob, stream: Stream):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if stream.random() < edge_prob]
-    return Graph(n, edges)
+    return make_graph(n, edges)
 
 
 def hub_graph(n, hubs, edge_prob, stream: Stream):
@@ -87,7 +106,7 @@ def hub_graph(n, hubs, edge_prob, stream: Stream):
     edges = {(min(h, v), max(h, v)) for h in hubs for v in range(n)
              if v != h and stream.random() < 0.6}
     edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if stream.random() < edge_prob}
-    return Graph(n, sorted(edges))
+    return make_graph(n, sorted(edges))
 
 
 def random_tiny_lc(stream: Stream, a_count, b_count, sigma_a, sigma_b,
@@ -115,7 +134,7 @@ def sparse_graphs(draw):
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
                           max_size=30, unique_by=lambda p: (min(p), max(p))))
-    return Graph(n, pairs)
+    return make_graph(n, pairs)
 
 
 @st.composite

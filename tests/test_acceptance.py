@@ -260,7 +260,7 @@ def test_criterion_7_sampling_statistics():
         n_side = 512
         ea = np.repeat(np.arange(n_side, dtype=np.int64), n_side)
         eb = np.tile(np.arange(n_side, dtype=np.int64), n_side)
-        k512 = LabelCoverInstance.from_arrays(
+        k512 = LabelCoverInstance(
             n_side, n_side, 4, 4, ea, eb,
             np.zeros(n_side * n_side, dtype=np.int64), ONE_PAIR_TABLE)
         p = sampling.keep_probability(k512, sampling.SampleParams(alpha=32.0))
@@ -286,7 +286,7 @@ def test_criterion_7_sampling_statistics():
         assert bound < 1
         ea = np.repeat(np.arange(d, dtype=np.int64), d)
         eb = np.tile(np.arange(d, dtype=np.int64), d)
-        kd = LabelCoverInstance.from_arrays(
+        kd = LabelCoverInstance(
             d, d, 8, 8, ea, eb, np.zeros(d * d, dtype=np.int64), ONE_PAIR_TABLE)
         params_d = sampling.SampleParams(alpha=1.0, k=k_cycle, seed=child_seed(4, "c7d"))
         on_short_cycle = 0
@@ -318,7 +318,7 @@ def test_criterion_8_oracle_self_consistency():
             h = sp.greedy_spanner(g, k)
             assert sp.verify_spanner(g, h, k)[0]
             if len(h):
-                sub = Graph.from_arrays(g.vertex_count,
+                sub = Graph(g.vertex_count,
                                         g.edge_arrays()[0][h.members],
                                         g.edge_arrays()[1][h.members])
                 assert girth(sub) == INFINITY or girth(sub) > k + 1

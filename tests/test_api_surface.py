@@ -109,6 +109,33 @@ def test_private_caller_finder_ignores_a_function_calling_itself():
     assert uncalled_private_functions({"m": tree}) == ["m._a"]
 
 
+def public_classmethods(trees) -> list:
+    """``module.Class.name`` of every public classmethod of a public class."""
+    return [f"{module}.{node.name}.{item.name}" for module, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")
+            and any(isinstance(d, ast.Name) and d.id == "classmethod" for d in item.decorator_list)]
+
+
+def test_no_public_class_has_a_second_public_constructor():
+    """Each public class is built one way, by calling it: a public
+    classmethod would be a second public constructor.  The private fast
+    paths for input already proved valid (``_from_canonical``,
+    ``_from_sorted``) stay allowed."""
+    found = public_classmethods(_trees())
+    assert not found, f"public classmethods of public classes in src/: {found}"
+
+
+def test_classmethod_finder_sees_only_public_classmethods_of_public_classes():
+    tree = ast.parse("class A:\n    @classmethod\n    def of(cls):\n        pass\n\n"
+                     "    @classmethod\n    def _fast(cls):\n        pass\n\n"
+                     "    @staticmethod\n    def helper():\n        pass\n\n"
+                     "    def method(self):\n        pass\n\n"
+                     "class _B:\n    @classmethod\n    def of(cls):\n        pass\n")
+    assert public_classmethods({"m": tree}) == ["m.A.of"]
+
+
 def test_allowlist_names_existing_definitions():
     missing = sorted(set(ALLOWED) - public_definitions(_trees()))
     assert not missing, f"ALLOWED lists names that are no longer defined: {missing}"

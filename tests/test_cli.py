@@ -10,11 +10,11 @@ import pytest
 
 from girthspan import cli, constructions as cons, pipeline, spanner as sp
 from girthspan.cli import main
-from girthspan.graphs import Graph, write_graph_text
+from girthspan.graphs import write_graph_text
 from girthspan.labelcover import write_lc_text
 from girthspan.spanner import EdgeSubset, write_subset_text
 
-from conftest import cycle_graph, path_lc_tiny, xor_odd_4cycle
+from conftest import cycle_graph, make_graph, path_lc_tiny, xor_odd_4cycle
 
 
 def run(args):
@@ -30,7 +30,7 @@ def test_girth_command(tmp_path, capsys):
 
 def test_girth_command_infinite(tmp_path, capsys):
     path = tmp_path / "tree.graph"
-    path.write_text(write_graph_text(Graph(3, [(0, 1), (1, 2)])))
+    path.write_text(write_graph_text(make_graph(3, [(0, 1), (1, 2)])))
     assert run(["girth", "-i", path]) == 0
     assert capsys.readouterr().out.strip() == "infinity"
 
@@ -226,11 +226,51 @@ def test_parrep_budget_below_1_is_an_input_error(tmp_path, capsys):
         assert capsys.readouterr().err == "input error: superedge budget must be >= 1\n"
 
 
+@pytest.mark.parametrize("ell, instance, message", [
+    (2, "A 20000 B 20000 SA 2 SB 2 M 1\nE 0 0 1\n0 0\n", "A = 400000000 exceeds 100000000"),
+    (3, "A 0 B 0 SA 1000000000 SB 2 M 0\n",
+     f"SA = {10**27} is not an integer of 1 to 18 decimal digits"),
+], ids=["A above the vertex bound", "SA of 28 digits"])
+def test_parrep_rejects_a_product_lc_v1_cannot_declare(tmp_path, capsys, ell, instance, message):
+    """A product whose sizes no LC v1 header may declare is an input error
+    (exit 2) and writes no file, so every LC the program writes reads back."""
+    src, out = tmp_path / "in.lc", tmp_path / "rep.lc"
+    src.write_text("LC v1\n" + instance)
+    assert run(["parrep", "-i", src, "--ell", ell, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("spanner-reduce", []),
+    ("spanner-from-cover", ["--cover", "empty.cover"]),
+    ("cover-from-spanner", ["--subset", "empty.subset"]),
+    ("make-proper", ["--subset", "empty.subset"]),
+])
+def test_default_copy_count_needs_a_supervertex(tmp_path, monkeypatch, capsys, command, extra):
+    """On an instance with no supervertex, the default copy count
+    ceil(n^2 / (|A| + |B|)) is an input error (exit 2) that names the
+    cause; with ``--x 1`` the same input builds the empty gadget."""
+    monkeypatch.chdir(tmp_path)
+    Path("none.lc").write_text("LC v1\nA 0 B 0 SA 2 SB 2 M 0\n")
+    Path("empty.cover").write_text("COVER v1\n")
+    Path("empty.subset").write_text(write_subset_text(EdgeSubset(make_graph(0, []), [])))
+    args = [command, "--lc", "none.lc", "--k", 3, "-o", "out", *extra]
+    assert run(args + ["--x", 1]) == 0
+    Path("out").unlink()
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "needs a supervertex" in err and "Traceback" not in err
+    assert not Path("out").exists()
+
+
 def test_solve_spanner_exact_checks_k_before_the_budget(tmp_path, capsys):
     """A stretch below 1 is named (exit 2) even where the search space
     exceeds the budget (exit 3 for a valid stretch)."""
     g = tmp_path / "k4.graph"
-    g.write_text(write_graph_text(Graph(4, [(i, j) for i in range(4)
+    g.write_text(write_graph_text(make_graph(4, [(i, j) for i in range(4)
                                             for j in range(i + 1, 4)])))
     assert run(["solve-spanner-exact", "--graph", g, "--k", 0, "--budget", 10]) == 2
     assert capsys.readouterr().err == "input error: stretch k must be >= 1\n"
@@ -250,7 +290,7 @@ def test_solve_commands(tmp_path, capsys):
     assert run(["solve-cover-exact", "-i", lc, "-o", cover_out]) == 0
     assert "size 5" in capsys.readouterr().out
     g = tmp_path / "k4.graph"
-    g.write_text(write_graph_text(Graph(4, [(i, j) for i in range(4)
+    g.write_text(write_graph_text(make_graph(4, [(i, j) for i in range(4)
                                             for j in range(i + 1, 4)])))
     assert run(["solve-spanner-exact", "--graph", g, "--k", 2]) == 0
     assert "size 3" in capsys.readouterr().out

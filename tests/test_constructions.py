@@ -1,13 +1,14 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girthspan import constructions as cons
 from girthspan.errors import InputError, ResourceError
-from girthspan.labelcover import Labeling, value
+from girthspan.labelcover import Labeling, distinct_relations, value
 from girthspan.oracles import lc_value_exact
 from girthspan.rng import Stream
 
@@ -74,6 +75,44 @@ def test_lc_from_3sat5_shape():
     assert all(len(lc.relation(e)) == 7 for e in range(lc.edge_count))
     assert set(lc.degrees_a().tolist()) == {3}
     assert set(lc.degrees_b().tolist()) == {5}
+
+
+@st.composite
+def formulas(draw):
+    """A 3SAT(5) formula of 3 to 12 variables whose polarities are drawn
+    clause by clause, so that any of the 8 falsifying triples can occur."""
+    n = draw(st.sampled_from([3, 6, 9, 12]))
+    shape = cons.gen_3sat5(n, draw(st.integers(0, 2**32)))
+    return cons.Formula3Sat5(n, tuple(tuple((v, draw(st.booleans())) for v, _ in clause)
+                                      for clause in shape.clauses))
+
+
+def lc_from_3sat5_by_tuples(formula):
+    """The clause-variable instance from Python tuples: superedge (c, v)
+    pairs each clause symbol alpha with the bit at v of the alpha-th
+    satisfying assignment of clause c."""
+    superedges = []
+    for c, clause in enumerate(formula.clauses):
+        bit_rows = cons.clause_satisfying_bits(clause)
+        for pos, (v, _) in enumerate(clause):
+            superedges.append((c, v, [(alpha, bits[pos]) for alpha, bits in enumerate(bit_rows)]))
+    return make_lc(formula.clause_count, formula.var_count, cons.CLAUSE_ALPHABET,
+                   cons.VAR_ALPHABET, superedges)
+
+
+@given(formulas())
+@settings(max_examples=60, deadline=None)
+def test_lc_from_3sat5_equals_the_tuple_built_instance(formula):
+    """The arrays ``lc_from_3sat5`` builds are the tuple-built instance's,
+    row for row, and its table has one row per distinct relation: at most
+    2 + 4 + 8 = 14, for clause positions 0, 1 and 2."""
+    lc = cons.lc_from_3sat5(formula)
+    reference = lc_from_3sat5_by_tuples(formula)
+    assert lc == reference
+    for mine, theirs in zip(lc.edge_arrays() + lc.relation_arrays(),
+                            reference.edge_arrays() + reference.relation_arrays()):
+        assert np.array_equal(mine, theirs)
+    assert distinct_relations(lc) == lc.relation_arrays()[0].size - 1 <= 14
 
 
 def test_lc_from_3sat5_satisfying_assignment_lifts_to_value_one():
@@ -155,6 +194,16 @@ def test_parrep_budget_error():
     reg = cons.regularize(cons.lc_from_3sat5(cons.gen_3sat5(3, seed=1)))
     with pytest.raises(ResourceError):
         cons.parallel_repetition(reg, 4, max_superedges=10 ** 6)
+
+
+def test_parrep_checks_lc_sizes_before_the_product(monkeypatch):
+    """A product whose sizes no LC v1 header may declare is rejected before
+    any product array is built: 3 superedges with A = 20000 give a product
+    with A = 4 * 10^8."""
+    lc = make_lc(20000, 20000, 2, 2, [(i, i, [(0, 0)]) for i in range(3)])
+    monkeypatch.setattr(cons, "_combine_relations", lambda *args: pytest.fail("product built"))
+    with pytest.raises(InputError, match="A = 400000000 exceeds 100000000"):
+        cons.parallel_repetition(lc, 2)
 
 
 def test_parrep_relation_is_coordinatewise(xor_lc):

@@ -19,17 +19,17 @@ from girthspan.oracles import bfs_distances
 from girthspan.rng import Stream
 from girthspan.spanner import parse_subset_text
 
-from conftest import (check_mutant, complete_graph, cycle_graph, degrees, hub_graph,
-                      is_bipartite, random_graph, rejection, sparse_graphs, text_mutants)
+from conftest import (check_mutant, complete_graph, cycle_graph, degrees, hub_graph, is_bipartite,
+                      make_graph, random_graph, rejection, sparse_graphs, text_mutants)
 
 
 def test_bfs_on_path():
-    g = Graph(3, [(0, 1), (1, 2)])
+    g = make_graph(3, [(0, 1), (1, 2)])
     assert bfs_distances(g, 0) == [0, 1, 2]
 
 
 def test_bfs_disconnected_vertex_is_infinite():
-    g = Graph(3, [(0, 1)])
+    g = make_graph(3, [(0, 1)])
     d = bfs_distances(g, 0)
     assert d[2] == INFINITY
 
@@ -44,14 +44,14 @@ def test_bfs_cap_on_c6():
 
 def test_bfs_source_out_of_range():
     with pytest.raises(InputError):
-        bfs_distances(Graph(2, [(0, 1)]), 5)
+        bfs_distances(make_graph(2, [(0, 1)]), 5)
 
 
 def test_girth_examples():
     assert girth(cycle_graph(4)) == 4
-    assert girth(Graph(4, [(0, 1), (1, 2), (1, 3)])) == INFINITY
+    assert girth(make_graph(4, [(0, 1), (1, 2), (1, 3)])) == INFINITY
     assert girth(complete_graph(4)) == 3
-    assert girth(Graph(0, [])) == INFINITY
+    assert girth(make_graph(0, [])) == INFINITY
 
 
 def test_girth_is_cached_on_the_graph(monkeypatch):
@@ -72,7 +72,7 @@ def test_girth_is_cached_on_the_graph(monkeypatch):
 def test_edge_cycle_length_examples():
     c6 = cycle_graph(6)
     assert all(edge_cycle_length(c6, e) == 6 for e in range(6))
-    tree = Graph(3, [(0, 1), (1, 2)])
+    tree = make_graph(3, [(0, 1), (1, 2)])
     assert edge_cycle_length(tree, 0) == INFINITY
     k4 = complete_graph(4)
     assert all(edge_cycle_length(k4, e) == 3 for e in range(6))
@@ -83,7 +83,7 @@ def test_edge_cycle_length_examples():
 def test_is_bipartite_examples():
     assert is_bipartite(cycle_graph(4))[0]
     assert not is_bipartite(cycle_graph(5))[0]
-    ok, colors = is_bipartite(Graph(3, []))
+    ok, colors = is_bipartite(make_graph(3, []))
     assert ok and set(colors) == {0}
 
 
@@ -96,15 +96,17 @@ def test_bipartite_coloring_is_proper():
 
 def test_constructor_rejections():
     with pytest.raises(InputError):
-        Graph(3, [(0, 0)])
+        make_graph(3, [(0, 0)])
     with pytest.raises(InputError):
-        Graph(3, [(0, 1), (1, 0)])
+        make_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InputError):
-        Graph(2, [(0, 5)])
+        make_graph(2, [(0, 5)])
+    with pytest.raises(InputError, match=r"\(u, v\) pairs"):
+        Graph(3, [0, 1], [1])
 
 
 def test_edge_ids_are_canonical():
-    g = Graph(4, [(2, 3), (1, 0), (0, 2)])
+    g = make_graph(4, [(2, 3), (1, 0), (0, 2)])
     assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
     assert g.edge_id(3, 2) == 2
     assert g.edge_id(1, 2) is None
@@ -148,7 +150,7 @@ def test_hops_equals_capped_bfs(n, seed, data):
     u, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     cap = data.draw(st.none() | st.integers(0, n))
     skip = data.draw(st.booleans())
-    rest = Graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
+    rest = make_graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
     assert _hops(g.adjacency(), u, v, cap, skip_direct=skip) == bfs_distances(rest, u, cap)[v]
     for eid in range(g.edge_count):
         full = edge_cycle_length(g, eid)
@@ -167,7 +169,7 @@ def test_hops_equals_capped_bfs_with_hubs(n, seed, data):
     u, v = data.draw(end), data.draw(end)
     cap = data.draw(st.none() | st.integers(0, n))
     skip = data.draw(st.booleans())
-    rest = Graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
+    rest = make_graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
     assert _hops(g.adjacency(), u, v, cap, skip_direct=skip) == bfs_distances(rest, u, cap)[v]
 
 
@@ -182,7 +184,7 @@ def test_hops_at_the_cap_and_one_below(n, seed, data):
     end = st.sampled_from(hubs) | st.integers(0, n - 1)
     u, v = data.draw(end), data.draw(end)
     skip = data.draw(st.booleans())
-    rest = Graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
+    rest = make_graph(n, [e for e in g.edges() if not (skip and set(e) == {u, v})])
     d = bfs_distances(rest, u)[v]
     adj = g.adjacency()
     before = [list(ws) for ws in adj]
@@ -196,7 +198,7 @@ def test_hops_at_the_cap_and_one_below(n, seed, data):
 
 
 def test_hops_unit_cases():
-    g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])      # vertex 6 is isolated
+    g = make_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])      # vertex 6 is isolated
     adj = g.adjacency()
     for cap in (None, 0, 3, 7):
         assert _hops(adj, 0, 6, cap) == INFINITY        # isolated dst
@@ -212,14 +214,14 @@ def test_hops_unit_cases():
         assert _hops(tri, u, v, None) == 1
         assert _hops(tri, u, v, None, skip_direct=True) == 2
         assert _hops(tri, u, v, 1, skip_direct=True) == INFINITY
-    path = Graph(4, [(0, 1), (1, 2), (2, 3)]).adjacency()
+    path = make_graph(4, [(0, 1), (1, 2), (2, 3)]).adjacency()
     for u, v in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)):
         assert _hops(path, u, v, None) == 1
         assert _hops(path, u, v, None, skip_direct=True) == INFINITY
 
 
 def test_adjacency_is_cached_neighbour_lists():
-    g = Graph(4, [(2, 3), (1, 0), (0, 2)])
+    g = make_graph(4, [(2, 3), (1, 0), (0, 2)])
     adj = g.adjacency()
     assert adj is g.adjacency()
     assert [sorted(ws) for ws in adj] == [[1, 2], [0], [0, 3], [2]]
@@ -229,7 +231,7 @@ def test_adjacency_is_cached_neighbour_lists():
 
 
 def test_graph_text_round_trip():
-    g = Graph(5, [(0, 1), (0, 4), (2, 3)])
+    g = make_graph(5, [(0, 1), (0, 4), (2, 3)])
     text = write_graph_text(g)
     assert text.splitlines()[0] == "GRAPH v1"
     assert parse_graph_text(text.encode("ascii")) == g
@@ -237,7 +239,7 @@ def test_graph_text_round_trip():
 
 
 def test_graph_text_round_trip_empty():
-    g = Graph(3, [])
+    g = make_graph(3, [])
     assert parse_graph_text(write_graph_text(g).encode("ascii")) == g
 
 
@@ -326,14 +328,14 @@ def test_subset_and_cover_parsers_name_the_bad_line(fmt, body, message, newline)
 
 def test_graph_text_whitespace_and_blank_lines():
     raw = b"GRAPH v1 \r\nN 6\tM 2\r\n\n  0\t 5  \f\n\n3 4\v"
-    assert parse_graph_text(raw) == Graph(6, [(0, 5), (3, 4)])
+    assert parse_graph_text(raw) == make_graph(6, [(0, 5), (3, 4)])
 
 
 def circulant(n=100_000):
     """A circulant on n vertices, six edges per vertex: 6.7 MB of GRAPH text
     at n = 10^5."""
     u = np.tile(np.arange(n), 6)
-    return Graph.from_arrays(n, u, (u + np.repeat(np.arange(1, 7), n)) % n)
+    return Graph(n, u, (u + np.repeat(np.arange(1, 7), n)) % n)
 
 
 def traced_peak(fn, *args):
@@ -392,10 +394,10 @@ def test_graph_stream_peak_memory_is_bounded(tmp_path):
 def test_graph_endpoints_are_int32_c_contiguous_and_read_only(tmp_path):
     """Every way to make a graph stores its ends as int32 arrays, 8 bytes
     per edge, and keeps no other per-edge array."""
-    g = Graph(6, [(4, 1), (0, 5), (2, 3)])
+    g = make_graph(6, [(4, 1), (0, 5), (2, 3)])
     raw = write_graph_text(g).encode("ascii")
-    for made in [g, Graph.from_arrays(6, np.array([4, 0, 2]), np.array([1, 5, 3])),
-                 parse_graph_text(raw), Graph(3, [])]:
+    for made in [g, Graph(6, np.array([4, 0, 2]), np.array([1, 5, 3])),
+                 parse_graph_text(raw), make_graph(3, [])]:
         for ends in made.edge_arrays():
             assert ends.dtype == np.int32 and ends.flags.c_contiguous
             assert not ends.flags.writeable
@@ -407,12 +409,12 @@ def test_graph_vertex_count_is_bounded():
     id can wrap in int32; a graph of exactly that many is made."""
     bound = graphs.MAX_DECLARED_VERTICES
     assert bound < 2**31
-    for make in [lambda n: Graph(n, []), lambda n: Graph.from_arrays(n, [], [])]:
+    for make in [lambda n: make_graph(n, []), lambda n: Graph(n, [], [])]:
         with pytest.raises(InputError, match="exceeds"):
             make(bound + 1)
         assert make(bound).vertex_count == bound
     with pytest.raises(InputError, match="exceeds"):
-        Graph(10**18, [(0, 10**12)])
+        make_graph(10**18, [(0, 10**12)])
 
 
 @pytest.mark.parametrize("body, message", [
@@ -493,7 +495,7 @@ def test_edge_lookup_at_the_vertex_bound():
     n = graphs.MAX_DECLARED_VERTICES
     edges = [(0, n - 1), (5, 7), (5, 99_999_998), (12_345_678, n - 1),
              (n - 3, n - 2), (n - 2, n - 1)]
-    g = Graph(n, edges)
+    g = make_graph(n, edges)
     absent = [(0, 1), (0, n - 2), (5, 6), (5, 8), (7, 99_999_998), (12_345_678, n - 2),
               (n - 3, n - 1), (n - 1, n - 1), (6, 6)]
     assert_lookups_agree(g, edges, edges + absent)
@@ -502,7 +504,7 @@ def test_edge_lookup_at_the_vertex_bound():
 def test_edge_lookup_of_pairs_out_of_range():
     """A pair with an end outside [0, N) is absent, though its key u * N + v
     may equal an edge's: -1 * 5 + 8 is the key of (0, 3)."""
-    g = Graph(5, [(0, 3)])
+    g = make_graph(5, [(0, 3)])
     for u, v in [(-1, 8), (8, -1), (0, 5), (-5, 3), (3, 3)]:
         assert g.edge_id(u, v) is None
         with pytest.raises(InputError, match="not an edge"):
@@ -525,7 +527,7 @@ def lookup_cases(draw):
 @given(lookup_cases())
 def test_edge_lookup_agrees_with_a_dict(case):
     n, edges, probes = case
-    assert_lookups_agree(Graph(n, edges), edges, probes)
+    assert_lookups_agree(make_graph(n, edges), edges, probes)
 
 
 def test_graph_arrays_are_read_only():
@@ -540,7 +542,7 @@ def test_neighbour_lists_are_built_on_first_use():
     lists; the first ``adjacency()`` call does and caches them.  Vertex v's
     list holds the other ends of the edges where v is the lower end, then
     the higher, each in ascending edge id."""
-    built = Graph(5, [(3, 4), (0, 1), (1, 2), (0, 4)])
+    built = make_graph(5, [(3, 4), (0, 1), (1, 2), (0, 4)])
     parsed = parse_graph_text(write_graph_text(built).encode("ascii"))
     for g in (built, parsed):
         assert g._adj is None
@@ -554,7 +556,7 @@ def test_neighbour_lists_are_built_on_first_use():
             eids = ([e for e in range(g.edge_count) if eu[e] == v]
                     + [e for e in range(g.edge_count) if ev[e] == v])
             assert adj[v] == [int(eu[e] + ev[e] - v) for e in eids]
-    assert Graph(3, []).adjacency() == [[], [], []]
+    assert make_graph(3, []).adjacency() == [[], [], []]
 
 
 def test_graph_sha256_matches_text_digest():
@@ -562,10 +564,10 @@ def test_graph_sha256_matches_text_digest():
     for _ in range(5):
         g = random_graph(12, 0.3, stream)
         expected = hashlib.sha256(write_graph_text_per_line(g).encode()).hexdigest()
-        fresh = Graph.from_arrays(g.vertex_count, *g.edge_arrays())
+        fresh = Graph(g.vertex_count, *g.edge_arrays())
         assert graph_sha256(fresh) == expected          # computed
         assert graph_sha256(fresh) == expected          # cached
-        written = Graph.from_arrays(g.vertex_count, *g.edge_arrays())
+        written = Graph(g.vertex_count, *g.edge_arrays())
         assert hashlib.sha256(write_graph_text(written).encode()).hexdigest() == expected
         assert graph_sha256(written) == expected        # cached by the writer
 
@@ -614,7 +616,7 @@ def parse_graph_text_per_line(text):
             raise InputError(f"edge lines not sorted: {ln!r}")
         prev_key = key
         eu[i], ev[i] = u, v
-    return Graph.from_arrays(n, eu, ev)
+    return Graph(n, eu, ev)
 
 
 @given(sparse_graphs())
@@ -628,8 +630,8 @@ def test_graph_text_equals_per_line_reference(g):
 def test_graph_parser_agrees_with_reference_on_mutants():
     stream = Stream(1203)
     bases = [write_graph_text(random_graph(n, 0.35, stream)) for n in (2, 5, 9, 14)]
-    bases += [write_graph_text(Graph(3, [])),
-              write_graph_text(Graph(120000, [(7, 99), (7, 119999), (4000, 5000)])),
+    bases += [write_graph_text(make_graph(3, [])),
+              write_graph_text(make_graph(120000, [(7, 99), (7, 119999), (4000, 5000)])),
               "GRAPH v1\r\nN 12 M 3\r\n\r\n 0\t11 \n  3 4\n\n5  10\n\n"]
     seen = {}
     for base in bases:

@@ -19,9 +19,9 @@ from girthspan.labelcover import (LabelCoverInstance, Labeling, RepCover, _satis
                                   supergraph, value, write_cover_text,
                                   write_labeling_text, write_lc_text)
 from girthspan import constructions as cons
-from girthspan import labelcover
+from girthspan import labelcover, pipeline
 from girthspan.graphs import _is_break
-from girthspan.labelcover import _first_breaks, _lc_chunks
+from girthspan.labelcover import _first_breaks, _lc_chunks, _relation_slots
 from girthspan.rng import Stream
 
 from conftest import (check_mutant, degrees, is_bipartite, lc_instances, make_lc,
@@ -136,7 +136,7 @@ def test_minrep_vertex_round_trip():
 
 def test_repcover_empty_invalid(xor_lc):
     mr = minrep_expand(xor_lc)
-    ok, witness = repcover_valid(mr, RepCover.of([]))
+    ok, witness = repcover_valid(mr, RepCover([]))
     assert not ok and witness == 0
 
 
@@ -152,7 +152,7 @@ def test_repcover_from_value_one_labeling():
 
 def test_repcover_five_member_cover_on_xor_cycle(xor_lc):
     mr = minrep_expand(xor_lc)
-    cover = RepCover.of([("A", 0, 0), ("A", 1, 0), ("A", 1, 1),
+    cover = RepCover([("A", 0, 0), ("A", 1, 0), ("A", 1, 1),
                          ("B", 0, 0), ("B", 1, 0)])
     ok, _ = repcover_valid(mr, cover)
     assert ok
@@ -177,7 +177,7 @@ def test_valid_cover_has_member_per_nonisolated_supervertex():
     lc = random_tiny_lc(Stream(21), 3, 3, 2, 2)
     mr = minrep_expand(lc)
     deg_a, deg_b = lc.degrees_a(), lc.degrees_b()
-    cover = RepCover.of(
+    cover = RepCover(
         [("A", i, 0) for i in range(3)] + [("A", i, 1) for i in range(3)]
         + [("B", j, 0) for j in range(3)] + [("B", j, 1) for j in range(3)])
     ok, _ = repcover_valid(mr, cover)
@@ -219,7 +219,8 @@ def test_lc_text_rejections():
 
 
 def test_cover_text_round_trip():
-    cover = RepCover.of([("B", 1, 0), ("A", 0, 1)])
+    cover = RepCover([("B", 1, 0), ("A", 0, 1)])
+    assert cover == RepCover(iter([("A", np.int64(0), np.int32(1)), ("B", 1, 0)]))
     parsed = parse_cover_text(write_cover_text(cover).encode("ascii"))
     assert parsed == cover
     rejection(parse_cover_text, "COVER v1\nC 0 0\n")
@@ -285,7 +286,7 @@ def parse_lc_text_per_line(text):
         superedges.append((a, b, pairs))
     if pos != len(lines):
         raise InputError("trailing content after superedges")
-    return LabelCoverInstance(a_count, b_count, sigma_a, sigma_b, superedges)
+    return make_lc(a_count, b_count, sigma_a, sigma_b, superedges)
 
 
 def parse_cover_text_per_line(text):
@@ -298,7 +299,7 @@ def parse_cover_text_per_line(text):
         if len(toks) != 3 or toks[0] not in ("A", "B"):
             raise InputError(f"bad cover line: {ln!r}")
         members.append((toks[0], int(toks[1]), int(toks[2])))
-    return RepCover.of(members)
+    return RepCover(members)
 
 
 def parse_labeling_text_per_line(text, lc):
@@ -647,7 +648,7 @@ def test_lc_parse_of_distinct_blocks_peak_memory_is_bounded():
 
 
 def test_lc_instance_checks_peak_memory_is_bounded():
-    """The checks of ``from_arrays`` on the all-distinct instance's arrays,
+    """The constructor's checks on the all-distinct instance's arrays,
     as the parse hands them over, rise below 0.2 times its text (0.18):
     the superedge and pair orders are checked a block of rows at a time.
     Whole-table temporaries took 0.71 times."""
@@ -658,7 +659,7 @@ def test_lc_instance_checks_peak_memory_is_bounded():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        made = LabelCoverInstance.from_arrays(*args)
+        made = LabelCoverInstance(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -712,13 +713,27 @@ def test_lc_equality_equals_per_superedge_comparison(lc, data):
     assert (lc == other) == expected == (other == lc)
     ea, eb, rel_ids = lc.edge_arrays()
     start, alpha, beta = lc.relation_arrays()
-    twin = LabelCoverInstance.from_arrays(       # every relation twice in its table
+    twin = LabelCoverInstance(       # every relation twice in its table
         lc.a_count, lc.b_count, lc.sigma_a, lc.sigma_b, ea, eb,
         rel_ids + (start.size - 1) * (np.arange(ea.size) % 2),
         (np.append(start, start[1:] + start[-1]), np.tile(alpha, 2), np.tile(beta, 2)))
     assert twin == lc == twin
     distinct = len({lc.relation(e) for e in range(lc.edge_count)})
     assert distinct_relations(twin) == distinct_relations(lc) == distinct
+
+
+@given(lc_instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_relation_pair_count_equals_the_slot_count(lc, data):
+    """``instance_stats`` counts the relation pairs from the table offsets:
+    as many as ``_relation_slots`` lists, on tables whose rows repeat (the
+    pool draws) and on tables with rows no superedge uses (after
+    ``restrict_edges``)."""
+    keep = data.draw(st.lists(st.integers(0, lc.edge_count - 1), unique=True)
+                     if lc.edge_count else st.just([]))
+    for inst in (lc, lc.restrict_edges(keep)):
+        count = pipeline.instance_stats(inst)["relation_pairs_total"]
+        assert count == _relation_slots(inst)[1].size
 
 
 def test_satisfied_count_matches_value(xor_lc):
@@ -771,7 +786,7 @@ def test_repcover_valid_equals_per_superedge_loop(lc, data):
     noise = st.tuples(st.sampled_from("AB" if data.draw(st.integers(0, 3)) else "ABC"),
                       st.integers(-1, 4), st.integers(-1, max(lc.sigma_a, lc.sigma_b)))
     members += data.draw(st.lists(noise, max_size=3))
-    cover = RepCover.of(members)
+    cover = RepCover(members)
     expected = outcome(repcover_valid_per_superedge, lc, cover)
     assert outcome(repcover_valid, minrep_expand(lc), cover) == expected
 
@@ -801,13 +816,34 @@ ONE_ROW = (np.array([0, 2]), np.array([0, 1]), np.array([1, 0]))
     ((np.array([0, 3]), np.array([0, 1]), np.array([1, 0])), [0], "offsets"),
 ], ids=["empty row", "unsorted alpha", "unsorted beta", "duplicate pair", "alpha too large",
         "negative beta", "row id too large", "negative row id", "offsets past the pairs"])
-def test_from_arrays_rejects_bad_relation_rows(table, rel_ids, message):
+def test_constructor_rejects_bad_relation_rows(table, rel_ids, message):
     """The row checks, against the table they start from: ONE_ROW is a
     valid row with pairs (0, 1) and (1, 0) over alphabets of 2."""
-    good = LabelCoverInstance.from_arrays(1, 1, 2, 2, [0], [0], [0], ONE_ROW)
+    good = LabelCoverInstance(1, 1, 2, 2, [0], [0], [0], ONE_ROW)
     assert good.relation(0) == ((0, 1), (1, 0))
     with pytest.raises(InputError, match=message):
-        LabelCoverInstance.from_arrays(1, 1, 2, 2, [0], [0], rel_ids, table)
+        LabelCoverInstance(1, 1, 2, 2, [0], [0], rel_ids, table)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((10**8 + 1, 1, 1, 1), "A = 100000001 exceeds 100000000"),
+    ((1, 10**8 + 1, 1, 1), "B = 100000001 exceeds 100000000"),
+    ((1, 1, 10**8, 1), "A\\*SA \\+ B\\*SB = 100000001 exceeds 100000000"),
+    ((0, 0, 10**18, 1), f"SA = {10**18} is not an integer of 1 to 18 decimal digits"),
+    ((0, 0, 1, 10**18), f"SB = {10**18} is not an integer of 1 to 18 decimal digits"),
+])
+def test_constructor_holds_every_instance_to_the_lc_v1_header_bounds(sizes, message):
+    """An instance the program builds can be written as LC v1 and read
+    back: the constructor rejects the sizes the parser would reject."""
+    empty = (np.zeros(1, dtype=np.int64), [], [])
+    with pytest.raises(InputError, match=f"LC v1 header: {message}"):
+        LabelCoverInstance(*sizes, [], [], [], empty)
+
+
+def test_regularize_of_a_wide_side_is_rejected_by_the_constructor():
+    wide = make_lc(4 * 10**7, 1, 1, 1, [(0, 0, [(0, 0)])])
+    with pytest.raises(InputError, match="LC v1 header: A = 120000000 exceeds"):
+        cons.regularize(wide, require_sat5_shape=False)
 
 
 def test_relation_arrays_are_read_only():

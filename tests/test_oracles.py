@@ -5,12 +5,12 @@ import pytest
 from girthspan import oracles
 from girthspan.errors import ResourceError
 from girthspan import constructions as cons
-from girthspan.graphs import Graph, INFINITY, girth
+from girthspan.graphs import INFINITY, girth
 from girthspan.labelcover import labeling_to_repcover, minrep_expand, repcover_valid, value
 from girthspan.rng import Stream
 from girthspan.spanner import EdgeSubset, verify_spanner
 
-from conftest import (complete_graph, cycle_graph, make_lc, petersen_graph,
+from conftest import (complete_graph, cycle_graph, make_graph, make_lc, petersen_graph,
                       random_graph, xor_odd_4cycle)
 
 
@@ -112,7 +112,7 @@ def test_min_repcover_budget():
 
 
 def test_min_spanner_tree():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     size, h = oracles.min_spanner_exact(g, 3)
     assert size == 3
 
@@ -160,7 +160,7 @@ def test_iter_spanners_count_on_c4():
 def test_girth_independent_examples():
     assert oracles.girth_independent(cycle_graph(4)) == 4
     assert oracles.girth_independent(petersen_graph()) == 5
-    assert oracles.girth_independent(Graph(4, [(0, 1), (1, 2)])) == INFINITY
+    assert oracles.girth_independent(make_graph(4, [(0, 1), (1, 2)])) == INFINITY
     assert oracles.girth_independent(complete_graph(4)) == 3
 
 

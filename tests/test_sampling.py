@@ -5,12 +5,13 @@ import pytest
 from girthspan import constructions as cons
 from girthspan import sampling
 from girthspan.errors import InputError
-from girthspan.graphs import INFINITY, Graph, edge_cycle_length, girth
+from girthspan.graphs import INFINITY, edge_cycle_length, girth
 from girthspan.labelcover import Labeling, satisfied_count, supergraph, value
 from girthspan.oracles import bfs_distances
 from girthspan.rng import Stream
 
-from conftest import make_lc, montecarlo_kept_edges, montecarlo_satisfied, random_tiny_lc
+from conftest import (make_graph, make_lc, montecarlo_kept_edges, montecarlo_satisfied,
+                      random_tiny_lc)
 
 
 def c6_lc():
@@ -124,7 +125,7 @@ def bad_edges_per_edge(lc, k):
     g = supergraph(lc)
     bad = []
     for eid, (u, v) in enumerate(g.edges()):
-        rest = Graph(g.vertex_count, [e for e in g.edges() if e != (u, v)])
+        rest = make_graph(g.vertex_count, [e for e in g.edges() if e != (u, v)])
         if bfs_distances(rest, u, k - 1)[v] != INFINITY:
             bad.append(eid)
     return bad

@@ -14,7 +14,7 @@ from girthspan.oracles import bfs_distances, spans_all_pairs
 from girthspan.rng import Stream, child_seed
 
 from conftest import (check_mutant, complete_graph, cycle_graph, family_code, family_ids,
-                      full_subset, gadget_by_sort, hub_graph, make_lc, path_lc_tiny,
+                      full_subset, gadget_by_sort, hub_graph, make_graph, make_lc, path_lc_tiny,
                       random_graph, text_mutants, vertex_role, xor_odd_4cycle)
 
 
@@ -531,7 +531,7 @@ def test_per_edge_criterion_equals_all_pairs():
 def verify_per_edge(g, h, k):
     """Reference verifier: each missing edge in ascending id, decided by
     bfs_distances over h."""
-    sub = Graph(g.vertex_count, [g.edge(e) for e in h.members.tolist()])
+    sub = make_graph(g.vertex_count, [g.edge(e) for e in h.members.tolist()])
     for eid in np.flatnonzero(~h.mask()).tolist():
         u, v = g.edge(eid)
         if bfs_distances(sub, u, k)[v] == INFINITY:
@@ -556,7 +556,7 @@ def test_verify_spanner_witness_equals_per_edge_reference():
 
 
 def test_first_unspanned_searches_the_sorted_subset_graph(monkeypatch):
-    """The verifiers' subset graph skips the sort of ``from_arrays``, since
+    """The verifiers' subset graph skips the constructor's sort, since
     the members are sorted and distinct; its neighbour lists are the same."""
     searched = []
     hops = sp._hops
@@ -570,7 +570,7 @@ def test_first_unspanned_searches_the_sorted_subset_graph(monkeypatch):
         searched.clear()
         sp.verify_spanner(g, h, 2)
         eu, ev = g.edge_arrays()
-        expected = Graph.from_arrays(n, eu[h.members], ev[h.members]).adjacency()
+        expected = Graph(n, eu[h.members], ev[h.members]).adjacency()
         assert all(adj == expected for adj in searched)
         assert searched or len(h) == g.edge_count
 
@@ -643,7 +643,7 @@ def test_cover_spanner_needs_no_bfs(monkeypatch, k):
 def test_spanner_from_repcover_rejects_invalid_cover():
     si = tiny_instance(k=3)
     with pytest.raises(InputError):
-        sp.spanner_from_repcover(si, RepCover.of([("A", 0, 0)]))
+        sp.spanner_from_repcover(si, RepCover([("A", 0, 0)]))
 
 
 def make_proper_per_edge(si, h):
@@ -721,7 +721,7 @@ def repcover_per_copy(si, h):
         if code[eid] in (sp.FAM_SA, sp.FAM_TB):
             member, tower = (vertex_role(si, v) for v in si.base.edge(eid))
             per_copy[tower[3]].add(member)
-    return RepCover.of(min(per_copy, key=len))
+    return RepCover(min(per_copy, key=len))
 
 
 def test_repcover_from_spanner_picks_the_smallest_copy():
@@ -757,7 +757,7 @@ def test_round_trip_bound():
 # --- greedy baseline ---------------------------------------------------------------
 
 def test_greedy_on_tree_returns_tree():
-    g = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    g = make_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     h = sp.greedy_spanner(g, 3)
     assert len(h) == 4
 
@@ -774,7 +774,7 @@ def test_greedy_always_verifies_with_high_girth():
         k = 2 + stream.randbelow(3)
         h = sp.greedy_spanner(g, k)
         assert sp.verify_spanner(g, h, k)[0]
-        sub = Graph.from_arrays(g.vertex_count, g.edge_arrays()[0][h.members],
+        sub = Graph(g.vertex_count, g.edge_arrays()[0][h.members],
                                 g.edge_arrays()[1][h.members])
         assert girth(sub) == INFINITY or girth(sub) > k + 1
 
@@ -784,7 +784,7 @@ def greedy_per_edge(g, k):
     the edges kept so far puts its ends more than k hops apart."""
     chosen = []
     for eid, (u, v) in enumerate(g.edges()):
-        sub = Graph(g.vertex_count, [g.edge(e) for e in chosen])
+        sub = make_graph(g.vertex_count, [g.edge(e) for e in chosen])
         if bfs_distances(sub, u, k)[v] == INFINITY:
             chosen.append(eid)
     return np.array(chosen, dtype=np.int64)
@@ -867,7 +867,7 @@ def parse_subset_text_per_line(text, host):
 @pytest.fixture(scope="module")
 def million_edge_host():
     """K_1415: 1,000,405 edges, so edge ids have 1 to 7 digits."""
-    return Graph.from_arrays(1415, *np.triu_indices(1415, 1))
+    return Graph(1415, *np.triu_indices(1415, 1))
 
 
 @given(st.integers(1, 7).flatmap(

@@ -24,14 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girthspan import graphs, labelcover
-from girthspan.graphs import Graph, _graph_chunks, _int_rows, parse_graph_text, write_graph_text
+from girthspan.graphs import _graph_chunks, _int_rows, parse_graph_text, write_graph_text
 from girthspan.labelcover import (Labeling, RepCover, _lc_body, _lc_chunks, labeling_to_repcover,
                                   parse_cover_text, parse_labeling_text, parse_lc_text,
                                   write_cover_text, write_labeling_text, write_lc_text)
 from girthspan.rng import Stream
 from girthspan.spanner import EdgeSubset, _subset_chunks, parse_subset_text, write_subset_text
 
-from conftest import lc_instances, random_graph, random_tiny_lc, rejection, sparse_graphs
+from conftest import (lc_instances, make_graph, random_graph, random_tiny_lc, rejection,
+                      sparse_graphs)
 
 BLOCK_SIZES = [(1, 1), (2, 3), (3, 7), (5, 16)]     # (rows written, bytes read) per block
 
@@ -54,7 +55,7 @@ def artifacts():
         cases += [(write_graph_text, parse_graph_text, g),
                   (write_subset_text, lambda t, g=g: parse_subset_text(t, g),
                    EdgeSubset(g, keep))]
-    wide = Graph(400_000, [(7, 99), (7, 399_999), (4000, 5000), (123_456, 200_000)])
+    wide = make_graph(400_000, [(7, 99), (7, 399_999), (4000, 5000), (123_456, 200_000)])
     cases.append((write_graph_text, parse_graph_text, wide))
     for sides in [(2, 3, 3, 2), (4, 4, 12, 5)]:
         lc = random_tiny_lc(stream, *sides)
@@ -133,7 +134,7 @@ def test_body_decoders_read_values_of_1_to_18_digits(data):
         (us, vs), tag = _int_rows(untagged, 0, "row", width=2)
         assert list(zip(us.tolist(), vs.tolist())) == [(int(u), int(v)) for _, u, v in rows]
         assert tag is None
-        assert parse_cover_text(cover) == RepCover.of((s, int(u), int(v)) for s, u, v in rows)
+        assert parse_cover_text(cover) == RepCover((s, int(u), int(v)) for s, u, v in rows)
         ea, eb, rel_ids, (start, alpha, beta) = _lc_body(lc, 0, len(superedges))
     read = [(a, b, list(zip(alpha[start[r]:start[r + 1]].tolist(),
                             beta[start[r]:start[r + 1]].tolist())))
@@ -154,7 +155,7 @@ def test_texts_round_trip_at_small_block_sizes(monkeypatch, rows, size):
 
 def graph_text(rows):
     """A GRAPH v1 text of ``rows`` sorted edges over 10^6 vertices."""
-    return write_graph_text(Graph(10**6, [(i, 500_000 + i) for i in range(rows)]))
+    return write_graph_text(make_graph(10**6, [(i, 500_000 + i) for i in range(rows)]))
 
 
 def fault_cases():
@@ -173,7 +174,7 @@ def fault_cases():
     both[3] = "5" * 19 + " 500001"
     both[40] += " 7"
     unsorted[39], unsorted[40] = unsorted[40], unsorted[39]
-    g = Graph(10**6, [(i, 500_000 + i) for i in range(40)])
+    g = make_graph(10**6, [(i, 500_000 + i) for i in range(40)])
     subset = write_subset_text(EdgeSubset(g, np.arange(0, 40, 2))).split("\n")
     subset[-3], subset[-2] = subset[-2], subset[-3]
     cover = write_cover_text(labeling_to_repcover(
