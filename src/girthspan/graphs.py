@@ -144,11 +144,8 @@ class Graph:
         Callers must not modify them; they are shared by every search.
         """
         if self._adj is None:
-            ends = np.concatenate([self._eu, self._ev])
-            nbr = np.concatenate([self._ev, self._eu])[np.argsort(ends, kind="stable")].tolist()
-            bounds = np.zeros(self.vertex_count + 1, dtype=np.int64)
-            np.cumsum(np.bincount(ends, minlength=self.vertex_count), out=bounds[1:])
-            bounds = bounds.tolist()
+            bounds, nbr = _neighbours(self)
+            nbr, bounds = nbr.tolist(), bounds.tolist()
             self._adj = [nbr[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         return self._adj
 
@@ -165,6 +162,17 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def _neighbours(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(bounds, nbr): vertex v's neighbours are nbr[bounds[v]:bounds[v + 1]],
+    in the order of ``Graph.adjacency``.  Built from a transient stable sort
+    of the ends; not cached."""
+    ends = np.concatenate([g._eu, g._ev])
+    nbr = np.concatenate([g._ev, g._eu])[np.argsort(ends, kind="stable")]
+    bounds = np.zeros(g.vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=g.vertex_count), out=bounds[1:])
+    return bounds, nbr
 
 
 def _vertex_count(vertex_count: int) -> int:
@@ -330,6 +338,174 @@ def girth(g: Graph):
                     break
         g._girth = best
     return g._girth
+
+
+# --- batched capped distances --------------------------------------------------
+#
+# ``_hops`` answers one query at a time, about 3 us of Python each.  The
+# spanner verifiers (one query per missing edge) and ``sampling.bad_edges``
+# (one per superedge) ask many queries that do not depend on each other, so
+# ``_within`` answers them together, a pass of ``_PASS_PAIRS`` pairs at a
+# time.  ``girth``, ``edge_cycle_length`` and ``greedy_spanner`` stay on
+# ``_hops``: each of their queries depends on the answers before it (a
+# shrinking cap, or a graph that grows).
+
+_PASS_PAIRS = 1 << 10
+_PASS_ENTRIES = 1 << 16
+
+
+def _within(g: Graph, us, vs, cap: int, skip_direct: bool = False):
+    """Whether dist(us[i], vs[i]) <= cap in g, for every i: one bool array
+    per pass of ``_PASS_PAIRS`` pairs, yielded in the order given, so that a
+    caller may stop after the first pass that answers its question.  With
+    ``skip_direct`` the distance is taken in g less the edge {us[i], vs[i]}.
+
+    It is exact.  For u != v, dist(u, v) <= cap exactly when some x in
+    B_a(u) and y in B_b(v), the balls of radius a and b, have x = y or
+    {x, y} in E, for any a + b = cap - 1: the nodes at positions min(a, D-1)
+    and one after it on a shortest path of D <= cap hops are such an x and
+    y.  The balls grow one level at a time, as in ``_hops``, and while two
+    balls of radius a and b have not met, dist > a + b, so a meeting at the
+    next level joins their last levels by an edge.  Where the two last
+    levels make fewer pairs than the cheaper side has neighbour entries,
+    each pair (x, y) is looked up in the sorted keys u * n + v of g's
+    edges, and a pair that meets grows no further.  The other pairs grow
+    their cheaper side (the u side on a tie) by one level and hold when a
+    neighbour of its last level lies in the other side's ball.  When the
+    cap allows two levels, the roots' level grows both roots at once, and a
+    pair also holds when a vertex is new to both of its sides (a common
+    neighbour).  The levels stop once a + b reaches cap, and a pair is
+    dropped as soon as it meets or one of its sides is exhausted, so a
+    large cap costs no more than the levels the pairs need.  With
+    ``skip_direct`` a root level does not step to the other root, and the
+    lookup drops the pair (u, v) itself: neither root can enter the other
+    side's ball without meeting first, so no other step crosses that edge.
+
+    Each ball is held as keys ball * n + vertex, where balls 2i and 2i + 1
+    grow from us[i] and vs[i], in one sorted array searched by
+    ``searchsorted``.  A level whose ball keys and entries exceed
+    ``_PASS_ENTRIES`` is split into two halves of its pairs, down to one
+    pair, so a pass holds about that many entries at most.
+    """
+    n = g.vertex_count
+    bounds, nbr = _neighbours(g)
+    keys = g._eu.astype(np.int64) * n + g._ev
+    for lo in range(0, len(us), _PASS_PAIRS):
+        u = np.asarray(us[lo:lo + _PASS_PAIRS], dtype=np.int64)
+        v = np.asarray(vs[lo:lo + _PASS_PAIRS], dtype=np.int64)
+        ok = u == v
+        pairs = np.flatnonzero(~ok) if cap > 0 else np.zeros(0, dtype=np.int64)
+        roots = np.stack([u, v], axis=1).ravel()
+        balls = np.stack([2 * pairs, 2 * pairs + 1], axis=1).ravel()
+        seen = balls * n + roots[balls]
+        _meet((n, bounds, nbr, keys, cap, skip_direct, roots), np.zeros(roots.size, dtype=np.int64),
+              ok, pairs, seen, seen)
+        yield ok
+
+
+def _meet(spec, depth, ok, pairs, seen, front):
+    """Grow the balls of the open ``pairs`` of one ``_within`` pass until
+    each is answered, setting ``ok`` for those that meet.  ``seen`` holds
+    the sorted keys of their balls, ``front`` the keys of each ball's last
+    level and ``depth`` each ball's radius; ``spec`` is the pass's graph,
+    cap and roots."""
+    n, bounds, nbr, keys, cap, skip_direct, roots = spec
+    while pairs.size:
+        ball = front // n
+        vert = front - ball * n
+        deg = bounds[vert + 1] - bounds[vert]
+        cost = np.bincount(ball, weights=deg, minlength=roots.size)
+        size = np.bincount(ball, minlength=roots.size)
+        bu, bv = 2 * pairs, 2 * pairs + 1
+        live = (cost[bu] > 0) & (cost[bv] > 0)          # else a side is exhausted
+        pairs, bu, bv = pairs[live], bu[live], bv[live]
+        grown = np.where(cost[bv] < cost[bu], bv, bu)
+        radii = depth[bu] + depth[bv]
+        both = (radii == 0) & (cap > 1)
+        final = radii + 1 + both == cap
+        across = size[bu] * size[bv]
+        product = (across < cost[grown]) & ~both
+        if _split(spec, depth, ok, pairs, seen, front, across[product].sum()):
+            return
+        met = np.zeros(ok.size, dtype=bool)
+        if product.any():
+            met[_joined(spec, pairs[product], front, size)] = True
+            ok |= met
+            done = met[pairs] | final & product
+            pairs, grown, final, both = pairs[~done], grown[~done], final[~done], both[~done]
+            if not pairs.size:
+                return
+        rows = np.zeros(roots.size, dtype=bool)
+        rows[grown] = True
+        rows[(grown ^ 1)[both]] = True
+        rows = rows[ball]
+        total = int(deg[rows].sum())
+        if _split(spec, depth, ok, pairs, seen, front, total):
+            return
+        x, xb, xdeg = vert[rows], ball[rows], deg[rows]
+        pos = np.repeat(bounds[x] - (np.cumsum(xdeg) - xdeg), xdeg) + np.arange(total)
+        y, yb = nbr[pos].astype(np.int64), np.repeat(xb, xdeg)
+        if skip_direct:
+            keep = (depth[yb] > 0) | (y != roots[yb ^ 1])
+            y, yb = y[keep], yb[keep]
+        key = (yb ^ 1) * n + y
+        met[yb[seen[np.minimum(np.searchsorted(seen, key), seen.size - 1)] == key] >> 1] = True
+        new = _sorted_distinct(yb[~met[yb >> 1]] * n + y[~met[yb >> 1]])
+        if both.any():                      # a common neighbour of the roots
+            nb = new // n
+            twin = new + ((nb ^ 1) - nb) * n
+            met[nb[new[np.minimum(np.searchsorted(new, twin), new.size - 1)] == twin] >> 1] = True
+        ok |= met
+        still = ~(met[pairs] | final)
+        depth[grown[still]] += 1
+        depth[(grown ^ 1)[still & both]] += 1
+        pairs = pairs[still]
+        if not pairs.size:
+            return
+        open_balls = np.zeros(roots.size, dtype=bool)
+        open_balls[2 * pairs] = open_balls[2 * pairs + 1] = True
+        new = new[open_balls[new // n]]
+        at = np.searchsorted(seen, new)
+        fresh = seen[np.minimum(at, seen.size - 1)] != new
+        seen = np.sort(np.concatenate([seen[open_balls[seen // n]], new[fresh]]), kind="stable")
+        front = np.concatenate([front[~rows & open_balls[ball]], new[fresh]])
+
+
+def _split(spec, depth, ok, pairs, seen, front, entries) -> bool:
+    """Whether a level of ``pairs`` that reads ``entries`` more entries is
+    over ``_PASS_ENTRIES``; if so, each half of the pairs has been answered
+    on its own by ``_meet``."""
+    if pairs.size < 2 or seen.size + entries <= _PASS_ENTRIES:
+        return False
+    half = pairs.size // 2
+    cut = 2 * spec[0] * pairs[half]
+    low, at = front < cut, np.searchsorted(seen, cut)
+    _meet(spec, depth, ok, pairs[:half], seen[:at], front[low])
+    _meet(spec, depth, ok, pairs[half:], seen[at:], front[~low])
+    return True
+
+
+def _joined(spec, pairs, front, size):
+    """The ``pairs`` with an edge of g between the last levels of their two
+    balls, found by looking up every pair of those levels in g's sorted edge
+    keys.  With ``skip_direct`` the roots' own pair is dropped."""
+    n, _, _, keys, _, skip_direct, roots = spec
+    mine = np.zeros(roots.size, dtype=bool)
+    mine[2 * pairs] = mine[2 * pairs + 1] = True
+    level = np.sort(front[mine[front // n]])
+    cu, cv = size[2 * pairs], size[2 * pairs + 1]
+    sv = np.cumsum(cu + cv) - cv
+    su = sv - cu
+    each = cu * cv
+    pe = np.repeat(np.arange(pairs.size), each)
+    k = np.arange(each.sum()) - np.repeat(np.cumsum(each) - each, each)
+    x = level[su[pe] + k // cv[pe]] - 2 * pairs[pe] * n
+    y = level[sv[pe] + k % cv[pe]] - (2 * pairs[pe] + 1) * n
+    key = np.minimum(x, y) * n + np.maximum(x, y)
+    hit = keys[np.minimum(np.searchsorted(keys, key), keys.size - 1)] == key
+    if skip_direct:
+        hit &= (x != roots[2 * pairs[pe]]) | (y != roots[2 * pairs[pe] + 1])
+    return pairs[pe[hit]]
 
 
 # --- decimal text, shared by every text format -------------------------------

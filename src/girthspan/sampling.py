@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import INFINITY, edge_cycle_length
+from .graphs import _within
 from .labelcover import LabelCoverInstance, supergraph
 from .rng import draws_array, keep_threshold
 
@@ -78,7 +78,10 @@ def bad_edges(lc: LabelCoverInstance, k: int) -> list:
     if k < 3:
         raise InputError("cycle threshold k must be >= 3")
     g = supergraph(lc)
-    return [eid for eid in range(g.edge_count) if edge_cycle_length(g, eid, k) != INFINITY]
+    eu, ev = g.edge_arrays()
+    # A cycle of length <= k through {u, v} is a u-v path of <= k - 1 hops without it.
+    bad = np.concatenate([np.zeros(0, dtype=bool), *_within(g, eu, ev, k - 1, skip_direct=True)])
+    return np.flatnonzero(bad).tolist()
 
 
 def strip_bad_edges(lc: LabelCoverInstance, k: int) -> LabelCoverInstance:

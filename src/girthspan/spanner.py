@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .graphs import (INFINITY, _WRITE_ROWS, Graph, _canonical, _decimal_blocks, _head_lines,
                      _hops, _int_rows, _line_number, _rising, _row_offset, _sorted_distinct,
-                     _vertex_count, girth, graph_sha256)
+                     _vertex_count, _within, girth, graph_sha256)
 from .labelcover import (MinRepInstance, RepCover, _lc_chunks, _relation_slots, repcover_valid,
                          supergraph)
 
@@ -375,7 +375,7 @@ def verify_spanner_structured(si: SpannerInstance, h: EdgeSubset) -> tuple[bool,
     ``canonical_span_check``, the scalar reference, returns a path.  Each
     certificate is an explicit path of length <= k, so it never passes an
     edge the exact check would fail.  Every edge left uncertified goes to
-    the exact capped BFS in ascending edge id, and the first one that BFS
+    the exact batched check in ascending edge id, and the first one it
     cannot span is the witness.  The exact check would scan the same edges
     in the same order and fail first on that same edge, so verdict and
     witness equal ``verify_spanner``'s.
@@ -394,15 +394,19 @@ def verify_spanner_structured(si: SpannerInstance, h: EdgeSubset) -> tuple[bool,
 
 def _first_unspanned(g: Graph, h: EdgeSubset, eids: np.ndarray, k: int):
     """(False, first edge of ``eids`` whose endpoints are more than k hops
-    apart over h), or (True, None) when there is none."""
+    apart over h), or (True, None) when there is none.  The ``_within``
+    passes follow ``eids``, so the lowest failing pass holds the witness
+    and no later pass runs."""
     if eids.size == 0:
         return True, None
     eu, ev = g.edge_arrays()
     # The rows of a canonical edge list at sorted, distinct ids are canonical.
-    adj = Graph._from_canonical(g.vertex_count, eu[h.members], ev[h.members]).adjacency()
-    for eid, u, v in zip(eids.tolist(), eu[eids].tolist(), ev[eids].tolist()):
-        if _hops(adj, u, v, k) == INFINITY:
-            return False, eid
+    sub = Graph._from_canonical(g.vertex_count, eu[h.members], ev[h.members])
+    done = 0
+    for ok in _within(sub, eu[eids], ev[eids], k):
+        if not ok.all():
+            return False, int(eids[done + ok.argmin()])
+        done += ok.size
     return True, None
 
 

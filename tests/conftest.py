@@ -1,11 +1,14 @@
+import contextlib
 import math
 from collections import deque
 from dataclasses import dataclass
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from girthspan import graphs
 from girthspan.errors import InputError
 from girthspan.graphs import Graph
 from girthspan.labelcover import LabelCoverInstance, Labeling, _satisfied_mask
@@ -18,6 +21,15 @@ def make_graph(n, pairs):
     """The graph on ``n`` vertices whose edges are the (u, v) ``pairs``."""
     ends = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
     return Graph(n, ends[:, 0], ends[:, 1])
+
+
+@contextlib.contextmanager
+def tiny_passes():
+    """The batched distance kernel with passes of two pairs and a budget of
+    one entry a level, so that every level of every pass splits down to
+    single pairs."""
+    with patch.object(graphs, "_PASS_PAIRS", 2), patch.object(graphs, "_PASS_ENTRIES", 1):
+        yield
 
 
 def make_lc(a_count, b_count, sigma_a, sigma_b, edges):

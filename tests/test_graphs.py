@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from girthspan import graphs
 from girthspan.errors import InputError
 from girthspan.graphs import (Graph, INFINITY, _check_body, _decimal_text, _graph_chunks, _hops,
-                              _line_number, _row_offset, _span_values, _token_rows,
+                              _line_number, _row_offset, _span_values, _token_rows, _within,
                               edge_cycle_length, girth, graph_sha256, parse_graph_text,
                               write_graph_text)
 from girthspan.labelcover import parse_cover_text
@@ -20,7 +21,7 @@ from girthspan.rng import Stream
 from girthspan.spanner import parse_subset_text
 
 from conftest import (check_mutant, complete_graph, cycle_graph, degrees, hub_graph, is_bipartite,
-                      make_graph, random_graph, rejection, sparse_graphs, text_mutants)
+                      make_graph, random_graph, rejection, sparse_graphs, text_mutants, tiny_passes)
 
 
 def test_bfs_on_path():
@@ -218,6 +219,97 @@ def test_hops_unit_cases():
     for u, v in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)):
         assert _hops(path, u, v, None) == 1
         assert _hops(path, u, v, None, skip_direct=True) == INFINITY
+
+
+# --- the batched kernel -----------------------------------------------------------
+
+def within_all(g, pairs, cap, skip):
+    """``_within`` over every pass, as one bool array."""
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    return np.concatenate([np.zeros(0, dtype=bool), *_within(g, us, vs, cap, skip)]).tolist()
+
+
+def within_by_bfs(g, pairs, cap, skip):
+    """Per pair, bfs_distances on the graph itself, or on the graph rebuilt
+    without {u, v} when skipping the direct edge."""
+    out = []
+    for u, v in pairs:
+        rest = make_graph(g.vertex_count, [e for e in g.edges() if not (skip and set(e) == {u, v})])
+        out.append(bfs_distances(rest, u)[v] <= cap)
+    return out
+
+
+def pair_lists(n, ends=None):
+    """Lists of pairs of vertices below n, some with u = v."""
+    end = ends if ends is not None else st.integers(0, n - 1)
+    return st.lists(st.tuples(end, end) | end.map(lambda w: (w, w)), max_size=12)
+
+
+@pytest.mark.parametrize("passes", [contextlib.nullcontext, tiny_passes])
+@given(st.integers(1, 12), st.integers(0, 2**32), st.data())
+@settings(max_examples=60, deadline=None)
+def test_within_equals_capped_bfs(passes, n, seed, data):
+    """The batched kernel against bfs_distances at every cap 0..n+1, with
+    and without the direct edge; tiny passes give the same answers."""
+    g = random_graph(n, data.draw(st.floats(0.1, 0.9)), Stream(seed))
+    pairs = data.draw(pair_lists(n))
+    with passes():
+        for skip in (False, True):
+            for cap in range(n + 2):
+                assert within_all(g, pairs, cap, skip) == within_by_bfs(g, pairs, cap, skip)
+
+
+@pytest.mark.parametrize("passes", [contextlib.nullcontext, tiny_passes])
+@given(st.integers(20, 40), st.integers(0, 2**32), st.data())
+@settings(max_examples=40, deadline=None)
+def test_within_equals_capped_bfs_with_hubs(passes, n, seed, data):
+    """The batched kernel against bfs_distances where one side is a hub:
+    one or two hubs, ends drawn from the hubs or from all vertices."""
+    hubs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    g = hub_graph(n, hubs, data.draw(st.floats(0.0, 0.08)), Stream(seed))
+    pairs = data.draw(pair_lists(n, st.sampled_from(hubs) | st.integers(0, n - 1)))
+    cap = data.draw(st.integers(0, n + 1))
+    with passes():
+        for skip in (False, True):
+            assert within_all(g, pairs, cap, skip) == within_by_bfs(g, pairs, cap, skip)
+
+
+def test_within_unit_cases():
+    g = make_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])      # vertex 6 is isolated
+    pairs = [(0, 6), (6, 0), (0, 5), (2, 2), (6, 6), (0, 2), (0, 1)]
+    assert within_all(g, pairs, 2, False) == [False, False, False, True, True, True, True]
+    assert within_all(g, pairs, 1, False) == [False, False, False, True, True, False, True]
+    assert within_all(g, pairs, 1, True) == [False, False, False, True, True, False, False]
+    assert within_all(g, pairs, 0, False) == [False, False, False, True, True, False, False]
+    assert within_all(g, [], 3, False) == []
+    tri = complete_graph(3)
+    assert within_all(tri, [(0, 1), (2, 1)], 1, True) == [False, False]
+    assert within_all(tri, [(0, 1), (2, 1)], 2, True) == [True, True]
+
+
+def two_hubs(d):
+    """Hubs 0 and 1, joined by edge 0, each with d leaves of its own."""
+    return Graph(2 + 2 * d, np.repeat([0, 0, 1], [1, d, d]), np.arange(1, 2 + 2 * d))
+
+
+def test_within_peak_is_linear_in_hub_degree():
+    """Two adjacent hubs of degree d: without their edge no path joins them,
+    and each side's first level holds d leaves.  The final level reads the
+    leaves' neighbours instead of the d^2 pairs of leaves, so the peak grows
+    about 4 times when d does; and a pass of many such pairs is split to
+    the entry budget, so its peak barely grows at all."""
+    def peak(g, count):
+        tracemalloc.start()
+        try:
+            assert within_all(g, [(0, 1)] * count, 3, True) == [False] * count
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = two_hubs(2000), two_hubs(8000)
+    assert peak(large, 1) < 6 * peak(small, 1)
+    assert peak(large, 300) < 2 * peak(small, 300)
 
 
 def test_adjacency_is_cached_neighbour_lists():

@@ -11,7 +11,7 @@ from girthspan.oracles import bfs_distances
 from girthspan.rng import Stream
 
 from conftest import (make_graph, make_lc, montecarlo_kept_edges, montecarlo_satisfied,
-                      random_tiny_lc)
+                      random_tiny_lc, tiny_passes)
 
 
 def c6_lc():
@@ -143,6 +143,29 @@ def test_bad_edges_equal_per_edge_reference():
         on_4_cycles += len(sampling.bad_edges(lc, 4))
         tested += lc.edge_count
     assert on_4_cycles >= tested // 2
+
+
+def bad_edges_by_cycle_length(lc, k):
+    """The per-edge bad-edge search, one ``edge_cycle_length`` query per
+    superedge: the reference for the batched ``bad_edges``."""
+    g = supergraph(lc)
+    return [eid for eid in range(g.edge_count) if edge_cycle_length(g, eid, k) != INFINITY]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_bad_edges_equal_per_edge_cycle_lengths(k):
+    """Random dense supergraphs and sampled regular instances, in the
+    default passes and in passes split down to single superedges."""
+    stream = Stream(5150 + k)
+    instances = [random_tiny_lc(stream, 2 + stream.randbelow(6), 2 + stream.randbelow(6), 1, 1,
+                                edge_prob=0.2 + 0.7 * stream.random()) for _ in range(20)]
+    instances += [sampling.subsample(regular15_lc(), sampling.SampleParams(alpha=2.0, seed=seed))
+                  for seed in range(3)]
+    for lc in instances:
+        expected = bad_edges_by_cycle_length(lc, k)
+        assert sampling.bad_edges(lc, k) == expected
+        with tiny_passes():
+            assert sampling.bad_edges(lc, k) == expected
 
 
 def test_strip_k23_empties_and_girth_infinite():

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from girthspan.rng import Stream, child_seed
 
 from conftest import (check_mutant, complete_graph, cycle_graph, family_code, family_ids,
                       full_subset, gadget_by_sort, hub_graph, make_graph, make_lc, path_lc_tiny,
-                      random_graph, text_mutants, vertex_role, xor_odd_4cycle)
+                      random_graph, text_mutants, tiny_passes, vertex_role, xor_odd_4cycle)
 
 
 def ten_vertex_lc():
@@ -495,15 +496,16 @@ def test_structured_fast_path_equals_exact_path(k):
 
 def test_structured_fast_path_on_default_x_gadget(monkeypatch):
     """Cover spanner at the default x = 25 with one or two crossing edges
-    dropped: some drops are repaired by the BFS fallback, some fail."""
+    dropped: some drops are repaired by the exact check, some fail."""
     lc = ten_vertex_lc()
     si = sp.build_spanner_instance(minrep_expand(lc), 3)
     cover_h = sp.spanner_from_repcover(si, value_one_cover(lc))
     crossing = np.concatenate([family_ids(si, sp.FAM_SA), family_ids(si, sp.FAM_TB)])
     crossing = crossing[cover_h.mask()[crossing]].tolist()
     bfs_calls = []
-    hops = sp._hops
-    monkeypatch.setattr(sp, "_hops", lambda *args: bfs_calls.append(args) or hops(*args))
+    within = sp._within
+    monkeypatch.setattr(sp, "_within", lambda g, us, *args: bfs_calls.extend(us.tolist())
+                        or within(g, us, *args))
     stream = Stream(11)
     outcomes = set()
     for _ in range(20):
@@ -555,12 +557,66 @@ def test_verify_spanner_witness_equals_per_edge_reference():
     assert failing >= 100
 
 
+def test_verify_spanner_witness_with_tiny_passes():
+    """With every pass split down to single pairs, the generic verifier
+    still returns the per-edge reference's verdict and witness, and the
+    structured verifier the generic one's."""
+    stream = Stream(2719)
+    failing = 0
+    with tiny_passes():
+        for trial in range(30):
+            n = 8 + stream.randbelow(25)
+            g = (hub_graph(n, [stream.randbelow(n)], 0.1, stream) if trial % 2
+                 else random_graph(n, 0.3, stream))
+            keep = [e for e in range(g.edge_count) if stream.random() < 0.3 + 0.5 * stream.random()]
+            h = sp.EdgeSubset(g, keep)
+            for k in (1, 2, 3, 5):
+                expected = verify_per_edge(g, h, k)
+                assert sp.verify_spanner(g, h, k) == expected
+                failing += not expected[0]
+        for k in (3, 4):
+            si = tiny_instance(k=k, x=2)
+            for _ in range(10):
+                keep_p = 0.6 + 0.4 * stream.random()
+                members = [e for e in range(si.base.edge_count) if stream.random() < keep_p]
+                assert_fast_paths_match(si, sp.EdgeSubset(si.base, members))
+    assert failing >= 40
+
+
+def test_verify_at_a_large_stretch_costs_what_the_levels_need():
+    """A cover 3-spanner verified at k = 50: every missing edge meets within
+    three levels, so the check takes about the time and the memory it takes
+    at k = 3.  Balls of fixed radii 24 and 25 would each hold a whole
+    component."""
+    lc = ten_vertex_lc()
+    si = sp.build_spanner_instance(minrep_expand(lc), 3, x_override=60)
+    h = sp.spanner_from_repcover(si, value_one_cover(lc))
+
+    def cost(k):
+        best = float("inf")
+        for _ in range(5):
+            start = perf_counter()
+            assert sp.verify_spanner(si.base, h, k) == (True, None)
+            best = min(best, perf_counter() - start)
+        tracemalloc.start()
+        try:
+            sp.verify_spanner(si.base, h, k)
+            return best, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (time_3, peak_3), (time_50, peak_50) = cost(3), cost(50)
+    assert peak_50 < 1.5 * peak_3
+    assert time_50 < 3 * time_3
+
+
 def test_first_unspanned_searches_the_sorted_subset_graph(monkeypatch):
     """The verifiers' subset graph skips the constructor's sort, since
-    the members are sorted and distinct; its neighbour lists are the same."""
+    the members are sorted and distinct; it and its neighbour lists are the
+    same."""
     searched = []
-    hops = sp._hops
-    monkeypatch.setattr(sp, "_hops", lambda adj, *args: searched.append(adj) or hops(adj, *args))
+    within = sp._within
+    monkeypatch.setattr(sp, "_within", lambda g, *args: searched.append(g) or within(g, *args))
     stream = Stream(4242)
     for trial in range(20):
         n = 8 + stream.randbelow(25)
@@ -570,8 +626,9 @@ def test_first_unspanned_searches_the_sorted_subset_graph(monkeypatch):
         searched.clear()
         sp.verify_spanner(g, h, 2)
         eu, ev = g.edge_arrays()
-        expected = Graph(n, eu[h.members], ev[h.members]).adjacency()
-        assert all(adj == expected for adj in searched)
+        expected = Graph(n, eu[h.members], ev[h.members])
+        assert all(sub == expected and sub.adjacency() == expected.adjacency()
+                   for sub in searched)
         assert searched or len(h) == g.edge_count
 
 
@@ -636,7 +693,7 @@ def test_cover_spanner_needs_no_bfs(monkeypatch, k):
     si = sp.build_spanner_instance(minrep_expand(lc), k)
     h = sp.spanner_from_repcover(si, value_one_cover(lc))
     assert len(h) < si.base.edge_count
-    monkeypatch.setattr(sp, "_hops", lambda *args: pytest.fail("hop search ran"))
+    monkeypatch.setattr(sp, "_within", lambda *args: pytest.fail("hop search ran"))
     assert sp.verify_spanner_structured(si, h) == (True, None)
 
 
