@@ -19,7 +19,7 @@ from . import oracles, pipeline, sampling
 from . import spanner as sp
 from .errors import InputError, ResourceError
 from .graphs import _decimals, _graph_chunks, girth, parse_graph_text
-from .labelcover import (_lc_chunks, minrep_expand, parse_cover_text, parse_lc_text, supergraph,
+from .labelcover import (_lc_chunks, minrep_expand, parse_cover_text, parse_lc_text,
                          write_cover_text, write_labeling_text)
 from .pipeline import _write_chunks
 from .rng import child_seed
@@ -111,9 +111,8 @@ def cmd_minrep_expand(args) -> int:
 def _build_gadget(args):
     si = pipeline.rebuild_gadget(args.lc, args.k, x_override=args.x,
                                  allow_small_supergirth=args.unsafe_supergirth)
-    if si.supergirth_warning:
-        supergirth = int(girth(supergraph(si.source.source)))
-        print(f"warning: supergirth {supergirth} is below the required {args.k + 2}",
+    if si.supergirth < args.k + 2:
+        print(f"warning: supergirth {int(si.supergirth)} is below the required {args.k + 2}",
               file=sys.stderr)
     return si
 
@@ -218,9 +217,10 @@ def cmd_pipeline(args) -> int:
     verdicts = report["verdicts"]
     for name, ok in sorted(verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    degenerate = report["degenerate"]
-    if degenerate["flag"]:
-        print(f"DEGENERATE: all {degenerate['edges_after_sample']} sampled superedges stripped")
+    if report["flags"]["degenerate"]:
+        sampled = next(stage["sizes"]["superedges"] for stage in report["trace"]["stages"]
+                       if stage["name"] == "subsample")
+        print(f"DEGENERATE: all {sampled} sampled superedges stripped")
     print(f"artifacts in {args.output}")
     return 0 if all(verdicts.values()) else 1
 
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="error instead of clamping when p > 1"),
             p.add_argument("-o", "--output", required=True, help="artifact directory")))
     add("stats", cmd_stats,
-        "stats_v1 summary of an LC v1 instance", lambda p: (
+        "stats_v2 summary of an LC v1 instance", lambda p: (
             p.add_argument("-i", "--input", required=True, help="LC v1 file"),
             p.add_argument("-o", "--output", default=None, help="JSON output path")))
     return parser

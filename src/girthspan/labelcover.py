@@ -568,9 +568,17 @@ def _first_breaks(body: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def write_cover_text(cover: RepCover) -> str:
-    out = ["COVER v1"]
-    out.extend(f"{s} {i} {y}" for s, i, y in cover.sorted_members())
-    return "\n".join(out) + "\n"
+    members = cover.sorted_members()
+    return _member_text("COVER v1", {side: [(i, y) for s, i, y in members if s == side]
+                                     for side in "AB"})
+
+
+def _member_text(header: str, rows: dict) -> str:
+    """COVER v1 or LABEL v1 text: ``header``, then a ``<side> <vertex>
+    <symbol>`` line per (vertex, symbol) pair of ``rows[side]``, A first."""
+    body = b"".join(_decimal_text(np.array(pairs, dtype=np.int64).reshape(-1, 2).T, side)
+                    for side, pairs in rows.items())
+    return f"{header}\n{body.decode('ascii')}"
 
 
 def _member_rows(raw: bytes, header: str, what: str) -> tuple:
@@ -593,10 +601,8 @@ def parse_cover_text(raw: bytes) -> RepCover:
 
 
 def write_labeling_text(lab: Labeling) -> str:
-    out = ["LABEL v1"]
-    out.extend(f"A {i} {s}" for i, s in enumerate(lab.gamma_a))
-    out.extend(f"B {j} {s}" for j, s in enumerate(lab.gamma_b))
-    return "\n".join(out) + "\n"
+    return _member_text("LABEL v1", {"A": list(enumerate(lab.gamma_a)),
+                                     "B": list(enumerate(lab.gamma_b))})
 
 
 def parse_labeling_text(raw: bytes, lc: LabelCoverInstance) -> Labeling:

@@ -27,7 +27,7 @@ from .labelcover import (_lc_chunks, parse_cover_text, parse_labeling_text, pars
 from .oracles import girth_independent
 from .rng import child_seed
 
-STATS_SCHEMA = "stats_v1"
+STATS_SCHEMA = "stats_v2"
 
 
 def _dist_json(d):
@@ -43,9 +43,11 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     multiple of 3, an ell below 1 or an alpha that is not positive and
     finite raises InputError before ``outdir`` is made.  The spanner
     stage strips cycles at threshold k+1 first, so the reduction's
-    supergirth >= k+2 hypothesis holds by construction.  ``degenerate``
-    flags a run whose strip removed every sampled superedge: its verdicts
-    then hold of an empty instance and prove nothing.
+    supergirth >= k+2 hypothesis holds by construction.  ``flags`` holds
+    two booleans: ``degenerate`` marks a run whose strip removed every
+    sampled superedge, so that its verdicts hold of an empty instance and
+    prove nothing, and ``clamped`` a keep probability clamped to 1.  Every
+    size is stated once, in the record of the stage that made it.
 
     The run computes every stage first, then makes ``outdir`` and writes
     every artifact, then audits: a stage that raises leaves no output
@@ -132,13 +134,13 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         sampled = sampling.subsample(repeated, params)
         p = sampling.keep_probability(repeated, params)
         deg_a, deg_b = sampling.degree_stats(sampled)
-        record("subsample", {"alpha": alpha, "p": p, "strip_threshold": params.k},
+        record("subsample", {"alpha": alpha, "p": p},
                {"superedges": sampled.edge_count,
-                "relations": lcm.distinct_relations(sampled)})
+                "relations": lcm.distinct_relations(sampled),
+                "degrees_a": deg_a, "degrees_b": deg_b})
 
     with timed("strip_cycles"):
         stripped = sampling.strip_bad_edges(sampled, params.k)
-        bad_count = sampled.edge_count - stripped.edge_count
     with timed("girth_check"):
         girth_main = girth(supergraph(stripped))
         girth_cross = girth_independent(supergraph(stripped))
@@ -147,21 +149,12 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         if girth_main != INFINITY and girth_main <= params.k:
             raise AssertionError("stripping left a short supercycle")
     with timed("strip_cycles"):
-        report["sample_stats"] = {
-            "edges_before": repeated.edge_count,
-            "edges_after_sample": sampled.edge_count,
-            "edges_after_strip": stripped.edge_count,
-            "bad_edge_count": bad_count,
-            "degrees_a": deg_a, "degrees_b": deg_b,
-            "achieved_girth": _dist_json(girth_main), "probability": p,
-            "clamped": p == 1.0}
-        report["degenerate"] = {
-            "flag": stripped.edge_count == 0 < sampled.edge_count,
-            "edges_after_sample": sampled.edge_count,
-            "edges_after_strip": stripped.edge_count}
+        report["flags"] = {"degenerate": stripped.edge_count == 0 < sampled.edge_count,
+                           "clamped": p == 1.0}
         record("strip_cycles", {"threshold": params.k},
                {"superedges": stripped.edge_count,
-                "relations": lcm.distinct_relations(stripped), "bad_edges": bad_count,
+                "relations": lcm.distinct_relations(stripped),
+                "bad_edges": sampled.edge_count - stripped.edge_count,
                 "supergirth": _dist_json(girth_main)})
 
     with timed("minrep_expand"):
@@ -197,7 +190,7 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         if not ok:
             report["witness_edge"] = int(bad_edge)
 
-    report["trace"] = {"seed": seed, "stages": stages}
+    report["trace"] = {"stages": stages}
     report["verdicts"] = verdicts
 
     # (audit key, file name, object, chunk writer, parser), in write order.
@@ -270,7 +263,8 @@ def rebuild_gadget(lc_path, k, x_override=None, allow_small_supergirth=False):
 
 
 def instance_stats(lc) -> dict:
-    """stats_v1 fragment for one Label Cover instance."""
+    """The ``stats`` command's document (schema ``STATS_SCHEMA``) for one
+    Label Cover instance."""
     deg_a, deg_b = sampling.degree_stats(lc)
     start, rel_ids = lc.relation_arrays()[0], lc.edge_arrays()[2]
     return {

@@ -15,8 +15,7 @@ The anchor set ("hat" edges) consists of one full star at copy 0 per
 supervertex plus one hub edge per (copy, supervertex) to a pinned lowest
 symbol.  Its bookkeeping size is n + x*n_tilde, counting the star and hub
 roles separately; the copy-0 hub edge coincides with a star edge, so the
-distinct-edge union has n + (x-1)*n_tilde members.  Both numbers are
-recorded and asserted.
+distinct-edge union has n + (x-1)*n_tilde members; ``audit`` asserts both.
 """
 
 from __future__ import annotations
@@ -105,18 +104,17 @@ class SpannerInstance:
 
     So each family is the entries of its tables: E is ``minrep_edges``, EM
     is ``tower_s`` and ``tower_t``, and EsA, EtB and EGt are one table each.
-    ``supergirth_warning`` records that the build allowed a supergirth below
-    k + 2.
+    ``supergirth`` is the source's measured supergirth, below k + 2 only
+    when the build allowed it.
     """
 
     def __init__(self, base, source, k, x, x_is_default, minrep_edges, tower_s, tower_t,
-                 crossing_sa, crossing_tb, gt_copies, supergirth_warning=False):
+                 crossing_sa, crossing_tb, gt_copies, supergirth):
         lc = source.source
         self.base: Graph = base
         self.source: MinRepInstance = source
         self.k = k
-        self.k_a = (k - 1) // 2
-        self.k_b = (k - 1) - self.k_a
+        self.k_a, self.k_b = _tower_heights(k)
         self.x = x
         self.x_is_default = x_is_default
         self.n = source.vertex_count
@@ -127,7 +125,7 @@ class SpannerInstance:
         self.crossing_sa = crossing_sa
         self.crossing_tb = crossing_tb
         self.gt_copies = gt_copies
-        self.supergirth_warning = supergirth_warning
+        self.supergirth = supergirth
         # A Min-Rep vertex's star edge is its copy-0 crossing edge, and each
         # tower's hub is its symbol-0 crossing edge.
         roster = [crossing_sa[0], crossing_tb[0], crossing_sa[:, :, 0], crossing_tb[:, :, 0]]
@@ -211,6 +209,13 @@ class SpannerInstance:
                 int(self.gt_copies.size)]
 
 
+def _tower_heights(k: int) -> tuple:
+    """(k_a, k_b), the levels of an s-tower and of a t-tower at stretch k,
+    so that a canonical path has k_a - 1 + 3 + k_b - 1 = k edges."""
+    k_a = (k - 1) // 2
+    return k_a, (k - 1) - k_a
+
+
 def default_copies(n: int, n_tilde: int) -> int:
     """Default copy count: ceil(n^2 / n_tilde), for n_tilde supervertices."""
     if n_tilde == 0:
@@ -228,29 +233,28 @@ def check_gadget_params(k: int, x_override: int | None = None) -> None:
 
 
 def check_gadget_budget(a_count: int, b_count: int, sigma_a: int, sigma_b: int, k: int,
-                        x: int, superedges: int = 0, minrep_edges: int = 0,
-                        max_edges: int = DEFAULT_MAX_GADGET_EDGES) -> None:
-    """Reject with ResourceError a gadget of more than ``max_edges`` edges:
-    the Min-Rep edges E, then per copy EM and EsA per A tower, EM and EtB
-    per B tower, and EGt.  Left at 0, ``superedges`` and ``minrep_edges``
-    make the count a lower bound that the sides and alphabets alone give,
-    which holds before sampling and stripping choose the superedges."""
-    k_a = (k - 1) // 2
-    k_b = (k - 1) - k_a
+                        x: int, superedges: int = 0, minrep_edges: int = 0) -> None:
+    """Reject with ResourceError a gadget of more than
+    ``DEFAULT_MAX_GADGET_EDGES`` edges: the Min-Rep edges E, then per copy EM
+    and EsA per A tower, EM and EtB per B tower, and EGt.  Left at 0,
+    ``superedges`` and ``minrep_edges`` make the count a lower bound that
+    the sides and alphabets alone give, which holds before sampling and
+    stripping choose the superedges."""
+    k_a, k_b = _tower_heights(k)
     total = minrep_edges + x * (a_count * (k_a - 1 + sigma_a) + b_count * (k_b - 1 + sigma_b)
                                 + superedges)
-    if total > max_edges:
-        raise ResourceError("gadget edge budget exceeded", required=total, allowed=max_edges)
+    if total > DEFAULT_MAX_GADGET_EDGES:
+        raise ResourceError("gadget edge budget exceeded", required=total,
+                            allowed=DEFAULT_MAX_GADGET_EDGES)
 
 
 def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = None,
-                           allow_small_supergirth: bool = False,
-                           max_edges: int = DEFAULT_MAX_GADGET_EDGES) -> SpannerInstance:
+                           allow_small_supergirth: bool = False) -> SpannerInstance:
     """Assemble the gadget graph for a Min-Rep instance with stretch k.
 
     Requires k >= 3, equal side sizes, and source supergirth >= k + 2 (the
-    reduction's hypothesis; pass allow_small_supergirth=True to downgrade
-    the girth check to a warning recorded on the instance).
+    reduction's hypothesis; pass allow_small_supergirth=True to build
+    below it).  The instance records the supergirth it measured.
 
     Edges are made in canonical (lower end, higher end) order, since edge
     ids are positions in it for every ``Graph``: ``edge_ids_of`` binary-
@@ -280,8 +284,7 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
         raise InputError(
             f"supergirth {int(sg)} is below the required {k + 2}; a short "
             f"supercycle exists (strip cycles of length <= {k + 1} first)")
-    k_a = (k - 1) // 2
-    k_b = (k - 1) - k_a
+    k_a, k_b = _tower_heights(k)
     n = mr.vertex_count
     n_tilde = lc.a_count + lc.b_count
     x = x_override if x_override is not None else default_copies(n, n_tilde)
@@ -289,7 +292,7 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     a_cnt, b_cnt = lc.a_count, lc.b_count
     sigma_a, sigma_b = lc.sigma_a, lc.sigma_b
     check_gadget_budget(a_cnt, b_cnt, sigma_a, sigma_b, k, x, lc.edge_count,
-                        mr.minrep_graph.edge_count, max_edges)
+                        mr.minrep_graph.edge_count)
 
     t_off = n + x * a_cnt * k_a
     vertex_count = _vertex_count(t_off + x * b_cnt * k_b)     # so every end fits in int32
@@ -342,7 +345,7 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     for table, _, _ in tables:
         table.flags.writeable = False
     si = SpannerInstance(base, mr, k, x, x_override is None, minrep_edges, tower_s, tower_t,
-                         crossing_sa, crossing_tb, gt_copies, supergirth_warning=sg < k + 2)
+                         crossing_sa, crossing_tb, gt_copies, sg)
     si.audit()
     return si
 
@@ -595,11 +598,12 @@ def parse_subset_text(raw: bytes, host: Graph) -> EdgeSubset:
 
 
 def gadget_metadata(si: SpannerInstance) -> dict:
-    """Sidecar document (schema ``gadget_meta_v3``): parameters, sizes, anchors.
+    """Sidecar document (schema ``gadget_meta_v4``): parameters, sizes, source.
 
-    Per-vertex roles and per-edge families are not stored; both follow from
-    the fields by the formulas below.  With ``a_block = a_count * sigma_a`` and
-    ``t_offset = n + x * a_count * k_a``, vertex v is
+    Each field states one fact.  Vertex roles, edge families and anchors
+    follow from them, with ``k_a, k_b = _tower_heights(k)``, ``a_block =
+    a_count * sigma_a``, ``n = a_block + b_count * sigma_b`` (the Min-Rep
+    size) and ``t_offset = n + x * a_count * k_a``.  Vertex v is
 
     * ``("A", v // sigma_a, v % sigma_a)`` for v < a_block,
     * ``("B", w // sigma_b, w % sigma_b)`` with w = v - a_block, for v < n,
@@ -612,31 +616,26 @@ def gadget_metadata(si: SpannerInstance) -> dict:
     A/B is ``E``, S with S or T with T is ``EM`` (one tower's path), A with
     S is ``EsA``, B with T is ``EtB``, and S with T is ``EGt``.
 
-    The anchor edges are not listed either.  They are the copy-0 crossing
-    edge of every Min-Rep vertex, ``{("A", i, alpha), ("S", i, 1, 0)}`` and
-    ``{("B", j, beta), ("T", j, 1, 0)}``, and the symbol-0 crossing edge of
-    every tower, ``{("A", i, 0), ("S", i, 1, p)}`` and
-    ``{("B", j, 0), ("T", j, 1, p)}`` for each copy p; their distinct union
-    has ``anchor_distinct_size`` edges.
+    The anchor edges are the copy-0 crossing edge of every Min-Rep vertex,
+    ``{("A", i, alpha), ("S", i, 1, 0)}`` and ``{("B", j, beta), ("T", j,
+    1, 0)}``, and the symbol-0 crossing edge of every tower, ``{("A", i,
+    0), ("S", i, 1, p)}`` and ``{("B", j, 0), ("T", j, 1, p)}`` for each
+    copy p.  Counting both roles, that is n + x * (a_count + b_count) edges;
+    a copy-0 tower's symbol-0 edge is also a copy-0 crossing edge, so their
+    union has n + (x - 1) * (a_count + b_count).
     """
     lc = si.source.source
     source_hash = hashlib.sha256()
     for chunk in _lc_chunks(lc):
         source_hash.update(chunk)
     return {
-        "schema": "gadget_meta_v3",
-        "k": si.k, "k_a": si.k_a, "k_b": si.k_b,
-        "x": si.x, "x_is_default": si.x_is_default,
-        "n": si.n, "n_tilde": si.n_tilde,
+        "schema": "gadget_meta_v4",
+        "k": si.k, "x": si.x, "x_is_default": si.x_is_default,
         "a_count": lc.a_count, "b_count": lc.b_count,
         "sigma_a": lc.sigma_a, "sigma_b": lc.sigma_b,
         "vertex_count": si.base.vertex_count,
         "edge_count": si.base.edge_count,
         "family_sizes": dict(zip(FAMILIES, si.family_sizes())),
-        "anchor_roster_size": si.anchor_roster_size,
-        "anchor_distinct_size": int(si.anchor_distinct.size),
-        "anchor_choices_a": [si.source.a_vertex(i, 0) for i in range(lc.a_count)],
-        "anchor_choices_b": [si.source.b_vertex(j, 0) for j in range(lc.b_count)],
         "source_hash": source_hash.hexdigest(),
     }
 

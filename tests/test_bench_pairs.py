@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,3 +61,25 @@ def test_failed_ops_are_reported_per_pair_and_side():
                       ((0.2, 40.0), (0.1, 40.0, None, 3))])
     assert bench_pairs.failures(pairs) == [
         "pair 1 change: 3 of 50 ops failed, correct=False"]
+
+
+def test_export_worktree_copies_the_files_git_would_track(tmp_path):
+    """The change side runs from a copy of the tracked and unignored files:
+    edits and new files come along, ignored files and deleted ones do not."""
+    root, dest = tmp_path / "tree", tmp_path / "export"
+    (root / "src" / "pkg").mkdir(parents=True)
+    dest.mkdir()
+    files = {".gitignore": "/bench/_work/\n__pycache__/\n", "src/pkg/a.py": "A = 1\n",
+             "gone.py": "", "bench/_work/out.json": "{}", "src/pkg/__pycache__/a.pyc": "x"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    subprocess.run(["git", "add", ".gitignore", "src/pkg/a.py", "gone.py"], cwd=root, check=True)
+    (root / "src" / "pkg" / "a.py").write_text("A = 2\n")     # edited, not staged
+    (root / "new.py").write_text("B = 1\n")                  # untracked
+    (root / "gone.py").unlink()                              # tracked, deleted
+    bench_pairs.export_worktree(root, dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "new.py", "src/pkg/a.py"]
+    assert (dest / "src" / "pkg" / "a.py").read_text() == "A = 2\n"

@@ -178,7 +178,7 @@ def test_gen_and_stage_commands(tmp_path, capsys):
     capsys.readouterr()
     assert run(["stats", "-i", stripped]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "stats_v1"
+    assert doc["schema"] == "stats_v2"
 
 
 def test_unsafe_supergirth_warns(tmp_path, capsys):
@@ -363,7 +363,7 @@ def test_pipeline_command_and_determinism(tmp_path, capsys):
         else:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     report = json.loads((out1 / "stats.json").read_text())
-    assert report["degenerate"]["flag"] is False    # the verdicts speak of superedges
+    assert report["flags"]["degenerate"] is False    # the verdicts speak of superedges
     assert all(report["verdicts"].values())
     assert all(report["self_audit"].values())
     # wall_clock_s accounts for the whole run
@@ -392,8 +392,10 @@ def test_pipeline_reports_degenerate_run(tmp_path, capsys, alpha, sampled, kept)
               "--seed", 7, "--planted", "--x", 2, "-o", out])
     stdout = capsys.readouterr().out
     report = json.loads((out / "stats.json").read_text())
-    assert report["degenerate"] == {"flag": kept == 0, "edges_after_sample": sampled,
-                                    "edges_after_strip": kept}
+    stage = {s["name"]: s for s in report["trace"]["stages"]}
+    assert report["flags"]["degenerate"] == (kept == 0)
+    assert stage["subsample"]["sizes"]["superedges"] == sampled
+    assert stage["strip_cycles"]["sizes"]["superedges"] == kept
     assert rc == (0 if all(report["verdicts"].values()) else 1)
     line = f"DEGENERATE: all {sampled} sampled superedges stripped"
     assert (line in stdout.splitlines()) == (kept == 0)
@@ -504,43 +506,92 @@ def test_subsample_rejects_degree_override_below_one(tmp_path, capsys):
     assert not sam.exists()
 
 
-STAGES_V1 = [   # (name, params keys, sizes keys) of a planted run, in order
+STAGES_V2 = [   # (name, params keys, sizes keys) of a planted run, in order
     ("gen_3sat5", {"n_vars", "planted"}, {"clauses"}),
     ("lc_from_3sat5", set(), {"a", "b", "superedges", "relations"}),
     ("regularize", set(), {"a", "b", "superedges", "relations"}),
     ("parallel_repetition", {"ell"},
      {"a", "b", "sigma_a", "sigma_b", "superedges", "relations"}),
-    ("subsample", {"alpha", "p", "strip_threshold"}, {"superedges", "relations"}),
+    ("subsample", {"alpha", "p"}, {"superedges", "relations", "degrees_a", "degrees_b"}),
     ("strip_cycles", {"threshold"}, {"superedges", "relations", "bad_edges", "supergirth"}),
     ("minrep_expand", set(), {"vertices", "edges"}),
     ("spanner_reduce", {"k", "x", "x_is_default"}, {"vertices", "edges", "anchor_roster"}),
     ("spanner_from_cover", {"cover_size"}, {"spanner_edges", "bound"}),
 ]
-DEGREES_V1 = {"minimum", "mean", "maximum"}
+DEGREES = {"minimum", "mean", "maximum"}
+REPORT_V2 = {"schema", "params", "flags", "trace", "verdicts", "self_audit", "wall_clock_s",
+             "peak_rss_mb"}
 
 
-def test_stats_v1_shape(tmp_path, capsys):
-    """The stats_v1 keys of a planted pipeline report and of the stats command."""
+def test_stats_v2_shape(tmp_path, capsys):
+    """The stats_v2 keys of a planted pipeline report and of the stats command."""
     out = tmp_path / "run"
     assert run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", 1.0, "--k", 3,
                 "--seed", 7, "--planted", "-o", out]) == 0
     report = json.loads((out / "stats.json").read_text())
-    assert set(report["sample_stats"]) == {
-        "edges_before", "edges_after_sample", "edges_after_strip", "bad_edge_count",
-        "degrees_a", "degrees_b", "achieved_girth", "probability", "clamped"}
-    assert set(report["sample_stats"]["degrees_a"]) == DEGREES_V1
-    assert set(report["sample_stats"]["degrees_b"]) == DEGREES_V1
-    assert set(report["degenerate"]) == {"flag", "edges_after_sample", "edges_after_strip"}
-    assert set(report["trace"]) == {"seed", "stages"}
+    assert set(report) == REPORT_V2
+    assert report["schema"] == "stats_v2"
+    assert set(report["params"]) == {"n_vars", "ell", "alpha", "k", "seed", "planted",
+                                     "x_override", "clamp_p"}
+    assert set(report["flags"]) == {"degenerate", "clamped"}
+    assert set(report["trace"]) == {"stages"}
     stages = report["trace"]["stages"]
-    assert [s["name"] for s in stages] == [name for name, _, _ in STAGES_V1]
-    for stage, (name, params, sizes) in zip(stages, STAGES_V1):
+    assert [s["name"] for s in stages] == [name for name, _, _ in STAGES_V2]
+    for stage, (name, params, sizes) in zip(stages, STAGES_V2):
         assert set(stage) == {"name", "params", "sizes"}
         assert (set(stage["params"]), set(stage["sizes"])) == (params, sizes), name
+    sizes = stages[4]["sizes"]
+    assert set(sizes["degrees_a"]) == set(sizes["degrees_b"]) == DEGREES
     capsys.readouterr()
     assert run(["stats", "-i", out / "stripped.lc"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc["degrees_a"]) == set(doc["degrees_b"]) == DEGREES_V1
+    assert set(doc) == {"schema", "a_count", "b_count", "sigma_a", "sigma_b", "superedges",
+                        "relation_pairs_total", "degrees_a", "degrees_b", "supergirth"}
+    assert doc["schema"] == "stats_v2"
+    assert set(doc["degrees_a"]) == set(doc["degrees_b"]) == DEGREES
+
+
+@pytest.mark.parametrize("alpha", [1.0, 4.0, 50.0])   # plain, degenerate, clamped
+def test_stats_v2_holds_every_stats_v1_value(tmp_path, alpha):
+    """Each value stats_v1 stated besides its stage records, recomputed from
+    the stats_v2 fields, equals what the run's artifacts give."""
+    from girthspan.graphs import girth
+    from girthspan.labelcover import parse_lc_text, supergraph
+    from girthspan.rng import child_seed
+    from girthspan.sampling import (SampleParams, bad_edges, degree_stats,
+                                    keep_probability)
+    out = tmp_path / "run"
+    pipeline.run_pipeline(out, n_vars=3, ell=1, alpha=alpha, k=3, seed=7, planted=True,
+                          x_override=2)
+    report = json.loads((out / "stats.json").read_text())
+    stage = {s["name"]: s for s in report["trace"]["stages"]}
+    repeated, sampled, stripped = (parse_lc_text((out / f"{name}.lc").read_bytes())
+                                   for name in ("repeated", "sampled", "stripped"))
+    k = report["params"]["k"]
+    p = keep_probability(repeated, SampleParams(alpha=alpha, k=k + 1,
+                                                seed=child_seed(7, "subsample")))
+    sample_stats = {
+        "edges_before": stage["parallel_repetition"]["sizes"]["superedges"],
+        "edges_after_sample": stage["subsample"]["sizes"]["superedges"],
+        "edges_after_strip": stage["strip_cycles"]["sizes"]["superedges"],
+        "bad_edge_count": stage["strip_cycles"]["sizes"]["bad_edges"],
+        "degrees": (stage["subsample"]["sizes"]["degrees_a"],
+                    stage["subsample"]["sizes"]["degrees_b"]),
+        "achieved_girth": stage["strip_cycles"]["sizes"]["supergirth"],
+        "probability": stage["subsample"]["params"]["p"],
+        "clamped": report["flags"]["clamped"]}
+    assert sample_stats == {
+        "edges_before": repeated.edge_count,
+        "edges_after_sample": sampled.edge_count,
+        "edges_after_strip": stripped.edge_count,
+        "bad_edge_count": len(bad_edges(sampled, k + 1)),
+        "degrees": degree_stats(sampled),
+        "achieved_girth": pipeline._dist_json(girth(supergraph(stripped))),
+        "probability": p, "clamped": p == 1.0}
+    # the degenerate block, trace.seed and subsample.params.strip_threshold
+    assert report["flags"]["degenerate"] == (stripped.edge_count == 0 < sampled.edge_count)
+    assert report["params"]["seed"] == 7
+    assert stage["strip_cycles"]["params"]["threshold"] == k + 1
 
 
 def test_pipeline_artifacts_round_trip(tmp_path):
@@ -558,7 +609,7 @@ def test_pipeline_artifacts_round_trip(tmp_path):
     girth_rec = trace["strip_cycles"]["sizes"]["supergirth"]
     assert girth_rec == "infinity" or girth_rec > 4
     sampled = parse_lc_text((out / "sampled.lc").read_bytes())
-    assert report["sample_stats"]["bad_edge_count"] == len(bad_edges(sampled, 4))
+    assert trace["strip_cycles"]["sizes"]["bad_edges"] == len(bad_edges(sampled, 4))
     # the distinct relation blocks of each LC artifact, one CSR row apiece
     for stage, name in [("lc_from_3sat5", "base"), ("regularize", "regular"),
                         ("parallel_repetition", "repeated"), ("subsample", "sampled"),

@@ -226,6 +226,23 @@ def test_cover_text_round_trip():
     rejection(parse_cover_text, "COVER v1\nC 0 0\n")
 
 
+member_ints = st.integers(0, 2**40)
+
+
+@given(st.lists(st.tuples(st.sampled_from("AB"), member_ints, member_ints), max_size=40),
+       st.lists(member_ints, max_size=20), st.lists(member_ints, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_cover_and_label_writers_match_the_per_line_spelling(members, gamma_a, gamma_b):
+    """The tagged decimal rows spell COVER v1 and LABEL v1 as one f-string a
+    line did, empty bodies included."""
+    cover = RepCover(members)
+    lines = ["COVER v1"] + [f"{s} {i} {y}" for s, i, y in cover.sorted_members()]
+    assert write_cover_text(cover) == "\n".join(lines) + "\n"
+    lines = (["LABEL v1"] + [f"A {i} {s}" for i, s in enumerate(gamma_a)]
+             + [f"B {j} {s}" for j, s in enumerate(gamma_b)])
+    assert write_labeling_text(Labeling(tuple(gamma_a), tuple(gamma_b))) == "\n".join(lines) + "\n"
+
+
 def test_labeling_text_round_trip(xor_lc):
     lab = Labeling((1, 0), (0, 1))
     parsed = parse_labeling_text(write_labeling_text(lab).encode("ascii"), xor_lc)

@@ -17,5 +17,6 @@ def test_readme_pipeline_example_is_not_degenerate(tmp_path, capsys):
     assert main(args) == 0
     assert "FAIL" not in capsys.readouterr().out
     report = json.loads((tmp_path / "stats.json").read_text())
-    assert report["sample_stats"]["edges_after_strip"] > 0
+    stripped = next(s for s in report["trace"]["stages"] if s["name"] == "strip_cycles")
+    assert stripped["sizes"]["superedges"] > 0
     assert all(report["verdicts"].values())

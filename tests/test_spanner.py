@@ -10,7 +10,7 @@ from girthspan import constructions as cons, sampling, spanner as sp
 from girthspan.errors import InputError, ResourceError
 from girthspan.graphs import Graph, INFINITY, _canonical, girth, graph_sha256
 from girthspan.labelcover import (RepCover, labeling_to_repcover,
-                                  minrep_expand, repcover_valid)
+                                  minrep_expand, repcover_valid, supergraph)
 from girthspan.oracles import bfs_distances, spans_all_pairs
 from girthspan.rng import Stream, child_seed
 
@@ -301,13 +301,12 @@ def test_gadget_tables_fill_each_slot_once(k, x):
             assert not _canonical(si.base.vertex_count, zu, zv), slot
 
 
-def test_supergirth_warning_is_set_by_the_constructor():
+def test_supergirth_is_stored_by_the_constructor():
     si = tiny_instance(k=3)
-    assert not si.supergirth_warning
+    assert si.supergirth == girth(supergraph(si.source.source)) == INFINITY
     fields = (si.base, si.source, si.k, si.x, si.x_is_default, si.minrep_edges, si.tower_s,
               si.tower_t, si.crossing_sa, si.crossing_tb, si.gt_copies)
-    assert not sp.SpannerInstance(*fields).supergirth_warning
-    assert sp.SpannerInstance(*fields, supergirth_warning=True).supergirth_warning
+    assert sp.SpannerInstance(*fields, 4).supergirth == 4
 
 
 def test_audit_rejects_a_missing_copy():
@@ -405,7 +404,7 @@ def test_supergirth_precondition():
     with pytest.raises(InputError):
         sp.build_spanner_instance(mr, 3, x_override=1)
     si = sp.build_spanner_instance(mr, 3, x_override=1, allow_small_supergirth=True)
-    assert si.supergirth_warning
+    assert si.supergirth == 4
 
 
 def test_build_requires_equal_sides():
@@ -414,10 +413,11 @@ def test_build_requires_equal_sides():
         sp.build_spanner_instance(minrep_expand(lc), 3, x_override=1)
 
 
-def test_build_budget_error():
+def test_build_budget_error(monkeypatch):
     mr = minrep_expand(ten_vertex_lc())
+    monkeypatch.setattr(sp, "DEFAULT_MAX_GADGET_EDGES", 100)
     with pytest.raises(ResourceError):
-        sp.build_spanner_instance(mr, 3, max_edges=100)
+        sp.build_spanner_instance(mr, 3)
 
 
 def test_build_rejects_small_k_and_x():
@@ -955,20 +955,28 @@ def test_subset_parser_agrees_with_reference_on_mutants():
     assert seen.keys() == {"accepted", "rejected", "narrowed"}, seen
 
 
-def derived_role(meta, v):
-    """Vertex role from gadget_meta_v3 fields, as the gadget_metadata docstring says."""
+def derived_sizes(meta):
+    """(k_a, k_b, a_block, n, t_offset) from gadget_meta_v4 fields, as the
+    gadget_metadata docstring defines them."""
+    k_a, k_b = sp._tower_heights(meta["k"])
     a_block = meta["a_count"] * meta["sigma_a"]
-    t_offset = meta["n"] + meta["x"] * meta["a_count"] * meta["k_a"]
+    n = a_block + meta["b_count"] * meta["sigma_b"]
+    return k_a, k_b, a_block, n, n + meta["x"] * meta["a_count"] * k_a
+
+
+def derived_role(meta, v):
+    """Vertex role from gadget_meta_v4 fields, as the gadget_metadata docstring says."""
+    k_a, k_b, a_block, n, t_offset = derived_sizes(meta)
     if v < a_block:
         return ["A", v // meta["sigma_a"], v % meta["sigma_a"]]
-    if v < meta["n"]:
+    if v < n:
         w = v - a_block
         return ["B", w // meta["sigma_b"], w % meta["sigma_b"]]
     if v < t_offset:
-        tower, level = divmod(v - meta["n"], meta["k_a"])
+        tower, level = divmod(v - n, k_a)
         p, i = divmod(tower, meta["a_count"])
         return ["S", i, level + 1, p]
-    tower, level = divmod(v - t_offset, meta["k_b"])
+    tower, level = divmod(v - t_offset, k_b)
     p, j = divmod(tower, meta["b_count"])
     return ["T", j, level + 1, p]
 
@@ -984,23 +992,26 @@ def derived_family(meta, u, v):
 
 
 def derived_anchors(meta, g):
-    """Anchor edge ids from gadget_meta_v3 fields and the gadget graph, as the
+    """Anchor edge ids from gadget_meta_v4 fields and the gadget graph, as the
     gadget_metadata docstring says: every Min-Rep vertex's copy-0 crossing
     edge and every tower's symbol-0 crossing edge."""
-    a_block = meta["a_count"] * meta["sigma_a"]
-    t_offset = meta["n"] + meta["x"] * meta["a_count"] * meta["k_a"]
+    k_a, k_b, a_block, n, t_offset = derived_sizes(meta)
     us, vs = [], []
     for i in range(meta["a_count"]):
-        towers = [meta["n"] + (p * meta["a_count"] + i) * meta["k_a"] for p in range(meta["x"])]
+        towers = [n + (p * meta["a_count"] + i) * k_a for p in range(meta["x"])]
         symbols = [i * meta["sigma_a"] + alpha for alpha in range(meta["sigma_a"])]
-        us += symbols + [meta["anchor_choices_a"][i]] * meta["x"]
+        us += symbols + [symbols[0]] * meta["x"]
         vs += [towers[0]] * meta["sigma_a"] + towers
     for j in range(meta["b_count"]):
-        towers = [t_offset + (p * meta["b_count"] + j) * meta["k_b"] for p in range(meta["x"])]
+        towers = [t_offset + (p * meta["b_count"] + j) * k_b for p in range(meta["x"])]
         symbols = [a_block + j * meta["sigma_b"] + beta for beta in range(meta["sigma_b"])]
-        us += symbols + [meta["anchor_choices_b"][j]] * meta["x"]
+        us += symbols + [symbols[0]] * meta["x"]
         vs += [towers[0]] * meta["sigma_b"] + towers
     return sorted(set(g.edge_ids_of(np.array(us), np.array(vs)).tolist()))
+
+
+GADGET_META_V4 = {"schema", "k", "x", "x_is_default", "a_count", "b_count", "sigma_a",
+                  "sigma_b", "vertex_count", "edge_count", "family_sizes", "source_hash"}
 
 
 def test_gadget_metadata_contents():
@@ -1008,14 +1019,24 @@ def test_gadget_metadata_contents():
         si = tiny_instance(k=k, x=x)
         meta = json.loads(sp.write_gadget_meta_text(sp.gadget_metadata(si)))
         assert meta == sp.gadget_metadata(si)
-        assert meta["schema"] == "gadget_meta_v3"
-        assert "anchor_members" not in meta
+        assert meta["schema"] == "gadget_meta_v4"
+        assert set(meta) == GADGET_META_V4
+        assert set(meta["family_sizes"]) == set(sp.FAMILIES)
         assert derived_anchors(meta, si.base) == si.anchor_distinct.tolist()
-        assert meta["anchor_distinct_size"] == si.anchor_distinct.size
-        assert "roles" not in meta and "families" not in meta
-        assert meta["anchor_roster_size"] == si.n + si.x * si.n_tilde
         assert meta["family_sizes"]["EGt"] == x * 3
-        # the lists gadget_meta_v1 stored follow from the v2 fields
+        # the fields gadget_meta_v3 stored besides follow from the v4 fields
+        k_a, k_b, _, n, _ = derived_sizes(meta)
+        n_tilde = meta["a_count"] + meta["b_count"]
+        assert (k_a, k_b, n, n_tilde) == (si.k_a, si.k_b, si.n, si.n_tilde)
+        assert n + meta["x"] * n_tilde == si.anchor_roster_size            # anchor_roster_size
+        assert n + (meta["x"] - 1) * n_tilde == si.anchor_distinct.size    # anchor_distinct_size
+        # anchor_choices_a and anchor_choices_b: each supervertex's symbol 0
+        choices = [si.source.a_vertex(i, 0) for i in range(meta["a_count"])]
+        choices += [si.source.b_vertex(j, 0) for j in range(meta["b_count"])]
+        assert [derived_role(meta, v) for v in choices] == (
+            [["A", i, 0] for i in range(meta["a_count"])]
+            + [["B", j, 0] for j in range(meta["b_count"])])
+        # the lists gadget_meta_v1 stored follow from the v4 fields
         v1_roles = [list(vertex_role(si, v)) for v in range(si.base.vertex_count)]
         v1_families = [sp.FAMILIES[int(c)] for c in family_code(si).tolist()]
         assert [derived_role(meta, v) for v in range(meta["vertex_count"])] == v1_roles

@@ -2,17 +2,19 @@
 
     python3 tools/bench_pairs.py --parent REV --workload W --pairs N [--seconds S] [--seed SEED]
 
-Exports REV with ``git archive`` into a temporary directory, then runs the
-command of BENCHMARK.json (``python3 bench/run.py``) untraced, N times in that
-directory and N times in the working tree, one run at a time.  The sides
-alternate, and so does which side opens a pair: the parent opens pair 0, the
-change pair 1, and so on, so host drift falls on both sides alike.  Each run
-keeps its final JSON line.
+Exports REV with ``git archive``, and the working tree's files that git
+tracks or would track, into sibling temporary directories, then runs the
+command of BENCHMARK.json (``python3 bench/run.py``) untraced, N times in each,
+one run at a time.  Both sides run from an export, so neither reads its
+files, caches or bytecode from the repository.  The sides alternate, and so
+does which side opens a pair: the parent opens pair 0, the change pair 1,
+and so on, so host drift falls on both sides alike.  Each run keeps its
+final JSON line.
 
 Prints, for each end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side's runs and the number of pairs the change wins (a tie
 counts for neither side).  Exits 1 when a run exits nonzero or reports a
-failed or incorrect op.  The export is removed in every case.  The seed
+failed or incorrect op.  The exports are removed in every case.  The seed
 defaults to the benchmark's reference seed and the run length to its
 ``run_seconds``.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -90,6 +93,19 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def export_worktree(root: Path, dest: Path) -> None:
+    """The working tree's files under ``dest``: those git tracks and the
+    untracked ones it does not ignore, as ``git ls-files`` lists them.  A
+    tracked file deleted from the tree is left out."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                              "--exclude-standard"], cwd=root, capture_output=True,
+                             check=True).stdout
+    for name in filter(None, listing.decode().split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def run_once(command: list, tree: Path, args) -> tuple:
     """(final JSON line or None, problem or None) of one untraced run in ``tree``."""
     proc = subprocess.run([*command, "--workload", args.workload, "--seed", str(args.seed),
@@ -118,15 +134,18 @@ def main(argv=None) -> int:
     command = [sys.executable if word in ("python", "python3") else word
                for word in spec["command"]]
     pairs, problems = [], []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        # Equal-length sibling paths, so the sides differ only in their files.
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for tree in trees.values():
+            tree.mkdir()
         try:
-            export(args.parent, parent_tree)
+            export(args.parent, trees["parent"])
+            export_worktree(ROOT, trees["change"])
         except subprocess.CalledProcessError as exc:
-            print(f"cannot export {args.parent}: {exc.stderr.decode(errors='replace').strip()}",
+            print(f"cannot export: {exc.stderr.decode(errors='replace').strip()}",
                   file=sys.stderr)
             return 2
-        trees = {"parent": parent_tree, "change": ROOT}
         for i in range(args.pairs):
             finals = {}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
