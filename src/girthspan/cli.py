@@ -220,7 +220,8 @@ def cmd_pipeline(args) -> int:
     if report["flags"]["degenerate"]:
         sampled = next(stage["sizes"]["superedges"] for stage in report["trace"]["stages"]
                        if stage["name"] == "subsample")
-        print(f"DEGENERATE: all {sampled} sampled superedges stripped")
+        print(f"DEGENERATE: all {sampled} sampled superedges stripped" if sampled
+              else "DEGENERATE: the sample kept no superedge")
     print(f"artifacts in {args.output}")
     return 0 if all(verdicts.values()) else 1
 
@@ -235,143 +236,105 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _opt(*flags, **kwargs):
+    """One argument spec: ``add_argument``'s flags and keywords."""
+    return flags, kwargs
+
+
+# Argument specs that several commands share.
+_IN = _opt("-i", "--input", required=True, help="input file")
+_OUT = _opt("-o", "--output", required=True, help="output file")
+_LC_IN = _opt("-i", "--input", required=True, help="LC v1 file")
+_SUBSET_OUT = _opt("-o", "--output", required=True, help="SUBSET v1 output")
+_HOST = _opt("--graph", required=True, help="GRAPH v1 host")
+_SPANNER = _opt("--subset", required=True, help="SUBSET v1 spanner")
+_STRETCH = _opt("--k", type=int, required=True, help="stretch")
+_SEED = _opt("--seed", type=int, default=0, help="master seed")
+_NO_CLAMP_P = _opt("--no-clamp-p", action="store_true",
+                   help="error instead of clamping when p > 1")
+_BUDGET = _opt("--budget", type=int, default=None, help="search-space cap (or GIRTHSPAN_BUDGET)")
+_GADGET = (_opt("--lc", required=True, help="stripped LC v1 instance"),
+           _opt("--k", type=int, required=True, help="stretch (>= 3)"),
+           _opt("--x", type=int, default=None,
+                help="copy-count override (default ceil(n^2/n_tilde))"),
+           _opt("--unsafe-supergirth", action="store_true",
+                help="warn instead of erroring when supergirth < k + 2"))
+
+# (name, handler, help, argument specs), in ``--help`` order.  The parser
+# holds each handler by name; ``main`` looks it up at call time.
+COMMANDS = [
+    ("gen-3sat5", cmd_gen_3sat5, "generate a random 3SAT(5) formula (DIMACS)", (
+        _opt("--vars", type=int, required=True, help="variable count (divisible by 3)"),
+        _SEED, _opt("--planted", action="store_true",
+                    help="plant a satisfying assignment (seed-derived)"), _OUT)),
+    ("lc-from-3sat", cmd_lc_from_3sat, "clause-variable Label Cover from a 3SAT(5) formula",
+     (_IN, _OUT)),
+    ("regularize", cmd_regularize, "3 copies of A, 5 copies of B: 15-regular instance", (
+        _IN, _OUT, _opt("--any-shape", action="store_true",
+                        help="skip the A-degree-3 / B-degree-5 check"))),
+    ("parrep", cmd_parrep, "apply parallel repetition ell times", (
+        _IN, _OUT, _opt("--ell", type=int, required=True, help="repetitions"),
+        _opt("--max-superedges", type=int, default=cons.DEFAULT_MAX_SUPEREDGES,
+             help="superedge budget"))),
+    ("subsample", cmd_subsample, "keep each superedge with probability alpha*log2(sigma_A)/d", (
+        _IN, _OUT, _opt("--alpha", type=float, required=True, help="sampling strength"),
+        _SEED, _NO_CLAMP_P,
+        _opt("--degree", type=int, default=None, help="degree override for the p formula"))),
+    ("strip-cycles", cmd_strip_cycles, "remove every superedge lying on a cycle of length <= k",
+     (_IN, _OUT, _opt("--k", type=int, required=True, help="cycle threshold"))),
+    ("girth", cmd_girth, "print the girth of a GRAPH v1 file",
+     (_opt("-i", "--input", required=True, help="GRAPH v1 file"),)),
+    ("minrep-expand", cmd_minrep_expand, "expand a Label Cover instance to its Min-Rep graph",
+     (_IN, _OUT)),
+    ("spanner-reduce", cmd_spanner_reduce,
+     "build the k-spanner gadget graph from a stripped instance", (
+         *_GADGET, _opt("-o", "--output", required=True, help="GRAPH v1 output"),
+         _opt("--meta", default=None, help="sidecar path (default: <output>.meta.json)"))),
+    ("spanner-verify", cmd_spanner_verify,
+     "check a SUBSET v1 edge set is a k-spanner (exit 1 on violation)",
+     (_HOST, _opt("--subset", required=True, help="SUBSET v1 candidate"), _STRETCH)),
+    ("spanner-greedy", cmd_spanner_greedy, "classical greedy k-spanner baseline",
+     (_HOST, _STRETCH, _SUBSET_OUT)),
+    ("spanner-from-cover", cmd_spanner_from_cover, "spanner of the gadget induced by a REP-cover",
+     (*_GADGET, _opt("--cover", required=True, help="COVER v1 file"), _SUBSET_OUT)),
+    ("cover-from-spanner", cmd_cover_from_spanner, "extract a REP-cover from a gadget k-spanner",
+     (*_GADGET, _SPANNER, _opt("-o", "--output", required=True, help="COVER v1 output"))),
+    ("make-proper", cmd_make_proper, "convert a gadget k-spanner into one without tower-top edges",
+     (*_GADGET, _SPANNER, _SUBSET_OUT)),
+    ("solve-lc-exact", cmd_solve_lc_exact, "exact Label Cover optimum by enumeration",
+     (_LC_IN, _opt("-o", "--output", default=None, help="LABEL v1 witness"), _BUDGET)),
+    ("solve-cover-exact", cmd_solve_cover_exact, "exact minimum REP-cover by subset enumeration",
+     (_LC_IN, _opt("-o", "--output", default=None, help="COVER v1 witness"), _BUDGET)),
+    ("solve-spanner-exact", cmd_solve_spanner_exact,
+     "exact minimum k-spanner by subset enumeration", (
+         _opt("--graph", required=True, help="GRAPH v1 file"), _STRETCH,
+         _opt("-o", "--output", default=None, help="SUBSET v1 witness"), _BUDGET)),
+    ("pipeline", cmd_pipeline,
+     "full chain: generate, construct, repeat, sample, strip, reduce, verify", (
+         _opt("--vars", type=int, default=3, help="3SAT(5) variables"),
+         _opt("--ell", type=int, default=1, help="repetition count"),
+         _opt("--alpha", type=float, default=2.0, help="sampling strength"),
+         _opt("--k", type=int, default=3, help="stretch; cycles stripped at k + 1"), _SEED,
+         _opt("--planted", action="store_true",
+              help="plant an assignment and run the verified chain"),
+         _opt("--x", type=int, default=None, help="copy-count override"), _NO_CLAMP_P,
+         _opt("-o", "--output", required=True, help="artifact directory"))),
+    ("stats", cmd_stats, f"{pipeline.STATS_SCHEMA} summary of an LC v1 instance",
+     (_LC_IN, _opt("-o", "--output", default=None, help="JSON output path"))),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="girthspan",
         description="Label Cover / Min-Rep pipeline with girth control and "
                     "basic k-spanner gadget reductions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, blurb, configure):
+    for name, handler, blurb, options in COMMANDS:
         p = sub.add_parser(name, help=blurb, description=blurb)
-        configure(p)
-        p.set_defaults(handler=fn.__name__)
-
-    def io_opts(p, inp=True, out=True):
-        if inp:
-            p.add_argument("-i", "--input", required=True, help="input file")
-        if out:
-            p.add_argument("-o", "--output", required=True, help="output file")
-
-    def gadget_opts(p):
-        p.add_argument("--lc", required=True, help="stripped LC v1 instance")
-        p.add_argument("--k", type=int, required=True, help="stretch (>= 3)")
-        p.add_argument("--x", type=int, default=None,
-                       help="copy-count override (default ceil(n^2/n_tilde))")
-        p.add_argument("--unsafe-supergirth", action="store_true",
-                       help="warn instead of erroring when supergirth < k + 2")
-
-    add("gen-3sat5", cmd_gen_3sat5,
-        "generate a random 3SAT(5) formula (DIMACS)", lambda p: (
-            p.add_argument("--vars", type=int, required=True,
-                           help="variable count (divisible by 3)"),
-            p.add_argument("--seed", type=int, default=0, help="master seed"),
-            p.add_argument("--planted", action="store_true",
-                           help="plant a satisfying assignment (seed-derived)"),
-            p.add_argument("-o", "--output", required=True, help="output file")))
-    add("lc-from-3sat", cmd_lc_from_3sat,
-        "clause-variable Label Cover from a 3SAT(5) formula", lambda p: io_opts(p))
-    add("regularize", cmd_regularize,
-        "3 copies of A, 5 copies of B: 15-regular instance", lambda p: (
-            io_opts(p),
-            p.add_argument("--any-shape", action="store_true",
-                           help="skip the A-degree-3 / B-degree-5 check")))
-    add("parrep", cmd_parrep,
-        "apply parallel repetition ell times", lambda p: (
-            io_opts(p),
-            p.add_argument("--ell", type=int, required=True, help="repetitions"),
-            p.add_argument("--max-superedges", type=int,
-                           default=cons.DEFAULT_MAX_SUPEREDGES,
-                           help="superedge budget")))
-    add("subsample", cmd_subsample,
-        "keep each superedge with probability alpha*log2(sigma_A)/d", lambda p: (
-            io_opts(p),
-            p.add_argument("--alpha", type=float, required=True,
-                           help="sampling strength"),
-            p.add_argument("--seed", type=int, default=0, help="master seed"),
-            p.add_argument("--no-clamp-p", action="store_true",
-                           help="error instead of clamping when p > 1"),
-            p.add_argument("--degree", type=int, default=None,
-                           help="degree override for the p formula")))
-    add("strip-cycles", cmd_strip_cycles,
-        "remove every superedge lying on a cycle of length <= k", lambda p: (
-            io_opts(p),
-            p.add_argument("--k", type=int, required=True, help="cycle threshold")))
-    add("girth", cmd_girth,
-        "print the girth of a GRAPH v1 file", lambda p:
-        p.add_argument("-i", "--input", required=True, help="GRAPH v1 file"))
-    add("minrep-expand", cmd_minrep_expand,
-        "expand a Label Cover instance to its Min-Rep graph", lambda p: io_opts(p))
-    add("spanner-reduce", cmd_spanner_reduce,
-        "build the k-spanner gadget graph from a stripped instance", lambda p: (
-            gadget_opts(p),
-            p.add_argument("-o", "--output", required=True, help="GRAPH v1 output"),
-            p.add_argument("--meta", default=None,
-                           help="sidecar path (default: <output>.meta.json)")))
-    add("spanner-verify", cmd_spanner_verify,
-        "check a SUBSET v1 edge set is a k-spanner (exit 1 on violation)", lambda p: (
-            p.add_argument("--graph", required=True, help="GRAPH v1 host"),
-            p.add_argument("--subset", required=True, help="SUBSET v1 candidate"),
-            p.add_argument("--k", type=int, required=True, help="stretch")))
-    add("spanner-greedy", cmd_spanner_greedy,
-        "classical greedy k-spanner baseline", lambda p: (
-            p.add_argument("--graph", required=True, help="GRAPH v1 host"),
-            p.add_argument("--k", type=int, required=True, help="stretch"),
-            p.add_argument("-o", "--output", required=True, help="SUBSET v1 output")))
-    add("spanner-from-cover", cmd_spanner_from_cover,
-        "spanner of the gadget induced by a REP-cover", lambda p: (
-            gadget_opts(p),
-            p.add_argument("--cover", required=True, help="COVER v1 file"),
-            p.add_argument("-o", "--output", required=True, help="SUBSET v1 output")))
-    add("cover-from-spanner", cmd_cover_from_spanner,
-        "extract a REP-cover from a gadget k-spanner", lambda p: (
-            gadget_opts(p),
-            p.add_argument("--subset", required=True, help="SUBSET v1 spanner"),
-            p.add_argument("-o", "--output", required=True, help="COVER v1 output")))
-    add("make-proper", cmd_make_proper,
-        "convert a gadget k-spanner into one without tower-top edges", lambda p: (
-            gadget_opts(p),
-            p.add_argument("--subset", required=True, help="SUBSET v1 spanner"),
-            p.add_argument("-o", "--output", required=True, help="SUBSET v1 output")))
-    add("solve-lc-exact", cmd_solve_lc_exact,
-        "exact Label Cover optimum by enumeration", lambda p: (
-            p.add_argument("-i", "--input", required=True, help="LC v1 file"),
-            p.add_argument("-o", "--output", default=None, help="LABEL v1 witness"),
-            p.add_argument("--budget", type=int, default=None,
-                           help="search-space cap (or GIRTHSPAN_BUDGET)")))
-    add("solve-cover-exact", cmd_solve_cover_exact,
-        "exact minimum REP-cover by subset enumeration", lambda p: (
-            p.add_argument("-i", "--input", required=True, help="LC v1 file"),
-            p.add_argument("-o", "--output", default=None, help="COVER v1 witness"),
-            p.add_argument("--budget", type=int, default=None,
-                           help="search-space cap (or GIRTHSPAN_BUDGET)")))
-    add("solve-spanner-exact", cmd_solve_spanner_exact,
-        "exact minimum k-spanner by subset enumeration", lambda p: (
-            p.add_argument("--graph", required=True, help="GRAPH v1 file"),
-            p.add_argument("--k", type=int, required=True, help="stretch"),
-            p.add_argument("-o", "--output", default=None, help="SUBSET v1 witness"),
-            p.add_argument("--budget", type=int, default=None,
-                           help="search-space cap (or GIRTHSPAN_BUDGET)")))
-    add("pipeline", cmd_pipeline,
-        "full chain: generate, construct, repeat, sample, strip, reduce, verify",
-        lambda p: (
-            p.add_argument("--vars", type=int, default=3, help="3SAT(5) variables"),
-            p.add_argument("--ell", type=int, default=1, help="repetition count"),
-            p.add_argument("--alpha", type=float, default=2.0,
-                           help="sampling strength"),
-            p.add_argument("--k", type=int, default=3,
-                           help="stretch; cycles stripped at k + 1"),
-            p.add_argument("--seed", type=int, default=0, help="master seed"),
-            p.add_argument("--planted", action="store_true",
-                           help="plant an assignment and run the verified chain"),
-            p.add_argument("--x", type=int, default=None, help="copy-count override"),
-            p.add_argument("--no-clamp-p", action="store_true",
-                           help="error instead of clamping when p > 1"),
-            p.add_argument("-o", "--output", required=True, help="artifact directory")))
-    add("stats", cmd_stats,
-        "stats_v2 summary of an LC v1 instance", lambda p: (
-            p.add_argument("-i", "--input", required=True, help="LC v1 file"),
-            p.add_argument("-o", "--output", default=None, help="JSON output path")))
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler.__name__)
     return parser
 
 

@@ -218,14 +218,11 @@ def regularize(lc: LabelCoverInstance, require_sat5_shape: bool = True) -> Label
             raise InputError("regularize expects A-degrees 3 and B-degrees 5 "
                              "(pass require_sat5_shape=False to override)")
     ea, eb, rel_ids = lc.edge_arrays()
-    m = lc.edge_count
-    chunks = []
-    for i in range(3):
-        for j in range(5):
-            chunks.append((ea + i * lc.a_count, eb + j * lc.b_count, rel_ids))
-    new_ea = np.concatenate([c[0] for c in chunks]) if m else np.zeros(0, np.int64)
-    new_eb = np.concatenate([c[1] for c in chunks]) if m else np.zeros(0, np.int64)
-    new_rel = np.concatenate([c[2] for c in chunks]) if m else np.zeros(0, np.int64)
+    # Copy (i, j) of E joins A-copy i to B-copy j; the copies in (i, j) order.
+    shape = (3, 5, lc.edge_count)
+    new_ea = np.broadcast_to(ea + lc.a_count * np.arange(3)[:, None, None], shape).ravel()
+    new_eb = np.broadcast_to(eb + lc.b_count * np.arange(5)[:, None], shape).ravel()
+    new_rel = np.broadcast_to(rel_ids, shape).ravel()
     order = np.lexsort((new_eb, new_ea))
     return LabelCoverInstance(
         3 * lc.a_count, 5 * lc.b_count, lc.sigma_a, lc.sigma_b,

@@ -44,10 +44,11 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     finite raises InputError before ``outdir`` is made.  The spanner
     stage strips cycles at threshold k+1 first, so the reduction's
     supergirth >= k+2 hypothesis holds by construction.  ``flags`` holds
-    two booleans: ``degenerate`` marks a run whose strip removed every
-    sampled superedge, so that its verdicts hold of an empty instance and
-    prove nothing, and ``clamped`` a keep probability clamped to 1.  Every
-    size is stated once, in the record of the stage that made it.
+    two booleans: ``degenerate`` marks a run left with no superedge after
+    the strip, whether the sample kept none or the strip removed them all,
+    so that its verdicts hold of an empty instance and prove nothing, and
+    ``clamped`` a keep probability clamped to 1.  Every size is stated
+    once, in the record of the stage that made it.
 
     The run computes every stage first, then makes ``outdir`` and writes
     every artifact, then audits: a stage that raises leaves no output
@@ -149,7 +150,7 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         if girth_main != INFINITY and girth_main <= params.k:
             raise AssertionError("stripping left a short supercycle")
     with timed("strip_cycles"):
-        report["flags"] = {"degenerate": stripped.edge_count == 0 < sampled.edge_count,
+        report["flags"] = {"degenerate": stripped.edge_count == 0,
                            "clamped": p == 1.0}
         record("strip_cycles", {"threshold": params.k},
                {"superedges": stripped.edge_count,

@@ -598,12 +598,15 @@ def parse_subset_text(raw: bytes, host: Graph) -> EdgeSubset:
 
 
 def gadget_metadata(si: SpannerInstance) -> dict:
-    """Sidecar document (schema ``gadget_meta_v4``): parameters, sizes, source.
+    """Sidecar document (schema ``gadget_meta_v5``): parameters, sizes, source.
 
     Each field states one fact.  Vertex roles, edge families and anchors
     follow from them, with ``k_a, k_b = _tower_heights(k)``, ``a_block =
     a_count * sigma_a``, ``n = a_block + b_count * sigma_b`` (the Min-Rep
-    size) and ``t_offset = n + x * a_count * k_a``.  Vertex v is
+    size) and ``t_offset = n + x * a_count * k_a``.  The gadget has
+    ``t_offset + x * b_count * k_b`` vertices and ``sum(family_sizes)``
+    edges, the counts the ``N`` and ``M`` of its GRAPH v1 header state.
+    Vertex v is
 
     * ``("A", v // sigma_a, v % sigma_a)`` for v < a_block,
     * ``("B", w // sigma_b, w % sigma_b)`` with w = v - a_block, for v < n,
@@ -629,12 +632,10 @@ def gadget_metadata(si: SpannerInstance) -> dict:
     for chunk in _lc_chunks(lc):
         source_hash.update(chunk)
     return {
-        "schema": "gadget_meta_v4",
+        "schema": "gadget_meta_v5",
         "k": si.k, "x": si.x, "x_is_default": si.x_is_default,
         "a_count": lc.a_count, "b_count": lc.b_count,
         "sigma_a": lc.sigma_a, "sigma_b": lc.sigma_b,
-        "vertex_count": si.base.vertex_count,
-        "edge_count": si.base.edge_count,
         "family_sizes": dict(zip(FAMILIES, si.family_sizes())),
         "source_hash": source_hash.hexdigest(),
     }

@@ -383,10 +383,13 @@ def test_pipeline_source_hash_is_the_digest_of_the_stripped_lc_file(tmp_path):
     assert meta["source_hash"] == hashlib.sha256((tmp_path / "stripped.lc").read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("alpha, sampled, kept", [(4.0, 168, 0), (1.0, 44, 23)])
+@pytest.mark.parametrize("alpha, sampled, kept", [(4.0, 168, 0), (1.0, 44, 23),
+                                                   (0.0001, 0, 0)])
 def test_pipeline_reports_degenerate_run(tmp_path, capsys, alpha, sampled, kept):
-    """A run whose strip removes every sampled superedge is flagged in the
-    report and on stdout; its verdicts and exit code stay as they were."""
+    """A run left with no superedge after the strip, because the strip
+    removed every sampled superedge or because the sample kept none, is
+    flagged in the report and on stdout; its verdicts and exit code stay as
+    they were."""
     out = tmp_path / "run"
     rc = run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", alpha, "--k", 3,
               "--seed", 7, "--planted", "--x", 2, "-o", out])
@@ -397,7 +400,8 @@ def test_pipeline_reports_degenerate_run(tmp_path, capsys, alpha, sampled, kept)
     assert stage["subsample"]["sizes"]["superedges"] == sampled
     assert stage["strip_cycles"]["sizes"]["superedges"] == kept
     assert rc == (0 if all(report["verdicts"].values()) else 1)
-    line = f"DEGENERATE: all {sampled} sampled superedges stripped"
+    line = (f"DEGENERATE: all {sampled} sampled superedges stripped" if sampled
+            else "DEGENERATE: the sample kept no superedge")
     assert (line in stdout.splitlines()) == (kept == 0)
     assert ("DEGENERATE" in stdout) == (kept == 0)
 
@@ -551,7 +555,8 @@ def test_stats_v2_shape(tmp_path, capsys):
     assert set(doc["degrees_a"]) == set(doc["degrees_b"]) == DEGREES
 
 
-@pytest.mark.parametrize("alpha", [1.0, 4.0, 50.0])   # plain, degenerate, clamped
+# plain, all stripped, clamped, none sampled
+@pytest.mark.parametrize("alpha", [1.0, 4.0, 50.0, 0.0001])
 def test_stats_v2_holds_every_stats_v1_value(tmp_path, alpha):
     """Each value stats_v1 stated besides its stage records, recomputed from
     the stats_v2 fields, equals what the run's artifacts give."""
@@ -588,8 +593,9 @@ def test_stats_v2_holds_every_stats_v1_value(tmp_path, alpha):
         "degrees": degree_stats(sampled),
         "achieved_girth": pipeline._dist_json(girth(supergraph(stripped))),
         "probability": p, "clamped": p == 1.0}
-    # the degenerate block, trace.seed and subsample.params.strip_threshold
-    assert report["flags"]["degenerate"] == (stripped.edge_count == 0 < sampled.edge_count)
+    # the degenerate block, trace.seed and subsample.params.strip_threshold;
+    # the flag now also marks a sample that kept no superedge
+    assert report["flags"]["degenerate"] == (stripped.edge_count == 0)
     assert report["params"]["seed"] == 7
     assert stage["strip_cycles"]["params"]["threshold"] == k + 1
 
@@ -685,3 +691,12 @@ def test_patched_handler_runs_after_the_parser_is_built(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cmd_girth", lambda args: seen.append(args.input) or 7)
     assert run(["girth", "-i", gpath]) == 7
     assert seen == [str(gpath)]
+
+
+def test_every_command_handler_is_in_the_table_once():
+    """Each ``cmd_*`` function of the module is the handler of exactly one
+    row of the command table, and each row names a distinct command."""
+    handlers = sorted(name for name in vars(cli) if name.startswith("cmd_"))
+    rows = sorted(handler.__name__ for _, handler, _, _ in cli.COMMANDS)
+    assert rows == handlers
+    assert len({name for name, _, _, _ in cli.COMMANDS}) == len(cli.COMMANDS) == 19

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from girthspan import constructions as cons, sampling, spanner as sp
 from girthspan.errors import InputError, ResourceError
-from girthspan.graphs import Graph, INFINITY, _canonical, girth, graph_sha256
+from girthspan.graphs import (Graph, INFINITY, _canonical, girth, graph_sha256,
+                              write_graph_text)
 from girthspan.labelcover import (RepCover, labeling_to_repcover,
                                   minrep_expand, repcover_valid, supergraph)
 from girthspan.oracles import bfs_distances, spans_all_pairs
@@ -956,7 +957,7 @@ def test_subset_parser_agrees_with_reference_on_mutants():
 
 
 def derived_sizes(meta):
-    """(k_a, k_b, a_block, n, t_offset) from gadget_meta_v4 fields, as the
+    """(k_a, k_b, a_block, n, t_offset) from gadget_meta_v5 fields, as the
     gadget_metadata docstring defines them."""
     k_a, k_b = sp._tower_heights(meta["k"])
     a_block = meta["a_count"] * meta["sigma_a"]
@@ -964,8 +965,14 @@ def derived_sizes(meta):
     return k_a, k_b, a_block, n, n + meta["x"] * meta["a_count"] * k_a
 
 
+def derived_counts(meta):
+    """(vertex count, edge count) of the gadget from gadget_meta_v5 fields."""
+    _, k_b, _, _, t_offset = derived_sizes(meta)
+    return t_offset + meta["x"] * meta["b_count"] * k_b, sum(meta["family_sizes"].values())
+
+
 def derived_role(meta, v):
-    """Vertex role from gadget_meta_v4 fields, as the gadget_metadata docstring says."""
+    """Vertex role from gadget_meta_v5 fields, as the gadget_metadata docstring says."""
     k_a, k_b, a_block, n, t_offset = derived_sizes(meta)
     if v < a_block:
         return ["A", v // meta["sigma_a"], v % meta["sigma_a"]]
@@ -992,7 +999,7 @@ def derived_family(meta, u, v):
 
 
 def derived_anchors(meta, g):
-    """Anchor edge ids from gadget_meta_v4 fields and the gadget graph, as the
+    """Anchor edge ids from gadget_meta_v5 fields and the gadget graph, as the
     gadget_metadata docstring says: every Min-Rep vertex's copy-0 crossing
     edge and every tower's symbol-0 crossing edge."""
     k_a, k_b, a_block, n, t_offset = derived_sizes(meta)
@@ -1010,8 +1017,8 @@ def derived_anchors(meta, g):
     return sorted(set(g.edge_ids_of(np.array(us), np.array(vs)).tolist()))
 
 
-GADGET_META_V4 = {"schema", "k", "x", "x_is_default", "a_count", "b_count", "sigma_a",
-                  "sigma_b", "vertex_count", "edge_count", "family_sizes", "source_hash"}
+GADGET_META_V5 = {"schema", "k", "x", "x_is_default", "a_count", "b_count", "sigma_a",
+                  "sigma_b", "family_sizes", "source_hash"}
 
 
 def test_gadget_metadata_contents():
@@ -1019,12 +1026,18 @@ def test_gadget_metadata_contents():
         si = tiny_instance(k=k, x=x)
         meta = json.loads(sp.write_gadget_meta_text(sp.gadget_metadata(si)))
         assert meta == sp.gadget_metadata(si)
-        assert meta["schema"] == "gadget_meta_v4"
-        assert set(meta) == GADGET_META_V4
+        assert meta["schema"] == "gadget_meta_v5"
+        assert set(meta) == GADGET_META_V5
         assert set(meta["family_sizes"]) == set(sp.FAMILIES)
         assert derived_anchors(meta, si.base) == si.anchor_distinct.tolist()
         assert meta["family_sizes"]["EGt"] == x * 3
-        # the fields gadget_meta_v3 stored besides follow from the v4 fields
+        # vertex_count and edge_count, which gadget_meta_v4 stored, follow from
+        # the v5 fields and are the N and M of the gadget's GRAPH v1 header
+        vertex_count, edge_count = derived_counts(meta)
+        assert (vertex_count, edge_count) == (si.base.vertex_count, si.base.edge_count)
+        header = write_graph_text(si.base).splitlines()[1]
+        assert header == f"N {vertex_count} M {edge_count}"
+        # the fields gadget_meta_v3 stored besides follow from the v5 fields
         k_a, k_b, _, n, _ = derived_sizes(meta)
         n_tilde = meta["a_count"] + meta["b_count"]
         assert (k_a, k_b, n, n_tilde) == (si.k_a, si.k_b, si.n, si.n_tilde)
@@ -1036,8 +1049,8 @@ def test_gadget_metadata_contents():
         assert [derived_role(meta, v) for v in choices] == (
             [["A", i, 0] for i in range(meta["a_count"])]
             + [["B", j, 0] for j in range(meta["b_count"])])
-        # the lists gadget_meta_v1 stored follow from the v4 fields
+        # the lists gadget_meta_v1 stored follow from the v5 fields
         v1_roles = [list(vertex_role(si, v)) for v in range(si.base.vertex_count)]
         v1_families = [sp.FAMILIES[int(c)] for c in family_code(si).tolist()]
-        assert [derived_role(meta, v) for v in range(meta["vertex_count"])] == v1_roles
+        assert [derived_role(meta, v) for v in range(vertex_count)] == v1_roles
         assert [derived_family(meta, u, v) for u, v in si.base.edges()] == v1_families
