@@ -74,7 +74,7 @@ class Graph:
     @classmethod
     def _from_canonical(cls, vertex_count: int, eu: np.ndarray, ev: np.ndarray) -> "Graph":
         """The constructor for C-contiguous int32 edges already proved
-        canonical by ``_canonical``: every 0 <= u < v < vertex_count, and
+        canonical by ``_edge_fault``: every 0 <= u < v < vertex_count, and
         the pairs sorted and distinct.  Skips the sort."""
         g = cls.__new__(cls)
         g._set_edges(_vertex_count(vertex_count), eu, ev)
@@ -157,9 +157,6 @@ class Graph:
             and np.array_equal(self._ev, other._ev)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self._eu.tobytes(), self._ev.tobytes()))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
@@ -185,18 +182,32 @@ def _vertex_count(vertex_count: int) -> int:
     return int(vertex_count)
 
 
-def _canonical(n: int, eu: np.ndarray, ev: np.ndarray) -> bool:
-    """Whether the edges (eu[r], ev[r]) are canonical: every 0 <= u < v < n,
-    and the pairs sorted and distinct, so that the keys u * n + v rise
-    strictly.  Read in blocks of ``_WRITE_ROWS`` rows (see ``_rising``), so
-    no temporary spans the edges."""
-    if eu.size and eu[0] < 0:        # the lower ends rise, so none is negative
-        return False
+# The GRAPH v1 edge rules, in the order they are applied to a row.
+_EDGE_RULES = ("edge line not in u < v form", "edge endpoint out of range", "duplicate edge",
+               "edge lines not sorted")
+
+
+def _edge_fault(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, str] | None:
+    """The first row r whose edge (eu[r], ev[r]) breaks a rule of
+    ``_EDGE_RULES``, and the first rule it breaks: u < v, both ends in 0 to
+    n - 1, not equal to the row before, and above it in (u, v) order.  None
+    when every row keeps them, the edges then being canonical.  Read in
+    blocks of ``_WRITE_ROWS`` rows, each row compared with the row before
+    it, so no temporary spans the edges; the rule is told apart only for
+    the row at fault."""
     for lo in range(0, eu.size, _WRITE_ROWS):
-        u, v = eu[lo:lo + _WRITE_ROWS], ev[lo:lo + _WRITE_ROWS]
-        if not (u < v).all() or v.max() >= n:
-            return False
-    return _rising(eu, ev) is None
+        hi = min(lo + _WRITE_ROWS, eu.size)
+        u, v = eu[lo:hi], ev[lo:hi]
+        # Row 0 follows (-1, n), which an edge with v < n is above if and only if u >= 0.
+        pu, pv = ((eu[lo - 1:hi - 1], ev[lo - 1:hi - 1]) if lo
+                  else (np.append(-1, u[:-1]), np.append(n, v[:-1])))
+        ok = (u < v) & (v < n) & ((u > pu) | ((u == pu) & (v > pv)))
+        if not ok.all():
+            r = lo + int(ok.argmin())
+            (a, b), before = (eu[r], ev[r]), ((eu[r - 1], ev[r - 1]) if r else None)
+            rule = 0 if a >= b else 1 if a < 0 or b >= n else 2 if (a, b) == before else 3
+            return r, _EDGE_RULES[rule]
+    return None
 
 
 def _rising(major: np.ndarray, minor: np.ndarray, restarts: np.ndarray | None = None) -> int | None:
@@ -612,14 +623,19 @@ def _line_number(raw: bytes, pos: int) -> int:
     return len(_LINE_BREAK.findall(raw, 0, pos)) + 1
 
 
+def _line_error(raw: bytes, pos: int, message: str) -> InputError:
+    """InputError ``line N: message``, N being the line of byte ``pos`` of
+    ``raw``: every body fault is named this way."""
+    return InputError(f"line {_line_number(raw, pos)}: {message}")
+
+
 def _token_error(raw: bytes, pos: int, problem: str) -> InputError:
-    """InputError naming the line of byte ``pos`` and quoting the
-    blank-separated token that holds it, decoded as UTF-8 with every other
-    byte escaped."""
+    """``_line_error`` at byte ``pos``, quoting the blank-separated token
+    that holds it, decoded as UTF-8 with every other byte escaped."""
     lo = max(raw.rfind(c, 0, pos) for c in b" \t\n\r\v\f") + 1
     sep = _SEPARATOR.search(raw, pos)
     token = raw[lo:sep.start() if sep else len(raw)].decode("utf-8", "backslashreplace")
-    return InputError(f"line {_line_number(raw, pos)}: {token!r} {problem}")
+    return _line_error(raw, pos, f"{token!r} {problem}")
 
 
 def _head_lines(raw: bytes, count: int | None = None,
@@ -634,7 +650,7 @@ def _head_lines(raw: bytes, count: int | None = None,
         line = raw[pos:end]
         number += 1
         if _HEAD_FORBIDDEN.search(line):
-            raise InputError(f"line {number}: control or non-ASCII character")
+            raise _line_error(raw, pos, "control or non-ASCII character")
         if not skip_blank or line.strip():
             lines.append(line.decode("ascii"))
             numbers.append(number)
@@ -924,8 +940,7 @@ def _int_rows(raw: bytes, start: int, what: str, width: int, count: int | None =
     if count is not None and rows[0] != count:
         raise InputError(f"expected {count} {what} lines, found {rows[0]}")
     if wrong is not None:
-        raise InputError(f"line {_line_number(raw, wrong)}: "
-                         f"expected {width} integer(s) per {what} line")
+        raise _line_error(raw, wrong, f"expected {width} integer(s) per {what} line")
     if longest[0] > _MAX_DIGITS:
         raise _token_error(raw, longest[1], _NOT_DECIMAL)
     if not fixed:
@@ -982,29 +997,12 @@ def parse_graph_text(raw: bytes) -> Graph:
     n, m = _decimals(parts[1::2], "line 2")
     _check_declared("line 2", "N", n)
     ends, _ = _int_rows(raw, start, "edge", width=2, count=m, below=n)
-    if ends is None or not _canonical(n, *ends):
-        raise _graph_fault(raw, start, n, m)
+    if ends is None:        # a value at or above N: decoded again in int64, as it is written
+        ends, _ = _int_rows(raw, start, "edge", width=2, count=m)
+    fault = _edge_fault(n, *ends)
+    if fault is not None:
+        raise _line_error(raw, _row_offset(raw, [start], [len(raw)], fault[0]), fault[1])
     return Graph._from_canonical(n, *ends)
-
-
-def _graph_fault(raw: bytes, start: int, n: int, m: int) -> InputError:
-    """The first fault of a GRAPH v1 body whose edges tokenize but are not
-    canonical, naming its line.  The body is decoded again, in int64, so a
-    value too large for int32 is seen as it is written."""
-    (eu, ev), _ = _int_rows(raw, start, "edge", width=2, count=m)
-    du, dv = np.diff(eu), np.diff(ev)
-    for bad, message in [
-        (eu >= ev, "edge line not in u < v form"),
-        (ev >= n, "edge endpoint out of range"),
-        (np.concatenate([[False], (du == 0) & (dv == 0)]), "duplicate edge"),
-        (np.concatenate([[False], (du < 0) | ((du == 0) & (dv < 0))]),
-         "edge lines not sorted"),
-    ]:
-        if bad.any():
-            row = int(bad.argmax())
-            pos = _row_offset(raw, [start], [len(raw)], row)
-            return InputError(f"line {_line_number(raw, pos)}: {message}")
-    raise AssertionError("a GRAPH body is canonical in int64 but not in int32")
 
 
 def graph_sha256(g: Graph) -> str:

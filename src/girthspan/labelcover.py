@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InputError
 from .graphs import (_MAX_DIGITS, _NOT_DECIMAL, _READ_BYTES, _WRITE_ROWS, Graph, _check_body,
                      _check_declared, _decimal_block, _decimal_text, _decimals, _head_lines,
-                     _int_rows, _into, _is_break, _line_number, _read_rows, _rising, _row_offset,
+                     _int_rows, _into, _is_break, _line_error, _read_rows, _rising, _row_offset,
                      _sorted_distinct, _token_error)
 
 
@@ -44,9 +44,10 @@ class LabelCoverInstance:
     def __init__(self, a_count, b_count, sigma_a, sigma_b, ea, eb, rel_ids, relations):
         """Superedge e joins ``ea[e]`` to ``eb[e]`` with relation row
         ``rel_ids[e]`` of the CSR table ``relations``, ``(rel_start,
-        rel_alpha, rel_beta)``.  The superedges must be distinct and
-        (a, b)-sorted, and the sizes must fit an LC v1 header (see
-        ``_check_sizes``)."""
+        rel_alpha, rel_beta)``.  The sizes must fit an LC v1 header (see
+        ``_check_sizes``), and the arrays must keep every rule of
+        ``_instance_fault``: the superedges, for one, distinct and
+        (a, b)-sorted."""
         self.a_count = int(a_count)
         self.b_count = int(b_count)
         self.sigma_a = int(sigma_a)
@@ -59,23 +60,9 @@ class LabelCoverInstance:
         start, alpha, beta = map(_read_only, relations)
         if start.size == 0 or start[0] != 0 or start[-1] != alpha.size or beta.size != alpha.size:
             raise InputError("relation table offsets do not match its pairs")
-        if (np.diff(start) <= 0).any():
-            raise InputError("relations must be nonempty")
-        if ea.size:
-            if ea.min() < 0 or ea.max() >= self.a_count:
-                raise InputError("superedge A endpoint out of range")
-            if eb.min() < 0 or eb.max() >= self.b_count:
-                raise InputError("superedge B endpoint out of range")
-            if _rising(ea, eb) is not None:
-                raise InputError("superedges must be distinct and (a, b)-sorted")
-            if rel_ids.min() < 0 or rel_ids.max() >= start.size - 1:
-                raise InputError("relation row id out of range")
-        if alpha.size and (min(alpha.min(), beta.min()) < 0 or alpha.max() >= self.sigma_a
-                           or beta.max() >= self.sigma_b):
-            raise InputError("relation symbol out of range")
-        # A row's first pair follows no pair of its row.
-        if _rising(alpha, beta, start[1:-1]) is not None:
-            raise InputError("relation pairs must be sorted and distinct")
+        fault = _instance_fault(self, ea, eb, rel_ids, start, alpha, beta)
+        if fault is not None:
+            raise _RuleError(*fault)
         self._ea = ea
         self._eb = eb
         self._rel_ids = rel_ids
@@ -145,6 +132,47 @@ class LabelCoverInstance:
     def __repr__(self) -> str:
         return (f"LabelCoverInstance(|A|={self.a_count}, |B|={self.b_count}, "
                 f"sigma=({self.sigma_a},{self.sigma_b}), m={self.edge_count})")
+
+
+class _RuleError(InputError):
+    """A rule of ``_instance_fault`` broken by entry ``index`` of ``part``:
+    a superedge, a relation row or a pair of the table."""
+
+    def __init__(self, message: str, part: str, index: int) -> None:
+        super().__init__(message)
+        self.part, self.index = part, index
+
+
+def _instance_fault(lc: LabelCoverInstance, ea, eb, rel_ids, start, alpha, beta) -> tuple | None:
+    """The first rule of an instance that its arrays break, as (message,
+    part, index), index being the first superedge, relation row or pair of
+    ``part`` that breaks it; None if they keep every rule.  The rules, in
+    the order they are applied: each relation row nonempty; each superedge's
+    A end below ``a_count`` and B end below ``b_count``; the superedges
+    distinct and (a, b)-sorted; each row id a row of the table; each pair's
+    symbols below ``sigma_a`` and ``sigma_b``; and each row's pairs sorted
+    and distinct.  Each rule reads its arrays once, the order rules a block
+    of rows at a time (``_rising``), so no temporary spans the table."""
+    empty = _rising(start, start)        # row r is empty when start[r + 1] is not above start[r]
+    faults = [
+        ("relations must be nonempty", "relation", None if empty is None else empty - 1),
+        ("superedge A endpoint out of range", "superedge", _first_outside((ea, lc.a_count))),
+        ("superedge B endpoint out of range", "superedge", _first_outside((eb, lc.b_count))),
+        ("superedges must be distinct and (a, b)-sorted", "superedge", _rising(ea, eb)),
+        ("relation row id out of range", "superedge", _first_outside((rel_ids, start.size - 1))),
+        ("relation symbol out of range", "pair",
+         _first_outside((alpha, lc.sigma_a), (beta, lc.sigma_b))),
+        # A row's first pair follows no pair of its row.
+        ("relation pairs must be sorted and distinct", "pair", _rising(alpha, beta, start[1:-1]))]
+    return next((fault for fault in faults if fault[2] is not None), None)
+
+
+def _first_outside(*columns) -> int | None:
+    """The first index at which an array of the (values, bound) pairs
+    ``columns`` holds a value outside 0 to bound - 1; None if none does.  An
+    array whose minimum and maximum are in range makes no temporary."""
+    return min((int(((values < 0) | (values >= bound)).argmax()) for values, bound in columns
+                if values.size and (values.min() < 0 or values.max() >= bound)), default=None)
 
 
 def _read_only(values) -> np.ndarray:
@@ -385,7 +413,9 @@ def _line_ends(data: bytes) -> np.ndarray:
 
 def parse_lc_text(raw: bytes) -> LabelCoverInstance:
     """Parse LC v1 text, given as the bytes of its file, at the cost of its
-    distinct relation blocks (see ``_lc_body``)."""
+    distinct relation blocks (see ``_lc_body``).  A rule of the instance
+    that the body breaks (``_instance_fault``) is named at the line of the
+    entry at fault, which a second read of the body finds."""
     lines, numbers, start = _head_lines(raw, 2, skip_blank=True)
     if not lines or lines[0] != "LC v1":
         raise InputError("missing LC v1 header")
@@ -395,7 +425,11 @@ def parse_lc_text(raw: bytes) -> LabelCoverInstance:
     where = f"line {numbers[1]}"
     sizes = _decimals(toks[1::2], where)
     _check_sizes(where, *sizes)
-    return LabelCoverInstance(*sizes[:4], *_lc_body(raw, start, sizes[4]))
+    try:
+        return LabelCoverInstance(*sizes[:4], *_lc_body(raw, start, sizes[4]))
+    except _RuleError as fault:
+        pos = _lc_body(raw, start, sizes[4], locate=True)[fault.part](fault.index)
+        raise _line_error(raw, pos, str(fault)) from None
 
 
 def _check_sizes(where: str, a_count: int, b_count: int, sigma_a: int, sigma_b: int,
@@ -417,11 +451,15 @@ def _check_sizes(where: str, a_count: int, b_count: int, sigma_a: int, sigma_b: 
 _DIGIT = re.compile(rb"[0-9]")
 
 
-def _lc_body(raw: bytes, start: int, m: int) -> tuple:
+def _lc_body(raw: bytes, start: int, m: int, locate: bool = False) -> tuple:
     """The superedges and relations of the LC v1 body ``raw[start:]``, which
     declares ``m`` superedges, as ``LabelCoverInstance`` takes them: (ea, eb,
     rel_ids, (rel_start, rel_alpha, rel_beta)).  Every temporary is freed on
-    return, before the instance checks its arrays.
+    return, before the instance checks its arrays.  With ``locate``, returns
+    instead, per part of ``_instance_fault``, a function from an entry of
+    that part to the offset of its line: a superedge's E line (the
+    superedges being in (a, b) order), the E line of the first superedge
+    that takes a relation row, and a pair's line.
 
     ``_check_body`` checks the body; then it is cut at its E tags.  The text
     before the first tag is a block with no superedge, which must hold no
@@ -433,13 +471,16 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     the E lines in one pass that checks and decodes them, the blocks in one
     that counts and checks their rows and, once every other check has
     passed, one that decodes their pairs into arrays sized from those
-    counts.  Then ``_rising`` finds the first pair not above the one before
-    it in its block.  Every check still covers every line, and an error
-    names the line and quotes the token of the first fault in text order: a
-    block's first fault is first where the block first occurs, and the
-    blocks are numbered in that order.  The distinct blocks are the rows of
-    the CSR relation table, so their decoded pairs are its pair arrays as
-    they stand.
+    counts.  The distinct blocks are the rows of the CSR relation table, so
+    their decoded pairs are its pair arrays as they stand.
+
+    This reads the text's own rules: tokens, the superedge count, lines
+    outside a block, the integers per line and the block lengths.  Each
+    covers every line and is raised, in that order, at the line of its first
+    fault in text order; a block's first fault is first where the block
+    first occurs, and the blocks are numbered in that order.  The rules of
+    the instance (symbol and endpoint ranges, distinct superedges, sorted
+    pairs) are the constructor's, and ``parse_lc_text`` names their line.
 
     The E line ends are searched from the tags (``_first_breaks``): a short
     window of bytes per tag, widened only for the tags whose line is longer,
@@ -470,25 +511,27 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     if at.size != m:
         raise InputError(f"expected {m} superedge lines, found {at.size}")
     if rows[0]:                                         # block 0 is piece 0
-        pos = _DIGIT.search(raw, start).start()
-        raise InputError(f"line {_line_number(raw, pos)}: "
-                         "relation pair line outside a superedge block")
+        raise _line_error(raw, _DIGIT.search(raw, start).start(),
+                          "relation pair line outside a superedge block")
     if e_wrong is not None or b_wrong is not None:
         pos = min(p for p in (e_wrong, b_wrong) if p is not None)
         kind, width = ("superedge", 3) if raw[pos] == ord("E") else ("relation pair", 2)
-        raise InputError(f"line {_line_number(raw, pos)}: "
-                         f"expected {width} integers on a {kind} line")
+        raise _line_error(raw, pos, f"expected {width} integers on a {kind} line")
     wrong = rows[bid[1:]] != t
     if wrong.any():
         e = int(wrong.argmax())
         found = rows[bid[e + 1]]
         state = "truncated" if found < t[e] else "too long"
-        raise InputError(f"line {_line_number(raw, int(at[e]))}: relation block "
-                         f"{state}: {t[e]} pair lines declared, {found} found")
+        raise _line_error(raw, int(at[e]), f"relation block {state}: "
+                          f"{t[e]} pair lines declared, {found} found")
     # The piece before the first tag holds no pair; it is a row only if a
     # superedge's block has its text.
     skip = int(not (bid[1:] == 0).any())
     order = np.lexsort((b, a))
+    if locate:
+        return {"superedge": lambda e: int(at[order[e]]),
+                "relation": lambda r: int(at[(bid[1:] == r + skip).argmax()]),
+                "pair": lambda p: _row_offset(raw, b_lo, b_hi, p)}
     superedges = (a[order], b[order], (bid[1:] - skip)[order])
     total = int(rows.sum())
     # Only what the instance keeps stays alive while the pairs are decoded;
@@ -496,12 +539,7 @@ def _lc_body(raw: bytes, start: int, m: int) -> tuple:
     del lo, hi, at, e_end, bid, first, e_values, a, b, t, order, rows
     alpha, beta = pairs = [np.empty(total, dtype=np.int64) for _ in range(2)]
     rows = _read_rows(raw, b_lo, b_hi, 2, keep=_into(pairs))[0]
-    rel_start = np.append(0, np.cumsum(rows[skip:]))
-    unsorted = _rising(alpha, beta, rel_start[1:-1])    # a block's first pair follows none
-    if unsorted is not None:
-        raise InputError(f"line {_line_number(raw, _row_offset(raw, b_lo, b_hi, unsorted))}: "
-                         "relation pairs must be sorted and distinct")
-    return (*superedges, (rel_start, alpha, beta))
+    return (*superedges, (np.append(0, np.cumsum(rows[skip:])), alpha, beta))
 
 
 # Pieces numbered per step of ``_block_ids``: its two offset lists of Python
@@ -590,7 +628,7 @@ def _member_rows(raw: bytes, header: str, what: str) -> tuple:
     (vertex, symbol), tag = _int_rows(raw, start, what, width=2, tags="AB")
     if not tag.all():
         pos = _row_offset(raw, [start], [len(raw)], int(tag.argmin()))
-        raise InputError(f"line {_line_number(raw, pos)}: {what} line must start with A or B")
+        raise _line_error(raw, pos, f"{what} line must start with A or B")
     return tag == ord("A"), vertex, symbol
 
 

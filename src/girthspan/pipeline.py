@@ -27,7 +27,10 @@ from .labelcover import (_lc_chunks, parse_cover_text, parse_labeling_text, pars
 from .oracles import girth_independent
 from .rng import child_seed
 
-STATS_SCHEMA = "stats_v2"
+STATS_SCHEMA = "stats_v3"
+
+# The artifacts that only a planted run writes.
+_PLANTED_ARTIFACTS = {"labeling.label", "cover.cover", "spanner.subset"}
 
 
 def _dist_json(d):
@@ -52,9 +55,13 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
 
     The run computes every stage first, then makes ``outdir`` and writes
     every artifact, then audits: a stage that raises leaves no output
-    directory behind.  The superedge budget of parallel repetition and a
-    lower bound on the gadget's edges are checked before that stage, from
-    the regularized instance's sizes, and raise ResourceError.
+    directory behind.  Before its writes, a run removes from ``outdir``
+    each planted artifact (``_PLANTED_ARTIFACTS``) that it does not write,
+    so it leaves no file of an earlier run that its own files contradict;
+    it leaves every other file alone.  The superedge budget of parallel
+    repetition and a lower bound on the gadget's edges are checked before
+    that stage, from the regularized instance's sizes, and raise
+    ResourceError.
     ``self_audit`` holds, per artifact, whether its file parses back to the
     object it was written from; a false entry raises AssertionError after
     stats.json is written.
@@ -166,8 +173,7 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
     with timed("spanner_reduce"):
         si = sp.build_spanner_instance(minrep, k, x_override=x_override)
         record("spanner_reduce", {"k": k, "x": si.x, "x_is_default": si.x_is_default},
-               {"vertices": si.base.vertex_count, "edges": si.base.edge_count,
-                "anchor_roster": si.anchor_roster_size})
+               {"vertices": si.base.vertex_count, "edges": si.base.edge_count})
 
     verdicts = {"girth_cross_check": True, "supergirth_exceeds_k_plus_1": True}
     if planted:
@@ -220,6 +226,8 @@ def run_pipeline(outdir, n_vars=3, ell=1, alpha=2.0, k=3, seed=0,
         # here, before the audit's re-parse of that graph sets the peak.
         del si
         outdir.mkdir(parents=True, exist_ok=True)
+        for filename in _PLANTED_ARTIFACTS - {entry[1] for entry in artifacts}:
+            (outdir / filename).unlink(missing_ok=True)
         for _, filename, obj, chunks, _ in artifacts:
             _write_chunks(outdir / filename, chunks(obj))
     with timed("self_audit"):

@@ -26,8 +26,8 @@ import json
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .graphs import (INFINITY, _WRITE_ROWS, Graph, _canonical, _decimal_blocks, _head_lines,
-                     _hops, _int_rows, _line_number, _rising, _row_offset, _sorted_distinct,
+from .graphs import (INFINITY, _WRITE_ROWS, Graph, _decimal_blocks, _edge_fault, _head_lines,
+                     _hops, _int_rows, _line_error, _rising, _row_offset, _sorted_distinct,
                      _vertex_count, _within, girth, graph_sha256)
 from .labelcover import (MinRepInstance, RepCover, _lc_chunks, _relation_slots, repcover_valid,
                          supergraph)
@@ -131,7 +131,6 @@ class SpannerInstance:
         roster = [crossing_sa[0], crossing_tb[0], crossing_sa[:, :, 0], crossing_tb[:, :, 0]]
         self.anchor_distinct = _sorted_distinct(np.concatenate([a.ravel() for a in roster]))
         self.anchor_distinct.flags.writeable = False
-        self.anchor_roster_size = sum(a.size for a in roster)
 
     # -- vertex layout ---------------------------------------------------
 
@@ -153,8 +152,6 @@ class SpannerInstance:
         expect_v = self.n + self.x * (self.n_tilde // 2) * (self.k - 1)
         if self.base.vertex_count != expect_v:
             raise AssertionError("vertex count formula violated")
-        if self.anchor_roster_size != self.n + self.x * self.n_tilde:
-            raise AssertionError("anchor roster size formula violated")
         expected_distinct = self.n + (self.x - 1) * self.n_tilde
         if self.anchor_distinct.size != expected_distinct:
             raise AssertionError("anchor distinct-union size violated")
@@ -338,7 +335,7 @@ def build_spanner_instance(mr: MinRepInstance, k: int, x_override: int | None = 
     # leaves another slot unwritten.  That slot keeps its (0, 0) from
     # np.zeros, which is not canonical.
     if (sum(table.size for table, _, _ in tables) != edge_count
-            or not _canonical(vertex_count, eu, ev)):
+            or _edge_fault(vertex_count, eu, ev) is not None):
         raise AssertionError("gadget edges are not canonical, one slot each")
     base = Graph._from_canonical(vertex_count, eu, ev)
 
@@ -592,8 +589,7 @@ def parse_subset_text(raw: bytes, host: Graph) -> EdgeSubset:
     row = _rising(ids, ids)         # an id equal to the one before is not above it
     if row is not None:
         pos = _row_offset(raw, [start], [len(raw)], row)
-        raise InputError(f"line {_line_number(raw, pos)}: "
-                         "subset edge ids must be sorted and distinct")
+        raise _line_error(raw, pos, "subset edge ids must be sorted and distinct")
     return EdgeSubset._from_sorted(host, ids)
 
 

@@ -97,6 +97,13 @@ def family_ids(si, fam: int) -> np.ndarray:
     return np.sort(np.concatenate([t.ravel() for t in tables]))
 
 
+def anchor_roster_size(si) -> int:
+    """The anchor edges of a gadget counted in both roles: each Min-Rep
+    vertex's copy-0 crossing edge and each tower's symbol-0 crossing edge."""
+    return (si.crossing_sa[0].size + si.crossing_tb[0].size
+            + si.crossing_sa[:, :, 0].size + si.crossing_tb[:, :, 0].size)
+
+
 def family_code(si) -> np.ndarray:
     """Every gadget edge's family as an int8 code in ``FAMILIES`` order,
     built from the tables; -1 marks an edge that no table holds."""

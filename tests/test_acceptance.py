@@ -20,9 +20,9 @@ from girthspan.labelcover import (LabelCoverInstance, Labeling,
                                   supergraph, value)
 from girthspan.rng import Stream, child_seed, draws_array, keep_threshold
 
-from conftest import (complete_graph, cycle_graph, family_ids, full_subset, make_lc,
-                      montecarlo_kept_edges, montecarlo_satisfied, path_lc_tiny, random_graph,
-                      random_tiny_lc, xor_odd_4cycle)
+from conftest import (anchor_roster_size, complete_graph, cycle_graph, family_ids,
+                      full_subset, make_lc, montecarlo_kept_edges, montecarlo_satisfied,
+                      path_lc_tiny, random_graph, random_tiny_lc, xor_odd_4cycle)
 
 
 @contextmanager
@@ -154,7 +154,7 @@ def test_criterion_4_size_formulas():
         built.append(sp.build_spanner_instance(minrep_expand(ten), 3))
         for si in built:
             assert si.base.vertex_count == si.n + si.x * (si.n_tilde // 2) * (si.k - 1)
-            assert si.anchor_roster_size == si.n + si.x * si.n_tilde
+            assert anchor_roster_size(si) == si.n + si.x * si.n_tilde
             assert (si.k == 3) == (family_ids(si, sp.FAM_M).size == 0)
             si.audit()
 

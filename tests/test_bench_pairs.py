@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 import bench_pairs  # noqa: E402
@@ -83,3 +85,41 @@ def test_export_worktree_copies_the_files_git_would_track(tmp_path):
     copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert copied == [".gitignore", "new.py", "src/pkg/a.py"]
     assert (dest / "src" / "pkg" / "a.py").read_text() == "A = 2\n"
+
+
+def ten_pairs(parent, change):
+    """Ten pairs of run_s values (peak_rss_mb fixed at 40), side by side."""
+    return pairs_of([((p, 40.0), (c, 40.0)) for p, c in zip(parent, change)])
+
+
+PARENT = [0.100, 0.101, 0.102, 0.103, 0.104, 0.105, 0.106, 0.107, 0.108, 0.109]
+
+
+@pytest.mark.parametrize("change, within_bound, gain", [
+    # nine of ten pairs won by 0.006, above the parent's quartile gap of 0.0045
+    ([p - 0.006 for p in PARENT[:9]] + [0.2], True, True),
+    # ten of ten won, but by 0.001 only: inside the A/A floor
+    ([p - 0.001 for p in PARENT], True, False),
+    # won by far in eight pairs only
+    ([p - 0.05 for p in PARENT[:8]] + [0.2, 0.2], True, False),
+    # 20% slower, within the 0.25 bound, and 30% slower, past it
+    ([p * 1.2 for p in PARENT], True, False),
+    ([p * 1.3 for p in PARENT], False, False),
+])
+def test_verdicts_on_fixed_pairs(change, within_bound, gain):
+    row = {r["name"]: r for r in bench_pairs.summarize(SPEC, ten_pairs(PARENT, change))}["run_s"]
+    assert row["floor"] == pytest.approx(0.0045)
+    assert (row["within_bound"], row["gain"]) == (within_bound, gain)
+    line = bench_pairs.format_rows([row]).splitlines()[1]
+    assert line.split()[-3:] == ["ok" if within_bound else "WORSE", "yes" if gain else "no",
+                                 "0.0045"]
+
+
+def test_verdicts_for_a_higher_is_better_metric_without_a_bound():
+    pairs = pairs_of([((0.2, 40.0, 0.50 + i / 100), (0.2, 40.0, 0.60 + i / 100))
+                      for i in range(10)])
+    row = {r["name"]: r for r in bench_pairs.summarize(SPEC, pairs)}["ratio"]
+    assert row["within_bound"] is None and row["gain"]
+    assert bench_pairs.format_rows([row]).splitlines()[1].split()[-3:-1] == ["-", "yes"]
+    worse = bench_pairs.summarize(SPEC, [(c, p) for p, c in pairs])
+    assert not {r["name"]: r for r in worse}["ratio"]["gain"]

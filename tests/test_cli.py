@@ -14,7 +14,7 @@ from girthspan.graphs import write_graph_text
 from girthspan.labelcover import write_lc_text
 from girthspan.spanner import EdgeSubset, write_subset_text
 
-from conftest import cycle_graph, make_graph, path_lc_tiny, xor_odd_4cycle
+from conftest import anchor_roster_size, cycle_graph, make_graph, path_lc_tiny, xor_odd_4cycle
 
 
 def run(args):
@@ -178,7 +178,7 @@ def test_gen_and_stage_commands(tmp_path, capsys):
     capsys.readouterr()
     assert run(["stats", "-i", stripped]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "stats_v2"
+    assert doc["schema"] == "stats_v3"
 
 
 def test_unsafe_supergirth_warns(tmp_path, capsys):
@@ -510,7 +510,7 @@ def test_subsample_rejects_degree_override_below_one(tmp_path, capsys):
     assert not sam.exists()
 
 
-STAGES_V2 = [   # (name, params keys, sizes keys) of a planted run, in order
+STAGES_V3 = [   # (name, params keys, sizes keys) of a planted run, in order
     ("gen_3sat5", {"n_vars", "planted"}, {"clauses"}),
     ("lc_from_3sat5", set(), {"a", "b", "superedges", "relations"}),
     ("regularize", set(), {"a", "b", "superedges", "relations"}),
@@ -519,29 +519,29 @@ STAGES_V2 = [   # (name, params keys, sizes keys) of a planted run, in order
     ("subsample", {"alpha", "p"}, {"superedges", "relations", "degrees_a", "degrees_b"}),
     ("strip_cycles", {"threshold"}, {"superedges", "relations", "bad_edges", "supergirth"}),
     ("minrep_expand", set(), {"vertices", "edges"}),
-    ("spanner_reduce", {"k", "x", "x_is_default"}, {"vertices", "edges", "anchor_roster"}),
+    ("spanner_reduce", {"k", "x", "x_is_default"}, {"vertices", "edges"}),
     ("spanner_from_cover", {"cover_size"}, {"spanner_edges", "bound"}),
 ]
 DEGREES = {"minimum", "mean", "maximum"}
-REPORT_V2 = {"schema", "params", "flags", "trace", "verdicts", "self_audit", "wall_clock_s",
+REPORT_V3 = {"schema", "params", "flags", "trace", "verdicts", "self_audit", "wall_clock_s",
              "peak_rss_mb"}
 
 
-def test_stats_v2_shape(tmp_path, capsys):
-    """The stats_v2 keys of a planted pipeline report and of the stats command."""
+def test_stats_v3_shape(tmp_path, capsys):
+    """The stats_v3 keys of a planted pipeline report and of the stats command."""
     out = tmp_path / "run"
     assert run(["pipeline", "--vars", 3, "--ell", 1, "--alpha", 1.0, "--k", 3,
                 "--seed", 7, "--planted", "-o", out]) == 0
     report = json.loads((out / "stats.json").read_text())
-    assert set(report) == REPORT_V2
-    assert report["schema"] == "stats_v2"
+    assert set(report) == REPORT_V3
+    assert report["schema"] == "stats_v3"
     assert set(report["params"]) == {"n_vars", "ell", "alpha", "k", "seed", "planted",
                                      "x_override", "clamp_p"}
     assert set(report["flags"]) == {"degenerate", "clamped"}
     assert set(report["trace"]) == {"stages"}
     stages = report["trace"]["stages"]
-    assert [s["name"] for s in stages] == [name for name, _, _ in STAGES_V2]
-    for stage, (name, params, sizes) in zip(stages, STAGES_V2):
+    assert [s["name"] for s in stages] == [name for name, _, _ in STAGES_V3]
+    for stage, (name, params, sizes) in zip(stages, STAGES_V3):
         assert set(stage) == {"name", "params", "sizes"}
         assert (set(stage["params"]), set(stage["sizes"])) == (params, sizes), name
     sizes = stages[4]["sizes"]
@@ -551,15 +551,16 @@ def test_stats_v2_shape(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"schema", "a_count", "b_count", "sigma_a", "sigma_b", "superedges",
                         "relation_pairs_total", "degrees_a", "degrees_b", "supergirth"}
-    assert doc["schema"] == "stats_v2"
+    assert doc["schema"] == "stats_v3"
     assert set(doc["degrees_a"]) == set(doc["degrees_b"]) == DEGREES
 
 
 # plain, all stripped, clamped, none sampled
 @pytest.mark.parametrize("alpha", [1.0, 4.0, 50.0, 0.0001])
-def test_stats_v2_holds_every_stats_v1_value(tmp_path, alpha):
-    """Each value stats_v1 stated besides its stage records, recomputed from
-    the stats_v2 fields, equals what the run's artifacts give."""
+def test_stats_v3_holds_every_earlier_value(tmp_path, alpha):
+    """Each value stats_v1 stated besides its stage records, and the
+    ``spanner_reduce.sizes.anchor_roster`` of stats_v2, recomputed from the
+    stats_v3 fields, equals what the run's artifacts give."""
     from girthspan.graphs import girth
     from girthspan.labelcover import parse_lc_text, supergraph
     from girthspan.rng import child_seed
@@ -598,6 +599,31 @@ def test_stats_v2_holds_every_stats_v1_value(tmp_path, alpha):
     assert report["flags"]["degenerate"] == (stripped.edge_count == 0)
     assert report["params"]["seed"] == 7
     assert stage["strip_cycles"]["params"]["threshold"] == k + 1
+    # anchor_roster: the Min-Rep vertices plus x per supervertex
+    x = stage["spanner_reduce"]["params"]["x"]
+    sides = stage["parallel_repetition"]["sizes"]
+    si = pipeline.rebuild_gadget(out / "stripped.lc", k, x_override=x)
+    assert (stage["minrep_expand"]["sizes"]["vertices"] + x * (sides["a"] + sides["b"])
+            == anchor_roster_size(si))
+
+
+def test_plain_run_removes_the_planted_artifacts_of_an_earlier_run(tmp_path):
+    """A plain run into the directory of a planted run leaves none of the
+    planted run's labeling, cover and spanner, whose host hash its own
+    gadget does not match, and leaves files it does not own alone."""
+    out = tmp_path / "o1"
+    args = ["pipeline", "--vars", 3, "--seed", 7, "--alpha", 1, "-o", out]
+    assert run([*args, "--planted"]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    before = {p.name for p in out.iterdir()}
+    assert run(args) == 0
+    after = {p.name for p in out.iterdir()}
+    assert before - after == {"labeling.label", "cover.cover", "spanner.subset"}
+    assert after - before == set()
+    assert (out / "notes.txt").read_text() == "kept\n"
+    fresh = tmp_path / "fresh"
+    assert run([*args[:-1], fresh]) == 0
+    assert {p.name for p in fresh.iterdir()} == after - {"notes.txt"}
 
 
 def test_pipeline_artifacts_round_trip(tmp_path):

@@ -368,6 +368,7 @@ def test_graph_text_rejects_non_decimal_tokens_with_line(bad):
     ("0 1\n\n0 3\n0 2\n", "line 6: edge lines not sorted"),
     ("0 1\n2 1\n0 3\n", "line 4: edge line not in u < v form"),
     ("0 1\n0 2\n\n1 9\n", "line 6: edge endpoint out of range"),
+    ("0 4\n2 1\n0 1\n", "line 3: edge endpoint out of range"),     # before a later u >= v
     ("0 1\n0 2 3\n1 2\n", "line 4: expected 2 integer(s) per edge line"),
     pytest.param("0 1\n" + "\n" * 300 + "0 1\n0 2\n", "line 304: duplicate edge",
                  id="300-blank-lines"),
@@ -514,8 +515,9 @@ def test_graph_vertex_count_is_bounded():
     ("0 4294967297\n", "line 3: edge endpoint out of range"),            # 1 in int32
     ("4294967296 4294967297\n", "line 3: edge endpoint out of range"),   # (0, 1) in int32
     ("0 1\n1 4294967298\n", "line 4: edge endpoint out of range"),       # (1, 2) in int32
-    # the faults keep their order: a u >= v line anywhere comes first
-    ("0 4294967297\n3 2\n", "line 4: edge line not in u < v form"),
+    # the first faulty line is named, whatever rule a later line breaks
+    ("0 4294967297\n3 2\n", "line 3: edge endpoint out of range"),
+    ("3 2\n0 4294967297\n", "line 3: edge line not in u < v form"),
 ])
 def test_graph_endpoints_beyond_int32_are_out_of_range(body, message):
     """An endpoint of 2^31 or more is out of range at N = 5 with the
@@ -674,6 +676,8 @@ def write_graph_text_per_line(g):
 
 
 def parse_graph_text_per_line(text):
+    """The reference parse: an edge line that breaks a rule is named by its
+    line number and the first rule it breaks."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "GRAPH v1":
         raise InputError("missing GRAPH v1 header")
@@ -686,29 +690,73 @@ def parse_graph_text_per_line(text):
         n, m = int(parts[1]), int(parts[3])
     except ValueError as exc:
         raise InputError(f"bad size line: {lines[1]!r}") from exc
-    body = [ln for ln in lines[2:] if ln.strip()]
+    body = [(no, ln) for no, ln in enumerate(lines[2:], start=3) if ln.strip()]
     if len(body) != m:
         raise InputError(f"expected {m} edge lines, found {len(body)}")
     prev_key = -1
     eu = np.empty(m, dtype=np.int64)
     ev = np.empty(m, dtype=np.int64)
-    for i, ln in enumerate(body):
+    for i, (no, ln) in enumerate(body):
         toks = ln.split()
         if len(toks) != 2:
             raise InputError(f"bad edge line: {ln!r}")
         u, v = int(toks[0]), int(toks[1])
         if u >= v:
-            raise InputError(f"edge line not in u < v form: {ln!r}")
+            raise InputError(f"line {no}: edge line not in u < v form")
         if not (0 <= u and v < n):
-            raise InputError(f"edge endpoint out of range: {ln!r}")
+            raise InputError(f"line {no}: edge endpoint out of range")
         key = u * n + v
         if key == prev_key:
-            raise InputError(f"duplicate edge: {ln!r}")
+            raise InputError(f"line {no}: duplicate edge")
         if key < prev_key:
-            raise InputError(f"edge lines not sorted: {ln!r}")
+            raise InputError(f"line {no}: edge lines not sorted")
         prev_key = key
         eu[i], ev[i] = u, v
     return Graph(n, eu, ev)
+
+
+@st.composite
+def edited_graph_texts(draw):
+    """GRAPH v1 texts whose edge lines all hold two decimal integers: a
+    canonical edge list after one to three edits, each of which can break
+    an edge rule (ends swapped, an end at N or above 2^32, which int32 would
+    wrap into range, a line repeated or moved), with blank lines between
+    some lines."""
+    n = draw(st.integers(2, 9))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    rows = [list(pair) for pair in sorted({(min(p), max(p)) for p in ends if p[0] != p[1]})]
+    for _ in range(draw(st.integers(1, 3))):
+        if not rows:
+            break
+        r, side = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
+        edit = draw(st.sampled_from(["swap", "at n", "wraps", "repeat", "move"]))
+        if edit == "swap":
+            rows[r].reverse()
+        elif edit == "at n":
+            rows[r][side] = n
+        elif edit == "wraps":
+            rows[r][side] += 2**32
+        elif edit == "repeat":
+            rows.insert(r, list(rows[r]))
+        else:
+            rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop(r))
+    lines = [f"{u} {v}" for u, v in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return f"GRAPH v1\nN {n} M {len(rows)}\n" + "\n".join(lines) + "\n"
+
+
+@given(edited_graph_texts())
+@settings(max_examples=300, deadline=None)
+def test_graph_parser_names_the_line_and_rule_of_the_reference(text):
+    """Where the per-line reference rejects an edge line, the parser's
+    message is the reference's: the same line and the same rule."""
+    try:
+        expected = parse_graph_text_per_line(text)
+    except InputError as exc:
+        assert rejection(parse_graph_text, text) == str(exc)
+    else:
+        assert parse_graph_text(text.encode("ascii")) == expected
 
 
 @given(sparse_graphs())

@@ -192,8 +192,10 @@ def test_relations_must_be_nonempty():
 
 
 def test_duplicate_superedges_rejected():
-    with pytest.raises(InputError):
+    """Built directly, an instance names the rule it breaks but no line."""
+    with pytest.raises(InputError) as exc:
         make_lc(2, 2, 2, 2, [(0, 0, [(0, 0)]), (0, 0, [(1, 1)])])
+    assert str(exc.value) == "superedges must be distinct and (a, b)-sorted"
 
 
 def test_lc_text_round_trip(xor_lc):
@@ -407,6 +409,7 @@ def test_narrowed_spellings_name_their_line(kind, text, line):
 
 
 LC_HEAD_1x3 = "LC v1\nA 1 B 3 SA 3 SB 2 M 3\n"
+LC_HEAD_2x2 = "LC v1\nA 2 B 2 SA 2 SB 2 M 2\n"
 HUGE_COUNT = 10**18 - 1          # 18 digits, the most a token may hold
 
 BAD_LINE_CASES = [
@@ -445,6 +448,22 @@ BAD_LINE_CASES = [
     ("LC v1\nA 1 B 10 SA 2 SB 10 M 10\n" + "".join(f"E 0 {b} {HUGE_COUNT}\n0 {b}\n"
                                                   for b in range(10)),
      f"line 3: relation block truncated: {HUGE_COUNT} pair lines declared, 1 found"),
+    # the instance's rules, named at the E line of the superedge or the line
+    # of the pair at fault
+    (LC_HEAD_2x2 + "E 0 1 1\n0 0\nE 0 1 1\n0 0\n",
+     "line 5: superedges must be distinct and (a, b)-sorted"),
+    (LC_HEAD_2x2 + "E 0 1 1\n0 0\nE 5 1 1\n0 0\n", "line 5: superedge A endpoint out of range"),
+    (LC_HEAD_2x2 + "E 0 1 1\n0 0\nE 1 2 1\n0 0\n", "line 5: superedge B endpoint out of range"),
+    (LC_HEAD_2x2 + "E 0 1 1\n0 0\nE 1 1 1\n2 0\n", "line 6: relation symbol out of range"),
+    (LC_HEAD_2x2 + "E 0 1 1\n0 0\nE 1 1 1\n0 2\n", "line 6: relation symbol out of range"),
+    (LC_HEAD_2x2 + "E 0 1 1\n0 0\nE 1 1 2\n1 0\n0 1\n",
+     "line 7: relation pairs must be sorted and distinct"),
+    (LC_HEAD_2x2 + "E 0 1 0\nE 1 1 1\n0 0\n", "line 3: relations must be nonempty"),
+    # superedges are checked in (a, b) order: of two equal ones the later E
+    # line is named, and of two out of range the lower in that order
+    (LC_HEAD_2x2.replace("M 2", "M 3") + "E 1 1 1\n0 0\nE 0 1 1\n0 0\nE 1 1 1\n1 1\n",
+     "line 7: superedges must be distinct and (a, b)-sorted"),
+    (LC_HEAD_2x2 + "E 7 1 1\n0 0\nE 5 1 1\n0 0\n", "line 5: superedge A endpoint out of range"),
 ]
 
 

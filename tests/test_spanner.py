@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from girthspan import constructions as cons, sampling, spanner as sp
 from girthspan.errors import InputError, ResourceError
-from girthspan.graphs import (Graph, INFINITY, _canonical, girth, graph_sha256,
+from girthspan.graphs import (Graph, INFINITY, _edge_fault, girth, graph_sha256,
                               write_graph_text)
 from girthspan.labelcover import (RepCover, labeling_to_repcover,
                                   minrep_expand, repcover_valid, supergraph)
 from girthspan.oracles import bfs_distances, spans_all_pairs
 from girthspan.rng import Stream, child_seed
 
-from conftest import (check_mutant, complete_graph, cycle_graph, family_code, family_ids,
-                      full_subset, gadget_by_sort, hub_graph, make_graph, make_lc, path_lc_tiny,
+from conftest import (anchor_roster_size, check_mutant, complete_graph, cycle_graph,
+                      family_code, family_ids, full_subset, gadget_by_sort, hub_graph, make_graph,
+                      make_lc, path_lc_tiny,
                       random_graph, text_mutants, tiny_passes, vertex_role, xor_odd_4cycle)
 
 
@@ -41,7 +42,7 @@ def test_build_default_x_formulas():
     si = sp.build_spanner_instance(mr, 3)
     assert si.x == 25 and si.x_is_default
     assert si.base.vertex_count == 10 + 25 * 2 * 2 == 110
-    assert si.anchor_roster_size == 10 + 25 * 4 == 110
+    assert anchor_roster_size(si) == 10 + 25 * 4 == 110
     assert si.anchor_distinct.size == 10 + 24 * 4
     assert family_ids(si, sp.FAM_M).size == 0
     assert family_ids(si, sp.FAM_GT).size == 25 * 3
@@ -295,11 +296,11 @@ def test_gadget_tables_fill_each_slot_once(k, x):
                   si.gt_copies]
         assert sum(t.size for t in tables) == sum(si.family_sizes()) == si.base.edge_count
         eu, ev = si.base.edge_arrays()
-        assert _canonical(si.base.vertex_count, eu, ev)
+        assert _edge_fault(si.base.vertex_count, eu, ev) is None
         for slot in sorted({0, 1, eu.size // 2, eu.size - 1}):
             zu, zv = eu.copy(), ev.copy()
             zu[slot] = zv[slot] = 0
-            assert not _canonical(si.base.vertex_count, zu, zv), slot
+            assert _edge_fault(si.base.vertex_count, zu, zv) is not None, slot
 
 
 def test_supergirth_is_stored_by_the_constructor():
@@ -1041,7 +1042,7 @@ def test_gadget_metadata_contents():
         k_a, k_b, _, n, _ = derived_sizes(meta)
         n_tilde = meta["a_count"] + meta["b_count"]
         assert (k_a, k_b, n, n_tilde) == (si.k_a, si.k_b, si.n, si.n_tilde)
-        assert n + meta["x"] * n_tilde == si.anchor_roster_size            # anchor_roster_size
+        assert n + meta["x"] * n_tilde == anchor_roster_size(si)         # anchor_roster_size
         assert n + (meta["x"] - 1) * n_tilde == si.anchor_distinct.size    # anchor_distinct_size
         # anchor_choices_a and anchor_choices_b: each supervertex's symbol 0
         choices = [si.source.a_vertex(i, 0) for i in range(meta["a_count"])]

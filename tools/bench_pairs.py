@@ -12,8 +12,14 @@ and so on, so host drift falls on both sides alike.  Each run keeps its
 final JSON line.
 
 Prints, for each end-to-end metric of BENCHMARK.json, the median and
-quartiles of each side's runs and the number of pairs the change wins (a tie
-counts for neither side).  Exits 1 when a run exits nonzero or reports a
+quartiles of each side's runs, the number of pairs the change wins (a tie
+counts for neither side), and two verdicts.  ``bound`` says whether the
+change's median is worse than the parent's by no more than the metric's
+relative ``bound`` ("ok"), or by more ("WORSE"; "-" for a metric without a
+bound).  ``gain`` says whether a gain would count: the change wins at least
+nine tenths of the pairs, and its median is better than the parent's by more
+than the A/A floor, the distance between the quartiles of the parent's own
+runs, which ``floor`` prints.  Exits 1 when a run exits nonzero or reports a
 failed or incorrect op.  The exports are removed in every case.  The seed
 defaults to the benchmark's reference seed and the run length to its
 ``run_seconds``.
@@ -46,8 +52,8 @@ def quartiles(values) -> tuple:
 def summarize(metrics_spec: list, pairs: list) -> list:
     """One row per end-to-end metric over ``pairs``, each a (parent, change)
     pair of final JSON lines: name, unit, each side's quartiles, the pairs the
-    change wins and the pairs compared.  A metric missing from a run is left
-    out of that pair."""
+    change wins, the pairs compared and the two verdicts (``verdicts``).  A
+    metric missing from a run is left out of that pair."""
     rows = []
     for metric in metrics_spec:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -56,11 +62,27 @@ def summarize(metrics_spec: list, pairs: list) -> list:
         if not runs:
             continue
         wins = sum((c < p) if lower else (c > p) for p, c in runs)
-        rows.append({"name": name, "unit": metric["unit"],
-                     "parent": quartiles([p for p, _ in runs]),
-                     "change": quartiles([c for _, c in runs]),
-                     "wins": wins, "pairs": len(runs)})
+        row = {"name": name, "unit": metric["unit"],
+               "parent": quartiles([p for p, _ in runs]),
+               "change": quartiles([c for _, c in runs]),
+               "wins": wins, "pairs": len(runs)}
+        rows.append({**row, **verdicts(row, lower, metric.get("bound"))})
     return rows
+
+
+def verdicts(row: dict, lower: bool, bound) -> dict:
+    """The verdicts on a summary row of a metric for which lower (or higher)
+    is better.  ``within_bound``: the change's median is worse than the
+    parent's by at most ``bound`` times the parent's median (None without a
+    bound).  ``gain``: the change wins at least nine tenths of the pairs and
+    its median is better than the parent's by more than ``floor``, the
+    distance between the parent's quartiles."""
+    (p_lo, parent, p_hi), change = row["parent"], row["change"][1]
+    better_by = parent - change if lower else change - parent
+    floor = p_hi - p_lo
+    return {"within_bound": None if bound is None else -better_by <= bound * abs(parent),
+            "gain": 10 * row["wins"] >= 9 * row["pairs"] and better_by > floor,
+            "floor": floor}
 
 
 def failures(pairs: list) -> list:
@@ -75,14 +97,19 @@ def failures(pairs: list) -> list:
 
 
 def format_rows(rows: list) -> str:
-    """The summary table, one metric a line: median [q1, q3] per side."""
+    """The summary table, one metric a line: median [q1, q3] per side, the
+    pairs won with the median's relative change, and the verdicts."""
     def side(q) -> str:
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
-    lines = ["metric        unit   parent median [q1, q3]       change median [q1, q3]       wins"]
+    head = "metric        unit   parent median [q1, q3]       change median [q1, q3]       wins"
+    lines = [f"{head:<95} bound  gain  floor"]
     for r in rows:
         change = (r["change"][1] - r["parent"][1]) / r["parent"][1] if r["parent"][1] else 0.0
-        lines.append(f"{r['name']:<13} {r['unit']:<6} {side(r['parent']):<28} "
-                     f"{side(r['change']):<28} {r['wins']}/{r['pairs']}  ({change:+.1%})")
+        cells = (f"{r['name']:<13} {r['unit']:<6} {side(r['parent']):<28} "
+                 f"{side(r['change']):<28} {r['wins']}/{r['pairs']}  ({change:+.1%})")
+        bound = {None: "-", True: "ok", False: "WORSE"}[r["within_bound"]]
+        lines.append(f"{cells:<95} {bound:<6} {'yes' if r['gain'] else 'no':<5} "
+                     f"{r['floor']:.4g}")
     return "\n".join(lines)
 
 
