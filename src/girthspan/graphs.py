@@ -247,24 +247,28 @@ def _hops(adj, src: int, dst: int, cap: int | None, skip_direct: bool = False):
     graphs have no parallel edges, so that is the same as ignoring its id.
 
     The search meets in the middle: each side keeps the ball it has seen and
-    its last level, both as sets, and each step grows the side whose frontier
-    is smaller (the source side on a tie) by one whole level, with set
-    operations (see ``_grow``).  It is exact.  While the sides have gone a
-    levels from ``src`` and b from ``dst`` without meeting, the distance D
-    exceeds a + b: otherwise the node at position min(a, D) of a shortest
-    path would lie in both balls.  So any neighbour found in the other side's
-    ball, while one side grows to a + 1, closes a path of a + 1 + b hops,
-    which is D; every meeting in that level gives the same sum, so the level
-    is tested as a whole, in no order.  An empty frontier means its side's
-    component is exhausted without meeting, so ``dst`` is unreachable.  The
-    level that brings a + b to ``cap`` is the final one: it only tests for a
-    meeting, since no level after it is grown.
+    its last level, both as sets, and each step grows one side by one whole
+    level, with set operations (see ``_grow``).  While both frontiers hold
+    one vertex, the side whose vertex has fewer neighbours grows, so a query
+    between a hub and a vertex of low degree reads the short list, not the
+    hub's; otherwise the side whose frontier is smaller grows.  The source
+    side grows on a tie.  The search is exact whichever side grows.  While
+    the sides have gone a levels from ``src`` and b from ``dst`` without
+    meeting, the distance D exceeds a + b: otherwise the node at position
+    min(a, D) of a shortest path would lie in both balls.  So any neighbour
+    found in the other side's ball, while one side grows to a + 1, closes a
+    path of a + 1 + b hops, which is D; every meeting in that level gives
+    the same sum, so the level is tested as a whole, in no order.  An empty
+    frontier means its side's component is exhausted without meeting, so
+    ``dst`` is unreachable.  The level that brings a + b to ``cap`` is the
+    final one: it only tests for a meeting, since no level after it is
+    grown.
 
     With ``skip_direct`` the search runs on the graph without {src, dst}: the
     step from ``src`` straight to ``dst`` is dropped from the source side's
     root level and the reverse step from the target side's.  Neither root can
-    enter the other side's ball without meeting first, so no other step
-    crosses that edge.
+    enter the other side's ball without meeting first, whichever side grows
+    first, so no other step crosses that edge.
     """
     if src == dst:
         return 0
@@ -273,7 +277,12 @@ def _hops(adj, src: int, dst: int, cap: int | None, skip_direct: bool = False):
     ds = dt = 0
     while front_s and front_t and (cap is None or ds + dt < cap):
         final = ds + dt + 1 == cap
-        if len(front_s) <= len(front_t):
+        if len(front_s) == len(front_t) == 1:
+            (only_s,), (only_t,) = front_s, front_t
+            grow_s = len(adj[only_s]) <= len(adj[only_t])
+        else:
+            grow_s = len(front_s) <= len(front_t)
+        if grow_s:
             banned = dst if skip_direct and ds == 0 else None
             front_s = _grow(adj, front_s, seen_s, seen_t, banned, final)
             ds += 1
@@ -353,13 +362,16 @@ def girth(g: Graph):
 
 # --- batched capped distances --------------------------------------------------
 #
-# ``_hops`` answers one query at a time, about 3 us of Python each.  The
-# spanner verifiers (one query per missing edge) and ``sampling.bad_edges``
-# (one per superedge) ask many queries that do not depend on each other, so
-# ``_within`` answers them together, a pass of ``_PASS_PAIRS`` pairs at a
-# time.  ``girth``, ``edge_cycle_length`` and ``greedy_spanner`` stay on
-# ``_hops``: each of their queries depends on the answers before it (a
-# shrinking cap, or a graph that grows).
+# ``_hops`` answers one query at a time, 3 to 5 us of Python each on the
+# gadgets.  Both kernels grow the cheaper side of a query: ``_within`` the
+# side whose last level has fewer neighbour entries, ``_hops`` the smaller
+# frontier, or, when both frontiers are one vertex, the vertex with fewer
+# neighbours.  The spanner verifiers (one query per missing edge) and
+# ``sampling.bad_edges`` (one per superedge) ask many queries that do not
+# depend on each other, so ``_within`` answers them together, a pass of
+# ``_PASS_PAIRS`` pairs at a time.  ``girth``, ``edge_cycle_length`` and
+# ``greedy_spanner`` stay on ``_hops``: each of their queries depends on the
+# answers before it (a shrinking cap, or a graph that grows).
 
 _PASS_PAIRS = 1 << 10
 _PASS_ENTRIES = 1 << 16

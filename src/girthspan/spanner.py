@@ -548,13 +548,20 @@ def spanner_from_repcover(si: SpannerInstance, cover: RepCover) -> EdgeSubset:
 
 def greedy_spanner(g: Graph, k: int) -> EdgeSubset:
     """Classical greedy: keep an edge iff its endpoints are currently more
-    than k hops apart.  The output verifies and has girth > k + 1."""
+    than k hops apart.  The output verifies and has girth > k + 1.
+
+    The edges are taken in id order over neighbour lists of the kept edges.
+    An edge with an end that has no kept edge yet is kept without a query:
+    that end is isolated in the kept graph, so no path joins the ends.
+    Every other edge asks ``_hops``, which grows the end with fewer
+    neighbours first; the kept set is the same whichever end grows.
+    """
     if k < 1:
         raise InputError("stretch k must be >= 1")
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
     chosen = []
     for eid, (u, v) in enumerate(g.edges()):
-        if _hops(adj, u, v, k) == INFINITY:
+        if not adj[u] or not adj[v] or _hops(adj, u, v, k) == INFINITY:
             adj[u].append(v)
             adj[v].append(u)
             chosen.append(eid)

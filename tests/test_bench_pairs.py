@@ -123,3 +123,52 @@ def test_verdicts_for_a_higher_is_better_metric_without_a_bound():
     assert bench_pairs.format_rows([row]).splitlines()[1].split()[-3:-1] == ["-", "yes"]
     worse = bench_pairs.summarize(SPEC, [(c, p) for p, c in pairs])
     assert not {r["name"]: r for r in worse}["ratio"]["gain"]
+
+
+def traced_output(greedy_s, greedy_self_s, graphs_self_s) -> str:
+    """Canned stdout of one traced bench/run.py run: per-layer metrics only."""
+    metrics = {"spanner_greedy_s": {"value": greedy_s, "unit": "s"},
+               "spanner.greedy_spanner.self_s": {"value": greedy_self_s, "unit": "s"},
+               "graphs.self_s": {"value": graphs_self_s, "unit": "s"},
+               "cli.self_s": {"value": 0.01, "unit": "s"}}
+    final = {"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}
+    return "# check-cmds seed 7: 40 ops, 0 failed, fail_ratio 0.0000\n" + json.dumps(final) + "\n"
+
+
+TRACED_SPEC = {
+    "end_to_end": SPEC,
+    "per_layer": [{"name": name, "unit": "s", "better": "lower"}
+                  for name in ("cli.self_s", "graphs.self_s", "spanner.greedy_spanner.self_s",
+                               "spanner_greedy_s")]}
+
+
+def test_metric_spec_selects_the_named_metrics_of_the_mode():
+    assert bench_pairs.metric_spec(TRACED_SPEC, False) == SPEC
+    assert bench_pairs.metric_spec(TRACED_SPEC, False, ["peak_rss_mb"]) == [SPEC[1]]
+    assert bench_pairs.metric_spec(TRACED_SPEC, True) == TRACED_SPEC["per_layer"]
+    named = ["spanner_greedy_s", "spanner.greedy_spanner.self_s", "graphs.self_s"]
+    assert [m["name"] for m in bench_pairs.metric_spec(TRACED_SPEC, True, named)] == named
+    with pytest.raises(ValueError, match="per-layer metric of BENCHMARK.json: run_s"):
+        bench_pairs.metric_spec(TRACED_SPEC, True, ["graphs.self_s", "run_s"])
+    with pytest.raises(ValueError, match="end-to-end metric"):
+        bench_pairs.metric_spec(TRACED_SPEC, False, ["graphs.self_s"])
+
+
+def test_traced_pairs_compare_the_named_per_layer_metrics():
+    """Each named metric gets its quartiles and wins, and no bound verdict."""
+    named = ["spanner_greedy_s", "spanner.greedy_spanner.self_s", "graphs.self_s"]
+    pairs = [(final_json_line(traced_output(0.050 + i / 1000, 0.030, 0.020 + i / 1000)),
+              final_json_line(traced_output(0.040 + i / 1000, 0.024, 0.020 + i / 1000)))
+             for i in range(6)]
+    rows = bench_pairs.summarize(bench_pairs.metric_spec(TRACED_SPEC, True, named), pairs)
+    assert [r["name"] for r in rows] == named
+    greedy, greedy_self, graphs_self = rows
+    assert greedy["parent"] == pytest.approx((0.05125, 0.0525, 0.05375))
+    assert (greedy["wins"], greedy["pairs"], greedy["gain"]) == (6, 6, True)
+    assert (greedy_self["wins"], greedy_self["floor"]) == (6, 0.0)
+    assert (graphs_self["wins"], graphs_self["gain"]) == (0, False)    # ties only
+    assert all(r["within_bound"] is None for r in rows)
+    lines = bench_pairs.format_rows(rows).splitlines()
+    assert lines[2].startswith("spanner.greedy_spanner.self_s s ")
+    assert [line.split()[-3:-1] for line in lines[1:]] == [["-", "yes"], ["-", "yes"], ["-", "no"]]
+    assert len({line.index(" -  ") for line in lines[1:]}) == 1        # one column

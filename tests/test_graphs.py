@@ -162,8 +162,10 @@ def test_hops_equals_capped_bfs(n, seed, data):
 @given(st.integers(20, 60), st.integers(0, 2**32), st.data())
 @settings(max_examples=120, deadline=None)
 def test_hops_equals_capped_bfs_with_hubs(n, seed, data):
-    """The kernel against bfs_distances where the smaller frontier switches
-    sides: one or two hubs, ends drawn from the hubs or from all vertices."""
+    """The kernel against bfs_distances where the grown side switches: one or
+    two hubs, ends drawn from the hubs or from all vertices, so that single
+    roots of very different degrees meet (the one with fewer neighbours
+    grows) as well as frontiers of different sizes."""
     hubs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
     g = hub_graph(n, hubs, data.draw(st.floats(0.0, 0.08)), Stream(seed))
     end = st.sampled_from(hubs) | st.integers(0, n - 1)
@@ -219,6 +221,23 @@ def test_hops_unit_cases():
     for u, v in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)):
         assert _hops(path, u, v, None) == 1
         assert _hops(path, u, v, None, skip_direct=True) == INFINITY
+
+
+def test_hops_grows_the_root_with_fewer_neighbours(monkeypatch):
+    """A star of 1,000 leaves and a pendant on one leaf: from the hub to the
+    pendant and back, the search grows the pendant's side, and reads fewer
+    than 10 neighbour entries where growing the hub would read 1,000."""
+    hub, pendant = 0, 1001
+    g = make_graph(1002, [(hub, leaf) for leaf in range(1, 1001)] + [(1, pendant)])
+    adj = g.adjacency()
+    entries = []
+    grow = graphs._grow
+    monkeypatch.setattr(graphs, "_grow", lambda adj, frontier, *args: entries.append(
+        sum(len(adj[u]) for u in frontier)) or grow(adj, frontier, *args))
+    for u, v in ((hub, pendant), (pendant, hub)):
+        entries.clear()
+        assert _hops(adj, u, v, 3) == 2
+        assert sum(entries) < 10
 
 
 # --- the batched kernel -----------------------------------------------------------

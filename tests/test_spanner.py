@@ -329,15 +329,23 @@ def test_gadget_tables_are_read_only():
             arr.reshape(-1)[0] = 0
 
 
+def vars3_minrep(planted=False):
+    """The Min-Rep instance of the seed-7 chain at vars=3, ell=1, alpha=1,
+    stripped at k + 1 = 4, from the formula ``pipeline --planted`` draws
+    when ``planted``."""
+    bits = cons.planted_assignment(3, 7) if planted else None
+    formula = cons.gen_3sat5(3, child_seed(7, "gen"), bits)
+    lc = cons.parallel_repetition(cons.regularize(cons.lc_from_3sat5(formula)), 1)
+    params = sampling.SampleParams(alpha=1.0, k=4, seed=child_seed(7, "subsample"))
+    return minrep_expand(sampling.strip_bad_edges(sampling.subsample(lc, params), 4))
+
+
 @pytest.fixture(scope="module")
 def traced_vars3_build():
     """The vars=3 default-x gadget of the seed-7 chain (96,225 edges, x =
     608, k = 3), built under tracemalloc: (instance, bytes left allocated,
     peak bytes above the start) of build_spanner_instance."""
-    formula = cons.gen_3sat5(3, child_seed(7, "gen"), None)
-    lc = cons.parallel_repetition(cons.regularize(cons.lc_from_3sat5(formula)), 1)
-    params = sampling.SampleParams(alpha=1.0, k=4, seed=child_seed(7, "subsample"))
-    mr = minrep_expand(sampling.strip_bad_edges(sampling.subsample(lc, params), 4))
+    mr = vars3_minrep()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -859,6 +867,41 @@ def test_greedy_members_equal_per_edge_reference():
             h = sp.greedy_spanner(g, k)
             assert np.array_equal(h.members, greedy_per_edge(g, k))
             assert h == sp.EdgeSubset(g, h.members.tolist())
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("x", [1, 2])
+def test_greedy_members_equal_per_edge_reference_on_gadgets(monkeypatch, x, k):
+    """Real gadgets hold what both shortcuts act on: Min-Rep hubs beside
+    tower tops of one neighbour, whose queries grow the cheaper root, and
+    edges with an end that has no kept edge yet, kept without a query."""
+    si = sp.build_spanner_instance(vars3_minrep(), k, x_override=x)
+    queries = []
+    hops = sp._hops
+    monkeypatch.setattr(sp, "_hops", lambda adj, u, v, cap: queries.append(u) or
+                        hops(adj, u, v, cap))
+    h = sp.greedy_spanner(si.base, k)
+    assert np.array_equal(h.members, greedy_per_edge(si.base, k))
+    assert 0 < len(queries) < si.base.edge_count
+
+
+def test_greedy_round_trip_on_the_vars3_gadget():
+    """Soundness on a spanner that is not proper: greedy at vars=3, default
+    x, seed 7, as ``pipeline --planted`` builds it.  make_proper(H) verifies,
+    the cover read from H is valid and has at most |make_proper(H)| / x
+    members, and every k-spanner has |make_proper(H)| >= x * N', N' the
+    non-isolated supervertices."""
+    si = sp.build_spanner_instance(vars3_minrep(planted=True), 3)
+    h = sp.greedy_spanner(si.base, si.k)
+    proper = sp.make_proper(si, h)
+    assert sp.verify_spanner_structured(si, proper)[0]
+    cover = sp.repcover_from_spanner(si, h)
+    assert repcover_valid(si.source, cover)[0]
+    lc = si.source.source
+    n_prime = int((lc.degrees_a() > 0).sum() + (lc.degrees_b() > 0).sum())
+    assert si.x * n_prime <= len(proper)
+    assert si.x * len(cover) <= len(proper)
+    assert (si.x * n_prime, len(h), len(proper), len(cover)) == (14_592, 20_247, 19_741, 32)
 
 
 # --- subset format -------------------------------------------------------------------
